@@ -177,6 +177,8 @@ def cmd_lan_dist(args: argparse.Namespace) -> int:
                     "dist_S": r.dist_S,
                     "u_effective": list(r.u_effective),
                     "clamped": r.clamped,
+                    "corner_bound_T": r.corner_bound_T,
+                    "corner_bound_S": r.corner_bound_S,
                 }
                 for r in result.rows
             ],

@@ -11,6 +11,12 @@ between two such hybrids.  ``apply_S`` goes the other way, binning the
 Gaussian pair back onto the valid-j lattice; ``blockwise_distance``
 measures its distance to the true block data.  ``convergence_sweep`` runs
 both directions over a list of n and fits log-log slopes.
+
+Every quantum state is kept only on a Fock corner: its first D levels,
+with D chosen so that each state leaves at most ``CORNER_TAIL_MASS``
+outside.  Compressing a PSD operator A of trace a whose tail is t changes
+it by at most 2 sqrt(a t) + t in trace norm (gentle measurement), so each
+distance comes back as a :class:`CornerDistance` carrying that bound.
 """
 
 from __future__ import annotations
@@ -25,14 +31,13 @@ from .fock_gaussian import (
     GaussianLimitParams,
     default_fock_dim,
     displaced_thermal,
-    embed_block,
 )
 from .spin_blocks import (
     LocalParams,
     ModelParams,
     as_local,
+    block_corners,
     block_pmf_window,
-    block_state,
     classical_coordinate,
     typical_set,
     valid_j_values,
@@ -40,6 +45,7 @@ from .spin_blocks import (
 from .tolerances import (
     BLOCK_SKIP_MASS,
     CHANNEL_DROP_MASS,
+    CORNER_TAIL_MASS,
     GRID_MASS_TOL,
     WINDOW_TAIL_MASS,
 )
@@ -99,6 +105,24 @@ def _check_same_grid(xa: np.ndarray, xb: np.ndarray) -> None:
         raise ValueError("hybrid states live on different classical grids")
 
 
+class CornerDistance(float):
+    """A trace-norm distance computed on Fock corners.
+
+    ``bound`` is the certified gap to the same distance taken without the
+    corner: the full-space value lies within ``bound`` of this one.
+    """
+
+    bound: float
+
+    def __new__(cls, value: float, bound: float):
+        self = super().__new__(cls, value)
+        self.bound = float(bound)
+        return self
+
+    def __reduce__(self):
+        return CornerDistance, (float(self), self.bound)
+
+
 @dataclass
 class HybridGaussianState:
     """Classical density plus conditional quantum state on a Fock cutoff.
@@ -107,6 +131,11 @@ class HybridGaussianState:
     whose conditional at x is sum_j weights[x, j] * blocks[j] — then the
     per-x trace equals the classical density and the representation stays
     O(nx * nj + nj * dim^2) instead of O(nx * dim^2).
+
+    ``dim`` is the Fock corner the states are kept on; ``tails`` holds the
+    mass each stored state (one for ``quantum``, one per block) had outside
+    it, None when nothing was cut.  With ``gauge`` = chi, every stored state
+    is real after conjugation by diag(e^{-i chi k}).
     """
 
     classical: ClassicalDensity
@@ -116,13 +145,34 @@ class HybridGaussianState:
     weights: np.ndarray | None = None
     blocks: np.ndarray | None = None
     dropped_mass: float = 0.0
+    tails: np.ndarray | None = None
+    gauge: float | None = None
 
-    def joint_stack(self, sl: slice) -> np.ndarray:
-        """f(x) * rho(x) for grid indices ``sl``, shape (chunk, dim, dim)."""
+    def terms(self, chi: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """``(coef, states)`` with f(x) rho(x) = sum_i coef[x, i] states[i].
+
+        With ``chi`` the states are conjugated by diag(e^{-i chi k}), which
+        leaves trace norms unchanged; they come back real when ``chi`` is
+        this state's ``gauge``.
+        """
         if self.product:
-            f = self.classical.values[sl]
-            return f[:, None, None] * self.quantum[None, :, :]
-        return np.tensordot(self.weights[sl], self.blocks, axes=1)
+            coef, states = self.classical.values[:, None], self.quantum[None]
+        else:
+            coef, states = self.weights, self.blocks
+        if chi is None:
+            return coef, states
+        g = np.exp(1j * chi * np.arange(self.dim))
+        states = states * np.outer(g.conj(), g)
+        return coef, (states.real if chi == self.gauge else states)
+
+    def corner_bound(self) -> float:
+        """Upper bound on integral dx ||A(x) - P A(x) P||_1, A(x) = f(x) rho(x)
+        before the compression P to the corner (same trapezoid rule)."""
+        if self.tails is None:
+            return 0.0
+        coef, _ = self.terms()
+        lost = coef @ (2.0 * np.sqrt(self.tails) + self.tails)
+        return float(np.trapezoid(lost, self.classical.x))
 
 
 def default_grid(
@@ -143,18 +193,77 @@ def default_grid(
     return lo + step * np.arange(npts)
 
 
+def _kernel_sd(n: int) -> float:
+    """Standard deviation sqrt(1/(2 sqrt(n))) of the T-channel smoothing kernel."""
+    return math.sqrt(0.5 / math.sqrt(n))
+
+
+def covering_grid(
+    params: ModelParams,
+    center: float,
+    g_lo: float,
+    g_hi: float,
+    std_mult: float = 8.0,
+    step_divisor: float = 50.0,
+) -> np.ndarray:
+    """``default_grid`` around ``center``, widened to [g_lo - 8 ksd,
+    g_hi + 8 ksd] so that it covers every smoothing kernel of blocks whose
+    coordinates lie in [g_lo, g_hi] (ksd = kernel standard deviation)."""
+    ksd = _kernel_sd(params.n)
+    return default_grid(
+        params.mu,
+        center,
+        extra_lo=abs(center - (g_lo - 8.0 * ksd)),
+        extra_hi=abs((g_hi + 8.0 * ksd) - center),
+        std_mult=std_mult,
+        step_divisor=step_divisor,
+    )
+
+
+def _limit_corner(gp: GaussianLimitParams, dim: int | None) -> tuple[np.ndarray, float]:
+    """The displaced thermal state on its first ``dim`` Fock levels (None:
+    the fewest that leave at most ``CORNER_TAIL_MASS`` outside) and the mass
+    left outside.
+
+    It is built at a Fock cutoff of at least twice the corner, so that the
+    truncated displacement does not reach into the corner; the thermal
+    weight beyond that cutoff, p^cutoff, is counted as tail.
+    """
+    cutoff = 2 * max(dim or 0, default_fock_dim(gp.beta))
+    while True:
+        phi = displaced_thermal(gp, cutoff)
+        tail = np.append(np.cumsum(phi.diagonal().real[::-1])[::-1], 0.0) + gp.p**cutoff
+        size = dim
+        if size is None:
+            fits = np.flatnonzero(tail <= CORNER_TAIL_MASS)
+            size = int(fits[0]) if fits.size else cutoff
+        if 2 * size <= cutoff:
+            return phi[:size, :size], float(tail[size])
+        cutoff = 2 * size
+
+
 def gaussian_limit(
     gp: GaussianLimitParams, grid: np.ndarray | None = None, dim: int | None = None
 ) -> HybridGaussianState:
-    """The limit object: N(u_z, mu(1-mu)) times a displaced thermal state."""
+    """The limit object: N(u_z, mu(1-mu)) times a displaced thermal state.
+
+    The quantum part is kept on the first ``dim`` Fock levels; by default
+    on the fewest that leave at most ``CORNER_TAIL_MASS`` outside.  The mass
+    outside is reported in ``tails``.
+    """
     if grid is None:
         grid = default_grid(gp.mu, gp.classical_mean)
-    if dim is None:
-        dim = default_fock_dim(gp.beta)
     f = norm.pdf(grid, loc=gp.classical_mean, scale=math.sqrt(gp.classical_var))
     classical = ClassicalDensity(grid, f)
-    quantum = displaced_thermal(gp, dim)
-    return HybridGaussianState(classical, dim, True, quantum=quantum)
+    quantum, tail = _limit_corner(gp, dim)
+    return HybridGaussianState(
+        classical,
+        quantum.shape[0],
+        True,
+        quantum=quantum,
+        tails=np.array([tail]),
+        gauge=gp.u.phase_angle,
+    )
 
 
 def smoothed_classical_density(
@@ -168,16 +277,10 @@ def smoothed_classical_density(
     u = as_local(u)
     j_vals, probs, _ = block_pmf_window(params, u)
     g = classical_coordinate(params, j_vals)
-    ksd = math.sqrt(0.5 / math.sqrt(params.n))
     if grid is None:
         center = float(np.sum(probs * g) / np.sum(probs))
-        grid = default_grid(
-            params.mu,
-            center,
-            extra_lo=abs(center - (g.min() - 8.0 * ksd)),
-            extra_hi=abs((g.max() + 8.0 * ksd) - center),
-        )
-    vals = norm.pdf(grid[:, None], loc=g[None, :], scale=ksd) @ probs
+        grid = covering_grid(params, center, g.min(), g.max())
+    vals = norm.pdf(grid[:, None], loc=g[None, :], scale=_kernel_sd(params.n)) @ probs
     return ClassicalDensity(grid, vals)
 
 
@@ -192,8 +295,10 @@ def apply_T(
 
     Keeps blocks inside ``typical_set(eps_tail)``; the dropped probability
     must stay below 1e-9 (else the call errors, asking for a larger window)
-    and is reported on the returned state.  Requires ``dim >= 2 j_max + 1``
-    for the largest kept block.
+    and is reported on the returned state.  The blocks are kept on the
+    first ``dim`` Fock levels (default: the fewest at which every block
+    leaves at most ``CORNER_TAIL_MASS`` outside), with each block's tail
+    in ``tails``; a ``dim`` at which some block loses 1e-9 or more errors.
     """
     u = as_local(u)
     j_lo, j_hi = typical_set(params, eps_tail)
@@ -209,52 +314,62 @@ def apply_T(
             f"typical window [{j_lo}, {j_hi}] (eps_tail = {eps_tail}) drops "
             f"block mass {dropped:.3e} >= {CHANNEL_DROP_MASS:.1e}; increase eps_tail"
         )
-    d_need = int(round(2.0 * j_keep.max())) + 1
-    if dim is None:
-        dim = d_need
-    if dim < d_need:
-        raise ValueError(
-            f"Fock cutoff dim = {dim} smaller than largest kept block "
-            f"(2 j_max + 1 = {d_need})"
-        )
+    blocks, tails = block_corners(params, u, j_keep, min_dim=dim or 1)
+    if dim is not None and blocks.shape[1] > dim:
+        # cut the certified corner down to dim: its diagonal there joins the tail
+        tails = tails + np.einsum("ill->i", blocks[:, dim:, dim:]).real
+        blocks = np.ascontiguousarray(blocks[:, :dim, :dim])
+        if tails.max() >= CHANNEL_DROP_MASS:
+            raise ValueError(
+                f"Fock cutoff dim = {dim} leaves block mass {tails.max():.3e} >= "
+                f"{CHANNEL_DROP_MASS:.1e} outside; increase dim or leave it unset"
+            )
     g = classical_coordinate(params, j_keep)
-    ksd = math.sqrt(0.5 / math.sqrt(params.n))
     if grid is None:
-        center = float(np.sum(p_keep * g))
-        grid = default_grid(
-            params.mu,
-            center,
-            extra_lo=abs(center - (g.min() - 8.0 * ksd)),
-            extra_hi=abs((g.max() + 8.0 * ksd) - center),
-        )
-    blocks = np.empty((len(j_keep), dim, dim), dtype=complex)
-    for i, j in enumerate(j_keep):
-        blocks[i] = embed_block(block_state(params, u, j), dim)
-    weights = norm.pdf(grid[:, None], loc=g[None, :], scale=ksd) * p_keep[None, :]
+        grid = covering_grid(params, float(np.sum(p_keep * g)), g.min(), g.max())
+    kernel = norm.pdf(grid[:, None], loc=g[None, :], scale=_kernel_sd(params.n))
+    weights = kernel * p_keep[None, :]
     classical = ClassicalDensity(grid, weights.sum(axis=1), expected_mass=1.0 - dropped)
     return HybridGaussianState(
-        classical, dim, False, weights=weights, blocks=blocks, dropped_mass=dropped
+        classical,
+        blocks.shape[1],
+        False,
+        weights=weights,
+        blocks=blocks,
+        dropped_mass=dropped,
+        tails=tails,
+        gauge=u.phase_angle,
     )
 
 
-def hybrid_trace_distance(a: HybridGaussianState, b: HybridGaussianState) -> float:
+def hybrid_trace_distance(a: HybridGaussianState, b: HybridGaussianState) -> CornerDistance:
     """integral dx || f_a(x) rho_a(x) - f_b(x) rho_b(x) ||_1, trapezoid rule.
 
-    Both states must share the classical grid and the Fock cutoff.
+    Both states must share the classical grid and the Fock cutoff.  A
+    compression never increases the trace norm, so the distance without the
+    corner lies in [value, value + bound], bound = the two corner bounds.
+    States of one local parameter share their ``gauge``; in it the
+    differences are real and cheaper to diagonalize.
     """
     _check_same_grid(a.classical.x, b.classical.x)
     if a.dim != b.dim:
         raise ValueError(f"Fock cutoffs differ: {a.dim} vs {b.dim}")
+    coef_a, states_a = a.terms(a.gauge)
+    coef_b, states_b = b.terms(a.gauge)
+    # f_a rho_a - f_b rho_b at every x as one sum over both state lists
+    coef = np.hstack([coef_a, -coef_b])
+    states = np.concatenate([states_a, states_b])
     nx = len(a.classical.x)
     chunk = max(4, int(6.0e6 // (a.dim * a.dim)))
     d_vals = np.empty(nx, dtype=float)
     for start in range(0, nx, chunk):
         sl = slice(start, min(start + chunk, nx))
-        diff = a.joint_stack(sl) - b.joint_stack(sl)
-        diff = 0.5 * (diff + np.conj(np.swapaxes(diff, -1, -2)))
-        w = np.linalg.eigvalsh(diff)
+        # eigvalsh reads one triangle, so rounding asymmetry never enters
+        w = np.linalg.eigvalsh(np.tensordot(coef[sl], states, axes=1))
         d_vals[sl] = np.abs(w).sum(axis=1)
-    return float(np.trapezoid(d_vals, a.classical.x))
+    return CornerDistance(
+        np.trapezoid(d_vals, a.classical.x), a.corner_bound() + b.corner_bound()
+    )
 
 
 @dataclass
@@ -265,6 +380,8 @@ class BlockMixture:
     k-ladder basis; ``leaked[i]`` is the mass that had to be filled in as
     maximally mixed because the source state leaked outside the block (or
     outside the Fock cutoff).  ``dropped`` is lattice mass never built.
+    On ladder levels >= ``cutoff`` every ``states[i]`` is only its filler,
+    ``leaked[i] / (2 j_i + 1)`` times the identity (None: no such level).
     """
 
     js: np.ndarray
@@ -272,6 +389,7 @@ class BlockMixture:
     states: list
     leaked: np.ndarray
     dropped: float = 0.0
+    cutoff: int | None = None
 
 
 def apply_S(gp: GaussianLimitParams, n: int, dim: int | None = None) -> BlockMixture:
@@ -314,45 +432,65 @@ def apply_S(gp: GaussianLimitParams, n: int, dim: int | None = None) -> BlockMix
         leaks[i] = leak
         tau[np.arange(d_block), np.arange(d_block)] += leak / d_block
         states.append(tau)
-    return BlockMixture(js, qs, states, leaks, dropped)
+    return BlockMixture(js, qs, states, leaks, dropped, cutoff=dim)
 
 
-def blockwise_distance(mix: BlockMixture, params: ModelParams, u) -> float:
+def blockwise_distance(mix: BlockMixture, params: ModelParams, u) -> CornerDistance:
     """sum_j || q_j tau_j - p_{n,u}(j) rho_j ||_1 over the valid lattice.
 
     Blocks present on only one side contribute their full mass; lattice
     mass outside both windows is added as an exact remainder, so the
     returned value is an upper bound tight to ~1e-12 on the full sum.
+
+    Each term is taken on a corner of at least ``mix.cutoff`` levels (the
+    whole block if None), wide enough for rho_j's tail to stay below
+    ``CORNER_TAIL_MASS``; tau_j's filler outside it adds its trace norm in
+    closed form.  Only rho_j's tails enter ``bound``.
     """
     u = as_local(u)
     j_p, p_probs, p_drop = block_pmf_window(params, u)
     p_map = {float(j): float(p) for j, p in zip(j_p, p_probs)}
     q_map = {
-        float(j): (float(q), s) for j, q, s in zip(mix.js, mix.probs, mix.states)
+        float(j): (float(q), s, float(leak))
+        for j, q, s, leak in zip(mix.js, mix.probs, mix.states, mix.leaked)
     }
     total = 0.0
+    bound = 0.0
     for j in sorted(set(p_map) | set(q_map)):
         p = p_map.get(j, 0.0)
-        q, tau = q_map.get(j, (0.0, None))
+        q, tau, leak = q_map.get(j, (0.0, None, 0.0))
         if p <= BLOCK_SKIP_MASS and q <= BLOCK_SKIP_MASS:
             total += abs(q - p)
             continue
         d_block = int(round(2.0 * j)) + 1
-        m = q * tau if tau is not None else np.zeros((d_block, d_block), dtype=complex)
+        size = d_block if mix.cutoff is None else min(mix.cutoff, d_block)
         if p > 0.0:
-            m = m - p * block_state(params, u, j)
+            corner, tail = block_corners(params, u, [j], min_dim=size)
+            m = -p * corner[0]
+            size = m.shape[0]
+            bound += p * (2.0 * math.sqrt(tail[0]) + tail[0])
+        else:
+            m = np.zeros((size, size), dtype=complex)
+        if tau is not None:
+            m = m + q * tau[:size, :size]
+            total += q * leak / d_block * (d_block - size)
         m = 0.5 * (m + m.conj().T)
         total += float(np.sum(np.abs(np.linalg.eigvalsh(m))))
-    return total + p_drop + mix.dropped
+    return CornerDistance(total + p_drop + mix.dropped, bound)
 
 
 @dataclass
 class SweepRow:
+    """One n of a sweep; ``corner_bound_*`` bound how far each distance can
+    move if taken without the Fock corner."""
+
     n: int
     dist_T: float
     dist_S: float
     u_effective: tuple
     clamped: bool
+    corner_bound_T: float
+    corner_bound_S: float
 
 
 @dataclass
@@ -402,8 +540,10 @@ def convergence_sweep(mu: float, u, n_list, config: SweepConfig | None = None) -
     """Distances to/from the Gaussian limit over a list of n, with slopes.
 
     For each n, ``dist_T`` compares ``apply_T`` of the shifted n-qubit data
-    with ``gaussian_limit`` on a shared grid and cutoff, and ``dist_S``
-    compares ``apply_S`` of the Gaussian pair with the true block data.
+    with ``gaussian_limit`` on a shared grid and Fock corner (the smallest
+    at which every state of both leaves at most ``CORNER_TAIL_MASS``
+    outside), and ``dist_S`` compares ``apply_S`` of the Gaussian pair with
+    the true block data.
     When ``u_z`` makes the shifted eigenvalue inadmissible at small n it is
     clamped to ``delta_adm`` inside the boundary (row flagged) so that both
     objects stay well defined; the log-log slopes are least-squares fits
@@ -419,31 +559,28 @@ def convergence_sweep(mu: float, u, n_list, config: SweepConfig | None = None) -
             u_eff, clamped = _clamp_u(mu, u, int(n), cfg.delta_adm)
         gp = GaussianLimitParams(mu, u_eff)
         j_lo, j_hi = typical_set(params, cfg.eps_tail)
-        dim = int(round(2.0 * j_hi)) + 1
-        g_lo = classical_coordinate(params, np.array([j_lo]))[0]
-        g_hi = classical_coordinate(params, np.array([j_hi]))[0]
-        ksd = math.sqrt(0.5 / math.sqrt(params.n))
-        center = gp.classical_mean
-        grid = default_grid(
-            mu,
-            center,
-            extra_lo=abs(center - (g_lo - 8.0 * ksd)),
-            extra_hi=abs((g_hi + 8.0 * ksd) - center),
-            std_mult=cfg.std_mult,
-            step_divisor=cfg.step_divisor,
+        g_lo, g_hi = classical_coordinate(params, np.array([j_lo, j_hi]))
+        grid = covering_grid(
+            params, gp.classical_mean, g_lo, g_hi, cfg.std_mult, cfg.step_divisor
         )
-        t_state = apply_T(params, u_eff, grid=grid, dim=dim, eps_tail=cfg.eps_tail)
-        limit = gaussian_limit(gp, grid=grid, dim=dim)
+        t_state = apply_T(params, u_eff, grid=grid, eps_tail=cfg.eps_tail)
+        limit = gaussian_limit(gp, grid=grid)
+        # one corner for both: the wider of the two certified ones
+        if limit.dim > t_state.dim:
+            t_state = apply_T(params, u_eff, grid=grid, dim=limit.dim, eps_tail=cfg.eps_tail)
+        else:
+            limit = gaussian_limit(gp, grid=grid, dim=t_state.dim)
         dist_t = hybrid_trace_distance(t_state, limit)
-        mix = apply_S(gp, params.n)
-        dist_s = blockwise_distance(mix, params, u_eff)
+        dist_s = blockwise_distance(apply_S(gp, params.n), params, u_eff)
         rows.append(
             SweepRow(
                 n=params.n,
-                dist_T=dist_t,
-                dist_S=dist_s,
+                dist_T=float(dist_t),
+                dist_S=float(dist_s),
                 u_effective=(u_eff.ux, u_eff.uy, u_eff.uz),
                 clamped=clamped,
+                corner_bound_T=dist_t.bound,
+                corner_bound_S=dist_s.bound,
             )
         )
     ln_n = np.log([r.n for r in rows])

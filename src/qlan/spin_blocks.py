@@ -26,9 +26,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.special import gammaln
 
-from .tolerances import WINDOW_TAIL_MASS
+from .tolerances import CORNER_TAIL_MASS, WINDOW_TAIL_MASS
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,13 @@ class LocalParams:
 
     def norm(self) -> float:
         return float(np.sqrt(self.ux**2 + self.uy**2 + self.uz**2))
+
+    @property
+    def phase_angle(self) -> float:
+        """chi = arg(-u_y + i u_x): conjugated by diag(e^{-i chi k}), the
+        rotated block states and the limit's displaced thermal state are
+        real matrices in the k-ladder (Fock) basis."""
+        return math.atan2(self.ux, -self.uy)
 
     @staticmethod
     def zero() -> "LocalParams":
@@ -349,6 +357,79 @@ def block_state(params: ModelParams, u, j, dim: int | None = None) -> np.ndarray
     jx, jy = _corner_xy(tj, dcut)
     r = _expm_i_herm(2.0 * (vx * jx + vy * jy))
     return (r * w) @ r.conj().T
+
+
+def block_corners(
+    params: ModelParams, u, js, min_dim: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Corners P rho_j P of the block states on their first D ladder levels.
+
+    D is the smallest size >= ``min_dim`` at which every block's tail mass
+    tr((1 - P) rho_j) is at most ``CORNER_TAIL_MASS``; a block with
+    2j + 1 < D is padded with zeros.  Returns ``(corners, tails)`` of shapes
+    (len(js), D, D) and (len(js),).
+
+    rho_j = R diag(w) R^dag is a function of the rotated spin component
+    R J_z R^dag, a tridiagonal matrix whose eigenvalue j - k has eigenvector
+    R e_k.  Only the K vectors whose geometric weights exceed
+    ``CORNER_TAIL_MASS / 2`` are built, by inverse iteration at the known
+    eigenvalues: O(K (2j+1)) work per block instead of a full ``eigh``.
+    Each tail is summed from the discarded amplitudes, plus the weight of
+    the vectors never built, so it is an upper bound on the true tail.
+    """
+    u = as_local(u)
+    p = params.p_u(u)
+    vx = u.ux / math.sqrt(params.n)
+    vy = u.uy / math.sqrt(params.n)
+    ladders = [_rotated_ladder(_two_j(params.n, j), p, vx, vy, u.phase_angle) for j in js]
+    # profile[D] = tail mass outside the first D levels, D = 0 .. 2j+1
+    profiles = [
+        np.append(np.cumsum(((z * z) @ w)[::-1])[::-1], 0.0) + rest
+        for z, w, _, rest in ladders
+    ]
+    dim = max(
+        [min_dim] + [int(np.argmax(prof <= CORNER_TAIL_MASS)) for prof in profiles]
+    )
+    corners = np.zeros((len(ladders), dim, dim), dtype=complex)
+    tails = np.empty(len(ladders))
+    for i, ((z, w, phase, _), prof) in enumerate(zip(ladders, profiles)):
+        m = min(dim, z.shape[0])
+        corners[i, :m, :m] = ((z[:m] * w) @ z[:m].T) * np.outer(phase[:m], phase[:m].conj())
+        tails[i] = prof[m]
+    return corners, tails
+
+
+def _rotated_ladder(tj: int, p: float, vx: float, vy: float, chi: float):
+    """Leading rotated ladder vectors of the spin-(tj/2) block state.
+
+    Returns ``(z, w, phase, rest)``: R e_k = phase * z[:, k] up to a sign
+    for k < K, the block's normalized geometric weights ``w`` for k < K,
+    and ``rest``, the weight of the vectors left out (<= half the corner
+    tail budget).
+    """
+    d = tj + 1
+    w = np.exp(np.arange(d, dtype=float) * math.log(p))
+    w /= w.sum()
+    left = np.cumsum(w[::-1])[::-1]  # left[K] = sum_{k >= K} w_k
+    n_vec = int(np.count_nonzero(left > 0.5 * CORNER_TAIL_MASS))
+    rest = float(left[n_vec]) if n_vec < d else 0.0
+    levels = np.arange(d, dtype=float)
+    phase = np.exp(1j * chi * levels)
+    theta = 2.0 * math.hypot(vx, vy)
+    if theta == 0.0 or d == 1:
+        return np.eye(d, n_vec), w[:n_vec], phase, rest
+    # R J_z R^dag = cos(theta) J_z + sin(theta) (vx J_y - vy J_x) / |v|; the
+    # gauge diag(e^{i chi k}) makes its off-diagonal sin(theta) |<k-1|J_+|k>| / 2
+    k = levels[1:]
+    off = 0.5 * math.sin(theta) * np.sqrt(k * (tj + 1.0 - k))
+    diag = math.cos(theta) * (0.5 * tj - levels)
+    eigvals = 0.5 * tj - np.arange(n_vec - 1, -1, -1, dtype=float)  # ascending
+    split = np.zeros(d, dtype=np.int32)
+    split[0] = d  # one unreduced block
+    z, info = lapack.dstein(diag, off, eigvals, np.ones(d, dtype=np.int32), split)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"inverse iteration did not converge (info = {info})")
+    return z[:, ::-1], w[:n_vec], phase, rest
 
 
 def local_qubit_state(mu: float, v) -> np.ndarray:

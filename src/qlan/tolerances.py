@@ -29,6 +29,10 @@ BLOCK_SKIP_MASS = 1e-12
 # Target tail mass when extending a block window for sampling / summation.
 WINDOW_TAIL_MASS = 1e-12
 
+# Mass a Fock corner may leave outside it, per state.  Gentle measurement
+# bounds the trace-norm cost of the cut by 2 sqrt(eps) + eps per unit mass.
+CORNER_TAIL_MASS = 1e-24
+
 # Allowed deviation of a classical grid density from unit mass.
 GRID_MASS_TOL = 1e-6
 

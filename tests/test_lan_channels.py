@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -9,16 +10,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dense_channels
 import qlan
 from qlan.fock_gaussian import GaussianLimitParams, mean_annihilation
 from qlan.lan_channels import (
     BlockMixture,
     ClassicalDensity,
+    CornerDistance,
     SweepConfig,
     apply_S,
     apply_T,
     blockwise_distance,
     convergence_sweep,
+    covering_grid,
     default_grid,
     gaussian_limit,
     hybrid_trace_distance,
@@ -29,8 +33,11 @@ from qlan.spin_blocks import (
     ModelParams,
     block_pmf_window,
     block_state,
+    classical_coordinate,
+    typical_set,
     valid_j_values,
 )
+from qlan.tolerances import CHANNEL_DROP_MASS, CORNER_TAIL_MASS
 
 
 def test_package_imports_without_np_trapz():
@@ -204,3 +211,93 @@ def test_convergence_sweep_clamps_inadmissible_shift():
     # without clamping the same sweep must fail validation inside
     with pytest.raises(ValueError):
         convergence_sweep(0.68, (0.0, 0.0, 3.0), [20], SweepConfig(clamp=False))
+
+
+@pytest.mark.parametrize("u", [(1.0, 1.0, 1.0), (1.0, 1.0, 0.5)])
+@pytest.mark.parametrize("n", [20, 50, 100])
+def test_corner_distances_match_dense_oracle(n, u):
+    """Sweep distances on Fock corners against the full-dimension oracle:
+    dense - corner lies in [0, corner_bound] up to rounding (the two sides
+    sum ~10^3 eigenvalue lists in different orders)."""
+    mu = 0.8
+    row = convergence_sweep(mu, u, [n]).rows[0]
+    params = ModelParams(mu, n)
+    u_eff = LocalParams(*row.u_effective)
+    gp = GaussianLimitParams(mu, u_eff)
+    j_lo, j_hi = typical_set(params, 0.2)
+    g_lo, g_hi = classical_coordinate(params, np.array([j_lo, j_hi]))
+    grid = covering_grid(params, gp.classical_mean, g_lo, g_hi)
+    # past every corner, so the dense limit state is not cut short either
+    dim = max(int(round(2.0 * j_hi)) + 1, 80)
+    dense_t = dense_channels.hybrid_trace_distance(
+        dense_channels.apply_T(params, u_eff, grid, dim),
+        dense_channels.gaussian_limit(gp, grid, dim),
+    )
+    dense_s = dense_channels.blockwise_distance(apply_S(gp, n), params, u_eff)
+    for corner, bound, dense in (
+        (row.dist_T, row.corner_bound_T, dense_t),
+        (row.dist_S, row.corner_bound_S, dense_s),
+    ):
+        assert abs(corner - dense) <= 1e-10
+        assert -1e-12 <= dense - corner <= bound + 1e-12
+        assert 0.0 <= bound <= 1e-10
+
+
+def test_blockwise_distance_filler_outside_corner():
+    """A short phi cutoff leaks ~1e-5 into the maximally mixed filler; the
+    filler outside each corner enters in closed form and must reproduce
+    the dense sum."""
+    gp = GaussianLimitParams(0.7, LocalParams(1.0, 1.0, 1.0))
+    params = ModelParams(0.7, 200)
+    mix = apply_S(gp, 200, dim=15)
+    d = blockwise_distance(mix, params, gp.u)
+    assert abs(d - dense_channels.blockwise_distance(mix, params, gp.u)) <= 1e-10
+    assert 0.0 < d.bound <= 1e-10
+
+
+def test_cut_corners_report_tails_and_bound_the_distance():
+    """Below the certified corner, apply_T keeps the top-left of every
+    block and reports the dense diagonal beyond it as the block's tail; the
+    hybrid distance on such corners stays within its bound of the dense one."""
+    params = ModelParams(0.8, 50)
+    u = LocalParams(1.0, 1.0, 0.5)
+    gp = GaussianLimitParams(0.8, u)
+    full = apply_T(params, u)
+    assert full.tails.max() <= CORNER_TAIL_MASS
+    grid = full.classical.x
+    dense_t = dense_channels.apply_T(params, u, grid, 80)
+    dense = dense_channels.hybrid_trace_distance(
+        dense_t, dense_channels.gaussian_limit(gp, grid, 80)
+    )
+    for dim in (20, 24, 28):
+        cut = apply_T(params, u, grid=grid, dim=dim)
+        assert cut.dim == dim
+        assert np.abs(cut.blocks - dense_t.blocks[:, :dim, :dim]).max() < 1e-14
+        want = np.einsum("ill->i", dense_t.blocks[:, dim:, dim:]).real
+        assert np.allclose(cut.tails, want, rtol=1e-9, atol=CORNER_TAIL_MASS)
+        assert cut.tails.max() < CHANNEL_DROP_MASS
+        d = hybrid_trace_distance(cut, gaussian_limit(gp, grid=grid, dim=dim))
+        assert 0.0 < dense - d <= d.bound
+    with pytest.raises(ValueError, match="dim"):
+        apply_T(params, u, grid=grid, dim=19)
+
+
+def test_convergence_sweep_blocks_set_the_corner():
+    """With u_z < 0 the blocks decay slower than the limit state and need
+    the wider corner (66 levels against 56); the row must still match the
+    full-dimension value (recorded from the dense path) within 1e-10."""
+    params = ModelParams(0.85, 400)
+    u = (1.5, 1.5, -1.0)
+    t_state = apply_T(params, u, eps_tail=0.24)
+    assert t_state.dim > gaussian_limit(GaussianLimitParams(0.85, u)).dim
+    row = convergence_sweep(0.85, u, [400], SweepConfig(eps_tail=0.24)).rows[0]
+    assert row.dist_T == pytest.approx(0.3164376188006133, abs=1e-10)
+    assert row.dist_S == pytest.approx(0.2939260250024072, abs=1e-10)
+    assert row.corner_bound_T <= 1e-10 and row.corner_bound_S <= 1e-10
+
+
+def test_corner_distance_is_a_float_that_keeps_its_bound():
+    d = CornerDistance(0.25, 1e-12)
+    assert isinstance(d, float) and d == 0.25
+    back = pickle.loads(pickle.dumps(d))
+    assert back == d and back.bound == d.bound

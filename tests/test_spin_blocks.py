@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fullspace import (
@@ -21,6 +23,7 @@ from fullspace import (
 from qlan.spin_blocks import (
     LocalParams,
     ModelParams,
+    block_corners,
     block_pmf_window,
     block_probability,
     block_probability_factored,
@@ -34,6 +37,7 @@ from qlan.spin_blocks import (
     typical_set,
     valid_j_values,
 )
+from qlan.tolerances import CORNER_TAIL_MASS
 
 
 def test_model_params_validation():
@@ -302,3 +306,27 @@ def test_full_space_block_extraction():
             assert np.allclose(
                 sub, np.eye(3) * block[k, l] / 3.0, atol=1e-10
             )
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    mu=st.floats(0.6, 0.9),
+    u=st.tuples(*[st.floats(-1.5, 1.5)] * 3),
+    n=st.integers(10, 40),
+)
+def test_block_corners_match_dense_states(mu, u, n):
+    params = ModelParams(mu, n)
+    assume(0.5 < mu + u[2] / math.sqrt(n) < 1.0)
+    js = valid_j_values(n)
+    corners, tails = block_corners(params, u, js)
+    dim = corners.shape[1]
+    for corner, tail, j in zip(corners, tails, js):
+        dense = block_state(params, u, j)
+        m = min(dim, dense.shape[0])
+        assert np.abs(corner[:m, :m] - dense[:m, :m]).max() <= 1e-12
+        assert not corner[m:].any() and not corner[:, m:].any()
+        # the reported tail adds the weight of ladder vectors never built
+        # (at most half the budget) to the discarded amplitudes
+        dense_tail = float(dense.diagonal()[m:].real.sum())
+        assert -1e-28 <= tail - dense_tail <= 0.5 * CORNER_TAIL_MASS
+        assert tail <= CORNER_TAIL_MASS
