@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -29,13 +30,11 @@ from .operator_core import density_to_bloch
 from .qsde import collision_integrate, xi_error_bound, xi_overlap, xi_state
 from .risk_bench import (
     RiskConfig,
-    _atomic_write,
     hoeffding_check,
     local_sup_risk,
     loss_fidelity,
     loss_local,
     loss_trace_sq,
-    reference_risks,
 )
 from .spin_blocks import ModelParams, local_qubit_state
 
@@ -71,40 +70,19 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-_FILE_PARSERS = {
-    "u": _parse_triple,
-    "n_list": _parse_int_list,
-    "eps_list": _parse_float_list,
-    "radii": _parse_float_list,
-    "mu0": float,
-    "mu": float,
-    "n": int,
-    "trials": int,
-    "seed": int,
-    "threads": int,
-    "collisions": int,
-    "fock_dim": int,
-    "eps": float,
-    "eps_tail": float,
-    "eta": float,
-    "kappa": float,
-    "t": float,
-    "sampler": str,
-    "loss": str,
-    "format": str,
-    "out": str,
-    "truncate": lambda s: s.lower() in ("1", "true", "on", "yes"),
-}
+def _parse_bool(text: str) -> bool:
+    return text.lower() in ("1", "true", "on", "yes")
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """flag > config-file > default, for every key in ``defaults``."""
+    """flag > config-file > default, for every key in ``defaults``; a file
+    value goes through the parser of its flag."""
     file_vals = {}
     if getattr(args, "config", None):
         raw = _read_config_file(args.config)
         for key, text in raw.items():
             if key in defaults:
-                file_vals[key] = _FILE_PARSERS.get(key, str)(text)
+                file_vals[key] = args.file_types.get(key, str)(text)
     merged = {}
     for key, default in defaults.items():
         flag_val = getattr(args, key, None)
@@ -118,34 +96,43 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write to stdout, or atomically to the file ``out``."""
     if out:
-        _atomic_write(out, text)
+        tmp = f"{out}.tmp"
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, out)
     else:
         sys.stdout.write(text)
 
 
-def _csv(v) -> str:
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
+def _csv_cell(v) -> str:
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
-def _check_mu0(mu0: float) -> float:
-    if not (0.5 < mu0 < 1.0):
+def _emit_rows(rows: list, cols, config: dict, fmt: str, out: str | None, **totals) -> None:
+    """Write rows as CSV (columns ``cols``; a column a row lacks takes its
+    ``totals`` value) or as JSON {"config", "rows", **totals}, where a
+    non-finite float in a row becomes null."""
+    if fmt == "json":
+        rows = [
+            {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in r.items()}
+            for r in rows
+        ]
+        text = json.dumps({"config": config, "rows": rows, **totals}, indent=2)
+    else:
+        lines = [",".join(cols)]
+        lines += [",".join(_csv_cell(r.get(c, totals.get(c))) for c in cols) for r in rows]
+        text = "\n".join(lines)
+    _emit(text + "\n", out)
+
+
+def _check_mu(value: float, name: str) -> None:
+    if not (0.5 < value < 1.0):
         raise ValueError(
-            f"--mu0 {mu0}: the model requires the larger eigenvalue mu0 to "
-            "lie strictly between 1/2 and 1 (mu0 > 1/2)"
+            f"--{name} {value}: the model requires the larger eigenvalue {name} "
+            f"to lie strictly between 1/2 and 1 ({name} > 1/2)"
         )
-    return mu0
-
-
-def _check_mu(mu: float) -> float:
-    if not (0.5 < mu < 1.0):
-        raise ValueError(
-            f"--mu {mu}: the model requires the larger eigenvalue mu to lie "
-            "strictly between 1/2 and 1 (mu > 1/2)"
-        )
-    return mu
 
 
 def cmd_lan_dist(args: argparse.Namespace) -> int:
@@ -160,41 +147,34 @@ def cmd_lan_dist(args: argparse.Namespace) -> int:
             "out": None,
         },
     )
-    _check_mu(spec["mu"])
+    _check_mu(spec["mu"], "mu")
     result = convergence_sweep(
         spec["mu"],
         spec["u"],
         spec["n_list"],
         SweepConfig(eps_tail=spec["eps_tail"]),
     )
-    if spec["format"] == "json":
-        payload = {
-            "config": {k: spec[k] for k in ("mu", "u", "n_list", "eps_tail")},
-            "rows": [
-                {
-                    "n": r.n,
-                    "dist_T": r.dist_T,
-                    "dist_S": r.dist_S,
-                    "u_effective": list(r.u_effective),
-                    "clamped": r.clamped,
-                    "corner_bound_T": r.corner_bound_T,
-                    "corner_bound_S": r.corner_bound_S,
-                }
-                for r in result.rows
-            ],
-            "slope_T": result.slope_T,
-            "slope_S": result.slope_S,
+    rows = [
+        {
+            "n": r.n,
+            "dist_T": r.dist_T,
+            "dist_S": r.dist_S,
+            "u_effective": list(r.u_effective),
+            "clamped": r.clamped,
+            "corner_bound_T": r.corner_bound_T,
+            "corner_bound_S": r.corner_bound_S,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", spec["out"])
-    else:
-        lines = ["n,dist_T,dist_S,slope_T,slope_S"]
-        for row in result.table():
-            lines.append(
-                ",".join(
-                    _csv(row[c]) for c in ("n", "dist_T", "dist_S", "slope_T", "slope_S")
-                )
-            )
-        _emit("\n".join(lines) + "\n", spec["out"])
+        for r in result.rows
+    ]
+    _emit_rows(
+        rows,
+        ("n", "dist_T", "dist_S", "slope_T", "slope_S"),
+        {k: spec[k] for k in ("mu", "u", "n_list", "eps_tail")},
+        spec["format"],
+        spec["out"],
+        slope_T=result.slope_T,
+        slope_S=result.slope_S,
+    )
     return 0
 
 
@@ -211,23 +191,20 @@ def cmd_risk(args: argparse.Namespace) -> int:
             "eps": 0.05,
             "eta": 0.08,
             "kappa": 0.05,
-            "t": None,
             "fock_dim": None,
             "seed": 20260801,
-            "threads": 1,
             "truncate": True,
             "format": "json",
             "out": None,
         },
     )
-    _check_mu0(spec["mu0"])
+    _check_mu(spec["mu0"], "mu0")
     if spec["n_list"] is None:
         spec["n_list"] = (spec["n"],) if spec["n"] else (10**6,)
     est = EstimatorConfig(
         kappa=spec["kappa"],
         eps=spec["eps"],
         eta=spec["eta"],
-        t=spec["t"],
         sampler=spec["sampler"],
         fock_dim=spec["fock_dim"],
         truncate=spec["truncate"],
@@ -239,14 +216,19 @@ def cmd_risk(args: argparse.Namespace) -> int:
         trials=spec["trials"],
         eps=spec["eps"],
         seed=spec["seed"],
-        threads=spec["threads"],
         estimator=est,
     ).validate()
     report = local_sup_risk(cfg)
-    if spec["format"] == "csv":
-        _emit(report.to_csv(), spec["out"])
-    else:
-        _emit(report.to_json() + "\n", spec["out"])
+    _emit_rows(
+        report.rows,
+        ("n", "label", "ux", "uy", "uz", "mean", "stderr", "trials"),
+        report.config,
+        spec["format"],
+        spec["out"],
+        sup=report.sup,
+        reference=report.reference,
+        argmax=report.argmax,
+    )
     return 0
 
 
@@ -263,7 +245,7 @@ def cmd_qsde_check(args: argparse.Namespace) -> int:
             "out": None,
         },
     )
-    _check_mu(spec["mu"])
+    _check_mu(spec["mu"], "mu")
     # Probe at the edge of the typical window, j = j_n + n^(3/4), where the
     # closed-form error is dominated by the |j - j_n|/n term and scales as
     # the bound with eps = 1/4 (a factor sqrt(2) per quadrupling of n).
@@ -304,21 +286,13 @@ def cmd_qsde_check(args: argparse.Namespace) -> int:
         for row in rows:
             if row["m"] == m:
                 row["slope"] = slope
-    cols = ("n", "j", "m", "t", "overlap", "bound", "slope")
-    if spec["format"] == "json":
-        payload = {
-            "config": {k: spec[k] for k in ("mu", "n_list", "t", "collisions", "eps")},
-            "rows": [
-                {**r, "slope": r["slope"] if math.isfinite(r["slope"]) else None}
-                for r in rows
-            ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", spec["out"])
-    else:
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(_csv(row[c]) for c in cols))
-        _emit("\n".join(lines) + "\n", spec["out"])
+    _emit_rows(
+        rows,
+        ("n", "j", "m", "t", "overlap", "bound", "slope"),
+        {k: spec[k] for k in ("mu", "n_list", "t", "collisions", "eps")},
+        spec["format"],
+        spec["out"],
+    )
     return 0
 
 
@@ -333,14 +307,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "eps": 0.05,
             "eta": 0.08,
             "kappa": 0.05,
-            "t": None,
             "fock_dim": None,
             "seed": 20260801,
             "format": "json",
             "out": None,
         },
     )
-    _check_mu0(spec["mu0"])
+    _check_mu(spec["mu0"], "mu0")
     n = int(spec["n"])
     rho_true = local_qubit_state(
         spec["mu0"], tuple(c / math.sqrt(n) for c in spec["u"])
@@ -349,13 +322,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         kappa=spec["kappa"],
         eps=spec["eps"],
         eta=spec["eta"],
-        t=spec["t"],
         sampler=spec["sampler"],
         fock_dim=spec["fock_dim"],
     ).validate()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec["seed"])))
     res = full_estimate(rho_true, n, cfg, rng)
-    mu_true = 0.5 * (1.0 + float(np.linalg.norm(density_to_bloch(rho_true))))
+    r_true = density_to_bloch(rho_true)
+    mu_true = 0.5 * (1.0 + float(np.linalg.norm(r_true)))
     payload = {
         "config": {
             k: spec[k]
@@ -371,11 +344,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "u_hat": list(res.u_hat.as_array()),
         "truncated": [bool(b) for b in res.trunc_flags],
         "rho_hat": {
-            "bloch": [float(x) for x in density_to_bloch(res.rho_hat)],
+            "bloch": [float(x) for x in res.r_hat],
         },
         "loss": {
-            "trace_sq": loss_trace_sq(rho_true, res.rho_hat),
-            "fidelity": loss_fidelity(rho_true, res.rho_hat),
+            "trace_sq": float(loss_trace_sq(r_true, res.r_hat)),
+            "fidelity": float(loss_fidelity(r_true, res.r_hat)),
             "local": float(
                 loss_local(
                     res.u_true_local.as_array(), res.u_hat.as_array(), mu_true
@@ -401,27 +374,19 @@ def cmd_hoeffding(args: argparse.Namespace) -> int:
             "out": None,
         },
     )
-    _check_mu0(spec["mu0"])
+    _check_mu(spec["mu0"], "mu0")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec["seed"])))
     rows = hoeffding_check(
         spec["n_list"], spec["eps_list"], spec["kappa"], spec["trials"], rng,
         mu0=spec["mu0"],
     )
-    cols = ("n", "eps", "n_tilde", "empirical", "bound", "ok", "vacuous")
-    if spec["format"] == "json":
-        payload = {
-            "config": {
-                k: spec[k]
-                for k in ("mu0", "n_list", "eps_list", "kappa", "trials", "seed")
-            },
-            "rows": rows,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", spec["out"])
-    else:
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(_csv(row[c]) for c in cols))
-        _emit("\n".join(lines) + "\n", spec["out"])
+    _emit_rows(
+        rows,
+        ("n", "eps", "n_tilde", "empirical", "bound", "ok", "vacuous"),
+        {k: spec[k] for k in ("mu0", "n_list", "eps_list", "kappa", "trials", "seed")},
+        spec["format"],
+        spec["out"],
+    )
     return 0
 
 
@@ -437,6 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value file; flags take precedence")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
+        types = {a.dest: a.type for a in p._actions if a.type is not None}
+        p.set_defaults(file_types={"truncate": _parse_bool, **types})
 
     p = sub.add_parser("lan-dist", help="block data vs Gaussian limit distances")
     p.add_argument("--mu", type=float, help="reference eigenvalue in (1/2, 1)")
@@ -456,10 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float)
     p.add_argument("--eta", type=float)
     p.add_argument("--kappa", type=float)
-    p.add_argument("--t", type=float)
     p.add_argument("--fock-dim", dest="fock_dim", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument(
         "--no-truncate",
         dest="truncate",
@@ -487,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float)
     p.add_argument("--eta", type=float)
     p.add_argument("--kappa", type=float)
-    p.add_argument("--t", type=float)
     p.add_argument("--fock-dim", dest="fock_dim", type=int)
     p.add_argument("--seed", type=int)
     common(p)

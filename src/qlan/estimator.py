@@ -9,6 +9,11 @@ local parameter that is truncated at ``3 n^eta`` and mapped back to a
 state.  The procedure and its failure modes (state too close to maximally
 mixed, reconstruction leaving state space) are exactly what the risk
 benchmark scores.
+
+Every stage works on a batch of independent trials of one true state:
+Bloch vectors and local parameters carry their three components on the
+last axis, ``(B, 3)`` for B trials.  :func:`full_estimate` runs the chain
+once, on a batch of one for a single trial or on ``size`` rows.
 """
 
 from __future__ import annotations
@@ -24,9 +29,7 @@ from .qsde import energy_measurement_sample
 from .spin_blocks import (
     LocalParams,
     ModelParams,
-    as_local,
     block_state,
-    local_qubit_state,
     sample_block_index,
 )
 
@@ -46,28 +49,21 @@ class EstimatorConfig:
         risk at moderate n.
     eps:   localization exponent entering the parameter-region radius.
     eta:   truncation exponent (raw components kept while |u| <= 3 n^eta).
-    t:     block monitoring time for diagnostics (default ln n).
-    t_energy: monitoring time for the energy readout (default n; at that
-        scale its variance 1/(4t) is negligible next to the block spread).
     sampler: "gaussian" (limit distributions) or "exact" (block index +
         heterodyne on the block state).
     fock_dim: corner cutoff for exact-mode block states (default: enough
         levels that the geometric population below 1e-14 is dropped).
     eps2: interior margin required of the rotated state's eigenvalue.
     truncate: disable only for calibration runs of the raw sampler.
-    zero_noise: test hook — stage 2 returns the true local parameter.
     """
 
     kappa: float = 0.05
     eps: float = 0.05
     eta: float = 0.08
-    t: float | None = None
-    t_energy: float | None = None
     sampler: str = "gaussian"
     fock_dim: int | None = None
     eps2: float = 0.05
     truncate: bool = True
-    zero_noise: bool = False
 
     def validate(self) -> "EstimatorConfig":
         if not (0.0 < self.eps < self.eta < 1.0 / 6.0):
@@ -80,50 +76,68 @@ class EstimatorConfig:
             )
         if self.sampler not in ("gaussian", "exact"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
-        if self.t is not None and self.t <= 0:
-            raise ValueError(f"t must be positive, got {self.t}")
-        if self.t_energy is not None and self.t_energy <= 0:
-            raise ValueError(f"t_energy must be positive, got {self.t_energy}")
         if not (0.0 < self.eps2 < 0.5):
             raise ValueError(f"eps2 must lie in (0, 1/2), got {self.eps2}")
         return self
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    # vecdot sums like the BLAS dot behind np.linalg.norm of one vector,
+    # so a row's norm does not depend on the batch it sits in
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _rotate(direction: np.ndarray, vec: np.ndarray, sign: float) -> np.ndarray:
+    """R vec (sign = 1) or R^T vec (sign = -1), row by row.
+
+    R is the rotation about ``direction x e_z`` taking ``direction`` to
+    ``|direction| e_z``; by Rodrigues' formula, with d the unit direction,
+    w = d x e_z and c = d_z, R v = v + w x v + w x (w x v) / (1 + c).  R is
+    the identity for a zero direction and diag(1, -1, -1) on the -z axis.
+    """
+    nrm = _norm(direction)
+    unit = direction / np.where(nrm < 1e-15, np.inf, nrm)[..., None]  # 0 -> R = 1
+    c = unit[..., 2]
+    wx, wy = sign * unit[..., 1], -sign * unit[..., 0]  # w = sign (d x e_z), w_z = 0
+    # below the equator 1 + c = |w|^2 / (1 - c), which does not cancel near -z
+    den = np.where(c >= 0.0, 1.0 + c, (wx * wx + wy * wy) / np.maximum(1.0 - c, 1.0))
+    flip = den < 1e-200
+    den = np.where(flip, 1.0, den)
+    x, y, z = vec[..., 0], vec[..., 1], vec[..., 2]
+    px, py, pz = wy * z, -wx * z, wx * y - wy * x  # w x v
+    out = np.stack(
+        [x + px + wy * pz / den, y + py - wx * pz / den, z + pz + (wx * py - wy * px) / den],
+        axis=-1,
+    )
+    return np.where(flip[..., None], vec * np.array([1.0, -1.0, -1.0]), out)
+
+
 @dataclass
 class Stage1Result:
-    """Coarse Pauli-tomography outcome and the frame it fixes."""
+    """Coarse Pauli-tomography outcome and the frames it fixes.
+
+    One row per trial; each row's frame is the rotation taking its
+    ``r_proj`` to ``|r_proj| e_z`` (see :func:`_rotate`).
+    """
 
     r_raw: np.ndarray  # possibly |r| > 1
     r_proj: np.ndarray  # radially projected into the ball
-    mu_tilde: float
+    mu_tilde: np.ndarray
     n_tilde: int
-    frame: np.ndarray  # 3x3 rotation, frame @ r_proj ~ |r_proj| * z
 
-    def rotate(self, vec: np.ndarray) -> np.ndarray:
-        return self.frame @ np.asarray(vec, dtype=float)
+    def rotate(self, vec) -> np.ndarray:
+        return _rotate(self.r_proj, np.asarray(vec, dtype=float), 1.0)
 
-    def rotate_back(self, vec: np.ndarray) -> np.ndarray:
-        return self.frame.T @ np.asarray(vec, dtype=float)
-
-
-def _frame_to_z(direction: np.ndarray) -> np.ndarray:
-    """Rotation matrix R (det 1) with R @ direction = e_z."""
-    nrm = float(np.linalg.norm(direction))
-    if nrm < 1e-15:
-        return np.eye(3)
-    u = direction / nrm
-    c = u[2]
-    if c < -1.0 + 1e-12:
-        return np.diag([1.0, -1.0, -1.0])
-    w = np.cross(u, np.array([0.0, 0.0, 1.0]))
-    wx = np.array(
-        [[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]]
-    )
-    return np.eye(3) + wx + wx @ wx / (1.0 + c)
+    def rotate_back(self, vec) -> np.ndarray:
+        return _rotate(self.r_proj, np.asarray(vec, dtype=float), -1.0)
 
 
-def stage1(rho_true: np.ndarray, n_tilde: int, rng: np.random.Generator) -> Stage1Result:
-    """Pauli coin flips on n_tilde copies, round-robin over the three axes.
+def stage1(
+    r_true, n_tilde: int, rng: np.random.Generator, size: int | None = None
+) -> Stage1Result:
+    """Pauli coin flips on n_tilde copies of the state with Bloch vector
+    r_true, round-robin over the three axes, for ``size`` trials (``None``:
+    one trial, with (3,) vectors).
 
     Axis i receives ceil((n_tilde - i)/3) copies; the empirical Bloch
     vector is radially projected into the unit ball if needed and the
@@ -131,68 +145,64 @@ def stage1(rho_true: np.ndarray, n_tilde: int, rng: np.random.Generator) -> Stag
     """
     if n_tilde < 3:
         raise ValueError(f"n_tilde = {n_tilde} too small for three axes")
-    rho_true = validate_density(rho_true)
-    r = density_to_bloch(rho_true)
-    counts = np.array([math.ceil((n_tilde - i) / 3.0) for i in range(3)], dtype=int)
-    probs = (1.0 + r) / 2.0
-    heads = rng.binomial(counts, probs)
+    counts = np.array([math.ceil((n_tilde - i) / 3.0) for i in range(3)])
+    probs = (1.0 + np.asarray(r_true, dtype=float)) / 2.0
+    heads = rng.binomial(counts, probs, size=None if size is None else (size, 3))
     r_raw = 2.0 * heads / counts - 1.0
-    nrm = float(np.linalg.norm(r_raw))
-    r_proj = r_raw / nrm if nrm > 1.0 else r_raw.copy()
-    mu_tilde = 0.5 * (1.0 + min(nrm, 1.0))
-    frame = _frame_to_z(r_proj)
-    return Stage1Result(r_raw, r_proj, mu_tilde, int(n_tilde), frame)
+    nrm = _norm(r_raw)
+    over = (nrm > 1.0)[..., None]
+    r_proj = np.where(over, r_raw / np.where(over, nrm[..., None], 1.0), r_raw)
+    mu_tilde = 0.5 * (1.0 + np.minimum(nrm, 1.0))
+    return Stage1Result(r_raw, r_proj, mu_tilde, int(n_tilde))
 
 
 def localize_frame(
-    rho_true: np.ndarray, s1: Stage1Result, n_rest: int, eps2: float = 0.05
-) -> LocalParams:
-    """True local parameter of rho_true in the stage-1 frame.
+    r_true, s1: Stage1Result, n_rest: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """True local parameters u of the state with Bloch vector r_true in the
+    stage-1 frames, and the larger eigenvalue mu_rot of the state.
 
-    In the rotated picture the true state is U(v) diag(mu_rot, 1-mu_rot)
-    U(v)^*; the rotation is inverted exactly (matrix logarithm of the
-    residual rotation, which for a z-to-n rotation has the closed form
-    below), and u = sqrt(n_rest) (v_x, v_y, mu_rot - mu_tilde).
+    In a frame the true state is U(v) diag(mu_rot, 1-mu_rot) U(v)^*; the
+    rotation is inverted exactly (matrix logarithm of the residual
+    rotation, which for a z-to-n rotation has the closed form below), and
+    u = sqrt(n_rest) (v_x, v_y, mu_rot - mu_tilde).
     """
-    r_rot = s1.rotate(density_to_bloch(np.asarray(rho_true, dtype=complex)))
-    r_len = float(np.linalg.norm(r_rot))
+    r_rot = s1.rotate(r_true)
+    r_len = _norm(r_rot)
     mu_rot = 0.5 * (1.0 + r_len)
-    if mu_rot - 0.5 < eps2:
-        raise OutsideModelError(
-            f"rotated state too close to maximally mixed: mu - 1/2 = "
-            f"{mu_rot - 0.5:.4f} < eps2 = {eps2}; outside the model"
-        )
-    nhat = r_rot / r_len
-    nz = min(max(nhat[2], -1.0), 1.0)
-    theta = math.acos(nz)
-    denom = math.hypot(nhat[0], nhat[1])
-    if denom < 1e-15:
-        vx, vy = (0.0, 0.0) if nz > 0 else (math.pi / 2.0, 0.0)
-    else:
-        vx = 0.5 * theta * nhat[1] / denom
-        vy = -0.5 * theta * nhat[0] / denom
-    rn = math.sqrt(n_rest)
-    return LocalParams(rn * vx, rn * vy, rn * (mu_rot - s1.mu_tilde))
+    nhat = r_rot / np.maximum(r_len, 1e-300)[..., None]
+    nz = nhat[..., 2]
+    denom = np.hypot(nhat[..., 0], nhat[..., 1])
+    # atan2 keeps the angle accurate near 0 and pi, where arccos(nz) loses
+    # about half the digits
+    theta = np.arctan2(denom, nz)
+    on_axis = denom < 1e-15
+    denom = np.where(on_axis, 1.0, denom)
+    # on the axis: no rotation at +z, a half turn about x at -z
+    vx = np.where(on_axis, np.where(nz > 0, 0.0, math.pi / 2.0), 0.5 * theta * nhat[..., 1] / denom)
+    vy = np.where(on_axis, 0.0, -0.5 * theta * nhat[..., 0] / denom)
+    u = math.sqrt(n_rest) * np.stack([vx, vy, mu_rot - s1.mu_tilde], axis=-1)
+    return u, mu_rot
 
 
 def reconstruct(
     s1: Stage1Result, n_rest: int, u_hat
-) -> tuple[np.ndarray, bool]:
-    """State for the local estimate u_hat: local family member in the
-    stage-1 frame, rotated back.  Returns (state, clamped) where clamped
-    flags an eigenvalue that had to be clipped into [0, 1]."""
-    u_hat = as_local(u_hat)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch vectors for the local estimates u_hat: the local family member
+    in each stage-1 frame, rotated back.  Returns (r_hat, clamped) where
+    clamped flags an eigenvalue that had to be clipped into [0, 1]."""
+    u_hat = np.asarray(u_hat, dtype=float)
     rn = math.sqrt(n_rest)
-    lam = s1.mu_tilde + u_hat.uz / rn
-    clamped = False
-    if not (0.0 <= lam <= 1.0):
-        lam = min(max(lam, 0.0), 1.0)
-        clamped = True
-    local = local_qubit_state(
-        lam, (u_hat.ux / rn, u_hat.uy / rn, 0.0)
-    )  # eigenvalue already folded into lam
-    r_local = density_to_bloch(local)
-    return bloch_to_density(s1.rotate_back(r_local)), clamped
+    lam = s1.mu_tilde + u_hat[..., 2] / rn
+    clamped = (lam < 0.0) | (lam > 1.0)
+    lam = np.clip(lam, 0.0, 1.0)
+    # exp(i(h_x sigma_x + h_y sigma_y)) turns e_z by 2|h| about -h
+    hx = u_hat[..., 0] / rn
+    hy = u_hat[..., 1] / rn
+    q = np.hypot(hx, hy)
+    s = np.where(q > 1e-12, np.sin(2.0 * q) / np.maximum(q, 1e-300), 2.0)
+    r_local = np.stack([-hy * s, hx * s, np.cos(2.0 * q)], axis=-1)
+    return s1.rotate_back(r_local * (2.0 * lam - 1.0)[..., None]), clamped
 
 
 def stage2_sample(
@@ -204,27 +214,38 @@ def stage2_sample(
 ):
     """Raw stage-2 draws (u_x~, u_y~, g) for true local parameter u.
 
+    ``u`` is one local parameter drawn ``size`` times (``None``: once, as
+    floats), or a (B, 3) array drawn once per row, when ``params.mu`` may
+    hold one reference eigenvalue per row.
+
     gaussian sampler: the limiting distributions — transverse components
     N(u_i, mu_u / (2 (2 mu_u - 1)^2)) and g ~ N(u_z, mu_u (1 - mu_u)),
-    with mu_u the true shifted eigenvalue.
+    with mu_u the true shifted eigenvalue (clipped into (1/2, 1)).
 
     exact sampler: draw the block index j, heterodyne the block state
     (long-time limit of the monitored field), rescale by
     1/sqrt(2 mu_tilde - 1), and read the energy observable plus the
-    smoothing kernel for g.
+    smoothing kernel for g.  Rows are drawn one after the other.
     """
-    u = as_local(u)
-    mu_u = params.mu_u(u)
-    want = 1 if size is None else int(size)
+    u_arr = np.asarray(u.as_array() if isinstance(u, LocalParams) else u, dtype=float)
+    rows = u_arr if u_arr.ndim == 2 else np.broadcast_to(u_arr, (1 if size is None else int(size), 3))
     if config.sampler == "gaussian":
-        var_xy = mu_u / (2.0 * (2.0 * mu_u - 1.0) ** 2)
-        sd_xy = math.sqrt(var_xy)
-        ux = rng.normal(u.ux, sd_xy, size=want)
-        uy = rng.normal(u.uy, sd_xy, size=want)
-        g = rng.normal(u.uz, math.sqrt(mu_u * (1.0 - mu_u)), size=want)
+        mu_u = params.mu + rows[:, 2] / math.sqrt(params.n)
+        mu_u = np.clip(mu_u, 0.5 + 1e-9, 1.0 - 1e-12)
+        sd_xy = np.sqrt(mu_u / (2.0 * (2.0 * mu_u - 1.0) ** 2))
+        ux = rows[:, 0] + sd_xy * rng.standard_normal(len(rows))
+        uy = rows[:, 1] + sd_xy * rng.standard_normal(len(rows))
+        g = rows[:, 2] + np.sqrt(mu_u * (1.0 - mu_u)) * rng.standard_normal(len(rows))
+    elif u_arr.ndim == 1:
+        ux, uy, g = _exact_stage2(params, LocalParams(*u_arr), config, rng, len(rows))
     else:
-        ux, uy, g = _exact_stage2(params, u, config, rng, want)
-    if size is None:
+        mus = np.broadcast_to(params.mu, len(rows))
+        draws = [
+            _exact_stage2(ModelParams(float(mu), params.n), LocalParams(*row), config, rng, 1)
+            for mu, row in zip(mus, rows)
+        ]
+        ux, uy, g = np.reshape(draws, (len(rows), 3)).T
+    if size is None and u_arr.ndim == 1:
         return float(ux[0]), float(uy[0]), float(g[0])
     return ux, uy, g
 
@@ -233,7 +254,6 @@ def _exact_stage2(params, u, config, rng, want):
     n = params.n
     rn = math.sqrt(n)
     scale = 1.0 / math.sqrt(2.0 * params.mu - 1.0)
-    t_energy = config.t_energy if config.t_energy is not None else float(n)
     js = np.atleast_1d(sample_block_index(params, u, rng, size=want))
     zs = np.empty(want, dtype=complex)
     p_u = params.p_u(u)
@@ -248,7 +268,9 @@ def _exact_stage2(params, u, config, rng, want):
         zs[idx] = sampler.sample(rng, size=len(idx))
     ux = np.imag(zs) * scale
     uy = -np.real(zs) * scale
-    x_e = energy_measurement_sample(params, js, t_energy, rng, size=want)
+    # monitoring time n: the readout variance 1/(4n) is negligible next
+    # to the block spread
+    x_e = energy_measurement_sample(params, js, float(n), rng, size=want)
     kernel_sd = math.sqrt(0.5 / rn)
     g = x_e - rn * (params.mu - 0.5) + rng.normal(0.0, kernel_sd, size=want)
     return ux, uy, g
@@ -261,24 +283,30 @@ def truncate_estimate(raw, eta: float, n: int):
     truncation can only move components toward the truth.
     """
     raw_arr = np.asarray(raw, dtype=float)
-    bound = 3.0 * float(n) ** eta
-    flags = np.abs(raw_arr) > bound
-    out = np.where(flags, 0.0, raw_arr)
-    if raw_arr.ndim == 1:
-        return LocalParams(*out), flags
-    return out, flags
+    flags = np.abs(raw_arr) > 3.0 * float(n) ** eta
+    return np.where(flags, 0.0, raw_arr), flags
 
 
 @dataclass
 class EstimateResult:
-    u_hat: LocalParams
-    rho_hat: np.ndarray
+    """One trial (LocalParams, a tuple u_raw, (3,) flags and Bloch vector,
+    a bool clamp) or B trials ((B, 3) arrays and (B,) masks).  A trial in
+    ``outside`` has no stage-2 draw; its estimate is meaningless."""
+
+    u_hat: LocalParams | np.ndarray
+    r_hat: np.ndarray
     stage1: Stage1Result
-    u_raw: tuple
-    u_true_local: LocalParams
+    u_raw: tuple | np.ndarray
+    u_true_local: LocalParams | np.ndarray
     trunc_flags: np.ndarray
-    recon_clamped: bool
+    recon_clamped: bool | np.ndarray
     n_rest: int
+    outside: bool | np.ndarray
+
+    @property
+    def rho_hat(self) -> np.ndarray:
+        """The single-trial estimate as a density matrix."""
+        return bloch_to_density(self.r_hat)
 
 
 def full_estimate(
@@ -286,12 +314,15 @@ def full_estimate(
     n: int,
     config: EstimatorConfig | None = None,
     rng: np.random.Generator | None = None,
+    size: int | None = None,
 ) -> EstimateResult:
     """Run both stages on n copies of rho_true and reconstruct the state.
 
-    Raises OutsideModelError when stage 1 lands on a degenerate estimate
-    or the rotated state is not eps2 inside the model; the risk benchmark
-    catches that and charges the maximal loss.
+    ``size=None`` runs one trial and raises OutsideModelError when stage 1
+    lands on a degenerate estimate or the rotated state is not eps2 inside
+    the model.  ``size=B`` runs B trials as one batch and marks such trials
+    in ``outside`` instead; the risk benchmark charges them the maximal
+    loss.
     """
     cfg = (config or EstimatorConfig()).validate()
     if rng is None:
@@ -301,29 +332,39 @@ def full_estimate(
     n_rest = n - n_tilde
     if n_rest < 1:
         raise ValueError(f"n = {n} leaves no copies for stage 2")
-    s1 = stage1(rho_true, n_tilde, rng)
-    if not (0.5 < s1.mu_tilde < 1.0):
+    r_true = density_to_bloch(validate_density(rho_true))
+    s1 = stage1(r_true, n_tilde, rng, size=1 if size is None else size)
+    u_true, mu_rot = localize_frame(r_true, s1, n_rest)
+    degenerate = ~((0.5 < s1.mu_tilde) & (s1.mu_tilde < 1.0))
+    outside = degenerate | (mu_rot - 0.5 < cfg.eps2)
+    if size is None and degenerate[0]:
         raise OutsideModelError(
-            f"stage-1 eigenvalue estimate mu_tilde = {s1.mu_tilde} degenerate"
+            f"stage-1 eigenvalue estimate mu_tilde = {float(s1.mu_tilde[0])} degenerate"
         )
-    u_true = localize_frame(rho_true, s1, n_rest, cfg.eps2)
-    params2 = ModelParams(s1.mu_tilde, n_rest)
-    if cfg.zero_noise:
-        raw = (u_true.ux, u_true.uy, u_true.uz)
-    else:
-        raw = stage2_sample(params2, u_true, cfg, rng)
+    if size is None and outside[0]:
+        raise OutsideModelError(
+            f"rotated state too close to maximally mixed: mu - 1/2 = "
+            f"{mu_rot[0] - 0.5:.4f} < eps2 = {cfg.eps2}; outside the model"
+        )
+    inside = ~outside
+    raw = np.zeros_like(u_true)
+    params2 = ModelParams(s1.mu_tilde[inside], n_rest)
+    raw[inside] = np.stack(stage2_sample(params2, u_true[inside], cfg, rng), axis=-1)
     if cfg.truncate:
         u_hat, flags = truncate_estimate(raw, cfg.eta, n)
     else:
-        u_hat, flags = LocalParams(*raw), np.zeros(3, dtype=bool)
-    rho_hat, clamped = reconstruct(s1, n_rest, u_hat)
+        u_hat, flags = raw, np.zeros(raw.shape, dtype=bool)
+    r_hat, clamped = reconstruct(s1, n_rest, u_hat)
+    if size is not None:
+        return EstimateResult(u_hat, r_hat, s1, raw, u_true, flags, clamped, n_rest, outside)
     return EstimateResult(
-        u_hat=u_hat,
-        rho_hat=rho_hat,
-        stage1=s1,
-        u_raw=tuple(float(x) for x in raw),
-        u_true_local=u_true,
-        trunc_flags=flags,
-        recon_clamped=clamped,
+        u_hat=LocalParams(*u_hat[0]),
+        r_hat=r_hat[0],
+        stage1=Stage1Result(s1.r_raw[0], s1.r_proj[0], float(s1.mu_tilde[0]), n_tilde),
+        u_raw=tuple(float(x) for x in raw[0]),
+        u_true_local=LocalParams(*u_true[0]),
+        trunc_flags=flags[0],
+        recon_clamped=bool(clamped[0]),
         n_rest=n_rest,
+        outside=False,
     )

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .fock_gaussian import (
     GaussianLimitParams,
@@ -198,6 +198,13 @@ def _kernel_sd(n: int) -> float:
     return math.sqrt(0.5 / math.sqrt(n))
 
 
+def _normal_pdf(x, loc, scale):
+    """N(loc, scale^2) density, in the arithmetic of scipy.stats.norm.pdf
+    (whose import alone costs about half a second)."""
+    z = (x - loc) / scale
+    return np.exp(-(z**2) / 2.0) / math.sqrt(2.0 * math.pi) / scale
+
+
 def covering_grid(
     params: ModelParams,
     center: float,
@@ -253,7 +260,7 @@ def gaussian_limit(
     """
     if grid is None:
         grid = default_grid(gp.mu, gp.classical_mean)
-    f = norm.pdf(grid, loc=gp.classical_mean, scale=math.sqrt(gp.classical_var))
+    f = _normal_pdf(grid, gp.classical_mean, math.sqrt(gp.classical_var))
     classical = ClassicalDensity(grid, f)
     quantum, tail = _limit_corner(gp, dim)
     return HybridGaussianState(
@@ -280,7 +287,7 @@ def smoothed_classical_density(
     if grid is None:
         center = float(np.sum(probs * g) / np.sum(probs))
         grid = covering_grid(params, center, g.min(), g.max())
-    vals = norm.pdf(grid[:, None], loc=g[None, :], scale=_kernel_sd(params.n)) @ probs
+    vals = _normal_pdf(grid[:, None], g[None, :], _kernel_sd(params.n)) @ probs
     return ClassicalDensity(grid, vals)
 
 
@@ -327,7 +334,7 @@ def apply_T(
     g = classical_coordinate(params, j_keep)
     if grid is None:
         grid = covering_grid(params, float(np.sum(p_keep * g)), g.min(), g.max())
-    kernel = norm.pdf(grid[:, None], loc=g[None, :], scale=_kernel_sd(params.n))
+    kernel = _normal_pdf(grid[:, None], g[None, :], _kernel_sd(params.n))
     weights = kernel * p_keep[None, :]
     classical = ClassicalDensity(grid, weights.sum(axis=1), expected_mass=1.0 - dropped)
     return HybridGaussianState(
@@ -414,9 +421,7 @@ def apply_S(gp: GaussianLimitParams, n: int, dim: int | None = None) -> BlockMix
     hi = np.array(g_edges_hi)
     lo[0] = -np.inf
     hi[-1] = np.inf
-    q = norm.cdf(hi, loc=gp.classical_mean, scale=sd) - norm.cdf(
-        lo, loc=gp.classical_mean, scale=sd
-    )
+    q = ndtr((hi - gp.classical_mean) / sd) - ndtr((lo - gp.classical_mean) / sd)
     keep = q > BLOCK_SKIP_MASS
     dropped = float(q[~keep].sum())
     js = j_lattice[keep]
@@ -509,21 +514,6 @@ class SweepResult:
     slope_S: float
     resid_T: float
     resid_S: float
-
-    def table(self) -> list:
-        """Rows as dicts with the sweep CSV columns."""
-        out = []
-        for r in self.rows:
-            out.append(
-                {
-                    "n": r.n,
-                    "dist_T": r.dist_T,
-                    "dist_S": r.dist_S,
-                    "slope_T": self.slope_T,
-                    "slope_S": self.slope_S,
-                }
-            )
-        return out
 
 
 def _clamp_u(mu: float, u: LocalParams, n: int, delta: float) -> tuple[LocalParams, bool]:

@@ -4,32 +4,24 @@
 around a reference state, runs the estimator at each grid point, and
 reports the supremum of the rescaled risk next to the asymptotic
 references: 8 mu0 - 4 mu0^2 for (rescaled squared) trace-norm loss and
-the equalized local quadratic loss, mu0 + 1/4 for fidelity loss.  For the
-"gaussian" sampler the whole pipeline — stage-1 binomials, frames,
-stage-2 Gaussians, truncation, reconstruction — is vectorized over
-trials; a per-trial reference path through :func:`full_estimate` computes
-the same risks for cross-checks and for the exact sampler.
-``hoeffding_check`` verifies the stage-1 large-deviation bound cell by
-cell.
+the equalized local quadratic loss, mu0 + 1/4 for fidelity loss.
+``pointwise_risk`` is the risk at one grid point for either sampler: it
+runs the batched :func:`full_estimate` chunk by chunk and scores the
+trials from their Bloch vectors (trace and fidelity losses) or local
+parameters (local loss).  ``hoeffding_check`` verifies the stage-1
+large-deviation bound cell by cell.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import EstimatorConfig, OutsideModelError, full_estimate
-from .operator_core import (
-    density_to_bloch,
-    fidelity,
-    qubit_fidelity_sq,
-    trace_norm_distance,
-)
+from .estimator import EstimatorConfig, full_estimate, stage1
+from .operator_core import density_to_bloch, qubit_fidelity_sq
 from .spin_blocks import local_qubit_state
 from .tolerances import PROPERTY_SLACK
 
@@ -44,17 +36,21 @@ def loss_local(u, u_hat, mu: float):
     return 4.0 * (du[..., 2] ** 2 + w * (du[..., 0] ** 2 + du[..., 1] ** 2))
 
 
-def loss_trace_sq(rho, rho_hat) -> float:
-    """Squared trace-norm loss ||rho - rho_hat||_1^2 (always <= 4)."""
-    val = trace_norm_distance(rho, rho_hat) ** 2
-    if val > 4.0 + PROPERTY_SLACK:
-        raise AssertionError(f"trace loss {val} exceeds the qubit bound 4")
+def loss_trace_sq(r, r_hat):
+    """Squared trace-norm loss ||rho - rho_hat||_1^2 (always <= 4) between
+    qubit states given by Bloch vectors, where the trace distance is the
+    Euclidean one; stacked vectors carry their components on the last axis.
+    """
+    val = np.sum((np.asarray(r_hat, dtype=float) - np.asarray(r, dtype=float)) ** 2, axis=-1)
+    if np.any(val > 4.0 + PROPERTY_SLACK):
+        raise AssertionError(f"trace loss {np.max(val)} exceeds the qubit bound 4")
     return val
 
 
-def loss_fidelity(rho, rho_hat) -> float:
-    """Infidelity loss 1 - F(rho, rho_hat)^2."""
-    return 1.0 - fidelity(rho, rho_hat) ** 2
+def loss_fidelity(r, r_hat):
+    """Infidelity loss 1 - F(rho, rho_hat)^2 between qubit states given by
+    Bloch vectors (stacked on the last axis)."""
+    return 1.0 - qubit_fidelity_sq(r, r_hat)
 
 
 def reference_risks(mu0: float) -> tuple[float, float]:
@@ -81,7 +77,6 @@ class RiskConfig:
     radii: tuple = (0.0, 0.5, 1.0)
     batches: int = 20
     seed: int = 20260801
-    threads: int = 1
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
 
     def validate(self) -> "RiskConfig":
@@ -142,150 +137,52 @@ def _true_state(mu0: float, u: np.ndarray, n: int) -> np.ndarray:
     return local_qubit_state(mu0, u / math.sqrt(n))
 
 
-def _gaussian_batch(
-    r_true: np.ndarray,
-    mu_weight: float,
-    n: int,
-    cfg: RiskConfig,
-    rng: np.random.Generator,
-    size: int,
-    fail_loss: float,
-) -> np.ndarray:
-    """Vectorized losses for one batch of trials under the gaussian sampler."""
-    est = cfg.estimator
-    n_tilde = int(math.ceil(float(n) ** (1.0 - est.kappa)))
-    n_rest = n - n_tilde
-    rn = math.sqrt(n_rest)
-    counts = np.array([math.ceil((n_tilde - i) / 3.0) for i in range(3)])
-    probs = (1.0 + r_true) / 2.0
-    heads = rng.binomial(counts[None, :], probs[None, :], size=(size, 3))
-    r_raw = 2.0 * heads / counts[None, :] - 1.0
-    nrm = np.linalg.norm(r_raw, axis=1)
-    over = nrm > 1.0
-    r_proj = np.where(over[:, None], r_raw / np.maximum(nrm, 1e-300)[:, None], r_raw)
-    mu_tilde = 0.5 * (1.0 + np.minimum(nrm, 1.0))
-    degenerate = (nrm <= 1e-15) | (mu_tilde >= 1.0)
-
-    # frames: rotation taking r_proj to +z (Rodrigues, batched)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = r_proj / np.maximum(np.linalg.norm(r_proj, axis=1), 1e-300)[:, None]
-    c = unit[:, 2]
-    w = np.stack([unit[:, 1], -unit[:, 0], np.zeros(size)], axis=1)  # u x z
-    frames = np.zeros((size, 3, 3))
-    frames[:, 0, 0] = frames[:, 1, 1] = frames[:, 2, 2] = 1.0
-    wx = np.zeros((size, 3, 3))
-    wx[:, 0, 1] = -w[:, 2]
-    wx[:, 0, 2] = w[:, 1]
-    wx[:, 1, 0] = w[:, 2]
-    wx[:, 1, 2] = -w[:, 0]
-    wx[:, 2, 0] = -w[:, 1]
-    wx[:, 2, 1] = w[:, 0]
-    denom = np.maximum(1.0 + c, 1e-12)
-    frames = frames + wx + (wx @ wx) / denom[:, None, None]
-    flipped = c < -1.0 + 1e-12
-    if np.any(flipped):
-        frames[flipped] = np.diag([1.0, -1.0, -1.0])
-    frames[degenerate] = np.eye(3)
-
-    r_rot = np.einsum("bij,j->bi", frames, r_true)
-    r_len = np.linalg.norm(r_rot, axis=1)
-    mu_rot = 0.5 * (1.0 + r_len)
-    outside = degenerate | (mu_rot - 0.5 < est.eps2)
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        nhat = r_rot / np.maximum(r_len, 1e-300)[:, None]
-        nz = np.clip(nhat[:, 2], -1.0, 1.0)
-        theta = np.arccos(nz)
-        dxy = np.hypot(nhat[:, 0], nhat[:, 1])
-        good = dxy > 1e-15
-        vx = np.where(good, 0.5 * theta * nhat[:, 1] / np.maximum(dxy, 1e-300), 0.0)
-        vy = np.where(good, -0.5 * theta * nhat[:, 0] / np.maximum(dxy, 1e-300), 0.0)
-    u_true = np.stack([rn * vx, rn * vy, rn * (mu_rot - mu_tilde)], axis=1)
-
-    mu_u = mu_rot  # = mu_tilde + u_z / sqrt(n_rest), the true eigenvalue
-    safe_mu = np.clip(mu_u, 0.5 + 1e-9, 1.0 - 1e-12)
-    sd_xy = np.sqrt(safe_mu / (2.0 * (2.0 * safe_mu - 1.0) ** 2))
-    sd_z = np.sqrt(safe_mu * (1.0 - safe_mu))
-    raw = np.empty((size, 3))
-    raw[:, 0] = u_true[:, 0] + sd_xy * rng.standard_normal(size)
-    raw[:, 1] = u_true[:, 1] + sd_xy * rng.standard_normal(size)
-    raw[:, 2] = u_true[:, 2] + sd_z * rng.standard_normal(size)
-
-    if est.truncate:
-        bound = 3.0 * float(n) ** est.eta
-        u_hat = np.where(np.abs(raw) > bound, 0.0, raw)
-    else:
-        u_hat = raw
-
-    if cfg.loss == "local":
-        losses = loss_local(u_true, u_hat, mu_weight)
-    else:
-        lam = np.clip(mu_tilde + u_hat[:, 2] / rn, 0.0, 1.0)
-        hx = u_hat[:, 0] / rn
-        hy = u_hat[:, 1] / rn
-        q = np.hypot(hx, hy)
-        s = np.where(q > 1e-12, np.sin(2.0 * q) / np.maximum(q, 1e-300), 2.0)
-        r_hat_local = np.stack(
-            [-hy * s, hx * s, np.cos(2.0 * q)], axis=1
-        ) * (2.0 * lam - 1.0)[:, None]
-        r_hat = np.einsum("bji,bj->bi", frames, r_hat_local)
-        if cfg.loss == "trace":
-            # qubit trace distance = Euclidean Bloch distance
-            losses = n_rest * np.sum((r_hat - r_true[None, :]) ** 2, axis=1)
-        else:
-            f2 = qubit_fidelity_sq(np.broadcast_to(r_true, (size, 3)), r_hat)
-            losses = n_rest * (1.0 - f2)
-
-    fail_scaled = fail_loss * (1.0 if cfg.loss == "local" else n_rest)
-    return np.where(outside, fail_scaled, losses)
-
-
 def pointwise_risk(
     rho_true: np.ndarray,
     n: int,
     config: RiskConfig,
-    rng: np.random.Generator,
+    cell: tuple = (0, 0),
 ) -> tuple[float, float, dict]:
-    """Per-trial reference path: mean rescaled loss, stderr, diagnostics.
+    """Mean rescaled loss at one true state, its stderr, and event counts.
 
-    Runs :func:`full_estimate` trial by trial with the given generator —
-    any sampler, but sequential; the vectorized gaussian path inside
-    :func:`local_sup_risk` is the fast route for large trial counts.
+    The trials fall into ``config.batches`` near-equal batches; the mean
+    and stderr are those of the batch means.  Random streams are children
+    of the master seed keyed by ``cell`` (the (n, grid point) indices).
+    The gaussian sampler runs each batch as one :func:`full_estimate`
+    chunk on its own stream; the exact sampler builds a heterodyne sampler
+    per trial, so it runs one trial per chunk, all on one stream.  The
+    counts are the trials outside the model (charged the failure loss),
+    with a truncated component, and with a clamped eigenvalue.
     """
     cfg = config.validate()
     r_true = density_to_bloch(rho_true)
     mu_weight = 0.5 * (1.0 + float(np.linalg.norm(r_true)))
-    fail_loss = _failure_loss(cfg, _grid_max_sq(cfg, n))
     n_rest = n - int(math.ceil(float(n) ** (1.0 - cfg.estimator.kappa)))
-    losses = np.empty(cfg.trials)
-    failures = 0
-    trunc = 0
-    clamped = 0
-    for i in range(cfg.trials):
-        try:
-            res = full_estimate(rho_true, n, cfg.estimator, rng)
-        except OutsideModelError:
-            failures += 1
-            losses[i] = fail_loss * (1.0 if cfg.loss == "local" else n_rest)
-            continue
-        trunc += int(np.any(res.trunc_flags))
-        clamped += int(res.recon_clamped)
+    fail = _failure_loss(cfg, _grid_max_sq(cfg, n)) * (1.0 if cfg.loss == "local" else n_rest)
+    per, rem = divmod(cfg.trials, cfg.batches)
+    sizes = [per + (1 if b < rem else 0) for b in range(cfg.batches)]
+    if cfg.estimator.sampler == "gaussian":
+        chunks = [(size, _batch_rng(cfg.seed, *cell, b)) for b, size in enumerate(sizes)]
+    else:
+        chunks = [(1, _batch_rng(cfg.seed, *cell, 10_000))] * cfg.trials
+    losses = []
+    counts = {"failures": 0, "truncated": 0, "clamped": 0}
+    for size, rng in chunks:
+        res = full_estimate(rho_true, n, cfg.estimator, rng, size=size)
         if cfg.loss == "local":
-            losses[i] = float(
-                loss_local(
-                    res.u_true_local.as_array(), res.u_hat.as_array(), mu_weight
-                )
-            )
+            loss = loss_local(res.u_true_local, res.u_hat, mu_weight)
         elif cfg.loss == "trace":
-            losses[i] = res.n_rest * loss_trace_sq(rho_true, res.rho_hat)
+            loss = res.n_rest * loss_trace_sq(r_true, res.r_hat)
         else:
-            losses[i] = res.n_rest * loss_fidelity(rho_true, res.rho_hat)
-    mean = float(np.mean(losses))
-    nb = cfg.batches
-    per = cfg.trials // nb
-    bm = losses[: nb * per].reshape(nb, per).mean(axis=1)
-    stderr = float(np.std(bm, ddof=1) / math.sqrt(nb))
-    return mean, stderr, {"failures": failures, "truncated": trunc, "clamped": clamped}
+            loss = res.n_rest * loss_fidelity(r_true, res.r_hat)
+        losses.append(np.where(res.outside, fail, loss))
+        counts["failures"] += int(res.outside.sum())
+        counts["truncated"] += int(np.any(res.trunc_flags, axis=-1).sum())
+        counts["clamped"] += int(res.recon_clamped.sum())
+    batches = np.split(np.concatenate(losses), np.cumsum(sizes)[:-1])
+    means = np.array([float(np.mean(b)) for b in batches])
+    stderr = float(np.std(means, ddof=1) / math.sqrt(cfg.batches))
+    return float(np.mean(means)), stderr, counts
 
 
 def _grid_max_sq(cfg: RiskConfig, n: int) -> float:
@@ -293,24 +190,6 @@ def _grid_max_sq(cfg: RiskConfig, n: int) -> float:
     return max(
         (scale**2) * sum(c * c for c in p.u) for p in grid_points(cfg.mu0, cfg.radii)
     )
-
-
-def _gaussian_point(
-    cfg: RiskConfig, n: int, n_idx: int, g_idx: int, u_vec: np.ndarray
-) -> tuple[float, float]:
-    rho = _true_state(cfg.mu0, u_vec, n)
-    r_true = density_to_bloch(rho)
-    mu_weight = 0.5 * (1.0 + float(np.linalg.norm(r_true)))
-    fail_loss = _failure_loss(cfg, _grid_max_sq(cfg, n))
-    per = cfg.trials // cfg.batches
-    rem = cfg.trials - per * cfg.batches
-    means = np.empty(cfg.batches)
-    for b in range(cfg.batches):
-        size = per + (1 if b < rem else 0)
-        rng = _batch_rng(cfg.seed, n_idx, g_idx, b)
-        losses = _gaussian_batch(r_true, mu_weight, n, cfg, rng, size, fail_loss)
-        means[b] = float(np.mean(losses))
-    return float(np.mean(means)), float(np.std(means, ddof=1) / math.sqrt(cfg.batches))
 
 
 @dataclass
@@ -331,87 +210,34 @@ class RiskReport:
         }
         return json.dumps(payload, indent=2)
 
-    def write_json(self, path: str) -> None:
-        _atomic_write(path, self.to_json() + "\n")
-
-    def to_csv(self) -> str:
-        cols = [
-            "n",
-            "label",
-            "ux",
-            "uy",
-            "uz",
-            "mean",
-            "stderr",
-            "trials",
-        ]
-        lines = [",".join(cols)]
-        for row in self.rows:
-            lines.append(",".join(_csv_cell(row[c]) for c in cols))
-        return "\n".join(lines) + "\n"
-
-    def write_csv(self, path: str) -> None:
-        _atomic_write(path, self.to_csv())
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
 
 def local_sup_risk(config: RiskConfig) -> RiskReport:
     """Sup over the parameter grid of the Monte Carlo risk, per n.
 
     Returns a report whose ``sup``/``argmax`` refer to the largest n in
     ``n_list``; every (n, grid point) row carries mean and stderr.  The
-    random stream of each (n, point, batch) cell is an independent child
-    of the master seed, so results do not depend on execution order or
-    thread count.
+    random streams of each (n, point) cell are independent children of
+    the master seed, so results do not depend on execution order.
     """
     cfg = config.validate()
-    pts = grid_points(cfg.mu0, cfg.radii)
     rows = []
-
-    def run_point(task):
-        n_idx, n, g_idx, pt = task
-        scale = float(n) ** cfg.eps
-        u_vec = np.array(pt.u) * scale
-        if cfg.estimator.sampler == "gaussian":
-            mean, se = _gaussian_point(cfg, n, n_idx, g_idx, u_vec)
-        else:
-            rng = _batch_rng(cfg.seed, n_idx, g_idx, 10_000)
-            mean, se, _ = pointwise_risk(
-                _true_state(cfg.mu0, u_vec, n), n, cfg, rng
+    for n_idx, n in enumerate(cfg.n_list):
+        for g_idx, pt in enumerate(grid_points(cfg.mu0, cfg.radii)):
+            u_vec = np.array(pt.u) * float(n) ** cfg.eps
+            rho = _true_state(cfg.mu0, u_vec, n)
+            mean, se, _ = pointwise_risk(rho, n, cfg, (n_idx, g_idx))
+            rows.append(
+                {
+                    "n": int(n),
+                    "label": pt.label,
+                    "ux": float(u_vec[0]),
+                    "uy": float(u_vec[1]),
+                    "uz": float(u_vec[2]),
+                    "mean": mean,
+                    "stderr": se,
+                    "trials": cfg.trials,
+                }
             )
-        return {
-            "n": int(n),
-            "label": pt.label,
-            "ux": float(u_vec[0]),
-            "uy": float(u_vec[1]),
-            "uz": float(u_vec[2]),
-            "mean": mean,
-            "stderr": se,
-            "trials": cfg.trials,
-        }
-
-    tasks = [
-        (n_idx, n, g_idx, pt)
-        for n_idx, n in enumerate(cfg.n_list)
-        for g_idx, pt in enumerate(pts)
-    ]
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(run_point, tasks))
-    else:
-        rows = [run_point(t) for t in tasks]
 
     n_last = int(cfg.n_list[-1])
     last_rows = [r for r in rows if r["n"] == n_last]
@@ -427,7 +253,6 @@ def local_sup_risk(config: RiskConfig) -> RiskReport:
         "radii": list(cfg.radii),
         "batches": cfg.batches,
         "seed": cfg.seed,
-        "threads": cfg.threads,
         "sampler": cfg.estimator.sampler,
         "kappa": cfg.estimator.kappa,
         "eta": cfg.estimator.eta,
@@ -462,10 +287,8 @@ def hoeffding_check(
     for n in n_values:
         n = int(n)
         n_tilde = int(math.ceil(float(n) ** (1.0 - kappa)))
-        counts = np.array([math.ceil((n_tilde - i) / 3.0) for i in range(3)])
-        probs = (1.0 + r_true) / 2.0
-        heads = rng.binomial(counts[None, :], probs[None, :], size=(trials, 3))
-        err_sq = np.sum((2.0 * heads / counts[None, :] - 1.0 - r_true) ** 2, axis=1)
+        r_raw = stage1(r_true, n_tilde, rng, size=trials).r_raw
+        err_sq = np.sum((r_raw - r_true) ** 2, axis=1)
         for eps in eps_values:
             thresh = 3.0 * float(n) ** (2.0 * eps - 1.0)
             empirical = float(np.mean(err_sq > thresh))

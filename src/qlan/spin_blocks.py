@@ -78,13 +78,18 @@ def as_local(u) -> LocalParams:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Reference model: n qubits with eigenvalues (mu, 1-mu), 1/2 < mu < 1."""
+    """Reference model: n qubits with eigenvalues (mu, 1-mu), 1/2 < mu < 1.
+
+    ``mu`` may also be an array of reference eigenvalues sharing ``n``, one
+    per trial of the estimator's batched stage 2; the block functions of
+    this module take a scalar ``mu``.
+    """
 
     mu: float
     n: int
 
     def __post_init__(self):
-        if not (0.5 < self.mu < 1.0):
+        if not np.all((0.5 < self.mu) & (self.mu < 1.0)):
             raise ValueError(
                 f"mu = {self.mu} outside the model range (1/2, 1): the larger "
                 "eigenvalue must exceed 1/2 strictly and be below 1"

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qlan.estimator import (
     EstimatorConfig,
     OutsideModelError,
-    _frame_to_z,
+    Stage1Result,
     full_estimate,
     localize_frame,
     reconstruct,
@@ -20,22 +23,41 @@ from qlan.operator_core import bloch_to_density, density_to_bloch
 from qlan.spin_blocks import LocalParams, ModelParams
 
 
-def test_frame_to_z_rotations():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        d = rng.normal(size=3)
-        r = _frame_to_z(d)
-        assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
-        assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(r @ (d / np.linalg.norm(d)), [0, 0, 1], atol=1e-12)
-    # antipodal and degenerate inputs take the special branches
-    assert np.allclose(_frame_to_z(np.array([0.0, 0.0, -1.0])) @ [0, 0, -1], [0, 0, 1])
-    assert np.allclose(_frame_to_z(np.zeros(3)), np.eye(3))
+def _frames(r_proj) -> Stage1Result:
+    r_proj = np.asarray(r_proj, dtype=float)
+    mu_tilde = 0.5 * (1.0 + np.linalg.norm(r_proj, axis=-1))
+    return Stage1Result(r_proj, r_proj, mu_tilde, 100)
+
+
+_coord = st.floats(-1.0, 1.0)
+_tiny = st.floats(-1e-6, 1e-6)
+# directions anywhere, within a micro-radian of +-z, and exactly on it
+_direction = st.one_of(
+    st.tuples(_coord, _coord, _coord),
+    st.tuples(_tiny, _tiny, st.sampled_from([-1.0, -0.3, 0.3, 1.0])),
+    st.sampled_from([(0.0, 0.0, -0.7), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)]),
+)
+_batch = st.lists(_direction, min_size=1, max_size=12)
+
+
+@given(directions=_batch, vec=arrays(float, 3, elements=_coord))
+def test_frame_takes_direction_to_z(directions, vec):
+    s1 = _frames(directions)
+    d = s1.r_proj
+    z = s1.rotate(d)
+    assert np.abs(z[:, :2]).max() <= 1e-12
+    assert np.abs(z[:, 2] - np.linalg.norm(d, axis=1)).max() <= 1e-12
+    # a rotation: lengths kept, and rotate_back inverts it, row by row
+    v = np.broadcast_to(vec, d.shape)
+    rv = s1.rotate(v)
+    assert np.abs(np.linalg.norm(rv, axis=1) - np.linalg.norm(vec)).max() <= 1e-12
+    assert np.abs(s1.rotate_back(rv) - v).max() <= 1e-12
+    # each row is rotated as if it were alone
+    assert np.array_equal(_frames(directions[:1]).rotate(v[:1]), rv[:1])
 
 
 def test_stage1_statistics():
-    rho = bloch_to_density(np.array([0.6, 0.0, 0.0]))
-    s1 = stage1(rho, 30_000, np.random.default_rng(0))
+    s1 = stage1(np.array([0.6, 0.0, 0.0]), 30_000, np.random.default_rng(0))
     # each axis sees ~10^4 coins; 5 sigma on the Bloch component is 0.04
     assert abs(s1.r_raw[0] - 0.6) < 0.04
     assert abs(s1.r_raw[1]) < 0.05
@@ -49,49 +71,46 @@ def test_stage1_statistics():
 
 
 def test_stage1_projects_into_ball():
-    rho = bloch_to_density(np.array([1.0, 0.0, 0.0]))  # pure: x coin always heads
-    s1 = stage1(rho, 300, np.random.default_rng(4))
+    r = np.array([1.0, 0.0, 0.0])  # pure: x coin always heads
+    s1 = stage1(r, 300, np.random.default_rng(4))
     assert np.linalg.norm(s1.r_raw) > 1.0
     assert np.linalg.norm(s1.r_proj) == pytest.approx(1.0, abs=1e-12)
     assert s1.mu_tilde == 1.0
     with pytest.raises(ValueError):
-        stage1(rho, 2, np.random.default_rng(0))
+        stage1(r, 2, np.random.default_rng(0))
 
 
-def test_localize_reconstruct_roundtrip():
-    """With the stage-2 noise switched off the pipeline must return the
-    input state exactly (localization inverted by reconstruction)."""
-    rho = bloch_to_density(np.array([0.28, -0.35, 0.21]))
-    cfg = EstimatorConfig(zero_noise=True, truncate=False)
-    res = full_estimate(rho, 400, cfg, np.random.default_rng(8))
-    assert np.max(np.abs(res.rho_hat - rho)) < 1e-10
-    assert res.u_raw == (
-        res.u_true_local.ux,
-        res.u_true_local.uy,
-        res.u_true_local.uz,
-    )
-    assert not res.recon_clamped
-    assert res.n_rest == 400 - math.ceil(400**0.95)
+@given(
+    directions=_batch,
+    offsets=st.lists(arrays(float, 3, elements=_tiny), max_size=4),
+    r_true=arrays(float, 3, elements=_coord).filter(lambda r: np.linalg.norm(r) <= 1.0),
+    n_rest=st.integers(1, 10**8),
+)
+def test_localize_reconstruct_roundtrip(directions, offsets, r_true, n_rest):
+    """Reconstruction inverts localization: the true local parameter of
+    each trial maps back to the true state, for any frame, including
+    frames a small angle from the state or from its antipode."""
+    near = [sign * r_true + d for d in offsets for sign in (1.0, -1.0)]
+    s1 = _frames(list(directions) + near)
+    u, mu_rot = localize_frame(r_true, s1, n_rest)
+    assert np.abs(mu_rot - 0.5 * (1.0 + np.linalg.norm(r_true))).max() <= 1e-15
+    # a pure state may clamp its eigenvalue by a rounding; r_hat is still exact
+    r_hat, _ = reconstruct(s1, n_rest, u)
+    assert np.abs(r_hat - r_true).max() <= 1e-12
 
 
 def test_localize_frame_interior_guard():
-    from qlan.estimator import Stage1Result
-
-    s1 = Stage1Result(
-        r_raw=np.array([0.0, 0.0, 0.1]),
-        r_proj=np.array([0.0, 0.0, 0.1]),
-        mu_tilde=0.55,
-        n_tilde=100,
-        frame=np.eye(3),
-    )
     rho = np.diag([0.52, 0.48]).astype(complex)
     with pytest.raises(OutsideModelError, match="outside the model"):
-        localize_frame(rho, s1, 900, eps2=0.05)
-    # a comfortably interior state passes and reports the right z shift
-    rho2 = np.diag([0.7, 0.3]).astype(complex)
-    u = localize_frame(rho2, s1, 900, eps2=0.05)
-    assert u.uz == pytest.approx(30.0 * (0.7 - 0.55), rel=1e-12)
-    assert u.ux == pytest.approx(0.0, abs=1e-12)
+        full_estimate(rho, 10**4, EstimatorConfig(eps2=0.05), np.random.default_rng(0))
+    # in a batch the same trials are flagged instead
+    res = full_estimate(rho, 10**4, EstimatorConfig(eps2=0.05), np.random.default_rng(0), size=8)
+    assert res.outside.all() and not res.u_raw.any()
+    # a comfortably interior state reports the right z shift
+    s1 = _frames([(0.0, 0.0, 0.1)])
+    u, _ = localize_frame(np.array([0.0, 0.0, 0.4]), s1, 900)
+    assert u[0, 2] == pytest.approx(30.0 * (0.7 - 0.55), rel=1e-12)
+    assert u[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_full_estimate_degenerate_stage1():
@@ -104,8 +123,7 @@ def test_truncation_boundary():
     n = 1024
     eta = 0.1  # 3 n^eta = 6 exactly
     u_hat, flags = truncate_estimate((5.0, -6.0, 6.0 + 1e-9), eta, n)
-    assert isinstance(u_hat, LocalParams)
-    assert (u_hat.ux, u_hat.uy, u_hat.uz) == (5.0, -6.0, 0.0)
+    assert tuple(u_hat) == (5.0, -6.0, 0.0)
     assert list(flags) == [False, False, True]
     arr, flags2 = truncate_estimate(np.array([[7.0, 0.0, -1.0]]), eta, n)
     assert arr.shape == (1, 3)
@@ -113,20 +131,13 @@ def test_truncation_boundary():
 
 
 def test_reconstruct_clamps_eigenvalue():
-    from qlan.estimator import Stage1Result
-
-    s1 = Stage1Result(
-        r_raw=np.zeros(3),
-        r_proj=np.zeros(3),
-        mu_tilde=0.75,
-        n_tilde=0,
-        frame=np.eye(3),
-    )
-    rho, clamped = reconstruct(s1, 100, (0.0, 0.0, 1.0))
+    s1 = Stage1Result(r_raw=np.zeros(3), r_proj=np.zeros(3), mu_tilde=0.75, n_tilde=0)
+    r, clamped = reconstruct(s1, 100, (0.0, 0.0, 1.0))
     assert not clamped
-    assert np.allclose(rho, np.diag([0.85, 0.15]))
-    rho2, clamped2 = reconstruct(s1, 100, (0.0, 0.0, -10.0))
+    assert np.allclose(bloch_to_density(r), np.diag([0.85, 0.15]))
+    r2, clamped2 = reconstruct(s1, 100, (0.0, 0.0, -10.0))
     assert clamped2
+    rho2 = bloch_to_density(r2)
     w = np.linalg.eigvalsh(rho2)
     assert w[0] >= -1e-12 and np.trace(rho2).real == pytest.approx(1.0)
 
@@ -188,8 +199,6 @@ def test_config_validation():
         EstimatorConfig(kappa=0.2, eps=0.05),  # kappa > 2 eps
         EstimatorConfig(kappa=0.0),
         EstimatorConfig(sampler="fancy"),
-        EstimatorConfig(t=-1.0),
-        EstimatorConfig(t_energy=0.0),
         EstimatorConfig(eps2=0.5),
     ]
     for cfg in bad:

@@ -196,8 +196,6 @@ def test_convergence_sweep_decreasing():
     res = convergence_sweep(0.8, (1.0, 1.0, 1.0), [20, 50])
     assert res.rows[0].dist_T > res.rows[1].dist_T
     assert res.rows[0].dist_S > res.rows[1].dist_S
-    table = res.table()
-    assert list(table[0].keys()) == ["n", "dist_T", "dist_S", "slope_T", "slope_S"]
     assert res.slope_T < 0.0
     assert res.slope_S < 0.0
 

@@ -7,12 +7,13 @@ import os
 import numpy as np
 import pytest
 
-from qlan.estimator import EstimatorConfig
+from qlan.cli import main
+from qlan.estimator import EstimatorConfig, full_estimate
+from qlan.operator_core import density_to_bloch
 from qlan.risk_bench import (
     RiskConfig,
+    _batch_rng,
     _failure_loss,
-    _gaussian_point,
-    _grid_max_sq,
     _true_state,
     grid_points,
     hoeffding_check,
@@ -59,12 +60,17 @@ def test_loss_local_values_and_broadcast():
 
 
 def test_matrix_losses():
-    rho = np.diag([0.75, 0.25]).astype(complex)
-    sig = np.diag([0.8, 0.2]).astype(complex)
+    rho = density_to_bloch(np.diag([0.75, 0.25]).astype(complex))
+    sig = density_to_bloch(np.diag([0.8, 0.2]).astype(complex))
     assert loss_trace_sq(rho, sig) == pytest.approx(0.01, rel=1e-9)
     f = math.sqrt(0.75 * 0.8) + math.sqrt(0.25 * 0.2)
     assert loss_fidelity(rho, sig) == pytest.approx(1.0 - f * f, rel=1e-9)
     assert loss_trace_sq(rho, rho) == pytest.approx(0.0, abs=1e-12)
+    # stacked vectors give one loss per row; antipodal pure states sit at 4
+    pair = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    assert np.array_equal(loss_trace_sq(pair, pair[::-1]), [4.0, 4.0])
+    with pytest.raises(AssertionError, match="qubit bound"):
+        loss_trace_sq(pair, 2.0 * pair[::-1])
 
 
 def test_failure_loss_caps():
@@ -101,44 +107,95 @@ def test_center_risk_matches_reference():
         batches=16,
         estimator=EstimatorConfig(truncate=False),
     ).validate()
-    mean, se = _gaussian_point(cfg, 10**6, 0, 0, np.zeros(3))
+    rho = _true_state(cfg.mu0, np.zeros(3), 10**6)
+    mean, se, counts = pointwise_risk(rho, 10**6, cfg)
     assert abs(mean - 3.75) < 5.0 * se
     assert se < 0.1
+    assert counts == {"failures": 0, "truncated": 0, "clamped": 0}
 
 
-def test_vectorized_matches_sequential():
-    """The batched gaussian evaluator and the trial-by-trial reference
-    path estimate the same risk (independent streams, so agreement is
-    statistical)."""
-    cfg = RiskConfig(mu0=0.75, loss="trace", trials=4000, batches=20).validate()
-    n = 10**5
-    u_vec = np.array([0.0, 0.0, 0.5]) * float(n) ** cfg.eps
-    m_vec, se_vec = _gaussian_point(cfg, n, 0, 0, u_vec)
-    rho = _true_state(cfg.mu0, u_vec, n)
-    m_seq, se_seq, diag = pointwise_risk(rho, n, cfg, np.random.default_rng(123))
-    assert abs(m_vec - m_seq) < 4.0 * math.hypot(se_vec, se_seq)
-    assert diag["failures"] == 0
+# (loss, n, mu0, point in units of n^eps, truncate) -> (mean, stderr),
+# recorded from the vectorized gaussian evaluator the batched pipeline
+# replaced, at RiskConfig(trials=3000, batches=6, seed=99), cell (0, 3)
+GAUSSIAN_RECORDED = {
+    ("trace", 10**4, 0.8, (0.0, 0.5 / 1.2, 0.0), True): (3.841006467435555, 0.05413034058157449),
+    ("trace", 10**6, 0.75, (0.0, 0.0, -0.5), True): (3.750399266355887, 0.05485003554053902),
+    ("trace", 2000, 0.6, (1.0, 0.0, 0.0), False): (3.241004141265741, 0.05692091269722518),
+    ("fidelity", 10**4, 0.8, (0.0, 0.5 / 1.2, 0.0), True): (1.0494246827402518, 0.014402517760486665),
+    ("fidelity", 10**6, 0.75, (0.0, 0.0, -0.5), True): (0.9986449961102463, 0.014126175533815611),
+    ("fidelity", 2000, 0.6, (1.0, 0.0, 0.0), False): (0.8202468643607298, 0.014553922794576228),
+    ("local", 10**4, 0.8, (0.0, 0.5 / 1.2, 0.0), True): (3.8402814622686967, 0.05480515465001238),
+    ("local", 10**6, 0.75, (0.0, 0.0, -0.5), True): (3.750118039035629, 0.054892053567785426),
+    ("local", 2000, 0.6, (1.0, 0.0, 0.0), False): (3.3099645614937803, 0.05715525236080071),
+}
 
 
-def test_thread_count_does_not_change_results():
-    base = dict(
-        mu0=0.8,
-        loss="trace",
-        n_list=(10**4,),
-        trials=400,
-        batches=8,
-        radii=(0.0, 1.0),
+@pytest.mark.parametrize("key", list(GAUSSIAN_RECORDED), ids=lambda k: f"{k[0]}-n{k[1]}")
+def test_gaussian_pointwise_risk_matches_recorded(key):
+    """Same streams, and the same arithmetic up to the rotation formula:
+    the mean agrees to 1e-12, the stderr (a spread of nearly equal batch
+    means) to 1e-9."""
+    loss, n, mu0, point, truncate = key
+    cfg = RiskConfig(
+        mu0=mu0,
+        loss=loss,
+        n_list=(n,),
+        trials=3000,
+        batches=6,
+        seed=99,
+        estimator=EstimatorConfig(truncate=truncate),
     )
-    r1 = local_sup_risk(RiskConfig(**base, threads=1))
-    r4 = local_sup_risk(RiskConfig(**base, threads=4))
-    assert r1.rows == r4.rows
-    assert r1.sup == r4.sup and r1.argmax == r4.argmax
+    rho = _true_state(mu0, np.array(point) * float(n) ** cfg.eps, n)
+    mean, se, counts = pointwise_risk(rho, n, cfg, (0, 3))
+    want_mean, want_se = GAUSSIAN_RECORDED[key]
+    assert mean == pytest.approx(want_mean, rel=1e-12, abs=0.0)
+    assert se == pytest.approx(want_se, rel=1e-9, abs=0.0)
+    assert counts["failures"] == 0
+
+
+# The first two exact-sampler trials at the centre point of the exact-risk
+# benchmark (mu0 = 0.75, n = 10^6, default seed), recorded before the
+# pipeline was batched: stage-1 Bloch vector, mu_tilde and u_raw.
+EXACT_RECORDED = [
+    (
+        [-0.0008439929846824068, 0.0038009613139953213, 0.4972644886329627],
+        0.7486398657126762,
+        [-3.4308819302053886, -0.5917222547422483, 0.7095226286361567],
+    ),
+    (
+        [0.0025439504857449613, 0.0011313097454253018, 0.503058744657672],
+        0.7515332245064092,
+        [-1.3357178601604203, 3.7310944905919823, -2.2109393464190603],
+    ),
+]
+
+
+def test_exact_trials_keep_their_stream():
+    """Stage-1 draws and mu_tilde are bitwise those recorded; u_raw agrees
+    to 1e-10 (the arctan2 local angle moved it by at most 2.1e-11), far
+    below the ~1e-3 shift of another block index or draw."""
+    rho = _true_state(0.75, np.zeros(3), 10**6)
+    rng = _batch_rng(20260801, 0, 0, 10_000)
+    for r_raw, mu_tilde, u_raw in EXACT_RECORDED:
+        res = full_estimate(rho, 10**6, EstimatorConfig(sampler="exact"), rng)
+        assert res.stage1.r_raw.tolist() == r_raw
+        assert res.stage1.mu_tilde == mu_tilde
+        assert np.abs(np.array(res.u_raw) - u_raw).max() <= 1e-10
+
+
+def test_pointwise_risk_charges_outside_trials():
+    """A state inside the eps2 margin fails every trial of every batch;
+    each is charged the capped loss and counted."""
+    cfg = RiskConfig(mu0=0.75, loss="fidelity", n_list=(10**4,), trials=50, batches=5)
+    rho = np.diag([0.52, 0.48]).astype(complex)
+    mean, se, counts = pointwise_risk(rho, 10**4, cfg)
+    n_rest = 10**4 - math.ceil((10**4) ** 0.95)
+    assert mean == n_rest * 1.0 and se == 0.0
+    assert counts["failures"] == 50
 
 
 def test_report_structure_and_serialization(tmp_path):
-    cfg = RiskConfig(
-        mu0=0.75, loss="fidelity", n_list=(2000, 4000), trials=200, batches=5
-    )
+    cfg = RiskConfig(mu0=0.75, loss="fidelity", n_list=(2000, 4000), trials=200)
     rep = local_sup_risk(cfg)
     assert len(rep.rows) == 2 * 13
     assert rep.reference == 1.0
@@ -151,11 +208,13 @@ def test_report_structure_and_serialization(tmp_path):
     assert js["config"]["sampler"] == "gaussian"
     assert len(js["rows"]) == 26
 
+    # the CLI writes the same report, atomically, as JSON or CSV
+    args = ["risk", "--mu0", "0.75", "--loss", "fidelity", "--n-list", "2000,4000", "--trials", "200"]
     jpath = tmp_path / "report.json"
     cpath = tmp_path / "report.csv"
-    rep.write_json(str(jpath))
-    rep.write_csv(str(cpath))
-    assert json.loads(jpath.read_text())["sup"] == rep.sup
+    assert main(args + ["--out", str(jpath)]) == 0
+    assert main(args + ["--format", "csv", "--out", str(cpath)]) == 0
+    assert jpath.read_text() == rep.to_json() + "\n"
     lines = cpath.read_text().strip().split("\n")
     assert lines[0] == "n,label,ux,uy,uz,mean,stderr,trials"
     assert len(lines) == 1 + 26
@@ -188,7 +247,7 @@ def test_hoeffding_rows():
 
 
 def test_local_sup_risk_sampler_dispatch():
-    """The exact-sampler route goes through the sequential path."""
+    """The exact sampler runs one trial per chunk."""
     cfg = RiskConfig(
         mu0=0.75,
         loss="local",

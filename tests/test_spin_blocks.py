@@ -308,7 +308,7 @@ def test_full_space_block_extraction():
             )
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=20)
 @given(
     mu=st.floats(0.6, 0.9),
     u=st.tuples(*[st.floats(-1.5, 1.5)] * 3),
