@@ -35,7 +35,6 @@ from .fock_gaussian import (
     displaced_thermal,
     embed_isometry,
     q_function,
-    sample_heterodyne,
     thermal_state,
 )
 from .lan_channels import (

@@ -5,7 +5,7 @@ thermal state of one oscillator mode: thermal ratio ``p = (1-mu)/mu`` and
 displacement ``beta = sqrt(2 mu - 1) * alpha_u`` with
 ``alpha_u = -u_y + i u_x``.  This module builds those states on a finite
 Fock cutoff (two independent routes, cross-checked), evaluates Husimi Q
-functions, and samples ideal heterodyne outcomes by verified rejection.
+functions, and samples ideal heterodyne outcomes exactly, in polar form.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def q_function(rho: np.ndarray, z) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     zarr = np.asarray(z, dtype=complex)
     c = coherent_matrix(zarr.ravel(), rho.shape[0])
-    vals = np.einsum("ks,kl,ls->s", c.conj(), rho, c).real / math.pi
+    vals = np.einsum("ks,ks->s", c.conj(), rho @ c).real / math.pi
     if zarr.ndim == 0:
         return float(vals[0])
     return vals.reshape(zarr.shape)
@@ -191,10 +191,6 @@ def mean_annihilation(rho: np.ndarray) -> complex:
     k = np.arange(1, d, dtype=float)
     # a has sqrt(k) on the superdiagonal; Tr(rho a) = sum_k sqrt(k) rho[k, k-1]
     return complex(np.sum(np.sqrt(k) * np.diagonal(rho, -1)))
-
-
-def mean_number(rho: np.ndarray) -> float:
-    return float(np.sum(np.arange(rho.shape[0]) * np.diagonal(rho).real))
 
 
 def embed_isometry(j, dim: int) -> np.ndarray:
@@ -223,84 +219,78 @@ def embed_block(mat: np.ndarray, dim: int) -> np.ndarray:
 
 
 class HeterodyneSampler:
-    """Rejection sampler for the heterodyne (Q-function) distribution of a
-    Fock-cutoff state.
+    """Exact sampler of the heterodyne (Husimi Q) law of a Fock-cutoff state.
 
-    The proposal is a complex Gaussian centered at Tr(rho a) whose per-axis
-    variance is ``envelope_factor`` times the largest eigenvalue of the Q
-    covariance (from the antinormally ordered moments E|z|^2 = <a a^dag>
-    and E z^2 = <a^2>, so anisotropic states get a wide enough envelope);
-    since that factor exceeds 1 the proposal has heavier tails than any
-    finite-cutoff Q.  The domination constant is taken as a grid supremum
-    of Q / proposal over +-8 proposal deviations, times a 1.3 safety
-    factor, and is verified on the grid at construction.  Strongly
-    non-Gaussian states (e.g. hard-truncated rotated blocks) can still
-    leave that supremum large; the factor is then doubled, up to three
-    times, until the expected acceptance rate 1/m_const is workable.
+    In polar form z = sqrt(s) e^{i theta} the law splits.  The radius has
+    the exact marginal s = |z|^2 ~ sum_k rho_kk Gamma(k + 1, 1): draw the
+    level k with probability rho_kk, then s ~ Gamma(k + 1).  Given s, the
+    angle has density proportional to f(theta) = c^H rho c with
+    c_k = s^{k/2} e^{ik theta} / sqrt(k!), and is drawn by rejection from
+    the uniform angle against the per-draw constant v^T |rho| v, v = |c|,
+    which bounds f by the triangle inequality.  No grid or safety factor
+    enters: the envelope holds for every state and radius.
+
+    ``m_const`` is the expected number of angle proposals per accepted
+    draw, int e^{-s} v^T |rho| v ds = sum_kl |rho_kl| Gamma((k+l)/2 + 1)
+    / sqrt(k! l!) >= 1, in closed form.  ``proposals`` counts the angle
+    proposals made so far.
     """
 
-    def __init__(self, rho: np.ndarray, envelope_factor: float = 1.5):
+    def __init__(self, rho: np.ndarray):
         rho = np.asarray(rho, dtype=complex)
         tr = float(np.trace(rho).real)
         if abs(tr - 1.0) > 1e-6:
             rho = rho / tr
         self.rho = rho
         self.center = mean_annihilation(rho)
-        c = self.center
-        # central second moments of Q: m2 = E|z - c|^2, s2 = E (z - c)^2;
-        # the covariance eigenvalues of (Re z, Im z) are (m2 +- |s2|) / 2
-        m2 = mean_number(rho) + 1.0 - abs(c) ** 2
-        k = np.arange(rho.shape[0] - 2, dtype=float)
-        a_sq = complex(np.sum(np.sqrt((k + 1.0) * (k + 2.0)) * np.diagonal(rho, -2)))
-        s2 = a_sq - c * c
-        base_var = max(0.5 * (m2 + abs(s2)), 0.25)
-        grid = np.linspace(-8.0, 8.0, 161)
-        gx, gy = np.meshgrid(grid, grid, indexing="ij")
-        offsets = (gx + 1j * gy).ravel()
-        for attempt in range(4):
-            self.axis_var = envelope_factor * 2.0**attempt * base_var
-            self.sigma = math.sqrt(self.axis_var)
-            zz = c + self.sigma * offsets
-            qvals = q_function(rho, zz)
-            gvals = self._proposal_density(zz)
-            self.m_const = 1.3 * float(np.max(qvals / gvals))
-            if self.m_const <= 64.0:
-                break
-        if not np.all(qvals <= self.m_const * gvals + 1e-15):
-            raise RuntimeError("envelope domination failed on verification grid")
-
-    def _proposal_density(self, z: np.ndarray) -> np.ndarray:
-        d2 = np.abs(z - self.center) ** 2
-        return np.exp(-d2 / (2.0 * self.axis_var)) / (2.0 * math.pi * self.axis_var)
+        k = np.arange(rho.shape[0], dtype=float)
+        self._levels = k
+        self._half_log_fact = 0.5 * _log_factorial(k)
+        self._abs_rho = np.abs(rho)
+        weights = np.maximum(np.diagonal(rho).real, 0.0)
+        self._level_cdf = np.cumsum(weights) / weights.sum()
+        log_gamma_ratio = gammaln(0.5 * (k[:, None] + k[None, :]) + 1.0) - (
+            self._half_log_fact[:, None] + self._half_log_fact[None, :]
+        )
+        self.m_const = float(np.sum(self._abs_rho * np.exp(log_gamma_ratio)))
+        self.proposals = 0
 
     def sample(self, rng: np.random.Generator, size=None):
-        """Draw heterodyne outcomes z (complex).  ``size=None`` -> scalar."""
+        """Draw heterodyne outcomes z (complex).  ``size=None`` -> scalar.
+
+        The first draw is made on its own and the rest as one block, so a
+        single draw is the first of any larger one on the same stream.
+        """
         want = 1 if size is None else int(size)
-        out = np.empty(want, dtype=complex)
-        filled = 0
-        proposed = 0
-        accepted = 0
-        while filled < want:
-            batch = max(256, 2 * (want - filled))
-            z = self.center + self.sigma * (
-                rng.standard_normal(batch) + 1j * rng.standard_normal(batch)
-            )
-            q = q_function(self.rho, z)
-            g = self._proposal_density(z)
-            keep = rng.random(batch) * self.m_const * g < q
-            proposed += batch
-            accepted += int(keep.sum())
-            take = z[keep][: want - filled]
-            out[filled : filled + len(take)] = take
-            filled += len(take)
-            if proposed >= 65536 and accepted / proposed < 1e-3:
-                raise RuntimeError(
-                    f"heterodyne rejection acceptance rate {accepted / proposed:.2e} "
-                    "below 1e-3; envelope badly mismatched"
-                )
+        out = self._draw_block(rng, 1)[:want]
+        if want > 1:
+            out = np.concatenate([out, self._draw_block(rng, want - 1)])
         return complex(out[0]) if size is None else out
 
+    def _envelope(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """v = |c| e^{-s/2} for each radius s (levels on the rows) and the
+        bound v^T |rho| v >= e^{-s} c^H rho c on each angle's density.
 
-def sample_heterodyne(rho: np.ndarray, rng: np.random.Generator, size=None):
-    """One-shot convenience wrapper around :class:`HeterodyneSampler`."""
-    return HeterodyneSampler(rho).sample(rng, size)
+        The common factor e^{-s/2} keeps large s and k in range and cancels
+        between the density and its bound.
+        """
+        log_r = 0.5 * np.log(np.maximum(s, 1e-300))
+        v = np.exp(self._levels[:, None] * log_r - self._half_log_fact[:, None] - 0.5 * s)
+        return v, np.einsum("kb,kb->b", v, self._abs_rho @ v)
+
+    def _draw_block(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        k = self._levels
+        level = np.searchsorted(self._level_cdf, rng.random(size), side="right")
+        s = rng.standard_gamma(np.minimum(level, len(k) - 1) + 1.0)
+        v, bound = self._envelope(s)
+        theta = np.empty(size)
+        pending = np.arange(size)
+        while pending.size:
+            angle = 2.0 * math.pi * rng.random(pending.size)
+            c = v[:, pending] * np.exp(1j * k[:, None] * angle)
+            f = np.einsum("kb,kb->b", c.conj(), self.rho @ c).real
+            keep = rng.random(pending.size) * bound[pending] < f
+            self.proposals += pending.size
+            theta[pending[keep]] = angle[keep]
+            pending = pending[~keep]
+        return np.sqrt(s) * np.exp(1j * theta)

@@ -444,7 +444,7 @@ def blockwise_distance(mix: BlockMixture, params: ModelParams, u) -> CornerDista
     """sum_j || q_j tau_j - p_{n,u}(j) rho_j ||_1 over the valid lattice.
 
     Blocks present on only one side contribute their full mass; lattice
-    mass outside both windows is added as an exact remainder, so the
+    mass outside both windows is added through its upper bounds, so the
     returned value is an upper bound tight to ~1e-12 on the full sum.
 
     Each term is taken on a corner of at least ``mix.cutoff`` levels (the

@@ -146,8 +146,9 @@ def pointwise_risk(
     """Mean rescaled loss at one true state, its stderr, and event counts.
 
     The trials fall into ``config.batches`` near-equal batches; the mean
-    and stderr are those of the batch means.  Random streams are children
-    of the master seed keyed by ``cell`` (the (n, grid point) indices).
+    is that of all trials' losses, the stderr that of the batch means.
+    Random streams are children of the master seed keyed by ``cell`` (the
+    (n, grid point) indices).
     The gaussian sampler runs each batch as one :func:`full_estimate`
     chunk on its own stream; the exact sampler builds a heterodyne sampler
     per trial, so it runs one trial per chunk, all on one stream.  The
@@ -179,10 +180,10 @@ def pointwise_risk(
         counts["failures"] += int(res.outside.sum())
         counts["truncated"] += int(np.any(res.trunc_flags, axis=-1).sum())
         counts["clamped"] += int(res.recon_clamped.sum())
-    batches = np.split(np.concatenate(losses), np.cumsum(sizes)[:-1])
-    means = np.array([float(np.mean(b)) for b in batches])
+    losses = np.concatenate(losses)
+    means = np.array([float(np.mean(b)) for b in np.split(losses, np.cumsum(sizes)[:-1])])
     stderr = float(np.std(means, ddof=1) / math.sqrt(cfg.batches))
-    return float(np.mean(means)), stderr, counts
+    return float(np.mean(losses)), stderr, counts
 
 
 def _grid_max_sq(cfg: RiskConfig, n: int) -> float:

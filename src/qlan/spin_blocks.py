@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.special import gammaln
+from scipy.special import gammaln, rel_entr
 
 from .tolerances import CORNER_TAIL_MASS, WINDOW_TAIL_MASS
 
@@ -241,12 +241,13 @@ def typical_set(params: ModelParams, eps: float) -> tuple[float, float]:
 def block_pmf_window(
     params: ModelParams, u, tail: float = WINDOW_TAIL_MASS
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """j values and probabilities covering all but < ``tail`` of the mass.
+    """j values and probabilities covering all but at most ``tail`` of the mass.
 
-    Returns ``(j_values, probs, dropped)`` where ``dropped = 1 - sum(probs)``
-    is the mass outside the returned window.  The window starts at ten
-    standard deviations of the binomial part and widens until the target
-    tail is met (or the full lattice is covered).
+    Returns ``(j_values, probs, dropped)`` where ``dropped`` is an upper
+    bound on the mass outside the returned window (see
+    :func:`_outside_mass_bound`; 0 when the window is the full lattice).
+    The window starts at ten standard deviations of the binomial part and
+    widens until that bound meets the target tail.
     """
     n = params.n
     mu = params.mu_u(u)
@@ -259,19 +260,48 @@ def block_pmf_window(
         tj_lo += (tj_lo - parity) % 2
         tj_hi = min(n, 2 * int(math.ceil(center + width)) + 2)
         tj_hi -= (tj_hi - parity) % 2
-        tj = np.arange(tj_lo, tj_hi + 1, 2, dtype=float)
-        probs = np.exp(_log_probability(params, u, tj))
-        dropped = 1.0 - float(probs.sum())
-        if dropped <= tail or (tj_lo <= parity and tj_hi >= n):
-            return tj / 2.0, probs, max(dropped, 0.0)
+        dropped = _outside_mass_bound(n, mu, tj_lo, tj_hi)
+        if dropped <= tail:
+            break
         width *= 1.6
+    tj = np.arange(tj_lo, tj_hi + 1, 2, dtype=float)
+    return tj / 2.0, np.exp(_log_probability(params, u, tj)), dropped
+
+
+def _outside_mass_bound(n: int, mu: float, tj_lo: int, tj_hi: int) -> float:
+    """Upper bound on the mass of p_{n,mu}(j) outside tj_lo <= 2j <= tj_hi.
+
+    Each term is dominated by a binomial one:
+    p(j) = n_j (mu (1-mu))^{n/2-j} (mu^{2j+1} - (1-mu)^{2j+1}) / (2mu-1)
+    <= mu / (2mu-1) * b(n/2 + j), with b the Bin(n, mu) pmf, because
+    n_j <= C(n, n/2-j) and the geometric factor is at most mu^{2j+1}.
+    The binomial tails past the window's edges obey the Chernoff bounds
+    P(X <= x) <= exp(-n D(x/n || mu)) for x <= n mu and
+    P(X >= x) <= exp(-n D(x/n || mu)) for x >= n mu, with D the Bernoulli
+    relative entropy; an edge on the near side of the mean counts 1.
+    """
+    total = 0.0
+    for x, side, empty in (
+        ((n + tj_lo) / 2.0 - 1.0, -1.0, tj_lo <= n % 2),  # last n/2 + j below
+        ((n + tj_hi) / 2.0 + 1.0, 1.0, tj_hi >= n),  # first n/2 + j above
+    ):
+        if empty:
+            continue
+        q = x / n
+        if (q - mu) * side < 0.0:
+            total += 1.0
+        else:
+            total += math.exp(-n * float(rel_entr(q, mu) + rel_entr(1.0 - q, 1.0 - mu)))
+    return mu / (2.0 * mu - 1.0) * total
 
 
 def sample_block_index(params: ModelParams, u, rng: np.random.Generator, size=None):
-    """Draw total-spin indices j from p_{n,u} by inverse CDF.
+    """Draw total-spin indices j by inverse CDF on the window of
+    :func:`block_pmf_window`, renormalized.
 
-    The CDF is accumulated over a window extended until the missing tail
-    mass is below 1e-12.  Returns a float (or float array for ``size``).
+    The draws follow p_{n,u} restricted to that window, within total
+    variation ``dropped`` <= 1e-12 of p_{n,u}.  Returns a float (or float
+    array for ``size``).
     """
     j_vals, probs, _ = block_pmf_window(params, u)
     cdf = np.cumsum(probs)

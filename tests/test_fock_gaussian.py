@@ -8,7 +8,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import integrate, special, stats
 
 from qlan.fock_gaussian import (
     GaussianLimitParams,
@@ -21,13 +24,21 @@ from qlan.fock_gaussian import (
     embed_block,
     embed_isometry,
     mean_annihilation,
-    mean_number,
     q_function,
-    sample_heterodyne,
     thermal_state,
 )
 from qlan.operator_core import trace_norm_distance
-from qlan.spin_blocks import LocalParams, spin_matrices
+from qlan.spin_blocks import LocalParams, ModelParams, block_state, spin_matrices
+
+
+def sample_heterodyne(rho, rng, size=None):
+    """One-shot draw from a fresh :class:`HeterodyneSampler`."""
+    return HeterodyneSampler(rho).sample(rng, size)
+
+
+def mean_number(rho):
+    """Tr(rho a^dag a) on the truncated space."""
+    return float(np.sum(np.arange(rho.shape[0]) * np.diagonal(rho).real))
 
 
 def test_limit_params_derived_quantities():
@@ -196,6 +207,58 @@ def test_heterodyne_sampler_reproducible():
     assert np.array_equal(a, b)
     single = HeterodyneSampler(rho).sample(np.random.default_rng(7))
     assert single == a[0]
+
+
+@given(
+    parts=st.integers(1, 12).flatmap(
+        lambda d: arrays(float, (2, d, d), elements=st.floats(-1.0, 1.0))
+    ),
+    s=st.floats(0.0, 60.0),
+    theta=st.floats(0.0, 2.0 * math.pi),
+)
+def test_heterodyne_envelope_bounds_angle_density(parts, s, theta):
+    """For any state and radius, pi Q(z) = e^{-s} c^H rho c never exceeds
+    the sampler's per-draw bound v^T |rho| v (up to rounding)."""
+    a = parts[0] + 1j * parts[1]
+    rho = a @ a.conj().T
+    assume(np.trace(rho).real > 1e-3)
+    sampler = HeterodyneSampler(rho / np.trace(rho).real)
+    _, bound = sampler._envelope(np.array([s]))
+    density = math.pi * q_function(sampler.rho, math.sqrt(s) * np.exp(1j * theta))
+    assert density <= bound[0] * (1.0 + 1e-12)
+
+
+def _rotated_block():
+    params = ModelParams(0.75, 400)
+    return block_state(params, LocalParams(1.5, -1.0, 0.5), 100.0, dim=40)
+
+
+def test_heterodyne_radius_follows_gamma_mixture():
+    """|z|^2 ~ sum_k rho_kk Gamma(k + 1, 1) for a rotated block state."""
+    rho = _rotated_block()
+    weights = np.diagonal(rho).real / np.trace(rho).real
+    z = HeterodyneSampler(rho).sample(np.random.default_rng(46), 20000)
+    shapes = np.arange(len(weights)) + 1.0
+
+    def cdf(x):
+        return special.gammainc(shapes, np.asarray(x)[..., None]) @ weights
+
+    assert stats.kstest(np.abs(z) ** 2, cdf).pvalue > 1e-3
+
+
+def test_heterodyne_acceptance_matches_m_const():
+    """m_const is the closed form of int e^{-s} v^T |rho| v ds, and its
+    inverse is the angle acceptance counted on a seeded draw."""
+    rho = _rotated_block()
+    sampler = HeterodyneSampler(rho)
+    # the envelope carries the factor e^{-s} already
+    integral, _ = integrate.quad(
+        lambda s: sampler._envelope(np.array([s]))[1][0], 0.0, np.inf
+    )
+    assert sampler.m_const == pytest.approx(integral, rel=1e-8)
+    assert 1.0 <= sampler.m_const
+    sampler.sample(np.random.default_rng(47), 20000)
+    assert 20000 / sampler.proposals == pytest.approx(1.0 / sampler.m_const, rel=0.03)
 
 
 def test_spin_ladder_embeds_into_fock_corner():

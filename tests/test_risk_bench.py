@@ -154,26 +154,27 @@ def test_gaussian_pointwise_risk_matches_recorded(key):
 
 
 # The first two exact-sampler trials at the centre point of the exact-risk
-# benchmark (mu0 = 0.75, n = 10^6, default seed), recorded before the
-# pipeline was batched: stage-1 Bloch vector, mu_tilde and u_raw.
+# benchmark (mu0 = 0.75, n = 10^6, default seed): stage-1 Bloch vector,
+# mu_tilde and u_raw, recorded from the polar heterodyne sampler.  Trial 1's
+# stage-1 values precede any heterodyne draw and are those of the earlier
+# samplers too.
 EXACT_RECORDED = [
     (
         [-0.0008439929846824068, 0.0038009613139953213, 0.4972644886329627],
         0.7486398657126762,
-        [-3.4308819302053886, -0.5917222547422483, 0.7095226286361567],
+        [-3.070151368629847, -1.3098735716527572, 0.7379343053042511],
     ),
     (
-        [0.0025439504857449613, 0.0011313097454253018, 0.503058744657672],
-        0.7515332245064092,
-        [-1.3357178601604203, 3.7310944905919823, -2.2109393464190603],
+        [-0.0021488899397232863, -0.0002933025265917655, 0.4992038883767702],
+        0.7496042998051275,
+        [-0.22376439749063148, -0.2756267933175695, -0.03692800455593568],
     ),
 ]
 
 
 def test_exact_trials_keep_their_stream():
     """Stage-1 draws and mu_tilde are bitwise those recorded; u_raw agrees
-    to 1e-10 (the arctan2 local angle moved it by at most 2.1e-11), far
-    below the ~1e-3 shift of another block index or draw."""
+    to 1e-10, far below the ~1e-3 shift of another block index or draw."""
     rho = _true_state(0.75, np.zeros(3), 10**6)
     rng = _batch_rng(20260801, 0, 0, 10_000)
     for r_raw, mu_tilde, u_raw in EXACT_RECORDED:
@@ -192,6 +193,24 @@ def test_pointwise_risk_charges_outside_trials():
     n_rest = 10**4 - math.ceil((10**4) ** 0.95)
     assert mean == n_rest * 1.0 and se == 0.0
     assert counts["failures"] == 50
+
+
+def test_pointwise_risk_weights_every_trial_equally():
+    """30 trials in 20 batches (ten of two, ten of one): the mean is that of
+    all 30 losses, recomputed here batch by batch on the same streams, not
+    the mean of the batch means (3.698 against 3.439)."""
+    cfg = RiskConfig(mu0=0.75, loss="local", n_list=(10**4,), trials=30, batches=20)
+    rho = _true_state(0.75, np.zeros(3), 10**4)
+    mean, _, counts = pointwise_risk(rho, 10**4, cfg)
+    assert counts["failures"] == 0
+    mu_weight = 0.5 * (1.0 + np.linalg.norm(density_to_bloch(rho)))
+    batches = []
+    for b in range(20):
+        rng = _batch_rng(cfg.seed, 0, 0, b)
+        res = full_estimate(rho, 10**4, cfg.estimator, rng, size=2 if b < 10 else 1)
+        batches.append(loss_local(res.u_true_local, res.u_hat, mu_weight))
+    assert mean == pytest.approx(np.mean(np.concatenate(batches)), rel=1e-12)
+    assert abs(mean - np.mean([b.mean() for b in batches])) > 0.1
 
 
 def test_report_structure_and_serialization(tmp_path):

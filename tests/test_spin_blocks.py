@@ -21,6 +21,7 @@ from fullspace import (
     tensor_power,
 )
 from qlan.spin_blocks import (
+    _outside_mass_bound,
     LocalParams,
     ModelParams,
     block_corners,
@@ -167,6 +168,36 @@ def test_pmf_window_mass():
     # window sits inside the valid range
     assert js.min() >= valid_j_values(400).min()
     assert js.max() <= 200.0
+
+
+def test_pmf_window_stays_narrow_at_large_n():
+    """At the exact-risk stage-2 size the window stops at ten binomial
+    standard deviations: the bound meets the target where 1 - sum(probs)
+    never would (rounding in the log-pmf leaves ~1e-9 there)."""
+    js, probs, dropped = block_pmf_window(ModelParams(0.75, 498_812), LocalParams.zero())
+    assert len(js) <= 20_000
+    assert dropped <= 1e-12
+
+
+@pytest.mark.parametrize("mu", [Fraction(3, 4), Fraction(11, 20), Fraction(9, 10)])
+def test_outside_mass_bound_dominates_exact_mass(mu):
+    """At n = 30 the bound is at least the exact outside mass, in rational
+    arithmetic, for every window and for the window the package builds.
+    A window missing only j = n/2 makes the bound tight to 1 - p^(n+1), so
+    the float bound is allowed its rounding."""
+    n = 30
+    js = valid_j_values(n)
+    weights = [exact_block_weight(n, j, mu) for j in js]
+    assert sum(weights) == 1
+    rounding = 1 - Fraction(1, 10**12)
+    for lo in range(len(js)):
+        for hi in range(lo, len(js)):
+            outside = sum(weights[:lo]) + sum(weights[hi + 1 :])
+            bound = _outside_mass_bound(n, float(mu), int(2 * js[lo]), int(2 * js[hi]))
+            assert bound >= outside * rounding
+    got, _, dropped = block_pmf_window(ModelParams(float(mu), n), LocalParams.zero())
+    inside = {float(j) for j in got}
+    assert dropped >= sum(w for j, w in zip(js, weights) if float(j) not in inside)
 
 
 def test_sample_block_index_goodness_of_fit():
