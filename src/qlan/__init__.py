@@ -52,8 +52,6 @@ from .qsde import (
     c_coefficients,
     collision_integrate,
     energy_measurement_sample,
-    lindblad_reduce,
-    oscillator_solution,
     xi_error_bound,
     xi_overlap,
     xi_state,

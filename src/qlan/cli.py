@@ -256,13 +256,11 @@ def cmd_qsde_check(args: argparse.Namespace) -> int:
             params = ModelParams(spec["mu"], int(n))
             j = min(round(params.j_n) + round(float(n) ** 0.75), n // 2)
             xi = xi_state(params, j, m, spec["t"])
-            k_full = spec["collisions"]
-            ov_full = xi_overlap(
-                collision_integrate(params, j, m, spec["t"], k_full), xi
-            )
-            ov_half = xi_overlap(
-                collision_integrate(params, j, m, spec["t"], k_full // 2), xi
-            )
+            waves = [
+                collision_integrate(params, j, m, spec["t"], k)
+                for k in (spec["collisions"], spec["collisions"] // 2)
+            ]
+            ov_full, ov_half = (xi_overlap(w, xi) for w in waves)
             # Richardson in 1/K removes the leading discretization error
             ov = min(2.0 * ov_full - ov_half, 1.0)
             deficit = math.sqrt(2.0 * max(1.0 - ov, 1e-16))
@@ -276,6 +274,8 @@ def cmd_qsde_check(args: argparse.Namespace) -> int:
                     "t": spec["t"],
                     "overlap": ov,
                     "bound": bound,
+                    "richardson_delta": ov_full - ov_half,
+                    "norm_drift": max(abs(w.norm() - 1.0) for w in waves),
                 }
             )
         n_arr = np.asarray(spec["n_list"], dtype=float)
@@ -288,7 +288,7 @@ def cmd_qsde_check(args: argparse.Namespace) -> int:
                 row["slope"] = slope
     _emit_rows(
         rows,
-        ("n", "j", "m", "t", "overlap", "bound", "slope"),
+        ("n", "j", "m", "t", "overlap", "bound", "slope", "richardson_delta", "norm_drift"),
         {k: spec[k] for k in ("mu", "n_list", "t", "collisions", "eps")},
         spec["format"],
         spec["out"],

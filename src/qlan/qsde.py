@@ -8,34 +8,48 @@ time ``t`` is approximated by the closed-form vector
     xi = sum_i c(m, i) e^{-(m-i) t / 2} |m - i> (x) |sqrt-exp mode>^{(x) i}
 
 whose coefficients obey a two-term product recursion.  This module
-provides the coefficients and norms of ``xi``, an exact collision-model
-integrator for the same dynamics (repeated interactions with fresh field
-slots, orthogonal per-sector updates), overlaps between the two, the
-corner-closed Lindblad master equation for the reduced state, and the
-error-bound envelope used to extrapolate the approximation quality.
+provides the coefficients and norms of ``xi``, a repeated-interaction
+(collision) integrator for the same dynamics, overlaps between the two,
+and the error-bound envelope used to extrapolate the approximation
+quality.
+
+The integrator never stores the field.  Each of the K slots meets the
+system once, through the Kraus operators ``A_d`` (``A_d[c - d, c]`` is
+the amplitude for level ``c`` to deposit ``d`` quanta into the fresh
+slot), so two transfer-matrix powers carry everything that is read:
+
+* contracting slot k against the xi mode's generating state
+  ``e^{w_k b_k^dag}|0>`` turns the collision into
+  ``T_k = sum_d w_k^d / sqrt(d!) A_d``.  The slot weights are geometric,
+  ``w_k = w_0 q^k`` with ``q = e^{-dt/2}``, so with ``S = diag(q^c)``
+  ``T_k = S^-k T_0 S^k``, which equals ``S^-(K-1) (T_0 S)^K S^-1``
+  for the K-step product; it is built by doubling (``_shifted_power``);
+* tracing the slots out gives the time-independent channel
+  ``rho -> sum_d A_d rho A_d^T``, raised to the power K as a superoperator.
+
+Both are matrix powers of size (L+1) and (L+1)^2 for a top initial level
+L, so any L <= 2j and any K cost O(L^6 log K) time and nothing that grows
+with K.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
 from .spin_blocks import ModelParams
-from .tolerances import COLLISION_NORM_DRIFT, LINDBLAD_TRACE_TOL
+from .tolerances import COLLISION_NORM_DRIFT
 
-# Error-bound prefactor, frozen from collision-model calibration runs
-# (m <= 3, Richardson-extrapolated chordal distances at the typical-window
-# edge j = j_n + n^(3/4), n up to 16000).  For a single emission line the
-# edge distance tends to 2 n^(-1/4) exactly, which pins the constant; the
-# measured distance/bound ratio stays below 0.39 across the calibration
-# grid and approaches 1 from below only in the m = 1 limit.
+# Error-bound prefactor.  For a single emission line the edge distance
+# tends to 2 n^(-1/4) exactly, which pins the constant.  Measured with
+# Richardson-extrapolated (K = 10^5) chordal distances at the typical-window
+# edge j = j_n + n^(3/4), n = 1000..64000, m = 1..6 (tests/test_qsde.py),
+# the distance/bound ratio is 0.26-0.46 at m = 1, rising with n (towards 1
+# only in the m = 1 limit), and at most 0.13 for every m >= 2.
 XI_BOUND_C = 2.0
-
-_MAX_SECTOR = 3
 
 
 def _check_j(params: ModelParams, j) -> float:
@@ -73,6 +87,12 @@ def c_coefficients(params: ModelParams, j, m: int) -> np.ndarray:
     return c
 
 
+def _first_weight(dt: float) -> float:
+    """w_0 of the discretized mode w_k = w_0 e^{-k dt/2}: the exact
+    integral of e^{-s/2} over each slot of length dt, divided by sqrt(dt)."""
+    return -2.0 * math.expm1(-dt / 2.0) / math.sqrt(dt)
+
+
 @dataclass(frozen=True)
 class XiState:
     """Closed-form joint spin-field vector for initial level m at time t.
@@ -99,15 +119,9 @@ class XiState:
             np.sum(self.c**2 * np.exp(-(self.m - i) * self.t) * (1.0 - math.exp(-self.t)) ** i)
         )
 
-    def mode_weights(self, K: int) -> np.ndarray:
-        """Per-slot discretization of the mode: exact integrals of e^{-s/2}
-        over each slot, divided by sqrt(dt)."""
-        dt = self.t / K
-        k = np.arange(K, dtype=float)
-        return 2.0 * np.exp(-k * dt / 2.0) * (1.0 - math.exp(-dt / 2.0)) / math.sqrt(dt)
-
     def discrete_norm_sq(self, K: int) -> float:
-        w2 = float(np.sum(self.mode_weights(K) ** 2))
+        """||xi||^2 with the mode discretized on K slots (geometric sum)."""
+        w2 = _first_weight(self.t / K) ** 2 * math.expm1(-self.t) / math.expm1(-self.t / K)
         i = np.arange(self.m + 1, dtype=float)
         return float(np.sum(self.c**2 * self.alpha() ** 2 * w2**i))
 
@@ -116,35 +130,6 @@ def xi_state(params: ModelParams, j, m: int, t: float) -> XiState:
     if t <= 0:
         raise ValueError(f"t = {t} must be positive")
     return XiState(params.n, float(j), int(m), float(t), c_coefficients(params, j, m))
-
-
-@dataclass(frozen=True)
-class OscillatorSolution:
-    """Damped-oscillator benchmark: a coherent state |z> stays coherent.
-
-    System amplitude z e^{-t/2}; emitted mode s -> z e^{-s/2} on [0, t];
-    |sys_amp|^2 + mode_norm_sq = |z|^2 exactly.
-    """
-
-    z: complex
-    t: float
-
-    @property
-    def sys_amp(self) -> complex:
-        return self.z * math.exp(-self.t / 2.0)
-
-    def mode(self, s) -> np.ndarray:
-        return self.z * np.exp(-np.asarray(s, dtype=float) / 2.0)
-
-    @property
-    def mode_norm_sq(self) -> float:
-        return abs(self.z) ** 2 * (1.0 - math.exp(-self.t))
-
-
-def oscillator_solution(z: complex, t: float) -> OscillatorSolution:
-    if t <= 0:
-        raise ValueError(f"t = {t} must be positive")
-    return OscillatorSolution(complex(z), float(t))
 
 
 def _collision_column(params: ModelParams, j: float, s: int, dt: float) -> np.ndarray:
@@ -164,15 +149,18 @@ def _collision_column(params: ModelParams, j: float, s: int, dt: float) -> np.nd
     return col
 
 
-@dataclass
+@dataclass(frozen=True)
 class JointWaveVector:
-    """System (x) discretized-field pure state from the collision model.
+    """System (x) discretized-field pure state from the collision model,
+    kept as the O(L^2) numbers read from it (L the top initial level).
 
-    ``sectors[s][c]`` holds the amplitudes with total excitation ``s`` and
-    system level ``c``; the field part has ``e = s - c`` quanta spread over
-    ``K`` slots.  e = 0: complex scalar; e = 1: shape (K,); e = 2: (K, K)
-    with entries only at k <= l (occupation basis, |2_k> on the diagonal);
-    e = 3: (K, K, K) with entries only at k <= l <= m.
+    ``sectors[s][c]`` belongs to total excitation ``s`` and system level
+    ``c``: its field part (``s - c`` quanta over ``K`` slots) contracted
+    against the xi mode's generating state ``prod_k e^{w_k b_k^dag}|0>``,
+    i.e. ``<w^{(x)e} | field> / sqrt(e!)``.  At ``c = s`` that is the
+    amplitude with the field in vacuum.  ``reduced`` is the system's
+    reduced density matrix and ``sector_norms_sq[s]`` the squared norm of
+    sector ``s``, both from the Kraus channel.
     """
 
     n: int
@@ -180,40 +168,44 @@ class JointWaveVector:
     t: float
     K: int
     sectors: dict
+    reduced: np.ndarray
+    sector_norms_sq: dict
 
     @property
     def dt(self) -> float:
         return self.t / self.K
 
     def sector_norm_sq(self, s: int) -> float:
-        total = 0.0
-        for arr in self.sectors[s].values():
-            total += float(np.sum(np.abs(np.asarray(arr)) ** 2))
-        return total
+        return self.sector_norms_sq[s]
 
     def norm(self) -> float:
-        return math.sqrt(sum(self.sector_norm_sq(s) for s in self.sectors))
+        return math.sqrt(sum(self.sector_norms_sq.values()))
 
     def system_reduced(self) -> np.ndarray:
         """Reduced density matrix of the system (field slots traced out)."""
-        levels = 1 + max(c for s in self.sectors for c in self.sectors[s])
-        rho = np.zeros((levels, levels), dtype=complex)
-        by_field: dict[int, dict[int, np.ndarray]] = {}
-        for s, comps in self.sectors.items():
-            for c, arr in comps.items():
-                by_field.setdefault(s - c, {})[c] = np.asarray(arr)
-        for e, comps in by_field.items():
-            for c, arr in comps.items():
-                for c2, arr2 in comps.items():
-                    if np.shape(arr) != np.shape(arr2):
-                        continue
-                    rho[c, c2] += complex(np.vdot(np.ravel(arr2), np.ravel(arr)))
-        return rho
+        return self.reduced.copy()
 
 
-def _sector_bytes(s: int, K: int) -> int:
-    sizes = {0: 1, 1: 1 + K, 2: 1 + K + K * K, 3: 1 + K + K * K + K * K * K}
-    return 16 * sizes[s]
+def _shifted_power(t0: np.ndarray, log_shift: np.ndarray, K: int) -> np.ndarray:
+    """T_{K-1} ... T_1 T_0 for T_k = S^-k T_0 S^k, S = diag(q^c), by doubling.
+
+    The steps a..a+b-1 multiply to S^-a P_b S^a, P_b the first b steps, and
+    S^-a X S^a is X * q^(a (c - r)) entrywise: ``log_shift[r, c]`` holds
+    ``(r - c) dt / 2`` on the upper triangle, where an upper-triangular
+    ``t0`` has all its entries.  Each shift is one exp, so the slot weights
+    keep full precision instead of the K-fold rounding of q^K.
+    """
+    result = np.eye(len(t0))
+    block, size, done = t0, 1, 0
+    while K:
+        if K & 1:
+            result = (block * np.exp(done * log_shift)) @ result
+            done += size
+        K >>= 1
+        if K:
+            block = (block * np.exp(size * log_shift)) @ block
+            size *= 2
+    return result
 
 
 def collision_integrate(
@@ -222,17 +214,17 @@ def collision_integrate(
     init,
     t: float,
     K: int,
-    memory_cap: int = 2**30,
 ) -> JointWaveVector:
     """Integrate the repeated-interaction dynamics for K collisions.
 
     ``init`` is either an integer level m (system starts in |m>, field in
-    vacuum) or a vector of amplitudes over levels 0..L.  Each collision
-    applies exp(sqrt(dt)(a (x) b^dag - a^dag (x) b)) to the system and a
-    fresh vacuum slot; total excitation sectors evolve independently and
-    the per-sector updates are orthogonal, so the norm is conserved to
-    rounding (checked: drift < 1e-9 per 10^3 steps).  Supported sectors:
-    m <= 3; larger m or a K that would exceed ``memory_cap`` bytes raise.
+    vacuum) or a vector of amplitudes over levels 0..L, any L <= 2j.  Each
+    collision applies exp(sqrt(dt)(a (x) b^dag - a^dag (x) b)) to the
+    system and a fresh vacuum slot.  The field is contracted against the
+    xi mode slot by slot and traced out slot by slot (module docstring),
+    so the cost is two matrix powers, O(L^6 log K) time and O(L^4) memory,
+    whatever K.  The Kraus-evolved trace must stay within
+    ``COLLISION_NORM_DRIFT`` per 10^3 steps of ``|init|^2``.
     """
     j = _check_j(params, j)
     if t <= 0 or K < 1:
@@ -243,204 +235,56 @@ def collision_integrate(
     else:
         vec = np.asarray(init, dtype=complex).reshape(-1)
     levels = len(vec) - 1
-    if levels > _MAX_SECTOR:
-        raise ValueError(
-            f"initial level {levels} exceeds the dense integrator's sector "
-            f"limit {_MAX_SECTOR}"
-        )
     if levels > 2.0 * j:
         raise ValueError(f"initial level {levels} exceeds 2j = {2 * j}")
-    need = sum(_sector_bytes(s, K) for s in range(levels + 1) if vec[s] != 0)
-    if need > memory_cap:
-        raise MemoryError(
-            f"collision state needs ~{need / 2**20:.0f} MiB for K = {K}, "
-            f"above the memory cap {memory_cap / 2**20:.0f} MiB; reduce K or m"
-        )
+    dim = levels + 1
     dt = t / K
-    cols = {s: _collision_column(params, j, s, dt) for s in range(1, levels + 1)}
-    sectors: dict[int, dict[int, np.ndarray]] = {}
-    init_norm_sq = float(np.sum(np.abs(vec) ** 2))
-    for s in range(levels + 1):
-        if vec[s] == 0:
-            continue
-        sectors[s] = _evolve_sector(s, complex(vec[s]), cols, K)
-    wave = JointWaveVector(params.n, j, float(t), int(K), sectors)
-    drift = abs(wave.norm() - math.sqrt(init_norm_sq))
+    kraus = np.zeros((dim, dim, dim))  # kraus[d] = A_d
+    for c in range(dim):
+        for d, amp in enumerate(_collision_column(params, j, c, dt)):
+            kraus[d, c - d, c] = amp
+    level = np.arange(dim, dtype=float)
+    fact = np.array([math.factorial(d) for d in range(dim)], dtype=float)
+    t0 = np.einsum("d,dab->ab", _first_weight(dt) ** level / np.sqrt(fact), kraus)
+    gen = _shifted_power(t0, np.triu(np.subtract.outer(level, level)) * dt / 2.0, K)
+    superop = np.einsum("dab,dce->acbe", kraus, kraus).reshape(dim * dim, dim * dim)
+    superop = np.linalg.matrix_power(superop, K)
+    reduced = (superop @ np.outer(vec, vec.conj()).ravel()).reshape(dim, dim)
+    # populations: level c reached from |s><s| after K collisions
+    moved = superop[:: dim + 1, :: dim + 1]
+    live = [s for s in range(dim) if vec[s] != 0]
+    sectors = {s: {c: complex(gen[c, s] * vec[s]) for c in range(s + 1)} for s in live}
+    norms = {s: float(abs(vec[s]) ** 2 * moved[:, s].sum()) for s in live}
+    wave = JointWaveVector(params.n, j, float(t), int(K), sectors, reduced, norms)
+    drift = abs(wave.norm() - float(np.linalg.norm(vec)))
     if drift > COLLISION_NORM_DRIFT * (K / 1000.0 + 1.0):
         raise RuntimeError(f"collision norm drifted by {drift:.3e}")
     return wave
-
-
-def _evolve_sector(s: int, amp: complex, cols: dict, K: int) -> dict[int, np.ndarray]:
-    """Closed-form K-step evolution of one excitation sector.
-
-    Survival factors per step are constant, so the ladders of creation
-    amplitudes are geometric sequences; only the triple-field tensor needs
-    an explicit loop over steps.
-    """
-    if s == 0:
-        return {0: amp}
-    k_arr = np.arange(K, dtype=float)
-    if s == 1:
-        c1 = cols[1]
-        path = amp * c1[0] ** k_arr  # amplitude before step k
-        return {1: amp * c1[0] ** K, 0: path * c1[1]}
-    if s == 2:
-        c2, c1 = cols[2], cols[1]
-        s2, s1 = c2[0], c1[0]
-        a_path = amp * s2**k_arr
-        # B(k)[k'] = b[k'] s1^k with creation B(k'+1)[k'] = A(k') c2[1]
-        b = a_path * c2[1] / s1 ** (k_arr + 1.0)
-        f2 = np.outer(b, c1[1] * s1**k_arr)
-        f2 = np.triu(f2, 1)  # pairs k' < k only
-        np.fill_diagonal(f2, a_path * c2[2])  # double occupation of slot k
-        return {2: amp * s2**K, 1: b * s1**K, 0: f2.astype(complex)}
-    if s == 3:
-        c3, c2, c1 = cols[3], cols[2], cols[1]
-        s3, s2, s1 = c3[0], c2[0], c1[0]
-        a_path = amp * s3**k_arr
-        b = a_path * c3[1] / s2 ** (k_arr + 1.0)  # B(k) = b s2^k
-        # C(k)[k', l'] = c[k', l'] s1^k
-        cmat = np.outer(b, c2[1] * (s2 / s1) ** k_arr / s1)
-        cmat = np.triu(cmat, 1)
-        np.fill_diagonal(cmat, a_path * c3[2] / s1 ** (k_arr + 1.0))
-        f3 = np.zeros((K, K, K), dtype=complex)
-        for k in range(K):
-            sk = s1**k
-            if k > 0:
-                f3[:k, :k, k] = cmat[:k, :k] * (c1[1] * sk)
-                f3[:k, k, k] = b[:k] * (s2**k * c2[2])
-            f3[k, k, k] = a_path[k] * c3[3]
-        return {
-            3: amp * s3**K,
-            2: b * s2**K,
-            1: (cmat * s1**K).astype(complex),
-            0: f3,
-        }
-    raise ValueError(f"sector {s} not supported")
-
-
-def _symmetric_field_sum(w: np.ndarray, arr: np.ndarray, e: int) -> complex:
-    """<w^{(x)e} | field part>, occupation amplitudes sqrt(e!/prod n_k!)."""
-    if e == 0:
-        return complex(arr)
-    if e == 1:
-        return complex(np.dot(w, np.ravel(arr)))
-    if e == 2:
-        full = complex(w @ arr @ w)  # counts each stored k<=l entry once
-        diag = complex(np.sum(w * w * np.diagonal(arr)))
-        return math.sqrt(2.0) * (full - diag) + diag
-    if e == 3:
-        full = complex(np.einsum("k,l,m,klm->", w, w, w, arr))
-        diag12 = arr[np.arange(len(w)), np.arange(len(w)), :]  # (k, k, m)
-        diag23 = arr[:, np.arange(len(w)), np.arange(len(w))]  # (k, m, m)
-        triple = complex(np.sum(w**3 * np.einsum("kkk->k", arr)))
-        d1 = complex(np.einsum("k,m,km->", w * w, w, diag12)) - triple
-        d2 = complex(np.einsum("k,m,km->", w, w * w, diag23)) - triple
-        distinct = full - d1 - d2 - triple
-        return math.sqrt(6.0) * distinct + math.sqrt(3.0) * (d1 + d2) + triple
-    raise ValueError(f"field excitation {e} not supported")
 
 
 def xi_overlap(wave: JointWaveVector, xi: XiState, normalized: bool = True) -> float:
     """Overlap of the collision-model state with the discretized xi vector.
 
     The xi mode is discretized with the exact per-slot integrals of
-    e^{-s/2}; with ``normalized`` both vectors are scaled to unit norm, so
-    the result is the fidelity-style overlap |<xi_hat | psi_hat>|.
+    e^{-s/2}; its i-fold power is sqrt(i!) times the degree-i part of the
+    generating state the wave was contracted against.  With ``normalized``
+    both vectors are scaled to unit norm, so the result is the
+    fidelity-style overlap |<xi_hat | psi_hat>|.
     """
     if xi.m not in wave.sectors:
         raise ValueError(f"wave has no excitation sector m = {xi.m}")
     if abs(wave.t - xi.t) > 1e-12:
         raise ValueError(f"time mismatch: wave t = {wave.t}, xi t = {xi.t}")
-    w = xi.mode_weights(wave.K)
-    alpha = xi.alpha()
     comps = wave.sectors[xi.m]
-    total = 0.0 + 0.0j
-    for i in range(xi.m + 1):
-        c_sys = xi.m - i
-        if c_sys not in comps:
-            continue
-        total += xi.c[i] * alpha[i] * _symmetric_field_sum(w, comps[c_sys], i)
+    alpha = xi.alpha()
+    total = sum(
+        xi.c[i] * alpha[i] * math.sqrt(math.factorial(i)) * comps[xi.m - i]
+        for i in range(xi.m + 1)
+    )
     if not normalized:
         return float(abs(total))
-    denom = math.sqrt(xi.discrete_norm_sq(wave.K)) * math.sqrt(
-        sum(
-            float(np.sum(np.abs(np.asarray(a)) ** 2))
-            for a in comps.values()
-        )
-    )
+    denom = math.sqrt(xi.discrete_norm_sq(wave.K) * wave.sector_norm_sq(xi.m))
     return float(abs(total) / denom)
-
-
-def lindblad_reduce(
-    params: ModelParams, j, rho0: np.ndarray, t: float, dt: float = 1e-3
-) -> np.ndarray:
-    """Reduced system state after time t under the lowering-only Lindbladian.
-
-    d rho/dt = a rho a^dag - (1/2){a^dag a, rho} with the block coupling
-    ``a``.  Because the coupling only lowers, the dynamics closes exactly
-    on the span of the first dim(rho0) levels — no truncation error enters
-    for initial states supported there.  Fixed-step RK4; trace drift above
-    1e-6 raises (use a smaller dt), negativity beyond -1e-9 is warned.
-    """
-    rho = np.array(rho0, dtype=complex)
-    d = rho.shape[0]
-    r = lowering_elements(params, j, d)
-    n_diag = np.concatenate(([0.0], r * r))  # diag of a^dag a
-
-    def rhs(m):
-        out = np.zeros_like(m)
-        out[:-1, :-1] = m[1:, 1:] * np.outer(r, r)
-        out -= 0.5 * (n_diag[:, None] + n_diag[None, :]) * m
-        return out
-
-    steps = max(1, int(math.ceil(t / dt)))
-    h = t / steps
-    tr0 = float(np.trace(rho).real)
-    for _ in range(steps):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * h * k1)
-        k3 = rhs(rho + 0.5 * h * k2)
-        k4 = rhs(rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    drift = abs(float(np.trace(rho).real) - tr0)
-    if drift > LINDBLAD_TRACE_TOL:
-        raise ValueError(
-            f"trace drifted by {drift:.3e} > {LINDBLAD_TRACE_TOL:.1e}; "
-            f"reduce dt (currently {dt})"
-        )
-    w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if w[0] < -1e-9:
-        warnings.warn(f"Lindblad positivity drift: min eigenvalue {w[0]:.3e}")
-    return rho
-
-
-def reduced_xi_evolution(params: ModelParams, j, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Closed-form reduced state predicted by the xi approximation.
-
-    M[a, b] = sum_i rho0[a+i, b+i] c_{a+i}(i) c_{b+i}(i)
-              e^{-(a+b)t/2} (1 - e^{-t})^i.
-    Exact for the oscillator (j, j_n -> infinity) and accurate to the xi
-    error scale for finite blocks; cross-checked against lindblad_reduce.
-    """
-    rho0 = np.asarray(rho0, dtype=complex)
-    d = rho0.shape[0]
-    cs = [c_coefficients(params, j, k) for k in range(d)]
-    out = np.zeros_like(rho0)
-    decay = math.exp(-t)
-    for a in range(d):
-        for b in range(d):
-            acc = 0.0 + 0.0j
-            for i in range(d - max(a, b)):
-                acc += (
-                    rho0[a + i, b + i]
-                    * cs[a + i][i]
-                    * cs[b + i][i]
-                    * (1.0 - decay) ** i
-                )
-            out[a, b] = acc * math.exp(-(a + b) * t / 2.0)
-    return out
 
 
 def xi_error_bound(

@@ -36,8 +36,5 @@ CORNER_TAIL_MASS = 1e-24
 # Allowed deviation of a classical grid density from unit mass.
 GRID_MASS_TOL = 1e-6
 
-# Trace drift allowed in the Lindblad integrator before erroring out.
-LINDBLAD_TRACE_TOL = 1e-6
-
 # Norm drift allowed per 10^3 collision steps.
 COLLISION_NORM_DRIFT = 1e-9

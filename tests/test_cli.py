@@ -183,7 +183,7 @@ def test_qsde_check_table(capsys):
     )
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[0] == "n,j,m,t,overlap,bound,slope"
+    assert lines[0] == "n,j,m,t,overlap,bound,slope,richardson_delta,norm_drift"
     assert len(lines) == 1 + 4  # m in {1, 2} x two n values
     for line in lines[1:]:
         cells = line.split(",")

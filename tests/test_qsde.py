@@ -2,30 +2,37 @@
 
 The m = 1 problem is exactly solvable in the continuum (one emission line
 with rate gamma = j / j_n), giving a closed-form overlap oracle; the
-reduced dynamics has an independent RK4 route; and the damped oscillator
-conserves total amplitude exactly.  Collision results are checked against
-all three.
+reduced dynamics has an independent RK4 route; the damped oscillator
+conserves total amplitude exactly; and for a few slots the collision model
+can be run on the full joint Fock space.  Collision results are checked
+against all four (routes in ``reference_dynamics.py``).
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qlan.qsde import (
     XI_BOUND_C,
     c_coefficients,
     collision_integrate,
     energy_measurement_sample,
-    lindblad_reduce,
     lowering_elements,
-    oscillator_solution,
-    reduced_xi_evolution,
     xi_error_bound,
     xi_overlap,
     xi_state,
 )
 from qlan.spin_blocks import ModelParams
+from reference_dynamics import (
+    dense_collision_state,
+    lindblad_reduce,
+    mode_power,
+    oscillator_solution,
+    reduced_xi_evolution,
+)
 
 PARAMS = ModelParams(0.75, 10_000)
 JN = PARAMS.j_n  # 2500
@@ -134,12 +141,106 @@ def test_collision_sector_norms():
 
 
 def test_collision_guards():
-    with pytest.raises(ValueError, match="sector limit"):
-        collision_integrate(PARAMS, JN, 4, 1.0, 100)
-    with pytest.raises(MemoryError, match="memory cap"):
-        collision_integrate(PARAMS, JN, 3, 1.0, 2000)
     with pytest.raises(ValueError):
         collision_integrate(PARAMS, 1.0, 3, 1.0, 100)  # m > 2j
+
+
+@pytest.mark.parametrize("m", range(4, 11))
+def test_collision_any_level_at_a_million_slots(m):
+    """No level limit and no memory cap: every m runs at K = 10^6 with its
+    norm kept, the no-emission amplitude on exp(-r_m^2 t / 2) and the
+    overlap with the closed form near one at the window centre."""
+    t, K = 5.0, 10**6
+    wave = collision_integrate(PARAMS, JN, m, t, K)
+    assert wave.norm() == pytest.approx(1.0, abs=1e-9)
+    r_m = float(lowering_elements(PARAMS, JN, m + 1)[-1])
+    assert wave.sectors[m][m].real == pytest.approx(math.exp(-r_m**2 * t / 2.0), rel=1e-4)
+    assert 0.99 < xi_overlap(wave, xi_state(PARAMS, JN, m, t)) <= 1.0
+
+
+_MIXED = np.random.default_rng(5).normal(size=(2, 5)).T @ np.array([1.0, 1j])
+DENSE_CASES = [
+    (1, 1, JN, None),
+    (1, 6, 3.0, None),
+    (2, 4, JN + 1000.0, None),
+    (3, 5, 8.0, None),
+    (4, 6, JN, None),
+    (4, 6, 2.0, _MIXED / np.linalg.norm(_MIXED)),
+    (2, 3, JN, np.array([0.0, 0.6, 0.8j])),
+]
+
+
+@pytest.mark.parametrize("m, K, j, vec", DENSE_CASES)
+def test_collision_matches_dense_joint_state(m, K, j, vec):
+    """Transfer-matrix integrator against the full joint Fock space: every
+    contracted amplitude, the sector norms, the reduced state and the
+    overlap with xi, to 1e-13."""
+    t = 2.0
+    init = m if vec is None else vec
+    if vec is None:
+        vec = np.eye(m + 1)[m]
+    wave = collision_integrate(PARAMS, j, init, t, K)
+    psi = dense_collision_state(PARAMS, j, vec, t, K)
+    dim = m + 1
+    exc = np.indices(psi.shape).sum(axis=0)  # total excitation per entry
+    dt = t / K
+    w = 2.0 * np.exp(-np.arange(K) * dt / 2.0) * (1.0 - math.exp(-dt / 2.0)) / math.sqrt(dt)
+    powers = [mode_power(w, e, dim) for e in range(dim)]
+    live = [s for s in range(dim) if vec[s] != 0]
+    assert sorted(wave.sectors) == live
+    for s in live:
+        assert abs(wave.sectors[s][s] - psi[(s,) + (0,) * K]) < 1e-13
+        sector = np.where(exc == s, psi, 0.0)
+        assert wave.sector_norm_sq(s) == pytest.approx(np.vdot(sector, sector).real, abs=1e-13)
+        for c in range(s + 1):
+            e = s - c
+            want = np.vdot(powers[e], psi[c]) / math.sqrt(math.factorial(e))
+            assert abs(wave.sectors[s][c] - want) < 1e-13
+    flat = psi.reshape(dim, -1)
+    assert np.max(np.abs(wave.system_reduced() - flat @ flat.conj().T)) < 1e-13
+    if live == [m]:
+        xi = xi_state(PARAMS, j, m, t)
+        amp = xi.c * xi.alpha()
+        xi_vec = np.stack([amp[m - c] * powers[m - c] for c in range(dim)])
+        want = abs(np.vdot(xi_vec, psi)) / (np.linalg.norm(xi_vec) * np.linalg.norm(psi))
+        assert xi_overlap(wave, xi) == pytest.approx(want, abs=1e-13)
+
+
+@given(
+    st.integers(1, 8),
+    st.integers(1, 10**6),
+    st.floats(0.1, 10.0),
+    st.integers(4, 5000),
+    st.lists(st.complex_numbers(max_magnitude=1.0), min_size=9, max_size=9),
+)
+def test_collision_reduced_state_is_a_density(m, K, t, j, amps):
+    """The Kraus-evolved reduced state keeps trace |vec|^2 and stays PSD,
+    up to rounding: a collision's Kraus column is unit-norm to about one
+    ulp, the same every step, so the trace may drift by ~K eps."""
+    vec = np.asarray(amps[: m + 1], dtype=complex)
+    norm_sq = float(np.vdot(vec, vec).real)
+    if norm_sq == 0.0:
+        vec[m], norm_sq = 1.0, 1.0
+    rho = collision_integrate(PARAMS, float(j), vec, t, K).system_reduced()
+    tol = 1e-13 + 4.0 * np.finfo(float).eps * K
+    assert np.allclose(rho, rho.conj().T, rtol=0.0, atol=1e-14 * norm_sq)
+    assert np.trace(rho).real == pytest.approx(norm_sq, rel=tol)
+    assert np.linalg.eigvalsh(rho)[0] >= -tol * norm_sq
+
+
+@pytest.mark.parametrize("n", (1000, 4000, 16_000, 64_000))
+def test_xi_bound_constant_covers_window_edge(n):
+    """XI_BOUND_C against Richardson-extrapolated (K = 10^5) chordal
+    distances at the window edge j = j_n + n^(3/4), m = 1..6."""
+    t, K = 5.0, 10**5
+    params = ModelParams(0.75, n)
+    j = min(round(params.j_n) + round(n**0.75), n // 2)
+    for m in range(1, 7):
+        xi = xi_state(params, j, m, t)
+        ov_full = xi_overlap(collision_integrate(params, j, m, t, K), xi)
+        ov_half = xi_overlap(collision_integrate(params, j, m, t, K // 2), xi)
+        dist = math.sqrt(2.0 * (1.0 - (2.0 * ov_full - ov_half)))
+        assert dist / xi_error_bound(params, j, m, 0.25) < 1.0
 
 
 def test_xi_overlap_guards():
