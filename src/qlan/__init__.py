@@ -33,7 +33,6 @@ from .fock_gaussian import (
     HeterodyneSampler,
     coherent_vector,
     displaced_thermal,
-    embed_isometry,
     q_function,
     thermal_state,
 )
@@ -45,7 +44,6 @@ from .lan_channels import (
     convergence_sweep,
     gaussian_limit,
     hybrid_trace_distance,
-    smoothed_classical_density,
 )
 from .qsde import (
     XiState,

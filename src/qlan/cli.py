@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .estimator import EstimatorConfig, full_estimate
-from .lan_channels import SweepConfig, convergence_sweep
+from .lan_channels import convergence_sweep
 from .operator_core import density_to_bloch
 from .qsde import collision_integrate, xi_error_bound, xi_overlap, xi_state
 from .risk_bench import (
@@ -148,12 +148,7 @@ def cmd_lan_dist(args: argparse.Namespace) -> int:
         },
     )
     _check_mu(spec["mu"], "mu")
-    result = convergence_sweep(
-        spec["mu"],
-        spec["u"],
-        spec["n_list"],
-        SweepConfig(eps_tail=spec["eps_tail"]),
-    )
+    result = convergence_sweep(spec["mu"], spec["u"], spec["n_list"], spec["eps_tail"])
     rows = [
         {
             "n": r.n,

@@ -193,21 +193,6 @@ def mean_annihilation(rho: np.ndarray) -> complex:
     return complex(np.sum(np.sqrt(k) * np.diagonal(rho, -1)))
 
 
-def embed_isometry(j, dim: int) -> np.ndarray:
-    """Isometry from the spin-j block (k-ladder basis) into dim Fock levels.
-
-    Maps |j, m> to |k = j - m>; with the block bases of this package that
-    is literally padding with zero rows.  Errors if dim < 2j + 1.
-    """
-    tj = int(round(2.0 * float(j)))
-    d_block = tj + 1
-    if dim < d_block:
-        raise ValueError(f"dim = {dim} < block dimension 2j+1 = {d_block}")
-    v = np.zeros((dim, d_block), dtype=complex)
-    v[np.arange(d_block), np.arange(d_block)] = 1.0
-    return v
-
-
 def embed_block(mat: np.ndarray, dim: int) -> np.ndarray:
     """Pad a block matrix to dim x dim (top-left corner)."""
     d = mat.shape[0]
@@ -242,7 +227,6 @@ class HeterodyneSampler:
         if abs(tr - 1.0) > 1e-6:
             rho = rho / tr
         self.rho = rho
-        self.center = mean_annihilation(rho)
         k = np.arange(rho.shape[0], dtype=float)
         self._levels = k
         self._half_log_fact = 0.5 * _log_factorial(k)

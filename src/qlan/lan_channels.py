@@ -125,70 +125,69 @@ class CornerDistance(float):
 
 @dataclass
 class HybridGaussianState:
-    """Classical density plus conditional quantum state on a Fock cutoff.
+    """Classical density plus conditional quantum state on a Fock corner.
 
-    Either a product (one quantum state for every x) or a block mixture
-    whose conditional at x is sum_j weights[x, j] * blocks[j] — then the
-    per-x trace equals the classical density and the representation stays
-    O(nx * nj + nj * dim^2) instead of O(nx * dim^2).
+    The conditional state at x is a block mixture, f(x) rho(x) =
+    sum_j weights[x, j] * blocks[j], so the per-x trace equals the
+    classical density and the representation stays O(nx * nj + nj * dim^2)
+    instead of O(nx * dim^2).  The Gaussian limit is the one-block case.
 
-    ``dim`` is the Fock corner the states are kept on; ``tails`` holds the
-    mass each stored state (one for ``quantum``, one per block) had outside
-    it, None when nothing was cut.  With ``gauge`` = chi, every stored state
-    is real after conjugation by diag(e^{-i chi k}).
+    ``tails`` holds the mass each block had outside the Fock corner, None
+    when nothing was cut.  With ``gauge`` = chi, every block is real after
+    conjugation by diag(e^{-i chi k}).
     """
 
     classical: ClassicalDensity
-    dim: int
-    product: bool
-    quantum: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    blocks: np.ndarray | None = None
+    weights: np.ndarray
+    blocks: np.ndarray
     dropped_mass: float = 0.0
     tails: np.ndarray | None = None
     gauge: float | None = None
 
-    def terms(self, chi: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """``(coef, states)`` with f(x) rho(x) = sum_i coef[x, i] states[i].
-
-        With ``chi`` the states are conjugated by diag(e^{-i chi k}), which
-        leaves trace norms unchanged; they come back real when ``chi`` is
-        this state's ``gauge``.
-        """
-        if self.product:
-            coef, states = self.classical.values[:, None], self.quantum[None]
-        else:
-            coef, states = self.weights, self.blocks
-        if chi is None:
-            return coef, states
-        g = np.exp(1j * chi * np.arange(self.dim))
-        states = states * np.outer(g.conj(), g)
-        return coef, (states.real if chi == self.gauge else states)
+    @property
+    def dim(self) -> int:
+        """The Fock corner the blocks are kept on."""
+        return self.blocks.shape[1]
 
     def corner_bound(self) -> float:
         """Upper bound on integral dx ||A(x) - P A(x) P||_1, A(x) = f(x) rho(x)
         before the compression P to the corner (same trapezoid rule)."""
         if self.tails is None:
             return 0.0
-        coef, _ = self.terms()
-        lost = coef @ (2.0 * np.sqrt(self.tails) + self.tails)
+        lost = self.weights @ (2.0 * np.sqrt(self.tails) + self.tails)
         return float(np.trapezoid(lost, self.classical.x))
 
 
+def _in_gauge(states: np.ndarray, chi: float | None, gauge: float | None) -> np.ndarray:
+    """``states`` conjugated by diag(e^{-i chi k}), which leaves trace norms
+    unchanged; real when ``chi`` is their ``gauge``, untouched if None."""
+    if chi is None:
+        return states
+    g = np.exp(1j * chi * np.arange(states.shape[-1]))
+    states = states * np.outer(g.conj(), g)
+    return states.real if chi == gauge else states
+
+
+# Classical grids span GRID_STD_MULT standard deviations either side of
+# their centre, at a step of one GRID_STEP_DIVISOR-th of a deviation.
+GRID_STD_MULT = 8.0
+GRID_STEP_DIVISOR = 50.0
+
+# A sweep clamps u_z so that the shifted eigenvalue stays this far inside
+# (1/2, 1).
+DELTA_ADM = 0.02
+
+
 def default_grid(
-    mu: float,
-    center: float,
-    extra_lo: float = 0.0,
-    extra_hi: float = 0.0,
-    std_mult: float = 8.0,
-    step_divisor: float = 50.0,
+    mu: float, center: float, extra_lo: float = 0.0, extra_hi: float = 0.0
 ) -> np.ndarray:
-    """Uniform grid: ``center`` +- ``std_mult`` classical standard deviations
-    (std = sqrt(mu(1-mu))), step std/``step_divisor``, optionally widened."""
+    """Uniform grid: ``center`` +- ``GRID_STD_MULT`` classical standard
+    deviations (std = sqrt(mu(1-mu))), step std/``GRID_STEP_DIVISOR``,
+    optionally widened."""
     std = math.sqrt(mu * (1.0 - mu))
-    lo = min(center - std_mult * std, center - abs(extra_lo))
-    hi = max(center + std_mult * std, center + abs(extra_hi))
-    step = std / step_divisor
+    lo = min(center - GRID_STD_MULT * std, center - abs(extra_lo))
+    hi = max(center + GRID_STD_MULT * std, center + abs(extra_hi))
+    step = std / GRID_STEP_DIVISOR
     npts = int(math.ceil((hi - lo) / step)) + 1
     return lo + step * np.arange(npts)
 
@@ -205,14 +204,7 @@ def _normal_pdf(x, loc, scale):
     return np.exp(-(z**2) / 2.0) / math.sqrt(2.0 * math.pi) / scale
 
 
-def covering_grid(
-    params: ModelParams,
-    center: float,
-    g_lo: float,
-    g_hi: float,
-    std_mult: float = 8.0,
-    step_divisor: float = 50.0,
-) -> np.ndarray:
+def covering_grid(params: ModelParams, center: float, g_lo: float, g_hi: float) -> np.ndarray:
     """``default_grid`` around ``center``, widened to [g_lo - 8 ksd,
     g_hi + 8 ksd] so that it covers every smoothing kernel of blocks whose
     coordinates lie in [g_lo, g_hi] (ksd = kernel standard deviation)."""
@@ -222,8 +214,6 @@ def covering_grid(
         center,
         extra_lo=abs(center - (g_lo - 8.0 * ksd)),
         extra_hi=abs((g_hi + 8.0 * ksd) - center),
-        std_mult=std_mult,
-        step_divisor=step_divisor,
     )
 
 
@@ -254,41 +244,22 @@ def gaussian_limit(
 ) -> HybridGaussianState:
     """The limit object: N(u_z, mu(1-mu)) times a displaced thermal state.
 
-    The quantum part is kept on the first ``dim`` Fock levels; by default
-    on the fewest that leave at most ``CORNER_TAIL_MASS`` outside.  The mass
-    outside is reported in ``tails``.
+    A one-block mixture: the quantum part is kept on the first ``dim`` Fock
+    levels; by default on the fewest that leave at most ``CORNER_TAIL_MASS``
+    outside.  The mass outside is reported in ``tails``.
     """
     if grid is None:
         grid = default_grid(gp.mu, gp.classical_mean)
     f = _normal_pdf(grid, gp.classical_mean, math.sqrt(gp.classical_var))
     classical = ClassicalDensity(grid, f)
-    quantum, tail = _limit_corner(gp, dim)
+    phi, tail = _limit_corner(gp, dim)
     return HybridGaussianState(
         classical,
-        quantum.shape[0],
-        True,
-        quantum=quantum,
+        classical.values[:, None],
+        phi[None],
         tails=np.array([tail]),
         gauge=gp.u.phase_angle,
     )
-
-
-def smoothed_classical_density(
-    params: ModelParams, u, grid: np.ndarray | None = None
-) -> ClassicalDensity:
-    """Marginal of the T-channel: sum_j p_{n,u}(j) N(g_n(j), 1/(2 sqrt(n))).
-
-    With ``grid=None`` a covering grid is built automatically; a supplied
-    grid must already cover the support (the mass check errors otherwise).
-    """
-    u = as_local(u)
-    j_vals, probs, _ = block_pmf_window(params, u)
-    g = classical_coordinate(params, j_vals)
-    if grid is None:
-        center = float(np.sum(probs * g) / np.sum(probs))
-        grid = covering_grid(params, center, g.min(), g.max())
-    vals = _normal_pdf(grid[:, None], g[None, :], _kernel_sd(params.n)) @ probs
-    return ClassicalDensity(grid, vals)
 
 
 def apply_T(
@@ -338,14 +309,7 @@ def apply_T(
     weights = kernel * p_keep[None, :]
     classical = ClassicalDensity(grid, weights.sum(axis=1), expected_mass=1.0 - dropped)
     return HybridGaussianState(
-        classical,
-        blocks.shape[1],
-        False,
-        weights=weights,
-        blocks=blocks,
-        dropped_mass=dropped,
-        tails=tails,
-        gauge=u.phase_angle,
+        classical, weights, blocks, dropped_mass=dropped, tails=tails, gauge=u.phase_angle
     )
 
 
@@ -361,11 +325,11 @@ def hybrid_trace_distance(a: HybridGaussianState, b: HybridGaussianState) -> Cor
     _check_same_grid(a.classical.x, b.classical.x)
     if a.dim != b.dim:
         raise ValueError(f"Fock cutoffs differ: {a.dim} vs {b.dim}")
-    coef_a, states_a = a.terms(a.gauge)
-    coef_b, states_b = b.terms(a.gauge)
-    # f_a rho_a - f_b rho_b at every x as one sum over both state lists
-    coef = np.hstack([coef_a, -coef_b])
-    states = np.concatenate([states_a, states_b])
+    # f_a rho_a - f_b rho_b at every x as one sum over both block lists
+    coef = np.hstack([a.weights, -b.weights])
+    states = np.concatenate(
+        [_in_gauge(a.blocks, a.gauge, a.gauge), _in_gauge(b.blocks, a.gauge, b.gauge)]
+    )
     nx = len(a.classical.x)
     chunk = max(4, int(6.0e6 // (a.dim * a.dim)))
     d_vals = np.empty(nx, dtype=float)
@@ -383,23 +347,39 @@ def hybrid_trace_distance(a: HybridGaussianState, b: HybridGaussianState) -> Cor
 class BlockMixture:
     """Classical-quantum state on the valid-j lattice: entries (j, q_j, tau_j).
 
-    ``states[i]`` is a (2 j_i + 1)-dimensional density matrix in the
-    k-ladder basis; ``leaked[i]`` is the mass that had to be filled in as
-    maximally mixed because the source state leaked outside the block (or
-    outside the Fock cutoff).  ``dropped`` is lattice mass never built.
-    On ladder levels >= ``cutoff`` every ``states[i]`` is only its filler,
-    ``leaked[i] / (2 j_i + 1)`` times the identity (None: no such level).
+    Every tau_j comes from one state ``phi`` on a Fock corner of D levels
+    (for the S channel the limit state's certified corner, which left
+    ``tail`` outside): its first min(2 j + 1, D) levels in the k-ladder
+    basis, topped up with the maximally mixed filler ``leaked / (2 j + 1)``
+    on all 2 j + 1 levels of the block.  ``dropped`` is lattice mass never
+    built.  With ``gauge`` = chi, phi is real after conjugation by
+    diag(e^{-i chi k}).
     """
 
     js: np.ndarray
     probs: np.ndarray
-    states: list
-    leaked: np.ndarray
+    phi: np.ndarray
     dropped: float = 0.0
-    cutoff: int | None = None
+    tail: float = 0.0
+    gauge: float | None = None
+
+    @property
+    def leaked(self) -> np.ndarray:
+        """Mass of phi outside each block, filled in as maximally mixed."""
+        return _leaked(self.phi, self.js)
 
 
-def apply_S(gp: GaussianLimitParams, n: int, dim: int | None = None) -> BlockMixture:
+def _block_dims(js: np.ndarray) -> np.ndarray:
+    return np.rint(2.0 * np.asarray(js)).astype(int) + 1
+
+
+def _leaked(phi: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """1 - tr of phi's first min(2j+1, D) levels, from its cumulative diagonal."""
+    kept = np.cumsum(phi.diagonal().real)
+    return 1.0 - kept[np.minimum(_block_dims(js), len(kept)) - 1]
+
+
+def apply_S(gp: GaussianLimitParams, n: int) -> BlockMixture:
     """Bin the Gaussian pair back onto n-qubit block data.
 
     The classical coordinate X ~ N(u_z, mu(1-mu)) selects the block through
@@ -407,80 +387,67 @@ def apply_S(gp: GaussianLimitParams, n: int, dim: int | None = None) -> BlockMix
     with the extreme cells absorbing the out-of-range tails; the quantum
     part is the displaced thermal state compressed into the first 2j+1
     levels, topped up with a maximally mixed filler for the leaked mass.
+    That state is kept on the certified corner ``gaussian_limit`` uses,
+    and its tail is reported; cells of mass <= ``BLOCK_SKIP_MASS`` are
+    left out and counted in ``dropped``.
     """
     params = ModelParams(gp.mu, n)
-    if dim is None:
-        dim = default_fock_dim(gp.beta)
-    phi = displaced_thermal(gp, dim)
-    sd = math.sqrt(gp.classical_var)
+    phi, tail = _limit_corner(gp, None)
     j_lattice = valid_j_values(n)
     # cells [g_n(j), g_n(j) + 1/sqrt(n)) on the classical axis
-    g_edges_lo = classical_coordinate(params, j_lattice)
-    g_edges_hi = g_edges_lo + 1.0 / math.sqrt(n)
-    lo = np.array(g_edges_lo)
-    hi = np.array(g_edges_hi)
+    lo = classical_coordinate(params, j_lattice)
+    hi = lo + 1.0 / math.sqrt(n)
     lo[0] = -np.inf
     hi[-1] = np.inf
+    sd = math.sqrt(gp.classical_var)
     q = ndtr((hi - gp.classical_mean) / sd) - ndtr((lo - gp.classical_mean) / sd)
     keep = q > BLOCK_SKIP_MASS
-    dropped = float(q[~keep].sum())
-    js = j_lattice[keep]
-    qs = q[keep]
-    states: list[np.ndarray] = []
-    leaks = np.empty(len(js), dtype=float)
-    for i, j in enumerate(js):
-        d_block = int(round(2.0 * j)) + 1
-        m = min(d_block, dim)
-        tau = np.zeros((d_block, d_block), dtype=complex)
-        tau[:m, :m] = phi[:m, :m]
-        leak = 1.0 - float(np.trace(tau).real)
-        leaks[i] = leak
-        tau[np.arange(d_block), np.arange(d_block)] += leak / d_block
-        states.append(tau)
-    return BlockMixture(js, qs, states, leaks, dropped, cutoff=dim)
+    return BlockMixture(
+        j_lattice[keep], q[keep], phi, float(q[~keep].sum()), tail, gp.u.phase_angle
+    )
 
 
 def blockwise_distance(mix: BlockMixture, params: ModelParams, u) -> CornerDistance:
     """sum_j || q_j tau_j - p_{n,u}(j) rho_j ||_1 over the valid lattice.
 
-    Blocks present on only one side contribute their full mass; lattice
-    mass outside both windows is added through its upper bounds, so the
-    returned value is an upper bound tight to ~1e-12 on the full sum.
-
-    Each term is taken on a corner of at least ``mix.cutoff`` levels (the
-    whole block if None), wide enough for rho_j's tail to stay below
+    Every block of the pmf window or the mixture is taken on one corner of
+    D >= phi's levels, wide enough for each rho_j's tail to stay below
     ``CORNER_TAIL_MASS``; tau_j's filler outside it adds its trace norm in
-    closed form.  Only rho_j's tails enter ``bound``.
+    closed form.  Lattice mass outside both windows is added through its
+    upper bounds, so the value is an upper bound tight to ~1e-12 on the
+    full sum.
+
+    ``bound`` counts p_j (2 sqrt(t_j) + t_j) for each rho_j of tail t_j,
+    and q_j (2 sqrt(t) + 2 t) for each block wider than phi, whose source
+    state left t outside phi: the cut moves tau_j by at most 2 sqrt(t) + t
+    (gentle measurement) and its filler by at most t more.
     """
     u = as_local(u)
-    j_p, p_probs, p_drop = block_pmf_window(params, u)
-    p_map = {float(j): float(p) for j, p in zip(j_p, p_probs)}
-    q_map = {
-        float(j): (float(q), s, float(leak))
-        for j, q, s, leak in zip(mix.js, mix.probs, mix.states, mix.leaked)
-    }
-    total = 0.0
-    bound = 0.0
-    for j in sorted(set(p_map) | set(q_map)):
-        p = p_map.get(j, 0.0)
-        q, tau, leak = q_map.get(j, (0.0, None, 0.0))
-        if p <= BLOCK_SKIP_MASS and q <= BLOCK_SKIP_MASS:
-            total += abs(q - p)
-            continue
-        d_block = int(round(2.0 * j)) + 1
-        size = d_block if mix.cutoff is None else min(mix.cutoff, d_block)
-        if p > 0.0:
-            corner, tail = block_corners(params, u, [j], min_dim=size)
-            m = -p * corner[0]
-            size = m.shape[0]
-            bound += p * (2.0 * math.sqrt(tail[0]) + tail[0])
-        else:
-            m = np.zeros((size, size), dtype=complex)
-        if tau is not None:
-            m = m + q * tau[:size, :size]
-            total += q * leak / d_block * (d_block - size)
-        m = 0.5 * (m + m.conj().T)
-        total += float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+    j_p, p_win, p_drop = block_pmf_window(params, u)
+    js = np.union1d(j_p, mix.js)
+    p = np.zeros(len(js))
+    p[np.searchsorted(js, j_p)] = p_win
+    q = np.zeros(len(js))
+    q[np.searchsorted(js, mix.js)] = mix.probs
+    leaked = _leaked(mix.phi, js)
+    rho, tails = block_corners(params, u, js, min_dim=mix.phi.shape[0])
+    dim = rho.shape[1]
+    d_block = _block_dims(js)
+    chi = u.phase_angle
+    phi = np.zeros((dim, dim), dtype=mix.phi.dtype)
+    phi[: mix.phi.shape[0], : mix.phi.shape[0]] = mix.phi
+    phi = _in_gauge(phi, chi, mix.gauge)
+    # tau_j on the corner: phi's first min(2j+1, dim) levels plus the filler
+    inside = np.arange(dim)[None, :] < d_block[:, None]
+    tau = phi * (inside[:, :, None] & inside[:, None, :])
+    tau[:, np.arange(dim), np.arange(dim)] += inside * (leaked / d_block)[:, None]
+    diff = q[:, None, None] * tau - p[:, None, None] * _in_gauge(rho, chi, chi)
+    # eigvalsh reads one triangle, so rounding asymmetry never enters
+    total = float(np.abs(np.linalg.eigvalsh(diff)).sum())
+    total += float(np.sum(q * leaked / d_block * np.maximum(d_block - dim, 0)))
+    wide = d_block > mix.phi.shape[0]
+    bound = p @ (2.0 * np.sqrt(tails) + tails)
+    bound += q[wide].sum() * (2.0 * math.sqrt(mix.tail) + 2.0 * mix.tail)
     return CornerDistance(total + p_drop + mix.dropped, bound)
 
 
@@ -499,15 +466,6 @@ class SweepRow:
 
 
 @dataclass
-class SweepConfig:
-    eps_tail: float = 0.2
-    clamp: bool = True
-    delta_adm: float = 0.02
-    std_mult: float = 8.0
-    step_divisor: float = 50.0
-
-
-@dataclass
 class SweepResult:
     rows: list
     slope_T: float
@@ -516,48 +474,43 @@ class SweepResult:
     resid_S: float
 
 
-def _clamp_u(mu: float, u: LocalParams, n: int, delta: float) -> tuple[LocalParams, bool]:
+def _clamp_u(mu: float, u: LocalParams, n: int) -> tuple[LocalParams, bool]:
     rn = math.sqrt(n)
-    lo = (0.5 + delta - mu) * rn
-    hi = (1.0 - delta - mu) * rn
+    lo = (0.5 + DELTA_ADM - mu) * rn
+    hi = (1.0 - DELTA_ADM - mu) * rn
     uz = min(max(u.uz, lo), hi)
     if uz != u.uz:
         return LocalParams(u.ux, u.uy, uz), True
     return u, False
 
 
-def convergence_sweep(mu: float, u, n_list, config: SweepConfig | None = None) -> SweepResult:
+def convergence_sweep(mu: float, u, n_list, eps_tail: float = 0.2) -> SweepResult:
     """Distances to/from the Gaussian limit over a list of n, with slopes.
 
     For each n, ``dist_T`` compares ``apply_T`` of the shifted n-qubit data
     with ``gaussian_limit`` on a shared grid and Fock corner (the smallest
     at which every state of both leaves at most ``CORNER_TAIL_MASS``
     outside), and ``dist_S`` compares ``apply_S`` of the Gaussian pair with
-    the true block data.
+    the true block data; ``eps_tail`` sets the T channel's typical window.
     When ``u_z`` makes the shifted eigenvalue inadmissible at small n it is
-    clamped to ``delta_adm`` inside the boundary (row flagged) so that both
+    clamped to ``DELTA_ADM`` inside the boundary (row flagged) so that both
     objects stay well defined; the log-log slopes are least-squares fits
     over all rows.
     """
-    cfg = config or SweepConfig()
     u = as_local(u)
     rows = []
     for n in n_list:
         params = ModelParams(mu, int(n))
-        u_eff, clamped = (u, False)
-        if cfg.clamp:
-            u_eff, clamped = _clamp_u(mu, u, int(n), cfg.delta_adm)
+        u_eff, clamped = _clamp_u(mu, u, params.n)
         gp = GaussianLimitParams(mu, u_eff)
-        j_lo, j_hi = typical_set(params, cfg.eps_tail)
+        j_lo, j_hi = typical_set(params, eps_tail)
         g_lo, g_hi = classical_coordinate(params, np.array([j_lo, j_hi]))
-        grid = covering_grid(
-            params, gp.classical_mean, g_lo, g_hi, cfg.std_mult, cfg.step_divisor
-        )
-        t_state = apply_T(params, u_eff, grid=grid, eps_tail=cfg.eps_tail)
+        grid = covering_grid(params, gp.classical_mean, g_lo, g_hi)
+        t_state = apply_T(params, u_eff, grid=grid, eps_tail=eps_tail)
         limit = gaussian_limit(gp, grid=grid)
         # one corner for both: the wider of the two certified ones
         if limit.dim > t_state.dim:
-            t_state = apply_T(params, u_eff, grid=grid, dim=limit.dim, eps_tail=cfg.eps_tail)
+            t_state = apply_T(params, u_eff, grid=grid, dim=limit.dim, eps_tail=eps_tail)
         else:
             limit = gaussian_limit(gp, grid=grid, dim=t_state.dim)
         dist_t = hybrid_trace_distance(t_state, limit)

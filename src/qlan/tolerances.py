@@ -36,5 +36,6 @@ CORNER_TAIL_MASS = 1e-24
 # Allowed deviation of a classical grid density from unit mass.
 GRID_MASS_TOL = 1e-6
 
-# Norm drift allowed per 10^3 collision steps.
-COLLISION_NORM_DRIFT = 1e-9
+# Norm drift allowed per 10^3 collision steps.  A collision's Kraus column
+# is unit-norm to about one ulp, so the drift stays near 1e-13 per 10^3.
+COLLISION_NORM_DRIFT = 1e-12

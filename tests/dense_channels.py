@@ -2,12 +2,14 @@
 
 Every block state is built at its full size 2j + 1 and embedded in a common
 Fock cutoff, the Gaussian limit is the displaced thermal state on that
-cutoff, and both distances diagonalize at the full dimension.  This is the
-package's channel code before it kept only Fock corners; it costs
-O(dim^3) per grid point or block, so use it for small n only.
+cutoff, every tau_j of the S channel is written out at its full size, and
+all distances diagonalize at the full dimension.  This is the package's
+channel code before it kept only Fock corners; it costs O(dim^3) per grid
+point or block, so use it for small n only.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
@@ -15,11 +17,13 @@ from scipy.stats import norm
 from qlan.fock_gaussian import displaced_thermal, embed_block
 from qlan.lan_channels import ClassicalDensity, HybridGaussianState
 from qlan.spin_blocks import (
+    ModelParams,
     as_local,
     block_pmf_window,
     block_state,
     classical_coordinate,
     typical_set,
+    valid_j_values,
 )
 from qlan.tolerances import BLOCK_SKIP_MASS, CHANNEL_DROP_MASS, WINDOW_TAIL_MASS
 
@@ -41,22 +45,18 @@ def apply_T(params, u, grid, dim, eps_tail=0.2):
     blocks = np.array([embed_block(block_state(params, u, j), dim) for j in j_keep])
     weights = norm.pdf(grid[:, None], loc=g[None, :], scale=ksd) * p_keep[None, :]
     classical = ClassicalDensity(grid, weights.sum(axis=1), expected_mass=1.0 - dropped)
-    return HybridGaussianState(
-        classical, dim, False, weights=weights, blocks=blocks, dropped_mass=dropped
-    )
+    return HybridGaussianState(classical, weights, blocks, dropped_mass=dropped)
 
 
 def gaussian_limit(gp, grid, dim):
     """The limit hybrid with the displaced thermal state on ``dim`` levels."""
     f = norm.pdf(grid, loc=gp.classical_mean, scale=math.sqrt(gp.classical_var))
     return HybridGaussianState(
-        ClassicalDensity(grid, f), dim, True, quantum=displaced_thermal(gp, dim)
+        ClassicalDensity(grid, f), f[:, None], displaced_thermal(gp, dim)[None]
     )
 
 
 def _joint_stack(state, sl):
-    if state.product:
-        return state.classical.values[sl, None, None] * state.quantum[None, :, :]
     return np.tensordot(state.weights[sl], state.blocks, axes=1)
 
 
@@ -74,8 +74,54 @@ def hybrid_trace_distance(a, b):
     return float(np.trapezoid(d_vals, a.classical.x))
 
 
+@dataclass
+class DenseMixture:
+    """Block mixture with every tau_j stored at its full size 2j + 1."""
+
+    js: np.ndarray
+    probs: np.ndarray
+    states: list
+    dropped: float = 0.0
+
+
+def _filled(top, d):
+    """The d x d block holding ``top`` in its top-left corner, topped up to
+    unit trace with the maximally mixed filler."""
+    tau = embed_block(top, d)
+    return tau + (1.0 - np.trace(tau).real) / d * np.eye(d)
+
+
+def apply_S(gp, n, dim):
+    """The S image with every tau_j cut from ``displaced_thermal(gp, dim)``
+    at its full size; ``dim`` must reach past every block kept."""
+    params = ModelParams(gp.mu, n)
+    js = valid_j_values(n)
+    edges = classical_coordinate(params, js)[1:]
+    cdf = norm.cdf(edges, loc=gp.classical_mean, scale=math.sqrt(gp.classical_var))
+    q = np.diff(np.concatenate([[0.0], cdf, [1.0]]))
+    keep = q > BLOCK_SKIP_MASS
+    d_max = int(round(2.0 * js[keep].max())) + 1
+    if dim < d_max:
+        raise ValueError(f"dim = {dim} does not reach past the widest block ({d_max})")
+    phi = displaced_thermal(gp, dim)
+    states = [_filled(phi[:d, :d], d) for d in np.rint(2.0 * js[keep]).astype(int) + 1]
+    return DenseMixture(js[keep], q[keep], states, float(q[~keep].sum()))
+
+
+def expand(mix):
+    """A compact ``qlan.lan_channels.BlockMixture`` with every tau_j written
+    out at full size."""
+    states = []
+    for j in mix.js:
+        d = int(round(2.0 * j)) + 1
+        m = min(d, mix.phi.shape[0])
+        states.append(_filled(mix.phi[:m, :m], d))
+    return DenseMixture(mix.js, mix.probs, states, mix.dropped)
+
+
 def blockwise_distance(mix, params, u):
-    """sum_j || q_j tau_j - p_{n,u}(j) rho_j ||_1 with full block states."""
+    """sum_j || q_j tau_j - p_{n,u}(j) rho_j ||_1 with full block states,
+    for a :class:`DenseMixture`."""
     u = as_local(u)
     j_p, p_probs, p_drop = block_pmf_window(params, u)
     p_map = {float(j): float(p) for j, p in zip(j_p, p_probs)}
@@ -86,9 +132,6 @@ def blockwise_distance(mix, params, u):
     for j in sorted(set(p_map) | set(q_map)):
         p = p_map.get(j, 0.0)
         q, tau = q_map.get(j, (0.0, None))
-        if p <= BLOCK_SKIP_MASS and q <= BLOCK_SKIP_MASS:
-            total += abs(q - p)
-            continue
         d_block = int(round(2.0 * j)) + 1
         m = q * tau if tau is not None else np.zeros((d_block, d_block), dtype=complex)
         if p > 0.0:

@@ -22,7 +22,6 @@ from qlan.fock_gaussian import (
     displaced_thermal,
     displacement_operator,
     embed_block,
-    embed_isometry,
     mean_annihilation,
     q_function,
     thermal_state,
@@ -136,10 +135,7 @@ def test_default_fock_dim_policy():
         )
 
 
-def test_embed_isometry_and_block():
-    v = embed_isometry(1.5, 10)
-    assert v.shape == (10, 4)
-    assert np.allclose(v.conj().T @ v, np.eye(4), atol=1e-12)
+def test_embed_block():
     m = np.arange(9.0).reshape(3, 3).astype(complex)
     big = embed_block(m, 6)
     assert big.shape == (6, 6)

@@ -1,5 +1,6 @@
 """Tests for the channels between n-qubit block data and the Gaussian pair."""
 
+import dataclasses
 import math
 import os
 import pickle
@@ -17,7 +18,6 @@ from qlan.lan_channels import (
     BlockMixture,
     ClassicalDensity,
     CornerDistance,
-    SweepConfig,
     apply_S,
     apply_T,
     blockwise_distance,
@@ -26,7 +26,6 @@ from qlan.lan_channels import (
     default_grid,
     gaussian_limit,
     hybrid_trace_distance,
-    smoothed_classical_density,
 )
 from qlan.spin_blocks import (
     LocalParams,
@@ -93,17 +92,20 @@ def test_default_grid_covers_support():
 def test_gaussian_limit_structure():
     gp = GaussianLimitParams(0.75, LocalParams(1.0, 0.0, 0.3))
     state = gaussian_limit(gp)
-    assert state.product
+    # a one-block mixture: weights f(x), one displaced thermal block
+    assert state.blocks.shape == (1, state.dim, state.dim)
+    assert np.array_equal(state.weights[:, 0], state.classical.values)
     assert state.classical.mass() == pytest.approx(1.0, abs=1e-9)
     assert state.classical.mean() == pytest.approx(0.3, abs=1e-9)
     assert state.classical.var() == pytest.approx(0.1875, abs=1e-8)
-    assert mean_annihilation(state.quantum) == pytest.approx(gp.beta, abs=1e-9)
+    assert mean_annihilation(state.blocks[0]) == pytest.approx(gp.beta, abs=1e-9)
 
 
-def test_smoothed_classical_density_moments():
+def test_apply_t_classical_marginal_moments():
+    """The T image's classical part is sum_j p_{n,u}(j) N(g_n(j), 1/(2 sqrt(n)))."""
     params = ModelParams(0.75, 400)
     u = LocalParams(0.0, 0.0, 0.5)
-    d = smoothed_classical_density(params, u)
+    d = apply_T(params, u).classical
     assert d.mass() == pytest.approx(1.0, abs=1e-9)
     # mean -> u_z, var -> mu(1-mu) + kernel variance, up to lattice effects
     assert d.mean() == pytest.approx(0.5, abs=0.05)
@@ -163,26 +165,46 @@ def test_hybrid_distance_t_vs_limit_bounded():
 
 
 def test_apply_s_mixture_structure():
+    """Every tau_j is the limit corner phi's first min(2j+1, D) levels plus
+    leaked/(2j+1) times the identity, so one phi and the leaked constants
+    are the whole mixture: tau_j has unit trace, and it is PSD since phi is
+    and no leak is negative."""
     gp = GaussianLimitParams(0.75, LocalParams(0.8, -0.5, 0.4))
     mix = apply_S(gp, 400)
     assert mix.probs.sum() + mix.dropped == pytest.approx(1.0, abs=1e-12)
-    assert np.all(mix.leaked >= -1e-15)
     assert set(mix.js).issubset(set(valid_j_values(400)))
-    for j, tau in zip(mix.js, mix.states):
-        assert tau.shape[0] == int(round(2 * j)) + 1
-        assert np.trace(tau).real == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.eigvalsh(tau).min() > -1e-12
+    limit = gaussian_limit(gp)
+    assert np.array_equal(mix.phi, limit.blocks[0])
+    assert mix.tail == limit.tails[0] <= CORNER_TAIL_MASS
+    assert mix.gauge == gp.u.phase_angle
+    assert np.linalg.eigvalsh(mix.phi).min() > -1e-12
+    assert np.all(mix.leaked >= -1e-15)
+    for j, leak in zip(mix.js, mix.leaked):
+        m = min(int(round(2 * j)) + 1, mix.phi.shape[0])
+        assert np.trace(mix.phi[:m, :m]).real + leak == pytest.approx(1.0, abs=1e-14)
+
+
+def test_apply_s_does_not_grow_with_n():
+    """No block is stored at its size 2j + 1: at n = 6400 the whole
+    mixture is a few hundred numbers and one limit corner."""
+    mix = apply_S(GaussianLimitParams(0.8, LocalParams(1.0, 1.0, 1.0)), 6400)
+    arrays = (mix.js, mix.probs, mix.phi, mix.leaked)
+    assert sum(a.nbytes for a in arrays) < 2**20
 
 
 def test_blockwise_distance_zero_against_itself():
-    """Feeding the true block data through the distance gives ~0."""
-    params = ModelParams(0.75, 100)
+    """Feeding the true block data through the distance gives ~0.  At
+    n = 2 it is a mixture: phi = rho_1, and the filler completes the
+    one-level block j = 0 to rho_0 = 1.  The gauge-free (complex) path
+    gives the same."""
+    params = ModelParams(0.75, 2)
     u = LocalParams(0.5, 0.3, -0.2)
     js, probs, drop = block_pmf_window(params, u)
-    states = [block_state(params, u, j) for j in js]
-    mix = BlockMixture(js, probs, states, np.zeros(len(js)), 0.0)
-    d = blockwise_distance(mix, params, u)
-    assert d == pytest.approx(drop, abs=1e-10)
+    assert list(js) == [0.0, 1.0] and drop == 0.0
+    mix = BlockMixture(js, probs, block_state(params, u, 1.0), gauge=u.phase_angle)
+    assert blockwise_distance(mix, params, u) == pytest.approx(0.0, abs=1e-12)
+    mix = dataclasses.replace(mix, gauge=None)
+    assert blockwise_distance(mix, params, u) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_blockwise_distance_s_channel_small():
@@ -201,14 +223,14 @@ def test_convergence_sweep_decreasing():
 
 
 def test_convergence_sweep_clamps_inadmissible_shift():
-    res = convergence_sweep(0.68, (0.0, 0.0, 3.0), [20], SweepConfig(delta_adm=0.02))
+    res = convergence_sweep(0.68, (0.0, 0.0, 3.0), [20])
     row = res.rows[0]
     assert row.clamped
     want_uz = (1.0 - 0.02 - 0.68) * math.sqrt(20)
     assert row.u_effective[2] == pytest.approx(want_uz, abs=1e-12)
-    # without clamping the same sweep must fail validation inside
+    # without clamping the channels of the same row fail validation
     with pytest.raises(ValueError):
-        convergence_sweep(0.68, (0.0, 0.0, 3.0), [20], SweepConfig(clamp=False))
+        apply_T(ModelParams(0.68, 20), (0.0, 0.0, 3.0))
 
 
 @pytest.mark.parametrize("u", [(1.0, 1.0, 1.0), (1.0, 1.0, 0.5)])
@@ -231,7 +253,10 @@ def test_corner_distances_match_dense_oracle(n, u):
         dense_channels.apply_T(params, u_eff, grid, dim),
         dense_channels.gaussian_limit(gp, grid, dim),
     )
-    dense_s = dense_channels.blockwise_distance(apply_S(gp, n), params, u_eff)
+    # past every block of the S image too
+    dense_s = dense_channels.blockwise_distance(
+        dense_channels.apply_S(gp, n, max(n + 1, 80)), params, u_eff
+    )
     for corner, bound, dense in (
         (row.dist_T, row.corner_bound_T, dense_t),
         (row.dist_S, row.corner_bound_S, dense_s),
@@ -242,15 +267,32 @@ def test_corner_distances_match_dense_oracle(n, u):
 
 
 def test_blockwise_distance_filler_outside_corner():
-    """A short phi cutoff leaks ~1e-5 into the maximally mixed filler; the
-    filler outside each corner enters in closed form and must reproduce
-    the dense sum."""
+    """A mixture whose phi has only 15 levels leaks ~1e-5 into the
+    maximally mixed filler; the filler outside each corner enters in
+    closed form and must reproduce the dense sum of the same mixture."""
     gp = GaussianLimitParams(0.7, LocalParams(1.0, 1.0, 1.0))
     params = ModelParams(0.7, 200)
-    mix = apply_S(gp, 200, dim=15)
+    full = apply_S(gp, 200)
+    mix = BlockMixture(full.js, full.probs, full.phi[:15, :15], full.dropped, gauge=full.gauge)
+    assert mix.leaked.max() > 1e-6
     d = blockwise_distance(mix, params, gp.u)
-    assert abs(d - dense_channels.blockwise_distance(mix, params, gp.u)) <= 1e-10
+    dense = dense_channels.blockwise_distance(dense_channels.expand(mix), params, gp.u)
+    assert abs(d - dense) <= 1e-10
     assert 0.0 < d.bound <= 1e-10
+
+
+def test_s_distance_certified_where_the_limit_corner_is_wide():
+    """At mu = 0.6 the limit state needs about 150 Fock levels and blocks
+    reach 201; a 40-level cut of phi put dist_S 4e-9 off the dense value
+    while reporting a bound of 4e-18.  On the certified corner the dense
+    oracle (a 400-level limit state) lies within the bound."""
+    gp = GaussianLimitParams(0.6, LocalParams(1.0, 1.0, 0.3))
+    params = ModelParams(0.6, 200)
+    d = blockwise_distance(apply_S(gp, 200), params, gp.u)
+    dense = dense_channels.blockwise_distance(
+        dense_channels.apply_S(gp, 200, 400), params, gp.u
+    )
+    assert abs(d - dense) <= d.bound + 1e-12
 
 
 def test_cut_corners_report_tails_and_bound_the_distance():
@@ -288,7 +330,7 @@ def test_convergence_sweep_blocks_set_the_corner():
     u = (1.5, 1.5, -1.0)
     t_state = apply_T(params, u, eps_tail=0.24)
     assert t_state.dim > gaussian_limit(GaussianLimitParams(0.85, u)).dim
-    row = convergence_sweep(0.85, u, [400], SweepConfig(eps_tail=0.24)).rows[0]
+    row = convergence_sweep(0.85, u, [400], eps_tail=0.24).rows[0]
     assert row.dist_T == pytest.approx(0.3164376188006133, abs=1e-10)
     assert row.dist_S == pytest.approx(0.2939260250024072, abs=1e-10)
     assert row.corner_bound_T <= 1e-10 and row.corner_bound_S <= 1e-10

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qlan import qsde
 from qlan.qsde import (
     XI_BOUND_C,
     c_coefficients,
@@ -143,6 +144,21 @@ def test_collision_sector_norms():
 def test_collision_guards():
     with pytest.raises(ValueError):
         collision_integrate(PARAMS, 1.0, 3, 1.0, 100)  # m > 2j
+
+
+def test_collision_norm_check_catches_a_scaled_kraus_column(monkeypatch):
+    """One Kraus column off unit norm by 1e-12 drifts the norm by ~4e-9
+    over 10^4 collisions, about 10^4 times the rounding drift; the norm
+    check must raise on it."""
+    exact = qsde._collision_column
+
+    def scaled(params, j, s, dt):
+        col = exact(params, j, s, dt)
+        return col * (1.0 + 1e-12) if s == 1 else col
+
+    monkeypatch.setattr(qsde, "_collision_column", scaled)
+    with pytest.raises(RuntimeError, match="drifted"):
+        collision_integrate(PARAMS, JN, 1, 2.0, 10**4)
 
 
 @pytest.mark.parametrize("m", range(4, 11))
