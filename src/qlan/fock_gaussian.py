@@ -185,24 +185,6 @@ def q_function(rho: np.ndarray, z) -> np.ndarray:
     return vals.reshape(zarr.shape)
 
 
-def mean_annihilation(rho: np.ndarray) -> complex:
-    """Tr(rho a) on the truncated space."""
-    d = rho.shape[0]
-    k = np.arange(1, d, dtype=float)
-    # a has sqrt(k) on the superdiagonal; Tr(rho a) = sum_k sqrt(k) rho[k, k-1]
-    return complex(np.sum(np.sqrt(k) * np.diagonal(rho, -1)))
-
-
-def embed_block(mat: np.ndarray, dim: int) -> np.ndarray:
-    """Pad a block matrix to dim x dim (top-left corner)."""
-    d = mat.shape[0]
-    if dim < d:
-        raise ValueError(f"dim = {dim} < block dimension {d}")
-    out = np.zeros((dim, dim), dtype=complex)
-    out[:d, :d] = mat
-    return out
-
-
 class HeterodyneSampler:
     """Exact sampler of the heterodyne (Husimi Q) law of a Fock-cutoff state.
 

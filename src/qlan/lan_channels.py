@@ -4,19 +4,21 @@
 classical x quantum object: the block index ``j`` is smoothed onto the
 real line with a Gaussian kernel of variance ``1/(2 sqrt(n))`` centered at
 ``g_n(j) = j/sqrt(n) - sqrt(n)(mu - 1/2)``, while the block states ride
-along embedded in a common Fock cutoff.  ``gaussian_limit`` produces the
-limiting product N(u_z, mu(1-mu)) x (displaced thermal), on the same grid
-and cutoff, and ``hybrid_trace_distance`` integrates the trace-norm gap
-between two such hybrids.  ``apply_S`` goes the other way, binning the
-Gaussian pair back onto the valid-j lattice; ``blockwise_distance``
-measures its distance to the true block data.  ``convergence_sweep`` runs
+along on Fock corners.  ``gaussian_limit`` produces the limiting product
+N(u_z, mu(1-mu)) x (displaced thermal) on the same grid, and
+``hybrid_trace_distance`` integrates the trace-norm gap between two such
+hybrids.  ``apply_S`` goes the other way, binning the Gaussian pair back
+onto the valid-j lattice; ``blockwise_distance`` measures its distance to
+the true block data.  ``convergence_sweep`` runs
 both directions over a list of n and fits log-log slopes.
 
-Every quantum state is kept only on a Fock corner: its first D levels,
-with D chosen so that each state leaves at most ``CORNER_TAIL_MASS``
-outside.  Compressing a PSD operator A of trace a whose tail is t changes
-it by at most 2 sqrt(a t) + t in trace norm (gentle measurement), so each
-distance comes back as a :class:`CornerDistance` carrying that bound.
+Every quantum state is kept only on its own Fock corner: its first D
+levels, the fewest at which it leaves at most ``CORNER_TAIL_MASS``
+outside.  A distance zero-pads the narrower corner to the wider one, which
+changes no trace norm.  Compressing a PSD operator A of trace a whose tail
+is t changes it by at most 2 sqrt(a t) + t in trace norm (gentle
+measurement), so each distance comes back as a :class:`CornerDistance`
+carrying the sum of those bounds over both sides.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .fock_gaussian import (
     default_fock_dim,
     displaced_thermal,
 )
+from .operator_core import embed_block
 from .spin_blocks import (
     LocalParams,
     ModelParams,
@@ -132,7 +135,7 @@ class HybridGaussianState:
     classical density and the representation stays O(nx * nj + nj * dim^2)
     instead of O(nx * dim^2).  The Gaussian limit is the one-block case.
 
-    ``tails`` holds the mass each block had outside the Fock corner, None
+    ``tails`` holds the mass each block had outside its Fock corner, None
     when nothing was cut.  With ``gauge`` = chi, every block is real after
     conjugation by diag(e^{-i chi k}).
     """
@@ -146,12 +149,13 @@ class HybridGaussianState:
 
     @property
     def dim(self) -> int:
-        """The Fock corner the blocks are kept on."""
+        """The widest Fock corner of the blocks; narrower ones are zero-padded."""
         return self.blocks.shape[1]
 
     def corner_bound(self) -> float:
-        """Upper bound on integral dx ||A(x) - P A(x) P||_1, A(x) = f(x) rho(x)
-        before the compression P to the corner (same trapezoid rule)."""
+        """Upper bound on integral dx ||A(x) - A_c(x)||_1, A(x) = f(x) rho(x)
+        before and A_c(x) after each block's compression to its corner
+        (same trapezoid rule)."""
         if self.tails is None:
             return 0.0
         lost = self.weights @ (2.0 * np.sqrt(self.tails) + self.tails)
@@ -217,42 +221,39 @@ def covering_grid(params: ModelParams, center: float, g_lo: float, g_hi: float) 
     )
 
 
-def _limit_corner(gp: GaussianLimitParams, dim: int | None) -> tuple[np.ndarray, float]:
-    """The displaced thermal state on its first ``dim`` Fock levels (None:
-    the fewest that leave at most ``CORNER_TAIL_MASS`` outside) and the mass
-    left outside.
+def _limit_corner(gp: GaussianLimitParams) -> tuple[np.ndarray, float]:
+    """The displaced thermal state on its first D Fock levels, the fewest
+    that leave at most ``CORNER_TAIL_MASS`` outside, and the mass left
+    outside.
 
     It is built at a Fock cutoff of at least twice the corner, so that the
     truncated displacement does not reach into the corner; the thermal
     weight beyond that cutoff, p^cutoff, is counted as tail.
     """
-    cutoff = 2 * max(dim or 0, default_fock_dim(gp.beta))
+    cutoff = 2 * default_fock_dim(gp.beta)
     while True:
         phi = displaced_thermal(gp, cutoff)
         tail = np.append(np.cumsum(phi.diagonal().real[::-1])[::-1], 0.0) + gp.p**cutoff
-        size = dim
-        if size is None:
-            fits = np.flatnonzero(tail <= CORNER_TAIL_MASS)
-            size = int(fits[0]) if fits.size else cutoff
+        fits = np.flatnonzero(tail <= CORNER_TAIL_MASS)
+        size = int(fits[0]) if fits.size else cutoff
         if 2 * size <= cutoff:
             return phi[:size, :size], float(tail[size])
         cutoff = 2 * size
 
 
 def gaussian_limit(
-    gp: GaussianLimitParams, grid: np.ndarray | None = None, dim: int | None = None
+    gp: GaussianLimitParams, grid: np.ndarray | None = None
 ) -> HybridGaussianState:
     """The limit object: N(u_z, mu(1-mu)) times a displaced thermal state.
 
-    A one-block mixture: the quantum part is kept on the first ``dim`` Fock
-    levels; by default on the fewest that leave at most ``CORNER_TAIL_MASS``
-    outside.  The mass outside is reported in ``tails``.
+    A one-block mixture: the quantum part is kept on its certified corner
+    (``_limit_corner``), and the mass outside it is reported in ``tails``.
     """
     if grid is None:
         grid = default_grid(gp.mu, gp.classical_mean)
     f = _normal_pdf(grid, gp.classical_mean, math.sqrt(gp.classical_var))
     classical = ClassicalDensity(grid, f)
-    phi, tail = _limit_corner(gp, dim)
+    phi, tail = _limit_corner(gp)
     return HybridGaussianState(
         classical,
         classical.values[:, None],
@@ -266,17 +267,16 @@ def apply_T(
     params: ModelParams,
     u,
     grid: np.ndarray | None = None,
-    dim: int | None = None,
     eps_tail: float = 0.2,
 ) -> HybridGaussianState:
     """Map n shifted qubits to the hybrid classical x quantum object.
 
-    Keeps blocks inside ``typical_set(eps_tail)``; the dropped probability
-    must stay below 1e-9 (else the call errors, asking for a larger window)
-    and is reported on the returned state.  The blocks are kept on the
-    first ``dim`` Fock levels (default: the fewest at which every block
-    leaves at most ``CORNER_TAIL_MASS`` outside), with each block's tail
-    in ``tails``; a ``dim`` at which some block loses 1e-9 or more errors.
+    Keeps blocks inside ``typical_set(eps_tail)``.  The dropped
+    probability, the pmf window's certified bound on the mass outside it
+    plus the window's blocks left out, must stay below 1e-9 (else the call
+    errors, asking for a larger window) and is reported on the returned
+    state.  Each block is kept on its own certified corner
+    (``block_corners``), with its tail in ``tails``.
     """
     u = as_local(u)
     j_lo, j_hi = typical_set(params, eps_tail)
@@ -286,22 +286,13 @@ def apply_T(
     keep = (j_all >= j_lo) & (j_all <= j_hi) & (probs_all > BLOCK_SKIP_MASS)
     j_keep = j_all[keep]
     p_keep = probs_all[keep]
-    dropped = max(1.0 - float(p_keep.sum()), 0.0)
+    dropped = win_drop + float(probs_all[~keep].sum())
     if dropped >= CHANNEL_DROP_MASS:
         raise ValueError(
             f"typical window [{j_lo}, {j_hi}] (eps_tail = {eps_tail}) drops "
             f"block mass {dropped:.3e} >= {CHANNEL_DROP_MASS:.1e}; increase eps_tail"
         )
-    blocks, tails = block_corners(params, u, j_keep, min_dim=dim or 1)
-    if dim is not None and blocks.shape[1] > dim:
-        # cut the certified corner down to dim: its diagonal there joins the tail
-        tails = tails + np.einsum("ill->i", blocks[:, dim:, dim:]).real
-        blocks = np.ascontiguousarray(blocks[:, :dim, :dim])
-        if tails.max() >= CHANNEL_DROP_MASS:
-            raise ValueError(
-                f"Fock cutoff dim = {dim} leaves block mass {tails.max():.3e} >= "
-                f"{CHANNEL_DROP_MASS:.1e} outside; increase dim or leave it unset"
-            )
+    blocks, tails = block_corners(params, u, j_keep)
     g = classical_coordinate(params, j_keep)
     if grid is None:
         grid = covering_grid(params, float(np.sum(p_keep * g)), g.min(), g.max())
@@ -316,22 +307,25 @@ def apply_T(
 def hybrid_trace_distance(a: HybridGaussianState, b: HybridGaussianState) -> CornerDistance:
     """integral dx || f_a(x) rho_a(x) - f_b(x) rho_b(x) ||_1, trapezoid rule.
 
-    Both states must share the classical grid and the Fock cutoff.  A
-    compression never increases the trace norm, so the distance without the
-    corner lies in [value, value + bound], bound = the two corner bounds.
-    States of one local parameter share their ``gauge``; in it the
-    differences are real and cheaper to diagonalize.
+    Both states must share the classical grid; the narrower Fock corner is
+    zero-padded to the wider one.  Each side moves by at most its corner
+    bound when taken without its corner, so the distance without the
+    corners lies within bound = the two corner bounds of the value.  States
+    of one local parameter share their ``gauge``; in it the differences are
+    real and cheaper to diagonalize.
     """
     _check_same_grid(a.classical.x, b.classical.x)
-    if a.dim != b.dim:
-        raise ValueError(f"Fock cutoffs differ: {a.dim} vs {b.dim}")
+    dim = max(a.dim, b.dim)
     # f_a rho_a - f_b rho_b at every x as one sum over both block lists
     coef = np.hstack([a.weights, -b.weights])
     states = np.concatenate(
-        [_in_gauge(a.blocks, a.gauge, a.gauge), _in_gauge(b.blocks, a.gauge, b.gauge)]
+        [
+            embed_block(_in_gauge(a.blocks, a.gauge, a.gauge), dim),
+            embed_block(_in_gauge(b.blocks, a.gauge, b.gauge), dim),
+        ]
     )
     nx = len(a.classical.x)
-    chunk = max(4, int(6.0e6 // (a.dim * a.dim)))
+    chunk = max(4, int(6.0e6 // (dim * dim)))
     d_vals = np.empty(nx, dtype=float)
     for start in range(0, nx, chunk):
         sl = slice(start, min(start + chunk, nx))
@@ -392,7 +386,7 @@ def apply_S(gp: GaussianLimitParams, n: int) -> BlockMixture:
     left out and counted in ``dropped``.
     """
     params = ModelParams(gp.mu, n)
-    phi, tail = _limit_corner(gp, None)
+    phi, tail = _limit_corner(gp)
     j_lattice = valid_j_values(n)
     # cells [g_n(j), g_n(j) + 1/sqrt(n)) on the classical axis
     lo = classical_coordinate(params, j_lattice)
@@ -410,12 +404,12 @@ def apply_S(gp: GaussianLimitParams, n: int) -> BlockMixture:
 def blockwise_distance(mix: BlockMixture, params: ModelParams, u) -> CornerDistance:
     """sum_j || q_j tau_j - p_{n,u}(j) rho_j ||_1 over the valid lattice.
 
-    Every block of the pmf window or the mixture is taken on one corner of
-    D >= phi's levels, wide enough for each rho_j's tail to stay below
-    ``CORNER_TAIL_MASS``; tau_j's filler outside it adds its trace norm in
-    closed form.  Lattice mass outside both windows is added through its
-    upper bounds, so the value is an upper bound tight to ~1e-12 on the
-    full sum.
+    Every rho_j of the pmf window or the mixture is taken on its own
+    certified corner (``block_corners``), and those corners and phi are
+    zero-padded to the widest of them, D levels; tau_j's filler outside it
+    adds its trace norm in closed form.  Lattice mass outside both windows
+    is added through its upper bounds, so the value is an upper bound tight
+    to ~1e-12 on the full sum.
 
     ``bound`` counts p_j (2 sqrt(t_j) + t_j) for each rho_j of tail t_j,
     and q_j (2 sqrt(t) + 2 t) for each block wider than phi, whose source
@@ -430,13 +424,12 @@ def blockwise_distance(mix: BlockMixture, params: ModelParams, u) -> CornerDista
     q = np.zeros(len(js))
     q[np.searchsorted(js, mix.js)] = mix.probs
     leaked = _leaked(mix.phi, js)
-    rho, tails = block_corners(params, u, js, min_dim=mix.phi.shape[0])
-    dim = rho.shape[1]
+    rho, tails = block_corners(params, u, js)
+    dim = max(rho.shape[1], mix.phi.shape[0])
+    rho = embed_block(rho, dim)
     d_block = _block_dims(js)
     chi = u.phase_angle
-    phi = np.zeros((dim, dim), dtype=mix.phi.dtype)
-    phi[: mix.phi.shape[0], : mix.phi.shape[0]] = mix.phi
-    phi = _in_gauge(phi, chi, mix.gauge)
+    phi = _in_gauge(embed_block(mix.phi, dim), chi, mix.gauge)
     # tau_j on the corner: phi's first min(2j+1, dim) levels plus the filler
     inside = np.arange(dim)[None, :] < d_block[:, None]
     tau = phi * (inside[:, :, None] & inside[:, None, :])
@@ -488,10 +481,10 @@ def convergence_sweep(mu: float, u, n_list, eps_tail: float = 0.2) -> SweepResul
     """Distances to/from the Gaussian limit over a list of n, with slopes.
 
     For each n, ``dist_T`` compares ``apply_T`` of the shifted n-qubit data
-    with ``gaussian_limit`` on a shared grid and Fock corner (the smallest
-    at which every state of both leaves at most ``CORNER_TAIL_MASS``
-    outside), and ``dist_S`` compares ``apply_S`` of the Gaussian pair with
-    the true block data; ``eps_tail`` sets the T channel's typical window.
+    with ``gaussian_limit`` on a shared grid, each state on its own
+    certified Fock corner, and ``dist_S`` compares ``apply_S`` of the
+    Gaussian pair with the true block data; ``eps_tail`` sets the T
+    channel's typical window.
     When ``u_z`` makes the shifted eigenvalue inadmissible at small n it is
     clamped to ``DELTA_ADM`` inside the boundary (row flagged) so that both
     objects stay well defined; the log-log slopes are least-squares fits
@@ -507,13 +500,7 @@ def convergence_sweep(mu: float, u, n_list, eps_tail: float = 0.2) -> SweepResul
         g_lo, g_hi = classical_coordinate(params, np.array([j_lo, j_hi]))
         grid = covering_grid(params, gp.classical_mean, g_lo, g_hi)
         t_state = apply_T(params, u_eff, grid=grid, eps_tail=eps_tail)
-        limit = gaussian_limit(gp, grid=grid)
-        # one corner for both: the wider of the two certified ones
-        if limit.dim > t_state.dim:
-            t_state = apply_T(params, u_eff, grid=grid, dim=limit.dim, eps_tail=eps_tail)
-        else:
-            limit = gaussian_limit(gp, grid=grid, dim=t_state.dim)
-        dist_t = hybrid_trace_distance(t_state, limit)
+        dist_t = hybrid_trace_distance(t_state, gaussian_limit(gp, grid=grid))
         dist_s = blockwise_distance(apply_S(gp, params.n), params, u_eff)
         rows.append(
             SweepRow(

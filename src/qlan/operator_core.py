@@ -87,6 +87,16 @@ def fidelity(a, b) -> float:
     return float(min(1.0, np.sum(np.sqrt(w))))
 
 
+def embed_block(mat: np.ndarray, dim: int) -> np.ndarray:
+    """Zero-pad the trailing two axes of ``mat`` (one matrix or a stack of
+    them) to dim x dim, keeping it in the top-left corner.  The padding
+    changes no trace norm."""
+    d = mat.shape[-1]
+    if dim < d:
+        raise ValueError(f"dim = {dim} < block dimension {d}")
+    return np.pad(mat, [(0, 0)] * (mat.ndim - 2) + [(0, dim - d)] * 2)
+
+
 def bloch_to_density(r) -> np.ndarray:
     """Map a Bloch vector (r_x, r_y, r_z), |r| <= 1, to the qubit state."""
     rx, ry, rz = (float(c) for c in r)

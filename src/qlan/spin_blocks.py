@@ -29,6 +29,7 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.special import gammaln, rel_entr
 
+from .operator_core import embed_block
 from .tolerances import CORNER_TAIL_MASS, WINDOW_TAIL_MASS
 
 
@@ -179,36 +180,6 @@ def block_probability(params: ModelParams, u, j) -> float:
     """
     tj = _two_j(params.n, j)
     return float(np.exp(_log_probability(params, u, np.array([tj], dtype=float)))[0])
-
-
-def block_probability_factored(params: ModelParams, u, j) -> tuple[float, float]:
-    """The same probability as (B, K) with B a binomial pmf term and K -> 1.
-
-    B = C(n, n/2+j) mu_u^{n/2+j} (1-mu_u)^{n/2-j} is the binomial
-    probability of n/2 + j successes; K collects the multiplicity ratio and
-    geometric tail and tends to 1 on the typical window.  B * K equals
-    :func:`block_probability` to relative rounding error.
-    """
-    tj = _two_j(params.n, j)
-    n = params.n
-    mu = params.mu_u(u)
-    p = (1.0 - mu) / mu
-    half = tj / 2.0
-    log_b = (
-        gammaln(n + 1.0)
-        - gammaln(n / 2.0 + half + 1.0)
-        - gammaln(n / 2.0 - half + 1.0)
-        + (n / 2.0 + half) * math.log(mu)
-        + (n / 2.0 - half) * math.log(1.0 - mu)
-    )
-    k_factor = (
-        (tj + 1.0)
-        / (n / 2.0 + half + 1.0)
-        * mu
-        * (1.0 - p ** (tj + 1))
-        / (2.0 * mu - 1.0)
-    )
-    return float(np.exp(log_b)), float(k_factor)
 
 
 def classical_coordinate(params: ModelParams, j) -> np.ndarray:
@@ -394,15 +365,15 @@ def block_state(params: ModelParams, u, j, dim: int | None = None) -> np.ndarray
     return (r * w) @ r.conj().T
 
 
-def block_corners(
-    params: ModelParams, u, js, min_dim: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Corners P rho_j P of the block states on their first D ladder levels.
+def block_corners(params: ModelParams, u, js) -> tuple[np.ndarray, np.ndarray]:
+    """Corners P_j rho_j P_j of the block states, each on its own first D_j
+    ladder levels.
 
-    D is the smallest size >= ``min_dim`` at which every block's tail mass
-    tr((1 - P) rho_j) is at most ``CORNER_TAIL_MASS``; a block with
-    2j + 1 < D is padded with zeros.  Returns ``(corners, tails)`` of shapes
-    (len(js), D, D) and (len(js),).
+    D_j is the smallest size at which block j's tail mass
+    tr((1 - P_j) rho_j) is at most ``CORNER_TAIL_MASS``.  The blocks are
+    built one at a time and only their corners kept; the corners are then
+    zero-padded to the widest, D = max D_j.  Returns ``(corners, tails)``
+    of shapes (len(js), D, D) and (len(js),).
 
     rho_j = R diag(w) R^dag is a function of the rotated spin component
     R J_z R^dag, a tridiagonal matrix whose eigenvalue j - k has eigenvector
@@ -416,21 +387,19 @@ def block_corners(
     p = params.p_u(u)
     vx = u.ux / math.sqrt(params.n)
     vy = u.uy / math.sqrt(params.n)
-    ladders = [_rotated_ladder(_two_j(params.n, j), p, vx, vy, u.phase_angle) for j in js]
-    # profile[D] = tail mass outside the first D levels, D = 0 .. 2j+1
-    profiles = [
-        np.append(np.cumsum(((z * z) @ w)[::-1])[::-1], 0.0) + rest
-        for z, w, _, rest in ladders
-    ]
-    dim = max(
-        [min_dim] + [int(np.argmax(prof <= CORNER_TAIL_MASS)) for prof in profiles]
-    )
-    corners = np.zeros((len(ladders), dim, dim), dtype=complex)
-    tails = np.empty(len(ladders))
-    for i, ((z, w, phase, _), prof) in enumerate(zip(ladders, profiles)):
-        m = min(dim, z.shape[0])
-        corners[i, :m, :m] = ((z[:m] * w) @ z[:m].T) * np.outer(phase[:m], phase[:m].conj())
-        tails[i] = prof[m]
+    kept = []
+    tails = np.empty(len(js))
+    for i, j in enumerate(js):
+        z, w, phase, rest = _rotated_ladder(_two_j(params.n, j), p, vx, vy, u.phase_angle)
+        # profile[D] = tail mass outside the first D levels, D = 0 .. 2j+1
+        profile = np.append(np.cumsum(((z * z) @ w)[::-1])[::-1], 0.0) + rest
+        m = int(np.argmax(profile <= CORNER_TAIL_MASS))
+        kept.append(((z[:m] * w) @ z[:m].T) * np.outer(phase[:m], phase[:m].conj()))
+        tails[i] = profile[m]
+    dim = max(c.shape[0] for c in kept)
+    corners = np.empty((len(kept), dim, dim), dtype=complex)
+    for i, c in enumerate(kept):
+        corners[i] = embed_block(c, dim)
     return corners, tails
 
 

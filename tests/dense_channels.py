@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from qlan.fock_gaussian import displaced_thermal, embed_block
+from qlan.fock_gaussian import displaced_thermal
 from qlan.lan_channels import ClassicalDensity, HybridGaussianState
+from qlan.operator_core import embed_block
 from qlan.spin_blocks import (
     ModelParams,
     as_local,
@@ -26,6 +27,13 @@ from qlan.spin_blocks import (
     valid_j_values,
 )
 from qlan.tolerances import BLOCK_SKIP_MASS, CHANNEL_DROP_MASS, WINDOW_TAIL_MASS
+
+
+def mean_annihilation(rho: np.ndarray) -> complex:
+    """Tr(rho a) on the truncated space."""
+    k = np.arange(1, rho.shape[0], dtype=float)
+    # a has sqrt(k) on the superdiagonal; Tr(rho a) = sum_k sqrt(k) rho[k, k-1]
+    return complex(np.sum(np.sqrt(k) * np.diagonal(rho, -1)))
 
 
 def apply_T(params, u, grid, dim, eps_tail=0.2):

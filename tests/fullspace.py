@@ -12,6 +12,7 @@ import math
 from functools import reduce
 
 import numpy as np
+from scipy.special import gammaln
 
 _HALF_X = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
 _HALF_Y = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
@@ -115,3 +116,33 @@ def exact_block_weight(n: int, j: float, mu) -> float:
     lam = 1 - mu
     geom = (mu ** (tj + 1) - lam ** (tj + 1)) / (mu - lam)
     return n_j * (mu * lam) ** k * geom
+
+
+def block_probability_factored(params, u, j) -> tuple[float, float]:
+    """p_{n,u}(j) as (B, K) with B a binomial pmf term and K -> 1.
+
+    B = C(n, n/2+j) mu_u^{n/2+j} (1-mu_u)^{n/2-j} is the binomial
+    probability of n/2 + j successes; K collects the multiplicity ratio and
+    geometric tail and tends to 1 on the typical window.  B * K equals
+    ``qlan.spin_blocks.block_probability`` to relative rounding error.
+    """
+    tj = int(round(2 * j))
+    n = params.n
+    mu = params.mu_u(u)
+    p = (1.0 - mu) / mu
+    half = tj / 2.0
+    log_b = (
+        gammaln(n + 1.0)
+        - gammaln(n / 2.0 + half + 1.0)
+        - gammaln(n / 2.0 - half + 1.0)
+        + (n / 2.0 + half) * math.log(mu)
+        + (n / 2.0 - half) * math.log(1.0 - mu)
+    )
+    k_factor = (
+        (tj + 1.0)
+        / (n / 2.0 + half + 1.0)
+        * mu
+        * (1.0 - p ** (tj + 1))
+        / (2.0 * mu - 1.0)
+    )
+    return float(np.exp(log_b)), float(k_factor)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate, special, stats
 
+from dense_channels import mean_annihilation
 from qlan.fock_gaussian import (
     GaussianLimitParams,
     HeterodyneSampler,
@@ -21,8 +22,6 @@ from qlan.fock_gaussian import (
     default_fock_dim,
     displaced_thermal,
     displacement_operator,
-    embed_block,
-    mean_annihilation,
     q_function,
     thermal_state,
 )
@@ -133,14 +132,6 @@ def test_default_fock_dim_policy():
         displaced_thermal(
             GaussianLimitParams(0.75, LocalParams(6.0, 0.0, 0.0)), dim=40
         )
-
-
-def test_embed_block():
-    m = np.arange(9.0).reshape(3, 3).astype(complex)
-    big = embed_block(m, 6)
-    assert big.shape == (6, 6)
-    assert np.allclose(big[:3, :3], m)
-    assert np.count_nonzero(big[3:, :]) == 0 and np.count_nonzero(big[:, 3:]) == 0
 
 
 def test_heterodyne_thermal_marginals():

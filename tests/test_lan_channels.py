@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 
 import dense_channels
 import qlan
-from qlan.fock_gaussian import GaussianLimitParams, mean_annihilation
+from fullspace import exact_block_weight
+from qlan.fock_gaussian import GaussianLimitParams
 from qlan.lan_channels import (
     BlockMixture,
     ClassicalDensity,
@@ -36,7 +38,13 @@ from qlan.spin_blocks import (
     typical_set,
     valid_j_values,
 )
-from qlan.tolerances import CHANNEL_DROP_MASS, CORNER_TAIL_MASS
+from qlan.operator_core import embed_block
+from qlan.tolerances import (
+    BLOCK_SKIP_MASS,
+    CHANNEL_DROP_MASS,
+    CORNER_TAIL_MASS,
+    WINDOW_TAIL_MASS,
+)
 
 
 def test_package_imports_without_np_trapz():
@@ -98,7 +106,7 @@ def test_gaussian_limit_structure():
     assert state.classical.mass() == pytest.approx(1.0, abs=1e-9)
     assert state.classical.mean() == pytest.approx(0.3, abs=1e-9)
     assert state.classical.var() == pytest.approx(0.1875, abs=1e-8)
-    assert mean_annihilation(state.blocks[0]) == pytest.approx(gp.beta, abs=1e-9)
+    assert dense_channels.mean_annihilation(state.blocks[0]) == pytest.approx(gp.beta, abs=1e-9)
 
 
 def test_apply_t_classical_marginal_moments():
@@ -128,10 +136,27 @@ def test_apply_t_two_qubits():
     assert np.allclose(got[:3, :3], want, atol=1e-12)
 
 
-def test_apply_t_rejects_small_dim():
-    params = ModelParams(0.75, 100)
-    with pytest.raises(ValueError, match="dim"):
-        apply_T(params, LocalParams.zero(), dim=10)
+@pytest.mark.parametrize(
+    "mu, u", [(Fraction(4, 5), (1.0, 1.0, 1.0)), (Fraction(3, 4), (0.5, -1.0, 0.0))]
+)
+def test_apply_t_dropped_mass_is_certified(mu, u):
+    """dropped_mass is the pmf window's bound on the mass outside it plus
+    the window's blocks left out, so it lies between the exact mass outside
+    the kept blocks and that mass plus the window's bound.  A count of
+    1 - sum(p_keep) carries the pmf's rounding instead: 6% high here, and
+    12% low, so no bound, at mu = 3/4, n = 1000."""
+    n = 400
+    params = ModelParams(float(mu), n)
+    state = apply_T(params, u)
+    j_all, probs, win_drop = block_pmf_window(
+        params, u, tail=min(WINDOW_TAIL_MASS, CHANNEL_DROP_MASS / 10.0)
+    )
+    j_lo, j_hi = typical_set(params, 0.2)
+    kept = j_all[(j_all >= j_lo) & (j_all <= j_hi) & (probs > BLOCK_SKIP_MASS)]
+    mu_u = mu + Fraction(u[2]) / 20  # u_z / sqrt(n), exactly
+    exact = float(1 - sum(exact_block_weight(n, j, mu_u) for j in kept))
+    assert exact > 0.0
+    assert exact * (1 - 1e-6) <= state.dropped_mass <= (exact + win_drop) * (1 + 1e-6)
 
 
 def test_apply_t_rejects_offcenter_window():
@@ -149,9 +174,14 @@ def test_hybrid_distance_zero_and_errors():
     gp = GaussianLimitParams(0.8, LocalParams(1.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         hybrid_trace_distance(a, gaussian_limit(gp))  # mismatched grid
-    b = gaussian_limit(gp, grid=a.classical.x, dim=a.dim + 1)
-    with pytest.raises(ValueError, match="cutoff"):
-        hybrid_trace_distance(a, b)
+    # states on different corners: the narrower one is zero-padded
+    b = gaussian_limit(gp, grid=a.classical.x)
+    assert b.dim > a.dim
+    padded = dataclasses.replace(a, blocks=embed_block(a.blocks, b.dim))
+    d = hybrid_trace_distance(a, b)
+    assert d == pytest.approx(hybrid_trace_distance(padded, b), abs=1e-14)
+    assert d == pytest.approx(hybrid_trace_distance(b, a), abs=1e-14)
+    assert d.bound == a.corner_bound() + b.corner_bound()
 
 
 def test_hybrid_distance_t_vs_limit_bounded():
@@ -159,7 +189,7 @@ def test_hybrid_distance_t_vs_limit_bounded():
     u = LocalParams(1.0, 1.0, 0.5)
     state = apply_T(params, u)
     gp = GaussianLimitParams(0.8, u)
-    limit = gaussian_limit(gp, grid=state.classical.x, dim=state.dim)
+    limit = gaussian_limit(gp, grid=state.classical.x)
     d = hybrid_trace_distance(state, limit)
     assert 0.0 < d < 2.0
 
@@ -293,33 +323,6 @@ def test_s_distance_certified_where_the_limit_corner_is_wide():
         dense_channels.apply_S(gp, 200, 400), params, gp.u
     )
     assert abs(d - dense) <= d.bound + 1e-12
-
-
-def test_cut_corners_report_tails_and_bound_the_distance():
-    """Below the certified corner, apply_T keeps the top-left of every
-    block and reports the dense diagonal beyond it as the block's tail; the
-    hybrid distance on such corners stays within its bound of the dense one."""
-    params = ModelParams(0.8, 50)
-    u = LocalParams(1.0, 1.0, 0.5)
-    gp = GaussianLimitParams(0.8, u)
-    full = apply_T(params, u)
-    assert full.tails.max() <= CORNER_TAIL_MASS
-    grid = full.classical.x
-    dense_t = dense_channels.apply_T(params, u, grid, 80)
-    dense = dense_channels.hybrid_trace_distance(
-        dense_t, dense_channels.gaussian_limit(gp, grid, 80)
-    )
-    for dim in (20, 24, 28):
-        cut = apply_T(params, u, grid=grid, dim=dim)
-        assert cut.dim == dim
-        assert np.abs(cut.blocks - dense_t.blocks[:, :dim, :dim]).max() < 1e-14
-        want = np.einsum("ill->i", dense_t.blocks[:, dim:, dim:]).real
-        assert np.allclose(cut.tails, want, rtol=1e-9, atol=CORNER_TAIL_MASS)
-        assert cut.tails.max() < CHANNEL_DROP_MASS
-        d = hybrid_trace_distance(cut, gaussian_limit(gp, grid=grid, dim=dim))
-        assert 0.0 < dense - d <= d.bound
-    with pytest.raises(ValueError, match="dim"):
-        apply_T(params, u, grid=grid, dim=19)
 
 
 def test_convergence_sweep_blocks_set_the_corner():

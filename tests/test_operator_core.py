@@ -15,6 +15,7 @@ from qlan.operator_core import (
     SIGMA_Z,
     bloch_to_density,
     density_to_bloch,
+    embed_block,
     fidelity,
     qubit_fidelity_sq,
     trace_norm_distance,
@@ -160,3 +161,20 @@ def test_psd_guard_in_fidelity():
     not_psd = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(ValueError, match="not PSD"):
         fidelity(not_psd, np.eye(2, dtype=complex) / 2)
+
+
+def test_embed_block():
+    m = np.arange(9.0).reshape(3, 3).astype(complex)
+    big = embed_block(m, 6)
+    assert big.shape == (6, 6) and big.dtype == m.dtype
+    assert np.allclose(big[:3, :3], m)
+    assert np.count_nonzero(big[3:, :]) == 0 and np.count_nonzero(big[:, 3:]) == 0
+    # a stack pads its trailing two axes and keeps a real dtype
+    stack = np.arange(2 * 3 * 4 * 4, dtype=float).reshape(2, 3, 4, 4)
+    padded = embed_block(stack, 7)
+    assert padded.shape == (2, 3, 7, 7) and padded.dtype == stack.dtype
+    assert np.array_equal(padded[..., :4, :4], stack)
+    assert not padded[..., 4:, :].any() and not padded[..., :, 4:].any()
+    assert np.array_equal(embed_block(stack, 4), stack)
+    with pytest.raises(ValueError, match="dim"):
+        embed_block(stack, 3)
