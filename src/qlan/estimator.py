@@ -10,16 +10,18 @@ state.  The procedure and its failure modes (state too close to maximally
 mixed, reconstruction leaving state space) are exactly what the risk
 benchmark scores.
 
-Every stage works on a batch of independent trials of one true state:
-Bloch vectors and local parameters carry their three components on the
-last axis, ``(B, 3)`` for B trials.  :func:`full_estimate` runs the chain
-once, on a batch of one for a single trial or on ``size`` rows.
+Every stage works on a batch of independent trials of one true state,
+components first: B Bloch vectors or local parameters form a ``(3, B)``
+array, so ``x, y, z = v`` unpacks three contiguous rows, and a single
+``(3,)`` vector unpacks the same way.  :func:`full_estimate` runs the
+chain once, on a batch of one for a single trial or on ``size`` columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,41 +85,27 @@ class EstimatorConfig:
 
 def _norm(v: np.ndarray) -> np.ndarray:
     # vecdot sums like the BLAS dot behind np.linalg.norm of one vector,
-    # so a row's norm does not depend on the batch it sits in
-    return np.sqrt(np.vecdot(v, v))
+    # so a trial's norm does not depend on the batch it sits in
+    return np.sqrt(np.vecdot(v, v, axis=0))
 
 
-def _rotate(direction: np.ndarray, vec: np.ndarray, sign: float) -> np.ndarray:
-    """R vec (sign = 1) or R^T vec (sign = -1), row by row.
-
-    R is the rotation about ``direction x e_z`` taking ``direction`` to
-    ``|direction| e_z``; by Rodrigues' formula, with d the unit direction,
-    w = d x e_z and c = d_z, R v = v + w x v + w x (w x v) / (1 + c).  R is
-    the identity for a zero direction and diag(1, -1, -1) on the -z axis.
-    """
-    nrm = _norm(direction)
-    unit = direction / np.where(nrm < 1e-15, np.inf, nrm)[..., None]  # 0 -> R = 1
-    c = unit[..., 2]
-    wx, wy = sign * unit[..., 1], -sign * unit[..., 0]  # w = sign (d x e_z), w_z = 0
-    # below the equator 1 + c = |w|^2 / (1 - c), which does not cancel near -z
-    den = np.where(c >= 0.0, 1.0 + c, (wx * wx + wy * wy) / np.maximum(1.0 - c, 1.0))
-    flip = den < 1e-200
-    den = np.where(flip, 1.0, den)
-    x, y, z = vec[..., 0], vec[..., 1], vec[..., 2]
+def _turn(vec, wx, wy, den, flip) -> np.ndarray:
+    """R vec by Rodrigues' formula R v = v + w x v + w x (w x v) / den, with
+    w = (wx, wy, 0); where ``flip`` is set R is diag(1, -1, -1) instead."""
+    x, y, z = vec
     px, py, pz = wy * z, -wx * z, wx * y - wy * x  # w x v
-    out = np.stack(
-        [x + px + wy * pz / den, y + py - wx * pz / den, z + pz + (wx * py - wy * px) / den],
-        axis=-1,
-    )
-    return np.where(flip[..., None], vec * np.array([1.0, -1.0, -1.0]), out)
+    rows = [x + px + wy * pz / den, y + py - wx * pz / den, z + pz + (wx * py - wy * px) / den]
+    if np.any(flip):
+        rows = [np.where(flip, a, b) for a, b in zip((x, -y, -z), rows)]
+    return np.array(rows)
 
 
 @dataclass
 class Stage1Result:
     """Coarse Pauli-tomography outcome and the frames it fixes.
 
-    One row per trial; each row's frame is the rotation taking its
-    ``r_proj`` to ``|r_proj| e_z`` (see :func:`_rotate`).
+    One column per trial (or ``(3,)`` vectors for one trial); each trial's
+    frame is the rotation R taking its ``r_proj`` to ``|r_proj| e_z``.
     """
 
     r_raw: np.ndarray  # possibly |r| > 1
@@ -125,19 +113,36 @@ class Stage1Result:
     mu_tilde: np.ndarray
     n_tilde: int
 
+    @cached_property
+    def frame(self) -> tuple:
+        """(wx, wy, den, flip) of R, built once from ``r_proj``: R turns about
+        w = d x e_z, d the unit direction, and den = 1 + d_z.  R is the
+        identity for a zero direction and diag(1, -1, -1) on the -z axis."""
+        nrm = _norm(self.r_proj)
+        dx, dy, c = self.r_proj / np.where(nrm < 1e-15, np.inf, nrm)  # 0 -> R = 1
+        wx, wy = dy, -dx
+        # below the equator 1 + c = |w|^2 / (1 - c), which does not cancel near -z
+        den = np.where(c >= 0.0, 1.0 + c, (wx * wx + wy * wy) / np.maximum(1.0 - c, 1.0))
+        flip = den < 1e-200
+        if np.any(flip):
+            den = np.where(flip, 1.0, den)
+        return wx, wy, den, flip
+
     def rotate(self, vec) -> np.ndarray:
-        return _rotate(self.r_proj, np.asarray(vec, dtype=float), 1.0)
+        return _turn(vec, *self.frame)
 
     def rotate_back(self, vec) -> np.ndarray:
-        return _rotate(self.r_proj, np.asarray(vec, dtype=float), -1.0)
+        # R^T turns about -w: negating w is exact
+        wx, wy, den, flip = self.frame
+        return _turn(vec, -wx, -wy, den, flip)
 
 
 def stage1(
     r_true, n_tilde: int, rng: np.random.Generator, size: int | None = None
 ) -> Stage1Result:
     """Pauli coin flips on n_tilde copies of the state with Bloch vector
-    r_true, round-robin over the three axes, for ``size`` trials (``None``:
-    one trial, with (3,) vectors).
+    r_true, round-robin over the three axes, for ``size`` trials, one per
+    column (``None``: one trial, with (3,) vectors).
 
     Axis i receives ceil((n_tilde - i)/3) copies; the empirical Bloch
     vector is radially projected into the unit ball if needed and the
@@ -148,10 +153,11 @@ def stage1(
     counts = np.array([math.ceil((n_tilde - i) / 3.0) for i in range(3)])
     probs = (1.0 + np.asarray(r_true, dtype=float)) / 2.0
     heads = rng.binomial(counts, probs, size=None if size is None else (size, 3))
-    r_raw = 2.0 * heads / counts - 1.0
+    # drawn trial by trial; one transposing copy puts the components first
+    r_raw = np.ascontiguousarray((2.0 * heads / counts - 1.0).T)
     nrm = _norm(r_raw)
-    over = (nrm > 1.0)[..., None]
-    r_proj = np.where(over, r_raw / np.where(over, nrm[..., None], 1.0), r_raw)
+    over = nrm > 1.0
+    r_proj = r_raw / np.where(over, nrm, 1.0) if np.any(over) else r_raw
     mu_tilde = 0.5 * (1.0 + np.minimum(nrm, 1.0))
     return Stage1Result(r_raw, r_proj, mu_tilde, int(n_tilde))
 
@@ -170,19 +176,21 @@ def localize_frame(
     r_rot = s1.rotate(r_true)
     r_len = _norm(r_rot)
     mu_rot = 0.5 * (1.0 + r_len)
-    nhat = r_rot / np.maximum(r_len, 1e-300)[..., None]
-    nz = nhat[..., 2]
-    denom = np.hypot(nhat[..., 0], nhat[..., 1])
+    nx, ny, nz = r_rot / np.maximum(r_len, 1e-300)
+    denom = np.hypot(nx, ny)
     # atan2 keeps the angle accurate near 0 and pi, where arccos(nz) loses
     # about half the digits
     theta = np.arctan2(denom, nz)
     on_axis = denom < 1e-15
-    denom = np.where(on_axis, 1.0, denom)
-    # on the axis: no rotation at +z, a half turn about x at -z
-    vx = np.where(on_axis, np.where(nz > 0, 0.0, math.pi / 2.0), 0.5 * theta * nhat[..., 1] / denom)
-    vy = np.where(on_axis, 0.0, -0.5 * theta * nhat[..., 0] / denom)
-    u = math.sqrt(n_rest) * np.stack([vx, vy, mu_rot - s1.mu_tilde], axis=-1)
-    return u, mu_rot
+    if np.any(on_axis):
+        denom = np.where(on_axis, 1.0, denom)
+    vx, vy = 0.5 * theta * ny / denom, -0.5 * theta * nx / denom
+    if np.any(on_axis):
+        # on the axis: no rotation at +z, a half turn about x at -z
+        vx = np.where(on_axis, np.where(nz > 0, 0.0, math.pi / 2.0), vx)
+        vy = np.where(on_axis, 0.0, vy)
+    rn = math.sqrt(n_rest)
+    return np.array([rn * vx, rn * vy, rn * (mu_rot - s1.mu_tilde)]), mu_rot
 
 
 def reconstruct(
@@ -191,18 +199,19 @@ def reconstruct(
     """Bloch vectors for the local estimates u_hat: the local family member
     in each stage-1 frame, rotated back.  Returns (r_hat, clamped) where
     clamped flags an eigenvalue that had to be clipped into [0, 1]."""
-    u_hat = np.asarray(u_hat, dtype=float)
+    ux, uy, uz = np.asarray(u_hat, dtype=float)
     rn = math.sqrt(n_rest)
-    lam = s1.mu_tilde + u_hat[..., 2] / rn
+    lam = s1.mu_tilde + uz / rn
     clamped = (lam < 0.0) | (lam > 1.0)
     lam = np.clip(lam, 0.0, 1.0)
     # exp(i(h_x sigma_x + h_y sigma_y)) turns e_z by 2|h| about -h
-    hx = u_hat[..., 0] / rn
-    hy = u_hat[..., 1] / rn
+    hx = ux / rn
+    hy = uy / rn
     q = np.hypot(hx, hy)
     s = np.where(q > 1e-12, np.sin(2.0 * q) / np.maximum(q, 1e-300), 2.0)
-    r_local = np.stack([-hy * s, hx * s, np.cos(2.0 * q)], axis=-1)
-    return s1.rotate_back(r_local * (2.0 * lam - 1.0)[..., None]), clamped
+    scale = 2.0 * lam - 1.0
+    r_local = (-hy * s * scale, hx * s * scale, np.cos(2.0 * q) * scale)
+    return s1.rotate_back(r_local), clamped
 
 
 def stage2_sample(
@@ -215,8 +224,8 @@ def stage2_sample(
     """Raw stage-2 draws (u_x~, u_y~, g) for true local parameter u.
 
     ``u`` is one local parameter drawn ``size`` times (``None``: once, as
-    floats), or a (B, 3) array drawn once per row, when ``params.mu`` may
-    hold one reference eigenvalue per row.
+    floats), or a (3, B) array drawn once per column, when ``params.mu``
+    may hold one reference eigenvalue per column.
 
     gaussian sampler: the limiting distributions — transverse components
     N(u_i, mu_u / (2 (2 mu_u - 1)^2)) and g ~ N(u_z, mu_u (1 - mu_u)),
@@ -225,26 +234,27 @@ def stage2_sample(
     exact sampler: draw the block index j, heterodyne the block state
     (long-time limit of the monitored field), rescale by
     1/sqrt(2 mu_tilde - 1), and read the energy observable plus the
-    smoothing kernel for g.  Rows are drawn one after the other.
+    smoothing kernel for g.  Columns are drawn one after the other.
     """
     u_arr = np.asarray(u.as_array() if isinstance(u, LocalParams) else u, dtype=float)
-    rows = u_arr if u_arr.ndim == 2 else np.broadcast_to(u_arr, (1 if size is None else int(size), 3))
+    count = u_arr.shape[1] if u_arr.ndim == 2 else 1 if size is None else int(size)
     if config.sampler == "gaussian":
-        mu_u = params.mu + rows[:, 2] / math.sqrt(params.n)
+        u_x, u_y, u_z = u_arr
+        mu_u = params.mu + u_z / math.sqrt(params.n)
         mu_u = np.clip(mu_u, 0.5 + 1e-9, 1.0 - 1e-12)
         sd_xy = np.sqrt(mu_u / (2.0 * (2.0 * mu_u - 1.0) ** 2))
-        ux = rows[:, 0] + sd_xy * rng.standard_normal(len(rows))
-        uy = rows[:, 1] + sd_xy * rng.standard_normal(len(rows))
-        g = rows[:, 2] + np.sqrt(mu_u * (1.0 - mu_u)) * rng.standard_normal(len(rows))
+        ux = u_x + sd_xy * rng.standard_normal(count)
+        uy = u_y + sd_xy * rng.standard_normal(count)
+        g = u_z + np.sqrt(mu_u * (1.0 - mu_u)) * rng.standard_normal(count)
     elif u_arr.ndim == 1:
-        ux, uy, g = _exact_stage2(params, LocalParams(*u_arr), config, rng, len(rows))
+        ux, uy, g = _exact_stage2(params, LocalParams(*u_arr), config, rng, count)
     else:
-        mus = np.broadcast_to(params.mu, len(rows))
+        mus = np.broadcast_to(params.mu, count)
         draws = [
-            _exact_stage2(ModelParams(float(mu), params.n), LocalParams(*row), config, rng, 1)
-            for mu, row in zip(mus, rows)
+            _exact_stage2(ModelParams(float(mu), params.n), LocalParams(*col), config, rng, 1)
+            for mu, col in zip(mus, u_arr.T)
         ]
-        ux, uy, g = np.reshape(draws, (len(rows), 3)).T
+        ux, uy, g = np.reshape(draws, (count, 3)).T
     if size is None and u_arr.ndim == 1:
         return float(ux[0]), float(uy[0]), float(g[0])
     return ux, uy, g
@@ -284,13 +294,13 @@ def truncate_estimate(raw, eta: float, n: int):
     """
     raw_arr = np.asarray(raw, dtype=float)
     flags = np.abs(raw_arr) > 3.0 * float(n) ** eta
-    return np.where(flags, 0.0, raw_arr), flags
+    return (np.where(flags, 0.0, raw_arr) if np.any(flags) else raw_arr), flags
 
 
 @dataclass
 class EstimateResult:
     """One trial (LocalParams, a tuple u_raw, (3,) flags and Bloch vector,
-    a bool clamp) or B trials ((B, 3) arrays and (B,) masks).  A trial in
+    a bool clamp) or B trials ((3, B) arrays and (B,) masks).  A trial in
     ``outside`` has no stage-2 draw; its estimate is meaningless."""
 
     u_hat: LocalParams | np.ndarray
@@ -346,10 +356,10 @@ def full_estimate(
             f"rotated state too close to maximally mixed: mu - 1/2 = "
             f"{mu_rot[0] - 0.5:.4f} < eps2 = {cfg.eps2}; outside the model"
         )
-    inside = ~outside
+    inside = ~outside if np.any(outside) else slice(None)
     raw = np.zeros_like(u_true)
     params2 = ModelParams(s1.mu_tilde[inside], n_rest)
-    raw[inside] = np.stack(stage2_sample(params2, u_true[inside], cfg, rng), axis=-1)
+    raw[:, inside] = stage2_sample(params2, u_true[:, inside], cfg, rng)
     if cfg.truncate:
         u_hat, flags = truncate_estimate(raw, cfg.eta, n)
     else:
@@ -357,14 +367,8 @@ def full_estimate(
     r_hat, clamped = reconstruct(s1, n_rest, u_hat)
     if size is not None:
         return EstimateResult(u_hat, r_hat, s1, raw, u_true, flags, clamped, n_rest, outside)
+    one = Stage1Result(s1.r_raw[:, 0], s1.r_proj[:, 0], float(s1.mu_tilde[0]), n_tilde)
     return EstimateResult(
-        u_hat=LocalParams(*u_hat[0]),
-        r_hat=r_hat[0],
-        stage1=Stage1Result(s1.r_raw[0], s1.r_proj[0], float(s1.mu_tilde[0]), n_tilde),
-        u_raw=tuple(float(x) for x in raw[0]),
-        u_true_local=LocalParams(*u_true[0]),
-        trunc_flags=flags[0],
-        recon_clamped=bool(clamped[0]),
-        n_rest=n_rest,
-        outside=False,
+        LocalParams(*u_hat[:, 0]), r_hat[:, 0], one, tuple(float(x) for x in raw[:, 0]),
+        LocalParams(*u_true[:, 0]), flags[:, 0], bool(clamped[0]), n_rest, False,
     )

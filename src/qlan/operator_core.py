@@ -122,14 +122,14 @@ def density_to_bloch(rho) -> np.ndarray:
 def qubit_fidelity_sq(r, s) -> np.ndarray:
     """Squared fidelity between qubit states given as Bloch vectors.
 
-    F^2 = (1 + r.s + sqrt((1-|r|^2)(1-|s|^2))) / 2.  Accepts stacked inputs
-    with the vector components on the last axis.
+    F^2 = (1 + r.s + sqrt((1-|r|^2)(1-|s|^2))) / 2.  Either argument may
+    be a (3, B) batch, components first: B vectors, one per column.
     """
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    dot = np.sum(r * s, axis=-1)
-    gr = 1.0 - np.sum(r * r, axis=-1)
-    gs = 1.0 - np.sum(s * s, axis=-1)
+    rx, ry, rz = np.asarray(r, dtype=float)
+    sx, sy, sz = np.asarray(s, dtype=float)
+    dot = (rx * sx + ry * sy) + rz * sz
+    gr = 1.0 - ((rx * rx + ry * ry) + rz * rz)
+    gs = 1.0 - ((sx * sx + sy * sy) + sz * sz)
     # |r| can exceed 1 by rounding after projections; clip the radicand.
     rad = np.clip(gr, 0.0, None) * np.clip(gs, 0.0, None)
     f2 = 0.5 * (1.0 + dot + np.sqrt(rad))

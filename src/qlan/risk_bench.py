@@ -9,7 +9,8 @@ the equalized local quadratic loss, mu0 + 1/4 for fidelity loss.
 runs the batched :func:`full_estimate` chunk by chunk and scores the
 trials from their Bloch vectors (trace and fidelity losses) or local
 parameters (local loss).  ``hoeffding_check`` verifies the stage-1
-large-deviation bound cell by cell.
+large-deviation bound cell by cell.  Batches are components first, as in
+:mod:`qlan.estimator`: B vectors form a ``(3, B)`` array.
 """
 
 from __future__ import annotations
@@ -29,19 +30,20 @@ from .tolerances import PROPERTY_SLACK
 def loss_local(u, u_hat, mu: float):
     """Equalized quadratic loss 4[(du_z)^2 + (2mu-1)^2((du_x)^2+(du_y)^2)].
 
-    ``u``/``u_hat`` may be stacked with components on the last axis.
+    ``u``/``u_hat`` may be (3, B) batches, components first.
     """
-    du = np.asarray(u_hat, dtype=float) - np.asarray(u, dtype=float)
+    dx, dy, dz = np.asarray(u_hat, dtype=float) - np.asarray(u, dtype=float)
     w = (2.0 * mu - 1.0) ** 2
-    return 4.0 * (du[..., 2] ** 2 + w * (du[..., 0] ** 2 + du[..., 1] ** 2))
+    return 4.0 * (dz**2 + w * (dx**2 + dy**2))
 
 
 def loss_trace_sq(r, r_hat):
     """Squared trace-norm loss ||rho - rho_hat||_1^2 (always <= 4) between
     qubit states given by Bloch vectors, where the trace distance is the
-    Euclidean one; stacked vectors carry their components on the last axis.
+    Euclidean one; either argument may be a (3, B) batch, components first.
     """
-    val = np.sum((np.asarray(r_hat, dtype=float) - np.asarray(r, dtype=float)) ** 2, axis=-1)
+    dx, dy, dz = (np.asarray(a, dtype=float) - b for a, b in zip(r_hat, np.asarray(r, dtype=float)))
+    val = (dx * dx + dy * dy) + dz * dz
     if np.any(val > 4.0 + PROPERTY_SLACK):
         raise AssertionError(f"trace loss {np.max(val)} exceeds the qubit bound 4")
     return val
@@ -49,7 +51,7 @@ def loss_trace_sq(r, r_hat):
 
 def loss_fidelity(r, r_hat):
     """Infidelity loss 1 - F(rho, rho_hat)^2 between qubit states given by
-    Bloch vectors (stacked on the last axis)."""
+    Bloch vectors, either of them a (3, B) batch, components first."""
     return 1.0 - qubit_fidelity_sq(r, r_hat)
 
 
@@ -178,7 +180,7 @@ def pointwise_risk(
             loss = res.n_rest * loss_fidelity(r_true, res.r_hat)
         losses.append(np.where(res.outside, fail, loss))
         counts["failures"] += int(res.outside.sum())
-        counts["truncated"] += int(np.any(res.trunc_flags, axis=-1).sum())
+        counts["truncated"] += int(np.count_nonzero(res.trunc_flags.any(axis=0)))
         counts["clamped"] += int(res.recon_clamped.sum())
     losses = np.concatenate(losses)
     means = np.array([float(np.mean(b)) for b in np.split(losses, np.cumsum(sizes)[:-1])])
@@ -216,7 +218,8 @@ def local_sup_risk(config: RiskConfig) -> RiskReport:
     """Sup over the parameter grid of the Monte Carlo risk, per n.
 
     Returns a report whose ``sup``/``argmax`` refer to the largest n in
-    ``n_list``; every (n, grid point) row carries mean and stderr.  The
+    ``n_list``; every (n, grid point) row carries mean, stderr and the
+    event counts of :func:`pointwise_risk`.  The
     random streams of each (n, point) cell are independent children of
     the master seed, so results do not depend on execution order.
     """
@@ -226,7 +229,7 @@ def local_sup_risk(config: RiskConfig) -> RiskReport:
         for g_idx, pt in enumerate(grid_points(cfg.mu0, cfg.radii)):
             u_vec = np.array(pt.u) * float(n) ** cfg.eps
             rho = _true_state(cfg.mu0, u_vec, n)
-            mean, se, _ = pointwise_risk(rho, n, cfg, (n_idx, g_idx))
+            mean, se, counts = pointwise_risk(rho, n, cfg, (n_idx, g_idx))
             rows.append(
                 {
                     "n": int(n),
@@ -237,6 +240,7 @@ def local_sup_risk(config: RiskConfig) -> RiskReport:
                     "mean": mean,
                     "stderr": se,
                     "trials": cfg.trials,
+                    **counts,
                 }
             )
 
@@ -289,7 +293,8 @@ def hoeffding_check(
         n = int(n)
         n_tilde = int(math.ceil(float(n) ** (1.0 - kappa)))
         r_raw = stage1(r_true, n_tilde, rng, size=trials).r_raw
-        err_sq = np.sum((r_raw - r_true) ** 2, axis=1)
+        dx, dy, dz = r_raw - r_true[:, None]
+        err_sq = (dx * dx + dy * dy) + dz * dz
         for eps in eps_values:
             thresh = 3.0 * float(n) ** (2.0 * eps - 1.0)
             empirical = float(np.mean(err_sq > thresh))

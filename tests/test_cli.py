@@ -193,6 +193,21 @@ def test_qsde_check_table(capsys):
         assert float(cells[5]) > 0.0
 
 
+def test_qsde_check_reports_the_richardson_clamp(capsys):
+    """At two and four collisions the Richardson step overshoots 1; the
+    reported overlap is the clamped value and the JSON keeps the raw one."""
+    code, out, _ = run_cli(
+        ["qsde-check", "--n-list", "2,4", "--collisions", "4", "--t", "5", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 4
+    for row in rows:
+        assert row["overlap"] == min(row["overlap_richardson"], 1.0)
+    assert any(row["overlap_richardson"] > 1.0 for row in rows)
+
+
 def test_unknown_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["no-such-command"])

@@ -24,8 +24,8 @@ from qlan.spin_blocks import LocalParams, ModelParams
 
 
 def _frames(r_proj) -> Stage1Result:
-    r_proj = np.asarray(r_proj, dtype=float)
-    mu_tilde = 0.5 * (1.0 + np.linalg.norm(r_proj, axis=-1))
+    r_proj = np.asarray(r_proj, dtype=float).T
+    mu_tilde = 0.5 * (1.0 + np.linalg.norm(r_proj, axis=0))
     return Stage1Result(r_proj, r_proj, mu_tilde, 100)
 
 
@@ -45,15 +45,15 @@ def test_frame_takes_direction_to_z(directions, vec):
     s1 = _frames(directions)
     d = s1.r_proj
     z = s1.rotate(d)
-    assert np.abs(z[:, :2]).max() <= 1e-12
-    assert np.abs(z[:, 2] - np.linalg.norm(d, axis=1)).max() <= 1e-12
-    # a rotation: lengths kept, and rotate_back inverts it, row by row
-    v = np.broadcast_to(vec, d.shape)
+    assert np.abs(z[:2]).max() <= 1e-12
+    assert np.abs(z[2] - np.linalg.norm(d, axis=0)).max() <= 1e-12
+    # a rotation: lengths kept, and rotate_back inverts it, trial by trial
+    v = np.broadcast_to(vec[:, None], d.shape)
     rv = s1.rotate(v)
-    assert np.abs(np.linalg.norm(rv, axis=1) - np.linalg.norm(vec)).max() <= 1e-12
+    assert np.abs(np.linalg.norm(rv, axis=0) - np.linalg.norm(vec)).max() <= 1e-12
     assert np.abs(s1.rotate_back(rv) - v).max() <= 1e-12
-    # each row is rotated as if it were alone
-    assert np.array_equal(_frames(directions[:1]).rotate(v[:1]), rv[:1])
+    # each trial is rotated as if it were alone
+    assert np.array_equal(_frames(directions[:1]).rotate(v[:, :1]), rv[:, :1])
 
 
 def test_stage1_statistics():
@@ -96,7 +96,7 @@ def test_localize_reconstruct_roundtrip(directions, offsets, r_true, n_rest):
     assert np.abs(mu_rot - 0.5 * (1.0 + np.linalg.norm(r_true))).max() <= 1e-15
     # a pure state may clamp its eigenvalue by a rounding; r_hat is still exact
     r_hat, _ = reconstruct(s1, n_rest, u)
-    assert np.abs(r_hat - r_true).max() <= 1e-12
+    assert np.abs(r_hat - r_true[:, None]).max() <= 1e-12
 
 
 def test_localize_frame_interior_guard():
@@ -109,7 +109,7 @@ def test_localize_frame_interior_guard():
     # a comfortably interior state reports the right z shift
     s1 = _frames([(0.0, 0.0, 0.1)])
     u, _ = localize_frame(np.array([0.0, 0.0, 0.4]), s1, 900)
-    assert u[0, 2] == pytest.approx(30.0 * (0.7 - 0.55), rel=1e-12)
+    assert u[2, 0] == pytest.approx(30.0 * (0.7 - 0.55), rel=1e-12)
     assert u[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -125,8 +125,8 @@ def test_truncation_boundary():
     u_hat, flags = truncate_estimate((5.0, -6.0, 6.0 + 1e-9), eta, n)
     assert tuple(u_hat) == (5.0, -6.0, 0.0)
     assert list(flags) == [False, False, True]
-    arr, flags2 = truncate_estimate(np.array([[7.0, 0.0, -1.0]]), eta, n)
-    assert arr.shape == (1, 3)
+    arr, flags2 = truncate_estimate(np.array([[7.0], [0.0], [-1.0]]), eta, n)
+    assert arr.shape == (3, 1)
     assert arr[0, 0] == 0.0 and flags2[0, 0]
 
 

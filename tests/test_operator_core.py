@@ -105,7 +105,7 @@ def test_fuchs_van_de_graaf_bounds():
 def test_qubit_fidelity_sq_matches_uhlmann():
     r = random_qubit_bloch(RNG, 40)
     s = random_qubit_bloch(RNG, 40)
-    f2 = qubit_fidelity_sq(r, s)
+    f2 = qubit_fidelity_sq(r.T, s.T)
     assert f2.shape == (40,)
     for i in range(0, 40, 5):
         direct = fidelity(bloch_to_density(r[i]), bloch_to_density(s[i]))

@@ -52,8 +52,8 @@ def test_grid_points_metric_calibrated():
 
 def test_loss_local_values_and_broadcast():
     assert loss_local((0, 0, 0), (1.0, 2.0, 3.0), 0.75) == pytest.approx(41.0)
-    u = np.zeros((2, 3))
-    u_hat = np.array([[1.0, 0, 0], [0, 0, 1.0]])
+    u = np.zeros((3, 2))
+    u_hat = np.array([[1.0, 0, 0], [0, 0, 1.0]]).T
     out = loss_local(u, u_hat, 0.75)
     assert out.shape == (2,)
     assert np.allclose(out, [1.0, 4.0])
@@ -66,11 +66,11 @@ def test_matrix_losses():
     f = math.sqrt(0.75 * 0.8) + math.sqrt(0.25 * 0.2)
     assert loss_fidelity(rho, sig) == pytest.approx(1.0 - f * f, rel=1e-9)
     assert loss_trace_sq(rho, rho) == pytest.approx(0.0, abs=1e-12)
-    # stacked vectors give one loss per row; antipodal pure states sit at 4
-    pair = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    assert np.array_equal(loss_trace_sq(pair, pair[::-1]), [4.0, 4.0])
+    # a (3, B) batch gives one loss per column; antipodal pure states sit at 4
+    pair = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]).T
+    assert np.array_equal(loss_trace_sq(pair, pair[:, ::-1]), [4.0, 4.0])
     with pytest.raises(AssertionError, match="qubit bound"):
-        loss_trace_sq(pair, 2.0 * pair[::-1])
+        loss_trace_sq(pair, 2.0 * pair[:, ::-1])
 
 
 def test_failure_loss_caps():
@@ -213,6 +213,34 @@ def test_pointwise_risk_weights_every_trial_equally():
     assert abs(mean - np.mean([b.mean() for b in batches])) > 0.1
 
 
+def test_risk_rows_carry_event_counts(capsys):
+    """Each report row counts the failures, truncations and clamps of its
+    grid point; recounted here trial by trial from full_estimate on the
+    same batch streams.  At mu0 = 0.55, n = 10^4 the z- points put every
+    trial outside the model and the others truncate."""
+    cfg = RiskConfig(mu0=0.55, loss="fidelity", n_list=(10**4,), trials=60, batches=4, seed=3)
+    rep = local_sup_risk(cfg)
+    for g_idx, (pt, row) in enumerate(zip(grid_points(cfg.mu0), rep.rows)):
+        rho = _true_state(cfg.mu0, np.array(pt.u) * float(10**4) ** cfg.eps, 10**4)
+        want = {"failures": 0, "truncated": 0, "clamped": 0}
+        for b in range(cfg.batches):
+            res = full_estimate(rho, 10**4, cfg.estimator, _batch_rng(cfg.seed, 0, g_idx, b), size=15)
+            for k in range(15):
+                want["failures"] += bool(res.outside[k])
+                want["truncated"] += bool(res.trunc_flags[:, k].any())
+                want["clamped"] += bool(res.recon_clamped[k])
+        assert {key: row[key] for key in want} == want, pt.label
+    assert sum(row["failures"] for row in rep.rows) == 2 * 60
+    assert sum(row["truncated"] for row in rep.rows) > 0
+    # the CLI writes the counters into its JSON rows, not its CSV columns
+    args = ["risk", "--mu0", "0.55", "--n", "10000", "--trials", "40", "--seed", "3"]
+    assert main(args) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows[2]["failures"] == 40 and rows[2]["label"] == "z-@0.5"
+    assert main(args + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out.split("\n")[0] == "n,label,ux,uy,uz,mean,stderr,trials"
+
+
 def test_report_structure_and_serialization(tmp_path):
     cfg = RiskConfig(mu0=0.75, loss="fidelity", n_list=(2000, 4000), trials=200)
     rep = local_sup_risk(cfg)
@@ -280,3 +308,106 @@ def test_local_sup_risk_sampler_dispatch():
     assert len(rep.rows) == 1
     assert rep.rows[0]["trials"] == 40
     assert np.isfinite(rep.rows[0]["mean"])
+
+
+# (loss, mu0, n, point in units of n^eps, truncate) -> pointwise_risk's
+# (mean, stderr, counts), recorded with repr at RiskConfig(trials=10^4,
+# batches=4, seed=4242), cell (0, 2).  The mu0 = 0.55, n = 10^4 rows
+# truncate (x+) or put every trial outside the model (z-); the mu0 = 0.99,
+# n = 100 rows mix degenerate stage-1 trials with clamped eigenvalues.
+PIPELINE_PINNED = {
+    ("trace", 0.75, 10**6, (0.0, 0.0, -0.5), True):
+        (3.7308677294342973, 0.02609984881251072, {"failures": 0, "truncated": 0, "clamped": 0}),
+    ("trace", 0.75, 10**6, (0.0, 0.0, -0.5), False):
+        (3.7308677294342973, 0.02609984881251072, {"failures": 0, "truncated": 0, "clamped": 0}),
+    ("fidelity", 0.75, 10**6, (0.0, 0.0, -0.5), True):
+        (0.995247802120009, 0.007190112957888936, {"failures": 0, "truncated": 0, "clamped": 0}),
+    ("fidelity", 0.75, 10**6, (0.0, 0.0, -0.5), False):
+        (0.995247802120009, 0.007190112957888936, {"failures": 0, "truncated": 0, "clamped": 0}),
+    ("local", 0.75, 10**6, (0.0, 0.0, -0.5), True):
+        (3.7309215235941693, 0.02606206767061529, {"failures": 0, "truncated": 0, "clamped": 0}),
+    ("local", 0.75, 10**6, (0.0, 0.0, -0.5), False):
+        (3.7309215235941693, 0.02606206767061529, {"failures": 0, "truncated": 0, "clamped": 0}),
+    ("trace", 0.55, 10**4, (5.0, 0.0, 0.0), True):
+        (4.336286862680543, 0.01904051033752769, {"failures": 0, "truncated": 7059, "clamped": 0}),
+    ("trace", 0.55, 10**4, (5.0, 0.0, 0.0), False):
+        (3.1287238472925782, 0.026031468742005827, {"failures": 0, "truncated": 0, "clamped": 0}),
+    ("fidelity", 0.55, 10**4, (5.0, 0.0, 0.0), True):
+        (1.0866220965995388, 0.004795006758997664, {"failures": 0, "truncated": 7059, "clamped": 0}),
+    ("fidelity", 0.55, 10**4, (5.0, 0.0, 0.0), False):
+        (0.7847313427525505, 0.006545505994227859, {"failures": 0, "truncated": 0, "clamped": 0}),
+    ("local", 0.55, 10**4, (5.0, 0.0, 0.0), True):
+        (4.410435615476544, 0.017923868928752914, {"failures": 0, "truncated": 7059, "clamped": 0}),
+    ("local", 0.55, 10**4, (5.0, 0.0, 0.0), False):
+        (3.186533642541576, 0.02435875918559298, {"failures": 0, "truncated": 0, "clamped": 0}),
+    ("trace", 0.55, 10**4, (0.0, 0.0, -0.5), True):
+        (14760.0, 0.0, {"failures": 10000, "truncated": 0, "clamped": 0}),
+    ("trace", 0.55, 10**4, (0.0, 0.0, -0.5), False):
+        (14760.0, 0.0, {"failures": 10000, "truncated": 0, "clamped": 0}),
+    ("fidelity", 0.55, 10**4, (0.0, 0.0, -0.5), True):
+        (3690.0, 0.0, {"failures": 10000, "truncated": 0, "clamped": 0}),
+    ("fidelity", 0.55, 10**4, (0.0, 0.0, -0.5), False):
+        (3690.0, 0.0, {"failures": 10000, "truncated": 0, "clamped": 0}),
+    ("local", 0.55, 10**4, (0.0, 0.0, -0.5), True):
+        (6.511886431509581, 0.0, {"failures": 10000, "truncated": 0, "clamped": 0}),
+    ("local", 0.55, 10**4, (0.0, 0.0, -0.5), False):
+        (6.511886431509581, 0.0, {"failures": 10000, "truncated": 0, "clamped": 0}),
+    ("trace", 0.99, 100, (0.0, 0.0, 0.0), True):
+        (64.81056782758706, 0.11641600055872452, {"failures": 8009, "truncated": 0, "clamped": 683}),
+    ("trace", 0.99, 100, (0.0, 0.0, 0.0), False):
+        (64.81056782758706, 0.11641600055872452, {"failures": 8009, "truncated": 0, "clamped": 683}),
+    ("fidelity", 0.99, 100, (0.0, 0.0, 0.0), True):
+        (16.226703540350037, 0.02904673143797554, {"failures": 8009, "truncated": 0, "clamped": 683}),
+    ("fidelity", 0.99, 100, (0.0, 0.0, 0.0), False):
+        (16.226703540350037, 0.02904673143797554, {"failures": 8009, "truncated": 0, "clamped": 683}),
+    ("local", 0.99, 100, (0.0, 0.0, 0.0), True):
+        (5.256027634824467, 0.014324154308332575, {"failures": 8009, "truncated": 0, "clamped": 683}),
+    ("local", 0.99, 100, (0.0, 0.0, 0.0), False):
+        (5.256027634824467, 0.014324154308332575, {"failures": 8009, "truncated": 0, "clamped": 683}),
+}
+# one full_estimate(size=None) trial per sampler: (r_hat, u_hat, u_raw)
+GAUSSIAN_TRIAL_PINNED = (
+    [-0.006843791098841665, -0.009729321612653092, 0.49935685115004264],
+    (-0.4549870520591951, -1.7191095886702037, -0.8565567510218184),
+    (-0.4549870520591951, -1.7191095886702037, -0.8565567510218184),
+)
+EXACT_TRIAL_PINNED = (
+    [-0.0033107021719175457, 0.012538749998084502, 0.5113576903423884],
+    (0.3752871030808607, 0.4237264083891294, 0.09563929378815275),
+    (0.3752871030808607, 0.4237264083891294, 0.09563929378815275),
+)
+HOEFFDING_PINNED = [
+    {"n": 1000, "eps": 0.1, "n_tilde": 502, "empirical": 0.5305, "bound": 2.2089349386202013, "ok": True, "vacuous": True},
+    {"n": 1000, "eps": 0.2, "n_tilde": 502, "empirical": 0.0395, "bound": 0.1123290864776665, "ok": True, "vacuous": False},
+    {"n": 10000, "eps": 0.1, "n_tilde": 3982, "empirical": 0.435, "bound": 1.7083421483759413, "ok": True, "vacuous": True},
+    {"n": 10000, "eps": 0.2, "n_tilde": 3982, "empirical": 0.0, "bound": 0.0021666907043559258, "ok": True, "vacuous": False},
+]
+
+
+def test_risk_pipeline_is_bitwise_pinned():
+    """Seeded outputs of the estimator chain equal, bit for bit, the values
+    recorded before the chain moved to components-first batches: the risk
+    of every loss with and without truncation, one single-trial estimate
+    per sampler, and the stage-1 large-deviation rows."""
+    for (loss, mu0, n, point, truncate), want in PIPELINE_PINNED.items():
+        cfg = RiskConfig(
+            mu0=mu0,
+            loss=loss,
+            n_list=(n,),
+            trials=10**4,
+            batches=4,
+            seed=4242,
+            estimator=EstimatorConfig(truncate=truncate),
+        )
+        rho = _true_state(mu0, np.array(point) * float(n) ** cfg.eps, n)
+        assert pointwise_risk(rho, n, cfg, (0, 2)) == want, (loss, mu0, n, point, truncate)
+    rho = _true_state(0.75, np.array([0.3, -0.4, 0.2]), 10**4)
+    for cfg, seed, want in (
+        (EstimatorConfig(), 123, GAUSSIAN_TRIAL_PINNED),
+        (EstimatorConfig(sampler="exact", fock_dim=16), 321, EXACT_TRIAL_PINNED),
+    ):
+        res = full_estimate(rho, 10**4, cfg, np.random.default_rng(seed))
+        got = (res.r_hat.tolist(), tuple(res.u_hat.as_array().tolist()), res.u_raw)
+        assert got == want, cfg.sampler
+    rows = hoeffding_check((10**3, 10**4), (0.1, 0.2), 0.1, 2000, np.random.default_rng(5))
+    assert rows == HOEFFDING_PINNED
