@@ -56,43 +56,35 @@ def _parse_float_list(text: str) -> tuple:
     return tuple(float(p) for p in text.split(","))
 
 
-def _read_config_file(path: str) -> dict:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
-    return out
-
-
 def _parse_bool(text: str) -> bool:
-    return text.lower() in ("1", "true", "on", "yes")
+    word = text.lower()
+    if word not in ("1", "0", "true", "false", "on", "off", "yes", "no"):
+        raise ValueError(f"expected 1/0/true/false/on/off/yes/no, got {text!r}")
+    return word in ("1", "true", "on", "yes")
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """flag > config-file > default, for every key in ``defaults``; a file
-    value goes through the parser of its flag."""
-    file_vals = {}
-    if getattr(args, "config", None):
-        raw = _read_config_file(args.config)
-        for key, text in raw.items():
-            if key in defaults:
-                file_vals[key] = args.file_types.get(key, str)(text)
-    merged = {}
-    for key, default in defaults.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            merged[key] = flag_val
-        elif key in file_vals:
-            merged[key] = file_vals[key]
-        else:
-            merged[key] = default
-    return merged
+# Every setting once: type, choices (None: any value of the type) and help.
+# A config file's value goes through the same type and choices as the flag.
+FLAGS = {
+    "mu": (float, None, "eigenvalue of the qubit state, in (1/2, 1)"),
+    "mu0": (float, None, "eigenvalue of the centre state, in (1/2, 1)"),
+    "u": (_parse_triple, None, "local parameter ux,uy,uz"),
+    "n": (int, None, "number of qubits"),
+    "n_list": (_parse_int_list, None, "comma-separated numbers of qubits"),
+    "eps": (float, None, "localization exponent"),
+    "eps_list": (_parse_float_list, None, "comma-separated localization exponents"),
+    "eta": (float, None, "truncation exponent: local components above 3 n^eta are cut"),
+    "kappa": (float, None, "stage 1 measures ceil(n^(1 - kappa)) qubits"),
+    "fock_dim": (int, None, "Fock cutoff of the exact sampler (default: automatic)"),
+    "seed": (int, None, "random seed"),
+    "truncate": (_parse_bool, None, "disable the 3 n^eta truncation (calibration runs)"),
+    "loss": (str, ("trace", "fidelity", "local"), "loss function"),
+    "sampler": (str, ("gaussian", "exact"), "stage-2 sampler"),
+    "trials": (int, None, "Monte Carlo trials"),
+    "t": (float, None, "evolution time"),
+    "collisions": (int, None, "collisions of the discretized field"),
+    "eps_tail": (float, None, "exponent of the typical block window"),
+}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -127,27 +119,13 @@ def _emit_rows(rows: list, cols, config: dict, fmt: str, out: str | None, **tota
     _emit(text + "\n", out)
 
 
-def _check_mu(value: float, name: str) -> None:
-    if not (0.5 < value < 1.0):
-        raise ValueError(
-            f"--{name} {value}: the model requires the larger eigenvalue {name} "
-            f"to lie strictly between 1/2 and 1 ({name} > 1/2)"
-        )
+def _estimator(spec: dict) -> EstimatorConfig:
+    """The estimator with the settings a subcommand lists, defaults elsewhere."""
+    fields = EstimatorConfig.__dataclass_fields__
+    return EstimatorConfig(**{k: v for k, v in spec.items() if k in fields})
 
 
-def cmd_lan_dist(args: argparse.Namespace) -> int:
-    spec = _merge_config(
-        args,
-        {
-            "mu": 0.8,
-            "u": (1.0, 1.0, 1.0),
-            "n_list": (20, 50, 100, 200, 400),
-            "eps_tail": 0.2,
-            "format": "csv",
-            "out": None,
-        },
-    )
-    _check_mu(spec["mu"], "mu")
+def cmd_lan_dist(spec: dict) -> int:
     result = convergence_sweep(spec["mu"], spec["u"], spec["n_list"], spec["eps_tail"])
     rows = [
         {
@@ -173,37 +151,7 @@ def cmd_lan_dist(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_risk(args: argparse.Namespace) -> int:
-    spec = _merge_config(
-        args,
-        {
-            "mu0": 0.75,
-            "loss": "trace",
-            "n": None,
-            "n_list": None,
-            "trials": 10_000,
-            "sampler": "gaussian",
-            "eps": 0.05,
-            "eta": 0.08,
-            "kappa": 0.05,
-            "fock_dim": None,
-            "seed": 20260801,
-            "truncate": True,
-            "format": "json",
-            "out": None,
-        },
-    )
-    _check_mu(spec["mu0"], "mu0")
-    if spec["n_list"] is None:
-        spec["n_list"] = (spec["n"],) if spec["n"] else (10**6,)
-    est = EstimatorConfig(
-        kappa=spec["kappa"],
-        eps=spec["eps"],
-        eta=spec["eta"],
-        sampler=spec["sampler"],
-        fock_dim=spec["fock_dim"],
-        truncate=spec["truncate"],
-    )
+def cmd_risk(spec: dict) -> int:
     cfg = RiskConfig(
         mu0=spec["mu0"],
         loss=spec["loss"],
@@ -211,7 +159,7 @@ def cmd_risk(args: argparse.Namespace) -> int:
         trials=spec["trials"],
         eps=spec["eps"],
         seed=spec["seed"],
-        estimator=est,
+        estimator=_estimator(spec),
     ).validate()
     report = local_sup_risk(cfg)
     _emit_rows(
@@ -227,20 +175,7 @@ def cmd_risk(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_qsde_check(args: argparse.Namespace) -> int:
-    spec = _merge_config(
-        args,
-        {
-            "mu": 0.75,
-            "n_list": (1000, 4000, 16_000),
-            "t": 5.0,
-            "collisions": 400,
-            "eps": 0.25,
-            "format": "csv",
-            "out": None,
-        },
-    )
-    _check_mu(spec["mu"], "mu")
+def cmd_qsde_check(spec: dict) -> int:
     # Probe at the edge of the typical window, j = j_n + n^(3/4), where the
     # closed-form error is dominated by the |j - j_n|/n term and scales as
     # the bound with eps = 1/4 (a factor sqrt(2) per quadrupling of n).
@@ -294,35 +229,12 @@ def cmd_qsde_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
-    spec = _merge_config(
-        args,
-        {
-            "mu0": 0.75,
-            "u": (0.0, 0.0, 0.0),
-            "n": 10_000,
-            "sampler": "gaussian",
-            "eps": 0.05,
-            "eta": 0.08,
-            "kappa": 0.05,
-            "fock_dim": None,
-            "seed": 20260801,
-            "format": "json",
-            "out": None,
-        },
-    )
-    _check_mu(spec["mu0"], "mu0")
+def cmd_estimate(spec: dict) -> int:
     n = int(spec["n"])
     rho_true = local_qubit_state(
         spec["mu0"], tuple(c / math.sqrt(n) for c in spec["u"])
     )
-    cfg = EstimatorConfig(
-        kappa=spec["kappa"],
-        eps=spec["eps"],
-        eta=spec["eta"],
-        sampler=spec["sampler"],
-        fock_dim=spec["fock_dim"],
-    ).validate()
+    cfg = _estimator(spec).validate()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec["seed"])))
     res = full_estimate(rho_true, n, cfg, rng)
     r_true = density_to_bloch(rho_true)
@@ -358,21 +270,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_hoeffding(args: argparse.Namespace) -> int:
-    spec = _merge_config(
-        args,
-        {
-            "mu0": 0.75,
-            "n_list": (1000, 10_000, 100_000),
-            "eps_list": (0.1, 0.2),
-            "kappa": 0.1,
-            "trials": 10_000,
-            "seed": 20260801,
-            "format": "csv",
-            "out": None,
-        },
-    )
-    _check_mu(spec["mu0"], "mu0")
+def cmd_hoeffding(spec: dict) -> int:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec["seed"])))
     rows = hoeffding_check(
         spec["n_list"], spec["eps_list"], spec["kappa"], spec["trials"], rng,
@@ -388,6 +286,45 @@ def cmd_hoeffding(args: argparse.Namespace) -> int:
     return 0
 
 
+# Per subcommand: handler, help, output formats (the first is the default),
+# shortcuts (a shortcut ``x`` sets ``x_list`` to a one-element list) and the
+# default of every setting it takes.
+COMMANDS = {
+    "lan-dist": (cmd_lan_dist, "block data vs Gaussian limit distances", ("csv", "json"), (), {
+        "mu": 0.8, "u": (1.0, 1.0, 1.0), "n_list": (20, 50, 100, 200, 400), "eps_tail": 0.2,
+    }),
+    "risk": (cmd_risk, "Monte Carlo local sup-risk benchmark", ("json", "csv"), ("n",), {
+        "mu0": 0.75, "loss": "trace", "n_list": (10**6,), "trials": 10_000, "sampler": "gaussian",
+        "eps": 0.05, "eta": 0.08, "kappa": 0.05, "fock_dim": None, "seed": 20260801,
+        "truncate": True,
+    }),
+    "qsde-check": (cmd_qsde_check, "collision model vs closed-form xi", ("csv", "json"), (), {
+        "mu": 0.75, "n_list": (1000, 4000, 16_000), "t": 5.0, "collisions": 400, "eps": 0.25,
+    }),
+    "estimate": (cmd_estimate, "single two-stage estimation run", ("json",), (), {
+        "mu0": 0.75, "u": (0.0, 0.0, 0.0), "n": 10_000, "sampler": "gaussian", "eps": 0.05,
+        "eta": 0.08, "kappa": 0.05, "fock_dim": None, "seed": 20260801,
+    }),
+    "hoeffding": (cmd_hoeffding, "stage-1 large-deviation check", ("csv", "json"), ("eps",), {
+        "mu0": 0.75, "n_list": (1000, 10_000, 100_000), "eps_list": (0.1, 0.2), "kappa": 0.1,
+        "trials": 10_000, "seed": 20260801,
+    }),
+}
+
+
+def _options(command: str) -> dict:
+    """Every option of ``command`` by name: (setting, type, choices, help)."""
+    _, _, formats, shortcuts, defaults = COMMANDS[command]
+    opts = {key: (key, *FLAGS[key]) for key in defaults}
+    for key in shortcuts:
+        parse, choices, text = FLAGS[key]
+        one = lambda value, parse=parse: (parse(value),)
+        opts[key] = (f"{key}_list", one, choices, f"{text}: one-element --{key}-list")
+    opts["format"] = ("format", str, formats, f"output format (default: {formats[0]})")
+    opts["out"] = ("out", str, None, "output file (default: stdout)")
+    return opts
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlan",
@@ -395,88 +332,67 @@ def build_parser() -> argparse.ArgumentParser:
         "convergence checks, dynamics validation, and risk benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (_, summary, _, shortcuts, _) in COMMANDS.items():
+        # absent flags stay out of the namespace, so a file value can fill them
+        p = sub.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="key=value file; flags take precedence")
-        p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-        types = {a.dest: a.type for a in p._actions if a.type is not None}
-        p.set_defaults(file_types={"truncate": _parse_bool, **types})
-
-    p = sub.add_parser("lan-dist", help="block data vs Gaussian limit distances")
-    p.add_argument("--mu", type=float, help="reference eigenvalue in (1/2, 1)")
-    p.add_argument("--u", type=_parse_triple, help="local parameter ux,uy,uz")
-    p.add_argument("--n-list", dest="n_list", type=_parse_int_list)
-    p.add_argument("--eps-tail", dest="eps_tail", type=float)
-    common(p)
-    p.set_defaults(func=cmd_lan_dist)
-
-    p = sub.add_parser("risk", help="Monte Carlo local sup-risk benchmark")
-    p.add_argument("--mu0", type=float, help="reference eigenvalue in (1/2, 1)")
-    p.add_argument("--loss", choices=("trace", "fidelity", "local"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-list", dest="n_list", type=_parse_int_list)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--sampler", choices=("gaussian", "exact"))
-    p.add_argument("--eps", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--fock-dim", dest="fock_dim", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument(
-        "--no-truncate",
-        dest="truncate",
-        action="store_const",
-        const=False,
-        help="disable the 3 n^eta truncation (calibration runs)",
-    )
-    common(p)
-    p.set_defaults(func=cmd_risk)
-
-    p = sub.add_parser("qsde-check", help="collision model vs closed-form xi")
-    p.add_argument("--mu", type=float)
-    p.add_argument("--n-list", dest="n_list", type=_parse_int_list)
-    p.add_argument("--t", type=float)
-    p.add_argument("--collisions", type=int)
-    p.add_argument("--eps", type=float)
-    common(p)
-    p.set_defaults(func=cmd_qsde_check)
-
-    p = sub.add_parser("estimate", help="single two-stage estimation run")
-    p.add_argument("--mu0", type=float)
-    p.add_argument("--u", type=_parse_triple)
-    p.add_argument("--n", type=int)
-    p.add_argument("--sampler", choices=("gaussian", "exact"))
-    p.add_argument("--eps", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--fock-dim", dest="fock_dim", type=int)
-    p.add_argument("--seed", type=int)
-    common(p)
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("hoeffding", help="stage-1 large-deviation check")
-    p.add_argument("--mu0", type=float)
-    p.add_argument("--n-list", dest="n_list", type=_parse_int_list)
-    p.add_argument("--eps", type=float, help="single eps (shortcut for a one-cell list)")
-    p.add_argument("--eps-list", dest="eps_list", type=_parse_float_list)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    common(p)
-    p.set_defaults(func=cmd_hoeffding)
-
+        groups = {f"{key}_list": p.add_mutually_exclusive_group() for key in shortcuts}
+        for key, (dest, parse, choices, text) in _options(command).items():
+            flag = "--" + key.replace("_", "-")
+            kind = {"type": parse, "choices": choices, "metavar": None if choices else key.upper()}
+            if parse is _parse_bool:
+                flag, kind = f"--no-{key}", {"action": "store_const", "const": False}
+            groups.get(dest, p).add_argument(flag, dest=dest, help=text, **kind)
     return parser
 
 
+def _read_config(path: str, options: dict) -> dict:
+    """Settings from ``key = value`` lines (``#`` comments).  A key is an option
+    name (``n-list`` or ``n_list``), its value passes the option's type and
+    choices, and no setting may be given twice."""
+    out, given = {}, {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            if "=" not in line:
+                raise ValueError(f"{where}: expected key=value, got {line!r}")
+            key, text = (part.strip() for part in line.split("=", 1))
+            option = options.get(key.replace("-", "_"))
+            if option is None:
+                raise ValueError(f"{where}: unknown key {key!r}")
+            dest, parse, choices, _ = option
+            if dest in given:
+                raise ValueError(f"{where}: {key!r} sets {dest}, already set by {given[dest]!r}")
+            try:
+                value = parse(text)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"{where}: {key} = {text!r}: {exc}") from None
+            if choices is not None and value not in choices:
+                raise ValueError(f"{where}: {key} = {text!r}: expected one of {', '.join(choices)}")
+            out[dest], given[dest] = value, key
+    return out
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "eps", None) is not None and args.command == "hoeffding":
-        if getattr(args, "eps_list", None) is None:
-            args.eps_list = (args.eps,)
+    flags = vars(build_parser().parse_args(argv))
+    command = flags.pop("command")
+    handler, _, formats, _, defaults = COMMANDS[command]
     try:
-        return args.func(args)
+        # flag > config file > default
+        spec = {**defaults, "format": formats[0], "out": None}
+        if "config" in flags:
+            spec.update(_read_config(flags.pop("config"), _options(command)))
+        spec.update(flags)
+        for name in {"mu", "mu0"} & spec.keys():
+            if not 0.5 < spec[name] < 1.0:
+                raise ValueError(
+                    f"--{name} {spec[name]}: the model requires the larger eigenvalue {name} "
+                    f"to lie strictly between 1/2 and 1 ({name} > 1/2)"
+                )
+        return handler(spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,15 @@
 """Command-line interface tests (driven through main(), no subprocess)."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qlan.cli import main
+from qlan.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args, capsys):
@@ -115,6 +119,95 @@ def test_config_file_bad_line(tmp_path, capsys):
     code, _, err = run_cli(["estimate", "--config", str(cfg)], capsys)
     assert code == 2
     assert "key=value" in err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("trails = 50", "unknown key 'trails'"),
+        ("format = xml", "format = 'xml'"),
+        ("truncate = flase", "truncate = 'flase'"),
+    ],
+)
+def test_config_file_values_are_checked(tmp_path, capsys, line, message):
+    """An unknown key, a value outside the flag's choices and a word that is
+    not a boolean each exit 2 and name the file line."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(
+        ["risk", "--n", "2000", "--trials", "60", "--config", str(cfg)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{cfg}:1: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "args, flags",
+    [
+        (["risk", "--n", "2000", "--n-list", "1000", "--trials", "60"], ("--n", "--n-list")),
+        (
+            ["hoeffding", "--eps", "0.15", "--eps-list", "0.3", "--n-list", "1000"],
+            ("--eps", "--eps-list"),
+        ),
+    ],
+)
+def test_shortcut_and_list_flag_conflict(capsys, args, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert all(f"argument {flag}" in err for flag in flags)
+
+
+def test_config_file_shortcut_keys(tmp_path, capsys):
+    """A file's shortcut key sets the one-element list, a key may be spelt
+    with a dash, a file may not give both forms, and a boolean word is read."""
+    cfg = tmp_path / "eps.cfg"
+    cfg.write_text("eps = 0.15\nn-list = 1000\n")
+    rest = ["--trials", "500", "--seed", "3"]
+    code, from_file, _ = run_cli(["hoeffding", "--config", str(cfg), *rest], capsys)
+    assert code == 0
+    from_flags = run_cli(["hoeffding", "--eps", "0.15", "--n-list", "1000", *rest], capsys)[1]
+    assert from_file == from_flags
+
+    both = tmp_path / "both.cfg"
+    both.write_text("n = 2000\nn_list = 1000\n")
+    code, out, err = run_cli(["risk", "--trials", "60", "--config", str(both)], capsys)
+    assert code == 2 and out == ""
+    assert f"{both}:2: 'n_list'" in err and "'n'" in err
+
+    off = tmp_path / "off.cfg"
+    off.write_text("truncate = off\nn = 2000\n")
+    code, out, _ = run_cli(["risk", "--trials", "60", "--config", str(off)], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["truncate"] is False
+
+
+def test_estimate_is_json_only(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--format", "csv"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "csv.cfg"
+    cfg.write_text("format = csv\n")
+    code, out, err = run_cli(["estimate", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert "format" in err
+
+
+def test_readme_cli_lines_parse():
+    """Every ``qlan`` line of the README's CLI block names existing flags
+    (parsed only, not run)."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [ln.split("#", 1)[0].strip() for ln in block.splitlines()]
+    lines = [ln for ln in lines if ln.startswith("qlan ")]
+    assert len(lines) >= 5
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
 
 
 def test_estimate_output_fields(capsys):
