@@ -48,8 +48,20 @@ def _parse_triple(text: str) -> tuple:
     return tuple(float(p) for p in parts)
 
 
+def _parse_int(text: str) -> int:
+    """An integer, also in exponent form (1e6); 2.7 and 1e400 are refused."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer():  # also inf and nan
+        problem = "overflows" if math.isinf(value) else "is not an integer"
+        raise argparse.ArgumentTypeError(f"{text!r} {problem}")
+    return int(value)
+
+
 def _parse_int_list(text: str) -> tuple:
-    return tuple(int(float(p)) for p in text.split(","))
+    return tuple(_parse_int(p) for p in text.split(","))
 
 
 def _parse_float_list(text: str) -> tuple:
@@ -75,7 +87,6 @@ FLAGS = {
     "eps_list": (_parse_float_list, None, "comma-separated localization exponents"),
     "eta": (float, None, "truncation exponent: local components above 3 n^eta are cut"),
     "kappa": (float, None, "stage 1 measures ceil(n^(1 - kappa)) qubits"),
-    "fock_dim": (int, None, "Fock cutoff of the exact sampler (default: automatic)"),
     "seed": (int, None, "random seed"),
     "truncate": (_parse_bool, None, "disable the 3 n^eta truncation (calibration runs)"),
     "loss": (str, ("trace", "fidelity", "local"), "loss function"),
@@ -295,15 +306,14 @@ COMMANDS = {
     }),
     "risk": (cmd_risk, "Monte Carlo local sup-risk benchmark", ("json", "csv"), ("n",), {
         "mu0": 0.75, "loss": "trace", "n_list": (10**6,), "trials": 10_000, "sampler": "gaussian",
-        "eps": 0.05, "eta": 0.08, "kappa": 0.05, "fock_dim": None, "seed": 20260801,
-        "truncate": True,
+        "eps": 0.05, "eta": 0.08, "kappa": 0.05, "seed": 20260801, "truncate": True,
     }),
     "qsde-check": (cmd_qsde_check, "collision model vs closed-form xi", ("csv", "json"), (), {
         "mu": 0.75, "n_list": (1000, 4000, 16_000), "t": 5.0, "collisions": 400, "eps": 0.25,
     }),
     "estimate": (cmd_estimate, "single two-stage estimation run", ("json",), (), {
         "mu0": 0.75, "u": (0.0, 0.0, 0.0), "n": 10_000, "sampler": "gaussian", "eps": 0.05,
-        "eta": 0.08, "kappa": 0.05, "fock_dim": None, "seed": 20260801,
+        "eta": 0.08, "kappa": 0.05, "seed": 20260801,
     }),
     "hoeffding": (cmd_hoeffding, "stage-1 large-deviation check", ("csv", "json"), ("eps",), {
         "mu0": 0.75, "n_list": (1000, 10_000, 100_000), "eps_list": (0.1, 0.2), "kappa": 0.1,

@@ -52,9 +52,9 @@ class EstimatorConfig:
     eps:   localization exponent entering the parameter-region radius.
     eta:   truncation exponent (raw components kept while |u| <= 3 n^eta).
     sampler: "gaussian" (limit distributions) or "exact" (block index +
-        heterodyne on the block state).
-    fock_dim: corner cutoff for exact-mode block states (default: enough
-        levels that the geometric population below 1e-14 is dropped).
+        heterodyne on the block state, its ladder cut where the geometric
+        weight falls below 1e-14).  Both draw a batch of trials as one
+        chunk.
     eps2: interior margin required of the rotated state's eigenvalue.
     truncate: disable only for calibration runs of the raw sampler.
     """
@@ -63,7 +63,6 @@ class EstimatorConfig:
     eps: float = 0.05
     eta: float = 0.08
     sampler: str = "gaussian"
-    fock_dim: int | None = None
     eps2: float = 0.05
     truncate: bool = True
 
@@ -234,7 +233,8 @@ def stage2_sample(
     exact sampler: draw the block index j, heterodyne the block state
     (long-time limit of the monitored field), rescale by
     1/sqrt(2 mu_tilde - 1), and read the energy observable plus the
-    smoothing kernel for g.  Columns are drawn one after the other.
+    smoothing kernel for g.  One ``u`` counts as ``size`` equal columns;
+    see :func:`_exact_stage2` for the order of the draws.
     """
     u_arr = np.asarray(u.as_array() if isinstance(u, LocalParams) else u, dtype=float)
     count = u_arr.shape[1] if u_arr.ndim == 2 else 1 if size is None else int(size)
@@ -246,44 +246,42 @@ def stage2_sample(
         ux = u_x + sd_xy * rng.standard_normal(count)
         uy = u_y + sd_xy * rng.standard_normal(count)
         g = u_z + np.sqrt(mu_u * (1.0 - mu_u)) * rng.standard_normal(count)
-    elif u_arr.ndim == 1:
-        ux, uy, g = _exact_stage2(params, LocalParams(*u_arr), config, rng, count)
     else:
-        mus = np.broadcast_to(params.mu, count)
-        draws = [
-            _exact_stage2(ModelParams(float(mu), params.n), LocalParams(*col), config, rng, 1)
-            for mu, col in zip(mus, u_arr.T)
-        ]
-        ux, uy, g = np.reshape(draws, (count, 3)).T
+        ux, uy, g = _exact_stage2(params, np.broadcast_to(u_arr.reshape(3, -1), (3, count)), rng)
     if size is None and u_arr.ndim == 1:
         return float(ux[0]), float(uy[0]), float(g[0])
     return ux, uy, g
 
 
-def _exact_stage2(params, u, config, rng, want):
-    n = params.n
+def _exact_stage2(params: ModelParams, u: np.ndarray, rng: np.random.Generator):
+    """Exact draws for the (3, B) columns ``u`` (``params.mu`` one or per
+    column).  Columns sharing (mu, u) form a group, in order of first
+    appearance; a group draws its block indices at once, then heterodynes
+    each block it hit.  The energy readouts and kernel noise of all columns
+    follow as one draw each, so B equal columns draw like one u B times."""
+    n, count = params.n, u.shape[1]
     rn = math.sqrt(n)
-    scale = 1.0 / math.sqrt(2.0 * params.mu - 1.0)
-    js = np.atleast_1d(sample_block_index(params, u, rng, size=want))
-    zs = np.empty(want, dtype=complex)
-    p_u = params.p_u(u)
-    for j in np.unique(js):
-        idx = np.flatnonzero(js == j)
-        d_full = int(round(2.0 * j)) + 1
-        if config.fock_dim is not None:
-            dim = min(d_full, config.fock_dim)
-        else:
-            dim = min(d_full, max(40, int(math.ceil(math.log(1e-14) / math.log(p_u)))))
-        sampler = HeterodyneSampler(block_state(params, u, j, dim=dim))
-        zs[idx] = sampler.sample(rng, size=len(idx))
-    ux = np.imag(zs) * scale
-    uy = -np.real(zs) * scale
+    mu = np.broadcast_to(params.mu, count)
+    groups = {}
+    for i, key in enumerate(zip(mu.tolist(), *u.tolist())):
+        groups.setdefault(key, []).append(i)
+    js = np.empty(count)
+    zs = np.empty(count, dtype=complex)
+    for (mu_g, *u_g), cols in groups.items():
+        model, u_loc = ModelParams(mu_g, n), LocalParams(*u_g)
+        cols = np.array(cols)
+        js[cols] = sample_block_index(model, u_loc, rng, size=len(cols))
+        cut = max(40, int(math.ceil(math.log(1e-14) / math.log(model.p_u(u_loc)))))
+        for j in np.unique(js[cols]):
+            at = cols[js[cols] == j]
+            rho = block_state(model, u_loc, j, dim=min(int(round(2.0 * j)) + 1, cut))
+            zs[at] = HeterodyneSampler(rho).sample(rng, size=len(at))
+    scale = 1.0 / np.sqrt(2.0 * mu - 1.0)
     # monitoring time n: the readout variance 1/(4n) is negligible next
     # to the block spread
-    x_e = energy_measurement_sample(params, js, float(n), rng, size=want)
-    kernel_sd = math.sqrt(0.5 / rn)
-    g = x_e - rn * (params.mu - 0.5) + rng.normal(0.0, kernel_sd, size=want)
-    return ux, uy, g
+    x_e = energy_measurement_sample(params, js, float(n), rng, size=count)
+    g = x_e - rn * (mu - 0.5) + rng.normal(0.0, math.sqrt(0.5 / rn), size=count)
+    return np.imag(zs) * scale, -np.real(zs) * scale, g
 
 
 def truncate_estimate(raw, eta: float, n: int):

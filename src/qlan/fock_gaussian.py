@@ -64,18 +64,17 @@ class GaussianLimitParams:
         return (1.0 - self.mu) / (4.0 * self.mu - 2.0)
 
 
-def default_fock_dim(beta: complex | float) -> int:
+def default_cutoff(beta: complex | float) -> int:
     """Cutoff policy: 40 covers displacements up to |beta|^2 ~ 7.5; larger
     displacements get ceil(10 + 4 |beta|^2)."""
     return max(DEFAULT_FOCK_DIM, int(math.ceil(10.0 + 4.0 * abs(beta) ** 2)))
 
 
 def _require_dim(beta: complex, dim: int) -> None:
-    need = int(math.ceil(10.0 + 4.0 * abs(beta) ** 2))
-    if dim < need:
+    if dim < math.ceil(10.0 + 4.0 * abs(beta) ** 2):
         raise ValueError(
             f"Fock cutoff dim = {dim} too small for displacement |beta| = "
-            f"{abs(beta):.3f}; use dim >= {max(need, DEFAULT_FOCK_DIM)}"
+            f"{abs(beta):.3f}; use dim >= {default_cutoff(beta)}"
         )
 
 
@@ -150,7 +149,7 @@ def displaced_thermal(
     """
     beta = gp.beta
     if dim is None:
-        dim = default_fock_dim(beta)
+        dim = default_cutoff(beta)
     _require_dim(beta, dim)
     if method == "displace":
         d = displacement_operator(beta, dim)

@@ -31,7 +31,7 @@ from scipy.special import ndtr
 
 from .fock_gaussian import (
     GaussianLimitParams,
-    default_fock_dim,
+    default_cutoff,
     displaced_thermal,
 )
 from .operator_core import embed_block
@@ -97,15 +97,6 @@ class ClassicalDensity:
     def var(self) -> float:
         m = self.mean()
         return float(np.trapezoid((self.x - m) ** 2 * self.values, self.x) / self.mass())
-
-    def l1_distance(self, other: "ClassicalDensity") -> float:
-        _check_same_grid(self.x, other.x)
-        return float(np.trapezoid(np.abs(self.values - other.values), self.x))
-
-
-def _check_same_grid(xa: np.ndarray, xb: np.ndarray) -> None:
-    if xa.shape != xb.shape or not np.allclose(xa, xb, rtol=0.0, atol=1e-9):
-        raise ValueError("hybrid states live on different classical grids")
 
 
 class CornerDistance(float):
@@ -230,7 +221,7 @@ def _limit_corner(gp: GaussianLimitParams) -> tuple[np.ndarray, float]:
     truncated displacement does not reach into the corner; the thermal
     weight beyond that cutoff, p^cutoff, is counted as tail.
     """
-    cutoff = 2 * default_fock_dim(gp.beta)
+    cutoff = 2 * default_cutoff(gp.beta)
     while True:
         phi = displaced_thermal(gp, cutoff)
         tail = np.append(np.cumsum(phi.diagonal().real[::-1])[::-1], 0.0) + gp.p**cutoff
@@ -314,7 +305,9 @@ def hybrid_trace_distance(a: HybridGaussianState, b: HybridGaussianState) -> Cor
     of one local parameter share their ``gauge``; in it the differences are
     real and cheaper to diagonalize.
     """
-    _check_same_grid(a.classical.x, b.classical.x)
+    xa, xb = a.classical.x, b.classical.x
+    if xa.shape != xb.shape or not np.allclose(xa, xb, rtol=0.0, atol=1e-9):
+        raise ValueError("hybrid states live on different classical grids")
     dim = max(a.dim, b.dim)
     # f_a rho_a - f_b rho_b at every x as one sum over both block lists
     coef = np.hstack([a.weights, -b.weights])

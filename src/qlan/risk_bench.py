@@ -5,10 +5,10 @@ around a reference state, runs the estimator at each grid point, and
 reports the supremum of the rescaled risk next to the asymptotic
 references: 8 mu0 - 4 mu0^2 for (rescaled squared) trace-norm loss and
 the equalized local quadratic loss, mu0 + 1/4 for fidelity loss.
-``pointwise_risk`` is the risk at one grid point for either sampler: it
-runs the batched :func:`full_estimate` chunk by chunk and scores the
-trials from their Bloch vectors (trace and fidelity losses) or local
-parameters (local loss).  ``hoeffding_check`` verifies the stage-1
+``pointwise_risk`` is the risk at one grid point: it runs the batched
+:func:`full_estimate` one chunk per batch, alike for both samplers, and
+scores the trials from their Bloch vectors (trace and fidelity losses)
+or local parameters (local loss).  ``hoeffding_check`` verifies the stage-1
 large-deviation bound cell by cell.  Batches are components first, as in
 :mod:`qlan.estimator`: B vectors form a ``(3, B)`` array.
 """
@@ -87,6 +87,9 @@ class RiskConfig:
                 f"mu0 = {self.mu0} outside (1/2, 1): the model requires an "
                 "eigenvalue strictly above 1/2"
             )
+        for n in self.n_list:
+            if not n >= 1:
+                raise ValueError(f"n = {n} in n_list: the number of qubits must be at least 1")
         if self.loss not in ("trace", "fidelity", "local"):
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.trials < self.batches:
@@ -149,13 +152,11 @@ def pointwise_risk(
 
     The trials fall into ``config.batches`` near-equal batches; the mean
     is that of all trials' losses, the stderr that of the batch means.
-    Random streams are children of the master seed keyed by ``cell`` (the
-    (n, grid point) indices).
-    The gaussian sampler runs each batch as one :func:`full_estimate`
-    chunk on its own stream; the exact sampler builds a heterodyne sampler
-    per trial, so it runs one trial per chunk, all on one stream.  The
-    counts are the trials outside the model (charged the failure loss),
-    with a truncated component, and with a clamped eigenvalue.
+    Each batch is one :func:`full_estimate` chunk, for either sampler, on
+    its own stream: a child of the master seed keyed by ``cell`` (the
+    (n, grid point) indices) and the batch number.  The counts are the
+    trials outside the model (charged the failure loss), with a truncated
+    component, and with a clamped eigenvalue.
     """
     cfg = config.validate()
     r_true = density_to_bloch(rho_true)
@@ -164,14 +165,10 @@ def pointwise_risk(
     fail = _failure_loss(cfg, _grid_max_sq(cfg, n)) * (1.0 if cfg.loss == "local" else n_rest)
     per, rem = divmod(cfg.trials, cfg.batches)
     sizes = [per + (1 if b < rem else 0) for b in range(cfg.batches)]
-    if cfg.estimator.sampler == "gaussian":
-        chunks = [(size, _batch_rng(cfg.seed, *cell, b)) for b, size in enumerate(sizes)]
-    else:
-        chunks = [(1, _batch_rng(cfg.seed, *cell, 10_000))] * cfg.trials
     losses = []
     counts = {"failures": 0, "truncated": 0, "clamped": 0}
-    for size, rng in chunks:
-        res = full_estimate(rho_true, n, cfg.estimator, rng, size=size)
+    for b, size in enumerate(sizes):
+        res = full_estimate(rho_true, n, cfg.estimator, _batch_rng(cfg.seed, *cell, b), size=size)
         if cfg.loss == "local":
             loss = loss_local(res.u_true_local, res.u_hat, mu_weight)
         elif cfg.loss == "trace":

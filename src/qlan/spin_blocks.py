@@ -45,10 +45,6 @@ class LocalParams:
     uy: float
     uz: float
 
-    @property
-    def xy(self) -> tuple[float, float]:
-        return (self.ux, self.uy)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.ux, self.uy, self.uz], dtype=float)
 

@@ -2,12 +2,13 @@
 
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qlan.cli import build_parser, main
+from qlan.cli import COMMANDS, FLAGS, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,6 +26,38 @@ def test_risk_rejects_degenerate_mu0(capsys):
     assert code == 2
     assert out == ""
     assert "mu0" in err and "1/2" in err
+
+
+def test_risk_rejects_n_below_one(capsys):
+    """n = 0 is refused up front, by name, before numpy divides by it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["risk", "--n", "0", "--trials", "60"], capsys)
+    assert code == 2 and out == ""
+    assert "n = 0" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("2.7", "'2.7' is not an integer"), ("1000,1e400", "'1e400' overflows")],
+)
+def test_n_list_takes_exact_integers(capsys, text, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["risk", "--n-list", text, "--trials", "60"])
+    assert exc.value.code == 2
+    assert f"argument --n-list: {message}" in capsys.readouterr().err
+    assert build_parser().parse_args(["risk", "--n-list", "1e3,2000"]).n_list == (1000, 2000)
+
+
+def test_every_flag_row_is_used(capsys):
+    """Each FLAGS row serves some subcommand, and a deleted knob's flag is
+    refused."""
+    used = {key for *_, shortcuts, defaults in COMMANDS.values() for key in (*shortcuts, *defaults)}
+    assert set(FLAGS) <= used
+    with pytest.raises(SystemExit) as exc:
+        main(["risk", "--fock-dim", "16"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_lan_dist_csv_structure(capsys):

@@ -181,14 +181,24 @@ def test_exact_sampler_centered():
 def test_exact_sampler_reproducible():
     params = ModelParams(0.75, 400)
     u = LocalParams(0.8, -0.5, 0.6)
-    # capped corner dimension keeps the per-block setup cheap; the RNG
-    # consumption pattern is the same as in the full-dimension path
-    cfg = EstimatorConfig(sampler="exact", fock_dim=12)
+    cfg = EstimatorConfig(sampler="exact")
     a = stage2_sample(params, u, cfg, np.random.default_rng(7), size=400)
     b = stage2_sample(params, u, cfg, np.random.default_rng(7), size=400)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
     assert a[0].shape == (400,)
+
+
+def test_exact_columns_draw_like_one_u():
+    """B equal columns, with one reference eigenvalue per column, are one
+    group: they draw bit for bit what one u drawn B times does."""
+    u = LocalParams(0.8, -0.5, 0.6)
+    cfg = EstimatorConfig(sampler="exact")
+    one = stage2_sample(ModelParams(0.75, 400), u, cfg, np.random.default_rng(11), size=50)
+    cols = np.repeat(u.as_array()[:, None], 50, axis=1)
+    batch = stage2_sample(ModelParams(np.full(50, 0.75), 400), cols, cfg, np.random.default_rng(11))
+    for x, y in zip(one, batch):
+        assert np.array_equal(x, y)
 
 
 def test_config_validation():

@@ -19,7 +19,7 @@ from qlan.fock_gaussian import (
     HeterodyneSampler,
     coherent_matrix,
     coherent_vector,
-    default_fock_dim,
+    default_cutoff,
     displaced_thermal,
     displacement_operator,
     q_function,
@@ -124,9 +124,9 @@ def test_q_function_vacuum_and_mass():
     assert mass == pytest.approx(1.0, abs=1e-6)
 
 
-def test_default_fock_dim_policy():
-    assert default_fock_dim(0.0) == 40
-    assert default_fock_dim(4.0) == int(math.ceil(10 + 4 * 16))
+def test_default_cutoff_policy():
+    assert default_cutoff(0.0) == 40
+    assert default_cutoff(4.0) == int(math.ceil(10 + 4 * 16))
     # |beta| = sqrt(0.5) * 6 needs dim 82 > 40: must refuse the cutoff
     with pytest.raises(ValueError, match="dim"):
         displaced_thermal(

@@ -153,11 +153,11 @@ def test_gaussian_pointwise_risk_matches_recorded(key):
     assert counts["failures"] == 0
 
 
-# The first two exact-sampler trials at the centre point of the exact-risk
-# benchmark (mu0 = 0.75, n = 10^6, default seed): stage-1 Bloch vector,
-# mu_tilde and u_raw, recorded from the polar heterodyne sampler.  Trial 1's
-# stage-1 values precede any heterodyne draw and are those of the earlier
-# samplers too.
+# Two single exact-sampler trials, one after the other on one stream, at
+# the centre point of the exact-risk benchmark (mu0 = 0.75, n = 10^6,
+# default seed): stage-1 Bloch vector, mu_tilde and u_raw, recorded from
+# the polar heterodyne sampler.  Trial 1's stage-1 values precede any
+# heterodyne draw and are those of the earlier samplers too.
 EXACT_RECORDED = [
     (
         [-0.0008439929846824068, 0.0038009613139953213, 0.4972644886329627],
@@ -293,21 +293,26 @@ def test_hoeffding_rows():
     assert tight["empirical"] < tight["bound"] < 0.05
 
 
-def test_local_sup_risk_sampler_dispatch():
-    """The exact sampler runs one trial per chunk."""
+def test_exact_risk_runs_the_gaussian_chunks():
+    """The exact sampler's risk is recounted batch by batch from
+    full_estimate on the chunk sizes and streams of the gaussian sampler."""
     cfg = RiskConfig(
         mu0=0.75,
         loss="local",
-        n_list=(400,),
-        trials=40,
-        batches=8,
-        radii=(0.0,),
-        estimator=EstimatorConfig(sampler="exact", fock_dim=16),
+        n_list=(10**4,),
+        trials=14,
+        batches=4,
+        estimator=EstimatorConfig(sampler="exact"),
     )
-    rep = local_sup_risk(cfg)
-    assert len(rep.rows) == 1
-    assert rep.rows[0]["trials"] == 40
-    assert np.isfinite(rep.rows[0]["mean"])
+    rho = _true_state(0.75, np.array([0.3, -0.4, 0.2]), 10**4)
+    mean, _, counts = pointwise_risk(rho, 10**4, cfg, (0, 5))
+    assert counts["failures"] == 0
+    mu_weight = 0.5 * (1.0 + np.linalg.norm(density_to_bloch(rho)))
+    losses = []
+    for b, size in enumerate((4, 4, 3, 3)):
+        res = full_estimate(rho, 10**4, cfg.estimator, _batch_rng(cfg.seed, 0, 5, b), size=size)
+        losses.append(loss_local(res.u_true_local, res.u_hat, mu_weight))
+    assert mean == pytest.approx(np.mean(np.concatenate(losses)), rel=1e-12)
 
 
 # (loss, mu0, n, point in units of n^eps, truncate) -> pointwise_risk's
@@ -404,7 +409,7 @@ def test_risk_pipeline_is_bitwise_pinned():
     rho = _true_state(0.75, np.array([0.3, -0.4, 0.2]), 10**4)
     for cfg, seed, want in (
         (EstimatorConfig(), 123, GAUSSIAN_TRIAL_PINNED),
-        (EstimatorConfig(sampler="exact", fock_dim=16), 321, EXACT_TRIAL_PINNED),
+        (EstimatorConfig(sampler="exact"), 321, EXACT_TRIAL_PINNED),
     ):
         res = full_estimate(rho, 10**4, cfg, np.random.default_rng(seed))
         got = (res.r_hat.tolist(), tuple(res.u_hat.as_array().tolist()), res.u_raw)
