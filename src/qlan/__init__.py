@@ -23,9 +23,7 @@ from .spin_blocks import (
     block_state,
     local_qubit_state,
     multiplicity,
-    rotation_unitary,
     sample_block_index,
-    spin_matrices,
     typical_set,
 )
 from .fock_gaussian import (

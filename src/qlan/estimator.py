@@ -20,7 +20,7 @@ chain once, on a batch of one for a single trial or on ``size`` columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -34,6 +34,7 @@ from .spin_blocks import (
     block_state,
     sample_block_index,
 )
+from .tolerances import SAMPLER_TAIL_MASS
 
 
 class OutsideModelError(RuntimeError):
@@ -52,9 +53,9 @@ class EstimatorConfig:
     eps:   localization exponent entering the parameter-region radius.
     eta:   truncation exponent (raw components kept while |u| <= 3 n^eta).
     sampler: "gaussian" (limit distributions) or "exact" (block index +
-        heterodyne on the block state, its ladder cut where the geometric
-        weight falls below 1e-14).  Both draw a batch of trials as one
-        chunk.
+        heterodyne on the block state's certified corner, which leaves at
+        most ``SAMPLER_TAIL_MASS`` outside).  Both draw a batch of trials as
+        one chunk.
     eps2: interior margin required of the rotated state's eigenvalue.
     truncate: disable only for calibration runs of the raw sampler.
     """
@@ -111,13 +112,15 @@ class Stage1Result:
     r_proj: np.ndarray  # radially projected into the ball
     mu_tilde: np.ndarray
     n_tilde: int
+    # |r_proj|, when stage1 has already taken it
+    proj_norm: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def frame(self) -> tuple:
         """(wx, wy, den, flip) of R, built once from ``r_proj``: R turns about
         w = d x e_z, d the unit direction, and den = 1 + d_z.  R is the
         identity for a zero direction and diag(1, -1, -1) on the -z axis."""
-        nrm = _norm(self.r_proj)
+        nrm = _norm(self.r_proj) if self.proj_norm is None else self.proj_norm
         dx, dy, c = self.r_proj / np.where(nrm < 1e-15, np.inf, nrm)  # 0 -> R = 1
         wx, wy = dy, -dx
         # below the equator 1 + c = |w|^2 / (1 - c), which does not cancel near -z
@@ -158,7 +161,10 @@ def stage1(
     over = nrm > 1.0
     r_proj = r_raw / np.where(over, nrm, 1.0) if np.any(over) else r_raw
     mu_tilde = 0.5 * (1.0 + np.minimum(nrm, 1.0))
-    return Stage1Result(r_raw, r_proj, mu_tilde, int(n_tilde))
+    s1 = Stage1Result(r_raw, r_proj, mu_tilde, int(n_tilde))
+    if r_proj is r_raw:
+        s1.proj_norm = nrm
+    return s1
 
 
 def localize_frame(
@@ -258,7 +264,11 @@ def _exact_stage2(params: ModelParams, u: np.ndarray, rng: np.random.Generator):
     column).  Columns sharing (mu, u) form a group, in order of first
     appearance; a group draws its block indices at once, then heterodynes
     each block it hit.  The energy readouts and kernel noise of all columns
-    follow as one draw each, so B equal columns draw like one u B times."""
+    follow as one draw each, so B equal columns draw like one u B times.
+
+    A block is heterodyned on its certified corner (``block_state`` at
+    ``SAMPLER_TAIL_MASS`` = t), so each draw is within 2 sqrt(t) + t in
+    total variation of the block state's own heterodyne law."""
     n, count = params.n, u.shape[1]
     rn = math.sqrt(n)
     mu = np.broadcast_to(params.mu, count)
@@ -271,10 +281,9 @@ def _exact_stage2(params: ModelParams, u: np.ndarray, rng: np.random.Generator):
         model, u_loc = ModelParams(mu_g, n), LocalParams(*u_g)
         cols = np.array(cols)
         js[cols] = sample_block_index(model, u_loc, rng, size=len(cols))
-        cut = max(40, int(math.ceil(math.log(1e-14) / math.log(model.p_u(u_loc)))))
         for j in np.unique(js[cols]):
             at = cols[js[cols] == j]
-            rho = block_state(model, u_loc, j, dim=min(int(round(2.0 * j)) + 1, cut))
+            rho = block_state(model, u_loc, j, tail=SAMPLER_TAIL_MASS)
             zs[at] = HeterodyneSampler(rho).sample(rng, size=len(at))
     scale = 1.0 / np.sqrt(2.0 * mu - 1.0)
     # monitoring time n: the readout variance 1/(4n) is negligible next

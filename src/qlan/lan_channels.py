@@ -29,11 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .fock_gaussian import (
-    GaussianLimitParams,
-    default_cutoff,
-    displaced_thermal,
-)
+from .fock_gaussian import GaussianLimitParams
 from .operator_core import embed_block
 from .spin_blocks import (
     LocalParams,
@@ -42,6 +38,7 @@ from .spin_blocks import (
     block_corners,
     block_pmf_window,
     classical_coordinate,
+    ladder_corner,
     typical_set,
     valid_j_values,
 )
@@ -213,23 +210,18 @@ def covering_grid(params: ModelParams, center: float, g_lo: float, g_hi: float) 
 
 
 def _limit_corner(gp: GaussianLimitParams) -> tuple[np.ndarray, float]:
-    """The displaced thermal state on its first D Fock levels, the fewest
-    that leave at most ``CORNER_TAIL_MASS`` outside, and the mass left
-    outside.
+    """The displaced thermal state on its certified corner and the mass it
+    leaves outside (at most ``CORNER_TAIL_MASS``).
 
-    It is built at a Fock cutoff of at least twice the corner, so that the
-    truncated displacement does not reach into the corner; the thermal
-    weight beyond that cutoff, p^cutoff, is counted as tail.
+    It is the Gibbs state of the displaced number operator D a^dag a D^dag,
+    which in the gauge chi = arg(beta) has diagonal k + |beta|^2 and
+    off-diagonal -|beta| sqrt(k), so :func:`ladder_corner` builds it from
+    the top of the ladder.
     """
-    cutoff = 2 * default_cutoff(gp.beta)
-    while True:
-        phi = displaced_thermal(gp, cutoff)
-        tail = np.append(np.cumsum(phi.diagonal().real[::-1])[::-1], 0.0) + gp.p**cutoff
-        fits = np.flatnonzero(tail <= CORNER_TAIL_MASS)
-        size = int(fits[0]) if fits.size else cutoff
-        if 2 * size <= cutoff:
-            return phi[:size, :size], float(tail[size])
-        cutoff = 2 * size
+    b = abs(gp.beta)
+    return ladder_corner(
+        gp.p, math.inf, 1.0, b * b, lambda k: b * np.sqrt(k), gp.u.phase_angle, CORNER_TAIL_MASS
+    )
 
 
 def gaussian_limit(

@@ -6,8 +6,15 @@ symmetric/antisymmetric structure of ``(C^2)^{(x)n}``: a classical index
 ``j`` (total spin) occurring with multiplicity ``n_j``, and inside each
 block a ``(2j+1)``-dimensional state that is a rotated, truncated geometric
 (thermal-like) state.  This module provides the exact block probabilities,
-block states, spin operators, and the typical-``j`` window used everywhere
-else in the package.
+the typical-``j`` window used everywhere else in the package, and the block
+states.
+
+The top of each block behaves as an oscillator mode: a block state, and the
+displaced thermal state it tends to, are Gibbs weights on the eigenvectors
+of a rotated excitation count, a real tridiagonal matrix with spectrum
+0, 1, 2, ...  :func:`ladder_corner` builds any such state on its certified
+Fock corner from the top of the ladder alone, at a cost that does not grow
+with the block; every block and limit state in the package comes from it.
 
 Conventions
 -----------
@@ -280,156 +287,114 @@ def sample_block_index(params: ModelParams, u, rng: np.random.Generator, size=No
     return float(out) if size is None else out
 
 
-def spin_matrices(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(J_x, J_y, J_z) for spin j in the basis |j, m>, m = j, j-1, ..., -j.
+def ladder_corner(
+    p: float, levels: float, scale: float, offset: float, coupling, chi: float, tail: float
+) -> tuple[np.ndarray, float]:
+    """Certified corner of a Gibbs state on a rotated excitation ladder.
 
-    Equivalently: row/column k = j - m counts excitations, and J_+ lowers k
-    with matrix element sqrt(k (2j + 1 - k)).
+    The state is sum_k w_k (R e_k)(R e_k)^dag, k < ``levels`` (``math.inf``
+    for an oscillator), with weights w_k = (1 - p) p^k / (1 - p^levels) on
+    the eigenvectors of the rotated excitation count R K R^dag, K = sum_k
+    k |k><k|.  In the gauge diag(e^{i chi k}) that operator is the real
+    tridiagonal T with diagonal ``scale * k + offset`` and off-diagonal
+    ``-coupling(k)`` between levels k - 1 and k.  Returns the state on its
+    first D levels (phased back out of the gauge), D the fewest that leave
+    at most ``tail`` outside, and that tail.
+
+    Only the K leading vectors, which leave about ``tail / 2`` of the
+    weight out, are built: by inverse iteration at their known eigenvalues
+    k on the leading M x M block T_M of T, shifted by ``-offset`` so that
+    LAPACK's cluster test (eigenvalues within 1e-3 ||T_M||) does not
+    reorthogonalize them all.  Zero-padded, a vector of T_M has residual
+    r = coupling(M) |z_{M-1}| in T, whose eigenvalues are spaced by 1, so
+    by the sin theta theorem (Davis and Kahan 1970; Parlett, *The Symmetric
+    Eigenvalue Problem*, section 11) its angle to R e_k is at most
+    r / (1 - r).  M grows until the certificate sum_k w_k 2 r_k / (1 - r_k),
+    a trace-norm bound on the built state's error, is below ``tail / 16``.
+    The reported tail adds it and the weight never built to the discarded
+    amplitudes, so it bounds the true tail, and the gentle-measurement
+    bound 2 sqrt(t) + t covers the whole construction (rounding aside).
     """
-    tj = int(round(2.0 * float(j)))
-    if abs(2.0 * float(j) - tj) > 1e-9 or tj < 0:
-        raise ValueError(f"j = {j} is not a nonnegative half-integer")
-    d = tj + 1
-    k = np.arange(1, d, dtype=float)
-    raise_elem = np.sqrt(k * (tj + 1.0 - k))  # <k-1| J_+ |k>
-    jp = np.zeros((d, d), dtype=complex)
-    jp[np.arange(d - 1), np.arange(1, d)] = raise_elem
-    jm = jp.conj().T
-    jx = 0.5 * (jp + jm)
-    jy = -0.5j * (jp - jm)
-    jz = np.diag((tj / 2.0) - np.arange(d, dtype=float)).astype(complex)
-    return jx, jy, jz
+    log_p = math.log(p)
+    top = math.exp(levels * log_p)  # 0 for the oscillator
+    norm = 1.0 - top
+    n_vec = int(min(levels, max(1, math.ceil(math.log(0.5 * tail * norm + top) / log_p))))
+    rest = (math.exp(n_vec * log_p) - top) / norm if n_vec < levels else 0.0
+    w = (1.0 - p) / norm * np.exp(np.arange(n_vec) * log_p)
+
+    def certificate(res: np.ndarray) -> float:
+        """Trace-norm bound sum_k w_k 2 sin(angle_k) from the residuals."""
+        return 2.0 * float(w @ np.where(res < 0.5, res / (1.0 - res), 1.0))
+
+    # e_k itself has residual |(scale - 1) k + offset| + coupling(k) +
+    # coupling(k + 1), so a rotation too weak to move it needs no solve
+    k = np.arange(n_vec + 1, dtype=float)
+    b = np.append(0.0, coupling(k[1:]))
+    z, cert = np.eye(n_vec), certificate(np.abs((scale - 1.0) * k[:-1] + offset) + b[:-1] + b[1:])
+    size = int(min(levels, 2 * n_vec))
+    while cert > tail / 16.0:
+        k = np.arange(size, dtype=float)
+        split = np.zeros(size, dtype=np.int32)
+        split[0] = size  # one unreduced block
+        z, info = lapack.dstein(
+            scale * k, -coupling(k[1:]), k[:n_vec] - offset, np.ones(size, dtype=np.int32), split
+        )
+        if info != 0:
+            raise np.linalg.LinAlgError(f"inverse iteration did not converge (info = {info})")
+        cert = 0.0 if size == levels else certificate(coupling(float(size)) * np.abs(z[-1]))
+        size = int(min(levels, 2 * size))
+    # profile[D] bounds the tail outside the first D levels, D = 0 .. len(z)
+    profile = np.append(np.cumsum(((z * z) @ w)[::-1])[::-1], 0.0) + (rest + cert)
+    dim = int(np.argmax(profile <= tail))
+    phase = np.exp(1j * chi * np.arange(dim))
+    corner = ((z[:dim] * w) @ z[:dim].T) * np.outer(phase, phase.conj())
+    return corner, float(profile[dim])
 
 
-def _corner_xy(tj: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """J_x, J_y restricted to the first ``dim`` levels of the k-ladder."""
-    k = np.arange(1, dim, dtype=float)
-    raise_elem = np.sqrt(k * (tj + 1.0 - k))
-    jp = np.zeros((dim, dim), dtype=complex)
-    jp[np.arange(dim - 1), np.arange(1, dim)] = raise_elem
-    jm = jp.conj().T
-    return 0.5 * (jp + jm), -0.5j * (jp - jm)
-
-
-def rotation_unitary(j, v) -> np.ndarray:
-    """exp(2i (v_x J_x + v_y J_y)) for spin j, v = (v_x, v_y).
-
-    Computed through the eigendecomposition of the Hermitian generator, so
-    the result is unitary to rounding for any spin size.
-    """
-    vx, vy = float(v[0]), float(v[1])
-    jx, jy, _ = spin_matrices(j)
-    return _expm_i_herm(2.0 * (vx * jx + vy * jy))
-
-
-def _expm_i_herm(h: np.ndarray) -> np.ndarray:
-    w, vmat = np.linalg.eigh(h)
-    return (vmat * np.exp(1j * w)) @ vmat.conj().T
-
-
-def block_state(params: ModelParams, u, j, dim: int | None = None) -> np.ndarray:
-    """State inside the spin-j block for local parameter u.
-
-    A geometric distribution (ratio ``p_u``) over the k-ladder, truncated at
-    the block dimension and normalized, conjugated by the block rotation
-    ``exp(2i (u_x J_x + u_y J_y) / sqrt(n))``.
-
-    ``dim`` (optional, <= 2j+1) keeps only the first ``dim`` levels of the
-    ladder — a corner truncation for large blocks whose population decays
-    geometrically; the kept weights are renormalized.
-    """
-    u = as_local(u)
+def _block_corner(params: ModelParams, u: LocalParams, j, tail: float):
+    """``ladder_corner`` of block j: R = exp(2i (v_x J_x + v_y J_y)), v =
+    u / sqrt(n), and R (j - J_z) R^dag in the gauge has diagonal
+    cos(theta) k + 2 sin^2(theta / 2) j and off-diagonal
+    -sin(theta) |<k-1|J_+|k>| / 2, theta = 2 |v|."""
     tj = _two_j(params.n, j)
-    d_full = tj + 1
-    if dim is None:
-        dcut = d_full
-    else:
-        if dim < 1 or dim > d_full:
-            raise ValueError(f"dim = {dim} outside [1, 2j+1] = [1, {d_full}]")
-        dcut = int(dim)
-    p = params.p_u(u)
-    log_w = np.arange(dcut, dtype=float) * math.log(p)
-    w = np.exp(log_w)
-    # for dcut = 2j+1 this is exactly (1-p) p^k / (1 - p^(2j+1))
-    w /= w.sum()
-    vx = u.ux / math.sqrt(params.n)
-    vy = u.uy / math.sqrt(params.n)
-    if vx == 0.0 and vy == 0.0:
-        return np.diag(w).astype(complex)
-    jx, jy = _corner_xy(tj, dcut)
-    r = _expm_i_herm(2.0 * (vx * jx + vy * jy))
-    return (r * w) @ r.conj().T
+    theta = 2.0 * math.hypot(u.ux, u.uy) / math.sqrt(params.n)
+    half_sin = 0.5 * math.sin(theta)
+    return ladder_corner(
+        params.p_u(u),
+        tj + 1,
+        math.cos(theta),
+        math.sin(0.5 * theta) ** 2 * tj,
+        lambda k: half_sin * np.sqrt(k * (tj + 1.0 - k)),
+        u.phase_angle,
+        tail,
+    )
+
+
+def block_state(params: ModelParams, u, j, tail: float = CORNER_TAIL_MASS) -> np.ndarray:
+    """Block j's state for local parameter u on its certified corner.
+
+    The state is the geometric distribution (ratio ``p_u``) over the
+    k-ladder of the 2j + 1 levels, conjugated by the block rotation
+    ``exp(2i (u_x J_x + u_y J_y) / sqrt(n))``.  It is kept on its first D
+    levels, the fewest that leave at most ``tail`` outside
+    (:func:`ladder_corner`); a block narrower than that is returned whole.
+    """
+    return _block_corner(params, as_local(u), j, tail)[0]
 
 
 def block_corners(params: ModelParams, u, js) -> tuple[np.ndarray, np.ndarray]:
     """Corners P_j rho_j P_j of the block states, each on its own first D_j
-    ladder levels.
-
-    D_j is the smallest size at which block j's tail mass
-    tr((1 - P_j) rho_j) is at most ``CORNER_TAIL_MASS``.  The blocks are
-    built one at a time and only their corners kept; the corners are then
-    zero-padded to the widest, D = max D_j.  Returns ``(corners, tails)``
-    of shapes (len(js), D, D) and (len(js),).
-
-    rho_j = R diag(w) R^dag is a function of the rotated spin component
-    R J_z R^dag, a tridiagonal matrix whose eigenvalue j - k has eigenvector
-    R e_k.  Only the K vectors whose geometric weights exceed
-    ``CORNER_TAIL_MASS / 2`` are built, by inverse iteration at the known
-    eigenvalues: O(K (2j+1)) work per block instead of a full ``eigh``.
-    Each tail is summed from the discarded amplitudes, plus the weight of
-    the vectors never built, so it is an upper bound on the true tail.
+    ladder levels (``block_state`` at ``CORNER_TAIL_MASS``), zero-padded
+    to the widest, D = max D_j.  Returns ``(corners, tails)`` of shapes
+    (len(js), D, D) and (len(js),), ``tails`` each block's certified tail.
     """
     u = as_local(u)
-    p = params.p_u(u)
-    vx = u.ux / math.sqrt(params.n)
-    vy = u.uy / math.sqrt(params.n)
-    kept = []
-    tails = np.empty(len(js))
-    for i, j in enumerate(js):
-        z, w, phase, rest = _rotated_ladder(_two_j(params.n, j), p, vx, vy, u.phase_angle)
-        # profile[D] = tail mass outside the first D levels, D = 0 .. 2j+1
-        profile = np.append(np.cumsum(((z * z) @ w)[::-1])[::-1], 0.0) + rest
-        m = int(np.argmax(profile <= CORNER_TAIL_MASS))
-        kept.append(((z[:m] * w) @ z[:m].T) * np.outer(phase[:m], phase[:m].conj()))
-        tails[i] = profile[m]
-    dim = max(c.shape[0] for c in kept)
-    corners = np.empty((len(kept), dim, dim), dtype=complex)
-    for i, c in enumerate(kept):
+    built = [_block_corner(params, u, j, CORNER_TAIL_MASS) for j in js]
+    dim = max(c.shape[0] for c, _ in built)
+    corners = np.empty((len(built), dim, dim), dtype=complex)
+    for i, (c, _) in enumerate(built):
         corners[i] = embed_block(c, dim)
-    return corners, tails
-
-
-def _rotated_ladder(tj: int, p: float, vx: float, vy: float, chi: float):
-    """Leading rotated ladder vectors of the spin-(tj/2) block state.
-
-    Returns ``(z, w, phase, rest)``: R e_k = phase * z[:, k] up to a sign
-    for k < K, the block's normalized geometric weights ``w`` for k < K,
-    and ``rest``, the weight of the vectors left out (<= half the corner
-    tail budget).
-    """
-    d = tj + 1
-    w = np.exp(np.arange(d, dtype=float) * math.log(p))
-    w /= w.sum()
-    left = np.cumsum(w[::-1])[::-1]  # left[K] = sum_{k >= K} w_k
-    n_vec = int(np.count_nonzero(left > 0.5 * CORNER_TAIL_MASS))
-    rest = float(left[n_vec]) if n_vec < d else 0.0
-    levels = np.arange(d, dtype=float)
-    phase = np.exp(1j * chi * levels)
-    theta = 2.0 * math.hypot(vx, vy)
-    if theta == 0.0 or d == 1:
-        return np.eye(d, n_vec), w[:n_vec], phase, rest
-    # R J_z R^dag = cos(theta) J_z + sin(theta) (vx J_y - vy J_x) / |v|; the
-    # gauge diag(e^{i chi k}) makes its off-diagonal sin(theta) |<k-1|J_+|k>| / 2
-    k = levels[1:]
-    off = 0.5 * math.sin(theta) * np.sqrt(k * (tj + 1.0 - k))
-    diag = math.cos(theta) * (0.5 * tj - levels)
-    eigvals = 0.5 * tj - np.arange(n_vec - 1, -1, -1, dtype=float)  # ascending
-    split = np.zeros(d, dtype=np.int32)
-    split[0] = d  # one unreduced block
-    z, info = lapack.dstein(diag, off, eigvals, np.ones(d, dtype=np.int32), split)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"inverse iteration did not converge (info = {info})")
-    return z[:, ::-1], w[:n_vec], phase, rest
+    return corners, np.array([t for _, t in built])
 
 
 def local_qubit_state(mu: float, v) -> np.ndarray:
@@ -447,7 +412,12 @@ def local_qubit_state(mu: float, v) -> np.ndarray:
             "family leaves state space"
         )
     diag = np.diag([lam, 1.0 - lam]).astype(complex)
-    if v.ux == 0.0 and v.uy == 0.0:
+    a = math.hypot(v.ux, v.uy)
+    if a == 0.0:
         return diag
-    r = rotation_unitary(0.5, (v.ux, v.uy))
+    # exp(i a (n . sigma)) = cos(a) I + i sin(a) (n . sigma), n = (v_x, v_y, 0) / a
+    s = math.sin(a) / a
+    r = np.array(
+        [[math.cos(a), s * (v.uy + 1j * v.ux)], [s * (-v.uy + 1j * v.ux), math.cos(a)]]
+    )
     return r @ diag @ r.conj().T

@@ -33,6 +33,11 @@ WINDOW_TAIL_MASS = 1e-12
 # bounds the trace-norm cost of the cut by 2 sqrt(eps) + eps per unit mass.
 CORNER_TAIL_MASS = 1e-24
 
+# Mass the exact sampler's block corners may leave outside: each heterodyne
+# draw is then within 2 sqrt(eps) + eps ~ 2e-7 in total variation of the
+# block's own, at about 60% of the levels CORNER_TAIL_MASS needs.
+SAMPLER_TAIL_MASS = 1e-14
+
 # Allowed deviation of a classical grid density from unit mass.
 GRID_MASS_TOL = 1e-6
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
+from fullspace import block_state
 from qlan.fock_gaussian import displaced_thermal
 from qlan.lan_channels import ClassicalDensity, HybridGaussianState
 from qlan.operator_core import embed_block
@@ -21,7 +22,6 @@ from qlan.spin_blocks import (
     ModelParams,
     as_local,
     block_pmf_window,
-    block_state,
     classical_coordinate,
     typical_set,
     valid_j_values,

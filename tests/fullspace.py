@@ -1,4 +1,5 @@
-"""Brute-force n-qubit decomposition oracle (n <= 8 or so).
+"""Brute-force n-qubit decomposition oracle (n <= 8 or so), and dense
+block states.
 
 Builds the isotypic isometries of the collective SU(2) action on
 (C^2)^{(x) n} directly: for each total spin j the highest-weight subspace
@@ -6,13 +7,22 @@ is recovered as the joint null space of S_+ and (S_z - j), and ladder
 orbits of S_- provide an orthonormal basis of each irreducible block.
 No combinatorial shortcuts are taken, so agreement with the package's
 block machinery is a genuine two-route check.
+
+The package keeps every block state on a certified corner built from the
+top of its ladder.  Two oracles build the whole block instead:
+:func:`block_state` rotates it densely with the spin matrices (O((2j+1)^3),
+small j only), and :func:`full_ladder_state` runs inverse iteration on the
+full 2j + 1 levels of the rotated ladder (any j up to a few thousand).
 """
 
 import math
 from functools import reduce
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.special import gammaln
+
+from qlan.spin_blocks import _two_j, as_local
 
 _HALF_X = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
 _HALF_Y = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
@@ -146,3 +156,76 @@ def block_probability_factored(params, u, j) -> tuple[float, float]:
         / (2.0 * mu - 1.0)
     )
     return float(np.exp(log_b)), float(k_factor)
+
+
+def spin_matrices(j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(J_x, J_y, J_z) for spin j in the basis |j, m>, m = j, j-1, ..., -j.
+
+    Equivalently: row/column k = j - m counts excitations, and J_+ lowers k
+    with matrix element sqrt(k (2j + 1 - k)).
+    """
+    tj = int(round(2.0 * float(j)))
+    if abs(2.0 * float(j) - tj) > 1e-9 or tj < 0:
+        raise ValueError(f"j = {j} is not a nonnegative half-integer")
+    d = tj + 1
+    k = np.arange(1, d, dtype=float)
+    jp = np.zeros((d, d), dtype=complex)
+    jp[np.arange(d - 1), np.arange(1, d)] = np.sqrt(k * (tj + 1.0 - k))
+    jm = jp.conj().T
+    jx = 0.5 * (jp + jm)
+    jy = -0.5j * (jp - jm)
+    jz = np.diag((tj / 2.0) - np.arange(d, dtype=float)).astype(complex)
+    return jx, jy, jz
+
+
+def rotation_unitary(j, v) -> np.ndarray:
+    """exp(2i (v_x J_x + v_y J_y)) for spin j, v = (v_x, v_y), through the
+    eigendecomposition of the Hermitian generator."""
+    jx, jy, _ = spin_matrices(j)
+    w, vmat = np.linalg.eigh(2.0 * (float(v[0]) * jx + float(v[1]) * jy))
+    return (vmat * np.exp(1j * w)) @ vmat.conj().T
+
+
+def block_state(params, u, j) -> np.ndarray:
+    """Block j's full (2j+1)-level state: the normalized geometric weights
+    p_u^k on the k-ladder, conjugated by the dense block rotation."""
+    u = as_local(u)
+    tj = _two_j(params.n, j)
+    w = params.p_u(u) ** np.arange(tj + 1, dtype=float)
+    rn = math.sqrt(params.n)
+    r = rotation_unitary(tj / 2.0, (u.ux / rn, u.uy / rn))
+    return (r * (w / w.sum())) @ r.conj().T
+
+
+def full_ladder_state(params, u, j, n_vec: int) -> np.ndarray:
+    """Block j's state from its n_vec leading rotated ladder vectors, each
+    built by inverse iteration on all 2j + 1 levels of the rotated
+    excitation count R (j - J_z) R^dag (no leading block, no certificate).
+
+    The diagonal is cos(theta) k and the eigenvalues k - 2 sin^2(theta/2) j:
+    the unshifted form cos(theta) (j - k) of R J_z R^dag rounds at j eps and
+    agrees with this one only to about 1e-14 in trace norm at n = 400.
+    """
+    u = as_local(u)
+    tj = _two_j(params.n, j)
+    d = tj + 1
+    n_vec = min(n_vec, d)
+    k = np.arange(d, dtype=float)
+    w = params.p_u(u) ** k
+    w /= w.sum()
+    theta = 2.0 * math.hypot(u.ux, u.uy) / math.sqrt(params.n)
+    if theta < 1e-30 or d == 1:
+        # inverse iteration on couplings this weak underflows its pivots;
+        # they move no entry by more than about 1e-27
+        z = np.eye(d, n_vec)
+    else:
+        off = -0.5 * math.sin(theta) * np.sqrt(k[1:] * (tj + 1.0 - k[1:]))
+        split = np.zeros(d, dtype=np.int32)
+        split[0] = d
+        shift = math.sin(0.5 * theta) ** 2 * tj
+        z, info = lapack.dstein(
+            math.cos(theta) * k, off, k[:n_vec] - shift, np.ones(d, dtype=np.int32), split
+        )
+        assert info == 0
+    phase = np.exp(1j * u.phase_angle * k)
+    return ((z * w[:n_vec]) @ z.T) * np.outer(phase, phase.conj())

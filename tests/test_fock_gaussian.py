@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import integrate, special, stats
 
 from dense_channels import mean_annihilation
+from fullspace import spin_matrices
 from qlan.fock_gaussian import (
     GaussianLimitParams,
     HeterodyneSampler,
@@ -26,7 +27,8 @@ from qlan.fock_gaussian import (
     thermal_state,
 )
 from qlan.operator_core import trace_norm_distance
-from qlan.spin_blocks import LocalParams, ModelParams, block_state, spin_matrices
+from qlan.spin_blocks import LocalParams, ModelParams, block_state
+from qlan.tolerances import SAMPLER_TAIL_MASS
 
 
 def sample_heterodyne(rho, rng, size=None):
@@ -217,7 +219,7 @@ def test_heterodyne_envelope_bounds_angle_density(parts, s, theta):
 
 def _rotated_block():
     params = ModelParams(0.75, 400)
-    return block_state(params, LocalParams(1.5, -1.0, 0.5), 100.0, dim=40)
+    return block_state(params, LocalParams(1.5, -1.0, 0.5), 100.0, tail=SAMPLER_TAIL_MASS)
 
 
 def test_heterodyne_radius_follows_gamma_mixture():

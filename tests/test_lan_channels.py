@@ -15,8 +15,9 @@ import pytest
 import dense_channels
 import qlan
 from fullspace import exact_block_weight
-from qlan.fock_gaussian import GaussianLimitParams
+from qlan.fock_gaussian import GaussianLimitParams, displaced_thermal
 from qlan.lan_channels import (
+    _limit_corner,
     BlockMixture,
     ClassicalDensity,
     CornerDistance,
@@ -107,6 +108,21 @@ def test_gaussian_limit_structure():
     assert state.classical.mean() == pytest.approx(0.3, abs=1e-9)
     assert state.classical.var() == pytest.approx(0.1875, abs=1e-8)
     assert dense_channels.mean_annihilation(state.blocks[0]) == pytest.approx(gp.beta, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "mu, u", [(0.8, (1.0, 1.0, 1.0)), (0.6, (1.0, 1.0, 0.3)), (0.75, (2.5, -2.5, 0.0))]
+)
+def test_limit_corner_matches_displaced_thermal(mu, u):
+    """Built from the top of the displaced number operator's ladder, the
+    limit corner is the dense displaced thermal state (three times as many
+    levels) cut to the same levels, and its tail bounds the dense one's."""
+    gp = GaussianLimitParams(mu, LocalParams(*u))
+    phi, tail = _limit_corner(gp)
+    dim = phi.shape[0]
+    dense = displaced_thermal(gp, 3 * dim)
+    assert np.abs(np.linalg.eigvalsh(phi - dense[:dim, :dim])).sum() <= 1e-13
+    assert float(dense.diagonal()[dim:].real.sum()) <= tail <= CORNER_TAIL_MASS
 
 
 def test_apply_t_classical_marginal_moments():

@@ -15,13 +15,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import fullspace
 from fullspace import (
     assemble_from_blocks,
     block_probability_factored,
     exact_block_weight,
+    full_ladder_state,
     isotypic_isometries,
+    rotation_unitary,
+    spin_matrices,
     tensor_power,
 )
+from qlan import spin_blocks
 from qlan.spin_blocks import (
     _outside_mass_bound,
     LocalParams,
@@ -31,15 +36,14 @@ from qlan.spin_blocks import (
     block_probability,
     block_state,
     classical_coordinate,
+    ladder_corner,
     local_qubit_state,
     multiplicity,
-    rotation_unitary,
     sample_block_index,
-    spin_matrices,
     typical_set,
     valid_j_values,
 )
-from qlan.tolerances import CORNER_TAIL_MASS
+from qlan.tolerances import CORNER_TAIL_MASS, SAMPLER_TAIL_MASS
 
 
 def test_model_params_validation():
@@ -263,15 +267,21 @@ def test_block_state_rotation_covariance():
 
 
 def test_block_state_corner_truncation():
-    params = ModelParams(0.75, 60)
-    j = 25.0
-    full = block_state(params, LocalParams.zero(), j)
-    cut = block_state(params, LocalParams.zero(), j, dim=12)
-    expect = np.diag(full)[:12].real.copy()
-    expect /= expect.sum()
-    assert np.allclose(np.diag(cut).real, expect, atol=1e-13)
-    with pytest.raises(ValueError):
-        block_state(params, LocalParams.zero(), j, dim=52)
+    """Unrotated, a block state is diagonal: its corner holds the normalized
+    geometric weights on the fewest levels that leave at most the tail out,
+    and a block narrower than that is returned whole."""
+    params = ModelParams(0.75, 400)
+    p = 1.0 / 3.0
+    for tail in (CORNER_TAIL_MASS, SAMPLER_TAIL_MASS):
+        cut = block_state(params, LocalParams.zero(), 100.0, tail=tail)
+        dim = cut.shape[0]
+        w = p ** np.arange(201.0)
+        w /= w.sum()
+        assert np.allclose(cut, np.diag(w[:dim]), rtol=1e-13, atol=0.0)
+        assert w[dim:].sum() <= tail < w[dim - 1 :].sum()
+    whole = block_state(ModelParams(0.75, 60), LocalParams.zero(), 10.0)
+    assert whole.shape == (21, 21)
+    assert np.trace(whole).real == pytest.approx(1.0, abs=1e-15)
 
 
 def test_block_state_trace_and_positivity():
@@ -353,22 +363,119 @@ def test_block_corners_match_dense_states(mu, u, n):
     corners, tails = block_corners(params, u, js)
     dim = corners.shape[1]
     for corner, tail, j in zip(corners, tails, js):
-        dense = block_state(params, u, j)
-        m = min(dim, dense.shape[0])
+        dense = fullspace.block_state(params, u, j)
+        m = block_state(params, u, j).shape[0]
+        assert m <= dense.shape[0]
         assert np.abs(corner[:m, :m] - dense[:m, :m]).max() <= 1e-12
         assert not corner[m:].any() and not corner[:, m:].any()
         # the reported tail adds the weight of ladder vectors never built
-        # (at most half the budget) to the discarded amplitudes
+        # (at most half the budget) and the leading block's certificate (at
+        # most a sixteenth) to the discarded amplitudes
         dense_tail = float(dense.diagonal()[m:].real.sum())
-        assert -1e-28 <= tail - dense_tail <= 0.5 * CORNER_TAIL_MASS
+        assert -1e-28 <= tail - dense_tail <= (0.5 + 1.0 / 16.0) * CORNER_TAIL_MASS
         assert tail <= CORNER_TAIL_MASS
 
 
+def _trace_norm(a: np.ndarray) -> float:
+    return float(np.abs(np.linalg.eigvalsh(a)).sum())
+
+
+def _n_exact(p: float, d: int) -> int:
+    """Ladder vectors the oracle builds: all of weight above ~1e-32."""
+    return min(d, int(math.ceil(math.log(1e-32) / math.log(p))))
+
+
+@settings(max_examples=10)
+@given(
+    mu=st.floats(0.7, 0.9),
+    u=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    n=st.integers(800, 2000),
+)
+def test_top_of_ladder_corners_match_the_full_ladder(mu, u, n):
+    """At the most likely block and two deviations either side, each corner
+    equals the full ladder's state cut to the same levels to 1e-14 in trace
+    norm, and its certified tail bounds the full ladder's tail.  The likely
+    block's leading block (if it needs a solve) is shorter than its
+    ladder."""
+    params = ModelParams(mu, n)
+    assume(0.5 < mu + u[2] / math.sqrt(n) < 1.0)
+    js, probs, _ = block_pmf_window(params, u)
+    mode = int(np.argmax(probs))
+    spread = int(2.0 * math.sqrt(n * mu * (1.0 - mu)))
+    dstein = spin_blocks.lapack.dstein
+    sizes = []
+
+    def spy(*args):
+        sizes.append(len(args[0]))
+        return dstein(*args)
+
+    for i in (mode, max(mode - spread, 0), min(mode + spread, len(js) - 1)):
+        j = js[i]
+        sizes.clear()
+        spin_blocks.lapack.dstein = spy
+        try:
+            corners, tails = block_corners(params, u, [j])
+        finally:
+            spin_blocks.lapack.dstein = dstein
+        d = int(round(2.0 * j)) + 1
+        if i == mode:
+            assert max(sizes, default=0) < d
+        full = full_ladder_state(params, u, j, _n_exact(params.p_u(u), d))
+        dim = corners.shape[1]
+        assert _trace_norm(corners[0] - full[:dim, :dim]) <= 1e-14
+        # unrotated, the two tails are the same geometric sum, rounded apart
+        assert float(full.diagonal()[dim:].real.sum()) <= tails[0] * (1.0 + 1e-12)
+        assert tails[0] <= CORNER_TAIL_MASS
+
+
+def test_short_leading_block_is_caught_by_the_certificate(monkeypatch):
+    """A too-short leading block is caught, never used: the first block is
+    twice as long as the vectors built, while this rotation carries those
+    vectors further down the ladder.  The state that block gives is off by
+    more than the tail budget; the certificate rejects it and the corner
+    comes from a longer block, which matches the full ladder."""
+    params, u, j = ModelParams(0.75, 2000), LocalParams(2.5, 2.5, 0.0), 499.0
+    dstein = spin_blocks.lapack.dstein
+    calls = []
+
+    def spy(*args):
+        out = dstein(*args)
+        calls.append(out[0])
+        return out
+
+    monkeypatch.setattr(spin_blocks.lapack, "dstein", spy)
+    corners, tails = block_corners(params, u, [j])
+    monkeypatch.undo()
+    full = full_ladder_state(params, u, j, _n_exact(params.p_u(u), 999))
+    short = calls[0]
+    size, n_vec = short.shape
+    assert size == 2 * n_vec and len(calls) >= 2 and calls[-1].shape[0] > size
+    # the rejected block's own state, built as the routine would have
+    p = params.p_u(u)
+    w = (1.0 - p) * p ** np.arange(n_vec)
+    phase = np.exp(1j * u.phase_angle * np.arange(size))
+    rejected = ((short * w) @ short.T) * np.outer(phase, phase.conj())
+    assert _trace_norm(rejected - full[:size, :size]) > 100.0 * CORNER_TAIL_MASS
+    dim = corners.shape[1]
+    assert _trace_norm(corners[0] - full[:dim, :dim]) <= 1e-14
+    assert tails[0] <= CORNER_TAIL_MASS
+
+
+def test_ladder_corner_of_an_unrotated_oscillator_is_thermal():
+    """No coupling: the corner is the thermal state's first D levels, and
+    its tail is exactly the thermal weight p^D beyond them."""
+    corner, tail = ladder_corner(0.5, math.inf, 1.0, 0.0, lambda k: 0.0 * k, 0.3, 1e-12)
+    dim = corner.shape[0]
+    assert np.allclose(corner, np.diag(0.5 ** np.arange(1, dim + 1)), rtol=1e-14, atol=0.0)
+    assert tail == pytest.approx(0.5**dim, rel=1e-12)
+    assert 0.5**dim <= 1e-12 < 0.5 ** (dim - 1)
+
+
 def test_block_corners_stream_one_block_at_a_time():
-    """Each block's ladder vectors (up to 2j + 1 by K) are dropped once its
-    corner is kept: over the n = 1600 pmf window the call peaks at a small
-    multiple of the corners it returns.  Holding every ladder until all
-    corners are built peaks at about 8.6 times them (119 MB)."""
+    """Each block's leading ladder vectors are dropped once its corner is
+    kept: over the n = 1600 pmf window the call peaks at a small multiple
+    of the corners it returns.  Holding every full-length ladder until all
+    corners were built peaked at about 8.6 times them (119 MB)."""
     params = ModelParams(0.8, 1600)
     u = LocalParams(1.0, 1.0, 1.0)
     js, _, _ = block_pmf_window(params, u)
