@@ -29,10 +29,7 @@ from .spin_blocks import (
 from .fock_gaussian import (
     GaussianLimitParams,
     HeterodyneSampler,
-    coherent_vector,
     displaced_thermal,
-    q_function,
-    thermal_state,
 )
 from .lan_channels import (
     ClassicalDensity,

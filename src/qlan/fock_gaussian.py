@@ -1,11 +1,11 @@
-"""Truncated Fock-space states of the Gaussian limit and heterodyne sampling.
+"""The Gaussian limit's oscillator state and exact heterodyne sampling.
 
 The quantum half of the Gaussian limit of the qubit model is a displaced
 thermal state of one oscillator mode: thermal ratio ``p = (1-mu)/mu`` and
 displacement ``beta = sqrt(2 mu - 1) * alpha_u`` with
-``alpha_u = -u_y + i u_x``.  This module builds those states on a finite
-Fock cutoff (two independent routes, cross-checked), evaluates Husimi Q
-functions, and samples ideal heterodyne outcomes exactly, in polar form.
+``alpha_u = -u_y + i u_x``.  This module builds that state on its
+certified Fock corner, from the top of its ladder, and samples ideal
+heterodyne outcomes of a Fock-corner state exactly, in polar form.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .spin_blocks import LocalParams, as_local
-
-DEFAULT_FOCK_DIM = 40
+from .spin_blocks import LocalParams, as_local, ladder_corner
+from .tolerances import CORNER_TAIL_MASS
 
 
 @dataclass(frozen=True)
@@ -58,130 +57,20 @@ class GaussianLimitParams:
     def classical_var(self) -> float:
         return self.mu * (1.0 - self.mu)
 
-    @property
-    def squeeze_var(self) -> float:
-        """Variance s^2 = (1-mu)/(4 mu - 2) of the coherent-mixture kernel."""
-        return (1.0 - self.mu) / (4.0 * self.mu - 2.0)
 
+def displaced_thermal(gp: GaussianLimitParams) -> tuple[np.ndarray, float]:
+    """The displaced thermal state on its certified Fock corner and the mass
+    it leaves outside (at most ``CORNER_TAIL_MASS``).
 
-def default_cutoff(beta: complex | float) -> int:
-    """Cutoff policy: 40 covers displacements up to |beta|^2 ~ 7.5; larger
-    displacements get ceil(10 + 4 |beta|^2)."""
-    return max(DEFAULT_FOCK_DIM, int(math.ceil(10.0 + 4.0 * abs(beta) ** 2)))
-
-
-def _require_dim(beta: complex, dim: int) -> None:
-    if dim < math.ceil(10.0 + 4.0 * abs(beta) ** 2):
-        raise ValueError(
-            f"Fock cutoff dim = {dim} too small for displacement |beta| = "
-            f"{abs(beta):.3f}; use dim >= {default_cutoff(beta)}"
-        )
-
-
-def thermal_state(p: float, dim: int) -> np.ndarray:
-    """Truncated thermal state diag((1-p) p^k), k < dim.
-
-    The truncation is *not* renormalized: the missing tail mass is exactly
-    ``p**dim``, so ``trace = 1 - p**dim``.
+    It is the Gibbs state of the displaced number operator D a^dag a D^dag,
+    which in the gauge chi = arg(beta) has diagonal k + |beta|^2 and
+    off-diagonal -|beta| sqrt(k), so :func:`ladder_corner` builds it from
+    the top of the ladder.
     """
-    if not (0.0 <= p < 1.0):
-        raise ValueError(f"thermal ratio p = {p} outside [0, 1)")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    w = (1.0 - p) * p ** np.arange(dim, dtype=float)
-    return np.diag(w).astype(complex)
-
-
-def coherent_vector(z: complex, dim: int) -> np.ndarray:
-    """Truncated coherent state exp(-|z|^2/2) z^k / sqrt(k!), k < dim.
-
-    The norm deficit of the truncation is at most |z|^(2 dim) / dim!.
-    """
-    k = np.arange(dim, dtype=float)
-    if z == 0:
-        out = np.zeros(dim, dtype=complex)
-        out[0] = 1.0
-        return out
-    # log-magnitude to avoid overflow in z^k / sqrt(k!)
-    logmag = k * math.log(abs(z)) - 0.5 * _log_factorial(k) - 0.5 * abs(z) ** 2
-    phase = np.exp(1j * k * np.angle(z))
-    return np.exp(logmag) * phase
-
-
-def _log_factorial(k: np.ndarray) -> np.ndarray:
-    return gammaln(k + 1.0)
-
-
-def coherent_matrix(zs: np.ndarray, dim: int) -> np.ndarray:
-    """Columns coherent_vector(z, dim) for an array of z (vectorized)."""
-    zs = np.asarray(zs, dtype=complex).reshape(-1)
-    k = np.arange(dim, dtype=float)[:, None]
-    absz = np.abs(zs)[None, :]
-    safe = np.where(absz > 0, absz, 1.0)
-    logmag = k * np.log(safe) - 0.5 * _log_factorial(k) - 0.5 * absz**2
-    mag = np.exp(logmag)
-    mag = np.where((absz == 0) & (k > 0), 0.0, mag)
-    phase = np.exp(1j * k * np.angle(zs)[None, :])
-    return mag * phase
-
-
-def displacement_operator(beta: complex, dim: int) -> np.ndarray:
-    """exp(beta a^dag - conj(beta) a) on the truncated Fock space."""
-    k = np.arange(1, dim, dtype=float)
-    a = np.zeros((dim, dim), dtype=complex)
-    a[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(k)
-    gen = beta * a.conj().T - np.conj(beta) * a
-    h = -1j * gen  # Hermitian
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
-def displaced_thermal(
-    gp: GaussianLimitParams, dim: int | None = None, method: str = "displace"
-) -> np.ndarray:
-    """Displaced thermal state of the Gaussian limit on a Fock cutoff.
-
-    method = "displace": conjugate the truncated thermal state by the
-    displacement operator.  method = "mixture": Gauss-Hermite quadrature of
-    the coherent-state mixture with Gaussian kernel of variance ``s^2``
-    centered at ``beta``.  The two routes agree to <= 1e-6 in trace norm at
-    the default cutoff; tests enforce this.
-    """
-    beta = gp.beta
-    if dim is None:
-        dim = default_cutoff(beta)
-    _require_dim(beta, dim)
-    if method == "displace":
-        d = displacement_operator(beta, dim)
-        return d @ thermal_state(gp.p, dim) @ d.conj().T
-    if method == "mixture":
-        return _displaced_thermal_mixture(gp, dim)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _displaced_thermal_mixture(gp: GaussianLimitParams, dim: int, order: int = 48) -> np.ndarray:
-    # int dx dy N((x,y); (Re beta, Im beta), s^2 I) |x+iy><x+iy|
-    # with x = Re beta + sqrt(2) s xi_i: (1/pi) sum_{i,k} w_i w_k |z_ik><z_ik|
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    s = math.sqrt(gp.squeeze_var)
-    xs = gp.beta.real + math.sqrt(2.0) * s * nodes
-    ys = gp.beta.imag + math.sqrt(2.0) * s * nodes
-    zx, zy = np.meshgrid(xs, ys, indexing="ij")
-    zz = (zx + 1j * zy).ravel()
-    ww = np.outer(weights, weights).ravel() / math.pi
-    c = coherent_matrix(zz, dim)
-    return (c * ww) @ c.conj().T
-
-
-def q_function(rho: np.ndarray, z) -> np.ndarray:
-    """Husimi Q(z) = <z| rho |z> / pi, vectorized over z (shape-preserving)."""
-    rho = np.asarray(rho, dtype=complex)
-    zarr = np.asarray(z, dtype=complex)
-    c = coherent_matrix(zarr.ravel(), rho.shape[0])
-    vals = np.einsum("ks,ks->s", c.conj(), rho @ c).real / math.pi
-    if zarr.ndim == 0:
-        return float(vals[0])
-    return vals.reshape(zarr.shape)
+    b = abs(gp.beta)
+    return ladder_corner(
+        gp.p, math.inf, 1.0, b * b, lambda k: b * np.sqrt(k), gp.u.phase_angle, CORNER_TAIL_MASS
+    )
 
 
 class HeterodyneSampler:
@@ -210,7 +99,7 @@ class HeterodyneSampler:
         self.rho = rho
         k = np.arange(rho.shape[0], dtype=float)
         self._levels = k
-        self._half_log_fact = 0.5 * _log_factorial(k)
+        self._half_log_fact = 0.5 * gammaln(k + 1.0)
         self._abs_rho = np.abs(rho)
         weights = np.maximum(np.diagonal(rho).real, 0.0)
         self._level_cdf = np.cumsum(weights) / weights.sum()

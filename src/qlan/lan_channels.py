@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .fock_gaussian import GaussianLimitParams
+from .fock_gaussian import GaussianLimitParams, displaced_thermal
 from .operator_core import embed_block
 from .spin_blocks import (
     LocalParams,
@@ -38,7 +38,6 @@ from .spin_blocks import (
     block_corners,
     block_pmf_window,
     classical_coordinate,
-    ladder_corner,
     typical_set,
     valid_j_values,
 )
@@ -209,34 +208,19 @@ def covering_grid(params: ModelParams, center: float, g_lo: float, g_hi: float) 
     )
 
 
-def _limit_corner(gp: GaussianLimitParams) -> tuple[np.ndarray, float]:
-    """The displaced thermal state on its certified corner and the mass it
-    leaves outside (at most ``CORNER_TAIL_MASS``).
-
-    It is the Gibbs state of the displaced number operator D a^dag a D^dag,
-    which in the gauge chi = arg(beta) has diagonal k + |beta|^2 and
-    off-diagonal -|beta| sqrt(k), so :func:`ladder_corner` builds it from
-    the top of the ladder.
-    """
-    b = abs(gp.beta)
-    return ladder_corner(
-        gp.p, math.inf, 1.0, b * b, lambda k: b * np.sqrt(k), gp.u.phase_angle, CORNER_TAIL_MASS
-    )
-
-
 def gaussian_limit(
     gp: GaussianLimitParams, grid: np.ndarray | None = None
 ) -> HybridGaussianState:
     """The limit object: N(u_z, mu(1-mu)) times a displaced thermal state.
 
     A one-block mixture: the quantum part is kept on its certified corner
-    (``_limit_corner``), and the mass outside it is reported in ``tails``.
+    (``displaced_thermal``), and the mass outside it is reported in ``tails``.
     """
     if grid is None:
         grid = default_grid(gp.mu, gp.classical_mean)
     f = _normal_pdf(grid, gp.classical_mean, math.sqrt(gp.classical_var))
     classical = ClassicalDensity(grid, f)
-    phi, tail = _limit_corner(gp)
+    phi, tail = displaced_thermal(gp)
     return HybridGaussianState(
         classical,
         classical.values[:, None],
@@ -371,7 +355,7 @@ def apply_S(gp: GaussianLimitParams, n: int) -> BlockMixture:
     left out and counted in ``dropped``.
     """
     params = ModelParams(gp.mu, n)
-    phi, tail = _limit_corner(gp)
+    phi, tail = displaced_thermal(gp)
     j_lattice = valid_j_values(n)
     # cells [g_n(j), g_n(j) + 1/sqrt(n)) on the classical axis
     lo = classical_coordinate(params, j_lattice)
@@ -448,8 +432,6 @@ class SweepResult:
     rows: list
     slope_T: float
     slope_S: float
-    resid_T: float
-    resid_S: float
 
 
 def _clamp_u(mu: float, u: LocalParams, n: int) -> tuple[LocalParams, bool]:
@@ -499,13 +481,12 @@ def convergence_sweep(mu: float, u, n_list, eps_tail: float = 0.2) -> SweepResul
             )
         )
     ln_n = np.log([r.n for r in rows])
-    slope_t, resid_t = _loglog_fit(ln_n, [r.dist_T for r in rows])
-    slope_s, resid_s = _loglog_fit(ln_n, [r.dist_S for r in rows])
-    return SweepResult(rows, slope_t, slope_s, resid_t, resid_s)
+    slope_t = _loglog_fit(ln_n, [r.dist_T for r in rows])
+    slope_s = _loglog_fit(ln_n, [r.dist_S for r in rows])
+    return SweepResult(rows, slope_t, slope_s)
 
 
-def _loglog_fit(ln_n: np.ndarray, dists) -> tuple[float, float]:
-    y = np.log(np.asarray(dists, dtype=float))
-    coeffs, residuals, *_ = np.polyfit(ln_n, y, 1, full=True)
-    resid = float(residuals[0]) if len(residuals) else 0.0
-    return float(coeffs[0]), resid
+def _loglog_fit(ln_n: np.ndarray, dists) -> float:
+    # full=True: a single-row sweep is rank deficient, and should not warn
+    coeffs = np.polyfit(ln_n, np.log(np.asarray(dists, dtype=float)), 1, full=True)[0]
+    return float(coeffs[0])

@@ -171,10 +171,6 @@ class JointWaveVector:
     reduced: np.ndarray
     sector_norms_sq: dict
 
-    @property
-    def dt(self) -> float:
-        return self.t / self.K
-
     def sector_norm_sq(self, s: int) -> float:
         return self.sector_norms_sq[s]
 

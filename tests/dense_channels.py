@@ -6,16 +6,21 @@ cutoff, every tau_j of the S channel is written out at its full size, and
 all distances diagonalize at the full dimension.  This is the package's
 channel code before it kept only Fock corners; it costs O(dim^3) per grid
 point or block, so use it for small n only.
+
+The dense displaced thermal state has two independent routes on a Fock
+cutoff: the thermal state conjugated by the displacement operator, and a
+Gauss-Hermite mixture of coherent states.  Neither is renormalized, and
+both need ``dim`` well past ``|beta|^2``.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 from scipy.stats import norm
 
 from fullspace import block_state
-from qlan.fock_gaussian import displaced_thermal
 from qlan.lan_channels import ClassicalDensity, HybridGaussianState
 from qlan.operator_core import embed_block
 from qlan.spin_blocks import (
@@ -27,6 +32,71 @@ from qlan.spin_blocks import (
     valid_j_values,
 )
 from qlan.tolerances import BLOCK_SKIP_MASS, CHANNEL_DROP_MASS, WINDOW_TAIL_MASS
+
+
+def thermal_state(p: float, dim: int) -> np.ndarray:
+    """Truncated thermal state diag((1-p) p^k), k < dim; its trace is
+    1 - p**dim."""
+    return np.diag((1.0 - p) * p ** np.arange(dim, dtype=float)).astype(complex)
+
+
+def coherent_matrix(zs, dim: int) -> np.ndarray:
+    """Columns exp(-|z|^2/2) z^k / sqrt(k!), k < dim, one per z in ``zs``."""
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
+    k = np.arange(dim, dtype=float)[:, None]
+    absz = np.abs(zs)[None, :]
+    safe = np.where(absz > 0, absz, 1.0)
+    # log-magnitude to avoid overflow in z^k / sqrt(k!)
+    mag = np.exp(k * np.log(safe) - 0.5 * gammaln(k + 1.0) - 0.5 * absz**2)
+    mag = np.where((absz == 0) & (k > 0), 0.0, mag)
+    return mag * np.exp(1j * k * np.angle(zs)[None, :])
+
+
+def coherent_vector(z: complex, dim: int) -> np.ndarray:
+    """Truncated coherent state |z> on ``dim`` levels, one z at a time (the
+    check on :func:`coherent_matrix`)."""
+    if z == 0:
+        return np.eye(dim, dtype=complex)[0]
+    k = np.arange(dim, dtype=float)
+    logmag = k * math.log(abs(z)) - 0.5 * gammaln(k + 1.0) - 0.5 * abs(z) ** 2
+    return np.exp(logmag) * np.exp(1j * k * np.angle(z))
+
+
+def displacement_operator(beta: complex, dim: int) -> np.ndarray:
+    """exp(beta a^dag - conj(beta) a) on the truncated Fock space."""
+    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
+    h = -1j * (beta * a.conj().T - np.conj(beta) * a)  # Hermitian
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def dense_displaced_thermal(gp, dim: int, method: str = "displace") -> np.ndarray:
+    """The displaced thermal state of ``gp`` on ``dim`` Fock levels.
+
+    "displace" conjugates the truncated thermal state by the displacement
+    operator; "mixture" is the Gauss-Hermite quadrature (48 x 48 nodes) of
+    the coherent states |z>, z ~ N(beta, s^2 I), s^2 = (1-mu)/(4 mu - 2).
+    """
+    if method == "displace":
+        d = displacement_operator(gp.beta, dim)
+        return d @ thermal_state(gp.p, dim) @ d.conj().T
+    if method != "mixture":
+        raise ValueError(f"unknown method {method!r}")
+    nodes, weights = np.polynomial.hermite.hermgauss(48)
+    s = math.sqrt((1.0 - gp.mu) / (4.0 * gp.mu - 2.0))
+    xs = gp.beta.real + math.sqrt(2.0) * s * nodes
+    ys = gp.beta.imag + math.sqrt(2.0) * s * nodes
+    zx, zy = np.meshgrid(xs, ys, indexing="ij")
+    c = coherent_matrix((zx + 1j * zy).ravel(), dim)
+    return (c * (np.outer(weights, weights).ravel() / math.pi)) @ c.conj().T
+
+
+def q_function(rho: np.ndarray, z) -> np.ndarray:
+    """Husimi Q(z) = <z| rho |z> / pi, vectorized over z (shape-preserving)."""
+    zarr = np.asarray(z, dtype=complex)
+    c = coherent_matrix(zarr.ravel(), rho.shape[0])
+    vals = np.einsum("ks,ks->s", c.conj(), rho @ c).real / math.pi
+    return float(vals[0]) if zarr.ndim == 0 else vals.reshape(zarr.shape)
 
 
 def mean_annihilation(rho: np.ndarray) -> complex:
@@ -60,7 +130,7 @@ def gaussian_limit(gp, grid, dim):
     """The limit hybrid with the displaced thermal state on ``dim`` levels."""
     f = norm.pdf(grid, loc=gp.classical_mean, scale=math.sqrt(gp.classical_var))
     return HybridGaussianState(
-        ClassicalDensity(grid, f), f[:, None], displaced_thermal(gp, dim)[None]
+        ClassicalDensity(grid, f), f[:, None], dense_displaced_thermal(gp, dim)[None]
     )
 
 
@@ -100,7 +170,7 @@ def _filled(top, d):
 
 
 def apply_S(gp, n, dim):
-    """The S image with every tau_j cut from ``displaced_thermal(gp, dim)``
+    """The S image with every tau_j cut from ``dense_displaced_thermal(gp, dim)``
     at its full size; ``dim`` must reach past every block kept."""
     params = ModelParams(gp.mu, n)
     js = valid_j_values(n)
@@ -111,7 +181,7 @@ def apply_S(gp, n, dim):
     d_max = int(round(2.0 * js[keep].max())) + 1
     if dim < d_max:
         raise ValueError(f"dim = {dim} does not reach past the widest block ({d_max})")
-    phi = displaced_thermal(gp, dim)
+    phi = dense_displaced_thermal(gp, dim)
     states = [_filled(phi[:d, :d], d) for d in np.rint(2.0 * js[keep]).astype(int) + 1]
     return DenseMixture(js[keep], q[keep], states, float(q[~keep].sum()))
 

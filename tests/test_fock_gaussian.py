@@ -1,7 +1,8 @@
-"""Tests for the truncated-Fock Gaussian limit states and heterodyne sampling.
+"""Tests for the Gaussian limit's oscillator state and heterodyne sampling.
 
 Thermal and coherent states have closed-form matrix elements, Q functions,
-and heterodyne marginals (Gaussians), which serve as the oracles here.
+and heterodyne marginals (Gaussians), which serve as the oracles here; the
+dense Fock-cutoff states come from ``dense_channels``.
 """
 
 import math
@@ -13,19 +14,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate, special, stats
 
-from dense_channels import mean_annihilation
-from fullspace import spin_matrices
-from qlan.fock_gaussian import (
-    GaussianLimitParams,
-    HeterodyneSampler,
+from dense_channels import (
     coherent_matrix,
     coherent_vector,
-    default_cutoff,
-    displaced_thermal,
+    dense_displaced_thermal,
     displacement_operator,
+    mean_annihilation,
     q_function,
     thermal_state,
 )
+from fullspace import spin_matrices
+from qlan.fock_gaussian import GaussianLimitParams, HeterodyneSampler, displaced_thermal
 from qlan.operator_core import trace_norm_distance
 from qlan.spin_blocks import LocalParams, ModelParams, block_state
 from qlan.tolerances import SAMPLER_TAIL_MASS
@@ -47,7 +46,6 @@ def test_limit_params_derived_quantities():
     assert gp.alpha == pytest.approx(1j)
     assert gp.beta == pytest.approx(1j * math.sqrt(0.5))
     assert gp.classical_var == pytest.approx(0.1875)
-    assert gp.squeeze_var == pytest.approx(0.25)
     with pytest.raises(ValueError):
         GaussianLimitParams(0.5, LocalParams.zero())
 
@@ -90,14 +88,14 @@ def test_displaced_thermal_two_routes_agree():
     """Unitary displacement of the thermal state vs Gauss-Hermite mixture
     of coherent states: independent constructions of the same state."""
     gp = GaussianLimitParams(0.75, LocalParams(1.0, -0.5, 0.3))
-    a = displaced_thermal(gp, method="displace")
-    b = displaced_thermal(gp, method="mixture")
+    a = dense_displaced_thermal(gp, 40, method="displace")
+    b = dense_displaced_thermal(gp, 40, method="mixture")
     assert trace_norm_distance(a, b) < 1e-6
 
 
 def test_displaced_thermal_moments():
     gp = GaussianLimitParams(0.8, LocalParams(0.7, 0.4, 0.0))
-    rho = displaced_thermal(gp)
+    rho = displaced_thermal(gp)[0]
     nbar = gp.p / (1.0 - gp.p)
     assert mean_annihilation(rho) == pytest.approx(gp.beta, abs=1e-9)
     assert mean_number(rho) == pytest.approx(abs(gp.beta) ** 2 + nbar, abs=1e-8)
@@ -106,7 +104,7 @@ def test_displaced_thermal_moments():
 def test_displaced_thermal_pinned_oracle():
     # mu = 3/4, u = (1, 0, 0): Tr(rho a) = i / sqrt(2)
     gp = GaussianLimitParams(0.75, LocalParams(1.0, 0.0, 0.0))
-    rho = displaced_thermal(gp)
+    rho = displaced_thermal(gp)[0]
     assert mean_annihilation(rho) == pytest.approx(1j * math.sqrt(0.5), abs=1e-10)
 
 
@@ -118,22 +116,12 @@ def test_q_function_vacuum_and_mass():
     assert q_function(vac, z) == pytest.approx(math.exp(-1.0) / math.pi, abs=1e-12)
 
     gp = GaussianLimitParams(0.75, LocalParams(0.6, -0.8, 0.0))
-    rho = displaced_thermal(gp)
+    rho = displaced_thermal(gp)[0]
     g = np.linspace(-6.0, 6.0, 241)
     X, Y = np.meshgrid(g, g)
     q = q_function(rho, X + 1j * Y)
     mass = np.trapezoid(np.trapezoid(q, g, axis=1), g)
     assert mass == pytest.approx(1.0, abs=1e-6)
-
-
-def test_default_cutoff_policy():
-    assert default_cutoff(0.0) == 40
-    assert default_cutoff(4.0) == int(math.ceil(10 + 4 * 16))
-    # |beta| = sqrt(0.5) * 6 needs dim 82 > 40: must refuse the cutoff
-    with pytest.raises(ValueError, match="dim"):
-        displaced_thermal(
-            GaussianLimitParams(0.75, LocalParams(6.0, 0.0, 0.0)), dim=40
-        )
 
 
 def test_heterodyne_thermal_marginals():
@@ -161,7 +149,7 @@ def test_heterodyne_coherent_marginals():
 
 def test_heterodyne_displaced_thermal_marginals():
     gp = GaussianLimitParams(0.75, LocalParams(1.0, 0.0, 0.0))
-    rho = displaced_thermal(gp)
+    rho = displaced_thermal(gp)[0]
     rng = np.random.default_rng(44)
     z = sample_heterodyne(rho, rng, 12000)
     nbar = 0.5
@@ -176,7 +164,7 @@ def test_heterodyne_rescaled_recovers_local_parameter():
     """Im/Re of z, rescaled by 1/sqrt(2 mu - 1), center on (u_x, u_y)."""
     mu = 0.75
     u = LocalParams(1.0, 0.0, 0.0)
-    rho = displaced_thermal(GaussianLimitParams(mu, u))
+    rho = displaced_thermal(GaussianLimitParams(mu, u))[0]
     rng = np.random.default_rng(45)
     z = sample_heterodyne(rho, rng, 20000)
     s = math.sqrt(2.0 * mu - 1.0)

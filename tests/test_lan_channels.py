@@ -17,7 +17,6 @@ import qlan
 from fullspace import exact_block_weight
 from qlan.fock_gaussian import GaussianLimitParams, displaced_thermal
 from qlan.lan_channels import (
-    _limit_corner,
     BlockMixture,
     ClassicalDensity,
     CornerDistance,
@@ -116,13 +115,20 @@ def test_gaussian_limit_structure():
 def test_limit_corner_matches_displaced_thermal(mu, u):
     """Built from the top of the displaced number operator's ladder, the
     limit corner is the dense displaced thermal state (three times as many
-    levels) cut to the same levels, and its tail bounds the dense one's."""
+    levels) cut to the same levels, and its tail bounds the dense one's.
+    Both channels take their limit state from this one builder."""
     gp = GaussianLimitParams(mu, LocalParams(*u))
-    phi, tail = _limit_corner(gp)
+    phi, tail = displaced_thermal(gp)
     dim = phi.shape[0]
-    dense = displaced_thermal(gp, 3 * dim)
+    dense = dense_channels.dense_displaced_thermal(gp, 3 * dim)
     assert np.abs(np.linalg.eigvalsh(phi - dense[:dim, :dim])).sum() <= 1e-13
     assert float(dense.diagonal()[dim:].real.sum()) <= tail <= CORNER_TAIL_MASS
+    limit = gaussian_limit(gp)
+    assert np.array_equal(limit.blocks[0], phi)
+    assert np.array_equal(limit.tails, [tail])
+    mix = apply_S(gp, 400)
+    assert np.array_equal(mix.phi, phi)
+    assert mix.tail == tail
 
 
 def test_apply_t_classical_marginal_moments():
