@@ -24,11 +24,11 @@ def main() -> None:
     u_true = (0.7, -0.4, 0.5)
     rho = local_qubit_state(mu0, np.asarray(u_true) / math.sqrt(n))
     res = full_estimate(rho, n, rng=np.random.default_rng(42))
+    u_hat, u_loc = res.u_hat[:, 0], res.u_true_local[:, 0]
     print(f"single run: mu0 = {mu0}, n = {n}, true local u = {u_true}")
-    print(f"  stage 1: n_tilde = {res.stage1.n_tilde}, mu_tilde = {res.stage1.mu_tilde:.5f}")
-    print(f"  stage 2: u_hat = ({res.u_hat.ux:+.3f}, {res.u_hat.uy:+.3f}, {res.u_hat.uz:+.3f})"
-          f"   [true, in the rotated frame: ({res.u_true_local.ux:+.3f}, "
-          f"{res.u_true_local.uy:+.3f}, {res.u_true_local.uz:+.3f})]")
+    print(f"  stage 1: n_tilde = {res.stage1.n_tilde}, mu_tilde = {res.stage1.mu_tilde[0]:.5f}")
+    print(f"  stage 2: u_hat = ({u_hat[0]:+.3f}, {u_hat[1]:+.3f}, {u_hat[2]:+.3f})"
+          f"   [true, in the rotated frame: ({u_loc[0]:+.3f}, {u_loc[1]:+.3f}, {u_loc[2]:+.3f})]")
     print()
 
     for loss in ("local", "fidelity"):

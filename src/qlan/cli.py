@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .estimator import EstimatorConfig, full_estimate
+from .estimator import EstimatorConfig, OutsideModelError, full_estimate
 from .lan_channels import convergence_sweep
 from .operator_core import density_to_bloch
 from .qsde import collision_integrate, xi_error_bound, xi_overlap, xi_state
@@ -37,6 +37,7 @@ from .risk_bench import (
     loss_trace_sq,
 )
 from .spin_blocks import ModelParams, local_qubit_state
+from .tolerances import MODEL_MARGIN
 
 
 def _parse_triple(text: str) -> tuple:
@@ -168,7 +169,6 @@ def cmd_risk(spec: dict) -> int:
         loss=spec["loss"],
         n_list=tuple(spec["n_list"]),
         trials=spec["trials"],
-        eps=spec["eps"],
         seed=spec["seed"],
         estimator=_estimator(spec),
     ).validate()
@@ -250,6 +250,15 @@ def cmd_estimate(spec: dict) -> int:
     res = full_estimate(rho_true, n, cfg, rng)
     r_true = density_to_bloch(rho_true)
     mu_true = 0.5 * (1.0 + float(np.linalg.norm(r_true)))
+    mu_tilde = float(res.stage1.mu_tilde[0])
+    if not 0.5 < mu_tilde < 1.0:
+        raise OutsideModelError(f"stage-1 eigenvalue estimate mu_tilde = {mu_tilde} degenerate")
+    if res.outside[0]:
+        raise OutsideModelError(
+            f"rotated state too close to maximally mixed: mu - 1/2 = "
+            f"{mu_true - 0.5:.4f} < margin {MODEL_MARGIN}; outside the model"
+        )
+    u_true, u_hat, r_hat = res.u_true_local[:, 0], res.u_hat[:, 0], res.r_hat[:, 0]
     payload = {
         "config": {
             k: spec[k]
@@ -257,24 +266,20 @@ def cmd_estimate(spec: dict) -> int:
         },
         "stage1": {
             "n_tilde": res.stage1.n_tilde,
-            "r_raw": [float(x) for x in res.stage1.r_raw],
-            "mu_tilde": res.stage1.mu_tilde,
+            "r_raw": res.stage1.r_raw[:, 0].tolist(),
+            "mu_tilde": mu_tilde,
         },
-        "u_true_local": list(res.u_true_local.as_array()),
-        "u_raw": list(res.u_raw),
-        "u_hat": list(res.u_hat.as_array()),
-        "truncated": [bool(b) for b in res.trunc_flags],
+        "u_true_local": u_true.tolist(),
+        "u_raw": res.u_raw[:, 0].tolist(),
+        "u_hat": u_hat.tolist(),
+        "truncated": res.trunc_flags[:, 0].tolist(),
         "rho_hat": {
-            "bloch": [float(x) for x in res.r_hat],
+            "bloch": r_hat.tolist(),
         },
         "loss": {
-            "trace_sq": float(loss_trace_sq(r_true, res.r_hat)),
-            "fidelity": float(loss_fidelity(r_true, res.r_hat)),
-            "local": float(
-                loss_local(
-                    res.u_true_local.as_array(), res.u_hat.as_array(), mu_true
-                )
-            ),
+            "trace_sq": float(loss_trace_sq(r_true, r_hat)),
+            "fidelity": float(loss_fidelity(r_true, r_hat)),
+            "local": float(loss_local(u_true, u_hat, mu_true)),
         },
     }
     _emit(json.dumps(payload, indent=2) + "\n", spec["out"])

@@ -10,11 +10,11 @@ state.  The procedure and its failure modes (state too close to maximally
 mixed, reconstruction leaving state space) are exactly what the risk
 benchmark scores.
 
-Every stage works on a batch of independent trials of one true state,
+Every stage works on a batch of B independent trials of one true state,
 components first: B Bloch vectors or local parameters form a ``(3, B)``
-array, so ``x, y, z = v`` unpacks three contiguous rows, and a single
-``(3,)`` vector unpacks the same way.  :func:`full_estimate` runs the
-chain once, on a batch of one for a single trial or on ``size`` columns.
+array, so ``x, y, z = v`` unpacks three contiguous rows, and per-trial
+scalars form ``(B,)`` arrays.  :func:`full_estimate` runs the chain once
+on ``size`` columns; a single trial is the batch of one.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .fock_gaussian import HeterodyneSampler
-from .operator_core import bloch_to_density, density_to_bloch, validate_density
+from .operator_core import density_to_bloch, validate_density
 from .qsde import energy_measurement_sample
 from .spin_blocks import (
     LocalParams,
@@ -34,7 +34,7 @@ from .spin_blocks import (
     block_state,
     sample_block_index,
 )
-from .tolerances import SAMPLER_TAIL_MASS
+from .tolerances import MODEL_MARGIN, SAMPLER_TAIL_MASS
 
 
 class OutsideModelError(RuntimeError):
@@ -56,7 +56,6 @@ class EstimatorConfig:
         heterodyne on the block state's certified corner, which leaves at
         most ``SAMPLER_TAIL_MASS`` outside).  Both draw a batch of trials as
         one chunk.
-    eps2: interior margin required of the rotated state's eigenvalue.
     truncate: disable only for calibration runs of the raw sampler.
     """
 
@@ -64,7 +63,6 @@ class EstimatorConfig:
     eps: float = 0.05
     eta: float = 0.08
     sampler: str = "gaussian"
-    eps2: float = 0.05
     truncate: bool = True
 
     def validate(self) -> "EstimatorConfig":
@@ -78,8 +76,6 @@ class EstimatorConfig:
             )
         if self.sampler not in ("gaussian", "exact"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
-        if not (0.0 < self.eps2 < 0.5):
-            raise ValueError(f"eps2 must lie in (0, 1/2), got {self.eps2}")
         return self
 
 
@@ -104,7 +100,7 @@ def _turn(vec, wx, wy, den, flip) -> np.ndarray:
 class Stage1Result:
     """Coarse Pauli-tomography outcome and the frames it fixes.
 
-    One column per trial (or ``(3,)`` vectors for one trial); each trial's
+    One column per trial, one ``mu_tilde`` entry per trial; each trial's
     frame is the rotation R taking its ``r_proj`` to ``|r_proj| e_z``.
     """
 
@@ -139,12 +135,10 @@ class Stage1Result:
         return _turn(vec, -wx, -wy, den, flip)
 
 
-def stage1(
-    r_true, n_tilde: int, rng: np.random.Generator, size: int | None = None
-) -> Stage1Result:
+def stage1(r_true, n_tilde: int, rng: np.random.Generator, size: int) -> Stage1Result:
     """Pauli coin flips on n_tilde copies of the state with Bloch vector
     r_true, round-robin over the three axes, for ``size`` trials, one per
-    column (``None``: one trial, with (3,) vectors).
+    column.
 
     Axis i receives ceil((n_tilde - i)/3) copies; the empirical Bloch
     vector is radially projected into the unit ball if needed and the
@@ -154,7 +148,7 @@ def stage1(
         raise ValueError(f"n_tilde = {n_tilde} too small for three axes")
     counts = np.array([math.ceil((n_tilde - i) / 3.0) for i in range(3)])
     probs = (1.0 + np.asarray(r_true, dtype=float)) / 2.0
-    heads = rng.binomial(counts, probs, size=None if size is None else (size, 3))
+    heads = rng.binomial(counts, probs, size=(size, 3))
     # drawn trial by trial; one transposing copy puts the components first
     r_raw = np.ascontiguousarray((2.0 * heads / counts - 1.0).T)
     nrm = _norm(r_raw)
@@ -219,18 +213,10 @@ def reconstruct(
     return s1.rotate_back(r_local), clamped
 
 
-def stage2_sample(
-    params: ModelParams,
-    u,
-    config: EstimatorConfig,
-    rng: np.random.Generator,
-    size=None,
-):
-    """Raw stage-2 draws (u_x~, u_y~, g) for true local parameter u.
-
-    ``u`` is one local parameter drawn ``size`` times (``None``: once, as
-    floats), or a (3, B) array drawn once per column, when ``params.mu``
-    may hold one reference eigenvalue per column.
+def stage2_sample(mu, n: int, u, config: EstimatorConfig, rng: np.random.Generator):
+    """Raw stage-2 draws (u_x~, u_y~, g), one per column of the (3, B) true
+    local parameters ``u``; column b is local to reference eigenvalue
+    ``mu[b]`` at n copies.
 
     gaussian sampler: the limiting distributions — transverse components
     N(u_i, mu_u / (2 (2 mu_u - 1)^2)) and g ~ N(u_z, mu_u (1 - mu_u)),
@@ -239,56 +225,51 @@ def stage2_sample(
     exact sampler: draw the block index j, heterodyne the block state
     (long-time limit of the monitored field), rescale by
     1/sqrt(2 mu_tilde - 1), and read the energy observable plus the
-    smoothing kernel for g.  One ``u`` counts as ``size`` equal columns;
-    see :func:`_exact_stage2` for the order of the draws.
+    smoothing kernel for g; see :func:`_exact_stage2` for the order of the
+    draws.
     """
-    u_arr = np.asarray(u.as_array() if isinstance(u, LocalParams) else u, dtype=float)
-    count = u_arr.shape[1] if u_arr.ndim == 2 else 1 if size is None else int(size)
-    if config.sampler == "gaussian":
-        u_x, u_y, u_z = u_arr
-        mu_u = params.mu + u_z / math.sqrt(params.n)
-        mu_u = np.clip(mu_u, 0.5 + 1e-9, 1.0 - 1e-12)
-        sd_xy = np.sqrt(mu_u / (2.0 * (2.0 * mu_u - 1.0) ** 2))
-        ux = u_x + sd_xy * rng.standard_normal(count)
-        uy = u_y + sd_xy * rng.standard_normal(count)
-        g = u_z + np.sqrt(mu_u * (1.0 - mu_u)) * rng.standard_normal(count)
-    else:
-        ux, uy, g = _exact_stage2(params, np.broadcast_to(u_arr.reshape(3, -1), (3, count)), rng)
-    if size is None and u_arr.ndim == 1:
-        return float(ux[0]), float(uy[0]), float(g[0])
+    if config.sampler == "exact":
+        return _exact_stage2(mu, n, u, rng)
+    u_x, u_y, u_z = u
+    mu_u = np.clip(mu + u_z / math.sqrt(n), 0.5 + 1e-9, 1.0 - 1e-12)
+    sd_xy = np.sqrt(mu_u / (2.0 * (2.0 * mu_u - 1.0) ** 2))
+    count = len(mu_u)
+    ux = u_x + sd_xy * rng.standard_normal(count)
+    uy = u_y + sd_xy * rng.standard_normal(count)
+    g = u_z + np.sqrt(mu_u * (1.0 - mu_u)) * rng.standard_normal(count)
     return ux, uy, g
 
 
-def _exact_stage2(params: ModelParams, u: np.ndarray, rng: np.random.Generator):
-    """Exact draws for the (3, B) columns ``u`` (``params.mu`` one or per
-    column).  Columns sharing (mu, u) form a group, in order of first
-    appearance; a group draws its block indices at once, then heterodynes
-    each block it hit.  The energy readouts and kernel noise of all columns
-    follow as one draw each, so B equal columns draw like one u B times.
+def _exact_stage2(mu, n: int, u, rng: np.random.Generator):
+    """Exact draws for the (3, B) columns ``u`` about the (B,) reference
+    eigenvalues ``mu``.  Columns sharing (mu, u) form a group, in order of
+    first appearance; a group draws its block indices at once, then
+    heterodynes each block it hit.  The energy readouts and kernel noise of
+    all columns follow as one draw each, so B equal columns draw like one
+    u B times.
 
     A block is heterodyned on its certified corner (``block_state`` at
     ``SAMPLER_TAIL_MASS`` = t), so each draw is within 2 sqrt(t) + t in
     total variation of the block state's own heterodyne law."""
-    n, count = params.n, u.shape[1]
-    rn = math.sqrt(n)
-    mu = np.broadcast_to(params.mu, count)
+    mu = np.asarray(mu, dtype=float)
+    count = len(mu)
     groups = {}
-    for i, key in enumerate(zip(mu.tolist(), *u.tolist())):
+    for i, key in enumerate(zip(mu.tolist(), *np.asarray(u, dtype=float).tolist())):
         groups.setdefault(key, []).append(i)
     js = np.empty(count)
     zs = np.empty(count, dtype=complex)
     for (mu_g, *u_g), cols in groups.items():
         model, u_loc = ModelParams(mu_g, n), LocalParams(*u_g)
         cols = np.array(cols)
-        js[cols] = sample_block_index(model, u_loc, rng, size=len(cols))
+        js[cols] = sample_block_index(model, u_loc, rng, len(cols))
         for j in np.unique(js[cols]):
             at = cols[js[cols] == j]
             rho = block_state(model, u_loc, j, tail=SAMPLER_TAIL_MASS)
             zs[at] = HeterodyneSampler(rho).sample(rng, size=len(at))
-    scale = 1.0 / np.sqrt(2.0 * mu - 1.0)
+    scale, rn = 1.0 / np.sqrt(2.0 * mu - 1.0), math.sqrt(n)
     # monitoring time n: the readout variance 1/(4n) is negligible next
     # to the block spread
-    x_e = energy_measurement_sample(params, js, float(n), rng, size=count)
+    x_e = energy_measurement_sample(n, js, float(n), rng)
     g = x_e - rn * (mu - 0.5) + rng.normal(0.0, math.sqrt(0.5 / rn), size=count)
     return np.imag(zs) * scale, -np.real(zs) * scale, g
 
@@ -306,24 +287,19 @@ def truncate_estimate(raw, eta: float, n: int):
 
 @dataclass
 class EstimateResult:
-    """One trial (LocalParams, a tuple u_raw, (3,) flags and Bloch vector,
-    a bool clamp) or B trials ((3, B) arrays and (B,) masks).  A trial in
-    ``outside`` has no stage-2 draw; its estimate is meaningless."""
+    """B trials of the two-stage estimator: (3, B) local parameters, flags
+    and Bloch vectors, (B,) masks.  A trial in ``outside`` has no stage-2
+    draw; its estimate is meaningless."""
 
-    u_hat: LocalParams | np.ndarray
+    u_hat: np.ndarray
     r_hat: np.ndarray
     stage1: Stage1Result
-    u_raw: tuple | np.ndarray
-    u_true_local: LocalParams | np.ndarray
+    u_raw: np.ndarray
+    u_true_local: np.ndarray
     trunc_flags: np.ndarray
-    recon_clamped: bool | np.ndarray
+    recon_clamped: np.ndarray
     n_rest: int
-    outside: bool | np.ndarray
-
-    @property
-    def rho_hat(self) -> np.ndarray:
-        """The single-trial estimate as a density matrix."""
-        return bloch_to_density(self.r_hat)
+    outside: np.ndarray
 
 
 def full_estimate(
@@ -331,15 +307,14 @@ def full_estimate(
     n: int,
     config: EstimatorConfig | None = None,
     rng: np.random.Generator | None = None,
-    size: int | None = None,
+    size: int = 1,
 ) -> EstimateResult:
-    """Run both stages on n copies of rho_true and reconstruct the state.
+    """Run both stages on n copies of rho_true, ``size`` trials as one
+    batch, and reconstruct each trial's state.
 
-    ``size=None`` runs one trial and raises OutsideModelError when stage 1
-    lands on a degenerate estimate or the rotated state is not eps2 inside
-    the model.  ``size=B`` runs B trials as one batch and marks such trials
-    in ``outside`` instead; the risk benchmark charges them the maximal
-    loss.
+    A trial whose stage 1 lands on a degenerate estimate, or whose rotated
+    state is not ``MODEL_MARGIN`` inside the model, is marked in
+    ``outside``; the risk benchmark charges it the maximal loss.
     """
     cfg = (config or EstimatorConfig()).validate()
     if rng is None:
@@ -350,32 +325,16 @@ def full_estimate(
     if n_rest < 1:
         raise ValueError(f"n = {n} leaves no copies for stage 2")
     r_true = density_to_bloch(validate_density(rho_true))
-    s1 = stage1(r_true, n_tilde, rng, size=1 if size is None else size)
+    s1 = stage1(r_true, n_tilde, rng, size)
     u_true, mu_rot = localize_frame(r_true, s1, n_rest)
     degenerate = ~((0.5 < s1.mu_tilde) & (s1.mu_tilde < 1.0))
-    outside = degenerate | (mu_rot - 0.5 < cfg.eps2)
-    if size is None and degenerate[0]:
-        raise OutsideModelError(
-            f"stage-1 eigenvalue estimate mu_tilde = {float(s1.mu_tilde[0])} degenerate"
-        )
-    if size is None and outside[0]:
-        raise OutsideModelError(
-            f"rotated state too close to maximally mixed: mu - 1/2 = "
-            f"{mu_rot[0] - 0.5:.4f} < eps2 = {cfg.eps2}; outside the model"
-        )
+    outside = degenerate | (mu_rot - 0.5 < MODEL_MARGIN)
     inside = ~outside if np.any(outside) else slice(None)
     raw = np.zeros_like(u_true)
-    params2 = ModelParams(s1.mu_tilde[inside], n_rest)
-    raw[:, inside] = stage2_sample(params2, u_true[:, inside], cfg, rng)
+    raw[:, inside] = stage2_sample(s1.mu_tilde[inside], n_rest, u_true[:, inside], cfg, rng)
     if cfg.truncate:
         u_hat, flags = truncate_estimate(raw, cfg.eta, n)
     else:
         u_hat, flags = raw, np.zeros(raw.shape, dtype=bool)
     r_hat, clamped = reconstruct(s1, n_rest, u_hat)
-    if size is not None:
-        return EstimateResult(u_hat, r_hat, s1, raw, u_true, flags, clamped, n_rest, outside)
-    one = Stage1Result(s1.r_raw[:, 0], s1.r_proj[:, 0], float(s1.mu_tilde[0]), n_tilde)
-    return EstimateResult(
-        LocalParams(*u_hat[:, 0]), r_hat[:, 0], one, tuple(float(x) for x in raw[:, 0]),
-        LocalParams(*u_true[:, 0]), flags[:, 0], bool(clamped[0]), n_rest, False,
-    )
+    return EstimateResult(u_hat, r_hat, s1, raw, u_true, flags, clamped, n_rest, outside)

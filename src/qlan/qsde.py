@@ -41,7 +41,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .spin_blocks import ModelParams
-from .tolerances import COLLISION_NORM_DRIFT
+from .tolerances import COLLISION_NORM_DRIFT, MODEL_MARGIN
 
 # Error-bound prefactor.  For a single emission line the edge distance
 # tends to 2 n^(-1/4) exactly, which pins the constant.  Measured with
@@ -283,16 +283,10 @@ def xi_overlap(wave: JointWaveVector, xi: XiState, normalized: bool = True) -> f
     return float(abs(total) / denom)
 
 
-def xi_error_bound(
-    params: ModelParams,
-    j,
-    m: int,
-    eps: float,
-    eps2: float = 0.05,
-    c_const: float = XI_BOUND_C,
-) -> float:
+def xi_error_bound(params: ModelParams, j, m: int, eps: float) -> float:
     """Envelope C m^{3/2} (n^{-1/2+eps} + m n^{-1}) (1 + (2/eps2) n^{-1/2+eps})^{m/2}
-    on the distance between the true joint state and xi.
+    on the distance between the true joint state and xi, with C =
+    ``XI_BOUND_C`` and eps2 = ``MODEL_MARGIN``.
 
     Valid on the typical window |j - j_n| <= n^{1/2+eps} with the model at
     least eps2 inside its boundary; quadrupling n at fixed eps shrinks the
@@ -302,22 +296,13 @@ def xi_error_bound(
         return 0.0
     n = params.n
     scale = float(n) ** (-0.5 + eps)
-    base = c_const * m**1.5 * (scale + m / n)
-    return base * (1.0 + (2.0 / eps2) * scale) ** (m / 2.0)
+    base = XI_BOUND_C * m**1.5 * (scale + m / n)
+    return base * (1.0 + (2.0 / MODEL_MARGIN) * scale) ** (m / 2.0)
 
 
-def energy_measurement_sample(
-    params: ModelParams, j, t: float, rng: np.random.Generator, size=None
-):
-    """Total-energy readout after monitoring time t: N(j/sqrt(n), 1/(4t)).
-
-    ``j`` may be a scalar or an array (one draw per entry when ``size``
-    matches its shape).
-    """
+def energy_measurement_sample(n: int, js, t: float, rng: np.random.Generator) -> np.ndarray:
+    """Total-energy readouts after monitoring time t, one per entry of the
+    block indices ``js`` of n qubits: N(j/sqrt(n), 1/(4t))."""
     if t <= 0:
         raise ValueError(f"t = {t} must be positive")
-    mean = np.asarray(j, dtype=float) / math.sqrt(params.n)
-    sd = 0.5 / math.sqrt(t)
-    if mean.ndim == 0:
-        return rng.normal(float(mean), sd, size=size)
-    return rng.normal(mean, sd, size=size)
+    return rng.normal(np.asarray(js, dtype=float) / math.sqrt(n), 0.5 / math.sqrt(t))

@@ -65,7 +65,8 @@ class RiskConfig:
     """Benchmark specification.
 
     The grid is directions {+-z/2, +-x/(2(2mu0-1)), +-y/(2(2mu0-1))} times
-    radius factors ``radii`` scaled by n^eps — every point then sits at the
+    radius factors ``radii`` scaled by n^eps, eps the estimator's
+    localization exponent — every point then sits at the
     same equalized-loss distance from the center.  ``loss`` is "trace",
     "fidelity", or "local"; trace/fidelity losses are rescaled by the
     stage-2 copy count, the local loss is already on the local scale.
@@ -75,7 +76,6 @@ class RiskConfig:
     loss: str = "trace"
     n_list: tuple = (10**6,)
     trials: int = 10_000
-    eps: float = 0.05
     radii: tuple = (0.0, 0.5, 1.0)
     batches: int = 20
     seed: int = 20260801
@@ -186,7 +186,7 @@ def pointwise_risk(
 
 
 def _grid_max_sq(cfg: RiskConfig, n: int) -> float:
-    scale = float(n) ** cfg.eps
+    scale = float(n) ** cfg.estimator.eps
     return max(
         (scale**2) * sum(c * c for c in p.u) for p in grid_points(cfg.mu0, cfg.radii)
     )
@@ -224,7 +224,7 @@ def local_sup_risk(config: RiskConfig) -> RiskReport:
     rows = []
     for n_idx, n in enumerate(cfg.n_list):
         for g_idx, pt in enumerate(grid_points(cfg.mu0, cfg.radii)):
-            u_vec = np.array(pt.u) * float(n) ** cfg.eps
+            u_vec = np.array(pt.u) * float(n) ** cfg.estimator.eps
             rho = _true_state(cfg.mu0, u_vec, n)
             mean, se, counts = pointwise_risk(rho, n, cfg, (n_idx, g_idx))
             rows.append(
@@ -251,7 +251,7 @@ def local_sup_risk(config: RiskConfig) -> RiskReport:
         "loss": cfg.loss,
         "n_list": [int(x) for x in cfg.n_list],
         "trials": cfg.trials,
-        "eps": cfg.eps,
+        "eps": cfg.estimator.eps,
         "radii": list(cfg.radii),
         "batches": cfg.batches,
         "seed": cfg.seed,

@@ -82,18 +82,13 @@ def as_local(u) -> LocalParams:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Reference model: n qubits with eigenvalues (mu, 1-mu), 1/2 < mu < 1.
-
-    ``mu`` may also be an array of reference eigenvalues sharing ``n``, one
-    per trial of the estimator's batched stage 2; the block functions of
-    this module take a scalar ``mu``.
-    """
+    """Reference model: n qubits with eigenvalues (mu, 1-mu), 1/2 < mu < 1."""
 
     mu: float
     n: int
 
     def __post_init__(self):
-        if not np.all((0.5 < self.mu) & (self.mu < 1.0)):
+        if not 0.5 < self.mu < 1.0:
             raise ValueError(
                 f"mu = {self.mu} outside the model range (1/2, 1): the larger "
                 "eigenvalue must exceed 1/2 strictly and be below 1"
@@ -269,13 +264,12 @@ def _outside_mass_bound(n: int, mu: float, tj_lo: int, tj_hi: int) -> float:
     return mu / (2.0 * mu - 1.0) * total
 
 
-def sample_block_index(params: ModelParams, u, rng: np.random.Generator, size=None):
-    """Draw total-spin indices j by inverse CDF on the window of
-    :func:`block_pmf_window`, renormalized.
+def sample_block_index(params: ModelParams, u, rng: np.random.Generator, size: int):
+    """Draw ``size`` total-spin indices j, as a float array, by inverse CDF
+    on the window of :func:`block_pmf_window`, renormalized.
 
     The draws follow p_{n,u} restricted to that window, within total
-    variation ``dropped`` <= 1e-12 of p_{n,u}.  Returns a float (or float
-    array for ``size``).
+    variation ``dropped`` <= 1e-12 of p_{n,u}.
     """
     j_vals, probs, _ = block_pmf_window(params, u)
     cdf = np.cumsum(probs)
@@ -283,8 +277,7 @@ def sample_block_index(params: ModelParams, u, rng: np.random.Generator, size=No
     draws = rng.random(size)
     idx = np.searchsorted(cdf, draws, side="right")
     idx = np.minimum(idx, len(j_vals) - 1)
-    out = j_vals[idx]
-    return float(out) if size is None else out
+    return j_vals[idx]
 
 
 def ladder_corner(

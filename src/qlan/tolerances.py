@@ -38,6 +38,11 @@ CORNER_TAIL_MASS = 1e-24
 # block's own, at about 60% of the levels CORNER_TAIL_MASS needs.
 SAMPLER_TAIL_MASS = 1e-14
 
+# Margin the model keeps inside its boundary: the estimator declares a trial
+# outside the model when its rotated state's eigenvalue is within this of
+# 1/2, and the closed-form xi error bound assumes it.
+MODEL_MARGIN = 0.05
+
 # Allowed deviation of a classical grid density from unit mass.
 GRID_MASS_TOL = 1e-6
 

@@ -129,13 +129,13 @@ def test_acceptance_05_exact_sampler_matches_gaussian_limit():
     components and N(u_z, mu_u (1 - mu_u)) for g."""
     t0 = time.monotonic()
     u, draws = (1.0, 1.0, 1.0), 200_000
+    cols = np.repeat(np.array(u)[:, None], draws, axis=1)
     cfg_exact = EstimatorConfig(sampler="exact")
     ks_max = {}
     detail = []
     for n in (400, 1600):
-        params = ModelParams(0.8, n)
-        ex = stage2_sample(params, u, cfg_exact, np.random.default_rng(11), size=draws)
-        mu_u = params.mu + u[2] / math.sqrt(n)
+        ex = stage2_sample(np.full(draws, 0.8), n, cols, cfg_exact, np.random.default_rng(11))
+        mu_u = 0.8 + u[2] / math.sqrt(n)
         sd_xy = math.sqrt(mu_u / (2.0 * (2.0 * mu_u - 1.0) ** 2))
         laws = [stats.norm(u[0], sd_xy), stats.norm(u[1], sd_xy)]
         laws.append(stats.norm(u[2], math.sqrt(mu_u * (1.0 - mu_u))))

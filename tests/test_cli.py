@@ -271,6 +271,71 @@ def test_estimate_output_fields(capsys):
     assert out2 == out
 
 
+# qlan estimate --n 10000 --u 0.5,-0.2,0.3 --seed 7, recorded while
+# full_estimate still had its single-trial form: both samplers share stage 1
+# and the true local parameter; per sampler (u_raw = u_hat, Bloch estimate,
+# (trace_sq, fidelity, local) losses), nothing truncated
+ESTIMATE_STAGE1 = {
+    "n_tilde": 6310,
+    "r_raw": [-0.008555133079847899, -0.007132667617689048, 0.5178316690442226],
+    "mu_tilde": 0.7589757241106219,
+}
+ESTIMATE_U_TRUE = [0.7220325583805496, -0.6231837962725696, -0.36299757327664284]
+ESTIMATE_PINNED = {
+    "gaussian": (
+        [1.842436837217797, 0.32681827389498386, -0.942178557151353],
+        [-0.013266336431797227, 0.022824053487590947, 0.4862146946912784],
+        (0.000939656123852988, 0.00026465491060911894, 3.551710286634499),
+    ),
+    "exact": (
+        [1.4556996701090907, -1.9331808638019432, -0.5342897555561977],
+        [0.02356815942269809, 0.017081412759560693, 0.49951298124005916],
+        (0.0006503707233659863, 0.00016528850750296975, 2.4261530563581277),
+    ),
+}
+
+
+@pytest.mark.parametrize("sampler", list(ESTIMATE_PINNED))
+def test_estimate_payload_is_pinned(sampler, capsys):
+    """The single run reads column 0 of a batch of one and writes, byte for
+    byte, the payload recorded from the single-trial form."""
+    args = ["estimate", "--n", "10000", "--u", "0.5,-0.2,0.3", "--seed", "7"]
+    code, out, _ = run_cli(args + ["--sampler", sampler], capsys)
+    assert code == 0
+    u_raw, bloch, (trace_sq, fid, local) = ESTIMATE_PINNED[sampler]
+    want = {
+        "config": {
+            "mu0": 0.75, "u": [0.5, -0.2, 0.3], "n": 10000, "sampler": sampler,
+            "eps": 0.05, "eta": 0.08, "kappa": 0.05, "seed": 7,
+        },
+        "stage1": ESTIMATE_STAGE1,
+        "u_true_local": ESTIMATE_U_TRUE,
+        "u_raw": u_raw,
+        "u_hat": u_raw,
+        "truncated": [False, False, False],
+        "rho_hat": {"bloch": bloch},
+        "loss": {"trace_sq": trace_sq, "fidelity": fid, "local": local},
+    }
+    assert out == json.dumps(want, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "args, keyword",
+    [
+        (["--mu0", "0.51", "--n", "10000"], "maximally mixed"),
+        (["--mu0", "0.999", "--n", "16", "--seed", "1"], "degenerate"),
+    ],
+    ids=["margin", "degenerate"],
+)
+def test_estimate_outside_model_exits_1(args, keyword, capsys):
+    """A run outside the model writes nothing, names the reason and exits 1:
+    a state within the model margin of maximally mixed, and a stage-1
+    estimate on the boundary of the Bloch ball."""
+    code, out, err = run_cli(["estimate", *args], capsys)
+    assert code == 1 and out == ""
+    assert keyword in err
+
+
 def test_hoeffding_eps_shortcut(capsys):
     code, out, _ = run_cli(
         [

@@ -315,12 +315,10 @@ def test_xi_error_bound_values():
 
 def test_energy_measurement_moments():
     rng = np.random.default_rng(3)
-    x = energy_measurement_sample(PARAMS, JN, 100.0, rng, size=40000)
+    x = energy_measurement_sample(PARAMS.n, np.full(40000, JN), 100.0, rng)
     assert x.mean() == pytest.approx(JN / 100.0, abs=5 * 0.05 / 200.0)
     assert x.std() == pytest.approx(0.05, rel=0.05)
-    arr = energy_measurement_sample(
-        PARAMS, np.array([100.0, 200.0]), 1e9, rng, size=2
-    )
+    arr = energy_measurement_sample(PARAMS.n, np.array([100.0, 200.0]), 1e9, rng)
     assert np.allclose(arr, [1.0, 2.0], atol=1e-3)
     with pytest.raises(ValueError):
-        energy_measurement_sample(PARAMS, JN, 0.0, rng)
+        energy_measurement_sample(PARAMS.n, np.array([JN]), 0.0, rng)

@@ -145,7 +145,7 @@ def test_gaussian_pointwise_risk_matches_recorded(key):
         seed=99,
         estimator=EstimatorConfig(truncate=truncate),
     )
-    rho = _true_state(mu0, np.array(point) * float(n) ** cfg.eps, n)
+    rho = _true_state(mu0, np.array(point) * float(n) ** cfg.estimator.eps, n)
     mean, se, counts = pointwise_risk(rho, n, cfg, (0, 3))
     want_mean, want_se = GAUSSIAN_RECORDED[key]
     assert mean == pytest.approx(want_mean, rel=1e-12, abs=0.0)
@@ -179,13 +179,13 @@ def test_exact_trials_keep_their_stream():
     rng = _batch_rng(20260801, 0, 0, 10_000)
     for r_raw, mu_tilde, u_raw in EXACT_RECORDED:
         res = full_estimate(rho, 10**6, EstimatorConfig(sampler="exact"), rng)
-        assert res.stage1.r_raw.tolist() == r_raw
-        assert res.stage1.mu_tilde == mu_tilde
-        assert np.abs(np.array(res.u_raw) - u_raw).max() <= 1e-10
+        assert res.stage1.r_raw[:, 0].tolist() == r_raw
+        assert res.stage1.mu_tilde[0] == mu_tilde
+        assert np.abs(res.u_raw[:, 0] - u_raw).max() <= 1e-10
 
 
 def test_pointwise_risk_charges_outside_trials():
-    """A state inside the eps2 margin fails every trial of every batch;
+    """A state inside the model margin fails every trial of every batch;
     each is charged the capped loss and counted."""
     cfg = RiskConfig(mu0=0.75, loss="fidelity", n_list=(10**4,), trials=50, batches=5)
     rho = np.diag([0.52, 0.48]).astype(complex)
@@ -221,7 +221,7 @@ def test_risk_rows_carry_event_counts(capsys):
     cfg = RiskConfig(mu0=0.55, loss="fidelity", n_list=(10**4,), trials=60, batches=4, seed=3)
     rep = local_sup_risk(cfg)
     for g_idx, (pt, row) in enumerate(zip(grid_points(cfg.mu0), rep.rows)):
-        rho = _true_state(cfg.mu0, np.array(pt.u) * float(10**4) ** cfg.eps, 10**4)
+        rho = _true_state(cfg.mu0, np.array(pt.u) * float(10**4) ** cfg.estimator.eps, 10**4)
         want = {"failures": 0, "truncated": 0, "clamped": 0}
         for b in range(cfg.batches):
             res = full_estimate(rho, 10**4, cfg.estimator, _batch_rng(cfg.seed, 0, g_idx, b), size=15)
@@ -372,7 +372,7 @@ PIPELINE_PINNED = {
     ("local", 0.99, 100, (0.0, 0.0, 0.0), False):
         (5.256027634824467, 0.014324154308332575, {"failures": 8009, "truncated": 0, "clamped": 683}),
 }
-# one full_estimate(size=None) trial per sampler: (r_hat, u_hat, u_raw)
+# one full_estimate trial per sampler (a batch of one): (r_hat, u_hat, u_raw)
 GAUSSIAN_TRIAL_PINNED = (
     [-0.006843791098841682, -0.00972932161265309, 0.4993568511500431],
     (-0.4549870520591945, -1.7191095886702028, -0.856556751021805),
@@ -406,7 +406,7 @@ def test_risk_pipeline_is_bitwise_pinned():
             seed=4242,
             estimator=EstimatorConfig(truncate=truncate),
         )
-        rho = _true_state(mu0, np.array(point) * float(n) ** cfg.eps, n)
+        rho = _true_state(mu0, np.array(point) * float(n) ** cfg.estimator.eps, n)
         assert pointwise_risk(rho, n, cfg, (0, 2)) == want, (loss, mu0, n, point, truncate)
     rho = _true_state(0.75, np.array([0.3, -0.4, 0.2]), 10**4)
     for cfg, seed, want in (
@@ -414,7 +414,7 @@ def test_risk_pipeline_is_bitwise_pinned():
         (EstimatorConfig(sampler="exact"), 321, EXACT_TRIAL_PINNED),
     ):
         res = full_estimate(rho, 10**4, cfg, np.random.default_rng(seed))
-        got = (res.r_hat.tolist(), tuple(res.u_hat.as_array().tolist()), res.u_raw)
+        got = (res.r_hat[:, 0].tolist(), tuple(res.u_hat[:, 0].tolist()), tuple(res.u_raw[:, 0].tolist()))
         assert got == want, cfg.sampler
     rows = hoeffding_check((10**3, 10**4), (0.1, 0.2), 0.1, 2000, np.random.default_rng(5))
     assert rows == HOEFFDING_PINNED

@@ -54,6 +54,8 @@ def test_model_params_validation():
         ModelParams(1.0, 10)
     with pytest.raises(ValueError):
         ModelParams(0.3, 10)
+    with pytest.raises(ValueError):  # one reference state, not a batch of them
+        ModelParams(np.full(3, 0.7), 10)
 
 
 def test_mu_u_admissible_window():
@@ -209,7 +211,7 @@ def test_sample_block_index_goodness_of_fit():
     params = ModelParams(0.7, 40)
     u = LocalParams(0.3, -0.2, 0.4)
     rng = np.random.default_rng(5)
-    draws = sample_block_index(params, u, rng, size=20000)
+    draws = sample_block_index(params, u, rng, 20000)
     js, probs, _ = block_pmf_window(params, u)
     counts = np.array([(draws == j).sum() for j in js])
     keep = probs * 20000 >= 5.0  # chi-square validity
