@@ -61,7 +61,7 @@ def main() -> None:
     weights = {j: block_probability(params, u, j) for j in iso}
     blocks = {j: block_state(params, u, j) for j in iso}
     rebuilt = assemble_from_blocks(n, weights, blocks, iso)
-    target = tensor_power(local_qubit_state(mu, np.asarray(u.as_array()) / math.sqrt(n)), n)
+    target = tensor_power(local_qubit_state(mu, np.array([u.ux, u.uy, u.uz]) / math.sqrt(n)), n)
     err = float(np.max(np.abs(rebuilt - target)))
     print()
     print(f"block reassembly vs explicit tensor power (64 x 64): max error {err:.2e}")

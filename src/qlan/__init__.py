@@ -36,6 +36,7 @@ from .lan_channels import (
     HybridGaussianState,
     apply_S,
     apply_T,
+    block_data,
     convergence_sweep,
     gaussian_limit,
     hybrid_trace_distance,

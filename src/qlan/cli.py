@@ -17,6 +17,7 @@ runtime failures exit 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -139,20 +140,8 @@ def _estimator(spec: dict) -> EstimatorConfig:
 
 def cmd_lan_dist(spec: dict) -> int:
     result = convergence_sweep(spec["mu"], spec["u"], spec["n_list"], spec["eps_tail"])
-    rows = [
-        {
-            "n": r.n,
-            "dist_T": r.dist_T,
-            "dist_S": r.dist_S,
-            "u_effective": list(r.u_effective),
-            "clamped": r.clamped,
-            "corner_bound_T": r.corner_bound_T,
-            "corner_bound_S": r.corner_bound_S,
-        }
-        for r in result.rows
-    ]
     _emit_rows(
-        rows,
+        [dataclasses.asdict(r) for r in result.rows],
         ("n", "dist_T", "dist_S", "slope_T", "slope_S"),
         {k: spec[k] for k in ("mu", "u", "n_list", "eps_tail")},
         spec["format"],

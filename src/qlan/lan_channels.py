@@ -1,16 +1,16 @@
 """Channels between the n-qubit block picture and its Gaussian limit.
 
-``apply_T`` maps the block decomposition of n shifted qubits to a hybrid
-classical x quantum object: the block index ``j`` is smoothed onto the
-real line with a Gaussian kernel of variance ``1/(2 sqrt(n))`` centered at
-``g_n(j) = j/sqrt(n) - sqrt(n)(mu - 1/2)``, while the block states ride
-along on Fock corners.  ``gaussian_limit`` produces the limiting product
-N(u_z, mu(1-mu)) x (displaced thermal) on the same grid, and
-``hybrid_trace_distance`` integrates the trace-norm gap between two such
-hybrids.  ``apply_S`` goes the other way, binning the Gaussian pair back
-onto the valid-j lattice; ``blockwise_distance`` measures its distance to
-the true block data.  ``convergence_sweep`` runs
-both directions over a list of n and fits log-log slopes.
+``apply_T`` maps the block decomposition of n shifted qubits (``block_data``)
+to a hybrid classical x quantum object: the block index ``j`` is smoothed
+onto the real line with a Gaussian kernel of variance ``1/(2 sqrt(n))``
+centered at ``g_n(j) = j/sqrt(n) - sqrt(n)(mu - 1/2)``, while the block
+states ride along on Fock corners.  ``gaussian_limit`` produces the
+limiting product N(u_z, mu(1-mu)) x (displaced thermal) on the same grid,
+and ``hybrid_trace_distance`` integrates the trace-norm gap between two
+such hybrids.  ``apply_S`` goes the other way, binning the Gaussian pair
+back onto the valid-j lattice; ``blockwise_distance`` measures its
+distance to the same block data.  ``convergence_sweep`` builds that data
+once per n, runs both directions and fits log-log slopes.
 
 Every quantum state is kept only on its own Fock corner: its first D
 levels, the fewest at which it leaves at most ``CORNER_TAIL_MASS``
@@ -44,9 +44,7 @@ from .spin_blocks import (
 from .tolerances import (
     BLOCK_SKIP_MASS,
     CHANNEL_DROP_MASS,
-    CORNER_TAIL_MASS,
     GRID_MASS_TOL,
-    WINDOW_TAIL_MASS,
 )
 
 
@@ -231,43 +229,49 @@ def gaussian_limit(
 
 
 def apply_T(
-    params: ModelParams,
-    u,
-    grid: np.ndarray | None = None,
-    eps_tail: float = 0.2,
+    blocks: BlockData, grid: np.ndarray | None = None, eps_tail: float = 0.2
 ) -> HybridGaussianState:
-    """Map n shifted qubits to the hybrid classical x quantum object.
+    """Map n shifted qubits, as their block picture, to the hybrid object.
 
-    Keeps blocks inside ``typical_set(eps_tail)``.  The dropped
-    probability, the pmf window's certified bound on the mass outside it
-    plus the window's blocks left out, must stay below 1e-9 (else the call
-    errors, asking for a larger window) and is reported on the returned
-    state.  Each block is kept on its own certified corner
-    (``block_corners``), with its tail in ``tails``.
-    """
-    u = as_local(u)
+    Keeps the window's blocks inside ``typical_set(eps_tail)`` of mass above
+    ``BLOCK_SKIP_MASS``.  The dropped probability, the window's bound on the
+    mass outside it plus its blocks left out, must stay below
+    ``CHANNEL_DROP_MASS`` (else the call errors) and is reported."""
+    params = blocks.params
     j_lo, j_hi = typical_set(params, eps_tail)
-    j_all, probs_all, win_drop = block_pmf_window(
-        params, u, tail=min(WINDOW_TAIL_MASS, CHANNEL_DROP_MASS / 10.0)
-    )
-    keep = (j_all >= j_lo) & (j_all <= j_hi) & (probs_all > BLOCK_SKIP_MASS)
-    j_keep = j_all[keep]
-    p_keep = probs_all[keep]
-    dropped = win_drop + float(probs_all[~keep].sum())
+    keep = (blocks.js >= j_lo) & (blocks.js <= j_hi) & (blocks.probs > BLOCK_SKIP_MASS)
+    dropped = blocks.dropped + float(blocks.probs[~keep].sum())
     if dropped >= CHANNEL_DROP_MASS:
         raise ValueError(
             f"typical window [{j_lo}, {j_hi}] (eps_tail = {eps_tail}) drops "
             f"block mass {dropped:.3e} >= {CHANNEL_DROP_MASS:.1e}; increase eps_tail"
         )
-    blocks, tails = block_corners(params, u, j_keep)
-    g = classical_coordinate(params, j_keep)
+    # p_{n,u}(j) is log-concave in j: the kept blocks are one run, their corners a view
+    kept = np.flatnonzero(keep)
+    run = slice(kept[0], kept[-1] + 1)
+    p_keep = blocks.probs[run]
+    g = classical_coordinate(params, blocks.js[run])
     if grid is None:
         grid = covering_grid(params, float(np.sum(p_keep * g)), g.min(), g.max())
     kernel = _normal_pdf(grid[:, None], g[None, :], _kernel_sd(params.n))
     weights = kernel * p_keep[None, :]
     classical = ClassicalDensity(grid, weights.sum(axis=1), expected_mass=1.0 - dropped)
     return HybridGaussianState(
-        classical, weights, blocks, dropped_mass=dropped, tails=tails, gauge=u.phase_angle
+        classical, weights, blocks.corners[run], dropped, blocks.tails[run], blocks.u.phase_angle
+    )
+
+
+# Matrix entries one eigensolve chunk of a trace-norm stack may hold.
+TRACE_NORM_CHUNK_ENTRIES = 6.0e6
+
+
+def _trace_norms(count: int, dim: int, stack) -> np.ndarray:
+    """Absolute eigenvalues (count, dim) of the Hermitian stack ``stack(rows)``,
+    built and diagonalized ``TRACE_NORM_CHUNK_ENTRIES`` matrix entries at a time."""
+    chunk = max(4, int(TRACE_NORM_CHUNK_ENTRIES // (dim * dim)))
+    # eigvalsh reads one triangle, so rounding asymmetry never enters
+    return np.concatenate(
+        [np.abs(np.linalg.eigvalsh(stack(slice(s, s + chunk)))) for s in range(0, count, chunk)]
     )
 
 
@@ -288,22 +292,10 @@ def hybrid_trace_distance(a: HybridGaussianState, b: HybridGaussianState) -> Cor
     # f_a rho_a - f_b rho_b at every x as one sum over both block lists
     coef = np.hstack([a.weights, -b.weights])
     states = np.concatenate(
-        [
-            embed_block(_in_gauge(a.blocks, a.gauge, a.gauge), dim),
-            embed_block(_in_gauge(b.blocks, a.gauge, b.gauge), dim),
-        ]
+        [embed_block(_in_gauge(s.blocks, a.gauge, s.gauge), dim) for s in (a, b)]
     )
-    nx = len(a.classical.x)
-    chunk = max(4, int(6.0e6 // (dim * dim)))
-    d_vals = np.empty(nx, dtype=float)
-    for start in range(0, nx, chunk):
-        sl = slice(start, min(start + chunk, nx))
-        # eigvalsh reads one triangle, so rounding asymmetry never enters
-        w = np.linalg.eigvalsh(np.tensordot(coef[sl], states, axes=1))
-        d_vals[sl] = np.abs(w).sum(axis=1)
-    return CornerDistance(
-        np.trapezoid(d_vals, a.classical.x), a.corner_bound() + b.corner_bound()
-    )
+    norms = _trace_norms(len(xa), dim, lambda sl: np.tensordot(coef[sl], states, axes=1))
+    return CornerDistance(np.trapezoid(norms.sum(axis=1), xa), a.corner_bound() + b.corner_bound())
 
 
 @dataclass
@@ -330,6 +322,29 @@ class BlockMixture:
     def leaked(self) -> np.ndarray:
         """Mass of phi outside each block, filled in as maximally mixed."""
         return _leaked(self.phi, self.js)
+
+
+@dataclass
+class BlockData:
+    """The block picture of n shifted qubits that both channels take: the pmf
+    window (``block_pmf_window``: ``js``, ``probs``, ``dropped``) and each of
+    its blocks' certified corner and tail (``block_corners``)."""
+
+    params: ModelParams
+    u: LocalParams
+    js: np.ndarray
+    probs: np.ndarray
+    dropped: float
+    corners: np.ndarray
+    tails: np.ndarray
+
+
+def block_data(params: ModelParams, u) -> BlockData:
+    """The pmf window of ``params`` at local parameter u and its blocks' corners."""
+    u = as_local(u)
+    js, probs, dropped = block_pmf_window(params, u)
+    corners, tails = block_corners(params, u, js)
+    return BlockData(params, u, js, probs, dropped, corners, tails)
 
 
 def _block_dims(js: np.ndarray) -> np.ndarray:
@@ -370,47 +385,49 @@ def apply_S(gp: GaussianLimitParams, n: int) -> BlockMixture:
     )
 
 
-def blockwise_distance(mix: BlockMixture, params: ModelParams, u) -> CornerDistance:
+def blockwise_distance(mix: BlockMixture, blocks: BlockData) -> CornerDistance:
     """sum_j || q_j tau_j - p_{n,u}(j) rho_j ||_1 over the valid lattice.
 
-    Every rho_j of the pmf window or the mixture is taken on its own
-    certified corner (``block_corners``), and those corners and phi are
-    zero-padded to the widest of them, D levels; tau_j's filler outside it
-    adds its trace norm in closed form.  Lattice mass outside both windows
-    is added through its upper bounds, so the value is an upper bound tight
-    to ~1e-12 on the full sum.
+    Each rho_j of the pmf window is its certified corner from ``blocks``;
+    rho_j is zero on the lattice rows only the mixture has, and the window
+    blocks and phi are zero-padded to the wider of their corners, D
+    levels.  tau_j's filler outside it adds its trace norm in closed form.
+    Lattice mass outside both windows is added through its upper bounds,
+    so the value is an upper bound tight to ~1e-12 on the full sum.
 
     ``bound`` counts p_j (2 sqrt(t_j) + t_j) for each rho_j of tail t_j,
     and q_j (2 sqrt(t) + 2 t) for each block wider than phi, whose source
     state left t outside phi: the cut moves tau_j by at most 2 sqrt(t) + t
     (gentle measurement) and its filler by at most t more.
     """
-    u = as_local(u)
-    j_p, p_win, p_drop = block_pmf_window(params, u)
-    js = np.union1d(j_p, mix.js)
-    p = np.zeros(len(js))
-    p[np.searchsorted(js, j_p)] = p_win
-    q = np.zeros(len(js))
+    js = np.union1d(blocks.js, mix.js)
+    rows = np.searchsorted(js, blocks.js)
+    p, q = np.zeros(len(js)), np.zeros(len(js))
+    p[rows] = blocks.probs
     q[np.searchsorted(js, mix.js)] = mix.probs
+    source = np.full(len(js), -1)  # each row's window row, -1 if only the mixture's
+    source[rows] = np.arange(len(rows))
     leaked = _leaked(mix.phi, js)
-    rho, tails = block_corners(params, u, js)
-    dim = max(rho.shape[1], mix.phi.shape[0])
-    rho = embed_block(rho, dim)
+    dim = max(blocks.corners.shape[1], mix.phi.shape[0])
     d_block = _block_dims(js)
-    chi = u.phase_angle
+    chi = blocks.u.phase_angle
     phi = _in_gauge(embed_block(mix.phi, dim), chi, mix.gauge)
-    # tau_j on the corner: phi's first min(2j+1, dim) levels plus the filler
-    inside = np.arange(dim)[None, :] < d_block[:, None]
-    tau = phi * (inside[:, :, None] & inside[:, None, :])
-    tau[:, np.arange(dim), np.arange(dim)] += inside * (leaked / d_block)[:, None]
-    diff = q[:, None, None] * tau - p[:, None, None] * _in_gauge(rho, chi, chi)
-    # eigvalsh reads one triangle, so rounding asymmetry never enters
-    total = float(np.abs(np.linalg.eigvalsh(diff)).sum())
+
+    def diff(sl: slice) -> np.ndarray:
+        # tau_j on the corner: phi's first min(2j+1, dim) levels plus the filler
+        inside = np.arange(dim)[None, :] < d_block[sl, None]
+        tau = phi * (inside[:, :, None] & inside[:, None, :])
+        tau[:, np.arange(dim), np.arange(dim)] += inside * (leaked[sl] / d_block[sl])[:, None]
+        rho, src = np.zeros((len(inside), dim, dim)), source[sl]
+        rho[src >= 0] = _in_gauge(embed_block(blocks.corners[src[src >= 0]], dim), chi, chi)
+        return q[sl, None, None] * tau - p[sl, None, None] * rho
+
+    total = float(_trace_norms(len(js), dim, diff).sum())
     total += float(np.sum(q * leaked / d_block * np.maximum(d_block - dim, 0)))
     wide = d_block > mix.phi.shape[0]
-    bound = p @ (2.0 * np.sqrt(tails) + tails)
+    bound = blocks.probs @ (2.0 * np.sqrt(blocks.tails) + blocks.tails)
     bound += q[wide].sum() * (2.0 * math.sqrt(mix.tail) + 2.0 * mix.tail)
-    return CornerDistance(total + p_drop + mix.dropped, bound)
+    return CornerDistance(total + blocks.dropped + mix.dropped, bound)
 
 
 @dataclass
@@ -447,11 +464,11 @@ def _clamp_u(mu: float, u: LocalParams, n: int) -> tuple[LocalParams, bool]:
 def convergence_sweep(mu: float, u, n_list, eps_tail: float = 0.2) -> SweepResult:
     """Distances to/from the Gaussian limit over a list of n, with slopes.
 
-    For each n, ``dist_T`` compares ``apply_T`` of the shifted n-qubit data
-    with ``gaussian_limit`` on a shared grid, each state on its own
-    certified Fock corner, and ``dist_S`` compares ``apply_S`` of the
-    Gaussian pair with the true block data; ``eps_tail`` sets the T
-    channel's typical window.
+    For each n, one ``block_data`` of the shifted n qubits feeds both
+    directions: ``dist_T`` compares its ``apply_T`` image with
+    ``gaussian_limit`` on a shared grid, each state on its own certified
+    Fock corner, and ``dist_S`` compares ``apply_S`` of the Gaussian pair
+    with it; ``eps_tail`` sets the T channel's typical window.
     When ``u_z`` makes the shifted eigenvalue inadmissible at small n it is
     clamped to ``DELTA_ADM`` inside the boundary (row flagged) so that both
     objects stay well defined; the log-log slopes are least-squares fits
@@ -463,12 +480,14 @@ def convergence_sweep(mu: float, u, n_list, eps_tail: float = 0.2) -> SweepResul
         params = ModelParams(mu, int(n))
         u_eff, clamped = _clamp_u(mu, u, params.n)
         gp = GaussianLimitParams(mu, u_eff)
-        j_lo, j_hi = typical_set(params, eps_tail)
-        g_lo, g_hi = classical_coordinate(params, np.array([j_lo, j_hi]))
+        g_lo, g_hi = classical_coordinate(params, np.array(typical_set(params, eps_tail)))
         grid = covering_grid(params, gp.classical_mean, g_lo, g_hi)
-        t_state = apply_T(params, u_eff, grid=grid, eps_tail=eps_tail)
-        dist_t = hybrid_trace_distance(t_state, gaussian_limit(gp, grid=grid))
-        dist_s = blockwise_distance(apply_S(gp, params.n), params, u_eff)
+        blocks = block_data(params, u_eff)
+        dist_t = hybrid_trace_distance(
+            apply_T(blocks, grid=grid, eps_tail=eps_tail), gaussian_limit(gp, grid=grid)
+        )
+        dist_s = blockwise_distance(apply_S(gp, params.n), blocks)
+        del blocks  # not held while the next row builds its own
         rows.append(
             SweepRow(
                 n=params.n,

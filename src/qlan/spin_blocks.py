@@ -52,12 +52,6 @@ class LocalParams:
     uy: float
     uz: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.ux, self.uy, self.uz], dtype=float)
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.ux**2 + self.uy**2 + self.uz**2))
-
     @property
     def phase_angle(self) -> float:
         """chi = arg(-u_y + i u_x): conjugated by diag(e^{-i chi k}), the
@@ -88,6 +82,8 @@ class ModelParams:
     n: int
 
     def __post_init__(self):
+        if np.ndim(self.mu) != 0:
+            raise ValueError(f"mu must be a scalar, got an array of shape {np.shape(self.mu)}")
         if not 0.5 < self.mu < 1.0:
             raise ValueError(
                 f"mu = {self.mu} outside the model range (1/2, 1): the larger "
@@ -207,16 +203,14 @@ def typical_set(params: ModelParams, eps: float) -> tuple[float, float]:
     return tj_lo / 2.0, tj_hi / 2.0
 
 
-def block_pmf_window(
-    params: ModelParams, u, tail: float = WINDOW_TAIL_MASS
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """j values and probabilities covering all but at most ``tail`` of the mass.
+def block_pmf_window(params: ModelParams, u) -> tuple[np.ndarray, np.ndarray, float]:
+    """j values and probabilities covering all but ``WINDOW_TAIL_MASS`` of the mass.
 
     Returns ``(j_values, probs, dropped)`` where ``dropped`` is an upper
     bound on the mass outside the returned window (see
     :func:`_outside_mass_bound`; 0 when the window is the full lattice).
     The window starts at ten standard deviations of the binomial part and
-    widens until that bound meets the target tail.
+    widens until that bound meets ``WINDOW_TAIL_MASS``.
     """
     n = params.n
     mu = params.mu_u(u)
@@ -230,7 +224,7 @@ def block_pmf_window(
         tj_hi = min(n, 2 * int(math.ceil(center + width)) + 2)
         tj_hi -= (tj_hi - parity) % 2
         dropped = _outside_mass_bound(n, mu, tj_lo, tj_hi)
-        if dropped <= tail:
+        if dropped <= WINDOW_TAIL_MASS:
             break
         width *= 1.6
     tj = np.arange(tj_lo, tj_hi + 1, 2, dtype=float)

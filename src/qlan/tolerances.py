@@ -13,9 +13,6 @@ VALIDATION_TOL = 1e-10
 # real arithmetic (triangle inequalities, closed-form cross-checks, ...).
 PROPERTY_SLACK = 1e-9
 
-# Round-trip reconstructions (Bloch <-> matrix, frame rotations, ...).
-ROUNDTRIP_TOL = 1e-12
-
 # Eigenvalues of nominally PSD matrices in [-EIG_CLIP, 0] are clipped to 0;
 # anything below -EIG_CLIP is treated as a genuine negativity.
 EIG_CLIP = 1e-10

@@ -31,7 +31,7 @@ from qlan.spin_blocks import (
     typical_set,
     valid_j_values,
 )
-from qlan.tolerances import BLOCK_SKIP_MASS, CHANNEL_DROP_MASS, WINDOW_TAIL_MASS
+from qlan.tolerances import BLOCK_SKIP_MASS
 
 
 def thermal_state(p: float, dim: int) -> np.ndarray:
@@ -111,9 +111,7 @@ def apply_T(params, u, grid, dim, eps_tail=0.2):
     block window, weights and grid handling as ``qlan.lan_channels.apply_T``."""
     u = as_local(u)
     j_lo, j_hi = typical_set(params, eps_tail)
-    j_all, probs_all, _ = block_pmf_window(
-        params, u, tail=min(WINDOW_TAIL_MASS, CHANNEL_DROP_MASS / 10.0)
-    )
+    j_all, probs_all, _ = block_pmf_window(params, u)
     keep = (j_all >= j_lo) & (j_all <= j_hi) & (probs_all > BLOCK_SKIP_MASS)
     j_keep = j_all[keep]
     p_keep = probs_all[keep]

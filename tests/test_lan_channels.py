@@ -14,6 +14,7 @@ import pytest
 
 import dense_channels
 import qlan
+from qlan import lan_channels, spin_blocks
 from fullspace import exact_block_weight
 from qlan.fock_gaussian import GaussianLimitParams, displaced_thermal
 from qlan.lan_channels import (
@@ -22,6 +23,7 @@ from qlan.lan_channels import (
     CornerDistance,
     apply_S,
     apply_T,
+    block_data,
     blockwise_distance,
     convergence_sweep,
     covering_grid,
@@ -39,12 +41,7 @@ from qlan.spin_blocks import (
     valid_j_values,
 )
 from qlan.operator_core import embed_block
-from qlan.tolerances import (
-    BLOCK_SKIP_MASS,
-    CHANNEL_DROP_MASS,
-    CORNER_TAIL_MASS,
-    WINDOW_TAIL_MASS,
-)
+from qlan.tolerances import BLOCK_SKIP_MASS, CORNER_TAIL_MASS
 
 
 def test_package_imports_without_np_trapz():
@@ -135,7 +132,7 @@ def test_apply_t_classical_marginal_moments():
     """The T image's classical part is sum_j p_{n,u}(j) N(g_n(j), 1/(2 sqrt(n)))."""
     params = ModelParams(0.75, 400)
     u = LocalParams(0.0, 0.0, 0.5)
-    d = apply_T(params, u).classical
+    d = apply_T(block_data(params, u)).classical
     assert d.mass() == pytest.approx(1.0, abs=1e-9)
     # mean -> u_z, var -> mu(1-mu) + kernel variance, up to lattice effects
     assert d.mean() == pytest.approx(0.5, abs=0.05)
@@ -144,7 +141,7 @@ def test_apply_t_classical_marginal_moments():
 
 def test_apply_t_two_qubits():
     params = ModelParams(0.75, 2)
-    state = apply_T(params, LocalParams.zero())
+    state = apply_T(block_data(params, LocalParams.zero()))
     # both blocks (j = 0, 1) survive: dim = 3, weights (nx, 2)
     assert state.dim == 3
     assert state.weights.shape[1] == 2
@@ -169,10 +166,8 @@ def test_apply_t_dropped_mass_is_certified(mu, u):
     12% low, so no bound, at mu = 3/4, n = 1000."""
     n = 400
     params = ModelParams(float(mu), n)
-    state = apply_T(params, u)
-    j_all, probs, win_drop = block_pmf_window(
-        params, u, tail=min(WINDOW_TAIL_MASS, CHANNEL_DROP_MASS / 10.0)
-    )
+    state = apply_T(block_data(params, u))
+    j_all, probs, win_drop = block_pmf_window(params, u)
     j_lo, j_hi = typical_set(params, 0.2)
     kept = j_all[(j_all >= j_lo) & (j_all <= j_hi) & (probs > BLOCK_SKIP_MASS)]
     mu_u = mu + Fraction(u[2]) / 20  # u_z / sqrt(n), exactly
@@ -181,17 +176,30 @@ def test_apply_t_dropped_mass_is_certified(mu, u):
     assert exact * (1 - 1e-6) <= state.dropped_mass <= (exact + win_drop) * (1 + 1e-6)
 
 
+@pytest.mark.parametrize("mu, n", [(0.55, 400), (0.8, 21), (0.8, 6400), (0.95, 401)])
+def test_apply_t_takes_the_kept_corners_as_a_view(mu, n):
+    """p_{n,u}(j) is log-concave in j, so the blocks apply_T keeps are one
+    run of the window, and the T image holds their corners as a view."""
+    params = ModelParams(mu, n)
+    u = (1.0, 1.0, 0.25 * min(1.0 - mu, mu - 0.5) * math.sqrt(n))
+    blocks = block_data(params, u)
+    assert np.all(np.diff(np.log(blocks.probs), 2) < 0.0)
+    state = apply_T(blocks, eps_tail=0.24)
+    assert np.shares_memory(state.blocks, blocks.corners)
+    assert state.weights.shape[1] == len(state.blocks) == len(state.tails)
+
+
 def test_apply_t_rejects_offcenter_window():
     """A u_z shift that pushes the pmf off the typical window must error
     rather than silently drop mass."""
-    params = ModelParams(0.75, 400)
+    blocks = block_data(ModelParams(0.75, 400), LocalParams(0.0, 0.0, 3.0))
     with pytest.raises(ValueError, match="drops"):
-        apply_T(params, LocalParams(0.0, 0.0, 3.0), eps_tail=0.05)
+        apply_T(blocks, eps_tail=0.05)
 
 
 def test_hybrid_distance_zero_and_errors():
     params = ModelParams(0.8, 20)
-    a = apply_T(params, LocalParams(1.0, 0.0, 0.0))
+    a = apply_T(block_data(params, LocalParams(1.0, 0.0, 0.0)))
     assert hybrid_trace_distance(a, a) == pytest.approx(0.0, abs=1e-12)
     gp = GaussianLimitParams(0.8, LocalParams(1.0, 0.0, 0.0))
     with pytest.raises(ValueError):
@@ -209,7 +217,7 @@ def test_hybrid_distance_zero_and_errors():
 def test_hybrid_distance_t_vs_limit_bounded():
     params = ModelParams(0.8, 50)
     u = LocalParams(1.0, 1.0, 0.5)
-    state = apply_T(params, u)
+    state = apply_T(block_data(params, u))
     gp = GaussianLimitParams(0.8, u)
     limit = gaussian_limit(gp, grid=state.classical.x)
     d = hybrid_trace_distance(state, limit)
@@ -251,18 +259,20 @@ def test_blockwise_distance_zero_against_itself():
     gives the same."""
     params = ModelParams(0.75, 2)
     u = LocalParams(0.5, 0.3, -0.2)
-    js, probs, drop = block_pmf_window(params, u)
-    assert list(js) == [0.0, 1.0] and drop == 0.0
-    mix = BlockMixture(js, probs, block_state(params, u, 1.0), gauge=u.phase_angle)
-    assert blockwise_distance(mix, params, u) == pytest.approx(0.0, abs=1e-12)
+    blocks = block_data(params, u)
+    assert list(blocks.js) == [0.0, 1.0] and blocks.dropped == 0.0
+    mix = BlockMixture(
+        blocks.js, blocks.probs, block_state(params, u, 1.0), gauge=u.phase_angle
+    )
+    assert blockwise_distance(mix, blocks) == pytest.approx(0.0, abs=1e-12)
     mix = dataclasses.replace(mix, gauge=None)
-    assert blockwise_distance(mix, params, u) == pytest.approx(0.0, abs=1e-12)
+    assert blockwise_distance(mix, blocks) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_blockwise_distance_s_channel_small():
     gp = GaussianLimitParams(0.75, LocalParams(1.0, 1.0, 1.0))
     params = ModelParams(0.75, 400)
-    d = blockwise_distance(apply_S(gp, 400), params, gp.u)
+    d = blockwise_distance(apply_S(gp, 400), block_data(params, gp.u))
     assert 0.0 < d < 1.0
 
 
@@ -282,7 +292,7 @@ def test_convergence_sweep_clamps_inadmissible_shift():
     assert row.u_effective[2] == pytest.approx(want_uz, abs=1e-12)
     # without clamping the channels of the same row fail validation
     with pytest.raises(ValueError):
-        apply_T(ModelParams(0.68, 20), (0.0, 0.0, 3.0))
+        apply_T(block_data(ModelParams(0.68, 20), (0.0, 0.0, 3.0)))
 
 
 @pytest.mark.parametrize("u", [(1.0, 1.0, 1.0), (1.0, 1.0, 0.5)])
@@ -327,7 +337,7 @@ def test_blockwise_distance_filler_outside_corner():
     full = apply_S(gp, 200)
     mix = BlockMixture(full.js, full.probs, full.phi[:15, :15], full.dropped, gauge=full.gauge)
     assert mix.leaked.max() > 1e-6
-    d = blockwise_distance(mix, params, gp.u)
+    d = blockwise_distance(mix, block_data(params, gp.u))
     dense = dense_channels.blockwise_distance(dense_channels.expand(mix), params, gp.u)
     assert abs(d - dense) <= 1e-10
     assert 0.0 < d.bound <= 1e-10
@@ -340,7 +350,7 @@ def test_s_distance_certified_where_the_limit_corner_is_wide():
     oracle (a 400-level limit state) lies within the bound."""
     gp = GaussianLimitParams(0.6, LocalParams(1.0, 1.0, 0.3))
     params = ModelParams(0.6, 200)
-    d = blockwise_distance(apply_S(gp, 200), params, gp.u)
+    d = blockwise_distance(apply_S(gp, 200), block_data(params, gp.u))
     dense = dense_channels.blockwise_distance(
         dense_channels.apply_S(gp, 200, 400), params, gp.u
     )
@@ -353,12 +363,69 @@ def test_convergence_sweep_blocks_set_the_corner():
     full-dimension value (recorded from the dense path) within 1e-10."""
     params = ModelParams(0.85, 400)
     u = (1.5, 1.5, -1.0)
-    t_state = apply_T(params, u, eps_tail=0.24)
+    t_state = apply_T(block_data(params, u), eps_tail=0.24)
     assert t_state.dim > gaussian_limit(GaussianLimitParams(0.85, u)).dim
     row = convergence_sweep(0.85, u, [400], eps_tail=0.24).rows[0]
     assert row.dist_T == pytest.approx(0.3164376188006133, abs=1e-10)
     assert row.dist_S == pytest.approx(0.2939260250024072, abs=1e-10)
     assert row.corner_bound_T <= 1e-10 and row.corner_bound_S <= 1e-10
+
+
+def test_sweep_row_builds_one_window_and_one_corner_per_block(monkeypatch):
+    """Both channels of a row take the one block picture: the pmf window is
+    built once, and each of its blocks' corners once."""
+    params = ModelParams(0.8, 100)
+    u = LocalParams(1.0, 1.0, 1.0)
+    window = len(block_pmf_window(params, u)[0])
+    calls = {"window": 0, "corner": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        lan_channels, "block_pmf_window", counted("window", lan_channels.block_pmf_window)
+    )
+    monkeypatch.setattr(spin_blocks, "_block_corner", counted("corner", spin_blocks._block_corner))
+    convergence_sweep(params.mu, u, [params.n])
+    assert calls == {"window": 1, "corner": window}
+
+
+def test_trace_norm_chunks_do_not_change_the_distances(monkeypatch):
+    """Both distances diagonalize their stacks chunk by chunk; at the
+    smallest chunk (4 matrices) a default row spans at least three of them
+    on each side, and the floats are those of a single chunk."""
+    params = ModelParams(0.8, 100)
+    u = LocalParams(1.0, 1.0, 1.0)
+    gp = GaussianLimitParams(params.mu, u)
+    blocks = block_data(params, u)
+    t_state = apply_T(blocks)
+    limit = gaussian_limit(gp, grid=t_state.classical.x)
+    mix = apply_S(gp, params.n)
+    eigvalsh, solves = np.linalg.eigvalsh, []
+
+    def counted(stack):
+        solves.append(len(stack))
+        return eigvalsh(stack)
+
+    def chunked(run, entries):
+        monkeypatch.setattr(lan_channels, "TRACE_NORM_CHUNK_ENTRIES", entries)
+        solves.clear()
+        return run()
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for run in (
+        lambda: hybrid_trace_distance(t_state, limit),
+        lambda: blockwise_distance(mix, blocks),
+    ):
+        whole = chunked(run, 1e18)
+        assert len(solves) == 1
+        got = chunked(run, 1.0)
+        assert len(solves) >= 3 and max(solves) == 4
+        assert float(got) == float(whole) and got.bound == whole.bound
 
 
 def test_corner_distance_is_a_float_that_keeps_its_bound():

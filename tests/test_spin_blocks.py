@@ -54,8 +54,15 @@ def test_model_params_validation():
         ModelParams(1.0, 10)
     with pytest.raises(ValueError):
         ModelParams(0.3, 10)
-    with pytest.raises(ValueError):  # one reference state, not a batch of them
-        ModelParams(np.full(3, 0.7), 10)
+
+
+@pytest.mark.parametrize("mu", [np.array([0.7]), np.full(3, 0.7)])
+def test_model_params_rejects_an_array_mu(mu):
+    """One reference state, not a batch of them: a one-element array would
+    pass the range check and make j_n an array, a longer one would fail it
+    with numpy's error, which does not name mu."""
+    with pytest.raises(ValueError, match="mu must be a scalar"):
+        ModelParams(mu, 10)
 
 
 def test_mu_u_admissible_window():
@@ -334,7 +341,7 @@ def test_full_space_block_extraction():
     n, mu = 4, 0.7
     params = ModelParams(mu, n)
     u = LocalParams(0.4, 0.1, 0.3)
-    target = tensor_power(local_qubit_state(mu, np.asarray(u.as_array()) / 2.0), n)
+    target = tensor_power(local_qubit_state(mu, np.array([u.ux, u.uy, u.uz]) / 2.0), n)
     iso = isotypic_isometries(n)
     v = iso[1.0]  # 3-dimensional block with multiplicity 3
     m = v.conj().T @ target @ v
