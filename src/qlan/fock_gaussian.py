@@ -59,18 +59,17 @@ class GaussianLimitParams:
 
 
 def displaced_thermal(gp: GaussianLimitParams) -> tuple[np.ndarray, float]:
-    """The displaced thermal state on its certified Fock corner and the mass
-    it leaves outside (at most ``CORNER_TAIL_MASS``).
+    """The displaced thermal state on its certified Fock corner, in its
+    gauge, and the mass it leaves outside (at most ``CORNER_TAIL_MASS``).
 
     It is the Gibbs state of the displaced number operator D a^dag a D^dag,
-    which in the gauge chi = arg(beta) has diagonal k + |beta|^2 and
-    off-diagonal -|beta| sqrt(k), so :func:`ladder_corner` builds it from
-    the top of the ladder.
+    which in the gauge chi = arg(beta) (``gp.u.phase_angle``) has diagonal
+    k + |beta|^2 and off-diagonal -|beta| sqrt(k), so :func:`ladder_corner`
+    builds it from the top of the ladder as a real matrix; the state in the
+    Fock basis is that matrix conjugated by diag(e^{i chi k}).
     """
     b = abs(gp.beta)
-    return ladder_corner(
-        gp.p, math.inf, 1.0, b * b, lambda k: b * np.sqrt(k), gp.u.phase_angle, CORNER_TAIL_MASS
-    )
+    return ladder_corner(gp.p, math.inf, 1.0, b * b, lambda k: b * np.sqrt(k), CORNER_TAIL_MASS)
 
 
 class HeterodyneSampler:

@@ -14,7 +14,9 @@ once per n, runs both directions and fits log-log slopes.
 
 Every quantum state is kept only on its own Fock corner: its first D
 levels, the fewest at which it leaves at most ``CORNER_TAIL_MASS``
-outside.  A distance zero-pads the narrower corner to the wider one, which
+outside.  Corners are held real, in the gauge ``chi`` of their local
+parameter (``LocalParams.phase_angle``).  A distance needs both sides in
+one gauge and zero-pads the narrower corner to the wider one, which
 changes no trace norm.  Compressing a PSD operator A of trace a whose tail
 is t changes it by at most 2 sqrt(a t) + t in trace norm (gentle
 measurement), so each distance comes back as a :class:`CornerDistance`
@@ -78,19 +80,8 @@ class ClassicalDensity:
                 f"by more than {GRID_MASS_TOL:.1e}; grid too narrow or coarse"
             )
 
-    @property
-    def step(self) -> float:
-        return float(self.x[1] - self.x[0])
-
     def mass(self) -> float:
         return float(np.trapezoid(self.values, self.x))
-
-    def mean(self) -> float:
-        return float(np.trapezoid(self.x * self.values, self.x) / self.mass())
-
-    def var(self) -> float:
-        m = self.mean()
-        return float(np.trapezoid((self.x - m) ** 2 * self.values, self.x) / self.mass())
 
 
 class CornerDistance(float):
@@ -120,17 +111,17 @@ class HybridGaussianState:
     classical density and the representation stays O(nx * nj + nj * dim^2)
     instead of O(nx * dim^2).  The Gaussian limit is the one-block case.
 
-    ``tails`` holds the mass each block had outside its Fock corner, None
-    when nothing was cut.  With ``gauge`` = chi, every block is real after
-    conjugation by diag(e^{-i chi k}).
+    ``tails`` holds the mass each block had outside its Fock corner, and
+    the blocks are written in the gauge ``chi`` (real for the states of a
+    local parameter whose ``phase_angle`` is chi).
     """
 
     classical: ClassicalDensity
     weights: np.ndarray
     blocks: np.ndarray
+    tails: np.ndarray
+    chi: float
     dropped_mass: float = 0.0
-    tails: np.ndarray | None = None
-    gauge: float | None = None
 
     @property
     def dim(self) -> int:
@@ -141,20 +132,8 @@ class HybridGaussianState:
         """Upper bound on integral dx ||A(x) - A_c(x)||_1, A(x) = f(x) rho(x)
         before and A_c(x) after each block's compression to its corner
         (same trapezoid rule)."""
-        if self.tails is None:
-            return 0.0
         lost = self.weights @ (2.0 * np.sqrt(self.tails) + self.tails)
         return float(np.trapezoid(lost, self.classical.x))
-
-
-def _in_gauge(states: np.ndarray, chi: float | None, gauge: float | None) -> np.ndarray:
-    """``states`` conjugated by diag(e^{-i chi k}), which leaves trace norms
-    unchanged; real when ``chi`` is their ``gauge``, untouched if None."""
-    if chi is None:
-        return states
-    g = np.exp(1j * chi * np.arange(states.shape[-1]))
-    states = states * np.outer(g.conj(), g)
-    return states.real if chi == gauge else states
 
 
 # Classical grids span GRID_STD_MULT standard deviations either side of
@@ -220,11 +199,7 @@ def gaussian_limit(
     classical = ClassicalDensity(grid, f)
     phi, tail = displaced_thermal(gp)
     return HybridGaussianState(
-        classical,
-        classical.values[:, None],
-        phi[None],
-        tails=np.array([tail]),
-        gauge=gp.u.phase_angle,
+        classical, classical.values[:, None], phi[None], np.array([tail]), gp.u.phase_angle
     )
 
 
@@ -257,7 +232,7 @@ def apply_T(
     weights = kernel * p_keep[None, :]
     classical = ClassicalDensity(grid, weights.sum(axis=1), expected_mass=1.0 - dropped)
     return HybridGaussianState(
-        classical, weights, blocks.corners[run], dropped, blocks.tails[run], blocks.u.phase_angle
+        classical, weights, blocks.corners[run], blocks.tails[run], blocks.chi, dropped
     )
 
 
@@ -278,22 +253,21 @@ def _trace_norms(count: int, dim: int, stack) -> np.ndarray:
 def hybrid_trace_distance(a: HybridGaussianState, b: HybridGaussianState) -> CornerDistance:
     """integral dx || f_a(x) rho_a(x) - f_b(x) rho_b(x) ||_1, trapezoid rule.
 
-    Both states must share the classical grid; the narrower Fock corner is
-    zero-padded to the wider one.  Each side moves by at most its corner
-    bound when taken without its corner, so the distance without the
-    corners lies within bound = the two corner bounds of the value.  States
-    of one local parameter share their ``gauge``; in it the differences are
-    real and cheaper to diagonalize.
+    Both states must share the classical grid and the gauge ``chi``; the
+    narrower Fock corner is zero-padded to the wider one.  Each side moves
+    by at most its corner bound when taken without its corner, so the
+    distance without the corners lies within bound = the two corner bounds
+    of the value.
     """
     xa, xb = a.classical.x, b.classical.x
     if xa.shape != xb.shape or not np.allclose(xa, xb, rtol=0.0, atol=1e-9):
         raise ValueError("hybrid states live on different classical grids")
+    if a.chi != b.chi:
+        raise ValueError(f"states in different gauges (chi = {a.chi}, {b.chi})")
     dim = max(a.dim, b.dim)
     # f_a rho_a - f_b rho_b at every x as one sum over both block lists
     coef = np.hstack([a.weights, -b.weights])
-    states = np.concatenate(
-        [embed_block(_in_gauge(s.blocks, a.gauge, s.gauge), dim) for s in (a, b)]
-    )
+    states = np.concatenate([embed_block(s.blocks, dim) for s in (a, b)])
     norms = _trace_norms(len(xa), dim, lambda sl: np.tensordot(coef[sl], states, axes=1))
     return CornerDistance(np.trapezoid(norms.sum(axis=1), xa), a.corner_bound() + b.corner_bound())
 
@@ -306,17 +280,16 @@ class BlockMixture:
     (for the S channel the limit state's certified corner, which left
     ``tail`` outside): its first min(2 j + 1, D) levels in the k-ladder
     basis, topped up with the maximally mixed filler ``leaked / (2 j + 1)``
-    on all 2 j + 1 levels of the block.  ``dropped`` is lattice mass never
-    built.  With ``gauge`` = chi, phi is real after conjugation by
-    diag(e^{-i chi k}).
+    on all 2 j + 1 levels of the block.  ``phi`` is written in the gauge
+    ``chi``.  ``dropped`` is lattice mass never built.
     """
 
     js: np.ndarray
     probs: np.ndarray
     phi: np.ndarray
+    chi: float
     dropped: float = 0.0
     tail: float = 0.0
-    gauge: float | None = None
 
     @property
     def leaked(self) -> np.ndarray:
@@ -328,7 +301,8 @@ class BlockMixture:
 class BlockData:
     """The block picture of n shifted qubits that both channels take: the pmf
     window (``block_pmf_window``: ``js``, ``probs``, ``dropped``) and each of
-    its blocks' certified corner and tail (``block_corners``)."""
+    its blocks' certified corner and tail (``block_corners``, real in the
+    gauge ``chi`` of u)."""
 
     params: ModelParams
     u: LocalParams
@@ -337,6 +311,10 @@ class BlockData:
     dropped: float
     corners: np.ndarray
     tails: np.ndarray
+
+    @property
+    def chi(self) -> float:
+        return self.u.phase_angle
 
 
 def block_data(params: ModelParams, u) -> BlockData:
@@ -381,14 +359,15 @@ def apply_S(gp: GaussianLimitParams, n: int) -> BlockMixture:
     q = ndtr((hi - gp.classical_mean) / sd) - ndtr((lo - gp.classical_mean) / sd)
     keep = q > BLOCK_SKIP_MASS
     return BlockMixture(
-        j_lattice[keep], q[keep], phi, float(q[~keep].sum()), tail, gp.u.phase_angle
+        j_lattice[keep], q[keep], phi, gp.u.phase_angle, float(q[~keep].sum()), tail
     )
 
 
 def blockwise_distance(mix: BlockMixture, blocks: BlockData) -> CornerDistance:
     """sum_j || q_j tau_j - p_{n,u}(j) rho_j ||_1 over the valid lattice.
 
-    Each rho_j of the pmf window is its certified corner from ``blocks``;
+    ``mix`` and ``blocks`` must share the gauge ``chi``.  Each rho_j of the
+    pmf window is its certified corner from ``blocks``;
     rho_j is zero on the lattice rows only the mixture has, and the window
     blocks and phi are zero-padded to the wider of their corners, D
     levels.  tau_j's filler outside it adds its trace norm in closed form.
@@ -400,6 +379,8 @@ def blockwise_distance(mix: BlockMixture, blocks: BlockData) -> CornerDistance:
     state left t outside phi: the cut moves tau_j by at most 2 sqrt(t) + t
     (gentle measurement) and its filler by at most t more.
     """
+    if mix.chi != blocks.chi:
+        raise ValueError(f"states in different gauges (chi = {mix.chi}, {blocks.chi})")
     js = np.union1d(blocks.js, mix.js)
     rows = np.searchsorted(js, blocks.js)
     p, q = np.zeros(len(js)), np.zeros(len(js))
@@ -410,8 +391,7 @@ def blockwise_distance(mix: BlockMixture, blocks: BlockData) -> CornerDistance:
     leaked = _leaked(mix.phi, js)
     dim = max(blocks.corners.shape[1], mix.phi.shape[0])
     d_block = _block_dims(js)
-    chi = blocks.u.phase_angle
-    phi = _in_gauge(embed_block(mix.phi, dim), chi, mix.gauge)
+    phi = embed_block(mix.phi, dim)
 
     def diff(sl: slice) -> np.ndarray:
         # tau_j on the corner: phi's first min(2j+1, dim) levels plus the filler
@@ -419,7 +399,7 @@ def blockwise_distance(mix: BlockMixture, blocks: BlockData) -> CornerDistance:
         tau = phi * (inside[:, :, None] & inside[:, None, :])
         tau[:, np.arange(dim), np.arange(dim)] += inside * (leaked[sl] / d_block[sl])[:, None]
         rho, src = np.zeros((len(inside), dim, dim)), source[sl]
-        rho[src >= 0] = _in_gauge(embed_block(blocks.corners[src[src >= 0]], dim), chi, chi)
+        rho[src >= 0] = embed_block(blocks.corners[src[src >= 0]], dim)
         return q[sl, None, None] * tau - p[sl, None, None] * rho
 
     total = float(_trace_norms(len(js), dim, diff).sum())

@@ -112,13 +112,6 @@ class XiState:
         i = np.arange(self.m + 1, dtype=float)
         return np.exp(-(self.m - i) * self.t / 2.0)
 
-    def norm_sq(self) -> float:
-        """||xi||^2 = sum_i c_i^2 e^{-(m-i)t} (1 - e^{-t})^i (continuum)."""
-        i = np.arange(self.m + 1, dtype=float)
-        return float(
-            np.sum(self.c**2 * np.exp(-(self.m - i) * self.t) * (1.0 - math.exp(-self.t)) ** i)
-        )
-
     def discrete_norm_sq(self, K: int) -> float:
         """||xi||^2 with the mode discretized on K slots (geometric sum)."""
         w2 = _first_weight(self.t / K) ** 2 * math.expm1(-self.t) / math.expm1(-self.t / K)
@@ -176,10 +169,6 @@ class JointWaveVector:
 
     def norm(self) -> float:
         return math.sqrt(sum(self.sector_norms_sq.values()))
-
-    def system_reduced(self) -> np.ndarray:
-        """Reduced density matrix of the system (field slots traced out)."""
-        return self.reduced.copy()
 
 
 def _shifted_power(t0: np.ndarray, log_shift: np.ndarray, K: int) -> np.ndarray:

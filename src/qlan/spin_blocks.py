@@ -15,6 +15,9 @@ of a rotated excitation count, a real tridiagonal matrix with spectrum
 0, 1, 2, ...  :func:`ladder_corner` builds any such state on its certified
 Fock corner from the top of the ladder alone, at a cost that does not grow
 with the block; every block and limit state in the package comes from it.
+It returns the state in its gauge, where it is real; that changes no trace
+norm, so the package keeps every corner real, and only :func:`block_state`
+phases one back to the Fock basis.
 
 Conventions
 -----------
@@ -54,9 +57,9 @@ class LocalParams:
 
     @property
     def phase_angle(self) -> float:
-        """chi = arg(-u_y + i u_x): conjugated by diag(e^{-i chi k}), the
-        rotated block states and the limit's displaced thermal state are
-        real matrices in the k-ladder (Fock) basis."""
+        """chi = arg(-u_y + i u_x), the gauge of u: conjugated by
+        diag(e^{-i chi k}), the rotated block states and the limit's
+        displaced thermal state are real in the k-ladder (Fock) basis."""
         return math.atan2(self.ux, -self.uy)
 
     @staticmethod
@@ -275,18 +278,19 @@ def sample_block_index(params: ModelParams, u, rng: np.random.Generator, size: i
 
 
 def ladder_corner(
-    p: float, levels: float, scale: float, offset: float, coupling, chi: float, tail: float
+    p: float, levels: float, scale: float, offset: float, coupling, tail: float
 ) -> tuple[np.ndarray, float]:
     """Certified corner of a Gibbs state on a rotated excitation ladder.
 
     The state is sum_k w_k (R e_k)(R e_k)^dag, k < ``levels`` (``math.inf``
     for an oscillator), with weights w_k = (1 - p) p^k / (1 - p^levels) on
     the eigenvectors of the rotated excitation count R K R^dag, K = sum_k
-    k |k><k|.  In the gauge diag(e^{i chi k}) that operator is the real
+    k |k><k|.  In its gauge (conjugated by diag(e^{-i chi k}), chi the
+    state's ``LocalParams.phase_angle``) that operator is the real
     tridiagonal T with diagonal ``scale * k + offset`` and off-diagonal
-    ``-coupling(k)`` between levels k - 1 and k.  Returns the state on its
-    first D levels (phased back out of the gauge), D the fewest that leave
-    at most ``tail`` outside, and that tail.
+    ``-coupling(k)`` between levels k - 1 and k.  Returns the state in that
+    gauge, a real matrix on its first D levels, D the fewest that leave at
+    most ``tail`` outside, and that tail.
 
     Only the K leading vectors, which leave about ``tail / 2`` of the
     weight out, are built: by inverse iteration at their known eigenvalues
@@ -333,9 +337,7 @@ def ladder_corner(
     # profile[D] bounds the tail outside the first D levels, D = 0 .. len(z)
     profile = np.append(np.cumsum(((z * z) @ w)[::-1])[::-1], 0.0) + (rest + cert)
     dim = int(np.argmax(profile <= tail))
-    phase = np.exp(1j * chi * np.arange(dim))
-    corner = ((z[:dim] * w) @ z[:dim].T) * np.outer(phase, phase.conj())
-    return corner, float(profile[dim])
+    return (z[:dim] * w) @ z[:dim].T, float(profile[dim])
 
 
 def _block_corner(params: ModelParams, u: LocalParams, j, tail: float):
@@ -352,13 +354,13 @@ def _block_corner(params: ModelParams, u: LocalParams, j, tail: float):
         math.cos(theta),
         math.sin(0.5 * theta) ** 2 * tj,
         lambda k: half_sin * np.sqrt(k * (tj + 1.0 - k)),
-        u.phase_angle,
         tail,
     )
 
 
 def block_state(params: ModelParams, u, j, tail: float = CORNER_TAIL_MASS) -> np.ndarray:
-    """Block j's state for local parameter u on its certified corner.
+    """Block j's state for local parameter u on its certified corner, in
+    the Fock basis (the real corner phased by diag(e^{i chi k})).
 
     The state is the geometric distribution (ratio ``p_u``) over the
     k-ladder of the 2j + 1 levels, conjugated by the block rotation
@@ -366,22 +368,27 @@ def block_state(params: ModelParams, u, j, tail: float = CORNER_TAIL_MASS) -> np
     levels, the fewest that leave at most ``tail`` outside
     (:func:`ladder_corner`); a block narrower than that is returned whole.
     """
-    return _block_corner(params, as_local(u), j, tail)[0]
+    u = as_local(u)
+    corner = _block_corner(params, u, j, tail)[0]
+    phase = np.exp(1j * u.phase_angle * np.arange(corner.shape[0]))
+    return corner * np.outer(phase, phase.conj())
 
 
 def block_corners(params: ModelParams, u, js) -> tuple[np.ndarray, np.ndarray]:
-    """Corners P_j rho_j P_j of the block states, each on its own first D_j
-    ladder levels (``block_state`` at ``CORNER_TAIL_MASS``), zero-padded
+    """Real corners P_j rho_j P_j of the block states in their gauge, each
+    on its own first D_j ladder levels (at ``CORNER_TAIL_MASS``), zero-padded
     to the widest, D = max D_j.  Returns ``(corners, tails)`` of shapes
     (len(js), D, D) and (len(js),), ``tails`` each block's certified tail.
+    Built from the largest j down into one stack, padded if D_j grows.
     """
     u = as_local(u)
-    built = [_block_corner(params, u, j, CORNER_TAIL_MASS) for j in js]
-    dim = max(c.shape[0] for c, _ in built)
-    corners = np.empty((len(built), dim, dim), dtype=complex)
-    for i, (c, _) in enumerate(built):
-        corners[i] = embed_block(c, dim)
-    return corners, np.array([t for _, t in built])
+    corners, tails = np.zeros((len(js), 0, 0)), np.empty(len(js))
+    for i in np.argsort(js)[::-1]:
+        c, tails[i] = _block_corner(params, u, js[i], CORNER_TAIL_MASS)
+        if c.shape[0] > corners.shape[1]:
+            corners = embed_block(corners, c.shape[0])
+        corners[i, : c.shape[0], : c.shape[0]] = c
+    return corners, tails
 
 
 def local_qubit_state(mu: float, v) -> np.ndarray:

@@ -5,7 +5,8 @@ Fock cutoff, the Gaussian limit is the displaced thermal state on that
 cutoff, every tau_j of the S channel is written out at its full size, and
 all distances diagonalize at the full dimension.  This is the package's
 channel code before it kept only Fock corners; it costs O(dim^3) per grid
-point or block, so use it for small n only.
+point or block, so use it for small n only.  Its hybrids hold complex
+states in the Fock basis (gauge chi = 0) with nothing cut (zero tails).
 
 The dense displaced thermal state has two independent routes on a Fock
 cutoff: the thermal state conjugated by the displacement operator, and a
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import norm
 
-from fullspace import block_state
+from fullspace import block_state, fock_basis
 from qlan.lan_channels import ClassicalDensity, HybridGaussianState
 from qlan.operator_core import embed_block
 from qlan.spin_blocks import (
@@ -121,15 +122,14 @@ def apply_T(params, u, grid, dim, eps_tail=0.2):
     blocks = np.array([embed_block(block_state(params, u, j), dim) for j in j_keep])
     weights = norm.pdf(grid[:, None], loc=g[None, :], scale=ksd) * p_keep[None, :]
     classical = ClassicalDensity(grid, weights.sum(axis=1), expected_mass=1.0 - dropped)
-    return HybridGaussianState(classical, weights, blocks, dropped_mass=dropped)
+    return HybridGaussianState(classical, weights, blocks, np.zeros(len(blocks)), 0.0, dropped)
 
 
 def gaussian_limit(gp, grid, dim):
     """The limit hybrid with the displaced thermal state on ``dim`` levels."""
     f = norm.pdf(grid, loc=gp.classical_mean, scale=math.sqrt(gp.classical_var))
-    return HybridGaussianState(
-        ClassicalDensity(grid, f), f[:, None], dense_displaced_thermal(gp, dim)[None]
-    )
+    phi = dense_displaced_thermal(gp, dim)
+    return HybridGaussianState(ClassicalDensity(grid, f), f[:, None], phi[None], np.zeros(1), 0.0)
 
 
 def _joint_stack(state, sl):
@@ -186,12 +186,13 @@ def apply_S(gp, n, dim):
 
 def expand(mix):
     """A compact ``qlan.lan_channels.BlockMixture`` with every tau_j written
-    out at full size."""
+    out at full size, in the Fock basis."""
+    phi = fock_basis(mix.phi, mix.chi)
     states = []
     for j in mix.js:
         d = int(round(2.0 * j)) + 1
-        m = min(d, mix.phi.shape[0])
-        states.append(_filled(mix.phi[:m, :m], d))
+        m = min(d, phi.shape[0])
+        states.append(_filled(phi[:m, :m], d))
     return DenseMixture(mix.js, mix.probs, states, mix.dropped)
 
 

@@ -13,6 +13,8 @@ top of its ladder.  Two oracles build the whole block instead:
 :func:`block_state` rotates it densely with the spin matrices (O((2j+1)^3),
 small j only), and :func:`full_ladder_state` runs inverse iteration on the
 full 2j + 1 levels of the rotated ladder (any j up to a few thousand).
+The package keeps those corners real in their gauge; :func:`fock_basis`
+phases one back to the Fock basis the oracles work in.
 """
 
 import math
@@ -227,5 +229,11 @@ def full_ladder_state(params, u, j, n_vec: int) -> np.ndarray:
             math.cos(theta) * k, off, k[:n_vec] - shift, np.ones(d, dtype=np.int32), split
         )
         assert info == 0
-    phase = np.exp(1j * u.phase_angle * k)
-    return ((z * w[:n_vec]) @ z.T) * np.outer(phase, phase.conj())
+    return fock_basis((z * w[:n_vec]) @ z.T, u.phase_angle)
+
+
+def fock_basis(corner: np.ndarray, chi: float) -> np.ndarray:
+    """A state kept in its gauge (a real corner, ``qlan.spin_blocks.ladder_corner``)
+    back in the Fock basis: conjugated by diag(e^{i chi k})."""
+    phase = np.exp(1j * chi * np.arange(corner.shape[-1]))
+    return corner * np.outer(phase, phase.conj())

@@ -7,7 +7,7 @@
 * ``lindblad_reduce``: fixed-step RK4 of the lowering-only master
   equation for the reduced system state.
 * ``reduced_xi_evolution``: the reduced state the closed-form xi vector
-  predicts.
+  predicts, and ``xi_norm_sq`` its squared norm in the continuum.
 * ``oscillator_solution``: the damped oscillator, whose coherent states
   stay coherent.
 """
@@ -133,6 +133,12 @@ def reduced_xi_evolution(params: ModelParams, j, rho0: np.ndarray, t: float) -> 
                 )
             out[a, b] = acc * math.exp(-(a + b) * t / 2.0)
     return out
+
+
+def xi_norm_sq(xi) -> float:
+    """||xi||^2 = sum_i c_i^2 e^{-(m-i)t} (1 - e^{-t})^i (continuum)."""
+    i = np.arange(xi.m + 1, dtype=float)
+    return float(np.sum(xi.c**2 * np.exp(-(xi.m - i) * xi.t) * (1.0 - math.exp(-xi.t)) ** i))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dense_channels import (
     q_function,
     thermal_state,
 )
-from fullspace import spin_matrices
+from fullspace import fock_basis, spin_matrices
 from qlan.fock_gaussian import GaussianLimitParams, HeterodyneSampler, displaced_thermal
 from qlan.operator_core import trace_norm_distance
 from qlan.spin_blocks import LocalParams, ModelParams, block_state
@@ -33,6 +33,11 @@ from qlan.tolerances import SAMPLER_TAIL_MASS
 def sample_heterodyne(rho, rng, size=None):
     """One-shot draw from a fresh :class:`HeterodyneSampler`."""
     return HeterodyneSampler(rho).sample(rng, size)
+
+
+def limit_state(gp):
+    """The displaced thermal state's certified corner in the Fock basis."""
+    return fock_basis(displaced_thermal(gp)[0], gp.u.phase_angle)
 
 
 def mean_number(rho):
@@ -95,7 +100,7 @@ def test_displaced_thermal_two_routes_agree():
 
 def test_displaced_thermal_moments():
     gp = GaussianLimitParams(0.8, LocalParams(0.7, 0.4, 0.0))
-    rho = displaced_thermal(gp)[0]
+    rho = limit_state(gp)
     nbar = gp.p / (1.0 - gp.p)
     assert mean_annihilation(rho) == pytest.approx(gp.beta, abs=1e-9)
     assert mean_number(rho) == pytest.approx(abs(gp.beta) ** 2 + nbar, abs=1e-8)
@@ -104,7 +109,7 @@ def test_displaced_thermal_moments():
 def test_displaced_thermal_pinned_oracle():
     # mu = 3/4, u = (1, 0, 0): Tr(rho a) = i / sqrt(2)
     gp = GaussianLimitParams(0.75, LocalParams(1.0, 0.0, 0.0))
-    rho = displaced_thermal(gp)[0]
+    rho = limit_state(gp)
     assert mean_annihilation(rho) == pytest.approx(1j * math.sqrt(0.5), abs=1e-10)
 
 
@@ -116,7 +121,7 @@ def test_q_function_vacuum_and_mass():
     assert q_function(vac, z) == pytest.approx(math.exp(-1.0) / math.pi, abs=1e-12)
 
     gp = GaussianLimitParams(0.75, LocalParams(0.6, -0.8, 0.0))
-    rho = displaced_thermal(gp)[0]
+    rho = limit_state(gp)
     g = np.linspace(-6.0, 6.0, 241)
     X, Y = np.meshgrid(g, g)
     q = q_function(rho, X + 1j * Y)
@@ -149,7 +154,7 @@ def test_heterodyne_coherent_marginals():
 
 def test_heterodyne_displaced_thermal_marginals():
     gp = GaussianLimitParams(0.75, LocalParams(1.0, 0.0, 0.0))
-    rho = displaced_thermal(gp)[0]
+    rho = limit_state(gp)
     rng = np.random.default_rng(44)
     z = sample_heterodyne(rho, rng, 12000)
     nbar = 0.5
@@ -164,7 +169,7 @@ def test_heterodyne_rescaled_recovers_local_parameter():
     """Im/Re of z, rescaled by 1/sqrt(2 mu - 1), center on (u_x, u_y)."""
     mu = 0.75
     u = LocalParams(1.0, 0.0, 0.0)
-    rho = displaced_thermal(GaussianLimitParams(mu, u))[0]
+    rho = limit_state(GaussianLimitParams(mu, u))
     rng = np.random.default_rng(45)
     z = sample_heterodyne(rho, rng, 20000)
     s = math.sqrt(2.0 * mu - 1.0)

@@ -15,7 +15,7 @@ import pytest
 import dense_channels
 import qlan
 from qlan import lan_channels, spin_blocks
-from fullspace import exact_block_weight
+from fullspace import exact_block_weight, fock_basis
 from qlan.fock_gaussian import GaussianLimitParams, displaced_thermal
 from qlan.lan_channels import (
     BlockMixture,
@@ -63,14 +63,21 @@ def test_package_imports_without_np_trapz():
     assert proc.returncode == 0, proc.stderr
 
 
+def moments(d: ClassicalDensity) -> tuple[float, float]:
+    """Mean and variance of a grid density, by the trapezoid rule of its mass."""
+    mean = float(np.trapezoid(d.x * d.values, d.x) / d.mass())
+    return mean, float(np.trapezoid((d.x - mean) ** 2 * d.values, d.x) / d.mass())
+
+
 def test_classical_density_moments():
     x = np.linspace(-8.0, 8.0, 3201)
     f = np.exp(-0.5 * (x - 0.3) ** 2 / 0.1875) / math.sqrt(2 * math.pi * 0.1875)
     d = ClassicalDensity(x, f)
     assert d.mass() == pytest.approx(1.0, abs=1e-9)
-    assert d.mean() == pytest.approx(0.3, abs=1e-9)
-    assert d.var() == pytest.approx(0.1875, abs=1e-9)
-    assert d.step == pytest.approx(x[1] - x[0])
+    mean, var = moments(d)
+    assert mean == pytest.approx(0.3, abs=1e-9)
+    assert var == pytest.approx(0.1875, abs=1e-9)
+    assert d.x[1] - d.x[0] == pytest.approx(x[1] - x[0])
 
 
 def test_classical_density_validation():
@@ -101,9 +108,12 @@ def test_gaussian_limit_structure():
     assert state.blocks.shape == (1, state.dim, state.dim)
     assert np.array_equal(state.weights[:, 0], state.classical.values)
     assert state.classical.mass() == pytest.approx(1.0, abs=1e-9)
-    assert state.classical.mean() == pytest.approx(0.3, abs=1e-9)
-    assert state.classical.var() == pytest.approx(0.1875, abs=1e-8)
-    assert dense_channels.mean_annihilation(state.blocks[0]) == pytest.approx(gp.beta, abs=1e-9)
+    mean, var = moments(state.classical)
+    assert mean == pytest.approx(0.3, abs=1e-9)
+    assert var == pytest.approx(0.1875, abs=1e-8)
+    assert state.chi == gp.u.phase_angle
+    rho = fock_basis(state.blocks[0], state.chi)
+    assert dense_channels.mean_annihilation(rho) == pytest.approx(gp.beta, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -113,12 +123,15 @@ def test_limit_corner_matches_displaced_thermal(mu, u):
     """Built from the top of the displaced number operator's ladder, the
     limit corner is the dense displaced thermal state (three times as many
     levels) cut to the same levels, and its tail bounds the dense one's.
-    Both channels take their limit state from this one builder."""
+    Both channels take their limit state from this one builder, real in
+    the gauge of u."""
     gp = GaussianLimitParams(mu, LocalParams(*u))
     phi, tail = displaced_thermal(gp)
+    assert phi.dtype == np.float64
     dim = phi.shape[0]
     dense = dense_channels.dense_displaced_thermal(gp, 3 * dim)
-    assert np.abs(np.linalg.eigvalsh(phi - dense[:dim, :dim])).sum() <= 1e-13
+    rho = fock_basis(phi, gp.u.phase_angle)
+    assert np.abs(np.linalg.eigvalsh(rho - dense[:dim, :dim])).sum() <= 1e-13
     assert float(dense.diagonal()[dim:].real.sum()) <= tail <= CORNER_TAIL_MASS
     limit = gaussian_limit(gp)
     assert np.array_equal(limit.blocks[0], phi)
@@ -135,8 +148,9 @@ def test_apply_t_classical_marginal_moments():
     d = apply_T(block_data(params, u)).classical
     assert d.mass() == pytest.approx(1.0, abs=1e-9)
     # mean -> u_z, var -> mu(1-mu) + kernel variance, up to lattice effects
-    assert d.mean() == pytest.approx(0.5, abs=0.05)
-    assert d.var() == pytest.approx(0.1875 + 0.5 / 20.0, rel=0.08)
+    mean, var = moments(d)
+    assert mean == pytest.approx(0.5, abs=0.05)
+    assert var == pytest.approx(0.1875 + 0.5 / 20.0, rel=0.08)
 
 
 def test_apply_t_two_qubits():
@@ -152,7 +166,7 @@ def test_apply_t_two_qubits():
     want = block_state(params, LocalParams.zero(), 1.0)
     got = state.blocks[list(state.weights.sum(axis=0)).index(
         max(state.weights.sum(axis=0)))]
-    assert np.allclose(got[:3, :3], want, atol=1e-12)
+    assert np.allclose(fock_basis(got[:3, :3], state.chi), want, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -236,7 +250,7 @@ def test_apply_s_mixture_structure():
     limit = gaussian_limit(gp)
     assert np.array_equal(mix.phi, limit.blocks[0])
     assert mix.tail == limit.tails[0] <= CORNER_TAIL_MASS
-    assert mix.gauge == gp.u.phase_angle
+    assert mix.chi == gp.u.phase_angle
     assert np.linalg.eigvalsh(mix.phi).min() > -1e-12
     assert np.all(mix.leaked >= -1e-15)
     for j, leak in zip(mix.js, mix.leaked):
@@ -255,18 +269,36 @@ def test_apply_s_does_not_grow_with_n():
 def test_blockwise_distance_zero_against_itself():
     """Feeding the true block data through the distance gives ~0.  At
     n = 2 it is a mixture: phi = rho_1, and the filler completes the
-    one-level block j = 0 to rho_0 = 1.  The gauge-free (complex) path
-    gives the same."""
+    one-level block j = 0 to rho_0 = 1."""
     params = ModelParams(0.75, 2)
     u = LocalParams(0.5, 0.3, -0.2)
     blocks = block_data(params, u)
     assert list(blocks.js) == [0.0, 1.0] and blocks.dropped == 0.0
-    mix = BlockMixture(
-        blocks.js, blocks.probs, block_state(params, u, 1.0), gauge=u.phase_angle
-    )
+    mix = BlockMixture(blocks.js, blocks.probs, blocks.corners[1], blocks.chi)
     assert blockwise_distance(mix, blocks) == pytest.approx(0.0, abs=1e-12)
-    mix = dataclasses.replace(mix, gauge=None)
-    assert blockwise_distance(mix, blocks) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_distances_refuse_states_in_different_gauges():
+    """Both distances take their sides in one gauge: a state of another
+    transverse direction, or the same corners labelled with another chi,
+    is refused instead of being compared in the wrong frame."""
+    params = ModelParams(0.8, 50)
+    u = LocalParams(1.0, 1.0, 0.5)
+    blocks = block_data(params, u)
+    t_state = apply_T(blocks)
+    other = GaussianLimitParams(0.8, LocalParams(1.0, -1.0, 0.5))
+    assert other.u.phase_angle != u.phase_angle
+    with pytest.raises(ValueError, match="gauge"):
+        hybrid_trace_distance(t_state, gaussian_limit(other, grid=t_state.classical.x))
+    limit = gaussian_limit(GaussianLimitParams(0.8, u), grid=t_state.classical.x)
+    relabelled = dataclasses.replace(limit, chi=limit.chi + 0.5)
+    with pytest.raises(ValueError, match="gauge"):
+        hybrid_trace_distance(t_state, relabelled)
+    with pytest.raises(ValueError, match="gauge"):
+        blockwise_distance(apply_S(other, params.n), blocks)
+    mix = apply_S(GaussianLimitParams(0.8, u), params.n)
+    with pytest.raises(ValueError, match="gauge"):
+        blockwise_distance(dataclasses.replace(mix, chi=mix.chi + 0.5), blocks)
 
 
 def test_blockwise_distance_s_channel_small():
@@ -282,6 +314,22 @@ def test_convergence_sweep_decreasing():
     assert res.rows[0].dist_S > res.rows[1].dist_S
     assert res.slope_T < 0.0
     assert res.slope_S < 0.0
+
+
+def test_convergence_sweep_pinned():
+    """The default sweep's rows at 20, 50, 100 and 400, recorded when block
+    and limit corners were still stored complex in the Fock basis: keeping
+    them real in their gauge moves no distance past rounding."""
+    res = convergence_sweep(0.8, (1, 1, 1), (20, 50, 100, 400))
+    pinned = [
+        (0.6305416420981395, 0.9884695858490867),
+        (0.5266657958948457, 0.7935872605765412),
+        (0.3763068690510467, 0.5246947679235673),
+        (0.19195724554167526, 0.2482698394642487),
+    ]
+    for row, (dist_t, dist_s) in zip(res.rows, pinned, strict=True):
+        assert row.dist_T == pytest.approx(dist_t, abs=1e-12)
+        assert row.dist_S == pytest.approx(dist_s, abs=1e-12)
 
 
 def test_convergence_sweep_clamps_inadmissible_shift():
@@ -335,7 +383,7 @@ def test_blockwise_distance_filler_outside_corner():
     gp = GaussianLimitParams(0.7, LocalParams(1.0, 1.0, 1.0))
     params = ModelParams(0.7, 200)
     full = apply_S(gp, 200)
-    mix = BlockMixture(full.js, full.probs, full.phi[:15, :15], full.dropped, gauge=full.gauge)
+    mix = BlockMixture(full.js, full.probs, full.phi[:15, :15], full.chi, full.dropped)
     assert mix.leaked.max() > 1e-6
     d = blockwise_distance(mix, block_data(params, gp.u))
     dense = dense_channels.blockwise_distance(dense_channels.expand(mix), params, gp.u)

@@ -33,6 +33,7 @@ from reference_dynamics import (
     mode_power,
     oscillator_solution,
     reduced_xi_evolution,
+    xi_norm_sq,
 )
 
 PARAMS = ModelParams(0.75, 10_000)
@@ -79,15 +80,15 @@ def test_xi_norm_closed_form():
     gamma = j / JN
     xi = xi_state(PARAMS, j, 1, 5.0)
     want = math.exp(-5.0) + gamma * (1.0 - math.exp(-5.0))
-    assert xi.norm_sq() == pytest.approx(want, rel=1e-12)
+    assert xi_norm_sq(xi) == pytest.approx(want, rel=1e-12)
     # pinned value at the center, m = 2
     xi2 = xi_state(PARAMS, JN, 2, 5.0)
-    assert xi2.norm_sq() == pytest.approx(0.9998000090799866, abs=1e-12)
+    assert xi_norm_sq(xi2) == pytest.approx(0.9998000090799866, abs=1e-12)
 
 
 def test_xi_discrete_norm_converges():
     xi = xi_state(PARAMS, JN, 2, 5.0)
-    cont = xi.norm_sq()
+    cont = xi_norm_sq(xi)
     devs = [abs(xi.discrete_norm_sq(K) - cont) for K in (250, 500, 1000)]
     assert devs[2] < devs[1] < devs[0]
     assert devs[2] < 1e-4
@@ -213,7 +214,7 @@ def test_collision_matches_dense_joint_state(m, K, j, vec):
             want = np.vdot(powers[e], psi[c]) / math.sqrt(math.factorial(e))
             assert abs(wave.sectors[s][c] - want) < 1e-13
     flat = psi.reshape(dim, -1)
-    assert np.max(np.abs(wave.system_reduced() - flat @ flat.conj().T)) < 1e-13
+    assert np.max(np.abs(wave.reduced - flat @ flat.conj().T)) < 1e-13
     if live == [m]:
         xi = xi_state(PARAMS, j, m, t)
         amp = xi.c * xi.alpha()
@@ -237,7 +238,7 @@ def test_collision_reduced_state_is_a_density(m, K, t, j, amps):
     norm_sq = float(np.vdot(vec, vec).real)
     if norm_sq == 0.0:
         vec[m], norm_sq = 1.0, 1.0
-    rho = collision_integrate(PARAMS, float(j), vec, t, K).system_reduced()
+    rho = collision_integrate(PARAMS, float(j), vec, t, K).reduced
     tol = 1e-13 + 4.0 * np.finfo(float).eps * K
     assert np.allclose(rho, rho.conj().T, rtol=0.0, atol=1e-14 * norm_sq)
     assert np.trace(rho).real == pytest.approx(norm_sq, rel=tol)
@@ -281,7 +282,7 @@ def test_lindblad_vs_collision_reduced():
     rho0 = np.zeros((3, 3), dtype=complex)
     rho0[2, 2] = 1.0
     a = lindblad_reduce(PARAMS, JN, rho0, 1.0)
-    red = collision_integrate(PARAMS, JN, 2, 1.0, 800).system_reduced()
+    red = collision_integrate(PARAMS, JN, 2, 1.0, 800).reduced
     assert np.max(np.abs(red - a)) < 1e-3
 
 

@@ -20,6 +20,7 @@ from fullspace import (
     assemble_from_blocks,
     block_probability_factored,
     exact_block_weight,
+    fock_basis,
     full_ladder_state,
     isotypic_isometries,
     rotation_unitary,
@@ -31,6 +32,7 @@ from qlan.spin_blocks import (
     _outside_mass_bound,
     LocalParams,
     ModelParams,
+    as_local,
     block_corners,
     block_pmf_window,
     block_probability,
@@ -370,12 +372,12 @@ def test_block_corners_match_dense_states(mu, u, n):
     assume(0.5 < mu + u[2] / math.sqrt(n) < 1.0)
     js = valid_j_values(n)
     corners, tails = block_corners(params, u, js)
-    dim = corners.shape[1]
+    chi = as_local(u).phase_angle
     for corner, tail, j in zip(corners, tails, js):
         dense = fullspace.block_state(params, u, j)
         m = block_state(params, u, j).shape[0]
         assert m <= dense.shape[0]
-        assert np.abs(corner[:m, :m] - dense[:m, :m]).max() <= 1e-12
+        assert np.abs(fock_basis(corner[:m, :m], chi) - dense[:m, :m]).max() <= 1e-12
         assert not corner[m:].any() and not corner[:, m:].any()
         # the reported tail adds the weight of ladder vectors never built
         # (at most half the budget) and the leading block's certificate (at
@@ -431,7 +433,8 @@ def test_top_of_ladder_corners_match_the_full_ladder(mu, u, n):
             assert max(sizes, default=0) < d
         full = full_ladder_state(params, u, j, _n_exact(params.p_u(u), d))
         dim = corners.shape[1]
-        assert _trace_norm(corners[0] - full[:dim, :dim]) <= 1e-14
+        rho = fock_basis(corners[0], as_local(u).phase_angle)
+        assert _trace_norm(rho - full[:dim, :dim]) <= 1e-14
         # unrotated, the two tails are the same geometric sum, rounded apart
         assert float(full.diagonal()[dim:].real.sum()) <= tails[0] * (1.0 + 1e-12)
         assert tails[0] <= CORNER_TAIL_MASS
@@ -462,18 +465,17 @@ def test_short_leading_block_is_caught_by_the_certificate(monkeypatch):
     # the rejected block's own state, built as the routine would have
     p = params.p_u(u)
     w = (1.0 - p) * p ** np.arange(n_vec)
-    phase = np.exp(1j * u.phase_angle * np.arange(size))
-    rejected = ((short * w) @ short.T) * np.outer(phase, phase.conj())
+    rejected = fock_basis((short * w) @ short.T, u.phase_angle)
     assert _trace_norm(rejected - full[:size, :size]) > 100.0 * CORNER_TAIL_MASS
     dim = corners.shape[1]
-    assert _trace_norm(corners[0] - full[:dim, :dim]) <= 1e-14
+    assert _trace_norm(fock_basis(corners[0], u.phase_angle) - full[:dim, :dim]) <= 1e-14
     assert tails[0] <= CORNER_TAIL_MASS
 
 
 def test_ladder_corner_of_an_unrotated_oscillator_is_thermal():
     """No coupling: the corner is the thermal state's first D levels, and
     its tail is exactly the thermal weight p^D beyond them."""
-    corner, tail = ladder_corner(0.5, math.inf, 1.0, 0.0, lambda k: 0.0 * k, 0.3, 1e-12)
+    corner, tail = ladder_corner(0.5, math.inf, 1.0, 0.0, lambda k: 0.0 * k, 1e-12)
     dim = corner.shape[0]
     assert np.allclose(corner, np.diag(0.5 ** np.arange(1, dim + 1)), rtol=1e-14, atol=0.0)
     assert tail == pytest.approx(0.5**dim, rel=1e-12)
@@ -481,17 +483,37 @@ def test_ladder_corner_of_an_unrotated_oscillator_is_thermal():
 
 
 def test_block_corners_stream_one_block_at_a_time():
-    """Each block's leading ladder vectors are dropped once its corner is
-    kept: over the n = 1600 pmf window the call peaks at a small multiple
-    of the corners it returns.  Holding every full-length ladder until all
-    corners were built peaked at about 8.6 times them (119 MB)."""
-    params = ModelParams(0.8, 1600)
+    """Each block's corner goes straight into one real stack and its
+    leading ladder vectors are dropped: over the n = 1600 pmf window the
+    call peaks within a quarter of the stack it returns.  Holding every
+    full-length ladder until all corners were built peaked at about 8.6
+    times them (119 MB); a list of complex corners copied into a complex
+    stack, at about 1.9 times."""
     u = LocalParams(1.0, 1.0, 1.0)
-    js, _, _ = block_pmf_window(params, u)
-    tracemalloc.start()
-    try:
-        corners, _ = block_corners(params, u, js)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * corners.nbytes
+    for mu in (0.8, 0.6):
+        params = ModelParams(mu, 1600)
+        js, _, _ = block_pmf_window(params, u)
+        tracemalloc.start()
+        try:
+            corners, _ = block_corners(params, u, js)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert corners.dtype == np.float64
+        assert peak <= 1.25 * corners.nbytes, (mu, peak / corners.nbytes)
+
+
+@pytest.mark.parametrize(
+    "mu, u, n, j",
+    [(0.8, (1.0, 1.0, 1.0), 400, 118.0), (0.75, (1.5, -1.0, 0.5), 400, 100.0),
+     (0.7, (0.0, 0.0, 0.3), 41, 4.5), (0.6, (-2.0, 0.5, 0.0), 200, 23.0)],
+)
+def test_block_state_is_the_real_corner_phased(mu, u, n, j):
+    """The corners are kept real in the gauge of u; ``block_state`` is that
+    corner phased back by diag(e^{i chi k}), bit for bit, and nothing else."""
+    params = ModelParams(mu, n)
+    corners, _ = block_corners(params, u, [j])
+    assert corners.dtype == np.float64
+    want = fock_basis(corners[0], as_local(u).phase_angle)
+    got = block_state(params, u, j)
+    assert got.shape == want.shape and np.array_equal(got, want)
