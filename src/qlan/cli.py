@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .estimator import EstimatorConfig, OutsideModelError, full_estimate
-from .lan_channels import convergence_sweep
+from .lan_channels import convergence_sweep, loglog_slope
 from .operator_core import density_to_bloch
 from .qsde import collision_integrate, xi_error_bound, xi_overlap, xi_state
 from .risk_bench import (
@@ -115,16 +115,17 @@ def _csv_cell(v) -> str:
     return repr(float(v)) if isinstance(v, float) else str(v)
 
 
+def _finite_or_none(d: dict) -> dict:
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in d.items()}
+
+
 def _emit_rows(rows: list, cols, config: dict, fmt: str, out: str | None, **totals) -> None:
     """Write rows as CSV (columns ``cols``; a column a row lacks takes its
     ``totals`` value) or as JSON {"config", "rows", **totals}, where a
-    non-finite float in a row becomes null."""
+    non-finite float in a row or a total becomes null."""
     if fmt == "json":
-        rows = [
-            {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in r.items()}
-            for r in rows
-        ]
-        text = json.dumps({"config": config, "rows": rows, **totals}, indent=2)
+        rows = [_finite_or_none(r) for r in rows]
+        text = json.dumps({"config": config, "rows": rows, **_finite_or_none(totals)}, indent=2)
     else:
         lines = [",".join(cols)]
         lines += [",".join(_csv_cell(r.get(c, totals.get(c))) for c in cols) for r in rows]
@@ -211,14 +212,9 @@ def cmd_qsde_check(spec: dict) -> int:
                     "norm_drift": max(abs(w.norm() - 1.0) for w in waves),
                 }
             )
-        n_arr = np.asarray(spec["n_list"], dtype=float)
-        if len(set(spec["n_list"])) >= 2:
-            slope = float(np.polyfit(np.log(n_arr), np.log(deficits), 1)[0])
-        else:
-            slope = float("nan")  # a slope needs at least two distinct n
-        for row in rows:
-            if row["m"] == m:
-                row["slope"] = slope
+        slope = loglog_slope(spec["n_list"], deficits)
+        for row in rows[-len(deficits) :]:  # this m's rows
+            row["slope"] = slope
     _emit_rows(
         rows,
         ("n", "j", "m", "t", "overlap", "bound", "slope", "richardson_delta", "norm_drift"),

@@ -28,12 +28,7 @@ import numpy as np
 from .fock_gaussian import HeterodyneSampler
 from .operator_core import density_to_bloch, validate_density
 from .qsde import energy_measurement_sample
-from .spin_blocks import (
-    LocalParams,
-    ModelParams,
-    block_state,
-    sample_block_index,
-)
+from .spin_blocks import ModelParams, block_state, sample_block_index
 from .tolerances import MODEL_MARGIN, SAMPLER_TAIL_MASS
 
 
@@ -228,10 +223,12 @@ def stage2_sample(mu, n: int, u, config: EstimatorConfig, rng: np.random.Generat
     smoothing kernel for g; see :func:`_exact_stage2` for the order of the
     draws.
     """
-    if config.sampler == "exact":
-        return _exact_stage2(mu, n, u, rng)
+    mu, u = np.asarray(mu, dtype=float), np.asarray(u, dtype=float)
     u_x, u_y, u_z = u
-    mu_u = np.clip(mu + u_z / math.sqrt(n), 0.5 + 1e-9, 1.0 - 1e-12)
+    mu_u = mu + u_z / math.sqrt(n)
+    if config.sampler == "exact":
+        return _exact_stage2(mu, mu_u, n, u, rng)
+    mu_u = np.clip(mu_u, 0.5 + 1e-9, 1.0 - 1e-12)
     sd_xy = np.sqrt(mu_u / (2.0 * (2.0 * mu_u - 1.0) ** 2))
     count = len(mu_u)
     ux = u_x + sd_xy * rng.standard_normal(count)
@@ -240,37 +237,31 @@ def stage2_sample(mu, n: int, u, config: EstimatorConfig, rng: np.random.Generat
     return ux, uy, g
 
 
-def _exact_stage2(mu, n: int, u, rng: np.random.Generator):
+def _exact_stage2(mu, mu_u, n: int, u, rng: np.random.Generator):
     """Exact draws for the (3, B) columns ``u`` about the (B,) reference
-    eigenvalues ``mu``.  Columns sharing (mu, u) form a group, in order of
-    first appearance; a group draws its block indices at once, then
-    heterodynes each block it hit.  The energy readouts and kernel noise of
-    all columns follow as one draw each, so B equal columns draw like one
-    u B times.
+    eigenvalues ``mu``, at the shifted eigenvalues ``mu_u``: all block
+    indices in one :func:`sample_block_index` call, then one heterodyne draw
+    per distinct (mu, u, j), in ascending order, for the columns it serves,
+    then the energy readouts and kernel noise of all columns as one draw
+    each.
 
     A block is heterodyned on its certified corner (``block_state`` at
     ``SAMPLER_TAIL_MASS`` = t), so each draw is within 2 sqrt(t) + t in
     total variation of the block state's own heterodyne law."""
-    mu = np.asarray(mu, dtype=float)
-    count = len(mu)
-    groups = {}
-    for i, key in enumerate(zip(mu.tolist(), *np.asarray(u, dtype=float).tolist())):
-        groups.setdefault(key, []).append(i)
-    js = np.empty(count)
-    zs = np.empty(count, dtype=complex)
-    for (mu_g, *u_g), cols in groups.items():
-        model, u_loc = ModelParams(mu_g, n), LocalParams(*u_g)
-        cols = np.array(cols)
-        js[cols] = sample_block_index(model, u_loc, rng, len(cols))
-        for j in np.unique(js[cols]):
-            at = cols[js[cols] == j]
-            rho = block_state(model, u_loc, j, tail=SAMPLER_TAIL_MASS)
-            zs[at] = HeterodyneSampler(rho).sample(rng, size=len(at))
+    js = sample_block_index(n, mu_u, rng)
+    keys = np.vstack([js, u[::-1], mu])  # lexsort orders by mu, u_z, u_y, u_x, then j
+    order = np.lexsort(keys)
+    first = np.ones(len(order), dtype=bool)  # the first column of each group
+    first[1:] = np.any(np.diff(keys[:, order], axis=1) != 0.0, axis=0)
+    zs = np.empty(len(mu), dtype=complex)
+    for c, cols in zip(order[first], np.split(order, np.flatnonzero(first)[1:])):
+        rho = block_state(ModelParams(float(mu[c]), n), u[:, c], js[c], tail=SAMPLER_TAIL_MASS)
+        zs[cols] = HeterodyneSampler(rho).sample(rng, size=len(cols))
     scale, rn = 1.0 / np.sqrt(2.0 * mu - 1.0), math.sqrt(n)
     # monitoring time n: the readout variance 1/(4n) is negligible next
     # to the block spread
     x_e = energy_measurement_sample(n, js, float(n), rng)
-    g = x_e - rn * (mu - 0.5) + rng.normal(0.0, math.sqrt(0.5 / rn), size=count)
+    g = x_e - rn * (mu - 0.5) + rng.normal(0.0, math.sqrt(0.5 / rn), size=len(mu))
     return np.imag(zs) * scale, -np.real(zs) * scale, g
 
 

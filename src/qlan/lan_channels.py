@@ -264,10 +264,12 @@ def hybrid_trace_distance(a: HybridGaussianState, b: HybridGaussianState) -> Cor
         raise ValueError("hybrid states live on different classical grids")
     if a.chi != b.chi:
         raise ValueError(f"states in different gauges (chi = {a.chi}, {b.chi})")
-    dim = max(a.dim, b.dim)
-    # f_a rho_a - f_b rho_b at every x as one sum over both block lists
+    # f_a rho_a - f_b rho_b at every x as one sum over one stack of both block lists
     coef = np.hstack([a.weights, -b.weights])
-    states = np.concatenate([embed_block(s.blocks, dim) for s in (a, b)])
+    dim, na = max(a.dim, b.dim), len(a.blocks)
+    states = np.zeros((na + len(b.blocks), dim, dim), np.result_type(a.blocks, b.blocks))
+    states[:na, : a.dim, : a.dim] = a.blocks
+    states[na:, : b.dim, : b.dim] = b.blocks
     norms = _trace_norms(len(xa), dim, lambda sl: np.tensordot(coef[sl], states, axes=1))
     return CornerDistance(np.trapezoid(norms.sum(axis=1), xa), a.corner_bound() + b.corner_bound())
 
@@ -452,7 +454,7 @@ def convergence_sweep(mu: float, u, n_list, eps_tail: float = 0.2) -> SweepResul
     When ``u_z`` makes the shifted eigenvalue inadmissible at small n it is
     clamped to ``DELTA_ADM`` inside the boundary (row flagged) so that both
     objects stay well defined; the log-log slopes are least-squares fits
-    over all rows.
+    over all rows (nan below two distinct n).
     """
     u = as_local(u)
     rows = []
@@ -479,13 +481,12 @@ def convergence_sweep(mu: float, u, n_list, eps_tail: float = 0.2) -> SweepResul
                 corner_bound_S=dist_s.bound,
             )
         )
-    ln_n = np.log([r.n for r in rows])
-    slope_t = _loglog_fit(ln_n, [r.dist_T for r in rows])
-    slope_s = _loglog_fit(ln_n, [r.dist_S for r in rows])
-    return SweepResult(rows, slope_t, slope_s)
+    ns, dist_t, dist_s = zip(*[(r.n, r.dist_T, r.dist_S) for r in rows])
+    return SweepResult(rows, loglog_slope(ns, dist_t), loglog_slope(ns, dist_s))
 
 
-def _loglog_fit(ln_n: np.ndarray, dists) -> float:
-    # full=True: a single-row sweep is rank deficient, and should not warn
-    coeffs = np.polyfit(ln_n, np.log(np.asarray(dists, dtype=float)), 1, full=True)[0]
-    return float(coeffs[0])
+def loglog_slope(ns, values) -> float:
+    """Least-squares slope of log(values) on log(ns); nan below two distinct ns."""
+    if len(set(ns)) < 2:
+        return float("nan")
+    return float(np.polyfit(np.log(ns), np.log(values), 1)[0])

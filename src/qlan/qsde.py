@@ -247,14 +247,13 @@ def collision_integrate(
     return wave
 
 
-def xi_overlap(wave: JointWaveVector, xi: XiState, normalized: bool = True) -> float:
-    """Overlap of the collision-model state with the discretized xi vector.
+def xi_overlap(wave: JointWaveVector, xi: XiState) -> float:
+    """Overlap |<xi_hat | psi_hat>| of the collision-model state with the
+    discretized xi vector, both scaled to unit norm.
 
     The xi mode is discretized with the exact per-slot integrals of
     e^{-s/2}; its i-fold power is sqrt(i!) times the degree-i part of the
-    generating state the wave was contracted against.  With ``normalized``
-    both vectors are scaled to unit norm, so the result is the
-    fidelity-style overlap |<xi_hat | psi_hat>|.
+    generating state the wave was contracted against.
     """
     if xi.m not in wave.sectors:
         raise ValueError(f"wave has no excitation sector m = {xi.m}")
@@ -266,8 +265,6 @@ def xi_overlap(wave: JointWaveVector, xi: XiState, normalized: bool = True) -> f
         xi.c[i] * alpha[i] * math.sqrt(math.factorial(i)) * comps[xi.m - i]
         for i in range(xi.m + 1)
     )
-    if not normalized:
-        return float(abs(total))
     denom = math.sqrt(xi.discrete_norm_sq(wave.K) * wave.sector_norm_sq(xi.m))
     return float(abs(total) / denom)
 

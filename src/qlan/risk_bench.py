@@ -161,8 +161,7 @@ def pointwise_risk(
     cfg = config.validate()
     r_true = density_to_bloch(rho_true)
     mu_weight = 0.5 * (1.0 + float(np.linalg.norm(r_true)))
-    n_rest = n - int(math.ceil(float(n) ** (1.0 - cfg.estimator.kappa)))
-    fail = _failure_loss(cfg, _grid_max_sq(cfg, n)) * (1.0 if cfg.loss == "local" else n_rest)
+    fail = _failure_loss(cfg, _grid_max_sq(cfg, n))
     per, rem = divmod(cfg.trials, cfg.batches)
     sizes = [per + (1 if b < rem else 0) for b in range(cfg.batches)]
     losses = []
@@ -175,7 +174,8 @@ def pointwise_risk(
             loss = res.n_rest * loss_trace_sq(r_true, res.r_hat)
         else:
             loss = res.n_rest * loss_fidelity(r_true, res.r_hat)
-        losses.append(np.where(res.outside, fail, loss))
+        charge = fail if cfg.loss == "local" else fail * res.n_rest
+        losses.append(np.where(res.outside, charge, loss))
         counts["failures"] += int(res.outside.sum())
         counts["truncated"] += int(np.count_nonzero(res.trunc_flags.any(axis=0)))
         counts["clamped"] += int(res.recon_clamped.sum())

@@ -23,7 +23,7 @@ CHANNEL_DROP_MASS = 1e-9
 # Individual blocks with probability below this are skipped (mass reported).
 BLOCK_SKIP_MASS = 1e-12
 
-# Target tail mass when extending a block window for sampling / summation.
+# Tail mass the channels' block window may leave out (no sampler uses it).
 WINDOW_TAIL_MASS = 1e-12
 
 # Mass a Fock corner may leave outside it, per state.  Gentle measurement

@@ -82,6 +82,25 @@ def test_lan_dist_json_structure(capsys):
     assert [r["n"] for r in payload["rows"]] == [20, 50]
 
 
+@pytest.mark.parametrize("n_list", ["1", "400,400"])
+def test_lan_dist_without_two_distinct_n_has_no_slope(n_list, capsys):
+    """A sweep over fewer than two distinct n fixes no slope: nan in CSV and
+    null in JSON, which stays strict JSON (no NaN token)."""
+    code, out, err = run_cli(["lan-dist", "--n-list", n_list], capsys)
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [row[3:] for row in rows] == [["nan", "nan"]] * len(rows)
+    assert all(np.isfinite(float(x)) for row in rows for x in row[1:3])
+    code, out, _ = run_cli(["lan-dist", "--n-list", n_list, "--format", "json"], capsys)
+    assert code == 0
+
+    def no_constant(token):
+        raise AssertionError(f"invalid JSON token {token}")
+
+    payload = json.loads(out, parse_constant=no_constant)
+    assert payload["slope_T"] is None and payload["slope_S"] is None
+
+
 def test_risk_reruns_are_byte_identical(tmp_path, capsys):
     args = [
         "risk",
@@ -272,7 +291,8 @@ def test_estimate_output_fields(capsys):
 
 
 # qlan estimate --n 10000 --u 0.5,-0.2,0.3 --seed 7, recorded while
-# full_estimate still had its single-trial form: both samplers share stage 1
+# full_estimate still had its single-trial form (the exact entry re-recorded
+# when the block index became a walk maximum): both samplers share stage 1
 # and the true local parameter; per sampler (u_raw = u_hat, Bloch estimate,
 # (trace_sq, fidelity, local) losses), nothing truncated
 ESTIMATE_STAGE1 = {
@@ -288,9 +308,9 @@ ESTIMATE_PINNED = {
         (0.000939656123852988, 0.00026465491060911894, 3.551710286634499),
     ),
     "exact": (
-        [1.4556996701090907, -1.9331808638019432, -0.5342897555561977],
-        [0.02356815942269809, 0.017081412759560693, 0.49951298124005916],
-        (0.0006503707233659863, 0.00016528850750296975, 2.4261530563581277),
+        [0.9727838012768507, -1.2918647079888326, 0.190045281986834],
+        [0.013634869013993424, 0.009568818482738618, 0.5239438350719071],
+        (0.00047817881375701316, 0.00014948508631984492, 1.7457496363698746),
     ),
 }
 

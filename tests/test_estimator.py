@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qlan import estimator, spin_blocks
 from qlan.estimator import (
     EstimatorConfig,
     Stage1Result,
@@ -175,23 +176,68 @@ def test_exact_sampler_reproducible():
 
 
 # first three (ux, uy, g) of 50 equal exact-sampler columns at mu = 0.75,
-# n = 400, u = (0.8, -0.5, 0.6), default_rng(11); the same values one u
-# drawn 50 times gave before stage 2 took columns only
+# n = 400, u = (0.8, -0.5, 0.6), default_rng(11); re-recorded when the block
+# index became a walk maximum drawn for the whole chunk at once
 EXACT_GROUP_PINNED = (
-    [1.6183652142094676, -0.23364496659841988, -0.20557678973361115],
-    [-0.33820998205797886, -1.4430047212815287, -0.9967258789670228],
-    [-0.040680772570295926, 0.4191341384216295, 0.7812926316157257],
+    [-0.378231690538603, -0.7407573716042574, -0.27145901061918587],
+    [-0.4177929823629763, -0.41505364743037343, -0.24098101665129168],
+    [1.0228446791868524, 0.9029706765955615, 1.218222576846776],
 )
 
 
 def test_exact_columns_draw_like_one_u():
-    """B equal columns are one group and draw bit for bit what one u drawn
-    B times did: block indices, heterodyne draws, readouts and kernel noise
-    each in one draw."""
+    """B equal columns draw their block indices, readouts and kernel noise
+    in one draw each, and heterodyne each block index they hit in one draw."""
     cfg = EstimatorConfig(sampler="exact")
     cols = _columns((0.8, -0.5, 0.6), 50)
     batch = stage2_sample(np.full(50, 0.75), 400, cols, cfg, np.random.default_rng(11))
     assert tuple(x[:3].tolist() for x in batch) == EXACT_GROUP_PINNED
+
+
+def test_exact_chunk_draws_block_indices_once(monkeypatch):
+    """A chunk draws all its block indices in one ``sample_block_index``
+    call, builds no pmf window, and builds one block state per distinct
+    (mu, u, j) among its columns."""
+    calls = {"index": [], "window": 0, "state": 0}
+
+    def index(n, mu_u, rng):
+        js = spin_blocks.sample_block_index(n, mu_u, rng)
+        calls["index"].append(js)
+        return js
+
+    def window(*args):
+        calls["window"] += 1
+        return spin_blocks.block_pmf_window(*args)
+
+    def state(*args, **kwargs):
+        calls["state"] += 1
+        return spin_blocks.block_state(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "sample_block_index", index)
+    monkeypatch.setattr(spin_blocks, "block_pmf_window", window)
+    monkeypatch.setattr(estimator, "block_state", state)
+    cols = np.hstack([_columns((0.8, -0.5, 0.6), 30), _columns((0.1, 0.2, -0.3), 3)])
+    cols[2, -1] = 0.7  # a third distinct u
+    cfg = EstimatorConfig(sampler="exact")
+    stage2_sample(np.full(33, 0.75), 400, cols, cfg, np.random.default_rng(3))
+    assert len(calls["index"]) == 1 and calls["window"] == 0
+    js = calls["index"][0]
+    groups = (slice(0, 30), slice(30, 32), slice(32, 33))
+    assert calls["state"] == sum(len(np.unique(js[cols])) for cols in groups)
+
+
+def test_exact_sampler_names_an_inadmissible_shifted_eigenvalue():
+    rng, cfg = np.random.default_rng(0), EstimatorConfig(sampler="exact")
+    with pytest.raises(ValueError, match="shifted eigenvalue mu_u = 1.1 lies outside the"):
+        stage2_sample(np.array([0.9]), 100, [[0.0], [0.0], [2.0]], cfg, rng)
+    assert rng.random() == np.random.default_rng(0).random()  # refused before any draw
+
+
+def test_exact_sampler_takes_an_empty_chunk():
+    """A chunk whose trials all fell outside the model draws nothing."""
+    cfg = EstimatorConfig(sampler="exact")
+    raw = stage2_sample(np.empty(0), 400, np.empty((3, 0)), cfg, np.random.default_rng(0))
+    assert [x.shape for x in raw] == [(0,)] * 3
 
 
 def test_config_validation():

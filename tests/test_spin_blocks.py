@@ -216,19 +216,54 @@ def test_outside_mass_bound_dominates_exact_mass(mu):
     assert dropped >= sum(w for j, w in zip(js, weights) if float(j) not in inside)
 
 
+def _walk_block_law(n: int, mu: Fraction) -> dict:
+    """Law of 2j = 2 max_k S_k - S_n for the +-1 walk S with P(+1) = mu,
+    summed exactly: N ~ Bin(n, mu) up-steps, and given N the reflection
+    principle's P(max S >= m) = C(n, n - N + m) / C(n, N), m >= max(S_n, 0)."""
+    law = {}
+    for up in range(n + 1):
+        down, s = n - up, 2 * up - n
+        weight = mu**up * (1 - mu) ** down  # P(N = up) / C(n, up)
+        for m in range(max(s, 0), up + 1):
+            at_m = math.comb(n, down + m) - (math.comb(n, down + m + 1) if m < up else 0)
+            law[2 * m - s] = law.get(2 * m - s, 0) + weight * at_m
+    return law
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(1, 40),
+    mu=st.fractions(Fraction(1, 2), 1, max_denominator=60).filter(lambda f: Fraction(1, 2) < f < 1),
+)
+def test_walk_maximum_law_is_the_block_law(n, mu):
+    """The walk maximum that ``sample_block_index`` draws has exactly the
+    block law p_{n,mu}(j), in rational arithmetic."""
+    law = _walk_block_law(n, mu)
+    assert law == {int(2 * j): exact_block_weight(n, j, mu) for j in valid_j_values(n)}
+
+
 def test_sample_block_index_goodness_of_fit():
-    params = ModelParams(0.7, 40)
-    u = LocalParams(0.3, -0.2, 0.4)
-    rng = np.random.default_rng(5)
-    draws = sample_block_index(params, u, rng, 20000)
-    js, probs, _ = block_pmf_window(params, u)
-    counts = np.array([(draws == j).sum() for j in js])
-    keep = probs * 20000 >= 5.0  # chi-square validity
-    chi = stats.chisquare(
-        counts[keep], f_exp=probs[keep] / probs[keep].sum() * counts[keep].sum()
-    )
-    assert chi.pvalue > 1e-3
-    assert counts.sum() == 20000
+    """Seeded chi-square of the walk draws against the pmf window, on the
+    cells expected to hold at least 5 draws, at level 1e-3: at n = 40 and
+    u = (0.3, -0.2, 0.4), and unshifted at n = 12, 10^4 and 10^6.  Near
+    mu = 1/2 at small n the walk maximum sets most of j's spread, so the
+    n = 12 case sees a draw biased by 5% in P(max S >= m)."""
+    for params, u, draws in (
+        (ModelParams(0.7, 40), LocalParams(0.3, -0.2, 0.4), 20_000),
+        (ModelParams(0.55, 12), LocalParams.zero(), 100_000),
+        (ModelParams(0.8, 10**4), LocalParams.zero(), 100_000),
+        (ModelParams(0.75, 10**6), LocalParams.zero(), 100_000),
+    ):
+        got = sample_block_index(params.n, np.full(draws, params.mu_u(u)), np.random.default_rng(5))
+        js, probs, _ = block_pmf_window(params, u)
+        idx = np.searchsorted(js, got)
+        assert np.array_equal(js[idx], got)
+        counts = np.bincount(idx, minlength=len(js))
+        keep = probs * draws >= 5.0  # chi-square validity
+        chi = stats.chisquare(
+            counts[keep], f_exp=probs[keep] / probs[keep].sum() * counts[keep].sum()
+        )
+        assert chi.pvalue > 1e-3, params
 
 
 def test_spin_matrices_algebra():
