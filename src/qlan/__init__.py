@@ -10,9 +10,7 @@ a Monte Carlo benchmark of the asymptotic minimax risk.
 __version__ = "0.1.0"
 
 from .operator_core import (
-    bloch_to_density,
     density_to_bloch,
-    fidelity,
     trace_norm_distance,
     validate_density,
 )

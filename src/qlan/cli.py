@@ -242,6 +242,9 @@ def cmd_estimate(spec: dict) -> int:
         raise OutsideModelError(
             f"rotated state too close to maximally mixed: mu - 1/2 = "
             f"{mu_true - 0.5:.4f} < margin {MODEL_MARGIN}; outside the model"
+            if mu_true - 0.5 < MODEL_MARGIN
+            else f"true state is pure to rounding: 1 - mu = {1.0 - mu_true:.3g}, and its "
+            "shifted eigenvalue is not below 1; outside the model"
         )
     u_true, u_hat, r_hat = res.u_true_local[:, 0], res.u_hat[:, 0], res.r_hat[:, 0]
     payload = {

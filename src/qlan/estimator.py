@@ -28,8 +28,8 @@ import numpy as np
 from .fock_gaussian import HeterodyneSampler
 from .operator_core import density_to_bloch, validate_density
 from .qsde import energy_measurement_sample
-from .spin_blocks import ModelParams, block_state, sample_block_index
-from .tolerances import MODEL_MARGIN, SAMPLER_TAIL_MASS
+from .spin_blocks import block_vector, ladder_level, sample_block_index
+from .tolerances import MODEL_MARGIN
 
 
 class OutsideModelError(RuntimeError):
@@ -47,10 +47,9 @@ class EstimatorConfig:
         risk at moderate n.
     eps:   localization exponent entering the parameter-region radius.
     eta:   truncation exponent (raw components kept while |u| <= 3 n^eta).
-    sampler: "gaussian" (limit distributions) or "exact" (block index +
-        heterodyne on the block state's certified corner, which leaves at
-        most ``SAMPLER_TAIL_MASS`` outside).  Both draw a batch of trials as
-        one chunk.
+    sampler: "gaussian" (limit distributions) or "exact" (block index,
+        then heterodyne of the block state as a mixture of certified ladder
+        vectors).  Both draw a batch of trials as one chunk.
     truncate: disable only for calibration runs of the raw sampler.
     """
 
@@ -211,11 +210,11 @@ def reconstruct(
 def stage2_sample(mu, n: int, u, config: EstimatorConfig, rng: np.random.Generator):
     """Raw stage-2 draws (u_x~, u_y~, g), one per column of the (3, B) true
     local parameters ``u``; column b is local to reference eigenvalue
-    ``mu[b]`` at n copies.
+    ``mu[b]`` at n copies, and its shifted eigenvalue mu_u = mu + u_z /
+    sqrt(n) must lie in (1/2, 1) (``ValueError`` otherwise, before any draw).
 
     gaussian sampler: the limiting distributions — transverse components
-    N(u_i, mu_u / (2 (2 mu_u - 1)^2)) and g ~ N(u_z, mu_u (1 - mu_u)),
-    with mu_u the true shifted eigenvalue (clipped into (1/2, 1)).
+    N(u_i, mu_u / (2 (2 mu_u - 1)^2)) and g ~ N(u_z, mu_u (1 - mu_u)).
 
     exact sampler: draw the block index j, heterodyne the block state
     (long-time limit of the monitored field), rescale by
@@ -226,9 +225,13 @@ def stage2_sample(mu, n: int, u, config: EstimatorConfig, rng: np.random.Generat
     mu, u = np.asarray(mu, dtype=float), np.asarray(u, dtype=float)
     u_x, u_y, u_z = u
     mu_u = mu + u_z / math.sqrt(n)
+    bad = mu_u[~((0.5 < mu_u) & (mu_u < 1.0))]
+    if len(bad):
+        raise ValueError(
+            f"shifted eigenvalue mu_u = {bad[0]:.6g} lies outside the admissible range (1/2, 1)"
+        )
     if config.sampler == "exact":
         return _exact_stage2(mu, mu_u, n, u, rng)
-    mu_u = np.clip(mu_u, 0.5 + 1e-9, 1.0 - 1e-12)
     sd_xy = np.sqrt(mu_u / (2.0 * (2.0 * mu_u - 1.0) ** 2))
     count = len(mu_u)
     ux = u_x + sd_xy * rng.standard_normal(count)
@@ -240,23 +243,26 @@ def stage2_sample(mu, n: int, u, config: EstimatorConfig, rng: np.random.Generat
 def _exact_stage2(mu, mu_u, n: int, u, rng: np.random.Generator):
     """Exact draws for the (3, B) columns ``u`` about the (B,) reference
     eigenvalues ``mu``, at the shifted eigenvalues ``mu_u``: all block
-    indices in one :func:`sample_block_index` call, then one heterodyne draw
-    per distinct (mu, u, j), in ascending order, for the columns it serves,
-    then the energy readouts and kernel noise of all columns as one draw
-    each.
+    indices j in one :func:`sample_block_index` call and all ladder levels
+    k in one :func:`ladder_level` draw, then one heterodyne draw per
+    distinct (mu, u, j, k), in ascending order, for its columns, then the
+    energy readouts and kernel noise of all columns as one draw each.
 
-    A block is heterodyned on its certified corner (``block_state`` at
-    ``SAMPLER_TAIL_MASS`` = t), so each draw is within 2 sqrt(t) + t in
-    total variation of the block state's own heterodyne law."""
+    Block j's state is the w-mixture of the pure ladder states R e_k, w the
+    geometric law of ratio (1 - mu_u) / mu_u cut at 2j + 1 levels, and so
+    is its heterodyne law.  R e_k is :func:`block_vector`, real in its gauge
+    chi, so its draws are turned by e^{i chi}; each is within 2 sqrt(t) + t
+    in total variation of the block state's law, t = ``CORNER_TAIL_MASS``."""
     js = sample_block_index(n, mu_u, rng)
-    keys = np.vstack([js, u[::-1], mu])  # lexsort orders by mu, u_z, u_y, u_x, then j
+    ks = ladder_level((1.0 - mu_u) / mu_u, 2.0 * js + 1.0, rng.random(len(mu)))
+    keys = np.vstack([ks, js, u[::-1], mu])  # lexsort orders by mu, u_x, u_y, u_z, j, then k
     order = np.lexsort(keys)
     first = np.ones(len(order), dtype=bool)  # the first column of each group
     first[1:] = np.any(np.diff(keys[:, order], axis=1) != 0.0, axis=0)
-    zs = np.empty(len(mu), dtype=complex)
+    zs = np.exp(1j * np.arctan2(u[0], -u[1]))  # e^{i chi}, chi = LocalParams.phase_angle
     for c, cols in zip(order[first], np.split(order, np.flatnonzero(first)[1:])):
-        rho = block_state(ModelParams(float(mu[c]), n), u[:, c], js[c], tail=SAMPLER_TAIL_MASS)
-        zs[cols] = HeterodyneSampler(rho).sample(rng, size=len(cols))
+        sampler = HeterodyneSampler(block_vector(n, u[:, c], js[c], ks[c])[0])
+        zs[cols] *= sampler.sample(rng, size=len(cols))
     scale, rn = 1.0 / np.sqrt(2.0 * mu - 1.0), math.sqrt(n)
     # monitoring time n: the readout variance 1/(4n) is negligible next
     # to the block spread
@@ -303,8 +309,9 @@ def full_estimate(
     """Run both stages on n copies of rho_true, ``size`` trials as one
     batch, and reconstruct each trial's state.
 
-    A trial whose stage 1 lands on a degenerate estimate, or whose rotated
-    state is not ``MODEL_MARGIN`` inside the model, is marked in
+    A trial whose stage 1 lands on a degenerate estimate, whose rotated
+    state is not ``MODEL_MARGIN`` inside the model, or whose shifted
+    eigenvalue is not in (1/2, 1) (a pure true state) is marked in
     ``outside``; the risk benchmark charges it the maximal loss.
     """
     cfg = (config or EstimatorConfig()).validate()
@@ -319,7 +326,8 @@ def full_estimate(
     s1 = stage1(r_true, n_tilde, rng, size)
     u_true, mu_rot = localize_frame(r_true, s1, n_rest)
     degenerate = ~((0.5 < s1.mu_tilde) & (s1.mu_tilde < 1.0))
-    outside = degenerate | (mu_rot - 0.5 < MODEL_MARGIN)
+    mu_u = s1.mu_tilde + u_true[2] / math.sqrt(n_rest)  # as stage2_sample sets it
+    outside = degenerate | (mu_rot - 0.5 < MODEL_MARGIN) | ~((0.5 < mu_u) & (mu_u < 1.0))
     inside = ~outside if np.any(outside) else slice(None)
     raw = np.zeros_like(u_true)
     raw[:, inside] = stage2_sample(s1.mu_tilde[inside], n_rest, u_true[:, inside], cfg, rng)

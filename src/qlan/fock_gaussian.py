@@ -5,7 +5,8 @@ thermal state of one oscillator mode: thermal ratio ``p = (1-mu)/mu`` and
 displacement ``beta = sqrt(2 mu - 1) * alpha_u`` with
 ``alpha_u = -u_y + i u_x``.  This module builds that state on its
 certified Fock corner, from the top of its ladder, and samples ideal
-heterodyne outcomes of a Fock-corner state exactly, in polar form.
+heterodyne outcomes of a pure state on a Fock corner exactly, in polar
+form.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from scipy.special import gammaln
 
 from .spin_blocks import LocalParams, as_local, ladder_corner
 from .tolerances import CORNER_TAIL_MASS
+
+PROPOSAL_BLOCK = 2**16  # levels x angle proposals a rejection pass evaluates at most
 
 
 @dataclass(frozen=True)
@@ -73,77 +76,72 @@ def displaced_thermal(gp: GaussianLimitParams) -> tuple[np.ndarray, float]:
 
 
 class HeterodyneSampler:
-    """Exact sampler of the heterodyne (Husimi Q) law of a Fock-cutoff state.
+    """Exact sampler of the heterodyne (Husimi Q) law of a pure state psi on
+    its first D Fock levels (a real or complex vector, normalized here).
 
     In polar form z = sqrt(s) e^{i theta} the law splits.  The radius has
-    the exact marginal s = |z|^2 ~ sum_k rho_kk Gamma(k + 1, 1): draw the
-    level k with probability rho_kk, then s ~ Gamma(k + 1).  Given s, the
-    angle has density proportional to f(theta) = c^H rho c with
-    c_k = s^{k/2} e^{ik theta} / sqrt(k!), and is drawn by rejection from
-    the uniform angle against the per-draw constant v^T |rho| v, v = |c|,
-    which bounds f by the triangle inequality.  No grid or safety factor
-    enters: the envelope holds for every state and radius.
+    the exact marginal s = |z|^2 ~ sum_m |psi_m|^2 Gamma(m + 1, 1): draw the
+    level m with probability |psi_m|^2, then s ~ Gamma(m + 1).  Given s, the
+    angle has density proportional to |sum_m psi_m v_m e^{-im theta}|^2 with
+    v_m = s^{m/2} / sqrt(m!), and is drawn by rejection from the uniform
+    angle against (sum_m |psi_m| v_m)^2, which bounds it by the triangle
+    inequality.  No grid or safety factor enters: the envelope holds for
+    every state and radius.
 
     ``m_const`` is the expected number of angle proposals per accepted
-    draw, int e^{-s} v^T |rho| v ds = sum_kl |rho_kl| Gamma((k+l)/2 + 1)
-    / sqrt(k! l!) >= 1, in closed form.  ``proposals`` counts the angle
-    proposals made so far.
+    draw, int e^{-s} (sum_m |psi_m| v_m)^2 ds = sum_kl |psi_k| |psi_l|
+    Gamma((k+l)/2 + 1) / sqrt(k! l!) >= 1, in closed form.  ``proposals``
+    counts the angle proposals made so far.
     """
 
-    def __init__(self, rho: np.ndarray):
-        rho = np.asarray(rho, dtype=complex)
-        tr = float(np.trace(rho).real)
-        if abs(tr - 1.0) > 1e-6:
-            rho = rho / tr
-        self.rho = rho
-        k = np.arange(rho.shape[0], dtype=float)
-        self._levels = k
-        self._half_log_fact = 0.5 * gammaln(k + 1.0)
-        self._abs_rho = np.abs(rho)
-        weights = np.maximum(np.diagonal(rho).real, 0.0)
-        self._level_cdf = np.cumsum(weights) / weights.sum()
-        log_gamma_ratio = gammaln(0.5 * (k[:, None] + k[None, :]) + 1.0) - (
-            self._half_log_fact[:, None] + self._half_log_fact[None, :]
-        )
-        self.m_const = float(np.sum(self._abs_rho * np.exp(log_gamma_ratio)))
+    def __init__(self, psi: np.ndarray):
+        self.psi = np.asarray(psi) / np.linalg.norm(psi)
+        m = np.arange(len(psi))
+        self._levels = m.astype(float)
+        half = self._half_log_fact = 0.5 * gammaln(self._levels + 1.0)
+        cdf = np.cumsum(np.abs(self.psi) ** 2)
+        self._level_cdf = cdf / cdf[-1]
+        # Gamma((k+l)/2 + 1) / sqrt(k! l!) from the 2D - 1 distinct k + l
+        log_gamma = gammaln(0.5 * np.arange(2 * len(psi) - 1) + 1.0)
+        ratio = np.exp(log_gamma[m[:, None] + m] - half[:, None] - half)
+        amp = np.abs(self.psi)
+        self.m_const = float(amp @ ratio @ amp)
         self.proposals = 0
 
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw heterodyne outcomes z (complex).  ``size=None`` -> scalar.
-
-        The first draw is made on its own and the rest as one block, so a
-        single draw is the first of any larger one on the same stream.
-        """
-        want = 1 if size is None else int(size)
-        out = self._draw_block(rng, 1)[:want]
-        if want > 1:
-            out = np.concatenate([out, self._draw_block(rng, want - 1)])
-        return complex(out[0]) if size is None else out
-
     def _envelope(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """v = |c| e^{-s/2} for each radius s (levels on the rows) and the
-        bound v^T |rho| v >= e^{-s} c^H rho c on each angle's density.
-
-        The common factor e^{-s/2} keeps large s and k in range and cancels
-        between the density and its bound.
-        """
+        """a_m = psi_m v_m e^{-s/2} for each radius s (levels on the rows)
+        and the bound (sum_m |a_m|)^2 >= |sum_m a_m e^{-im theta}|^2 = pi Q(z)
+        on each angle's density; the factor e^{-s/2} keeps large s and m in
+        range and cancels between the two."""
         log_r = 0.5 * np.log(np.maximum(s, 1e-300))
         v = np.exp(self._levels[:, None] * log_r - self._half_log_fact[:, None] - 0.5 * s)
-        return v, np.einsum("kb,kb->b", v, self._abs_rho @ v)
+        a = self.psi[:, None] * v
+        return a, np.abs(a).sum(axis=0) ** 2
 
-    def _draw_block(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        k = self._levels
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw ``size`` heterodyne outcomes z (complex) as one block.  A
+        pass proposes about ``m_const`` angles per pending draw (within
+        ``PROPOSAL_BLOCK``) and keeps the first accepted: the plain
+        rejection draw, in fewer passes."""
         level = np.searchsorted(self._level_cdf, rng.random(size), side="right")
-        s = rng.standard_gamma(np.minimum(level, len(k) - 1) + 1.0)
-        v, bound = self._envelope(s)
+        s = rng.standard_gamma(level + 1.0)
+        a, bound = self._envelope(s)
         theta = np.empty(size)
         pending = np.arange(size)
         while pending.size:
-            angle = 2.0 * math.pi * rng.random(pending.size)
-            c = v[:, pending] * np.exp(1j * k[:, None] * angle)
-            f = np.einsum("kb,kb->b", c.conj(), self.rho @ c).real
-            keep = rng.random(pending.size) * bound[pending] < f
-            self.proposals += pending.size
-            theta[pending[keep]] = angle[keep]
+            cols = np.arange(pending.size)
+            tries = max(1, min(math.ceil(self.m_const), PROPOSAL_BLOCK // (len(a) * len(cols))))
+            angle = 2.0 * math.pi * rng.random((tries, len(cols)))
+            # e^{-im theta} for every level m, as powers of e^{-i theta}
+            powers = np.empty((len(a), tries, len(cols)), dtype=complex)
+            powers[0] = 1.0
+            powers[1:] = np.exp(-1j * angle)
+            np.cumprod(powers, axis=0, out=powers)
+            amp = np.einsum("mb,mtb->tb", a[:, pending], powers)
+            hit = rng.random((tries, len(cols))) * bound[pending] < amp.real**2 + amp.imag**2
+            first = np.argmax(hit, axis=0)
+            keep = hit[first, cols]
+            self.proposals += int(np.where(keep, first + 1, tries).sum())
+            theta[pending[keep]] = angle[first[keep], cols[keep]]
             pending = pending[~keep]
         return np.sqrt(s) * np.exp(1j * theta)

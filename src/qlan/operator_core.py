@@ -1,16 +1,16 @@
 """Dense operator primitives: validation, metrics, and qubit helpers.
 
 All states are plain complex ``numpy`` arrays.  The functions here are the
-only place the package computes trace norms and fidelities, so conventions
-(trace norm *without* the 1/2, fidelity as Tr sqrt(sqrt(a) b sqrt(a)))
-are fixed once.
+only place the package computes trace norms and qubit fidelities, so
+conventions (trace norm *without* the 1/2, squared fidelity of Bloch
+vectors) are fixed once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tolerances import EIG_CLIP, VALIDATION_TOL
+from .tolerances import VALIDATION_TOL
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -60,33 +60,6 @@ def trace_norm_distance(a, b) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(d))))
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-    if w[0] < -EIG_CLIP:
-        raise ValueError(f"matrix is not PSD: eigenvalue {w[0]:.3e}")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def fidelity(a, b) -> float:
-    """Uhlmann fidelity F(a, b) = Tr sqrt(sqrt(a) b sqrt(a)), in [0, 1].
-
-    Eigenvalues in [-1e-10, 0] arising from rounding are clipped to zero;
-    genuinely negative inputs raise.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    ra = _psd_sqrt(a)
-    inner = ra @ b @ ra
-    w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    if w[0] < -EIG_CLIP:
-        raise ValueError(f"inner matrix not PSD: eigenvalue {w[0]:.3e}")
-    w = np.clip(w, 0.0, None)
-    return float(min(1.0, np.sum(np.sqrt(w))))
-
-
 def embed_block(mat: np.ndarray, dim: int) -> np.ndarray:
     """Zero-pad the trailing two axes of ``mat`` (one matrix or a stack of
     them) to dim x dim, keeping it in the top-left corner.  The padding
@@ -97,19 +70,8 @@ def embed_block(mat: np.ndarray, dim: int) -> np.ndarray:
     return np.pad(mat, [(0, 0)] * (mat.ndim - 2) + [(0, dim - d)] * 2)
 
 
-def bloch_to_density(r) -> np.ndarray:
-    """Map a Bloch vector (r_x, r_y, r_z), |r| <= 1, to the qubit state."""
-    rx, ry, rz = (float(c) for c in r)
-    norm = np.sqrt(rx * rx + ry * ry + rz * rz)
-    if norm > 1.0 + VALIDATION_TOL:
-        raise ValueError(f"Bloch vector has norm {norm:.12f} > 1")
-    return 0.5 * np.array(
-        [[1.0 + rz, rx - 1j * ry], [rx + 1j * ry, 1.0 - rz]], dtype=complex
-    )
-
-
 def density_to_bloch(rho) -> np.ndarray:
-    """Inverse of :func:`bloch_to_density` (round-trips to 1e-12)."""
+    """Bloch vector (r_x, r_y, r_z) of a qubit state rho = (I + r . sigma) / 2."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {rho.shape}")

@@ -7,7 +7,7 @@ symmetric/antisymmetric structure of ``(C^2)^{(x)n}``: a classical index
 block a ``(2j+1)``-dimensional state that is a rotated, truncated geometric
 (thermal-like) state.  This module provides the exact block probabilities,
 the typical-``j`` window the channels sum over, an exact sampler of ``j``
-that needs no window, and the block states.
+that needs no window, the block states and their ladder vectors.
 
 The top of each block behaves as an oscillator mode: a block state, and the
 displaced thermal state it tends to, are Gibbs weights on the eigenvectors
@@ -17,7 +17,9 @@ Fock corner from the top of the ladder alone, at a cost that does not grow
 with the block; every block and limit state in the package comes from it.
 It returns the state in its gauge, where it is real; that changes no trace
 norm, so the package keeps every corner real, and only :func:`block_state`
-phases one back to the Fock basis.
+phases one back to the Fock basis.  For the exact sampler,
+:func:`block_vector` builds one vector R e_k of a block by the same
+certified loop, at a level k drawn by :func:`ladder_level`.
 
 Conventions
 -----------
@@ -61,10 +63,6 @@ class LocalParams:
         diag(e^{-i chi k}), the rotated block states and the limit's
         displaced thermal state are real in the k-ladder (Fock) basis."""
         return math.atan2(self.ux, -self.uy)
-
-    @staticmethod
-    def zero() -> "LocalParams":
-        return LocalParams(0.0, 0.0, 0.0)
 
 
 def as_local(u) -> LocalParams:
@@ -271,14 +269,10 @@ def sample_block_index(n: int, mu, rng: np.random.Generator) -> np.ndarray:
     m) / C(n, N) for m >= max(S_n, 0) (reflection principle): the maximum is
     drawn by inverse CDF, a bisection of about log2 n vectorized steps on
     that log ratio.  Its gammaln rounding, about 1e-9 at n = 10^6, moves the
-    law of a draw by about as much in total variation.
+    law of a draw by about as much in total variation.  The walk law holds
+    for any mu in [0, 1]; it is the block law p_{n,u} for mu in (1/2, 1).
     """
     mu = np.asarray(mu, dtype=float)
-    bad = mu[~((0.5 < mu) & (mu < 1.0))]
-    if len(bad):
-        raise ValueError(
-            f"shifted eigenvalue mu_u = {bad[0]:.6g} lies outside the admissible range (1/2, 1)"
-        )
     up = rng.binomial(n, mu)
     down = n - up
     log_u = np.log1p(-rng.random(len(mu)))  # log U, U in (0, 1]
@@ -292,6 +286,64 @@ def sample_block_index(n: int, mu, rng: np.random.Generator) -> np.ndarray:
     return lo - (up - down) / 2.0
 
 
+def ladder_level(p, levels, uniform) -> np.ndarray:
+    """Level k < ``levels`` of the truncated geometric law w_k ~ p^k at each
+    ``uniform`` U in [0, 1), as floats, by its inverse CDF k = floor(log1p(-U
+    (1 - p^levels)) / log p), clamped below ``levels`` against rounding."""
+    log_p = np.log(p)
+    k = np.floor(np.log1p(uniform * np.expm1(levels * log_p)) / log_p)
+    return np.minimum(k, levels - 1.0)
+
+
+def _ladder_vectors(levels, scale, offset, coupling, ks, w, rest: float, tail: float, size: int):
+    """Certified eigenvectors R e_k, k in ``ks`` (ascending), of a ladder's
+    rotated excitation count: in the gauge, the real tridiagonal T with
+    diagonal ``scale * k + offset``, off-diagonal ``-coupling(k)`` between
+    levels k - 1 and k, and eigenvalues k = 0, 1, 2, ...
+
+    They are built by inverse iteration at their eigenvalues on the leading
+    M x M block T_M of T, shifted by ``-offset`` so that LAPACK's cluster
+    test (eigenvalues within 1e-3 ||T_M||) does not reorthogonalize them
+    all.  Zero-padded, a vector of T_M has residual r = coupling(M) |z_{M-1}|
+    in T, whose eigenvalues are spaced by 1, so by the sin theta theorem
+    (Davis and Kahan 1970; Parlett, *The Symmetric Eigenvalue Problem*,
+    section 11) its angle to R e_k is at most r / (1 - r).  M starts at
+    ``size`` and doubles until the certificate sum_k w_k 2 r_k / (1 - r_k),
+    a trace-norm bound on the w-mixture's error, is below ``tail / 16``.
+    Returns the vectors as (D, len(ks)) columns, D the fewest levels that
+    leave at most ``tail`` outside, counting the w-weighted discarded mass,
+    the certificate and ``rest`` (weight never built), and that tail.
+    """
+
+    def certificate(res: np.ndarray) -> float:
+        """Trace-norm bound sum_k w_k 2 sin(angle_k) from the residuals."""
+        return 2.0 * float(w @ np.where(res < 0.5, res / np.maximum(1.0 - res, 0.5), 1.0))
+
+    # e_k itself has residual |(scale - 1) k + offset| + coupling(k) +
+    # coupling(k + 1), so a rotation too weak to move it needs no solve
+    top = int(ks[-1]) + 1
+    k = np.arange(top + 1, dtype=float)
+    b = np.append(0.0, coupling(k[1:]))
+    z = np.eye(top)[:, ks]
+    cert = certificate(np.abs((scale - 1.0) * ks + offset) + b[ks] + b[ks + 1])
+    size = int(min(levels, size))
+    while cert > tail / 16.0:
+        k = np.arange(size, dtype=float)
+        split = np.zeros(size, dtype=np.int32)
+        split[0] = size  # one unreduced block
+        z, info = lapack.dstein(
+            scale * k, -coupling(k[1:]), ks - offset, np.ones(size, dtype=np.int32), split
+        )
+        if info != 0:
+            raise np.linalg.LinAlgError(f"inverse iteration did not converge (info = {info})")
+        cert = 0.0 if size == levels else certificate(coupling(float(size)) * np.abs(z[-1]))
+        size = int(min(levels, 2 * size))
+    # profile[D] bounds the tail outside the first D levels, D = 0 .. len(z)
+    profile = np.append(np.cumsum(((z * z) @ w)[::-1])[::-1], 0.0) + (rest + cert)
+    dim = int(np.argmax(profile <= tail))
+    return z[:dim], float(profile[dim])
+
+
 def ladder_corner(
     p: float, levels: float, scale: float, offset: float, coupling, tail: float
 ) -> tuple[np.ndarray, float]:
@@ -302,24 +354,11 @@ def ladder_corner(
     the eigenvectors of the rotated excitation count R K R^dag, K = sum_k
     k |k><k|.  In its gauge (conjugated by diag(e^{-i chi k}), chi the
     state's ``LocalParams.phase_angle``) that operator is the real
-    tridiagonal T with diagonal ``scale * k + offset`` and off-diagonal
-    ``-coupling(k)`` between levels k - 1 and k.  Returns the state in that
-    gauge, a real matrix on its first D levels, D the fewest that leave at
-    most ``tail`` outside, and that tail.
-
-    Only the K leading vectors, which leave about ``tail / 2`` of the
-    weight out, are built: by inverse iteration at their known eigenvalues
-    k on the leading M x M block T_M of T, shifted by ``-offset`` so that
-    LAPACK's cluster test (eigenvalues within 1e-3 ||T_M||) does not
-    reorthogonalize them all.  Zero-padded, a vector of T_M has residual
-    r = coupling(M) |z_{M-1}| in T, whose eigenvalues are spaced by 1, so
-    by the sin theta theorem (Davis and Kahan 1970; Parlett, *The Symmetric
-    Eigenvalue Problem*, section 11) its angle to R e_k is at most
-    r / (1 - r).  M grows until the certificate sum_k w_k 2 r_k / (1 - r_k),
-    a trace-norm bound on the built state's error, is below ``tail / 16``.
-    The reported tail adds it and the weight never built to the discarded
-    amplitudes, so it bounds the true tail, and the gentle-measurement
-    bound 2 sqrt(t) + t covers the whole construction (rounding aside).
+    tridiagonal T of :func:`_ladder_vectors`, which builds the leading
+    vectors that leave about ``tail / 2`` of the weight out.  Returns the
+    state in that gauge, a real matrix on its first D levels, D the fewest
+    that leave at most ``tail`` outside, and that tail; the gentle-
+    measurement bound 2 sqrt(t) + t covers the whole construction.
     """
     log_p = math.log(p)
     top = math.exp(levels * log_p)  # 0 for the oscillator
@@ -327,64 +366,61 @@ def ladder_corner(
     n_vec = int(min(levels, max(1, math.ceil(math.log(0.5 * tail * norm + top) / log_p))))
     rest = (math.exp(n_vec * log_p) - top) / norm if n_vec < levels else 0.0
     w = (1.0 - p) / norm * np.exp(np.arange(n_vec) * log_p)
-
-    def certificate(res: np.ndarray) -> float:
-        """Trace-norm bound sum_k w_k 2 sin(angle_k) from the residuals."""
-        return 2.0 * float(w @ np.where(res < 0.5, res / (1.0 - res), 1.0))
-
-    # e_k itself has residual |(scale - 1) k + offset| + coupling(k) +
-    # coupling(k + 1), so a rotation too weak to move it needs no solve
-    k = np.arange(n_vec + 1, dtype=float)
-    b = np.append(0.0, coupling(k[1:]))
-    z, cert = np.eye(n_vec), certificate(np.abs((scale - 1.0) * k[:-1] + offset) + b[:-1] + b[1:])
-    size = int(min(levels, 2 * n_vec))
-    while cert > tail / 16.0:
-        k = np.arange(size, dtype=float)
-        split = np.zeros(size, dtype=np.int32)
-        split[0] = size  # one unreduced block
-        z, info = lapack.dstein(
-            scale * k, -coupling(k[1:]), k[:n_vec] - offset, np.ones(size, dtype=np.int32), split
-        )
-        if info != 0:
-            raise np.linalg.LinAlgError(f"inverse iteration did not converge (info = {info})")
-        cert = 0.0 if size == levels else certificate(coupling(float(size)) * np.abs(z[-1]))
-        size = int(min(levels, 2 * size))
-    # profile[D] bounds the tail outside the first D levels, D = 0 .. len(z)
-    profile = np.append(np.cumsum(((z * z) @ w)[::-1])[::-1], 0.0) + (rest + cert)
-    dim = int(np.argmax(profile <= tail))
-    return (z[:dim] * w) @ z[:dim].T, float(profile[dim])
-
-
-def _block_corner(params: ModelParams, u: LocalParams, j, tail: float):
-    """``ladder_corner`` of block j: R = exp(2i (v_x J_x + v_y J_y)), v =
-    u / sqrt(n), and R (j - J_z) R^dag in the gauge has diagonal
-    cos(theta) k + 2 sin^2(theta / 2) j and off-diagonal
-    -sin(theta) |<k-1|J_+|k>| / 2, theta = 2 |v|."""
-    tj = _two_j(params.n, j)
-    theta = 2.0 * math.hypot(u.ux, u.uy) / math.sqrt(params.n)
-    half_sin = 0.5 * math.sin(theta)
-    return ladder_corner(
-        params.p_u(u),
-        tj + 1,
-        math.cos(theta),
-        math.sin(0.5 * theta) ** 2 * tj,
-        lambda k: half_sin * np.sqrt(k * (tj + 1.0 - k)),
-        tail,
+    z, cut = _ladder_vectors(
+        levels, scale, offset, coupling, np.arange(n_vec), w, rest, tail, 2 * n_vec
     )
+    return (z * w) @ z.T, cut
 
 
-def block_state(params: ModelParams, u, j, tail: float = CORNER_TAIL_MASS) -> np.ndarray:
+def _block_ladder(n: int, ux: float, uy: float, j):
+    """(levels, scale, offset, coupling) of block j's ladder: R = exp(2i
+    (v_x J_x + v_y J_y)), v = u / sqrt(n), and R (j - J_z) R^dag in the
+    gauge has diagonal cos(theta) k + 2 sin^2(theta / 2) j and off-diagonal
+    -sin(theta) |<k-1|J_+|k>| / 2, theta = 2 |v|."""
+    tj = _two_j(n, j)
+    theta = 2.0 * math.hypot(ux, uy) / math.sqrt(n)
+    half_sin = 0.5 * math.sin(theta)
+
+    def coupling(k):
+        return half_sin * np.sqrt(k * (tj + 1.0 - k))
+
+    return tj + 1, math.cos(theta), math.sin(0.5 * theta) ** 2 * tj, coupling
+
+
+def _block_corner(params: ModelParams, u: LocalParams, j):
+    """``ladder_corner`` of block j at ``CORNER_TAIL_MASS``."""
+    return ladder_corner(params.p_u(u), *_block_ladder(params.n, u.ux, u.uy, j), CORNER_TAIL_MASS)
+
+
+def block_vector(n: int, u, j, k) -> tuple[np.ndarray, float]:
+    """Block j's ladder vector R e_k at n copies and local parameter ``u``
+    (a length-3 sequence), real in its gauge, on the fewest levels that
+    leave at most ``CORNER_TAIL_MASS`` = t of |psi|^2 outside, certificate
+    included, and that tail: a heterodyne draw of it is within 2 sqrt(t) +
+    t in total variation of one of R e_k."""
+    levels, scale, offset, coupling = _block_ladder(n, u[0], u[1], j)
+    # R e_k is near D(beta)|k>, |beta|^2 ~ offset, whose levels spread about
+    # k + |beta|^2: a first block of twice that plus 20 of its square roots
+    # certifies in one solve for |u| <= 20, k <= 30 (n = 400 and 10^6)
+    mean = k + 1.0 + offset
+    size = int(2.0 * mean + 20.0 * math.sqrt(mean) + 16.0)
+    ks, w = np.array([int(k)]), np.ones(1)
+    z, cut = _ladder_vectors(levels, scale, offset, coupling, ks, w, 0.0, CORNER_TAIL_MASS, size)
+    return z[:, 0], cut
+
+
+def block_state(params: ModelParams, u, j) -> np.ndarray:
     """Block j's state for local parameter u on its certified corner, in
     the Fock basis (the real corner phased by diag(e^{i chi k})).
 
     The state is the geometric distribution (ratio ``p_u``) over the
     k-ladder of the 2j + 1 levels, conjugated by the block rotation
     ``exp(2i (u_x J_x + u_y J_y) / sqrt(n))``.  It is kept on its first D
-    levels, the fewest that leave at most ``tail`` outside
+    levels, the fewest that leave at most ``CORNER_TAIL_MASS`` outside
     (:func:`ladder_corner`); a block narrower than that is returned whole.
     """
     u = as_local(u)
-    corner = _block_corner(params, u, j, tail)[0]
+    corner = _block_corner(params, u, j)[0]
     phase = np.exp(1j * u.phase_angle * np.arange(corner.shape[0]))
     return corner * np.outer(phase, phase.conj())
 
@@ -399,7 +435,7 @@ def block_corners(params: ModelParams, u, js) -> tuple[np.ndarray, np.ndarray]:
     u = as_local(u)
     corners, tails = np.zeros((len(js), 0, 0)), np.empty(len(js))
     for i in np.argsort(js)[::-1]:
-        c, tails[i] = _block_corner(params, u, js[i], CORNER_TAIL_MASS)
+        c, tails[i] = _block_corner(params, u, js[i])
         if c.shape[0] > corners.shape[1]:
             corners = embed_block(corners, c.shape[0])
         corners[i, : c.shape[0], : c.shape[0]] = c

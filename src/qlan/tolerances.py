@@ -13,10 +13,6 @@ VALIDATION_TOL = 1e-10
 # real arithmetic (triangle inequalities, closed-form cross-checks, ...).
 PROPERTY_SLACK = 1e-9
 
-# Eigenvalues of nominally PSD matrices in [-EIG_CLIP, 0] are clipped to 0;
-# anything below -EIG_CLIP is treated as a genuine negativity.
-EIG_CLIP = 1e-10
-
 # Total block probability that channel constructions may silently drop.
 CHANNEL_DROP_MASS = 1e-9
 
@@ -26,14 +22,11 @@ BLOCK_SKIP_MASS = 1e-12
 # Tail mass the channels' block window may leave out (no sampler uses it).
 WINDOW_TAIL_MASS = 1e-12
 
-# Mass a Fock corner may leave outside it, per state.  Gentle measurement
-# bounds the trace-norm cost of the cut by 2 sqrt(eps) + eps per unit mass.
+# Mass a Fock corner, or the exact sampler's ladder vector, may leave
+# outside it, per state.  Gentle measurement bounds the trace-norm cost of
+# the cut, and so the total-variation cost to a heterodyne draw, by
+# 2 sqrt(eps) + eps per unit mass.
 CORNER_TAIL_MASS = 1e-24
-
-# Mass the exact sampler's block corners may leave outside: each heterodyne
-# draw is then within 2 sqrt(eps) + eps ~ 2e-7 in total variation of the
-# block's own, at about 60% of the levels CORNER_TAIL_MASS needs.
-SAMPLER_TAIL_MASS = 1e-14
 
 # Margin the model keeps inside its boundary: the estimator declares a trial
 # outside the model when its rotated state's eigenvalue is within this of

@@ -107,6 +107,64 @@ def mean_annihilation(rho: np.ndarray) -> complex:
     return complex(np.sum(np.sqrt(k) * np.diagonal(rho, -1)))
 
 
+class MixedHeterodyneSampler:
+    """Exact sampler of the heterodyne (Husimi Q) law of a Fock-cutoff
+    density matrix: the mixed-state oracle for ``qlan``'s pure-state
+    :class:`~qlan.fock_gaussian.HeterodyneSampler`.
+
+    In polar form z = sqrt(s) e^{i theta} the radius has the exact marginal
+    s = |z|^2 ~ sum_k rho_kk Gamma(k + 1, 1): draw the level k with
+    probability rho_kk, then s ~ Gamma(k + 1).  Given s, the angle has
+    density proportional to f(theta) = c^H rho c with c_k = s^{k/2}
+    e^{ik theta} / sqrt(k!), and is drawn by rejection from the uniform
+    angle against the per-draw constant v^T |rho| v, v = |c|, which bounds
+    f by the triangle inequality.
+
+    ``m_const`` is the expected number of angle proposals per accepted
+    draw, sum_kl |rho_kl| Gamma((k+l)/2 + 1) / sqrt(k! l!) >= 1, and
+    ``proposals`` counts the angle proposals made so far.
+    """
+
+    def __init__(self, rho: np.ndarray):
+        rho = np.asarray(rho, dtype=complex)
+        self.rho = rho / np.trace(rho).real
+        k = np.arange(rho.shape[0], dtype=float)
+        self._levels = k
+        self._half_log_fact = 0.5 * gammaln(k + 1.0)
+        self._abs_rho = np.abs(self.rho)
+        weights = np.maximum(np.diagonal(self.rho).real, 0.0)
+        self._level_cdf = np.cumsum(weights) / weights.sum()
+        log_gamma_ratio = gammaln(0.5 * (k[:, None] + k[None, :]) + 1.0) - (
+            self._half_log_fact[:, None] + self._half_log_fact[None, :]
+        )
+        self.m_const = float(np.sum(self._abs_rho * np.exp(log_gamma_ratio)))
+        self.proposals = 0
+
+    def _envelope(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """v = |c| e^{-s/2} for each radius s (levels on the rows) and the
+        bound v^T |rho| v >= e^{-s} c^H rho c on each angle's density."""
+        log_r = 0.5 * np.log(np.maximum(s, 1e-300))
+        v = np.exp(self._levels[:, None] * log_r - self._half_log_fact[:, None] - 0.5 * s)
+        return v, np.einsum("kb,kb->b", v, self._abs_rho @ v)
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        k = self._levels
+        level = np.searchsorted(self._level_cdf, rng.random(size), side="right")
+        s = rng.standard_gamma(np.minimum(level, len(k) - 1) + 1.0)
+        v, bound = self._envelope(s)
+        theta = np.empty(size)
+        pending = np.arange(size)
+        while pending.size:
+            angle = 2.0 * math.pi * rng.random(pending.size)
+            c = v[:, pending] * np.exp(1j * k[:, None] * angle)
+            f = np.einsum("kb,kb->b", c.conj(), self.rho @ c).real
+            keep = rng.random(pending.size) * bound[pending] < f
+            self.proposals += pending.size
+            theta[pending[keep]] = angle[keep]
+            pending = pending[~keep]
+        return np.sqrt(s) * np.exp(1j * theta)
+
+
 def apply_T(params, u, grid, dim, eps_tail=0.2):
     """The T image with full blocks embedded in ``dim`` Fock levels; same
     block window, weights and grid handling as ``qlan.lan_channels.apply_T``."""

@@ -25,6 +25,7 @@ from scipy.linalg import lapack
 from scipy.special import gammaln
 
 from qlan.spin_blocks import _two_j, as_local
+from qlan.tolerances import VALIDATION_TOL
 
 _HALF_X = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
 _HALF_Y = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
@@ -237,3 +238,51 @@ def fock_basis(corner: np.ndarray, chi: float) -> np.ndarray:
     back in the Fock basis: conjugated by diag(e^{i chi k})."""
     phase = np.exp(1j * chi * np.arange(corner.shape[-1]))
     return corner * np.outer(phase, phase.conj())
+
+
+# Dense qubit states and the Uhlmann fidelity: the oracles of
+# ``qlan.operator_core``'s Bloch-vector forms, which the package uses.
+
+# eigenvalues of nominally PSD matrices in [-EIG_CLIP, 0] are rounding and
+# clipped to 0; anything below is a genuine negativity
+EIG_CLIP = 1e-10
+
+
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    if w[0] < -EIG_CLIP:
+        raise ValueError(f"matrix is not PSD: eigenvalue {w[0]:.3e}")
+    w = np.clip(w, 0.0, None)
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def fidelity(a, b) -> float:
+    """Uhlmann fidelity F(a, b) = Tr sqrt(sqrt(a) b sqrt(a)), in [0, 1].
+
+    Eigenvalues in [-1e-10, 0] arising from rounding are clipped to zero;
+    genuinely negative inputs raise.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    ra = _psd_sqrt(a)
+    inner = ra @ b @ ra
+    w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
+    if w[0] < -EIG_CLIP:
+        raise ValueError(f"inner matrix not PSD: eigenvalue {w[0]:.3e}")
+    w = np.clip(w, 0.0, None)
+    return float(min(1.0, np.sum(np.sqrt(w))))
+
+
+
+
+def bloch_to_density(r) -> np.ndarray:
+    """Map a Bloch vector (r_x, r_y, r_z), |r| <= 1, to the qubit state."""
+    rx, ry, rz = (float(c) for c in r)
+    norm = np.sqrt(rx * rx + ry * ry + rz * rz)
+    if norm > 1.0 + VALIDATION_TOL:
+        raise ValueError(f"Bloch vector has norm {norm:.12f} > 1")
+    return 0.5 * np.array(
+        [[1.0 + rz, rx - 1j * ry], [rx + 1j * ry, 1.0 - rz]], dtype=complex
+    )

@@ -5,7 +5,8 @@ attributes of what they take and return, and the ``exact-risk`` gate
 compares ``RiskReport.to_json`` strings, so deleting or renaming one of them
 breaks ``perfbench/run.py --trace 1`` or the selftest without a failing qlan
 test.  These checks read the tracer's tables and feed its observers the
-objects of one small sweep row; they run no workload.
+objects of one small sweep row, and trace one small exact chunk; they run
+no workload.
 """
 
 import importlib
@@ -16,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from qlan import estimator, fock_gaussian, spin_blocks
+from qlan.estimator import EstimatorConfig
 from qlan.fock_gaussian import GaussianLimitParams, HeterodyneSampler
 from qlan.lan_channels import (
     apply_S,
@@ -26,7 +29,7 @@ from qlan.lan_channels import (
 )
 from qlan.qsde import JointWaveVector
 from qlan.risk_bench import RiskReport
-from qlan.spin_blocks import LocalParams, ModelParams
+from qlan.spin_blocks import LocalParams, ModelParams, local_qubit_state
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -50,7 +53,7 @@ def test_every_traced_name_resolves_in_qlan():
 
 def test_attributes_the_bench_reads_exist():
     assert callable(RiskReport.to_json)
-    assert hasattr(HeterodyneSampler(np.eye(1)), "m_const")
+    assert hasattr(HeterodyneSampler(np.ones(1)), "m_const")
     assert "sectors" in {f.name for f in fields(JointWaveVector)}
 
 
@@ -73,3 +76,47 @@ def test_lan_observers_read_one_sweep_row():
     assert counts[f"{prefix}.apply_S.leaked_max"] > 0.0
     assert counts[f"{prefix}.hybrid_trace_distance.eig_count"] == len(t_state.classical.x)
     assert counts[f"{prefix}.hybrid_trace_distance.eig_dim_max"] == t_state.dim
+
+
+def test_tracer_counts_one_sampler_per_exact_group(monkeypatch):
+    """Traced, one exact ``full_estimate`` chunk counts one sampler per
+    distinct (mu, u, j, k) and one draw per trial, reads an expected angle
+    acceptance in (0, 1], and ``uninstall`` restores the originals.  At n =
+    12 stage 1 has few outcomes, so trials share groups; the groups are
+    recounted from the block indices and levels the chunk drew."""
+    drawn = []
+
+    def level(*args):
+        drawn.append(spin_blocks.ladder_level(*args))
+        return drawn[-1]
+
+    def index(n, mu_u, rng):
+        drawn.append(spin_blocks.sample_block_index(n, mu_u, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(estimator, "ladder_level", level)
+    monkeypatch.setattr(estimator, "sample_block_index", index)
+    sampler = fock_gaussian.HeterodyneSampler
+    originals = (sampler.__init__, sampler.sample, estimator.full_estimate)
+    trials, tr = 40, _tracer().Tracer()
+    rho = local_qubit_state(0.75, (0.0, 0.0, 0.0))
+    with tr.installed():
+        assert estimator.full_estimate is not originals[2]
+        with tr.pass_span(0):
+            res = estimator.full_estimate(
+                rho, 12, EstimatorConfig(sampler="exact"), np.random.default_rng(2), size=trials
+            )
+    assert (sampler.__init__, sampler.sample, estimator.full_estimate) == originals
+    js, ks = drawn
+    inside = ~res.outside
+    keys = np.vstack([res.stage1.mu_tilde[inside], res.u_true_local[:, inside], js, ks])
+    groups = len(np.unique(keys, axis=1).T)
+    assert groups < inside.sum()
+    names = [
+        "fock_gaussian.HeterodyneSampler.init.calls",
+        "fock_gaussian.HeterodyneSampler.sample.draws",
+        "fock_gaussian.heterodyne.expected_acceptance",
+    ]
+    inits, draws, acceptance = tr.pass_metrics(0, names).values()
+    assert inits == groups and draws == inside.sum()
+    assert 0.0 < acceptance <= 1.0

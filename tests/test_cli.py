@@ -292,7 +292,7 @@ def test_estimate_output_fields(capsys):
 
 # qlan estimate --n 10000 --u 0.5,-0.2,0.3 --seed 7, recorded while
 # full_estimate still had its single-trial form (the exact entry re-recorded
-# when the block index became a walk maximum): both samplers share stage 1
+# when each draw became one pure ladder vector's): both samplers share stage 1
 # and the true local parameter; per sampler (u_raw = u_hat, Bloch estimate,
 # (trace_sq, fidelity, local) losses), nothing truncated
 ESTIMATE_STAGE1 = {
@@ -308,9 +308,9 @@ ESTIMATE_PINNED = {
         (0.000939656123852988, 0.00026465491060911894, 3.551710286634499),
     ),
     "exact": (
-        [0.9727838012768507, -1.2918647079888326, 0.190045281986834],
-        [0.013634869013993424, 0.009568818482738618, 0.5239438350719071],
-        (0.00047817881375701316, 0.00014948508631984492, 1.7457496363698746),
+        [1.6408369581619597, 1.134956591324429, -0.05513352226145643],
+        [-0.02778024716232192, 0.020770614848137723, 0.5149693499058806],
+        (0.0012160938680356526, 0.00031310454037636326, 4.409393140045949),
     ),
 }
 
@@ -339,18 +339,24 @@ def test_estimate_payload_is_pinned(sampler, capsys):
     assert out == json.dumps(want, indent=2) + "\n"
 
 
+_PURE = ["--mu0", "0.99", "--u", "30,0,1", "--n", "10000", "--seed", "3"]
+
+
 @pytest.mark.parametrize(
     "args, keyword",
     [
         (["--mu0", "0.51", "--n", "10000"], "maximally mixed"),
         (["--mu0", "0.999", "--n", "16", "--seed", "1"], "degenerate"),
+        (_PURE + ["--sampler", "gaussian"], "pure"),
+        (_PURE + ["--sampler", "exact"], "pure"),
     ],
-    ids=["margin", "degenerate"],
+    ids=["margin", "degenerate", "pure-gaussian", "pure-exact"],
 )
 def test_estimate_outside_model_exits_1(args, keyword, capsys):
     """A run outside the model writes nothing, names the reason and exits 1:
-    a state within the model margin of maximally mixed, and a stage-1
-    estimate on the boundary of the Bloch ball."""
+    a state within the model margin of maximally mixed, a stage-1 estimate
+    on the boundary of the Bloch ball, and, with either sampler, a pure
+    true state (eigenvalue 0.99 + 1 / sqrt(n))."""
     code, out, err = run_cli(["estimate", *args], capsys)
     assert code == 1 and out == ""
     assert keyword in err

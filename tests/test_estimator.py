@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import stats
 
+from dense_channels import MixedHeterodyneSampler
+from fullspace import bloch_to_density
 from qlan import estimator, spin_blocks
 from qlan.estimator import (
     EstimatorConfig,
@@ -19,7 +22,6 @@ from qlan.estimator import (
     stage2_sample,
     truncate_estimate,
 )
-from qlan.operator_core import bloch_to_density
 from qlan.spin_blocks import ModelParams
 
 
@@ -176,18 +178,19 @@ def test_exact_sampler_reproducible():
 
 
 # first three (ux, uy, g) of 50 equal exact-sampler columns at mu = 0.75,
-# n = 400, u = (0.8, -0.5, 0.6), default_rng(11); re-recorded when the block
-# index became a walk maximum drawn for the whole chunk at once
+# n = 400, u = (0.8, -0.5, 0.6), default_rng(11); re-recorded when each
+# draw became one ladder level and the heterodyne of its pure ladder vector
 EXACT_GROUP_PINNED = (
-    [-0.378231690538603, -0.7407573716042574, -0.27145901061918587],
-    [-0.4177929823629763, -0.41505364743037343, -0.24098101665129168],
-    [1.0228446791868524, 0.9029706765955615, 1.218222576846776],
+    [-0.08880204154699656, -0.6060518447792644, -0.0747733006485283],
+    [0.561477115654389, -0.18181683057757222, -0.7017504947365326],
+    [0.8579405089381638, 1.159443461966323, 1.1101709485311901],
 )
 
 
 def test_exact_columns_draw_like_one_u():
-    """B equal columns draw their block indices, readouts and kernel noise
-    in one draw each, and heterodyne each block index they hit in one draw."""
+    """B equal columns draw their block indices, ladder levels, readouts and
+    kernel noise in one draw each, and heterodyne each (block index, level)
+    they hit in one draw."""
     cfg = EstimatorConfig(sampler="exact")
     cols = _columns((0.8, -0.5, 0.6), 50)
     batch = stage2_sample(np.full(50, 0.75), 400, cols, cfg, np.random.default_rng(11))
@@ -196,34 +199,76 @@ def test_exact_columns_draw_like_one_u():
 
 def test_exact_chunk_draws_block_indices_once(monkeypatch):
     """A chunk draws all its block indices in one ``sample_block_index``
-    call, builds no pmf window, and builds one block state per distinct
-    (mu, u, j) among its columns."""
-    calls = {"index": [], "window": 0, "state": 0}
+    call and all its ladder levels in one ``ladder_level`` call, builds no
+    pmf window, no block state and no corner, and builds one ladder vector
+    per distinct (mu, u, j, k) among its columns."""
+    calls = {"index": [], "level": [], "vector": [], "window": 0, "state": 0, "corner": 0}
 
     def index(n, mu_u, rng):
         js = spin_blocks.sample_block_index(n, mu_u, rng)
         calls["index"].append(js)
         return js
 
-    def window(*args):
-        calls["window"] += 1
-        return spin_blocks.block_pmf_window(*args)
+    def level(*args):
+        ks = spin_blocks.ladder_level(*args)
+        calls["level"].append(ks)
+        return ks
 
-    def state(*args, **kwargs):
-        calls["state"] += 1
-        return spin_blocks.block_state(*args, **kwargs)
+    def vector(n, u, j, k):
+        calls["vector"].append((tuple(u), j, k))
+        return spin_blocks.block_vector(n, u, j, k)
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
 
     monkeypatch.setattr(estimator, "sample_block_index", index)
-    monkeypatch.setattr(spin_blocks, "block_pmf_window", window)
-    monkeypatch.setattr(estimator, "block_state", state)
+    monkeypatch.setattr(estimator, "ladder_level", level)
+    monkeypatch.setattr(estimator, "block_vector", vector)
+    for key, name in (
+        ("window", "block_pmf_window"),
+        ("state", "block_state"),
+        ("corner", "ladder_corner"),
+    ):
+        monkeypatch.setattr(spin_blocks, name, counted(key, getattr(spin_blocks, name)))
     cols = np.hstack([_columns((0.8, -0.5, 0.6), 30), _columns((0.1, 0.2, -0.3), 3)])
     cols[2, -1] = 0.7  # a third distinct u
     cfg = EstimatorConfig(sampler="exact")
     stage2_sample(np.full(33, 0.75), 400, cols, cfg, np.random.default_rng(3))
-    assert len(calls["index"]) == 1 and calls["window"] == 0
-    js = calls["index"][0]
-    groups = (slice(0, 30), slice(30, 32), slice(32, 33))
-    assert calls["state"] == sum(len(np.unique(js[cols])) for cols in groups)
+    assert len(calls["index"]) == 1 and len(calls["level"]) == 1
+    assert calls["window"] == calls["state"] == calls["corner"] == 0
+    js, ks = calls["index"][0], calls["level"][0]
+    want = {(tuple(cols[:, c]), js[c], ks[c]) for c in range(33)}
+    assert len(calls["vector"]) == len(set(calls["vector"])) == len(want)
+    assert set(calls["vector"]) == want
+
+
+def test_exact_draws_follow_the_block_state_heterodyne_law(monkeypatch):
+    """At a fixed block index, the exact draws z (read back from u_x~ and
+    u_y~) have the law of the mixed-state oracle's heterodyne of the whole
+    block state: two-sample KS on Re z, Im z and |z|^2 at three (u, j), one
+    with a transverse |u| above 3 and one whose ladder is cut at 2j + 1 =
+    25 levels."""
+    draws = 4000
+    for seed, (mu, n, u, j) in enumerate(
+        [
+            (0.75, 400, (1.0, 1.0, 1.0), 118.0),
+            (0.8, 400, (3.2, -1.5, 0.0), 110.0),
+            (0.6, 100, (0.3, -0.8, 0.5), 12.0),
+        ]
+    ):
+        monkeypatch.setattr(estimator, "sample_block_index", lambda n, mu_u, rng: np.full(len(mu_u), j))
+        cols = _columns(u, draws)
+        cfg = EstimatorConfig(sampler="exact")
+        ux, uy, _ = stage2_sample(np.full(draws, mu), n, cols, cfg, np.random.default_rng(seed))
+        z = (-uy + 1j * ux) * math.sqrt(2.0 * mu - 1.0)
+        rho = spin_blocks.block_state(ModelParams(mu, n), u, j)
+        want = MixedHeterodyneSampler(rho).sample(np.random.default_rng(50 + seed), draws)
+        for part in (np.real, np.imag, lambda x: np.abs(x) ** 2):
+            assert stats.ks_2samp(part(z), part(want)).pvalue > 1e-3, (u, j)
 
 
 def test_exact_sampler_names_an_inadmissible_shifted_eigenvalue():
@@ -231,6 +276,17 @@ def test_exact_sampler_names_an_inadmissible_shifted_eigenvalue():
     with pytest.raises(ValueError, match="shifted eigenvalue mu_u = 1.1 lies outside the"):
         stage2_sample(np.array([0.9]), 100, [[0.0], [0.0], [2.0]], cfg, rng)
     assert rng.random() == np.random.default_rng(0).random()  # refused before any draw
+
+
+def test_gaussian_sampler_names_an_inadmissible_shifted_eigenvalue():
+    """The gaussian sampler refuses a shifted eigenvalue outside (1/2, 1)
+    before any draw, as the exact one does; it used to clip it into its
+    variances."""
+    rng = np.random.default_rng(0)
+    for u_z, shown in ((2.0, "1.1"), (-4.0, "0.5")):
+        with pytest.raises(ValueError, match=f"shifted eigenvalue mu_u = {shown} lies outside the"):
+            stage2_sample(np.array([0.9]), 100, [[0.0], [0.0], [u_z]], EstimatorConfig(), rng)
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_exact_sampler_takes_an_empty_chunk():

@@ -2,7 +2,10 @@
 
 Thermal and coherent states have closed-form matrix elements, Q functions,
 and heterodyne marginals (Gaussians), which serve as the oracles here; the
-dense Fock-cutoff states come from ``dense_channels``.
+dense Fock-cutoff states and the mixed-state heterodyne sampler come from
+``dense_channels``.  The package samples pure states only: Fock and
+coherent states have closed-form heterodyne laws, and a block's mixed
+state is sampled as the mixture of its ladder vectors against the oracle.
 """
 
 import math
@@ -15,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import integrate, special, stats
 
 from dense_channels import (
+    MixedHeterodyneSampler,
     coherent_matrix,
     coherent_vector,
     dense_displaced_thermal,
@@ -26,13 +30,12 @@ from dense_channels import (
 from fullspace import fock_basis, spin_matrices
 from qlan.fock_gaussian import GaussianLimitParams, HeterodyneSampler, displaced_thermal
 from qlan.operator_core import trace_norm_distance
-from qlan.spin_blocks import LocalParams, ModelParams, block_state
-from qlan.tolerances import SAMPLER_TAIL_MASS
+from qlan.spin_blocks import LocalParams, ModelParams, block_state, block_vector
 
 
-def sample_heterodyne(rho, rng, size=None):
-    """One-shot draw from a fresh :class:`HeterodyneSampler`."""
-    return HeterodyneSampler(rho).sample(rng, size)
+def sample_heterodyne(rho, rng, size):
+    """One-shot draw from a fresh mixed-state oracle sampler."""
+    return MixedHeterodyneSampler(rho).sample(rng, size)
 
 
 def limit_state(gp):
@@ -52,7 +55,7 @@ def test_limit_params_derived_quantities():
     assert gp.beta == pytest.approx(1j * math.sqrt(0.5))
     assert gp.classical_var == pytest.approx(0.1875)
     with pytest.raises(ValueError):
-        GaussianLimitParams(0.5, LocalParams.zero())
+        GaussianLimitParams(0.5, LocalParams(0.0, 0.0, 0.0))
 
 
 def test_thermal_state_matrix_elements():
@@ -141,15 +144,35 @@ def test_heterodyne_thermal_marginals():
 
 
 def test_heterodyne_coherent_marginals():
+    """A coherent state |alpha> heterodynes to the complex Gaussian
+    alpha + N(0, 1/2) per axis; both samplers, the pure one on the
+    vector."""
     alpha = 0.9 - 0.4j
-    rho = np.outer(coherent_vector(alpha, 50), coherent_vector(alpha, 50).conj())
-    rng = np.random.default_rng(43)
-    z = sample_heterodyne(rho, rng, 12000)
+    vec = coherent_vector(alpha, 50)
+    rho = np.outer(vec, vec.conj())
     sd = math.sqrt(0.5)
-    ks_r = stats.kstest(z.real, stats.norm(loc=alpha.real, scale=sd).cdf)
-    ks_i = stats.kstest(z.imag, stats.norm(loc=alpha.imag, scale=sd).cdf)
-    assert ks_r.statistic < 0.02
-    assert ks_i.statistic < 0.02
+    for seed, sampler in ((43, MixedHeterodyneSampler(rho)), (48, HeterodyneSampler(vec))):
+        z = sampler.sample(np.random.default_rng(seed), 12000)
+        ks_r = stats.kstest(z.real, stats.norm(loc=alpha.real, scale=sd).cdf)
+        ks_i = stats.kstest(z.imag, stats.norm(loc=alpha.imag, scale=sd).cdf)
+        assert ks_r.statistic < 0.02
+        assert ks_i.statistic < 0.02
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 12])
+def test_heterodyne_fock_state_is_gamma_with_uniform_angle(k):
+    """A Fock state |k> heterodynes to |z|^2 ~ Gamma(k + 1) with an
+    independent uniform angle; its angle envelope is exact, so every
+    proposal is accepted (m_const = 1)."""
+    psi = np.zeros(k + 1)
+    psi[k] = 1.0
+    sampler = HeterodyneSampler(psi)
+    z = sampler.sample(np.random.default_rng(100 + k), 20000)
+    assert stats.kstest(np.abs(z) ** 2, stats.gamma(k + 1.0).cdf).pvalue > 1e-3
+    angle = np.mod(np.angle(z), 2.0 * math.pi)
+    assert stats.kstest(angle, stats.uniform(0.0, 2.0 * math.pi).cdf).pvalue > 1e-3
+    assert sampler.m_const == pytest.approx(1.0, rel=1e-12)
+    assert sampler.proposals == 20000
 
 
 def test_heterodyne_displaced_thermal_marginals():
@@ -183,12 +206,10 @@ def test_heterodyne_rescaled_recovers_local_parameter():
 
 
 def test_heterodyne_sampler_reproducible():
-    rho = thermal_state(0.25, 40)
-    a = HeterodyneSampler(rho).sample(np.random.default_rng(7), size=100)
-    b = HeterodyneSampler(rho).sample(np.random.default_rng(7), size=100)
-    assert np.array_equal(a, b)
-    single = HeterodyneSampler(rho).sample(np.random.default_rng(7))
-    assert single == a[0]
+    psi = block_vector(400, (1.0, 1.0, 1.0), 100.0, 2.0)[0]
+    a = HeterodyneSampler(psi).sample(np.random.default_rng(7), size=100)
+    b = HeterodyneSampler(psi).sample(np.random.default_rng(7), size=100)
+    assert a.shape == (100,) and np.array_equal(a, b)
 
 
 @given(
@@ -200,26 +221,33 @@ def test_heterodyne_sampler_reproducible():
 )
 def test_heterodyne_envelope_bounds_angle_density(parts, s, theta):
     """For any state and radius, pi Q(z) = e^{-s} c^H rho c never exceeds
-    the sampler's per-draw bound v^T |rho| v (up to rounding)."""
+    the oracle's per-draw bound v^T |rho| v, nor, for each eigenvector
+    psi of rho, |<z|psi>|^2 the pure sampler's (sum |psi_m| v_m)^2 (up to
+    rounding)."""
     a = parts[0] + 1j * parts[1]
     rho = a @ a.conj().T
     assume(np.trace(rho).real > 1e-3)
-    sampler = HeterodyneSampler(rho / np.trace(rho).real)
+    sampler = MixedHeterodyneSampler(rho)
     _, bound = sampler._envelope(np.array([s]))
-    density = math.pi * q_function(sampler.rho, math.sqrt(s) * np.exp(1j * theta))
+    z = math.sqrt(s) * np.exp(1j * theta)
+    density = math.pi * q_function(sampler.rho, z)
     assert density <= bound[0] * (1.0 + 1e-12)
+    for psi in np.linalg.eigh(rho)[1].T:
+        pure = HeterodyneSampler(psi)
+        _, bound = pure._envelope(np.array([s]))
+        density = math.pi * q_function(np.outer(pure.psi, pure.psi.conj()), z)
+        assert density <= bound[0] * (1.0 + 1e-12)
 
 
 def _rotated_block():
-    params = ModelParams(0.75, 400)
-    return block_state(params, LocalParams(1.5, -1.0, 0.5), 100.0, tail=SAMPLER_TAIL_MASS)
+    return block_state(ModelParams(0.75, 400), LocalParams(1.5, -1.0, 0.5), 100.0)
 
 
 def test_heterodyne_radius_follows_gamma_mixture():
     """|z|^2 ~ sum_k rho_kk Gamma(k + 1, 1) for a rotated block state."""
     rho = _rotated_block()
     weights = np.diagonal(rho).real / np.trace(rho).real
-    z = HeterodyneSampler(rho).sample(np.random.default_rng(46), 20000)
+    z = sample_heterodyne(rho, np.random.default_rng(46), 20000)
     shapes = np.arange(len(weights)) + 1.0
 
     def cdf(x):
@@ -228,11 +256,9 @@ def test_heterodyne_radius_follows_gamma_mixture():
     assert stats.kstest(np.abs(z) ** 2, cdf).pvalue > 1e-3
 
 
-def test_heterodyne_acceptance_matches_m_const():
-    """m_const is the closed form of int e^{-s} v^T |rho| v ds, and its
+def _check_m_const(sampler):
+    """m_const is the closed form of int e^{-s} (envelope bound) ds, and its
     inverse is the angle acceptance counted on a seeded draw."""
-    rho = _rotated_block()
-    sampler = HeterodyneSampler(rho)
     # the envelope carries the factor e^{-s} already
     integral, _ = integrate.quad(
         lambda s: sampler._envelope(np.array([s]))[1][0], 0.0, np.inf
@@ -241,6 +267,19 @@ def test_heterodyne_acceptance_matches_m_const():
     assert 1.0 <= sampler.m_const
     sampler.sample(np.random.default_rng(47), 20000)
     assert 20000 / sampler.proposals == pytest.approx(1.0 / sampler.m_const, rel=0.03)
+
+
+def test_heterodyne_acceptance_matches_m_const():
+    """The oracle's m_const, for a rotated block state."""
+    _check_m_const(MixedHeterodyneSampler(_rotated_block()))
+
+
+@pytest.mark.parametrize("u, k", [((1.5, -1.0, 0.5), 3), ((5.0, 0.0, 0.0), 0)])
+def test_pure_sampler_m_const_matches_its_integral(u, k):
+    """The pure sampler's m_const, sum_kl |psi_k| |psi_l| Gamma((k+l)/2 + 1)
+    / sqrt(k! l!), for a rotated block's ladder vector, at a moderate and a
+    large transverse u (60 levels, about 12 proposals a draw)."""
+    _check_m_const(HeterodyneSampler(block_vector(400, u, 100.0, k)[0]))
 
 
 def test_spin_ladder_embeds_into_fock_corner():

@@ -43,6 +43,8 @@ from qlan.spin_blocks import (
 from qlan.operator_core import embed_block
 from qlan.tolerances import BLOCK_SKIP_MASS, CORNER_TAIL_MASS
 
+U0 = LocalParams(0.0, 0.0, 0.0)
+
 
 def test_package_imports_without_np_trapz():
     # numpy 2.4 removed np.trapz (2.0-2.3 only deprecate it); the package
@@ -155,7 +157,7 @@ def test_apply_t_classical_marginal_moments():
 
 def test_apply_t_two_qubits():
     params = ModelParams(0.75, 2)
-    state = apply_T(block_data(params, LocalParams.zero()))
+    state = apply_T(block_data(params, U0))
     # both blocks (j = 0, 1) survive: dim = 3, weights (nx, 2)
     assert state.dim == 3
     assert state.weights.shape[1] == 2
@@ -163,7 +165,7 @@ def test_apply_t_two_qubits():
     assert state.dropped_mass < 1e-12
     assert state.classical.mass() == pytest.approx(1.0, abs=1e-9)
     # embedded block contents: the j = 1 block in the top-left corner
-    want = block_state(params, LocalParams.zero(), 1.0)
+    want = block_state(params, U0, 1.0)
     got = state.blocks[list(state.weights.sum(axis=0)).index(
         max(state.weights.sum(axis=0)))]
     assert np.allclose(fock_basis(got[:3, :3], state.chi), want, atol=1e-12)

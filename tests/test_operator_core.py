@@ -8,15 +8,14 @@ vectors, and the fidelity has the explicit two-eigenvalue form.
 import numpy as np
 import pytest
 
+from fullspace import bloch_to_density, fidelity
 from qlan.operator_core import (
     PAULI,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    bloch_to_density,
     density_to_bloch,
     embed_block,
-    fidelity,
     qubit_fidelity_sq,
     trace_norm_distance,
     validate_density,

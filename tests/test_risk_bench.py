@@ -156,19 +156,19 @@ def test_gaussian_pointwise_risk_matches_recorded(key):
 # Two single exact-sampler trials, one after the other on one stream, at
 # the centre point of the exact-risk benchmark (mu0 = 0.75, n = 10^6,
 # default seed): stage-1 Bloch vector, mu_tilde and u_raw, recorded from
-# the walk-maximum block index and the polar heterodyne sampler.  Trial 1's
-# stage-1 values precede any stage-2 draw and are those of the earlier
-# samplers too.
+# the walk-maximum block index, the closed-form ladder level and the polar
+# heterodyne sampler of its pure ladder vector.  Trial 1's stage-1 values
+# precede any stage-2 draw and are those of the earlier samplers too.
 EXACT_RECORDED = [
     (
         [-0.0008439929846824068, 0.0038009613139953213, 0.4972644886329627],
         0.7486398657126762,
-        [-1.8256884762416856, -0.7789261173032082, 1.3382744840300667],
+        [-3.1638871462433453, -1.9455189324431996, 1.2668352429408736],
     ),
     (
-        [-0.0021488899397232863, -0.0002933025265917655, 0.4992038883767702],
-        0.7496042998051275,
-        [1.563571137552676, -1.9446244469378227, 0.11163749910995252],
+        [0.0031904131974165306, -0.0031784416657189007, 0.5018496127186314],
+        0.7509349093956603,
+        [0.9532102335955002, 3.9670783715144706, -0.7088166337801435],
     ),
 ]
 
@@ -379,10 +379,10 @@ GAUSSIAN_TRIAL_PINNED = (
     (-0.4549870520591945, -1.7191095886702028, -0.856556751021805),
     (-0.4549870520591945, -1.7191095886702028, -0.856556751021805),
 )
-EXACT_TRIAL_PINNED = (  # re-recorded when the block index became a walk maximum
-    [0.011415288298174207, -0.043761089732900285, 0.4808229108542052],
-    (-3.1253360374601047, -0.4927410084764117, -0.7723198393853675),
-    (-3.1253360374601047, -0.4927410084764117, -0.7723198393853675),
+EXACT_TRIAL_PINNED = (  # re-recorded when each draw became one pure ladder vector's
+    [-0.019775142199138146, -0.028761150410730567, 0.4799539508763972],
+    (-2.186189111313594, 1.47643094043796, -0.8246740082076564),
+    (-2.186189111313594, 1.47643094043796, -0.8246740082076564),
 )
 HOEFFDING_PINNED = [
     {"n": 1000, "eps": 0.1, "n_tilde": 502, "empirical": 0.5305, "bound": 2.2089349386202013, "ok": True, "vacuous": True},

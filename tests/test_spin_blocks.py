@@ -38,14 +38,18 @@ from qlan.spin_blocks import (
     block_probability,
     block_state,
     classical_coordinate,
+    block_vector,
     ladder_corner,
+    ladder_level,
     local_qubit_state,
     multiplicity,
     sample_block_index,
     typical_set,
     valid_j_values,
 )
-from qlan.tolerances import CORNER_TAIL_MASS, SAMPLER_TAIL_MASS
+from qlan.tolerances import CORNER_TAIL_MASS
+
+U0 = LocalParams(0.0, 0.0, 0.0)
 
 
 def test_model_params_validation():
@@ -94,7 +98,7 @@ def test_multiplicity_dimension_sum():
 def test_block_probability_two_qubits():
     # diag(3/4, 1/4)^(x2): singlet weight 3/16, triplet weight 13/16
     params = ModelParams(0.75, 2)
-    u0 = LocalParams.zero()
+    u0 = U0
     assert block_probability(params, u0, 1.0) == pytest.approx(13 / 16, abs=1e-14)
     assert block_probability(params, u0, 0.0) == pytest.approx(3 / 16, abs=1e-14)
 
@@ -102,7 +106,7 @@ def test_block_probability_two_qubits():
 def test_block_probability_exact_rational_oracle():
     """Log-domain route vs exact Fraction arithmetic at n = 30."""
     params = ModelParams(0.75, 30)
-    u0 = LocalParams.zero()
+    u0 = U0
     for j in (15.0, 9.0, 4.0, 1.0, 0.0):
         want = exact_block_weight(30, j, Fraction(3, 4))
         got = block_probability(params, u0, j)
@@ -142,7 +146,7 @@ def test_block_probability_factored_k_tends_to_one():
     for n in (100, 1000, 10000):
         params = ModelParams(0.75, n)
         j = round(params.j_n)
-        _, k = block_probability_factored(params, LocalParams.zero(), j)
+        _, k = block_probability_factored(params, U0, j)
         devs.append(abs(k - 1.0))
     assert devs[0] < 0.05
     assert devs[2] < devs[1] < devs[0]
@@ -190,7 +194,7 @@ def test_pmf_window_stays_narrow_at_large_n():
     """At the exact-risk stage-2 size the window stops at ten binomial
     standard deviations: the bound meets the target where 1 - sum(probs)
     never would (rounding in the log-pmf leaves ~1e-9 there)."""
-    js, probs, dropped = block_pmf_window(ModelParams(0.75, 498_812), LocalParams.zero())
+    js, probs, dropped = block_pmf_window(ModelParams(0.75, 498_812), U0)
     assert len(js) <= 20_000
     assert dropped <= 1e-12
 
@@ -211,7 +215,7 @@ def test_outside_mass_bound_dominates_exact_mass(mu):
             outside = sum(weights[:lo]) + sum(weights[hi + 1 :])
             bound = _outside_mass_bound(n, float(mu), int(2 * js[lo]), int(2 * js[hi]))
             assert bound >= outside * rounding
-    got, _, dropped = block_pmf_window(ModelParams(float(mu), n), LocalParams.zero())
+    got, _, dropped = block_pmf_window(ModelParams(float(mu), n), U0)
     inside = {float(j) for j in got}
     assert dropped >= sum(w for j, w in zip(js, weights) if float(j) not in inside)
 
@@ -250,9 +254,9 @@ def test_sample_block_index_goodness_of_fit():
     n = 12 case sees a draw biased by 5% in P(max S >= m)."""
     for params, u, draws in (
         (ModelParams(0.7, 40), LocalParams(0.3, -0.2, 0.4), 20_000),
-        (ModelParams(0.55, 12), LocalParams.zero(), 100_000),
-        (ModelParams(0.8, 10**4), LocalParams.zero(), 100_000),
-        (ModelParams(0.75, 10**6), LocalParams.zero(), 100_000),
+        (ModelParams(0.55, 12), U0, 100_000),
+        (ModelParams(0.8, 10**4), U0, 100_000),
+        (ModelParams(0.75, 10**6), U0, 100_000),
     ):
         got = sample_block_index(params.n, np.full(draws, params.mu_u(u)), np.random.default_rng(5))
         js, probs, _ = block_pmf_window(params, u)
@@ -297,7 +301,7 @@ def test_rotation_unitary_is_unitary():
 
 def test_block_state_two_qubit_diagonal():
     params = ModelParams(0.75, 2)
-    rho = block_state(params, LocalParams.zero(), 1.0)
+    rho = block_state(params, U0, 1.0)
     assert np.allclose(np.diag(rho), [9 / 13, 3 / 13, 1 / 13], atol=1e-14)
     assert np.allclose(rho, np.diag(np.diag(rho)))
 
@@ -315,17 +319,18 @@ def test_block_state_rotation_covariance():
 def test_block_state_corner_truncation():
     """Unrotated, a block state is diagonal: its corner holds the normalized
     geometric weights on the fewest levels that leave at most the tail out,
-    and a block narrower than that is returned whole."""
-    params = ModelParams(0.75, 400)
+    at the package's budget and at a looser one, and a block narrower than
+    that is returned whole."""
     p = 1.0 / 3.0
-    for tail in (CORNER_TAIL_MASS, SAMPLER_TAIL_MASS):
-        cut = block_state(params, LocalParams.zero(), 100.0, tail=tail)
-        dim = cut.shape[0]
-        w = p ** np.arange(201.0)
-        w /= w.sum()
-        assert np.allclose(cut, np.diag(w[:dim]), rtol=1e-13, atol=0.0)
+    w = p ** np.arange(201.0)
+    w /= w.sum()
+    cut = block_state(ModelParams(0.75, 400), U0, 100.0)
+    unrotated = ladder_corner(p, 201, 1.0, 0.0, lambda k: 0.0 * k, 1e-14)[0]
+    for tail, corner in ((CORNER_TAIL_MASS, cut), (1e-14, unrotated)):
+        dim = corner.shape[0]
+        assert np.allclose(corner, np.diag(w[:dim]), rtol=1e-13, atol=0.0)
         assert w[dim:].sum() <= tail < w[dim - 1 :].sum()
-    whole = block_state(ModelParams(0.75, 60), LocalParams.zero(), 10.0)
+    whole = block_state(ModelParams(0.75, 60), U0, 10.0)
     assert whole.shape == (21, 21)
     assert np.trace(whole).real == pytest.approx(1.0, abs=1e-15)
 
@@ -552,3 +557,64 @@ def test_block_state_is_the_real_corner_phased(mu, u, n, j):
     want = fock_basis(corners[0], as_local(u).phase_angle)
     got = block_state(params, u, j)
     assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@given(
+    p=st.floats(1e-3, 0.999),
+    tj=st.integers(0, 400),
+    uniform=st.floats(0.0, 1.0, exclude_max=True),
+    cell=st.integers(0, 400),
+    t=st.floats(1e-6, 1.0 - 1e-6),
+)
+def test_ladder_level_inverts_the_truncated_geometric_cdf(p, tj, uniform, cell, t):
+    """k lies in [0, 2j] and F(k - 1) <= U < F(k) under the truncated
+    geometric CDF F(k) = (1 - p^{k+1}) / (1 - p^{2j+1}), up to rounding; a
+    U drawn inside cell k's interval, away from its ends, maps to k."""
+    levels = tj + 1.0
+
+    def cdf(k):
+        return -math.expm1((k + 1.0) * math.log(p)) / -math.expm1(levels * math.log(p))
+
+    k = float(ladder_level(p, levels, np.array([uniform]))[0])
+    assert k == int(k) and 0 <= k <= tj
+    assert cdf(k - 1.0) - 1e-12 <= uniform < cdf(k) + 1e-12
+    cell = min(cell, tj)
+    lo, hi = cdf(cell - 1.0), cdf(cell)
+    assume(hi - lo > 1e-9)
+    inside = lo + t * (hi - lo)
+    assume(lo + 1e-12 < inside < hi - 1e-12)
+    assert ladder_level(p, levels, np.array([inside]))[0] == cell
+
+
+@settings(max_examples=25)
+@given(
+    mu=st.floats(0.6, 0.9),
+    u=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.just(0.0)),
+    n=st.integers(20, 60),
+    data=st.data(),
+)
+def test_block_vector_is_the_rotated_ladder_state(mu, u, n, data):
+    """Phased into the Fock basis, block j's ladder vector is R e_k, R the
+    dense block rotation, up to its sign and its certified tail, and the
+    block state is the geometric mixture of its vectors."""
+    params = ModelParams(mu, n)
+    js = valid_j_values(n)
+    j = float(data.draw(st.sampled_from(list(js))))
+    d = int(round(2.0 * j)) + 1
+    k = data.draw(st.integers(0, d - 1))
+    psi, tail = block_vector(n, u, j, k)
+    assert tail <= CORNER_TAIL_MASS and len(psi) <= d
+    chi = as_local(u).phase_angle
+    want = rotation_unitary(j, (u[0] / math.sqrt(n), u[1] / math.sqrt(n)))[:, k]
+    got = np.exp(1j * chi * np.arange(len(psi))) * psi
+    overlap = abs(np.vdot(want[: len(psi)], got))
+    assert overlap == pytest.approx(1.0, abs=1e-12)
+    assert float(np.sum(np.abs(want[len(psi) :]) ** 2)) <= tail + 1e-15
+    # the geometric mixture of the vectors is the block state
+    p = params.p_u(u)
+    vecs = [np.pad(block_vector(n, u, j, i)[0], (0, d))[:d] for i in range(d)]
+    mix = sum((1.0 - p) * p**i / (1.0 - p**d) * np.outer(v, v) for i, v in enumerate(vecs))
+    corner = block_corners(params, u, [j])[0][0]
+    m = corner.shape[0]
+    assert np.abs(mix[:m, :m] - corner).max() <= 1e-12
+
