@@ -96,7 +96,6 @@ FLAGS = {
     "trials": (int, None, "Monte Carlo trials"),
     "t": (float, None, "evolution time"),
     "collisions": (int, None, "collisions of the discretized field"),
-    "eps_tail": (float, None, "exponent of the typical block window"),
 }
 
 
@@ -140,11 +139,11 @@ def _estimator(spec: dict) -> EstimatorConfig:
 
 
 def cmd_lan_dist(spec: dict) -> int:
-    result = convergence_sweep(spec["mu"], spec["u"], spec["n_list"], spec["eps_tail"])
+    result = convergence_sweep(spec["mu"], spec["u"], spec["n_list"])
     _emit_rows(
         [dataclasses.asdict(r) for r in result.rows],
         ("n", "dist_T", "dist_S", "slope_T", "slope_S"),
-        {k: spec[k] for k in ("mu", "u", "n_list", "eps_tail")},
+        {k: spec[k] for k in ("mu", "u", "n_list")},
         spec["format"],
         spec["out"],
         slope_T=result.slope_T,
@@ -295,7 +294,7 @@ def cmd_hoeffding(spec: dict) -> int:
 # default of every setting it takes.
 COMMANDS = {
     "lan-dist": (cmd_lan_dist, "block data vs Gaussian limit distances", ("csv", "json"), (), {
-        "mu": 0.8, "u": (1.0, 1.0, 1.0), "n_list": (20, 50, 100, 200, 400), "eps_tail": 0.2,
+        "mu": 0.8, "u": (1.0, 1.0, 1.0), "n_list": (20, 50, 100, 200, 400),
     }),
     "risk": (cmd_risk, "Monte Carlo local sup-risk benchmark", ("json", "csv"), ("n",), {
         "mu0": 0.75, "loss": "trace", "n_list": (10**6,), "trials": 10_000, "sampler": "gaussian",

@@ -43,11 +43,7 @@ from .spin_blocks import (
     typical_set,
     valid_j_values,
 )
-from .tolerances import (
-    BLOCK_SKIP_MASS,
-    CHANNEL_DROP_MASS,
-    GRID_MASS_TOL,
-)
+from .tolerances import BLOCK_SKIP_MASS, GRID_MASS_TOL
 
 
 @dataclass
@@ -137,9 +133,12 @@ class HybridGaussianState:
 
 
 # Classical grids span GRID_STD_MULT standard deviations either side of
-# their centre, at a step of one GRID_STEP_DIVISOR-th of a deviation.
+# their centre, at a step of one GRID_STEP_DIVISOR-th of a deviation.  A
+# sweep's grid also covers the kernels of typical_set(params,
+# GRID_TYPICAL_EPS), and of every block apply_T keeps.
 GRID_STD_MULT = 8.0
 GRID_STEP_DIVISOR = 50.0
+GRID_TYPICAL_EPS = 0.2
 
 # A sweep clamps u_z so that the shifted eigenvalue stays this far inside
 # (1/2, 1).
@@ -203,28 +202,16 @@ def gaussian_limit(
     )
 
 
-def apply_T(
-    blocks: BlockData, grid: np.ndarray | None = None, eps_tail: float = 0.2
-) -> HybridGaussianState:
+def apply_T(blocks: BlockData, grid: np.ndarray | None = None) -> HybridGaussianState:
     """Map n shifted qubits, as their block picture, to the hybrid object.
 
-    Keeps the window's blocks inside ``typical_set(eps_tail)`` of mass above
-    ``BLOCK_SKIP_MASS``.  The dropped probability, the window's bound on the
-    mass outside it plus its blocks left out, must stay below
-    ``CHANNEL_DROP_MASS`` (else the call errors) and is reported."""
-    params = blocks.params
-    j_lo, j_hi = typical_set(params, eps_tail)
-    keep = (blocks.js >= j_lo) & (blocks.js <= j_hi) & (blocks.probs > BLOCK_SKIP_MASS)
-    dropped = blocks.dropped + float(blocks.probs[~keep].sum())
-    if dropped >= CHANNEL_DROP_MASS:
-        raise ValueError(
-            f"typical window [{j_lo}, {j_hi}] (eps_tail = {eps_tail}) drops "
-            f"block mass {dropped:.3e} >= {CHANNEL_DROP_MASS:.1e}; increase eps_tail"
-        )
-    # p_{n,u}(j) is log-concave in j: the kept blocks are one run, their corners a view
-    kept = np.flatnonzero(keep)
-    run = slice(kept[0], kept[-1] + 1)
+    Keeps the window's run of blocks above ``BLOCK_SKIP_MASS``
+    (``BlockData.kept``), their corners a view, and reports the mass left
+    out: the window's outside mass plus its skipped blocks."""
+    params, run = blocks.params, blocks.kept
     p_keep = blocks.probs[run]
+    skipped = blocks.probs[: run.start].sum() + blocks.probs[run.stop :].sum()
+    dropped = blocks.dropped + float(skipped)
     g = classical_coordinate(params, blocks.js[run])
     if grid is None:
         grid = covering_grid(params, float(np.sum(p_keep * g)), g.min(), g.max())
@@ -318,6 +305,13 @@ class BlockData:
     def chi(self) -> float:
         return self.u.phase_angle
 
+    @property
+    def kept(self) -> slice:
+        """The window's blocks of mass above ``BLOCK_SKIP_MASS``, one run
+        because p_{n,u}(j) is log-concave in j."""
+        above = np.flatnonzero(self.probs > BLOCK_SKIP_MASS)
+        return slice(above[0], above[-1] + 1)
+
 
 def block_data(params: ModelParams, u) -> BlockData:
     """The pmf window of ``params`` at local parameter u and its blocks' corners."""
@@ -373,8 +367,9 @@ def blockwise_distance(mix: BlockMixture, blocks: BlockData) -> CornerDistance:
     rho_j is zero on the lattice rows only the mixture has, and the window
     blocks and phi are zero-padded to the wider of their corners, D
     levels.  tau_j's filler outside it adds its trace norm in closed form.
-    Lattice mass outside both windows is added through its upper bounds,
-    so the value is an upper bound tight to ~1e-12 on the full sum.
+    Lattice mass outside both windows enters as the mass itself (the
+    window's ``dropped`` and the mixture's), which bounds its terms, so
+    the value is an upper bound tight to ~1e-12 on the full sum.
 
     ``bound`` counts p_j (2 sqrt(t_j) + t_j) for each rho_j of tail t_j,
     and q_j (2 sqrt(t) + 2 t) for each block wider than phi, whose source
@@ -415,7 +410,9 @@ def blockwise_distance(mix: BlockMixture, blocks: BlockData) -> CornerDistance:
 @dataclass
 class SweepRow:
     """One n of a sweep; ``corner_bound_*`` bound how far each distance can
-    move if taken without the Fock corner."""
+    move if taken without the Fock corner.  ``dropped_T`` is the block mass
+    the T image leaves out, ``dropped_S`` the lattice mass ``dist_S`` adds
+    unbuilt (the window's and the S image's)."""
 
     n: int
     dist_T: float
@@ -424,6 +421,8 @@ class SweepRow:
     clamped: bool
     corner_bound_T: float
     corner_bound_S: float
+    dropped_T: float
+    dropped_S: float
 
 
 @dataclass
@@ -443,14 +442,15 @@ def _clamp_u(mu: float, u: LocalParams, n: int) -> tuple[LocalParams, bool]:
     return u, False
 
 
-def convergence_sweep(mu: float, u, n_list, eps_tail: float = 0.2) -> SweepResult:
+def convergence_sweep(mu: float, u, n_list) -> SweepResult:
     """Distances to/from the Gaussian limit over a list of n, with slopes.
 
     For each n, one ``block_data`` of the shifted n qubits feeds both
     directions: ``dist_T`` compares its ``apply_T`` image with
     ``gaussian_limit`` on a shared grid, each state on its own certified
     Fock corner, and ``dist_S`` compares ``apply_S`` of the Gaussian pair
-    with it; ``eps_tail`` sets the T channel's typical window.
+    with it.  The grid covers ``typical_set(GRID_TYPICAL_EPS)`` and every
+    kept block.
     When ``u_z`` makes the shifted eigenvalue inadmissible at small n it is
     clamped to ``DELTA_ADM`` inside the boundary (row flagged) so that both
     objects stay well defined; the log-log slopes are least-squares fits
@@ -462,14 +462,15 @@ def convergence_sweep(mu: float, u, n_list, eps_tail: float = 0.2) -> SweepResul
         params = ModelParams(mu, int(n))
         u_eff, clamped = _clamp_u(mu, u, params.n)
         gp = GaussianLimitParams(mu, u_eff)
-        g_lo, g_hi = classical_coordinate(params, np.array(typical_set(params, eps_tail)))
-        grid = covering_grid(params, gp.classical_mean, g_lo, g_hi)
         blocks = block_data(params, u_eff)
-        dist_t = hybrid_trace_distance(
-            apply_T(blocks, grid=grid, eps_tail=eps_tail), gaussian_limit(gp, grid=grid)
-        )
-        dist_s = blockwise_distance(apply_S(gp, params.n), blocks)
-        del blocks  # not held while the next row builds its own
+        j_lo, j_hi = typical_set(params, GRID_TYPICAL_EPS)
+        kept = blocks.js[blocks.kept]
+        g = classical_coordinate(params, np.array([min(j_lo, kept[0]), max(j_hi, kept[-1])]))
+        grid = covering_grid(params, gp.classical_mean, *g)
+        t_state = apply_T(blocks, grid=grid)
+        dist_t = hybrid_trace_distance(t_state, gaussian_limit(gp, grid=grid))
+        mix = apply_S(gp, params.n)
+        dist_s = blockwise_distance(mix, blocks)
         rows.append(
             SweepRow(
                 n=params.n,
@@ -479,8 +480,11 @@ def convergence_sweep(mu: float, u, n_list, eps_tail: float = 0.2) -> SweepResul
                 clamped=clamped,
                 corner_bound_T=dist_t.bound,
                 corner_bound_S=dist_s.bound,
+                dropped_T=t_state.dropped_mass,
+                dropped_S=blocks.dropped + mix.dropped,
             )
         )
+        del blocks, t_state  # not held while the next row builds its own
     ns, dist_t, dist_s = zip(*[(r.n, r.dist_T, r.dist_S) for r in rows])
     return SweepResult(rows, loglog_slope(ns, dist_t), loglog_slope(ns, dist_s))
 

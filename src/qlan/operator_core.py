@@ -12,12 +12,6 @@ import numpy as np
 
 from .tolerances import VALIDATION_TOL
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-
 def validate_density(m, tol: float = VALIDATION_TOL) -> np.ndarray:
     """Check that ``m`` is a density matrix and return it as a complex array.
 

@@ -6,7 +6,9 @@ symmetric/antisymmetric structure of ``(C^2)^{(x)n}``: a classical index
 ``j`` (total spin) occurring with multiplicity ``n_j``, and inside each
 block a ``(2j+1)``-dimensional state that is a rotated, truncated geometric
 (thermal-like) state.  This module provides the exact block probabilities,
-the typical-``j`` window the channels sum over, an exact sampler of ``j``
+the window of ``j`` the channels sum over (the shortest run that leaves
+at most ``WINDOW_TAIL_MASS`` out, that mass summed term by term), the
+typical set ``j_n +- n^(1/2+eps)``, an exact sampler of ``j``
 that needs no window, the block states and their ladder vectors.
 
 The top of each block behaves as an oscillator mode: a block state, and the
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.special import gammaln, rel_entr
+from scipy.special import gammaln
 
 from .operator_core import embed_block
 from .tolerances import CORNER_TAIL_MASS, WINDOW_TAIL_MASS
@@ -205,58 +207,21 @@ def typical_set(params: ModelParams, eps: float) -> tuple[float, float]:
 
 
 def block_pmf_window(params: ModelParams, u) -> tuple[np.ndarray, np.ndarray, float]:
-    """j values and probabilities covering all but ``WINDOW_TAIL_MASS`` of the mass.
+    """The shortest run of the valid j lattice whose two tails each hold at
+    most ``WINDOW_TAIL_MASS / 2`` of p_{n,u}, found on the whole lattice
+    (O(n) ``gammaln`` calls).
 
-    Returns ``(j_values, probs, dropped)`` where ``dropped`` is an upper
-    bound on the mass outside the returned window (see
-    :func:`_outside_mass_bound`; 0 when the window is the full lattice).
-    The window starts at ten standard deviations of the binomial part and
-    widens until that bound meets ``WINDOW_TAIL_MASS``.
+    Returns ``(j_values, probs, dropped)``, ``dropped`` the sum of the
+    terms outside the run (0 when the run is the whole lattice).
     """
-    n = params.n
-    mu = params.mu_u(u)
-    center = n * (mu - 0.5)
-    sigma = math.sqrt(n * mu * (1.0 - mu))
-    width = max(10.0 * sigma, 20.0)
-    parity = n % 2
-    while True:
-        tj_lo = max(parity, 2 * int(math.floor((center - width))) - 2)
-        tj_lo += (tj_lo - parity) % 2
-        tj_hi = min(n, 2 * int(math.ceil(center + width)) + 2)
-        tj_hi -= (tj_hi - parity) % 2
-        dropped = _outside_mass_bound(n, mu, tj_lo, tj_hi)
-        if dropped <= WINDOW_TAIL_MASS:
-            break
-        width *= 1.6
-    tj = np.arange(tj_lo, tj_hi + 1, 2, dtype=float)
-    return tj / 2.0, np.exp(_log_probability(params, u, tj)), dropped
-
-
-def _outside_mass_bound(n: int, mu: float, tj_lo: int, tj_hi: int) -> float:
-    """Upper bound on the mass of p_{n,mu}(j) outside tj_lo <= 2j <= tj_hi.
-
-    Each term is dominated by a binomial one:
-    p(j) = n_j (mu (1-mu))^{n/2-j} (mu^{2j+1} - (1-mu)^{2j+1}) / (2mu-1)
-    <= mu / (2mu-1) * b(n/2 + j), with b the Bin(n, mu) pmf, because
-    n_j <= C(n, n/2-j) and the geometric factor is at most mu^{2j+1}.
-    The binomial tails past the window's edges obey the Chernoff bounds
-    P(X <= x) <= exp(-n D(x/n || mu)) for x <= n mu and
-    P(X >= x) <= exp(-n D(x/n || mu)) for x >= n mu, with D the Bernoulli
-    relative entropy; an edge on the near side of the mean counts 1.
-    """
-    total = 0.0
-    for x, side, empty in (
-        ((n + tj_lo) / 2.0 - 1.0, -1.0, tj_lo <= n % 2),  # last n/2 + j below
-        ((n + tj_hi) / 2.0 + 1.0, 1.0, tj_hi >= n),  # first n/2 + j above
-    ):
-        if empty:
-            continue
-        q = x / n
-        if (q - mu) * side < 0.0:
-            total += 1.0
-        else:
-            total += math.exp(-n * float(rel_entr(q, mu) + rel_entr(1.0 - q, 1.0 - mu)))
-    return mu / (2.0 * mu - 1.0) * total
+    tj = np.arange(params.n % 2, params.n + 1, 2, dtype=float)
+    probs = np.exp(_log_probability(params, u, tj))
+    half = 0.5 * WINDOW_TAIL_MASS
+    # each tail is summed from its far end, smallest terms first
+    lo = int(np.searchsorted(np.cumsum(probs), half, side="right"))
+    hi = len(probs) - int(np.searchsorted(np.cumsum(probs[::-1]), half, side="right"))
+    dropped = float(probs[:lo].sum() + probs[hi:].sum())
+    return tj[lo:hi] / 2.0, probs[lo:hi], dropped
 
 
 def sample_block_index(n: int, mu, rng: np.random.Generator) -> np.ndarray:

@@ -29,7 +29,6 @@ from qlan.spin_blocks import (
     as_local,
     block_pmf_window,
     classical_coordinate,
-    typical_set,
     valid_j_values,
 )
 from qlan.tolerances import BLOCK_SKIP_MASS
@@ -165,13 +164,13 @@ class MixedHeterodyneSampler:
         return np.sqrt(s) * np.exp(1j * theta)
 
 
-def apply_T(params, u, grid, dim, eps_tail=0.2):
+def apply_T(params, u, grid, dim):
     """The T image with full blocks embedded in ``dim`` Fock levels; same
-    block window, weights and grid handling as ``qlan.lan_channels.apply_T``."""
+    blocks (the window's above ``BLOCK_SKIP_MASS``), weights and grid
+    handling as ``qlan.lan_channels.apply_T``."""
     u = as_local(u)
-    j_lo, j_hi = typical_set(params, eps_tail)
     j_all, probs_all, _ = block_pmf_window(params, u)
-    keep = (j_all >= j_lo) & (j_all <= j_hi) & (probs_all > BLOCK_SKIP_MASS)
+    keep = probs_all > BLOCK_SKIP_MASS
     j_keep = j_all[keep]
     p_keep = probs_all[keep]
     dropped = max(1.0 - float(p_keep.sum()), 0.0)

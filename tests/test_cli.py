@@ -54,9 +54,10 @@ def test_every_flag_row_is_used(capsys):
     refused."""
     used = {key for *_, shortcuts, defaults in COMMANDS.values() for key in (*shortcuts, *defaults)}
     assert set(FLAGS) <= used
-    with pytest.raises(SystemExit) as exc:
-        main(["risk", "--fock-dim", "16"])
-    assert exc.value.code == 2
+    for argv in (["risk", "--fock-dim", "16"], ["lan-dist", "--eps-tail", "0.2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -80,6 +81,25 @@ def test_lan_dist_json_structure(capsys):
     assert set(payload) == {"config", "rows", "slope_T", "slope_S"}
     assert payload["config"]["mu"] == 0.8
     assert [r["n"] for r in payload["rows"]] == [20, 50]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mu", "0.55", "--n-list", "400"],
+        ["--mu", "0.6", "--u", "0.5,-1,0.3", "--n-list", "30,60,120"],
+    ],
+)
+def test_lan_dist_runs_past_the_typical_set(argv, capsys):
+    """Sweeps whose blocks reach past the typical set j_n +- n^0.7 write
+    one finite row per n."""
+    code, out, err = run_cli(["lan-dist", *argv, "--format", "json"], capsys)
+    assert code == 0 and err == ""
+    rows = json.loads(out)["rows"]
+    assert [r["n"] for r in rows] == [int(n) for n in argv[-1].split(",")]
+    keys = ("dist_T", "dist_S", "corner_bound_T", "corner_bound_S", "dropped_T", "dropped_S")
+    for r in rows:
+        assert all(isinstance(r[k], float) and np.isfinite(r[k]) for k in keys)
 
 
 @pytest.mark.parametrize("n_list", ["1", "400,400"])

@@ -10,10 +10,6 @@ import pytest
 
 from fullspace import bloch_to_density, fidelity
 from qlan.operator_core import (
-    PAULI,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     density_to_bloch,
     embed_block,
     qubit_fidelity_sq,
@@ -22,6 +18,11 @@ from qlan.operator_core import (
 )
 
 RNG = np.random.default_rng(20260818)
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def random_qubit_bloch(rng, size):

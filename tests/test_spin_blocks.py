@@ -29,7 +29,6 @@ from fullspace import (
 )
 from qlan import spin_blocks
 from qlan.spin_blocks import (
-    _outside_mass_bound,
     LocalParams,
     ModelParams,
     as_local,
@@ -47,7 +46,7 @@ from qlan.spin_blocks import (
     typical_set,
     valid_j_values,
 )
-from qlan.tolerances import CORNER_TAIL_MASS
+from qlan.tolerances import CORNER_TAIL_MASS, WINDOW_TAIL_MASS
 
 U0 = LocalParams(0.0, 0.0, 0.0)
 
@@ -191,33 +190,55 @@ def test_pmf_window_mass():
 
 
 def test_pmf_window_stays_narrow_at_large_n():
-    """At the exact-risk stage-2 size the window stops at ten binomial
-    standard deviations: the bound meets the target where 1 - sum(probs)
-    never would (rounding in the log-pmf leaves ~1e-9 there)."""
+    """At the exact-risk stage-2 size the window is a few binomial standard
+    deviations wide, and its outside mass, summed term by term, meets the
+    target where 1 - sum(probs) never would (rounding in the log-pmf leaves
+    ~1e-9 there)."""
     js, probs, dropped = block_pmf_window(ModelParams(0.75, 498_812), U0)
     assert len(js) <= 20_000
     assert dropped <= 1e-12
 
 
-@pytest.mark.parametrize("mu", [Fraction(3, 4), Fraction(11, 20), Fraction(9, 10)])
-def test_outside_mass_bound_dominates_exact_mass(mu):
-    """At n = 30 the bound is at least the exact outside mass, in rational
-    arithmetic, for every window and for the window the package builds.
-    A window missing only j = n/2 makes the bound tight to 1 - p^(n+1), so
-    the float bound is allowed its rounding."""
-    n = 30
+@pytest.mark.parametrize("n", [30, 60])
+@pytest.mark.parametrize(
+    "mu", [Fraction(3, 4), Fraction(11, 20), Fraction(9, 10), Fraction(19, 20)]
+)
+def test_window_drops_the_exact_outside_mass(n, mu):
+    """``dropped`` is the rational mass outside the window to 1e-12
+    relative, and at most ``WINDOW_TAIL_MASS``.  At n = 30 only mu = 19/20
+    leaves a block out; at n = 60 all but mu = 3/4 do."""
+    js = valid_j_values(n)
+    weights = {float(j): exact_block_weight(n, j, mu) for j in js}
+    assert sum(weights.values()) == 1
+    got, _, dropped = block_pmf_window(ModelParams(float(mu), n), U0)
+    inside = set(got.tolist())
+    outside = float(sum(w for j, w in weights.items() if j not in inside))
+    assert dropped == pytest.approx(outside, rel=1e-12, abs=0.0)
+    assert dropped <= WINDOW_TAIL_MASS
+    assert (dropped > 0.0) == (len(got) < len(js))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    mu=st.fractions(Fraction(1, 2), 1, max_denominator=60).filter(lambda f: Fraction(1, 2) < f < 1),
+)
+def test_window_is_the_shortest_run(n, mu):
+    """The window is a run of the lattice whose two tails each hold at most
+    half of ``WINDOW_TAIL_MASS``, and trimming one more block from either
+    end would push that tail past half, in rational weights (allowed 1e-9
+    of the half for the pmf's rounding)."""
     js = valid_j_values(n)
     weights = [exact_block_weight(n, j, mu) for j in js]
-    assert sum(weights) == 1
-    rounding = 1 - Fraction(1, 10**12)
-    for lo in range(len(js)):
-        for hi in range(lo, len(js)):
-            outside = sum(weights[:lo]) + sum(weights[hi + 1 :])
-            bound = _outside_mass_bound(n, float(mu), int(2 * js[lo]), int(2 * js[hi]))
-            assert bound >= outside * rounding
-    got, _, dropped = block_pmf_window(ModelParams(float(mu), n), U0)
-    inside = {float(j) for j in got}
-    assert dropped >= sum(w for j, w in zip(js, weights) if float(j) not in inside)
+    got, _, _ = block_pmf_window(ModelParams(float(mu), n), U0)
+    lo = int(np.searchsorted(js, got[0]))
+    hi = lo + len(got)
+    assert np.array_equal(js[lo:hi], got)
+    half = Fraction(WINDOW_TAIL_MASS) / 2
+    assert sum(weights[:lo]) <= half * (1 + Fraction(1, 10**9))
+    assert sum(weights[hi:]) <= half * (1 + Fraction(1, 10**9))
+    assert sum(weights[: lo + 1]) > half * (1 - Fraction(1, 10**9))
+    assert sum(weights[hi - 1 :]) > half * (1 - Fraction(1, 10**9))
 
 
 def _walk_block_law(n: int, mu: Fraction) -> dict:
