@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+# scipy is imported where it is used, so that `import qlan` needs numpy alone
 
 from .spin_blocks import LocalParams, as_local, ladder_corner
 from .tolerances import CORNER_TAIL_MASS
@@ -95,6 +95,8 @@ class HeterodyneSampler:
     """
 
     def __init__(self, psi: np.ndarray):
+        from scipy.special import gammaln
+
         self.psi = np.asarray(psi) / np.linalg.norm(psi)
         m = np.arange(len(psi))
         self._levels = m.astype(float)

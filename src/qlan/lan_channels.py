@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+# scipy is imported where it is used, so that `import qlan` needs numpy alone
 
 from .fock_gaussian import GaussianLimitParams, displaced_thermal
 from .operator_core import embed_block
@@ -343,6 +343,8 @@ def apply_S(gp: GaussianLimitParams, n: int) -> BlockMixture:
     and its tail is reported; cells of mass <= ``BLOCK_SKIP_MASS`` are
     left out and counted in ``dropped``.
     """
+    from scipy.special import ndtr
+
     params = ModelParams(gp.mu, n)
     phi, tail = displaced_thermal(gp)
     j_lattice = valid_j_values(n)

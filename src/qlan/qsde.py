@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+# scipy is imported where it is used, so that `import qlan` needs numpy alone
 
 from .spin_blocks import ModelParams
 from .tolerances import COLLISION_NORM_DRIFT, MODEL_MARGIN
@@ -132,6 +132,8 @@ def _collision_column(params: ModelParams, j: float, s: int, dt: float) -> np.nd
     restricted to total pair excitation s; the column gives the amplitudes
     for depositing d quanta into a fresh vacuum slot.
     """
+    from scipy.linalg import expm
+
     r = lowering_elements(params, j, s + 1)  # r[c-1] = r_c
     g = np.zeros((s + 1, s + 1))
     for d in range(s):

@@ -40,8 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
-from scipy.special import gammaln
+# scipy is imported where it is used, so that `import qlan` needs numpy alone
 
 from .operator_core import embed_block
 from .tolerances import CORNER_TAIL_MASS, WINDOW_TAIL_MASS
@@ -148,7 +147,11 @@ def multiplicity(n: int, j) -> int:
 
 
 def _log_multiplicity(n: int, tj_arr: np.ndarray) -> np.ndarray:
-    # ln n_j = ln C(n, (n-2j)/2) + ln((2j+1)/(n/2+j+1)); stable for large n.
+    from scipy.special import gammaln
+
+    # ln n_j = ln C(n, (n-2j)/2) + ln((2j+1)/(n/2+j+1)).  The three gammaln
+    # terms cancel: at n = 498 812 the pmf sums to 1 - 5.5e-10 (ROADMAP
+    # item 6, Loader's saddle-point form, would remove that rounding).
     k = (n - tj_arr) / 2.0
     log_binom = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
     return log_binom + np.log(tj_arr + 1.0) - np.log(n / 2.0 + tj_arr / 2.0 + 1.0)
@@ -237,6 +240,8 @@ def sample_block_index(n: int, mu, rng: np.random.Generator) -> np.ndarray:
     law of a draw by about as much in total variation.  The walk law holds
     for any mu in [0, 1]; it is the block law p_{n,u} for mu in (1/2, 1).
     """
+    from scipy.special import gammaln
+
     mu = np.asarray(mu, dtype=float)
     up = rng.binomial(n, mu)
     down = n - up
@@ -278,7 +283,11 @@ def _ladder_vectors(levels, scale, offset, coupling, ks, w, rest: float, tail: f
     Returns the vectors as (D, len(ks)) columns, D the fewest levels that
     leave at most ``tail`` outside, counting the w-weighted discarded mass,
     the certificate and ``rest`` (weight never built), and that tail.
+    The certificate bounds the angle to *some* eigenvector of T; each
+    vector's Rayleigh quotient on the block it solved, within 1/2 of its
+    own level, says it is the one at k, or the routine raises.
     """
+    from scipy.linalg import lapack
 
     def certificate(res: np.ndarray) -> float:
         """Trace-norm bound sum_k w_k 2 sin(angle_k) from the residuals."""
@@ -290,21 +299,33 @@ def _ladder_vectors(levels, scale, offset, coupling, ks, w, rest: float, tail: f
     k = np.arange(top + 1, dtype=float)
     b = np.append(0.0, coupling(k[1:]))
     z = np.eye(top)[:, ks]
+    # diagonal and off-diagonal of T_M - offset, M = len(z) the levels z is on
+    diag, off = scale * k[:top], -b[1:top]
     cert = certificate(np.abs((scale - 1.0) * ks + offset) + b[ks] + b[ks + 1])
     size = int(min(levels, size))
     while cert > tail / 16.0:
         k = np.arange(size, dtype=float)
+        diag, off = scale * k, -coupling(k[1:])
         split = np.zeros(size, dtype=np.int32)
         split[0] = size  # one unreduced block
-        z, info = lapack.dstein(
-            scale * k, -coupling(k[1:]), ks - offset, np.ones(size, dtype=np.int32), split
-        )
+        z, info = lapack.dstein(diag, off, ks - offset, np.ones(size, dtype=np.int32), split)
         if info != 0:
             raise np.linalg.LinAlgError(f"inverse iteration did not converge (info = {info})")
         cert = 0.0 if size == levels else certificate(coupling(float(size)) * np.abs(z[-1]))
         size = int(min(levels, 2 * size))
+    # Rayleigh quotients of the unit columns; the block's eigenvalues are
+    # k - offset, 1 apart
+    zz = z * z
+    theta = diag @ zz + 2.0 * off @ (z[:-1] * z[1:])
+    miss = np.abs(theta - (ks - offset))
+    if miss.max() >= 0.5:
+        i = int(np.argmax(miss))
+        raise np.linalg.LinAlgError(
+            f"ladder vector for level {int(ks[i])} has Rayleigh quotient "
+            f"{theta[i] + offset:.6g}: it is another level's"
+        )
     # profile[D] bounds the tail outside the first D levels, D = 0 .. len(z)
-    profile = np.append(np.cumsum(((z * z) @ w)[::-1])[::-1], 0.0) + (rest + cert)
+    profile = np.append(np.cumsum((zz @ w)[::-1])[::-1], 0.0) + (rest + cert)
     dim = int(np.argmax(profile <= tail))
     return z[:dim], float(profile[dim])
 

@@ -1,13 +1,18 @@
-"""Command-line interface tests (driven through main(), no subprocess)."""
+"""Command-line interface tests, driven through main(); one test runs the
+commands in a fresh interpreter, to see what they import."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qlan
 from qlan.cli import COMMANDS, FLAGS, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -449,3 +454,46 @@ def test_unknown_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["no-such-command"])
     capsys.readouterr()
+
+
+SCIPY_FREE = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import qlan
+from qlan.cli import main
+
+loaded = {"import qlan": scipy_modules()}
+for argv in (
+    ["estimate", "--n", "10000", "--seed", "7"],
+    ["risk", "--n-list", "10000", "--trials", "200"],
+    ["hoeffding", "--trials", "200"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded[" ".join(argv)] = scipy_modules() if code == 0 else f"exit {code}"
+print(json.dumps(loaded))
+"""
+
+
+def test_gaussian_limit_commands_never_load_scipy():
+    """`import qlan` and the commands that sample the Gaussian limit run on
+    numpy alone; scipy loads only where the exact sampler, the LAN channels
+    or the collision integrator call it.  A fresh interpreter, because this
+    one has scipy loaded already."""
+    src = str(Path(qlan.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert len(loaded) == 4
+    assert all(mods == [] for mods in loaded.values()), loaded

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg import lapack
 
 import fullspace
 from fullspace import (
@@ -27,7 +28,6 @@ from fullspace import (
     spin_matrices,
     tensor_power,
 )
-from qlan import spin_blocks
 from qlan.spin_blocks import (
     LocalParams,
     ModelParams,
@@ -474,7 +474,7 @@ def test_top_of_ladder_corners_match_the_full_ladder(mu, u, n):
     js, probs, _ = block_pmf_window(params, u)
     mode = int(np.argmax(probs))
     spread = int(2.0 * math.sqrt(n * mu * (1.0 - mu)))
-    dstein = spin_blocks.lapack.dstein
+    dstein = lapack.dstein
     sizes = []
 
     def spy(*args):
@@ -484,11 +484,11 @@ def test_top_of_ladder_corners_match_the_full_ladder(mu, u, n):
     for i in (mode, max(mode - spread, 0), min(mode + spread, len(js) - 1)):
         j = js[i]
         sizes.clear()
-        spin_blocks.lapack.dstein = spy
+        lapack.dstein = spy
         try:
             corners, tails = block_corners(params, u, [j])
         finally:
-            spin_blocks.lapack.dstein = dstein
+            lapack.dstein = dstein
         d = int(round(2.0 * j)) + 1
         if i == mode:
             assert max(sizes, default=0) < d
@@ -508,7 +508,7 @@ def test_short_leading_block_is_caught_by_the_certificate(monkeypatch):
     more than the tail budget; the certificate rejects it and the corner
     comes from a longer block, which matches the full ladder."""
     params, u, j = ModelParams(0.75, 2000), LocalParams(2.5, 2.5, 0.0), 499.0
-    dstein = spin_blocks.lapack.dstein
+    dstein = lapack.dstein
     calls = []
 
     def spy(*args):
@@ -516,7 +516,7 @@ def test_short_leading_block_is_caught_by_the_certificate(monkeypatch):
         calls.append(out[0])
         return out
 
-    monkeypatch.setattr(spin_blocks.lapack, "dstein", spy)
+    monkeypatch.setattr(lapack, "dstein", spy)
     corners, tails = block_corners(params, u, [j])
     monkeypatch.undo()
     full = full_ladder_state(params, u, j, _n_exact(params.p_u(u), 999))
@@ -531,6 +531,21 @@ def test_short_leading_block_is_caught_by_the_certificate(monkeypatch):
     dim = corners.shape[1]
     assert _trace_norm(fock_basis(corners[0], u.phase_angle) - full[:dim, :dim]) <= 1e-14
     assert tails[0] <= CORNER_TAIL_MASS
+
+
+def test_a_vector_of_another_level_is_refused(monkeypatch):
+    """The certificate bounds the angle to some eigenvector of T, not to
+    the one at level k.  An inverse iteration that lands one level up
+    returns a vector the certificate passes (its tail is about 2e-25);
+    the Rayleigh quotient sees level 4 where 3 was asked, and it raises."""
+    dstein = lapack.dstein
+
+    def shifted(d, e, w, *rest):
+        return dstein(d, e, w + 1.0, *rest)
+
+    monkeypatch.setattr(lapack, "dstein", shifted)
+    with pytest.raises(np.linalg.LinAlgError, match="level 3"):
+        block_vector(2000, (2.5, 2.5, 0.0), 499.0, 3)
 
 
 def test_ladder_corner_of_an_unrotated_oscillator_is_thermal():
