@@ -51,11 +51,15 @@ def _parse_triple(text: str) -> tuple:
 
 
 def _parse_int(text: str) -> int:
-    """An integer, also in exponent form (1e6); 2.7 and 1e400 are refused."""
+    """An integer, also in exponent form (1e6); 2.7, 1e400 and words are refused."""
     try:
         return int(text)
     except ValueError:
+        pass
+    try:
         value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
     if not value.is_integer():  # also inf and nan
         problem = "overflows" if math.isinf(value) else "is not an integer"
         raise argparse.ArgumentTypeError(f"{text!r} {problem}")
@@ -83,19 +87,19 @@ FLAGS = {
     "mu": (float, None, "eigenvalue of the qubit state, in (1/2, 1)"),
     "mu0": (float, None, "eigenvalue of the centre state, in (1/2, 1)"),
     "u": (_parse_triple, None, "local parameter ux,uy,uz"),
-    "n": (int, None, "number of qubits"),
+    "n": (_parse_int, None, "number of qubits"),
     "n_list": (_parse_int_list, None, "comma-separated numbers of qubits"),
     "eps": (float, None, "localization exponent"),
     "eps_list": (_parse_float_list, None, "comma-separated localization exponents"),
     "eta": (float, None, "truncation exponent: local components above 3 n^eta are cut"),
     "kappa": (float, None, "stage 1 measures ceil(n^(1 - kappa)) qubits"),
-    "seed": (int, None, "random seed"),
+    "seed": (_parse_int, None, "random seed"),
     "truncate": (_parse_bool, None, "disable the 3 n^eta truncation (calibration runs)"),
     "loss": (str, ("trace", "fidelity", "local"), "loss function"),
     "sampler": (str, ("gaussian", "exact"), "stage-2 sampler"),
-    "trials": (int, None, "Monte Carlo trials"),
+    "trials": (_parse_int, None, "Monte Carlo trials"),
     "t": (float, None, "evolution time"),
-    "collisions": (int, None, "collisions of the discretized field"),
+    "collisions": (_parse_int, None, "collisions of the discretized field"),
 }
 
 
@@ -164,7 +168,8 @@ def cmd_risk(spec: dict) -> int:
     report = local_sup_risk(cfg)
     _emit_rows(
         report.rows,
-        ("n", "label", "ux", "uy", "uz", "mean", "stderr", "trials"),
+        ("n", "label", "ux", "uy", "uz", "mean", "stderr", "trials",
+         "failures", "truncated", "clamped"),
         report.config,
         spec["format"],
         spec["out"],
@@ -176,6 +181,11 @@ def cmd_risk(spec: dict) -> int:
 
 
 def cmd_qsde_check(spec: dict) -> int:
+    if spec["collisions"] < 2:
+        raise ValueError(
+            f"--collisions {spec['collisions']}: the Richardson step also runs half as many "
+            "collisions, so at least 2 are needed"
+        )
     # Probe at the edge of the typical window, j = j_n + n^(3/4), where the
     # closed-form error is dominated by the |j - j_n|/n term and scales as
     # the bound with eps = 1/4 (a factor sqrt(2) per quadrupling of n).

@@ -43,7 +43,7 @@ from .spin_blocks import (
     typical_set,
     valid_j_values,
 )
-from .tolerances import BLOCK_SKIP_MASS, GRID_MASS_TOL
+from .tolerances import GRID_MASS_TOL
 
 
 @dataclass
@@ -135,7 +135,7 @@ class HybridGaussianState:
 # Classical grids span GRID_STD_MULT standard deviations either side of
 # their centre, at a step of one GRID_STEP_DIVISOR-th of a deviation.  A
 # sweep's grid also covers the kernels of typical_set(params,
-# GRID_TYPICAL_EPS), and of every block apply_T keeps.
+# GRID_TYPICAL_EPS), and of every block of the pmf window.
 GRID_STD_MULT = 8.0
 GRID_STEP_DIVISOR = 50.0
 GRID_TYPICAL_EPS = 0.2
@@ -205,21 +205,17 @@ def gaussian_limit(
 def apply_T(blocks: BlockData, grid: np.ndarray | None = None) -> HybridGaussianState:
     """Map n shifted qubits, as their block picture, to the hybrid object.
 
-    Keeps the window's run of blocks above ``BLOCK_SKIP_MASS``
-    (``BlockData.kept``), their corners a view, and reports the mass left
-    out: the window's outside mass plus its skipped blocks."""
-    params, run = blocks.params, blocks.kept
-    p_keep = blocks.probs[run]
-    skipped = blocks.probs[: run.start].sum() + blocks.probs[run.stop :].sum()
-    dropped = blocks.dropped + float(skipped)
-    g = classical_coordinate(params, blocks.js[run])
+    Takes every block of the pmf window, holds its corners themselves, and
+    reports the window's outside mass as ``dropped_mass``."""
+    params = blocks.params
+    g = classical_coordinate(params, blocks.js)
     if grid is None:
-        grid = covering_grid(params, float(np.sum(p_keep * g)), g.min(), g.max())
+        grid = covering_grid(params, float(np.sum(blocks.probs * g)), g.min(), g.max())
     kernel = _normal_pdf(grid[:, None], g[None, :], _kernel_sd(params.n))
-    weights = kernel * p_keep[None, :]
-    classical = ClassicalDensity(grid, weights.sum(axis=1), expected_mass=1.0 - dropped)
+    weights = kernel * blocks.probs[None, :]
+    classical = ClassicalDensity(grid, weights.sum(axis=1), expected_mass=1.0 - blocks.dropped)
     return HybridGaussianState(
-        classical, weights, blocks.corners[run], blocks.tails[run], blocks.chi, dropped
+        classical, weights, blocks.corners, blocks.tails, blocks.chi, blocks.dropped
     )
 
 
@@ -269,15 +265,13 @@ class BlockMixture:
     (for the S channel the limit state's certified corner, which left
     ``tail`` outside): its first min(2 j + 1, D) levels in the k-ladder
     basis, topped up with the maximally mixed filler ``leaked / (2 j + 1)``
-    on all 2 j + 1 levels of the block.  ``phi`` is written in the gauge
-    ``chi``.  ``dropped`` is lattice mass never built.
+    on all 2 j + 1 levels of the block, with ``phi`` in the gauge ``chi``.
     """
 
     js: np.ndarray
     probs: np.ndarray
     phi: np.ndarray
     chi: float
-    dropped: float = 0.0
     tail: float = 0.0
 
     @property
@@ -304,13 +298,6 @@ class BlockData:
     @property
     def chi(self) -> float:
         return self.u.phase_angle
-
-    @property
-    def kept(self) -> slice:
-        """The window's blocks of mass above ``BLOCK_SKIP_MASS``, one run
-        because p_{n,u}(j) is log-concave in j."""
-        above = np.flatnonzero(self.probs > BLOCK_SKIP_MASS)
-        return slice(above[0], above[-1] + 1)
 
 
 def block_data(params: ModelParams, u) -> BlockData:
@@ -340,8 +327,7 @@ def apply_S(gp: GaussianLimitParams, n: int) -> BlockMixture:
     part is the displaced thermal state compressed into the first 2j+1
     levels, topped up with a maximally mixed filler for the leaked mass.
     That state is kept on the certified corner ``gaussian_limit`` uses,
-    and its tail is reported; cells of mass <= ``BLOCK_SKIP_MASS`` are
-    left out and counted in ``dropped``.
+    and its tail is reported.  Every lattice cell is kept.
     """
     from scipy.special import ndtr
 
@@ -355,23 +341,19 @@ def apply_S(gp: GaussianLimitParams, n: int) -> BlockMixture:
     hi[-1] = np.inf
     sd = math.sqrt(gp.classical_var)
     q = ndtr((hi - gp.classical_mean) / sd) - ndtr((lo - gp.classical_mean) / sd)
-    keep = q > BLOCK_SKIP_MASS
-    return BlockMixture(
-        j_lattice[keep], q[keep], phi, gp.u.phase_angle, float(q[~keep].sum()), tail
-    )
+    return BlockMixture(j_lattice, q, phi, gp.u.phase_angle, tail)
 
 
 def blockwise_distance(mix: BlockMixture, blocks: BlockData) -> CornerDistance:
     """sum_j || q_j tau_j - p_{n,u}(j) rho_j ||_1 over the valid lattice.
 
-    ``mix`` and ``blocks`` must share the gauge ``chi``.  Each rho_j of the
-    pmf window is its certified corner from ``blocks``;
-    rho_j is zero on the lattice rows only the mixture has, and the window
-    blocks and phi are zero-padded to the wider of their corners, D
-    levels.  tau_j's filler outside it adds its trace norm in closed form.
-    Lattice mass outside both windows enters as the mass itself (the
-    window's ``dropped`` and the mixture's), which bounds its terms, so
-    the value is an upper bound tight to ~1e-12 on the full sum.
+    ``mix`` and ``blocks`` must share the gauge ``chi``.  The terms are
+    diagonalized on the pmf window's rows: rho_j is its certified corner
+    from ``blocks``, q_j the mixture's mass on row j (0 where it has no
+    cell), both zero-padded to the wider corner, D levels; tau_j's filler
+    outside it adds its trace norm in closed form.  A cell off the window
+    enters as q_j and ``blocks.dropped``, which holds p_j rho_j there, as
+    itself, so the value is an upper bound within 2 ``blocks.dropped``.
 
     ``bound`` counts p_j (2 sqrt(t_j) + t_j) for each rho_j of tail t_j,
     and q_j (2 sqrt(t) + 2 t) for each block wider than phi, whose source
@@ -380,13 +362,12 @@ def blockwise_distance(mix: BlockMixture, blocks: BlockData) -> CornerDistance:
     """
     if mix.chi != blocks.chi:
         raise ValueError(f"states in different gauges (chi = {mix.chi}, {blocks.chi})")
-    js = np.union1d(blocks.js, mix.js)
-    rows = np.searchsorted(js, blocks.js)
-    p, q = np.zeros(len(js)), np.zeros(len(js))
-    p[rows] = blocks.probs
-    q[np.searchsorted(js, mix.js)] = mix.probs
-    source = np.full(len(js), -1)  # each row's window row, -1 if only the mixture's
-    source[rows] = np.arange(len(rows))
+    js, p = blocks.js, blocks.probs
+    # lattice j are spaced by one, so j - js[0] is the window row
+    rows = np.rint(mix.js - js[0]).astype(int)
+    on = (rows >= 0) & (rows < len(js))
+    q = np.zeros(len(js))
+    q[rows[on]] = mix.probs[on]
     leaked = _leaked(mix.phi, js)
     dim = max(blocks.corners.shape[1], mix.phi.shape[0])
     d_block = _block_dims(js)
@@ -397,24 +378,21 @@ def blockwise_distance(mix: BlockMixture, blocks: BlockData) -> CornerDistance:
         inside = np.arange(dim)[None, :] < d_block[sl, None]
         tau = phi * (inside[:, :, None] & inside[:, None, :])
         tau[:, np.arange(dim), np.arange(dim)] += inside * (leaked[sl] / d_block[sl])[:, None]
-        rho, src = np.zeros((len(inside), dim, dim)), source[sl]
-        rho[src >= 0] = embed_block(blocks.corners[src[src >= 0]], dim)
-        return q[sl, None, None] * tau - p[sl, None, None] * rho
+        return q[sl, None, None] * tau - p[sl, None, None] * embed_block(blocks.corners[sl], dim)
 
     total = float(_trace_norms(len(js), dim, diff).sum())
     total += float(np.sum(q * leaked / d_block * np.maximum(d_block - dim, 0)))
     wide = d_block > mix.phi.shape[0]
-    bound = blocks.probs @ (2.0 * np.sqrt(blocks.tails) + blocks.tails)
+    bound = p @ (2.0 * np.sqrt(blocks.tails) + blocks.tails)
     bound += q[wide].sum() * (2.0 * math.sqrt(mix.tail) + 2.0 * mix.tail)
-    return CornerDistance(total + blocks.dropped + mix.dropped, bound)
+    return CornerDistance(total + mix.probs[~on].sum() + blocks.dropped, bound)
 
 
 @dataclass
 class SweepRow:
     """One n of a sweep; ``corner_bound_*`` bound how far each distance can
-    move if taken without the Fock corner.  ``dropped_T`` is the block mass
-    the T image leaves out, ``dropped_S`` the lattice mass ``dist_S`` adds
-    unbuilt (the window's and the S image's)."""
+    move if taken without the Fock corner.  ``dropped`` is the block mass
+    outside the pmf window, the one block cut of both images."""
 
     n: int
     dist_T: float
@@ -423,8 +401,7 @@ class SweepRow:
     clamped: bool
     corner_bound_T: float
     corner_bound_S: float
-    dropped_T: float
-    dropped_S: float
+    dropped: float
 
 
 @dataclass
@@ -451,8 +428,8 @@ def convergence_sweep(mu: float, u, n_list) -> SweepResult:
     directions: ``dist_T`` compares its ``apply_T`` image with
     ``gaussian_limit`` on a shared grid, each state on its own certified
     Fock corner, and ``dist_S`` compares ``apply_S`` of the Gaussian pair
-    with it.  The grid covers ``typical_set(GRID_TYPICAL_EPS)`` and every
-    kept block.
+    with it.  The grid covers ``typical_set(GRID_TYPICAL_EPS)`` and the
+    window's end blocks.
     When ``u_z`` makes the shifted eigenvalue inadmissible at small n it is
     clamped to ``DELTA_ADM`` inside the boundary (row flagged) so that both
     objects stay well defined; the log-log slopes are least-squares fits
@@ -466,8 +443,8 @@ def convergence_sweep(mu: float, u, n_list) -> SweepResult:
         gp = GaussianLimitParams(mu, u_eff)
         blocks = block_data(params, u_eff)
         j_lo, j_hi = typical_set(params, GRID_TYPICAL_EPS)
-        kept = blocks.js[blocks.kept]
-        g = classical_coordinate(params, np.array([min(j_lo, kept[0]), max(j_hi, kept[-1])]))
+        js = blocks.js
+        g = classical_coordinate(params, np.array([min(j_lo, js[0]), max(j_hi, js[-1])]))
         grid = covering_grid(params, gp.classical_mean, *g)
         t_state = apply_T(blocks, grid=grid)
         dist_t = hybrid_trace_distance(t_state, gaussian_limit(gp, grid=grid))
@@ -482,8 +459,7 @@ def convergence_sweep(mu: float, u, n_list) -> SweepResult:
                 clamped=clamped,
                 corner_bound_T=dist_t.bound,
                 corner_bound_S=dist_s.bound,
-                dropped_T=t_state.dropped_mass,
-                dropped_S=blocks.dropped + mix.dropped,
+                dropped=blocks.dropped,
             )
         )
         del blocks, t_state  # not held while the next row builds its own

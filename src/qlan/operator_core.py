@@ -1,9 +1,10 @@
 """Dense operator primitives: validation, metrics, and qubit helpers.
 
-All states are plain complex ``numpy`` arrays.  The functions here are the
-only place the package computes trace norms and qubit fidelities, so
-conventions (trace norm *without* the 1/2, squared fidelity of Bloch
-vectors) are fixed once.
+All states are plain complex ``numpy`` arrays.  The conventions are fixed
+here once: the trace norm is taken *without* the 1/2, and the fidelity of
+two qubits is the squared fidelity of their Bloch vectors.  The LAN
+channels keep the same trace norm but diagonalize their own chunked stacks
+(``lan_channels._trace_norms``).
 """
 
 from __future__ import annotations

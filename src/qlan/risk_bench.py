@@ -284,6 +284,10 @@ def hoeffding_check(
     stage-1 copy count n_tilde = ceil(n^(1 - kappa)).  Rows flag both
     violations (empirical > bound) and vacuous cells (bound >= 1).
     """
+    if not trials >= 1:
+        raise ValueError(f"trials = {trials}: the check needs at least one trial")
+    if not 0.0 < kappa < 1.0:
+        raise ValueError(f"kappa = {kappa}: stage 1 takes n^(1 - kappa) copies, so 0 < kappa < 1")
     r_true = np.array([0.0, 0.0, 2.0 * mu0 - 1.0])
     rows = []
     for n in n_values:

@@ -13,11 +13,9 @@ VALIDATION_TOL = 1e-10
 # real arithmetic (triangle inequalities, closed-form cross-checks, ...).
 PROPERTY_SLACK = 1e-9
 
-# Individual blocks with probability below this are skipped (mass reported).
-BLOCK_SKIP_MASS = 1e-12
-
-# Block mass the channels' window may leave out, at most half of it on each
-# side; the mass it leaves out is summed and reported (no sampler uses it).
+# Block mass the pmf window may leave out, at most half of it on each side.
+# It is the one block cut of both LAN images: each takes every window block,
+# and the mass left out is summed and reported (no sampler uses it).
 WINDOW_TAIL_MASS = 1e-12
 
 # Mass a Fock corner, or the exact sampler's ladder vector, may leave

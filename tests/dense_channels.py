@@ -31,7 +31,6 @@ from qlan.spin_blocks import (
     classical_coordinate,
     valid_j_values,
 )
-from qlan.tolerances import BLOCK_SKIP_MASS
 
 
 def thermal_state(p: float, dim: int) -> np.ndarray:
@@ -166,18 +165,14 @@ class MixedHeterodyneSampler:
 
 def apply_T(params, u, grid, dim):
     """The T image with full blocks embedded in ``dim`` Fock levels; same
-    blocks (the window's above ``BLOCK_SKIP_MASS``), weights and grid
-    handling as ``qlan.lan_channels.apply_T``."""
+    blocks (every block of the pmf window), weights and grid handling as
+    ``qlan.lan_channels.apply_T``."""
     u = as_local(u)
-    j_all, probs_all, _ = block_pmf_window(params, u)
-    keep = probs_all > BLOCK_SKIP_MASS
-    j_keep = j_all[keep]
-    p_keep = probs_all[keep]
-    dropped = max(1.0 - float(p_keep.sum()), 0.0)
-    g = classical_coordinate(params, j_keep)
+    js, probs, dropped = block_pmf_window(params, u)
+    g = classical_coordinate(params, js)
     ksd = math.sqrt(0.5 / math.sqrt(params.n))
-    blocks = np.array([embed_block(block_state(params, u, j), dim) for j in j_keep])
-    weights = norm.pdf(grid[:, None], loc=g[None, :], scale=ksd) * p_keep[None, :]
+    blocks = np.array([embed_block(block_state(params, u, j), dim) for j in js])
+    weights = norm.pdf(grid[:, None], loc=g[None, :], scale=ksd) * probs[None, :]
     classical = ClassicalDensity(grid, weights.sum(axis=1), expected_mass=1.0 - dropped)
     return HybridGaussianState(classical, weights, blocks, np.zeros(len(blocks)), 0.0, dropped)
 
@@ -214,7 +209,6 @@ class DenseMixture:
     js: np.ndarray
     probs: np.ndarray
     states: list
-    dropped: float = 0.0
 
 
 def _filled(top, d):
@@ -226,19 +220,18 @@ def _filled(top, d):
 
 def apply_S(gp, n, dim):
     """The S image with every tau_j cut from ``dense_displaced_thermal(gp, dim)``
-    at its full size; ``dim`` must reach past every block kept."""
+    at its full size, one cell per lattice j; ``dim`` must reach past the
+    widest block, n + 1 levels."""
     params = ModelParams(gp.mu, n)
     js = valid_j_values(n)
     edges = classical_coordinate(params, js)[1:]
     cdf = norm.cdf(edges, loc=gp.classical_mean, scale=math.sqrt(gp.classical_var))
     q = np.diff(np.concatenate([[0.0], cdf, [1.0]]))
-    keep = q > BLOCK_SKIP_MASS
-    d_max = int(round(2.0 * js[keep].max())) + 1
-    if dim < d_max:
-        raise ValueError(f"dim = {dim} does not reach past the widest block ({d_max})")
+    if dim < n + 1:
+        raise ValueError(f"dim = {dim} does not reach past the widest block ({n + 1})")
     phi = dense_displaced_thermal(gp, dim)
-    states = [_filled(phi[:d, :d], d) for d in np.rint(2.0 * js[keep]).astype(int) + 1]
-    return DenseMixture(js[keep], q[keep], states, float(q[~keep].sum()))
+    states = [_filled(phi[:d, :d], d) for d in np.rint(2.0 * js).astype(int) + 1]
+    return DenseMixture(js, q, states)
 
 
 def expand(mix):
@@ -250,12 +243,13 @@ def expand(mix):
         d = int(round(2.0 * j)) + 1
         m = min(d, phi.shape[0])
         states.append(_filled(phi[:m, :m], d))
-    return DenseMixture(mix.js, mix.probs, states, mix.dropped)
+    return DenseMixture(mix.js, mix.probs, states)
 
 
 def blockwise_distance(mix, params, u):
     """sum_j || q_j tau_j - p_{n,u}(j) rho_j ||_1 with full block states,
-    for a :class:`DenseMixture`."""
+    for a :class:`DenseMixture`, over every lattice row either side has;
+    the pmf window's outside mass enters as itself."""
     u = as_local(u)
     j_p, p_probs, p_drop = block_pmf_window(params, u)
     p_map = {float(j): float(p) for j, p in zip(j_p, p_probs)}
@@ -272,4 +266,4 @@ def blockwise_distance(mix, params, u):
             m = m - p * block_state(params, u, j)
         m = 0.5 * (m + m.conj().T)
         total += float(np.sum(np.abs(np.linalg.eigvalsh(m))))
-    return total + p_drop + mix.dropped
+    return total + p_drop

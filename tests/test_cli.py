@@ -54,6 +54,23 @@ def test_n_list_takes_exact_integers(capsys, text, message):
     assert build_parser().parse_args(["risk", "--n-list", "1e3,2000"]).n_list == (1000, 2000)
 
 
+def test_integer_flags_take_exponent_form(capsys):
+    """Every integer flag reads 1e4 as 10000, and a word or a fraction exits 2
+    naming the value."""
+    parse = build_parser().parse_args
+    assert parse(["risk", "--n", "1e4", "--trials", "1e2", "--seed", "7e0"]).n_list == (10000,)
+    args = parse(["estimate", "--n", "1e4", "--seed", "1e3"])
+    assert (args.n, args.seed) == (10000, 1000) and type(args.n) is int
+    assert parse(["qsde-check", "--collisions", "4e2"]).collisions == 400
+    assert parse(["hoeffding", "--trials", "1e3"]).trials == 1000
+    for text, message in (("abc", "'abc' is not a number"), ("2.5", "'2.5' is not an integer")):
+        for command in ("risk", "estimate"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--n", text])
+            assert exc.value.code == 2
+            assert f"argument --n: {message}" in capsys.readouterr().err
+
+
 def test_every_flag_row_is_used(capsys):
     """Each FLAGS row serves some subcommand, and a deleted knob's flag is
     refused."""
@@ -102,7 +119,7 @@ def test_lan_dist_runs_past_the_typical_set(argv, capsys):
     assert code == 0 and err == ""
     rows = json.loads(out)["rows"]
     assert [r["n"] for r in rows] == [int(n) for n in argv[-1].split(",")]
-    keys = ("dist_T", "dist_S", "corner_bound_T", "corner_bound_S", "dropped_T", "dropped_S")
+    keys = ("dist_T", "dist_S", "corner_bound_T", "corner_bound_S", "dropped")
     for r in rows:
         assert all(isinstance(r[k], float) and np.isfinite(r[k]) for k in keys)
 
@@ -150,6 +167,22 @@ def test_risk_reruns_are_byte_identical(tmp_path, capsys):
     payload = json.loads(b1)
     assert payload["config"]["seed"] == 20260801
     assert payload["reference"] == 3.75
+
+
+def test_risk_csv_columns_are_the_json_row_keys(capsys):
+    """The CSV carries the event counts too: its header is the JSON row's
+    keys, and its cells the same values."""
+    args = ["risk", "--n", "2000", "--trials", "60", "--seed", "3"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    code, out, _ = run_cli([*args, "--format", "csv"], capsys)
+    assert code == 0
+    header, *lines = out.strip().split("\n")
+    assert header.split(",") == list(rows[0])
+    assert [line.split(",") for line in lines] == [
+        [str(v) for v in row.values()] for row in rows
+    ]
 
 
 def test_risk_no_truncate_flag(tmp_path, capsys):
@@ -433,6 +466,32 @@ def test_qsde_check_table(capsys):
         assert int(cells[2]) in (1, 2)
         assert 0.0 < float(cells[4]) <= 1.0
         assert float(cells[5]) > 0.0
+
+
+def test_qsde_check_refuses_one_collision(capsys):
+    """The Richardson step also runs half the collisions, so one collision
+    is refused by its flag's name, not as a zero-collision run."""
+    code, out, err = run_cli(["qsde-check", "--n-list", "400", "--collisions", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "--collisions 1" in err and "K = 0" not in err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--trials", "0"], "trials = 0"),
+        (["--kappa", "-1", "--n-list", "100"], "kappa = -1.0"),
+        (["--kappa", "1", "--n-list", "100"], "kappa = 1.0"),
+    ],
+)
+def test_hoeffding_refuses_impossible_inputs(args, message, capsys):
+    """No trials, or a stage 1 of more than n copies (kappa <= 0) or of
+    one copy (kappa >= 1), exits 2 by name and writes no row."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["hoeffding", *args], capsys)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_qsde_check_reports_the_richardson_clamp(capsys):

@@ -41,7 +41,7 @@ from qlan.spin_blocks import (
     valid_j_values,
 )
 from qlan.operator_core import embed_block
-from qlan.tolerances import BLOCK_SKIP_MASS, CORNER_TAIL_MASS, WINDOW_TAIL_MASS
+from qlan.tolerances import CORNER_TAIL_MASS, WINDOW_TAIL_MASS
 
 U0 = LocalParams(0.0, 0.0, 0.0)
 
@@ -175,45 +175,43 @@ def test_apply_t_two_qubits():
     "mu, u", [(Fraction(4, 5), (1.0, 1.0, 1.0)), (Fraction(3, 4), (0.5, -1.0, 0.0))]
 )
 def test_apply_t_dropped_mass_is_certified(mu, u):
-    """dropped_mass is the pmf window's outside mass plus the window's
-    blocks left out, each summed term by term, so it is the exact mass
-    outside the kept blocks up to the pmf's relative rounding.  A count of
-    1 - sum(p_keep) carries the pmf's rounding instead: 6% high here, and
-    12% low, so no bound, at mu = 3/4, n = 1000."""
+    """dropped_mass is the pmf window's outside mass, summed term by term,
+    so it is the exact mass outside the window's blocks up to the pmf's
+    relative rounding.  A count of 1 - sum(probs) carries the pmf's
+    rounding instead: 37% and 16% high here, and 59% low, so no bound, at
+    mu = 3/4, n = 1000."""
     n = 400
     params = ModelParams(float(mu), n)
     state = apply_T(block_data(params, u))
-    j_all, probs, _ = block_pmf_window(params, u)
-    kept = j_all[probs > BLOCK_SKIP_MASS]
+    js, _, _ = block_pmf_window(params, u)
     mu_u = mu + Fraction(u[2]) / 20  # u_z / sqrt(n), exactly
-    exact = float(1 - sum(exact_block_weight(n, j, mu_u) for j in kept))
+    exact = float(1 - sum(exact_block_weight(n, j, mu_u) for j in js))
     assert exact > 0.0
     assert exact * (1 - 1e-6) <= state.dropped_mass <= exact * (1 + 1e-6)
 
 
 @pytest.mark.parametrize("mu, n", [(0.55, 400), (0.8, 21), (0.8, 6400), (0.95, 401)])
 def test_apply_t_takes_the_kept_corners_as_a_view(mu, n):
-    """p_{n,u}(j) is log-concave in j, so the blocks apply_T keeps are one
-    run of the window, and the T image holds their corners as a view."""
+    """The T image takes every block of the pmf window and holds the
+    corners block_data keeps, not a copy of them."""
     params = ModelParams(mu, n)
     u = (1.0, 1.0, 0.25 * min(1.0 - mu, mu - 0.5) * math.sqrt(n))
     blocks = block_data(params, u)
-    assert np.all(np.diff(np.log(blocks.probs), 2) < 0.0)
     state = apply_T(blocks)
-    assert np.shares_memory(state.blocks, blocks.corners)
-    assert state.weights.shape[1] == len(state.blocks) == len(state.tails)
+    assert state.blocks is blocks.corners and state.tails is blocks.tails
+    assert state.weights.shape[1] == len(blocks.js)
+    assert state.dropped_mass == blocks.dropped
 
 
 def test_apply_t_maps_an_offcenter_window():
     """A u_z shift that pushes the pmf off the typical set still maps: the
     channel takes the window as it is, and leaves out at most the window's
-    tails and its skipped blocks."""
+    tails."""
     blocks = block_data(ModelParams(0.75, 400), LocalParams(0.0, 0.0, 3.0))
     j_lo, j_hi = typical_set(blocks.params, 0.05)
-    assert blocks.js[blocks.kept][-1] > j_hi  # kept blocks past the typical set
+    assert blocks.js[-1] > j_hi  # window blocks past the typical set
     state = apply_T(blocks)
-    skipped = blocks.probs[blocks.probs <= BLOCK_SKIP_MASS].sum()
-    assert 0.0 < state.dropped_mass <= WINDOW_TAIL_MASS + skipped
+    assert 0.0 < state.dropped_mass <= WINDOW_TAIL_MASS
     assert state.classical.mass() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -251,8 +249,8 @@ def test_apply_s_mixture_structure():
     and no leak is negative."""
     gp = GaussianLimitParams(0.75, LocalParams(0.8, -0.5, 0.4))
     mix = apply_S(gp, 400)
-    assert mix.probs.sum() + mix.dropped == pytest.approx(1.0, abs=1e-12)
-    assert set(mix.js).issubset(set(valid_j_values(400)))
+    assert mix.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(mix.js, valid_j_values(400))  # every cell, none cut
     limit = gaussian_limit(gp)
     assert np.array_equal(mix.phi, limit.blocks[0])
     assert mix.tail == limit.tails[0] <= CORNER_TAIL_MASS
@@ -373,6 +371,10 @@ def test_corner_distances_match_dense_oracle(n, u):
     dense_s = dense_channels.blockwise_distance(
         dense_channels.apply_S(gp, n, max(n + 1, 80)), params, u_eff
     )
+    if (n, u) == (20, (1.0, 1.0, 1.0)):  # S cells off the window enter as their mass
+        mix = apply_S(gp, n)
+        off = ~np.isin(mix.js, block_pmf_window(params, u_eff)[0])
+        assert mix.probs[off].sum() > 1e-7
     for corner, bound, dense in (
         (row.dist_T, row.corner_bound_T, dense_t),
         (row.dist_S, row.corner_bound_S, dense_s),
@@ -389,7 +391,7 @@ def test_blockwise_distance_filler_outside_corner():
     gp = GaussianLimitParams(0.7, LocalParams(1.0, 1.0, 1.0))
     params = ModelParams(0.7, 200)
     full = apply_S(gp, 200)
-    mix = BlockMixture(full.js, full.probs, full.phi[:15, :15], full.chi, full.dropped)
+    mix = BlockMixture(full.js, full.probs, full.phi[:15, :15], full.chi)
     assert mix.leaked.max() > 1e-6
     d = blockwise_distance(mix, block_data(params, gp.u))
     dense = dense_channels.blockwise_distance(dense_channels.expand(mix), params, gp.u)
@@ -414,31 +416,31 @@ def test_s_distance_certified_where_the_limit_corner_is_wide():
 def test_convergence_sweep_blocks_set_the_corner():
     """With u_z < 0 the blocks decay slower than the limit state and need
     the wider corner (66 levels against 56); the row must still match the
-    full-dimension value (recorded from the dense path, on the sweep's grid,
-    which widens to kept blocks down to j = 61 below the typical set's 74)
-    within 1e-10."""
+    full-dimension values within 1e-10.  Both were recorded from the dense
+    oracle: dist_T on the sweep's grid, which widens to the window's blocks
+    down to j = 59 below the typical set's 74, and dist_S over the whole
+    lattice."""
     params = ModelParams(0.85, 400)
     u = (1.5, 1.5, -1.0)
     t_state = apply_T(block_data(params, u))
     assert t_state.dim > gaussian_limit(GaussianLimitParams(0.85, u)).dim
     row = convergence_sweep(0.85, u, [400]).rows[0]
-    assert row.dist_T == pytest.approx(0.31643768811798395, abs=1e-10)
-    assert row.dist_S == pytest.approx(0.29392602500224563, abs=1e-10)
+    assert row.dist_T == pytest.approx(0.3164376605622542, abs=1e-10)
+    assert row.dist_S == pytest.approx(0.2939260249975074, abs=1e-10)
     assert row.corner_bound_T <= 1e-10 and row.corner_bound_S <= 1e-10
 
 
 def test_sweep_row_reports_the_mass_it_leaves_out():
-    """A row's dropped_T and dropped_S, recounted from the pmf window and
-    the S image: the window's outside mass plus its skipped blocks, and the
-    window's outside mass plus the S image's skipped cells."""
+    """A row's ``dropped`` is the pmf window's outside mass, the one block
+    cut of both images: the T image reports it as its dropped_mass, and the
+    S image keeps every lattice cell."""
     params, u = ModelParams(0.8, 400), LocalParams(1.0, 1.0, 1.0)
     row = convergence_sweep(params.mu, u, [params.n]).rows[0]
-    _, probs, outside = block_pmf_window(params, u)
-    skipped = probs[probs <= BLOCK_SKIP_MASS].sum()
-    cells = apply_S(GaussianLimitParams(params.mu, u), params.n).dropped
-    assert skipped > 0.0 and outside > 0.0 and cells > 0.0
-    assert row.dropped_T == pytest.approx(outside + skipped, rel=1e-12, abs=0.0)
-    assert row.dropped_S == pytest.approx(outside + cells, rel=1e-12, abs=0.0)
+    _, _, outside = block_pmf_window(params, u)
+    assert 0.0 < row.dropped == outside <= WINDOW_TAIL_MASS
+    assert apply_T(block_data(params, u)).dropped_mass == outside
+    mix = apply_S(GaussianLimitParams(params.mu, u), params.n)
+    assert len(mix.js) == len(valid_j_values(params.n))
 
 
 def test_sweep_row_builds_one_window_and_one_corner_per_block(monkeypatch):

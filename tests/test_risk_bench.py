@@ -233,13 +233,15 @@ def test_risk_rows_carry_event_counts(capsys):
         assert {key: row[key] for key in want} == want, pt.label
     assert sum(row["failures"] for row in rep.rows) == 2 * 60
     assert sum(row["truncated"] for row in rep.rows) > 0
-    # the CLI writes the counters into its JSON rows, not its CSV columns
+    # the CLI writes the counters into its JSON rows and its CSV columns
     args = ["risk", "--mu0", "0.55", "--n", "10000", "--trials", "40", "--seed", "3"]
     assert main(args) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert rows[2]["failures"] == 40 and rows[2]["label"] == "z-@0.5"
     assert main(args + ["--format", "csv"]) == 0
-    assert capsys.readouterr().out.split("\n")[0] == "n,label,ux,uy,uz,mean,stderr,trials"
+    header, *lines = capsys.readouterr().out.strip().split("\n")
+    assert header == "n,label,ux,uy,uz,mean,stderr,trials,failures,truncated,clamped"
+    assert lines[2].split(",")[8] == "40"
 
 
 def test_report_structure_and_serialization(tmp_path):
@@ -264,7 +266,7 @@ def test_report_structure_and_serialization(tmp_path):
     assert main(args + ["--format", "csv", "--out", str(cpath)]) == 0
     assert jpath.read_text() == rep.to_json() + "\n"
     lines = cpath.read_text().strip().split("\n")
-    assert lines[0] == "n,label,ux,uy,uz,mean,stderr,trials"
+    assert lines[0] == "n,label,ux,uy,uz,mean,stderr,trials,failures,truncated,clamped"
     assert len(lines) == 1 + 26
     # atomic write leaves no temp file behind
     assert not os.path.exists(str(jpath) + ".tmp")
