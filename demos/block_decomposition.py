@@ -25,7 +25,6 @@ from qlan.spin_blocks import (
     block_probability,
     block_state,
     local_qubit_state,
-    multiplicity,
     typical_set,
     valid_j_values,
 )
@@ -36,6 +35,9 @@ def main() -> None:
     params = ModelParams(mu, n)
     u = LocalParams(0.4, -0.2, 0.3)
 
+    # isometry onto the n_j copies of each (2j+1)-dimensional block
+    iso = isotypic_isometries(n)
+
     print(f"n = {n} qubits, eigenvalue mu = {mu}, local parameter u = {u}")
     print()
     print("  j    multiplicity   weight p_j")
@@ -43,7 +45,8 @@ def main() -> None:
     for j in valid_j_values(n):
         p = block_probability(params, u, j)
         total += p
-        print(f"  {j:.1f}  {multiplicity(n, j):10d}   {p:.6f}")
+        n_j = iso[j].shape[1] // int(2 * j + 1)
+        print(f"  {j:.1f}  {n_j:10d}   {p:.6f}")
     print(f"  sum of weights: {total:.12f}")
 
     # typical window: for large n the weight concentrates on
@@ -57,7 +60,6 @@ def main() -> None:
     )
 
     # exact reconstruction: blocks + weights rebuild the 2^n matrix
-    iso = isotypic_isometries(n)
     weights = {j: block_probability(params, u, j) for j in iso}
     blocks = {j: block_state(params, u, j) for j in iso}
     rebuilt = assemble_from_blocks(n, weights, blocks, iso)

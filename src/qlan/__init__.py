@@ -20,7 +20,6 @@ from .spin_blocks import (
     block_probability,
     block_state,
     local_qubit_state,
-    multiplicity,
     sample_block_index,
     typical_set,
 )

@@ -186,15 +186,16 @@ def cmd_qsde_check(spec: dict) -> int:
             f"--collisions {spec['collisions']}: the Richardson step also runs half as many "
             "collisions, so at least 2 are needed"
         )
-    # Probe at the edge of the typical window, j = j_n + n^(3/4), where the
-    # closed-form error is dominated by the |j - j_n|/n term and scales as
-    # the bound with eps = 1/4 (a factor sqrt(2) per quadrupling of n).
+    # Probe the edge of the bound's window, the spin of n qubits nearest j_n +
+    # n^(1/2+eps): there the |j - j_n|/n term dominates the closed-form error,
+    # which scales as the bound (a factor 2^(1 - 2 eps) per quadrupling of n).
     rows = []
     for m in (1, 2):
         deficits = []
         for n in spec["n_list"]:
             params = ModelParams(spec["mu"], int(n))
-            j = min(round(params.j_n) + round(float(n) ** 0.75), n // 2)
+            half = (n % 2) / 2.0
+            j = min(half + round(params.j_n + float(n) ** (0.5 + spec["eps"]) - half), n / 2.0)
             xi = xi_state(params, j, m, spec["t"])
             waves = [
                 collision_integrate(params, j, m, spec["t"], k)
@@ -236,6 +237,8 @@ def cmd_qsde_check(spec: dict) -> int:
 
 def cmd_estimate(spec: dict) -> int:
     n = int(spec["n"])
+    if n < 1:
+        raise ValueError(f"--n {n}: the number of qubits must be at least 1")
     rho_true = local_qubit_state(
         spec["mu0"], tuple(c / math.sqrt(n) for c in spec["u"])
     )

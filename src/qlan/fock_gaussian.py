@@ -27,9 +27,9 @@ PROPOSAL_BLOCK = 2**16  # levels x angle proposals a rejection pass evaluates at
 class GaussianLimitParams:
     """Parameters (mu, u) of the limiting classical x quantum Gaussian pair.
 
-    Derived quantities: ``p`` (thermal ratio), ``alpha`` (-u_y + i u_x),
-    ``beta`` (displacement of the oscillator state), ``classical_mean`` /
-    ``classical_var`` (the N(u_z, mu(1-mu)) marginal).
+    Derived quantities: ``p`` (thermal ratio), ``beta`` (displacement of
+    the oscillator state, sqrt(2 mu - 1) (-u_y + i u_x)), ``classical_mean``
+    / ``classical_var`` (the N(u_z, mu(1-mu)) marginal).
     """
 
     mu: float
@@ -45,12 +45,8 @@ class GaussianLimitParams:
         return (1.0 - self.mu) / self.mu
 
     @property
-    def alpha(self) -> complex:
-        return complex(-self.u.uy, self.u.ux)
-
-    @property
     def beta(self) -> complex:
-        return math.sqrt(2.0 * self.mu - 1.0) * self.alpha
+        return math.sqrt(2.0 * self.mu - 1.0) * complex(-self.u.uy, self.u.ux)
 
     @property
     def classical_mean(self) -> float:

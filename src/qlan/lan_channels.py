@@ -19,8 +19,8 @@ parameter (``LocalParams.phase_angle``).  A distance needs both sides in
 one gauge and zero-pads the narrower corner to the wider one, which
 changes no trace norm.  Compressing a PSD operator A of trace a whose tail
 is t changes it by at most 2 sqrt(a t) + t in trace norm (gentle
-measurement), so each distance comes back as a :class:`CornerDistance`
-carrying the sum of those bounds over both sides.
+measurement), so each distance comes back as a pair ``(value, bound)``,
+``bound`` the sum of those bounds over both sides.
 """
 
 from __future__ import annotations
@@ -78,24 +78,6 @@ class ClassicalDensity:
 
     def mass(self) -> float:
         return float(np.trapezoid(self.values, self.x))
-
-
-class CornerDistance(float):
-    """A trace-norm distance computed on Fock corners.
-
-    ``bound`` is the certified gap to the same distance taken without the
-    corner: the full-space value lies within ``bound`` of this one.
-    """
-
-    bound: float
-
-    def __new__(cls, value: float, bound: float):
-        self = super().__new__(cls, value)
-        self.bound = float(bound)
-        return self
-
-    def __reduce__(self):
-        return CornerDistance, (float(self), self.bound)
 
 
 @dataclass
@@ -233,8 +215,9 @@ def _trace_norms(count: int, dim: int, stack) -> np.ndarray:
     )
 
 
-def hybrid_trace_distance(a: HybridGaussianState, b: HybridGaussianState) -> CornerDistance:
-    """integral dx || f_a(x) rho_a(x) - f_b(x) rho_b(x) ||_1, trapezoid rule.
+def hybrid_trace_distance(a: HybridGaussianState, b: HybridGaussianState) -> tuple[float, float]:
+    """``(value, bound)``: value = integral dx || f_a(x) rho_a(x) -
+    f_b(x) rho_b(x) ||_1, trapezoid rule.
 
     Both states must share the classical grid and the gauge ``chi``; the
     narrower Fock corner is zero-padded to the wider one.  Each side moves
@@ -254,7 +237,7 @@ def hybrid_trace_distance(a: HybridGaussianState, b: HybridGaussianState) -> Cor
     states[:na, : a.dim, : a.dim] = a.blocks
     states[na:, : b.dim, : b.dim] = b.blocks
     norms = _trace_norms(len(xa), dim, lambda sl: np.tensordot(coef[sl], states, axes=1))
-    return CornerDistance(np.trapezoid(norms.sum(axis=1), xa), a.corner_bound() + b.corner_bound())
+    return float(np.trapezoid(norms.sum(axis=1), xa)), a.corner_bound() + b.corner_bound()
 
 
 @dataclass
@@ -344,8 +327,9 @@ def apply_S(gp: GaussianLimitParams, n: int) -> BlockMixture:
     return BlockMixture(j_lattice, q, phi, gp.u.phase_angle, tail)
 
 
-def blockwise_distance(mix: BlockMixture, blocks: BlockData) -> CornerDistance:
-    """sum_j || q_j tau_j - p_{n,u}(j) rho_j ||_1 over the valid lattice.
+def blockwise_distance(mix: BlockMixture, blocks: BlockData) -> tuple[float, float]:
+    """``(value, bound)``: value = sum_j || q_j tau_j - p_{n,u}(j) rho_j ||_1
+    over the valid lattice.
 
     ``mix`` and ``blocks`` must share the gauge ``chi``.  The terms are
     diagonalized on the pmf window's rows: rho_j is its certified corner
@@ -385,7 +369,7 @@ def blockwise_distance(mix: BlockMixture, blocks: BlockData) -> CornerDistance:
     wide = d_block > mix.phi.shape[0]
     bound = p @ (2.0 * np.sqrt(blocks.tails) + blocks.tails)
     bound += q[wide].sum() * (2.0 * math.sqrt(mix.tail) + 2.0 * mix.tail)
-    return CornerDistance(total + mix.probs[~on].sum() + blocks.dropped, bound)
+    return float(total + mix.probs[~on].sum() + blocks.dropped), float(bound)
 
 
 @dataclass
@@ -447,18 +431,17 @@ def convergence_sweep(mu: float, u, n_list) -> SweepResult:
         g = classical_coordinate(params, np.array([min(j_lo, js[0]), max(j_hi, js[-1])]))
         grid = covering_grid(params, gp.classical_mean, *g)
         t_state = apply_T(blocks, grid=grid)
-        dist_t = hybrid_trace_distance(t_state, gaussian_limit(gp, grid=grid))
-        mix = apply_S(gp, params.n)
-        dist_s = blockwise_distance(mix, blocks)
+        dist_t, bound_t = hybrid_trace_distance(t_state, gaussian_limit(gp, grid=grid))
+        dist_s, bound_s = blockwise_distance(apply_S(gp, params.n), blocks)
         rows.append(
             SweepRow(
                 n=params.n,
-                dist_T=float(dist_t),
-                dist_S=float(dist_s),
+                dist_T=dist_t,
+                dist_S=dist_s,
                 u_effective=(u_eff.ux, u_eff.uy, u_eff.uz),
                 clamped=clamped,
-                corner_bound_T=dist_t.bound,
-                corner_bound_S=dist_s.bound,
+                corner_bound_T=bound_t,
+                corner_bound_S=bound_s,
                 dropped=blocks.dropped,
             )
         )

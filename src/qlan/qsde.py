@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 # scipy is imported where it is used, so that `import qlan` needs numpy alone
 
-from .spin_blocks import ModelParams
+from .spin_blocks import ModelParams, _two_j
 from .tolerances import COLLISION_NORM_DRIFT, MODEL_MARGIN
 
 # Error-bound prefactor.  For a single emission line the edge distance
@@ -52,21 +52,13 @@ from .tolerances import COLLISION_NORM_DRIFT, MODEL_MARGIN
 XI_BOUND_C = 2.0
 
 
-def _check_j(params: ModelParams, j) -> float:
-    j = float(j)
-    if j < 0 or j > params.n / 2.0 + 1e-9:
-        raise ValueError(f"j = {j} outside [0, n/2] for n = {params.n}")
-    return j
-
-
 def lowering_elements(params: ModelParams, j, dim: int) -> np.ndarray:
     """r_k = sqrt(k (2j - k + 1) / (2 j_n)) for k = 1..dim-1."""
-    j = _check_j(params, j)
-    k = np.arange(1, dim, dtype=float)
-    vals = k * (2.0 * j - k + 1.0) / (2.0 * params.j_n)
-    if np.any(vals < -1e-12):
+    tj = _two_j(params.n, j)
+    if dim - 1 > tj:
         raise ValueError(f"coupling needs dim - 1 <= 2j; got dim = {dim}, j = {j}")
-    return np.sqrt(np.clip(vals, 0.0, None))
+    k = np.arange(1, dim, dtype=float)
+    return np.sqrt(k * (tj - k + 1.0) / (2.0 * params.j_n))
 
 
 def c_coefficients(params: ModelParams, j, m: int) -> np.ndarray:
@@ -75,13 +67,13 @@ def c_coefficients(params: ModelParams, j, m: int) -> np.ndarray:
     c(m, 0) = 1 and
     c(m, i) = c(m, i-1) sqrt((2j - m + i) / (2 j_n)) sqrt((m - i + 1) / i).
     """
-    j = _check_j(params, j)
-    if m < 0 or m > 2.0 * j + 1e-9:
+    tj = _two_j(params.n, j)
+    if m < 0 or m > tj:
         raise ValueError(f"initial level m = {m} outside [0, 2j] with j = {j}")
     c = np.ones(m + 1, dtype=float)
     two_jn = 2.0 * params.j_n
     for i in range(1, m + 1):
-        c[i] = c[i - 1] * math.sqrt((2.0 * j - m + i) / two_jn) * math.sqrt(
+        c[i] = c[i - 1] * math.sqrt((tj - m + i) / two_jn) * math.sqrt(
             (m - i + 1) / i
         )
     return c
@@ -102,8 +94,6 @@ class XiState:
     power of the mode s -> exp(-s/2) on [0, t].
     """
 
-    n: int
-    j: float
     m: int
     t: float
     c: np.ndarray
@@ -122,7 +112,7 @@ class XiState:
 def xi_state(params: ModelParams, j, m: int, t: float) -> XiState:
     if t <= 0:
         raise ValueError(f"t = {t} must be positive")
-    return XiState(params.n, float(j), int(m), float(t), c_coefficients(params, j, m))
+    return XiState(int(m), float(t), c_coefficients(params, j, m))
 
 
 def _collision_column(params: ModelParams, j: float, s: int, dt: float) -> np.ndarray:
@@ -158,16 +148,11 @@ class JointWaveVector:
     sector ``s``, both from the Kraus channel.
     """
 
-    n: int
-    j: float
     t: float
     K: int
     sectors: dict
     reduced: np.ndarray
     sector_norms_sq: dict
-
-    def sector_norm_sq(self, s: int) -> float:
-        return self.sector_norms_sq[s]
 
     def norm(self) -> float:
         return math.sqrt(sum(self.sector_norms_sq.values()))
@@ -213,7 +198,7 @@ def collision_integrate(
     whatever K.  The Kraus-evolved trace must stay within
     ``COLLISION_NORM_DRIFT`` per 10^3 steps of ``|init|^2``.
     """
-    j = _check_j(params, j)
+    tj = _two_j(params.n, j)
     if t <= 0 or K < 1:
         raise ValueError(f"need t > 0 and K >= 1, got t = {t}, K = {K}")
     if isinstance(init, (int, np.integer)):
@@ -222,8 +207,8 @@ def collision_integrate(
     else:
         vec = np.asarray(init, dtype=complex).reshape(-1)
     levels = len(vec) - 1
-    if levels > 2.0 * j:
-        raise ValueError(f"initial level {levels} exceeds 2j = {2 * j}")
+    if levels > tj:
+        raise ValueError(f"initial level {levels} exceeds 2j = {tj}")
     dim = levels + 1
     dt = t / K
     kraus = np.zeros((dim, dim, dim))  # kraus[d] = A_d
@@ -242,7 +227,7 @@ def collision_integrate(
     live = [s for s in range(dim) if vec[s] != 0]
     sectors = {s: {c: complex(gen[c, s] * vec[s]) for c in range(s + 1)} for s in live}
     norms = {s: float(abs(vec[s]) ** 2 * moved[:, s].sum()) for s in live}
-    wave = JointWaveVector(params.n, j, float(t), int(K), sectors, reduced, norms)
+    wave = JointWaveVector(float(t), int(K), sectors, reduced, norms)
     drift = abs(wave.norm() - float(np.linalg.norm(vec)))
     if drift > COLLISION_NORM_DRIFT * (K / 1000.0 + 1.0):
         raise RuntimeError(f"collision norm drifted by {drift:.3e}")
@@ -267,7 +252,7 @@ def xi_overlap(wave: JointWaveVector, xi: XiState) -> float:
         xi.c[i] * alpha[i] * math.sqrt(math.factorial(i)) * comps[xi.m - i]
         for i in range(xi.m + 1)
     )
-    denom = math.sqrt(xi.discrete_norm_sq(wave.K) * wave.sector_norm_sq(xi.m))
+    denom = math.sqrt(xi.discrete_norm_sq(wave.K) * wave.sector_norms_sq[xi.m])
     return float(abs(total) / denom)
 
 

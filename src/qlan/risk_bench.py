@@ -93,7 +93,7 @@ class RiskConfig:
         if self.loss not in ("trace", "fidelity", "local"):
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.trials < self.batches:
-            raise ValueError(f"trials = {self.trials} < batches = {self.batches}")
+            raise ValueError(f"trials = {self.trials}: at least {self.batches} needed, one per batch")
         self.estimator.validate()
         return self
 
@@ -288,6 +288,9 @@ def hoeffding_check(
         raise ValueError(f"trials = {trials}: the check needs at least one trial")
     if not 0.0 < kappa < 1.0:
         raise ValueError(f"kappa = {kappa}: stage 1 takes n^(1 - kappa) copies, so 0 < kappa < 1")
+    for n in n_values:
+        if not n >= 1 or math.ceil(float(n) ** (1.0 - kappa)) < 3:
+            raise ValueError(f"n = {n} in n_list: stage 1 needs ceil(n^(1 - kappa)) >= 3 copies")
     r_true = np.array([0.0, 0.0, 2.0 * mu0 - 1.0])
     rows = []
     for n in n_values:

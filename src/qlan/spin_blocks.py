@@ -96,11 +96,6 @@ class ModelParams:
         object.__setattr__(self, "n", int(self.n))
 
     @property
-    def p(self) -> float:
-        """Geometric ratio (1 - mu) / mu of the reference block states."""
-        return (1.0 - self.mu) / self.mu
-
-    @property
     def j_n(self) -> float:
         """Center of the typical total-spin window, n (mu - 1/2)."""
         return self.n * (self.mu - 0.5)
@@ -128,6 +123,7 @@ def valid_j_values(n: int) -> np.ndarray:
 
 
 def _two_j(n: int, j) -> int:
+    """2j of a spin j of n qubits (a half-integer of n's parity in [0, n/2]), else ValueError."""
     tj = int(round(2.0 * float(j)))
     if abs(2.0 * float(j) - tj) > 1e-9:
         raise ValueError(f"j = {j} is not a half-integer")
@@ -136,14 +132,6 @@ def _two_j(n: int, j) -> int:
     if tj < 0 or tj > n:
         raise ValueError(f"j = {j} outside [{(n % 2) / 2}, {n / 2}] for n = {n}")
     return tj
-
-
-def multiplicity(n: int, j) -> int:
-    """Exact multiplicity n_j = C(n, n/2-j) - C(n, n/2-j-1) of spin j."""
-    tj = _two_j(n, j)
-    k = (n - tj) // 2
-    low = math.comb(n, k - 1) if k >= 1 else 0
-    return math.comb(n, k) - low
 
 
 def _log_multiplicity(n: int, tj_arr: np.ndarray) -> np.ndarray:

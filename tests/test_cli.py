@@ -2,6 +2,7 @@
 commands in a fresh interpreter, to see what they import."""
 
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -420,6 +421,24 @@ def test_estimate_outside_model_exits_1(args, keyword, capsys):
     assert keyword in err
 
 
+@pytest.mark.parametrize(
+    "args, named, unnamed",
+    [
+        (["estimate", "--n", "0"], "--n 0", "division"),
+        (["estimate", "--n", "-5"], "--n -5", "domain"),
+        (["risk", "--trials", "10", "--n", "1000"], "trials = 10", "batches ="),
+    ],
+)
+def test_refusals_name_the_flag(args, named, unnamed, capsys):
+    """A setting no run can take exits 2 with a message that names the flag
+    set, not with the arithmetic failure or internal count it causes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert named in err and unnamed not in err
+
+
 def test_hoeffding_eps_shortcut(capsys):
     code, out, _ = run_cli(
         [
@@ -468,6 +487,35 @@ def test_qsde_check_table(capsys):
         assert float(cells[5]) > 0.0
 
 
+def test_qsde_check_probes_a_spin_of_odd_n(capsys):
+    """For an odd number of qubits the spins are half-integers; the probe
+    is the one nearest j_n + n^(3/4) (428.15 and 1503.4 here)."""
+    code, out, _ = run_cli(
+        ["qsde-check", "--n-list", "1001,4001", "--collisions", "60", "--format", "json"], capsys
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["j"] for row in rows] == [428.5, 1503.5] * 2
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.25])
+def test_qsde_check_probes_the_edge_of_its_window(eps, capsys):
+    """``--eps`` sets both the bound and the probe, the spin nearest
+    j_n + n^(1/2+eps); there the chordal deficit sqrt(2 (1 - overlap)) lies
+    under the bound for m = 1 and 2.  At eps = 0.1 the point j_n + n^(3/4)
+    lies outside the window, and its deficit exceeds the bound (0.26 against
+    0.24 at n = 1000)."""
+    code, out, _ = run_cli(
+        ["qsde-check", "--n-list", "1000,4000,16000", "--eps", str(eps), "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    for row in json.loads(out)["rows"]:
+        n = row["n"]
+        assert row["j"] == round(0.25 * n + n ** (0.5 + eps))
+        assert math.sqrt(2.0 * (1.0 - row["overlap"])) < row["bound"]
+
+
 def test_qsde_check_refuses_one_collision(capsys):
     """The Richardson step also runs half the collisions, so one collision
     is refused by its flag's name, not as a zero-collision run."""
@@ -482,11 +530,14 @@ def test_qsde_check_refuses_one_collision(capsys):
         (["--trials", "0"], "trials = 0"),
         (["--kappa", "-1", "--n-list", "100"], "kappa = -1.0"),
         (["--kappa", "1", "--n-list", "100"], "kappa = 1.0"),
+        (["--n-list", "0"], "n = 0 in n_list"),
+        (["--n-list", "1000,-5"], "n = -5 in n_list"),
     ],
 )
 def test_hoeffding_refuses_impossible_inputs(args, message, capsys):
-    """No trials, or a stage 1 of more than n copies (kappa <= 0) or of
-    one copy (kappa >= 1), exits 2 by name and writes no row."""
+    """No trials, a stage 1 of more than n copies (kappa <= 0) or of one
+    copy (kappa >= 1), or an n whose stage 1 has fewer than three copies,
+    one per axis, exits 2 by name and writes no row."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(["hoeffding", *args], capsys)

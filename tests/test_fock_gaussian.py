@@ -51,7 +51,6 @@ def mean_number(rho):
 def test_limit_params_derived_quantities():
     gp = GaussianLimitParams(0.75, LocalParams(1.0, 0.0, 0.0))
     assert gp.p == pytest.approx(1.0 / 3.0)
-    assert gp.alpha == pytest.approx(1j)
     assert gp.beta == pytest.approx(1j * math.sqrt(0.5))
     assert gp.classical_var == pytest.approx(0.1875)
     with pytest.raises(ValueError):

@@ -58,8 +58,9 @@ def test_lowering_elements_formula():
     r = lowering_elements(PARAMS, JN, 4)
     k = np.arange(1.0, 4.0)
     assert np.allclose(r, np.sqrt(k * (2 * JN - k + 1) / (2 * JN)))
-    with pytest.raises(ValueError):
-        lowering_elements(PARAMS, 1.0, 10)  # dim - 1 > 2j
+    for dim in (4, 10):  # dim - 1 > 2j; at dim = 2j + 2 the last r_k is 0
+        with pytest.raises(ValueError, match="dim - 1 <= 2j"):
+            lowering_elements(PARAMS, 1.0, dim)
 
 
 def test_c_coefficients_recursion():
@@ -71,7 +72,7 @@ def test_c_coefficients_recursion():
     want2 = want1 * math.sqrt(2 * j / (2 * JN)) * math.sqrt(0.5)
     assert c[2] == pytest.approx(want2, rel=1e-14)
     with pytest.raises(ValueError):
-        c_coefficients(PARAMS, 0.5, 2)  # m > 2j
+        c_coefficients(PARAMS, 1.0, 3)  # m > 2j
 
 
 def test_xi_norm_closed_form():
@@ -132,19 +133,39 @@ def test_collision_overlap_near_one_at_center():
 
 def test_collision_sector_norms():
     wave = collision_integrate(PARAMS, JN, 2, 3.0, 400)
-    per = [wave.sector_norm_sq(s) for s in wave.sectors]
+    per = [wave.sector_norms_sq[s] for s in wave.sectors]
     assert sum(per) == pytest.approx(1.0, abs=1e-10)
     # superposition input conserves each sector's share
     vec = np.array([math.sqrt(0.2), math.sqrt(0.5), math.sqrt(0.3)])
     wave2 = collision_integrate(PARAMS, JN, vec, 3.0, 400)
-    assert wave2.sector_norm_sq(0) == pytest.approx(0.2, abs=1e-12)
-    assert wave2.sector_norm_sq(1) == pytest.approx(0.5, abs=1e-10)
-    assert wave2.sector_norm_sq(2) == pytest.approx(0.3, abs=1e-10)
+    assert wave2.sector_norms_sq[0] == pytest.approx(0.2, abs=1e-12)
+    assert wave2.sector_norms_sq[1] == pytest.approx(0.5, abs=1e-10)
+    assert wave2.sector_norms_sq[2] == pytest.approx(0.3, abs=1e-10)
 
 
 def test_collision_guards():
     with pytest.raises(ValueError):
         collision_integrate(PARAMS, 1.0, 3, 1.0, 100)  # m > 2j
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, j: collision_integrate(p, j, 1, 5.0, 100),
+        lambda p, j: lowering_elements(p, j, 2),
+        lambda p, j: c_coefficients(p, j, 1),
+        lambda p, j: xi_state(p, j, 1, 5.0),
+    ],
+    ids=["collision_integrate", "lowering_elements", "c_coefficients", "xi_state"],
+)
+def test_spin_checks_are_the_block_lattice(call):
+    """j must be a spin of n qubits: 428.0 is not one of 1001 qubits (wrong
+    parity), 428.3 is no half-integer and 600.5 exceeds n/2."""
+    params = ModelParams(0.75, 1001)
+    call(params, 428.5)
+    for j, problem in ((428.0, "parity"), (428.3, "half-integer"), (600.5, "outside")):
+        with pytest.raises(ValueError, match=problem):
+            call(params, j)
 
 
 def test_collision_norm_check_catches_a_scaled_kraus_column(monkeypatch):
@@ -208,7 +229,7 @@ def test_collision_matches_dense_joint_state(m, K, j, vec):
     for s in live:
         assert abs(wave.sectors[s][s] - psi[(s,) + (0,) * K]) < 1e-13
         sector = np.where(exc == s, psi, 0.0)
-        assert wave.sector_norm_sq(s) == pytest.approx(np.vdot(sector, sector).real, abs=1e-13)
+        assert wave.sector_norms_sq[s] == pytest.approx(np.vdot(sector, sector).real, abs=1e-13)
         for c in range(s + 1):
             e = s - c
             want = np.vdot(powers[e], psi[c]) / math.sqrt(math.factorial(e))

@@ -41,7 +41,6 @@ from qlan.spin_blocks import (
     ladder_corner,
     ladder_level,
     local_qubit_state,
-    multiplicity,
     sample_block_index,
     typical_set,
     valid_j_values,
@@ -78,20 +77,6 @@ def test_mu_u_admissible_window():
         params.mu_u(LocalParams(0.0, 0.0, 2.6))
     with pytest.raises(ValueError, match="admissible"):
         params.mu_u(LocalParams(0.0, 0.0, -2.6))
-
-
-def test_multiplicity_small_tables():
-    assert [multiplicity(2, j) for j in (1.0, 0.0)] == [1, 1]
-    assert [multiplicity(3, j) for j in (1.5, 0.5)] == [1, 2]
-    assert [multiplicity(4, j) for j in (2.0, 1.0, 0.0)] == [1, 3, 2]
-    assert [multiplicity(6, j) for j in (3.0, 2.0, 1.0, 0.0)] == [1, 5, 9, 5]
-
-
-def test_multiplicity_dimension_sum():
-    for n in (2, 3, 5, 8, 12, 17):
-        js = valid_j_values(n)
-        total = sum(int(round(2 * j + 1)) * multiplicity(n, j) for j in js)
-        assert total == 2**n
 
 
 def test_block_probability_two_qubits():
