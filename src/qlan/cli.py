@@ -186,6 +186,14 @@ def cmd_qsde_check(spec: dict) -> int:
             f"--collisions {spec['collisions']}: the Richardson step also runs half as many "
             "collisions, so at least 2 are needed"
         )
+    if not 0.0 < spec["eps"] <= 0.25:
+        raise ValueError(
+            f"--eps {spec['eps']:g}: the bound holds on the window |j - j_n| <= n^(1/2+eps) "
+            "only for 0 < eps <= 1/4"
+        )
+    for n in spec["n_list"]:
+        if n < 2:
+            raise ValueError(f"n = {n} in --n-list: the m = 2 probe needs a spin j >= 1, so n >= 2")
     # Probe the edge of the bound's window, the spin of n qubits nearest j_n +
     # n^(1/2+eps): there the |j - j_n|/n term dominates the closed-form error,
     # which scales as the bound (a factor 2^(1 - 2 eps) per quadrupling of n).

@@ -84,10 +84,14 @@ def _turn(vec, wx, wy, den, flip) -> np.ndarray:
     w = (wx, wy, 0); where ``flip`` is set R is diag(1, -1, -1) instead."""
     x, y, z = vec
     px, py, pz = wy * z, -wx * z, wx * y - wy * x  # w x v
-    rows = [x + px + wy * pz / den, y + py - wx * pz / den, z + pz + (wx * py - wy * px) / den]
+    out = np.empty((3, *np.broadcast_shapes(np.shape(x), np.shape(wx))))
+    out[0] = x + px + wy * pz / den
+    out[1] = y + py - wx * pz / den
+    out[2] = z + pz + (wx * py - wy * px) / den
     if np.any(flip):
-        rows = [np.where(flip, a, b) for a, b in zip((x, -y, -z), rows)]
-    return np.array(rows)
+        for i, v in enumerate((x, -y, -z)):  # v broadcasts: vec may be one (3,) vector
+            np.copyto(out[i, ...], v, where=flip)
+    return out
 
 
 @dataclass
@@ -204,6 +208,7 @@ def reconstruct(
     s = np.where(q > 1e-12, np.sin(2.0 * q) / np.maximum(q, 1e-300), 2.0)
     scale = 2.0 * lam - 1.0
     r_local = (-hy * s * scale, hx * s * scale, np.cos(2.0 * q) * scale)
+    del lam, hx, hy, q, s, scale  # freed before rotate_back allocates its own
     return s1.rotate_back(r_local), clamped
 
 

@@ -427,6 +427,10 @@ def test_estimate_outside_model_exits_1(args, keyword, capsys):
         (["estimate", "--n", "0"], "--n 0", "division"),
         (["estimate", "--n", "-5"], "--n -5", "domain"),
         (["risk", "--trials", "10", "--n", "1000"], "trials = 10", "batches ="),
+        (["qsde-check", "--n-list", "1,400"], "n = 1 in --n-list", "initial level"),
+        (["qsde-check", "--eps", "10", "--n-list", "1000"], "--eps 10:", "e+43"),
+        (["qsde-check", "--eps", "0", "--n-list", "1000"], "--eps 0:", "overlap"),
+        (["qsde-check", "--eps", "-1", "--n-list", "1000"], "--eps -1:", "overlap"),
     ],
 )
 def test_refusals_name_the_flag(args, named, unnamed, capsys):
@@ -576,6 +580,7 @@ import qlan
 from qlan.cli import main
 
 loaded = {"import qlan": scipy_modules()}
+loaded["import qlan: concurrent"] = sorted(m for m in sys.modules if m.startswith("concurrent"))
 for argv in (
     ["estimate", "--n", "10000", "--seed", "7"],
     ["risk", "--n-list", "10000", "--trials", "200"],
@@ -591,8 +596,9 @@ print(json.dumps(loaded))
 def test_gaussian_limit_commands_never_load_scipy():
     """`import qlan` and the commands that sample the Gaussian limit run on
     numpy alone; scipy loads only where the exact sampler, the LAN channels
-    or the collision integrator call it.  A fresh interpreter, because this
-    one has scipy loaded already."""
+    or the collision integrator call it.  `import qlan` also leaves out
+    `concurrent.futures`, which only the risk grid's thread pool needs.  A
+    fresh interpreter, because this one has both loaded already."""
     src = str(Path(qlan.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
@@ -605,5 +611,5 @@ def test_gaussian_limit_commands_never_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert len(loaded) == 4
+    assert len(loaded) == 5
     assert all(mods == [] for mods in loaded.values()), loaded

@@ -3,10 +3,12 @@
 import json
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
 
+from qlan import risk_bench
 from qlan.cli import main
 from qlan.estimator import EstimatorConfig, full_estimate
 from qlan.operator_core import density_to_bloch
@@ -273,6 +275,66 @@ def test_report_structure_and_serialization(tmp_path):
     # floats survive the round trip at full precision
     cell = lines[1].split(",")[5]
     assert float(cell) == rep.rows[0]["mean"]
+
+
+@pytest.mark.parametrize("sampler", ["gaussian", "exact"])
+def test_pooled_rows_are_the_serial_computation(sampler, monkeypatch):
+    """Gaussian cells run on a pool of worker threads (four here, whatever
+    the host), exact cells in the caller's thread; either way every row
+    equals, by ==, its cell recomputed alone in this thread."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1, 2, 3}, raising=False)
+    threads = set()
+
+    def estimate(*args, **kwargs):
+        threads.add(threading.current_thread())
+        return full_estimate(*args, **kwargs)
+
+    monkeypatch.setattr(risk_bench, "full_estimate", estimate)
+    n_list, trials = ((10**4, 10**6), 400) if sampler == "gaussian" else ((400, 1600), 4)
+    cfg = RiskConfig(
+        mu0=0.75,
+        loss="local",
+        n_list=n_list,
+        trials=trials,
+        batches=4,
+        estimator=EstimatorConfig(sampler=sampler),
+    )
+    rows = local_sup_risk(cfg).rows
+    assert {t is threading.main_thread() for t in threads} == {sampler == "exact"}
+    grid = grid_points(cfg.mu0, cfg.radii)
+    assert len(grid) == 13 and len(rows) == 26
+    cells = [(i, n, g, pt) for i, n in enumerate(n_list) for g, pt in enumerate(grid)]
+    for row, (n_idx, n, g_idx, pt) in zip(rows, cells):
+        u_vec = np.array(pt.u) * float(n) ** cfg.estimator.eps
+        mean, se, counts = pointwise_risk(_true_state(cfg.mu0, u_vec, n), n, cfg, (n_idx, g_idx))
+        assert (row["n"], row["label"]) == (n, pt.label)
+        assert (row["mean"], row["stderr"]) == (mean, se)
+        assert {key: row[key] for key in counts} == counts
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_a_failing_cell_raises_its_own_error(error, monkeypatch, capsys):
+    """An error in one pooled cell reaches the caller with its own type and
+    cancels the cells not yet started; ``qlan risk`` exits 2 on a ValueError."""
+    cfg = RiskConfig(mu0=0.75, n_list=(10**4, 10**6), trials=40)
+    u_bad = np.array(grid_points(0.75)[1].u) * 1e4**cfg.estimator.eps  # cell (0, 1)
+    bad = _true_state(0.75, u_bad, 10**4)
+    calls = []
+
+    def estimate(rho, n, *args, **kwargs):
+        calls.append(n)
+        if n == 10**4 and np.array_equal(rho, bad):
+            raise error("cell (0, 1) failed")
+        return full_estimate(rho, n, *args, **kwargs)
+
+    monkeypatch.setattr(risk_bench, "full_estimate", estimate)
+    with pytest.raises(error, match=r"cell \(0, 1\)"):
+        local_sup_risk(cfg)
+    assert len(calls) < 26 * cfg.batches
+    if error is ValueError:
+        assert main(["risk", "--n-list", "10000,1000000", "--trials", "40"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "cell (0, 1) failed" in err
 
 
 def test_hoeffding_rows():
