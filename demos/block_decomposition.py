@@ -20,7 +20,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 from fullspace import assemble_from_blocks, isotypic_isometries, tensor_power
 
 from qlan.spin_blocks import (
-    LocalParams,
     ModelParams,
     block_probability,
     block_state,
@@ -33,7 +32,7 @@ from qlan.spin_blocks import (
 def main() -> None:
     mu, n = 0.8, 6
     params = ModelParams(mu, n)
-    u = LocalParams(0.4, -0.2, 0.3)
+    u = (0.4, -0.2, 0.3)
 
     # isometry onto the n_j copies of each (2j+1)-dimensional block
     iso = isotypic_isometries(n)
@@ -63,7 +62,7 @@ def main() -> None:
     weights = {j: block_probability(params, u, j) for j in iso}
     blocks = {j: block_state(params, u, j) for j in iso}
     rebuilt = assemble_from_blocks(n, weights, blocks, iso)
-    target = tensor_power(local_qubit_state(mu, np.array([u.ux, u.uy, u.uz]) / math.sqrt(n)), n)
+    target = tensor_power(local_qubit_state(mu, np.array(u) / math.sqrt(n)), n)
     err = float(np.max(np.abs(rebuilt - target)))
     print()
     print(f"block reassembly vs explicit tensor power (64 x 64): max error {err:.2e}")

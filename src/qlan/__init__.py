@@ -15,7 +15,6 @@ from .operator_core import (
     validate_density,
 )
 from .spin_blocks import (
-    LocalParams,
     ModelParams,
     block_probability,
     block_state,

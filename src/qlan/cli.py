@@ -47,7 +47,19 @@ def _parse_triple(text: str) -> tuple:
         raise argparse.ArgumentTypeError(
             f"expected three comma-separated numbers, got {text!r}"
         )
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_float(p) for p in parts)
+
+
+def _parse_float(text: str) -> float:
+    """A finite number; words, nan, inf and overflows (1e400) are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        problem = "overflows" if math.isinf(value) else "is not a number"
+        raise argparse.ArgumentTypeError(f"{text!r} {problem}")
+    return value
 
 
 def _parse_int(text: str) -> int:
@@ -56,13 +68,9 @@ def _parse_int(text: str) -> int:
         return int(text)
     except ValueError:
         pass
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not value.is_integer():  # also inf and nan
-        problem = "overflows" if math.isinf(value) else "is not an integer"
-        raise argparse.ArgumentTypeError(f"{text!r} {problem}")
+    value = _parse_float(text)
+    if not value.is_integer():
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     return int(value)
 
 
@@ -71,7 +79,7 @@ def _parse_int_list(text: str) -> tuple:
 
 
 def _parse_float_list(text: str) -> tuple:
-    return tuple(float(p) for p in text.split(","))
+    return tuple(_parse_float(p) for p in text.split(","))
 
 
 def _parse_bool(text: str) -> bool:
@@ -84,21 +92,21 @@ def _parse_bool(text: str) -> bool:
 # Every setting once: type, choices (None: any value of the type) and help.
 # A config file's value goes through the same type and choices as the flag.
 FLAGS = {
-    "mu": (float, None, "eigenvalue of the qubit state, in (1/2, 1)"),
-    "mu0": (float, None, "eigenvalue of the centre state, in (1/2, 1)"),
+    "mu": (_parse_float, None, "eigenvalue of the qubit state, in (1/2, 1)"),
+    "mu0": (_parse_float, None, "eigenvalue of the centre state, in (1/2, 1)"),
     "u": (_parse_triple, None, "local parameter ux,uy,uz"),
     "n": (_parse_int, None, "number of qubits"),
     "n_list": (_parse_int_list, None, "comma-separated numbers of qubits"),
-    "eps": (float, None, "localization exponent"),
+    "eps": (_parse_float, None, "localization exponent"),
     "eps_list": (_parse_float_list, None, "comma-separated localization exponents"),
-    "eta": (float, None, "truncation exponent: local components above 3 n^eta are cut"),
-    "kappa": (float, None, "stage 1 measures ceil(n^(1 - kappa)) qubits"),
+    "eta": (_parse_float, None, "truncation exponent: local components above 3 n^eta are cut"),
+    "kappa": (_parse_float, None, "stage 1 measures ceil(n^(1 - kappa)) qubits"),
     "seed": (_parse_int, None, "random seed"),
     "truncate": (_parse_bool, None, "disable the 3 n^eta truncation (calibration runs)"),
     "loss": (str, ("trace", "fidelity", "local"), "loss function"),
     "sampler": (str, ("gaussian", "exact"), "stage-2 sampler"),
     "trials": (_parse_int, None, "Monte Carlo trials"),
-    "t": (float, None, "evolution time"),
+    "t": (_parse_float, None, "evolution time"),
     "collisions": (_parse_int, None, "collisions of the discretized field"),
 }
 

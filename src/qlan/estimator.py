@@ -28,7 +28,7 @@ import numpy as np
 from .fock_gaussian import HeterodyneSampler
 from .operator_core import density_to_bloch, validate_density
 from .qsde import energy_measurement_sample
-from .spin_blocks import block_vector, ladder_level, sample_block_index
+from .spin_blocks import block_vector, gauge_angle, ladder_level, sample_block_index
 from .tolerances import MODEL_MARGIN
 
 
@@ -255,16 +255,16 @@ def _exact_stage2(mu, mu_u, n: int, u, rng: np.random.Generator):
 
     Block j's state is the w-mixture of the pure ladder states R e_k, w the
     geometric law of ratio (1 - mu_u) / mu_u cut at 2j + 1 levels, and so
-    is its heterodyne law.  R e_k is :func:`block_vector`, real in its gauge
-    chi, so its draws are turned by e^{i chi}; each is within 2 sqrt(t) + t
-    in total variation of the block state's law, t = ``CORNER_TAIL_MASS``."""
+    is its heterodyne law.  R e_k is :func:`block_vector`, real in the gauge
+    chi = :func:`gauge_angle`, so its draws are turned by e^{i chi}; each is within
+    2 sqrt(t) + t of the block state's law in total variation, t = ``CORNER_TAIL_MASS``."""
     js = sample_block_index(n, mu_u, rng)
     ks = ladder_level((1.0 - mu_u) / mu_u, 2.0 * js + 1.0, rng.random(len(mu)))
     keys = np.vstack([ks, js, u[::-1], mu])  # lexsort orders by mu, u_x, u_y, u_z, j, then k
     order = np.lexsort(keys)
     first = np.ones(len(order), dtype=bool)  # the first column of each group
     first[1:] = np.any(np.diff(keys[:, order], axis=1) != 0.0, axis=0)
-    zs = np.exp(1j * np.arctan2(u[0], -u[1]))  # e^{i chi}, chi = LocalParams.phase_angle
+    zs = np.exp(1j * gauge_angle(u))
     for c, cols in zip(order[first], np.split(order, np.flatnonzero(first)[1:])):
         sampler = HeterodyneSampler(block_vector(n, u[:, c], js[c], ks[c])[0])
         zs[cols] *= sampler.sample(rng, size=len(cols))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 # scipy is imported where it is used, so that `import qlan` needs numpy alone
 
-from .spin_blocks import LocalParams, as_local, ladder_corner
+from .spin_blocks import ladder_corner
 from .tolerances import CORNER_TAIL_MASS
 
 PROPOSAL_BLOCK = 2**16  # levels x angle proposals a rejection pass evaluates at most
@@ -33,12 +33,13 @@ class GaussianLimitParams:
     """
 
     mu: float
-    u: LocalParams
+    u: tuple[float, float, float]
 
     def __post_init__(self):
         if not (0.5 < self.mu < 1.0):
             raise ValueError(f"mu = {self.mu} outside (1/2, 1)")
-        object.__setattr__(self, "u", as_local(self.u))
+        ux, uy, uz = self.u
+        object.__setattr__(self, "u", (float(ux), float(uy), float(uz)))
 
     @property
     def p(self) -> float:
@@ -46,11 +47,11 @@ class GaussianLimitParams:
 
     @property
     def beta(self) -> complex:
-        return math.sqrt(2.0 * self.mu - 1.0) * complex(-self.u.uy, self.u.ux)
+        return math.sqrt(2.0 * self.mu - 1.0) * complex(-self.u[1], self.u[0])
 
     @property
     def classical_mean(self) -> float:
-        return self.u.uz
+        return self.u[2]
 
     @property
     def classical_var(self) -> float:
@@ -62,7 +63,7 @@ def displaced_thermal(gp: GaussianLimitParams) -> tuple[np.ndarray, float]:
     gauge, and the mass it leaves outside (at most ``CORNER_TAIL_MASS``).
 
     It is the Gibbs state of the displaced number operator D a^dag a D^dag,
-    which in the gauge chi = arg(beta) (``gp.u.phase_angle``) has diagonal
+    which in the gauge chi = arg(beta) (``gauge_angle(gp.u)``) has diagonal
     k + |beta|^2 and off-diagonal -|beta| sqrt(k), so :func:`ladder_corner`
     builds it from the top of the ladder as a real matrix; the state in the
     Fock basis is that matrix conjugated by diag(e^{i chi k}).

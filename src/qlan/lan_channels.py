@@ -15,7 +15,7 @@ once per n, runs both directions and fits log-log slopes.
 Every quantum state is kept only on its own Fock corner: its first D
 levels, the fewest at which it leaves at most ``CORNER_TAIL_MASS``
 outside.  Corners are held real, in the gauge ``chi`` of their local
-parameter (``LocalParams.phase_angle``).  A distance needs both sides in
+parameter u (``spin_blocks.gauge_angle``).  A distance needs both sides in
 one gauge and zero-pads the narrower corner to the wider one, which
 changes no trace norm.  Compressing a PSD operator A of trace a whose tail
 is t changes it by at most 2 sqrt(a t) + t in trace norm (gentle
@@ -34,12 +34,11 @@ import numpy as np
 from .fock_gaussian import GaussianLimitParams, displaced_thermal
 from .operator_core import embed_block
 from .spin_blocks import (
-    LocalParams,
     ModelParams,
-    as_local,
     block_corners,
     block_pmf_window,
     classical_coordinate,
+    gauge_angle,
     typical_set,
     valid_j_values,
 )
@@ -91,7 +90,7 @@ class HybridGaussianState:
 
     ``tails`` holds the mass each block had outside its Fock corner, and
     the blocks are written in the gauge ``chi`` (real for the states of a
-    local parameter whose ``phase_angle`` is chi).
+    local parameter u whose ``gauge_angle`` is chi).
     """
 
     classical: ClassicalDensity
@@ -180,7 +179,7 @@ def gaussian_limit(
     classical = ClassicalDensity(grid, f)
     phi, tail = displaced_thermal(gp)
     return HybridGaussianState(
-        classical, classical.values[:, None], phi[None], np.array([tail]), gp.u.phase_angle
+        classical, classical.values[:, None], phi[None], np.array([tail]), gauge_angle(gp.u)
     )
 
 
@@ -271,7 +270,7 @@ class BlockData:
     gauge ``chi`` of u)."""
 
     params: ModelParams
-    u: LocalParams
+    u: tuple[float, float, float]
     js: np.ndarray
     probs: np.ndarray
     dropped: float
@@ -280,15 +279,14 @@ class BlockData:
 
     @property
     def chi(self) -> float:
-        return self.u.phase_angle
+        return gauge_angle(self.u)
 
 
 def block_data(params: ModelParams, u) -> BlockData:
     """The pmf window of ``params`` at local parameter u and its blocks' corners."""
-    u = as_local(u)
     js, probs, dropped = block_pmf_window(params, u)
     corners, tails = block_corners(params, u, js)
-    return BlockData(params, u, js, probs, dropped, corners, tails)
+    return BlockData(params, tuple(float(c) for c in u), js, probs, dropped, corners, tails)
 
 
 def _block_dims(js: np.ndarray) -> np.ndarray:
@@ -324,7 +322,7 @@ def apply_S(gp: GaussianLimitParams, n: int) -> BlockMixture:
     hi[-1] = np.inf
     sd = math.sqrt(gp.classical_var)
     q = ndtr((hi - gp.classical_mean) / sd) - ndtr((lo - gp.classical_mean) / sd)
-    return BlockMixture(j_lattice, q, phi, gp.u.phase_angle, tail)
+    return BlockMixture(j_lattice, q, phi, gauge_angle(gp.u), tail)
 
 
 def blockwise_distance(mix: BlockMixture, blocks: BlockData) -> tuple[float, float]:
@@ -395,14 +393,11 @@ class SweepResult:
     slope_S: float
 
 
-def _clamp_u(mu: float, u: LocalParams, n: int) -> tuple[LocalParams, bool]:
+def _clamp_u(mu: float, u, n: int) -> tuple[tuple[float, float, float], bool]:
+    ux, uy, uz = (float(c) for c in u)
     rn = math.sqrt(n)
-    lo = (0.5 + DELTA_ADM - mu) * rn
-    hi = (1.0 - DELTA_ADM - mu) * rn
-    uz = min(max(u.uz, lo), hi)
-    if uz != u.uz:
-        return LocalParams(u.ux, u.uy, uz), True
-    return u, False
+    lo, hi = (0.5 + DELTA_ADM - mu) * rn, (1.0 - DELTA_ADM - mu) * rn
+    return (ux, uy, min(max(uz, lo), hi)), not lo <= uz <= hi
 
 
 def convergence_sweep(mu: float, u, n_list) -> SweepResult:
@@ -419,7 +414,6 @@ def convergence_sweep(mu: float, u, n_list) -> SweepResult:
     objects stay well defined; the log-log slopes are least-squares fits
     over all rows (nan below two distinct n).
     """
-    u = as_local(u)
     rows = []
     for n in n_list:
         params = ModelParams(mu, int(n))
@@ -438,7 +432,7 @@ def convergence_sweep(mu: float, u, n_list) -> SweepResult:
                 n=params.n,
                 dist_T=dist_t,
                 dist_S=dist_s,
-                u_effective=(u_eff.ux, u_eff.uy, u_eff.uz),
+                u_effective=u_eff,
                 clamped=clamped,
                 corner_bound_T=bound_t,
                 corner_bound_S=bound_s,

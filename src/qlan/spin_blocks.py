@@ -29,9 +29,10 @@ Conventions
   ``+j``), so ``k`` counts excitations away from the top of the ladder.
 * ``j`` values are stored internally as doubled integers ``2j`` so that
   half-integer spins are exact; the public API accepts/returns floats.
-* The local parameter ``u`` rescales as ``u / sqrt(n)``; admissibility of
-  the shifted eigenvalue ``mu_u = mu + u_z / sqrt(n)`` is checked on every
-  call that uses it.
+* The local parameter ``u = (u_x, u_y, u_z)``, a float triple (``(3, B)``
+  columns for a batch), rotates by ``exp(i(u_x sigma_x + u_y sigma_y))``
+  and shifts the larger eigenvalue, all at scale ``1/sqrt(n)``; ``mu_u = mu
+  + u_z / sqrt(n)`` is checked to be admissible on every call that uses it.
 """
 
 from __future__ import annotations
@@ -46,34 +47,11 @@ from .operator_core import embed_block
 from .tolerances import CORNER_TAIL_MASS, WINDOW_TAIL_MASS
 
 
-@dataclass(frozen=True)
-class LocalParams:
-    """Local parameter u = (u_x, u_y, u_z) around a reference state.
-
-    ``u_x, u_y`` generate the rotation ``exp(i(u_x sigma_x + u_y sigma_y))``
-    and ``u_z`` shifts the larger eigenvalue, all at scale ``1/sqrt(n)``.
-    """
-
-    ux: float
-    uy: float
-    uz: float
-
-    @property
-    def phase_angle(self) -> float:
-        """chi = arg(-u_y + i u_x), the gauge of u: conjugated by
-        diag(e^{-i chi k}), the rotated block states and the limit's
-        displaced thermal state are real in the k-ladder (Fock) basis."""
-        return math.atan2(self.ux, -self.uy)
-
-
-def as_local(u) -> LocalParams:
-    """Coerce a LocalParams or length-3 sequence to LocalParams."""
-    if isinstance(u, LocalParams):
-        return u
-    arr = np.asarray(u, dtype=float).reshape(-1)
-    if arr.size != 3:
-        raise ValueError(f"local parameter needs 3 components, got {arr.size}")
-    return LocalParams(float(arr[0]), float(arr[1]), float(arr[2]))
+def gauge_angle(u):
+    """chi = arg(-u_y + i u_x), the gauge of u (or of each (3, B) column):
+    conjugated by diag(e^{-i chi k}), the rotated block states and the
+    limit's displaced thermal state are real in the k-ladder (Fock) basis."""
+    return np.arctan2(u[0], -u[1])
 
 
 @dataclass(frozen=True)
@@ -102,12 +80,12 @@ class ModelParams:
 
     def mu_u(self, u) -> float:
         """Shifted eigenvalue mu + u_z / sqrt(n); errors if inadmissible."""
-        u = as_local(u)
-        val = self.mu + u.uz / math.sqrt(self.n)
+        _, _, uz = u
+        val = self.mu + uz / math.sqrt(self.n)
         if not (0.5 < val < 1.0):
             raise ValueError(
                 f"shifted eigenvalue mu_u = {val:.6g} (mu = {self.mu}, "
-                f"u_z = {u.uz}, n = {self.n}) lies outside the admissible "
+                f"u_z = {uz}, n = {self.n}) lies outside the admissible "
                 "range (1/2, 1)"
             )
         return val
@@ -205,14 +183,14 @@ def block_pmf_window(params: ModelParams, u) -> tuple[np.ndarray, np.ndarray, fl
     Returns ``(j_values, probs, dropped)``, ``dropped`` the sum of the
     terms outside the run (0 when the run is the whole lattice).
     """
-    tj = np.arange(params.n % 2, params.n + 1, 2, dtype=float)
-    probs = np.exp(_log_probability(params, u, tj))
+    js = valid_j_values(params.n)
+    probs = np.exp(_log_probability(params, u, 2.0 * js))
     half = 0.5 * WINDOW_TAIL_MASS
     # each tail is summed from its far end, smallest terms first
     lo = int(np.searchsorted(np.cumsum(probs), half, side="right"))
     hi = len(probs) - int(np.searchsorted(np.cumsum(probs[::-1]), half, side="right"))
     dropped = float(probs[:lo].sum() + probs[hi:].sum())
-    return tj[lo:hi] / 2.0, probs[lo:hi], dropped
+    return js[lo:hi], probs[lo:hi], dropped
 
 
 def sample_block_index(n: int, mu, rng: np.random.Generator) -> np.ndarray:
@@ -327,7 +305,7 @@ def ladder_corner(
     for an oscillator), with weights w_k = (1 - p) p^k / (1 - p^levels) on
     the eigenvectors of the rotated excitation count R K R^dag, K = sum_k
     k |k><k|.  In its gauge (conjugated by diag(e^{-i chi k}), chi the
-    state's ``LocalParams.phase_angle``) that operator is the real
+    state's :func:`gauge_angle`) that operator is the real
     tridiagonal T of :func:`_ladder_vectors`, which builds the leading
     vectors that leave about ``tail / 2`` of the weight out.  Returns the
     state in that gauge, a real matrix on its first D levels, D the fewest
@@ -361,9 +339,9 @@ def _block_ladder(n: int, ux: float, uy: float, j):
     return tj + 1, math.cos(theta), math.sin(0.5 * theta) ** 2 * tj, coupling
 
 
-def _block_corner(params: ModelParams, u: LocalParams, j):
+def _block_corner(params: ModelParams, u, j):
     """``ladder_corner`` of block j at ``CORNER_TAIL_MASS``."""
-    return ladder_corner(params.p_u(u), *_block_ladder(params.n, u.ux, u.uy, j), CORNER_TAIL_MASS)
+    return ladder_corner(params.p_u(u), *_block_ladder(params.n, u[0], u[1], j), CORNER_TAIL_MASS)
 
 
 def block_vector(n: int, u, j, k) -> tuple[np.ndarray, float]:
@@ -393,9 +371,8 @@ def block_state(params: ModelParams, u, j) -> np.ndarray:
     levels, the fewest that leave at most ``CORNER_TAIL_MASS`` outside
     (:func:`ladder_corner`); a block narrower than that is returned whole.
     """
-    u = as_local(u)
     corner = _block_corner(params, u, j)[0]
-    phase = np.exp(1j * u.phase_angle * np.arange(corner.shape[0]))
+    phase = np.exp(1j * gauge_angle(u) * np.arange(corner.shape[0]))
     return corner * np.outer(phase, phase.conj())
 
 
@@ -406,7 +383,6 @@ def block_corners(params: ModelParams, u, js) -> tuple[np.ndarray, np.ndarray]:
     (len(js), D, D) and (len(js),), ``tails`` each block's certified tail.
     Built from the largest j down into one stack, padded if D_j grows.
     """
-    u = as_local(u)
     corners, tails = np.zeros((len(js), 0, 0)), np.empty(len(js))
     for i in np.argsort(js)[::-1]:
         c, tails[i] = _block_corner(params, u, js[i])
@@ -420,23 +396,23 @@ def local_qubit_state(mu: float, v) -> np.ndarray:
     """Single-qubit state with eigenvalues (mu + v_z, 1 - mu - v_z) rotated
     by exp(i (v_x sigma_x + v_y sigma_y)).
 
-    ``v`` may be a LocalParams or a 3-sequence (already at scale 1, i.e.
-    pass ``u / sqrt(n)`` for the n-qubit local family).
+    ``v`` is a length-3 sequence already at scale 1 (pass ``u / sqrt(n)``
+    for the n-qubit local family).
     """
-    v = as_local(v)
-    lam = mu + v.uz
+    vx, vy, vz = v
+    lam = mu + vz
     if not (0.0 <= lam <= 1.0):
         raise ValueError(
             f"eigenvalue mu + v_z = {lam:.6g} outside [0, 1]; the local "
             "family leaves state space"
         )
     diag = np.diag([lam, 1.0 - lam]).astype(complex)
-    a = math.hypot(v.ux, v.uy)
+    a = math.hypot(vx, vy)
     if a == 0.0:
         return diag
     # exp(i a (n . sigma)) = cos(a) I + i sin(a) (n . sigma), n = (v_x, v_y, 0) / a
     s = math.sin(a) / a
     r = np.array(
-        [[math.cos(a), s * (v.uy + 1j * v.ux)], [s * (-v.uy + 1j * v.ux), math.cos(a)]]
+        [[math.cos(a), s * (vy + 1j * vx)], [s * (-vy + 1j * vx), math.cos(a)]]
     )
     return r @ diag @ r.conj().T

@@ -26,7 +26,6 @@ from qlan.lan_channels import ClassicalDensity, HybridGaussianState
 from qlan.operator_core import embed_block
 from qlan.spin_blocks import (
     ModelParams,
-    as_local,
     block_pmf_window,
     classical_coordinate,
     valid_j_values,
@@ -167,7 +166,6 @@ def apply_T(params, u, grid, dim):
     """The T image with full blocks embedded in ``dim`` Fock levels; same
     blocks (every block of the pmf window), weights and grid handling as
     ``qlan.lan_channels.apply_T``."""
-    u = as_local(u)
     js, probs, dropped = block_pmf_window(params, u)
     g = classical_coordinate(params, js)
     ksd = math.sqrt(0.5 / math.sqrt(params.n))
@@ -250,7 +248,6 @@ def blockwise_distance(mix, params, u):
     """sum_j || q_j tau_j - p_{n,u}(j) rho_j ||_1 with full block states,
     for a :class:`DenseMixture`, over every lattice row either side has;
     the pmf window's outside mass enters as itself."""
-    u = as_local(u)
     j_p, p_probs, p_drop = block_pmf_window(params, u)
     p_map = {float(j): float(p) for j, p in zip(j_p, p_probs)}
     q_map = {

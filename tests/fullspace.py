@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.special import gammaln
 
-from qlan.spin_blocks import _two_j, as_local
+from qlan.spin_blocks import _two_j, gauge_angle
 from qlan.tolerances import VALIDATION_TOL
 
 _HALF_X = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
@@ -192,11 +192,10 @@ def rotation_unitary(j, v) -> np.ndarray:
 def block_state(params, u, j) -> np.ndarray:
     """Block j's full (2j+1)-level state: the normalized geometric weights
     p_u^k on the k-ladder, conjugated by the dense block rotation."""
-    u = as_local(u)
     tj = _two_j(params.n, j)
     w = params.p_u(u) ** np.arange(tj + 1, dtype=float)
     rn = math.sqrt(params.n)
-    r = rotation_unitary(tj / 2.0, (u.ux / rn, u.uy / rn))
+    r = rotation_unitary(tj / 2.0, (u[0] / rn, u[1] / rn))
     return (r * (w / w.sum())) @ r.conj().T
 
 
@@ -209,14 +208,13 @@ def full_ladder_state(params, u, j, n_vec: int) -> np.ndarray:
     the unshifted form cos(theta) (j - k) of R J_z R^dag rounds at j eps and
     agrees with this one only to about 1e-14 in trace norm at n = 400.
     """
-    u = as_local(u)
     tj = _two_j(params.n, j)
     d = tj + 1
     n_vec = min(n_vec, d)
     k = np.arange(d, dtype=float)
     w = params.p_u(u) ** k
     w /= w.sum()
-    theta = 2.0 * math.hypot(u.ux, u.uy) / math.sqrt(params.n)
+    theta = 2.0 * math.hypot(u[0], u[1]) / math.sqrt(params.n)
     if theta < 1e-30 or d == 1:
         # inverse iteration on couplings this weak underflows its pivots;
         # they move no entry by more than about 1e-27
@@ -230,7 +228,7 @@ def full_ladder_state(params, u, j, n_vec: int) -> np.ndarray:
             math.cos(theta) * k, off, k[:n_vec] - shift, np.ones(d, dtype=np.int32), split
         )
         assert info == 0
-    return fock_basis((z * w[:n_vec]) @ z.T, u.phase_angle)
+    return fock_basis((z * w[:n_vec]) @ z.T, gauge_angle(u))
 
 
 def fock_basis(corner: np.ndarray, chi: float) -> np.ndarray:

@@ -29,7 +29,6 @@ from qlan.risk_bench import (
     reference_risks,
 )
 from qlan.spin_blocks import (
-    LocalParams,
     ModelParams,
     block_probability,
     block_state,
@@ -273,7 +272,7 @@ def test_acceptance_09_block_decomposition_equals_tensor_power():
         (8, 0.75, (0.8, -0.8, 0.5)),
     ]:
         params = ModelParams(mu, n)
-        ul = LocalParams(*u)
+        ul = u
         target = tensor_power(local_qubit_state(mu, np.asarray(u) / math.sqrt(n)), n)
         iso = isotypic_isometries(n)
         weights = {j: block_probability(params, ul, j) for j in iso}

@@ -29,7 +29,7 @@ from qlan.lan_channels import (
 )
 from qlan.qsde import JointWaveVector
 from qlan.risk_bench import RiskReport
-from qlan.spin_blocks import LocalParams, ModelParams, local_qubit_state
+from qlan.spin_blocks import ModelParams, local_qubit_state
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -63,7 +63,7 @@ def test_lan_observers_read_one_sweep_row():
     ``hybrid_trace_distance``'s first argument."""
     tracer = _tracer()
     observers = {fn: obs for mod, fn, obs in tracer.FUNCTIONS if mod == "lan_channels"}
-    params, u = ModelParams(0.8, 20), LocalParams(1.0, 1.0, 0.5)
+    params, u = ModelParams(0.8, 20), (1.0, 1.0, 0.5)
     gp = GaussianLimitParams(params.mu, u)
     counts = defaultdict(float)
     t_state = apply_T(block_data(params, u))

@@ -25,6 +25,15 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """Parse an output as strict JSON: a NaN, Infinity or -Infinity token fails."""
+
+    def no_constant(token):
+        raise AssertionError(f"invalid JSON token {token}")
+
+    return json.loads(text, parse_constant=no_constant)
+
+
 def test_risk_rejects_degenerate_mu0(capsys):
     code, out, err = run_cli(
         ["risk", "--mu0", "0.5", "--trials", "100", "--n", "1000"], capsys
@@ -53,6 +62,29 @@ def test_n_list_takes_exact_integers(capsys, text, message):
     assert exc.value.code == 2
     assert f"argument --n-list: {message}" in capsys.readouterr().err
     assert build_parser().parse_args(["risk", "--n-list", "1e3,2000"]).n_list == (1000, 2000)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lan-dist", "--u", "nan,0,0", "--n-list", "20"], "--u: 'nan' is not a number"),
+        (["estimate", "--u", "nan,0,0"], "--u: 'nan' is not a number"),
+        (["lan-dist", "--n-list", "20", "--u", "0,0,inf", "--format", "json"], "--u: 'inf' overflows"),
+        (["hoeffding", "--eps", "nan", "--format", "json"], "--eps: 'nan' is not a number"),
+        (["hoeffding", "--eps-list", "0.1,-inf"], "--eps-list: '-inf' overflows"),
+        (["qsde-check", "--t", "nan"], "--t: 'nan' is not a number"),
+        (["qsde-check", "--t", "inf"], "--t: 'inf' overflows"),
+        (["risk", "--mu0", "1e400"], "--mu0: '1e400' overflows"),
+    ],
+)
+def test_float_flags_take_finite_numbers(capsys, argv, message):
+    """Every float flag, the u triple and the float lists refuse nan and inf
+    by name, before any output."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"argument {message}" in captured.err
 
 
 def test_integer_flags_take_exponent_form(capsys):
@@ -100,7 +132,7 @@ def test_lan_dist_json_structure(capsys):
         ["lan-dist", "--n-list", "20,50", "--format", "json"], capsys
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert set(payload) == {"config", "rows", "slope_T", "slope_S"}
     assert payload["config"]["mu"] == 0.8
     assert [r["n"] for r in payload["rows"]] == [20, 50]
@@ -118,7 +150,7 @@ def test_lan_dist_runs_past_the_typical_set(argv, capsys):
     one finite row per n."""
     code, out, err = run_cli(["lan-dist", *argv, "--format", "json"], capsys)
     assert code == 0 and err == ""
-    rows = json.loads(out)["rows"]
+    rows = strict_json(out)["rows"]
     assert [r["n"] for r in rows] == [int(n) for n in argv[-1].split(",")]
     keys = ("dist_T", "dist_S", "corner_bound_T", "corner_bound_S", "dropped")
     for r in rows:
@@ -136,11 +168,7 @@ def test_lan_dist_without_two_distinct_n_has_no_slope(n_list, capsys):
     assert all(np.isfinite(float(x)) for row in rows for x in row[1:3])
     code, out, _ = run_cli(["lan-dist", "--n-list", n_list, "--format", "json"], capsys)
     assert code == 0
-
-    def no_constant(token):
-        raise AssertionError(f"invalid JSON token {token}")
-
-    payload = json.loads(out, parse_constant=no_constant)
+    payload = strict_json(out)
     assert payload["slope_T"] is None and payload["slope_S"] is None
 
 
@@ -165,7 +193,7 @@ def test_risk_reruns_are_byte_identical(tmp_path, capsys):
     assert b1 == f2.read_bytes()
     assert len(b1) > 0
     assert not (tmp_path / "a.json.tmp").exists()
-    payload = json.loads(b1)
+    payload = strict_json(b1)
     assert payload["config"]["seed"] == 20260801
     assert payload["reference"] == 3.75
 
@@ -176,7 +204,7 @@ def test_risk_csv_columns_are_the_json_row_keys(capsys):
     args = ["risk", "--n", "2000", "--trials", "60", "--seed", "3"]
     code, out, _ = run_cli(args, capsys)
     assert code == 0
-    rows = json.loads(out)["rows"]
+    rows = strict_json(out)["rows"]
     code, out, _ = run_cli([*args, "--format", "csv"], capsys)
     assert code == 0
     header, *lines = out.strip().split("\n")
@@ -201,7 +229,7 @@ def test_risk_no_truncate_flag(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    assert json.loads(out)["config"]["truncate"] is False
+    assert strict_json(out)["config"]["truncate"] is False
 
 
 def test_config_file_precedence(tmp_path, capsys):
@@ -216,7 +244,7 @@ def test_config_file_precedence(tmp_path, capsys):
         ["estimate", "--config", str(cfg), "--mu0", "0.75"], capsys
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     # flag beats file, file beats default
     assert payload["config"]["mu0"] == 0.75
     assert payload["config"]["u"] == [1.0, 0.0, 0.0]
@@ -238,11 +266,12 @@ def test_config_file_bad_line(tmp_path, capsys):
         ("trails = 50", "unknown key 'trails'"),
         ("format = xml", "format = 'xml'"),
         ("truncate = flase", "truncate = 'flase'"),
+        ("eta = nan", "eta = 'nan': 'nan' is not a number"),
     ],
 )
 def test_config_file_values_are_checked(tmp_path, capsys, line, message):
-    """An unknown key, a value outside the flag's choices and a word that is
-    not a boolean each exit 2 and name the file line."""
+    """An unknown key, a value outside the flag's choices, a word that is
+    not a boolean and a non-finite float each exit 2 and name the file line."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
     code, out, err = run_cli(
@@ -292,7 +321,7 @@ def test_config_file_shortcut_keys(tmp_path, capsys):
     off.write_text("truncate = off\nn = 2000\n")
     code, out, _ = run_cli(["risk", "--trials", "60", "--config", str(off)], capsys)
     assert code == 0
-    assert json.loads(out)["config"]["truncate"] is False
+    assert strict_json(out)["config"]["truncate"] is False
 
 
 def test_estimate_is_json_only(tmp_path, capsys):
@@ -327,7 +356,7 @@ def test_estimate_output_fields(capsys):
         capsys,
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert set(payload) == {
         "config",
         "stage1",
@@ -498,7 +527,7 @@ def test_qsde_check_probes_a_spin_of_odd_n(capsys):
         ["qsde-check", "--n-list", "1001,4001", "--collisions", "60", "--format", "json"], capsys
     )
     assert code == 0
-    rows = json.loads(out)["rows"]
+    rows = strict_json(out)["rows"]
     assert [row["j"] for row in rows] == [428.5, 1503.5] * 2
 
 
@@ -514,7 +543,7 @@ def test_qsde_check_probes_the_edge_of_its_window(eps, capsys):
         capsys,
     )
     assert code == 0
-    for row in json.loads(out)["rows"]:
+    for row in strict_json(out)["rows"]:
         n = row["n"]
         assert row["j"] == round(0.25 * n + n ** (0.5 + eps))
         assert math.sqrt(2.0 * (1.0 - row["overlap"])) < row["bound"]
@@ -557,7 +586,7 @@ def test_qsde_check_reports_the_richardson_clamp(capsys):
         capsys,
     )
     assert code == 0
-    rows = json.loads(out)["rows"]
+    rows = strict_json(out)["rows"]
     assert len(rows) == 4
     for row in rows:
         assert row["overlap"] == min(row["overlap_richardson"], 1.0)
@@ -610,6 +639,6 @@ def test_gaussian_limit_commands_never_load_scipy():
         check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    loaded = strict_json(proc.stdout.splitlines()[-1])
     assert len(loaded) == 5
     assert all(mods == [] for mods in loaded.values()), loaded

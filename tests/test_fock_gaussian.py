@@ -30,7 +30,7 @@ from dense_channels import (
 from fullspace import fock_basis, spin_matrices
 from qlan.fock_gaussian import GaussianLimitParams, HeterodyneSampler, displaced_thermal
 from qlan.operator_core import trace_norm_distance
-from qlan.spin_blocks import LocalParams, ModelParams, block_state, block_vector
+from qlan.spin_blocks import ModelParams, block_state, block_vector, gauge_angle
 
 
 def sample_heterodyne(rho, rng, size):
@@ -40,7 +40,7 @@ def sample_heterodyne(rho, rng, size):
 
 def limit_state(gp):
     """The displaced thermal state's certified corner in the Fock basis."""
-    return fock_basis(displaced_thermal(gp)[0], gp.u.phase_angle)
+    return fock_basis(displaced_thermal(gp)[0], gauge_angle(gp.u))
 
 
 def mean_number(rho):
@@ -49,12 +49,12 @@ def mean_number(rho):
 
 
 def test_limit_params_derived_quantities():
-    gp = GaussianLimitParams(0.75, LocalParams(1.0, 0.0, 0.0))
+    gp = GaussianLimitParams(0.75, (1.0, 0.0, 0.0))
     assert gp.p == pytest.approx(1.0 / 3.0)
     assert gp.beta == pytest.approx(1j * math.sqrt(0.5))
     assert gp.classical_var == pytest.approx(0.1875)
     with pytest.raises(ValueError):
-        GaussianLimitParams(0.5, LocalParams(0.0, 0.0, 0.0))
+        GaussianLimitParams(0.5, (0.0, 0.0, 0.0))
 
 
 def test_thermal_state_matrix_elements():
@@ -94,14 +94,14 @@ def test_displacement_creates_coherent_state():
 def test_displaced_thermal_two_routes_agree():
     """Unitary displacement of the thermal state vs Gauss-Hermite mixture
     of coherent states: independent constructions of the same state."""
-    gp = GaussianLimitParams(0.75, LocalParams(1.0, -0.5, 0.3))
+    gp = GaussianLimitParams(0.75, (1.0, -0.5, 0.3))
     a = dense_displaced_thermal(gp, 40, method="displace")
     b = dense_displaced_thermal(gp, 40, method="mixture")
     assert trace_norm_distance(a, b) < 1e-6
 
 
 def test_displaced_thermal_moments():
-    gp = GaussianLimitParams(0.8, LocalParams(0.7, 0.4, 0.0))
+    gp = GaussianLimitParams(0.8, (0.7, 0.4, 0.0))
     rho = limit_state(gp)
     nbar = gp.p / (1.0 - gp.p)
     assert mean_annihilation(rho) == pytest.approx(gp.beta, abs=1e-9)
@@ -110,7 +110,7 @@ def test_displaced_thermal_moments():
 
 def test_displaced_thermal_pinned_oracle():
     # mu = 3/4, u = (1, 0, 0): Tr(rho a) = i / sqrt(2)
-    gp = GaussianLimitParams(0.75, LocalParams(1.0, 0.0, 0.0))
+    gp = GaussianLimitParams(0.75, (1.0, 0.0, 0.0))
     rho = limit_state(gp)
     assert mean_annihilation(rho) == pytest.approx(1j * math.sqrt(0.5), abs=1e-10)
 
@@ -122,7 +122,7 @@ def test_q_function_vacuum_and_mass():
     z = 0.8 - 0.6j
     assert q_function(vac, z) == pytest.approx(math.exp(-1.0) / math.pi, abs=1e-12)
 
-    gp = GaussianLimitParams(0.75, LocalParams(0.6, -0.8, 0.0))
+    gp = GaussianLimitParams(0.75, (0.6, -0.8, 0.0))
     rho = limit_state(gp)
     g = np.linspace(-6.0, 6.0, 241)
     X, Y = np.meshgrid(g, g)
@@ -175,7 +175,7 @@ def test_heterodyne_fock_state_is_gamma_with_uniform_angle(k):
 
 
 def test_heterodyne_displaced_thermal_marginals():
-    gp = GaussianLimitParams(0.75, LocalParams(1.0, 0.0, 0.0))
+    gp = GaussianLimitParams(0.75, (1.0, 0.0, 0.0))
     rho = limit_state(gp)
     rng = np.random.default_rng(44)
     z = sample_heterodyne(rho, rng, 12000)
@@ -190,7 +190,7 @@ def test_heterodyne_displaced_thermal_marginals():
 def test_heterodyne_rescaled_recovers_local_parameter():
     """Im/Re of z, rescaled by 1/sqrt(2 mu - 1), center on (u_x, u_y)."""
     mu = 0.75
-    u = LocalParams(1.0, 0.0, 0.0)
+    u = (1.0, 0.0, 0.0)
     rho = limit_state(GaussianLimitParams(mu, u))
     rng = np.random.default_rng(45)
     z = sample_heterodyne(rho, rng, 20000)
@@ -239,7 +239,7 @@ def test_heterodyne_envelope_bounds_angle_density(parts, s, theta):
 
 
 def _rotated_block():
-    return block_state(ModelParams(0.75, 400), LocalParams(1.5, -1.0, 0.5), 100.0)
+    return block_state(ModelParams(0.75, 400), (1.5, -1.0, 0.5), 100.0)
 
 
 def test_heterodyne_radius_follows_gamma_mixture():

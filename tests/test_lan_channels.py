@@ -30,18 +30,20 @@ from qlan.lan_channels import (
     hybrid_trace_distance,
 )
 from qlan.spin_blocks import (
-    LocalParams,
     ModelParams,
+    block_corners,
     block_pmf_window,
     block_state,
     classical_coordinate,
+    gauge_angle,
+    local_qubit_state,
     typical_set,
     valid_j_values,
 )
 from qlan.operator_core import embed_block
 from qlan.tolerances import CORNER_TAIL_MASS, WINDOW_TAIL_MASS
 
-U0 = LocalParams(0.0, 0.0, 0.0)
+U0 = (0.0, 0.0, 0.0)
 
 
 def test_package_imports_without_np_trapz():
@@ -102,7 +104,7 @@ def test_default_grid_covers_support():
 
 
 def test_gaussian_limit_structure():
-    gp = GaussianLimitParams(0.75, LocalParams(1.0, 0.0, 0.3))
+    gp = GaussianLimitParams(0.75, (1.0, 0.0, 0.3))
     state = gaussian_limit(gp)
     # a one-block mixture: weights f(x), one displaced thermal block
     assert state.blocks.shape == (1, state.dim, state.dim)
@@ -111,7 +113,7 @@ def test_gaussian_limit_structure():
     mean, var = moments(state.classical)
     assert mean == pytest.approx(0.3, abs=1e-9)
     assert var == pytest.approx(0.1875, abs=1e-8)
-    assert state.chi == gp.u.phase_angle
+    assert state.chi == gauge_angle(gp.u)
     rho = fock_basis(state.blocks[0], state.chi)
     assert dense_channels.mean_annihilation(rho) == pytest.approx(gp.beta, abs=1e-9)
 
@@ -125,12 +127,12 @@ def test_limit_corner_matches_displaced_thermal(mu, u):
     levels) cut to the same levels, and its tail bounds the dense one's.
     Both channels take their limit state from this one builder, real in
     the gauge of u."""
-    gp = GaussianLimitParams(mu, LocalParams(*u))
+    gp = GaussianLimitParams(mu, u)
     phi, tail = displaced_thermal(gp)
     assert phi.dtype == np.float64
     dim = phi.shape[0]
     dense = dense_channels.dense_displaced_thermal(gp, 3 * dim)
-    rho = fock_basis(phi, gp.u.phase_angle)
+    rho = fock_basis(phi, gauge_angle(gp.u))
     assert np.abs(np.linalg.eigvalsh(rho - dense[:dim, :dim])).sum() <= 1e-13
     assert float(dense.diagonal()[dim:].real.sum()) <= tail <= CORNER_TAIL_MASS
     limit = gaussian_limit(gp)
@@ -144,7 +146,7 @@ def test_limit_corner_matches_displaced_thermal(mu, u):
 def test_apply_t_classical_marginal_moments():
     """The T image's classical part is sum_j p_{n,u}(j) N(g_n(j), 1/(2 sqrt(n)))."""
     params = ModelParams(0.75, 400)
-    u = LocalParams(0.0, 0.0, 0.5)
+    u = (0.0, 0.0, 0.5)
     d = apply_T(block_data(params, u)).classical
     assert d.mass() == pytest.approx(1.0, abs=1e-9)
     # mean -> u_z, var -> mu(1-mu) + kernel variance, up to lattice effects
@@ -205,7 +207,7 @@ def test_apply_t_maps_an_offcenter_window():
     """A u_z shift that pushes the pmf off the typical set still maps: the
     channel takes the window as it is, and leaves out at most the window's
     tails."""
-    blocks = block_data(ModelParams(0.75, 400), LocalParams(0.0, 0.0, 3.0))
+    blocks = block_data(ModelParams(0.75, 400), (0.0, 0.0, 3.0))
     j_lo, j_hi = typical_set(blocks.params, 0.05)
     assert blocks.js[-1] > j_hi  # window blocks past the typical set
     state = apply_T(blocks)
@@ -215,9 +217,9 @@ def test_apply_t_maps_an_offcenter_window():
 
 def test_hybrid_distance_zero_and_errors():
     params = ModelParams(0.8, 20)
-    a = apply_T(block_data(params, LocalParams(1.0, 0.0, 0.0)))
+    a = apply_T(block_data(params, (1.0, 0.0, 0.0)))
     assert hybrid_trace_distance(a, a)[0] == pytest.approx(0.0, abs=1e-12)
-    gp = GaussianLimitParams(0.8, LocalParams(1.0, 0.0, 0.0))
+    gp = GaussianLimitParams(0.8, (1.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         hybrid_trace_distance(a, gaussian_limit(gp))  # mismatched grid
     # states on different corners: the narrower one is zero-padded
@@ -232,7 +234,7 @@ def test_hybrid_distance_zero_and_errors():
 
 def test_hybrid_distance_t_vs_limit_bounded():
     params = ModelParams(0.8, 50)
-    u = LocalParams(1.0, 1.0, 0.5)
+    u = (1.0, 1.0, 0.5)
     state = apply_T(block_data(params, u))
     gp = GaussianLimitParams(0.8, u)
     limit = gaussian_limit(gp, grid=state.classical.x)
@@ -245,14 +247,14 @@ def test_apply_s_mixture_structure():
     leaked/(2j+1) times the identity, so one phi and the leaked constants
     are the whole mixture: tau_j has unit trace, and it is PSD since phi is
     and no leak is negative."""
-    gp = GaussianLimitParams(0.75, LocalParams(0.8, -0.5, 0.4))
+    gp = GaussianLimitParams(0.75, (0.8, -0.5, 0.4))
     mix = apply_S(gp, 400)
     assert mix.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.array_equal(mix.js, valid_j_values(400))  # every cell, none cut
     limit = gaussian_limit(gp)
     assert np.array_equal(mix.phi, limit.blocks[0])
     assert mix.tail == limit.tails[0] <= CORNER_TAIL_MASS
-    assert mix.chi == gp.u.phase_angle
+    assert mix.chi == gauge_angle(gp.u)
     assert np.linalg.eigvalsh(mix.phi).min() > -1e-12
     assert np.all(mix.leaked >= -1e-15)
     for j, leak in zip(mix.js, mix.leaked):
@@ -263,7 +265,7 @@ def test_apply_s_mixture_structure():
 def test_apply_s_does_not_grow_with_n():
     """No block is stored at its size 2j + 1: at n = 6400 the whole
     mixture is a few hundred numbers and one limit corner."""
-    mix = apply_S(GaussianLimitParams(0.8, LocalParams(1.0, 1.0, 1.0)), 6400)
+    mix = apply_S(GaussianLimitParams(0.8, (1.0, 1.0, 1.0)), 6400)
     arrays = (mix.js, mix.probs, mix.phi, mix.leaked)
     assert sum(a.nbytes for a in arrays) < 2**20
 
@@ -273,11 +275,34 @@ def test_blockwise_distance_zero_against_itself():
     n = 2 it is a mixture: phi = rho_1, and the filler completes the
     one-level block j = 0 to rho_0 = 1."""
     params = ModelParams(0.75, 2)
-    u = LocalParams(0.5, 0.3, -0.2)
+    u = (0.5, 0.3, -0.2)
     blocks = block_data(params, u)
     assert list(blocks.js) == [0.0, 1.0] and blocks.dropped == 0.0
     mix = BlockMixture(blocks.js, blocks.probs, blocks.corners[1], blocks.chi)
     assert blockwise_distance(mix, blocks)[0] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [(0.1, 0.1), (0.1, 0.1, 0.05, 0.0)], ids=["short", "long"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda u: ModelParams(0.8, 50).mu_u(u),
+        lambda u: block_data(ModelParams(0.8, 50), u),
+        lambda u: block_state(ModelParams(0.8, 50), u, 15.0),
+        lambda u: block_corners(ModelParams(0.8, 50), u, np.array([15.0])),
+        lambda u: GaussianLimitParams(0.8, u),
+        lambda u: local_qubit_state(0.8, u),
+        lambda u: convergence_sweep(0.8, u, [20]),
+    ],
+    ids=["mu_u", "block_data", "block_state", "block_corners", "GaussianLimitParams",
+         "local_qubit_state", "convergence_sweep"],
+)
+def test_a_local_parameter_needs_three_components(entry, bad):
+    """Every public entry that takes u accepts a float triple and refuses a
+    sequence of another length with ValueError."""
+    entry((0.1, 0.1, 0.05))
+    with pytest.raises(ValueError):
+        entry(bad)
 
 
 def test_distances_refuse_states_in_different_gauges():
@@ -285,11 +310,11 @@ def test_distances_refuse_states_in_different_gauges():
     transverse direction, or the same corners labelled with another chi,
     is refused instead of being compared in the wrong frame."""
     params = ModelParams(0.8, 50)
-    u = LocalParams(1.0, 1.0, 0.5)
+    u = (1.0, 1.0, 0.5)
     blocks = block_data(params, u)
     t_state = apply_T(blocks)
-    other = GaussianLimitParams(0.8, LocalParams(1.0, -1.0, 0.5))
-    assert other.u.phase_angle != u.phase_angle
+    other = GaussianLimitParams(0.8, (1.0, -1.0, 0.5))
+    assert gauge_angle(other.u) != gauge_angle(u)
     with pytest.raises(ValueError, match="gauge"):
         hybrid_trace_distance(t_state, gaussian_limit(other, grid=t_state.classical.x))
     limit = gaussian_limit(GaussianLimitParams(0.8, u), grid=t_state.classical.x)
@@ -304,7 +329,7 @@ def test_distances_refuse_states_in_different_gauges():
 
 
 def test_blockwise_distance_s_channel_small():
-    gp = GaussianLimitParams(0.75, LocalParams(1.0, 1.0, 1.0))
+    gp = GaussianLimitParams(0.75, (1.0, 1.0, 1.0))
     params = ModelParams(0.75, 400)
     d, _ = blockwise_distance(apply_S(gp, 400), block_data(params, gp.u))
     assert 0.0 < d < 1.0
@@ -354,7 +379,7 @@ def test_corner_distances_match_dense_oracle(n, u):
     mu = 0.8
     row = convergence_sweep(mu, u, [n]).rows[0]
     params = ModelParams(mu, n)
-    u_eff = LocalParams(*row.u_effective)
+    u_eff = row.u_effective
     gp = GaussianLimitParams(mu, u_eff)
     j_lo, j_hi = typical_set(params, 0.2)
     g_lo, g_hi = classical_coordinate(params, np.array([j_lo, j_hi]))
@@ -386,7 +411,7 @@ def test_blockwise_distance_filler_outside_corner():
     """A mixture whose phi has only 15 levels leaks ~1e-5 into the
     maximally mixed filler; the filler outside each corner enters in
     closed form and must reproduce the dense sum of the same mixture."""
-    gp = GaussianLimitParams(0.7, LocalParams(1.0, 1.0, 1.0))
+    gp = GaussianLimitParams(0.7, (1.0, 1.0, 1.0))
     params = ModelParams(0.7, 200)
     full = apply_S(gp, 200)
     mix = BlockMixture(full.js, full.probs, full.phi[:15, :15], full.chi)
@@ -402,7 +427,7 @@ def test_s_distance_certified_where_the_limit_corner_is_wide():
     reach 201; a 40-level cut of phi put dist_S 4e-9 off the dense value
     while reporting a bound of 4e-18.  On the certified corner the dense
     oracle (a 400-level limit state) lies within the bound."""
-    gp = GaussianLimitParams(0.6, LocalParams(1.0, 1.0, 0.3))
+    gp = GaussianLimitParams(0.6, (1.0, 1.0, 0.3))
     params = ModelParams(0.6, 200)
     d, bound = blockwise_distance(apply_S(gp, 200), block_data(params, gp.u))
     dense = dense_channels.blockwise_distance(
@@ -432,7 +457,7 @@ def test_sweep_row_reports_the_mass_it_leaves_out():
     """A row's ``dropped`` is the pmf window's outside mass, the one block
     cut of both images: the T image reports it as its dropped_mass, and the
     S image keeps every lattice cell."""
-    params, u = ModelParams(0.8, 400), LocalParams(1.0, 1.0, 1.0)
+    params, u = ModelParams(0.8, 400), (1.0, 1.0, 1.0)
     row = convergence_sweep(params.mu, u, [params.n]).rows[0]
     _, _, outside = block_pmf_window(params, u)
     assert 0.0 < row.dropped == outside <= WINDOW_TAIL_MASS
@@ -445,7 +470,7 @@ def test_sweep_row_builds_one_window_and_one_corner_per_block(monkeypatch):
     """Both channels of a row take the one block picture: the pmf window is
     built once, and each of its blocks' corners once."""
     params = ModelParams(0.8, 100)
-    u = LocalParams(1.0, 1.0, 1.0)
+    u = (1.0, 1.0, 1.0)
     window = len(block_pmf_window(params, u)[0])
     calls = {"window": 0, "corner": 0}
 
@@ -469,7 +494,7 @@ def test_trace_norm_chunks_do_not_change_the_distances(monkeypatch):
     smallest chunk (4 matrices) a default row spans at least three of them
     on each side, and the floats are those of a single chunk."""
     params = ModelParams(0.8, 100)
-    u = LocalParams(1.0, 1.0, 1.0)
+    u = (1.0, 1.0, 1.0)
     gp = GaussianLimitParams(params.mu, u)
     blocks = block_data(params, u)
     t_state = apply_T(blocks)

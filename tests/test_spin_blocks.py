@@ -29,15 +29,14 @@ from fullspace import (
     tensor_power,
 )
 from qlan.spin_blocks import (
-    LocalParams,
     ModelParams,
-    as_local,
     block_corners,
     block_pmf_window,
     block_probability,
     block_state,
     classical_coordinate,
     block_vector,
+    gauge_angle,
     ladder_corner,
     ladder_level,
     local_qubit_state,
@@ -47,7 +46,7 @@ from qlan.spin_blocks import (
 )
 from qlan.tolerances import CORNER_TAIL_MASS, WINDOW_TAIL_MASS
 
-U0 = LocalParams(0.0, 0.0, 0.0)
+U0 = (0.0, 0.0, 0.0)
 
 
 def test_model_params_validation():
@@ -71,12 +70,12 @@ def test_model_params_rejects_an_array_mu(mu):
 
 def test_mu_u_admissible_window():
     params = ModelParams(0.75, 100)
-    assert params.mu_u(LocalParams(0.0, 0.0, 1.0)) == pytest.approx(0.85)
+    assert params.mu_u((0.0, 0.0, 1.0)) == pytest.approx(0.85)
     # u_z large enough to push mu_u to 1 must raise
     with pytest.raises(ValueError, match="admissible"):
-        params.mu_u(LocalParams(0.0, 0.0, 2.6))
+        params.mu_u((0.0, 0.0, 2.6))
     with pytest.raises(ValueError, match="admissible"):
-        params.mu_u(LocalParams(0.0, 0.0, -2.6))
+        params.mu_u((0.0, 0.0, -2.6))
 
 
 def test_block_probability_two_qubits():
@@ -100,7 +99,7 @@ def test_block_probability_exact_rational_oracle():
 def test_block_probability_shifted_parameter():
     """With u != 0 the weights follow the same closed form at mu_u."""
     params = ModelParams(0.6, 50)
-    u = LocalParams(0.4, -0.3, 0.7)
+    u = (0.4, -0.3, 0.7)
     mu_u = params.mu_u(u)
     for j in (25.0, 10.0, 3.0):
         want = exact_block_weight(50, j, mu_u)
@@ -110,14 +109,14 @@ def test_block_probability_shifted_parameter():
 def test_block_probability_sums_to_one():
     for n, mu in ((6, 0.75), (31, 0.65), (200, 0.9)):
         params = ModelParams(mu, n)
-        u = LocalParams(0.5, 0.2, -0.4)
+        u = (0.5, 0.2, -0.4)
         total = sum(block_probability(params, u, j) for j in valid_j_values(n))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_block_probability_factored_consistency():
     params = ModelParams(0.8, 64)
-    u = LocalParams(0.1, 0.0, 0.5)
+    u = (0.1, 0.0, 0.5)
     for j in (32.0, 20.0, 19.0, 5.0):
         b, k = block_probability_factored(params, u, j)
         assert b * k == pytest.approx(block_probability(params, u, j), rel=1e-9)
@@ -165,7 +164,7 @@ def test_typical_set_parity_and_range():
 
 def test_pmf_window_mass():
     params = ModelParams(0.75, 400)
-    u = LocalParams(1.0, 1.0, 1.0)
+    u = (1.0, 1.0, 1.0)
     js, probs, missing = block_pmf_window(params, u)
     assert missing < 1e-12
     assert probs.sum() == pytest.approx(1.0, abs=1e-11)
@@ -259,7 +258,7 @@ def test_sample_block_index_goodness_of_fit():
     mu = 1/2 at small n the walk maximum sets most of j's spread, so the
     n = 12 case sees a draw biased by 5% in P(max S >= m)."""
     for params, u, draws in (
-        (ModelParams(0.7, 40), LocalParams(0.3, -0.2, 0.4), 20_000),
+        (ModelParams(0.7, 40), (0.3, -0.2, 0.4), 20_000),
         (ModelParams(0.55, 12), U0, 100_000),
         (ModelParams(0.8, 10**4), U0, 100_000),
         (ModelParams(0.75, 10**6), U0, 100_000),
@@ -314,11 +313,11 @@ def test_block_state_two_qubit_diagonal():
 
 def test_block_state_rotation_covariance():
     params = ModelParams(0.8, 36)
-    u = LocalParams(0.9, -0.4, 0.0)
+    u = (0.9, -0.4, 0.0)
     j = 14.0
     rho = block_state(params, u, j)
-    base = block_state(params, LocalParams(0.0, 0.0, 0.0), j)
-    r = rotation_unitary(j, (u.ux / 6.0, u.uy / 6.0))  # sqrt(36) = 6
+    base = block_state(params, (0.0, 0.0, 0.0), j)
+    r = rotation_unitary(j, (u[0] / 6.0, u[1] / 6.0))  # sqrt(36) = 6
     assert np.allclose(rho, r @ base @ r.conj().T, atol=1e-12)
 
 
@@ -343,7 +342,7 @@ def test_block_state_corner_truncation():
 
 def test_block_state_trace_and_positivity():
     params = ModelParams(0.66, 25)
-    u = LocalParams(1.2, 0.8, -0.5)
+    u = (1.2, 0.8, -0.5)
     for j in (12.5, 5.5):
         rho = block_state(params, u, j)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
@@ -374,12 +373,11 @@ def test_local_qubit_state_eigenvalues():
 ])
 def test_full_space_reconstruction(n, mu, u):
     params = ModelParams(mu, n)
-    ul = LocalParams(*u)
     v = np.asarray(u) / math.sqrt(n)
     target = tensor_power(local_qubit_state(mu, v), n)
     iso = isotypic_isometries(n)
-    weights = {j: block_probability(params, ul, j) for j in iso}
-    blocks = {j: block_state(params, ul, j) for j in iso}
+    weights = {j: block_probability(params, u, j) for j in iso}
+    blocks = {j: block_state(params, u, j) for j in iso}
     rebuilt = assemble_from_blocks(n, weights, blocks, iso)
     assert np.max(np.abs(rebuilt - target)) < 1e-8
 
@@ -388,8 +386,8 @@ def test_full_space_block_extraction():
     """Project the tensor power into one block and compare both factors."""
     n, mu = 4, 0.7
     params = ModelParams(mu, n)
-    u = LocalParams(0.4, 0.1, 0.3)
-    target = tensor_power(local_qubit_state(mu, np.array([u.ux, u.uy, u.uz]) / 2.0), n)
+    u = (0.4, 0.1, 0.3)
+    target = tensor_power(local_qubit_state(mu, np.array(u) / 2.0), n)
     iso = isotypic_isometries(n)
     v = iso[1.0]  # 3-dimensional block with multiplicity 3
     m = v.conj().T @ target @ v
@@ -418,7 +416,7 @@ def test_block_corners_match_dense_states(mu, u, n):
     assume(0.5 < mu + u[2] / math.sqrt(n) < 1.0)
     js = valid_j_values(n)
     corners, tails = block_corners(params, u, js)
-    chi = as_local(u).phase_angle
+    chi = gauge_angle(u)
     for corner, tail, j in zip(corners, tails, js):
         dense = fullspace.block_state(params, u, j)
         m = block_state(params, u, j).shape[0]
@@ -479,7 +477,7 @@ def test_top_of_ladder_corners_match_the_full_ladder(mu, u, n):
             assert max(sizes, default=0) < d
         full = full_ladder_state(params, u, j, _n_exact(params.p_u(u), d))
         dim = corners.shape[1]
-        rho = fock_basis(corners[0], as_local(u).phase_angle)
+        rho = fock_basis(corners[0], gauge_angle(u))
         assert _trace_norm(rho - full[:dim, :dim]) <= 1e-14
         # unrotated, the two tails are the same geometric sum, rounded apart
         assert float(full.diagonal()[dim:].real.sum()) <= tails[0] * (1.0 + 1e-12)
@@ -492,7 +490,7 @@ def test_short_leading_block_is_caught_by_the_certificate(monkeypatch):
     vectors further down the ladder.  The state that block gives is off by
     more than the tail budget; the certificate rejects it and the corner
     comes from a longer block, which matches the full ladder."""
-    params, u, j = ModelParams(0.75, 2000), LocalParams(2.5, 2.5, 0.0), 499.0
+    params, u, j = ModelParams(0.75, 2000), (2.5, 2.5, 0.0), 499.0
     dstein = lapack.dstein
     calls = []
 
@@ -511,10 +509,10 @@ def test_short_leading_block_is_caught_by_the_certificate(monkeypatch):
     # the rejected block's own state, built as the routine would have
     p = params.p_u(u)
     w = (1.0 - p) * p ** np.arange(n_vec)
-    rejected = fock_basis((short * w) @ short.T, u.phase_angle)
+    rejected = fock_basis((short * w) @ short.T, gauge_angle(u))
     assert _trace_norm(rejected - full[:size, :size]) > 100.0 * CORNER_TAIL_MASS
     dim = corners.shape[1]
-    assert _trace_norm(fock_basis(corners[0], u.phase_angle) - full[:dim, :dim]) <= 1e-14
+    assert _trace_norm(fock_basis(corners[0], gauge_angle(u)) - full[:dim, :dim]) <= 1e-14
     assert tails[0] <= CORNER_TAIL_MASS
 
 
@@ -550,7 +548,7 @@ def test_block_corners_stream_one_block_at_a_time():
     full-length ladder until all corners were built peaked at about 8.6
     times them (119 MB); a list of complex corners copied into a complex
     stack, at about 1.9 times."""
-    u = LocalParams(1.0, 1.0, 1.0)
+    u = (1.0, 1.0, 1.0)
     for mu in (0.8, 0.6):
         params = ModelParams(mu, 1600)
         js, _, _ = block_pmf_window(params, u)
@@ -575,9 +573,19 @@ def test_block_state_is_the_real_corner_phased(mu, u, n, j):
     params = ModelParams(mu, n)
     corners, _ = block_corners(params, u, [j])
     assert corners.dtype == np.float64
-    want = fock_basis(corners[0], as_local(u).phase_angle)
+    want = fock_basis(corners[0], gauge_angle(u))
     got = block_state(params, u, j)
     assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_gauge_angle_of_a_batch_is_its_columns():
+    """The exact sampler turns every draw by ``gauge_angle`` of the (3, B)
+    batch; each column's angle equals that of its own u, bit for bit."""
+    u = np.random.default_rng(3).normal(scale=3.0, size=(3, 1000))
+    u[:2, :6] = [[0.0, 1.0, -1.0, 0.0, 0.0, -0.0], [0.0, 0.0, 0.0, 2.0, -2.0, -0.0]]
+    batch = gauge_angle(u)
+    assert batch.shape == (1000,)
+    assert np.array_equal(batch, [gauge_angle(tuple(c)) for c in u.T.tolist()])
 
 
 @given(
@@ -625,7 +633,7 @@ def test_block_vector_is_the_rotated_ladder_state(mu, u, n, data):
     k = data.draw(st.integers(0, d - 1))
     psi, tail = block_vector(n, u, j, k)
     assert tail <= CORNER_TAIL_MASS and len(psi) <= d
-    chi = as_local(u).phase_angle
+    chi = gauge_angle(u)
     want = rotation_unitary(j, (u[0] / math.sqrt(n), u[1] / math.sqrt(n)))[:, k]
     got = np.exp(1j * chi * np.arange(len(psi))) * psi
     overlap = abs(np.vdot(want[: len(psi)], got))
