@@ -32,6 +32,7 @@ from .qsde import collision_integrate, xi_error_bound, xi_overlap, xi_state
 from .risk_bench import (
     RiskConfig,
     hoeffding_check,
+    json_report,
     local_sup_risk,
     loss_fidelity,
     loss_local,
@@ -74,12 +75,9 @@ def _parse_int(text: str) -> int:
     return int(value)
 
 
-def _parse_int_list(text: str) -> tuple:
-    return tuple(_parse_int(p) for p in text.split(","))
-
-
-def _parse_float_list(text: str) -> tuple:
-    return tuple(_parse_float(p) for p in text.split(","))
+def _list_of(parse):
+    """A parser of comma-separated items, each read by ``parse``."""
+    return lambda text: tuple(parse(p) for p in text.split(","))
 
 
 def _parse_bool(text: str) -> bool:
@@ -96,9 +94,9 @@ FLAGS = {
     "mu0": (_parse_float, None, "eigenvalue of the centre state, in (1/2, 1)"),
     "u": (_parse_triple, None, "local parameter ux,uy,uz"),
     "n": (_parse_int, None, "number of qubits"),
-    "n_list": (_parse_int_list, None, "comma-separated numbers of qubits"),
+    "n_list": (_list_of(_parse_int), None, "comma-separated numbers of qubits"),
     "eps": (_parse_float, None, "localization exponent"),
-    "eps_list": (_parse_float_list, None, "comma-separated localization exponents"),
+    "eps_list": (_list_of(_parse_float), None, "comma-separated localization exponents"),
     "eta": (_parse_float, None, "truncation exponent: local components above 3 n^eta are cut"),
     "kappa": (_parse_float, None, "stage 1 measures ceil(n^(1 - kappa)) qubits"),
     "seed": (_parse_int, None, "random seed"),
@@ -126,17 +124,11 @@ def _csv_cell(v) -> str:
     return repr(float(v)) if isinstance(v, float) else str(v)
 
 
-def _finite_or_none(d: dict) -> dict:
-    return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in d.items()}
-
-
 def _emit_rows(rows: list, cols, config: dict, fmt: str, out: str | None, **totals) -> None:
     """Write rows as CSV (columns ``cols``; a column a row lacks takes its
-    ``totals`` value) or as JSON {"config", "rows", **totals}, where a
-    non-finite float in a row or a total becomes null."""
+    ``totals`` value) or as the JSON document of :func:`json_report`."""
     if fmt == "json":
-        rows = [_finite_or_none(r) for r in rows]
-        text = json.dumps({"config": config, "rows": rows, **_finite_or_none(totals)}, indent=2)
+        text = json_report(config, rows, **totals)
     else:
         lines = [",".join(cols)]
         lines += [",".join(_csv_cell(r.get(c, totals.get(c))) for c in cols) for r in rows]
@@ -205,27 +197,24 @@ def cmd_qsde_check(spec: dict) -> int:
     # Probe the edge of the bound's window, the spin of n qubits nearest j_n +
     # n^(1/2+eps): there the |j - j_n|/n term dominates the closed-form error,
     # which scales as the bound (a factor 2^(1 - 2 eps) per quadrupling of n).
-    rows = []
-    for m in (1, 2):
-        deficits = []
-        for n in spec["n_list"]:
-            params = ModelParams(spec["mu"], int(n))
-            half = (n % 2) / 2.0
-            j = min(half + round(params.j_n + float(n) ** (0.5 + spec["eps"]) - half), n / 2.0)
-            xi = xi_state(params, j, m, spec["t"])
-            waves = [
-                collision_integrate(params, j, m, spec["t"], k)
-                for k in (spec["collisions"], spec["collisions"] // 2)
-            ]
-            ov_full, ov_half = (xi_overlap(w, xi) for w in waves)
+    # One run from levels 1 and 2 serves both probes: sector m reads level m only.
+    rows, deficits = {1: [], 2: []}, {1: [], 2: []}
+    for n in spec["n_list"]:
+        params = ModelParams(spec["mu"], int(n))
+        half = (n % 2) / 2.0
+        j = min(half + round(params.j_n + float(n) ** (0.5 + spec["eps"]) - half), n / 2.0)
+        waves = [
+            collision_integrate(params, j, (0, 1, 1), spec["t"], k)
+            for k in (spec["collisions"], spec["collisions"] // 2)
+        ]
+        for m in (1, 2):
+            ov_full, ov_half = (xi_overlap(w, xi_state(params, j, m, spec["t"])) for w in waves)
             # Richardson in 1/K removes the leading discretization error; it can
             # overshoot 1, so it is clamped and the deficit floored at 1e-16
             ov_rich = 2.0 * ov_full - ov_half
             ov = min(ov_rich, 1.0)
-            deficit = math.sqrt(2.0 * max(1.0 - ov, 1e-16))
-            deficits.append(deficit)
-            bound = xi_error_bound(params, j, m, spec["eps"])
-            rows.append(
+            deficits[m].append(math.sqrt(2.0 * max(1.0 - ov, 1e-16)))
+            rows[m].append(
                 {
                     "n": int(n),
                     "j": float(j),
@@ -233,16 +222,17 @@ def cmd_qsde_check(spec: dict) -> int:
                     "t": spec["t"],
                     "overlap": ov,
                     "overlap_richardson": ov_rich,
-                    "bound": bound,
+                    "bound": xi_error_bound(params, j, m, spec["eps"]),
                     "richardson_delta": ov_full - ov_half,
-                    "norm_drift": max(abs(w.norm() - 1.0) for w in waves),
+                    "norm_drift": max(abs(math.sqrt(w.sector_norms_sq[m]) - 1.0) for w in waves),
                 }
             )
-        slope = loglog_slope(spec["n_list"], deficits)
-        for row in rows[-len(deficits) :]:  # this m's rows
+    for m in rows:
+        slope = loglog_slope(spec["n_list"], deficits[m])
+        for row in rows[m]:
             row["slope"] = slope
     _emit_rows(
-        rows,
+        rows[1] + rows[2],
         ("n", "j", "m", "t", "overlap", "bound", "slope", "richardson_delta", "norm_drift"),
         {k: spec[k] for k in ("mu", "n_list", "t", "collisions", "eps")},
         spec["format"],

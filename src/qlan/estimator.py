@@ -28,7 +28,7 @@ import numpy as np
 from .fock_gaussian import HeterodyneSampler
 from .operator_core import density_to_bloch, validate_density
 from .qsde import energy_measurement_sample
-from .spin_blocks import block_vector, gauge_angle, ladder_level, sample_block_index
+from .spin_blocks import block_vector, gauge_angle, kernel_sd, ladder_level, sample_block_index
 from .tolerances import MODEL_MARGIN
 
 
@@ -260,19 +260,19 @@ def _exact_stage2(mu, mu_u, n: int, u, rng: np.random.Generator):
     2 sqrt(t) + t of the block state's law in total variation, t = ``CORNER_TAIL_MASS``."""
     js = sample_block_index(n, mu_u, rng)
     ks = ladder_level((1.0 - mu_u) / mu_u, 2.0 * js + 1.0, rng.random(len(mu)))
-    keys = np.vstack([ks, js, u[::-1], mu])  # lexsort orders by mu, u_x, u_y, u_z, j, then k
-    order = np.lexsort(keys)
-    first = np.ones(len(order), dtype=bool)  # the first column of each group
-    first[1:] = np.any(np.diff(keys[:, order], axis=1) != 0.0, axis=0)
+    _, group, counts = np.unique(
+        np.vstack([mu, u, js, ks]), axis=1, return_inverse=True, return_counts=True
+    )
     zs = np.exp(1j * gauge_angle(u))
-    for c, cols in zip(order[first], np.split(order, np.flatnonzero(first)[1:])):
+    for cols in np.split(np.argsort(group, kind="stable"), np.cumsum(counts))[:-1]:
+        c = cols[0]
         sampler = HeterodyneSampler(block_vector(n, u[:, c], js[c], ks[c])[0])
         zs[cols] *= sampler.sample(rng, size=len(cols))
     scale, rn = 1.0 / np.sqrt(2.0 * mu - 1.0), math.sqrt(n)
     # monitoring time n: the readout variance 1/(4n) is negligible next
     # to the block spread
     x_e = energy_measurement_sample(n, js, float(n), rng)
-    g = x_e - rn * (mu - 0.5) + rng.normal(0.0, math.sqrt(0.5 / rn), size=len(mu))
+    g = x_e - rn * (mu - 0.5) + rng.normal(0.0, kernel_sd(n), size=len(mu))
     return np.imag(zs) * scale, -np.real(zs) * scale, g
 
 

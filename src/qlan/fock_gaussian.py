@@ -28,8 +28,8 @@ class GaussianLimitParams:
     """Parameters (mu, u) of the limiting classical x quantum Gaussian pair.
 
     Derived quantities: ``p`` (thermal ratio), ``beta`` (displacement of
-    the oscillator state, sqrt(2 mu - 1) (-u_y + i u_x)), ``classical_mean``
-    / ``classical_var`` (the N(u_z, mu(1-mu)) marginal).
+    the oscillator state, sqrt(2 mu - 1) (-u_y + i u_x)) and
+    ``classical_var`` (the variance of the N(u_z, mu(1-mu)) marginal).
     """
 
     mu: float
@@ -48,10 +48,6 @@ class GaussianLimitParams:
     @property
     def beta(self) -> complex:
         return math.sqrt(2.0 * self.mu - 1.0) * complex(-self.u[1], self.u[0])
-
-    @property
-    def classical_mean(self) -> float:
-        return self.u[2]
 
     @property
     def classical_var(self) -> float:

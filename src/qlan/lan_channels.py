@@ -39,6 +39,7 @@ from .spin_blocks import (
     block_pmf_window,
     classical_coordinate,
     gauge_angle,
+    kernel_sd,
     typical_set,
     valid_j_values,
 )
@@ -140,11 +141,6 @@ def default_grid(
     return lo + step * np.arange(npts)
 
 
-def _kernel_sd(n: int) -> float:
-    """Standard deviation sqrt(1/(2 sqrt(n))) of the T-channel smoothing kernel."""
-    return math.sqrt(0.5 / math.sqrt(n))
-
-
 def _normal_pdf(x, loc, scale):
     """N(loc, scale^2) density, in the arithmetic of scipy.stats.norm.pdf
     (whose import alone costs about half a second)."""
@@ -156,7 +152,7 @@ def covering_grid(params: ModelParams, center: float, g_lo: float, g_hi: float) 
     """``default_grid`` around ``center``, widened to [g_lo - 8 ksd,
     g_hi + 8 ksd] so that it covers every smoothing kernel of blocks whose
     coordinates lie in [g_lo, g_hi] (ksd = kernel standard deviation)."""
-    ksd = _kernel_sd(params.n)
+    ksd = kernel_sd(params.n)
     return default_grid(
         params.mu,
         center,
@@ -174,8 +170,8 @@ def gaussian_limit(
     (``displaced_thermal``), and the mass outside it is reported in ``tails``.
     """
     if grid is None:
-        grid = default_grid(gp.mu, gp.classical_mean)
-    f = _normal_pdf(grid, gp.classical_mean, math.sqrt(gp.classical_var))
+        grid = default_grid(gp.mu, gp.u[2])
+    f = _normal_pdf(grid, gp.u[2], math.sqrt(gp.classical_var))
     classical = ClassicalDensity(grid, f)
     phi, tail = displaced_thermal(gp)
     return HybridGaussianState(
@@ -192,7 +188,7 @@ def apply_T(blocks: BlockData, grid: np.ndarray | None = None) -> HybridGaussian
     g = classical_coordinate(params, blocks.js)
     if grid is None:
         grid = covering_grid(params, float(np.sum(blocks.probs * g)), g.min(), g.max())
-    kernel = _normal_pdf(grid[:, None], g[None, :], _kernel_sd(params.n))
+    kernel = _normal_pdf(grid[:, None], g[None, :], kernel_sd(params.n))
     weights = kernel * blocks.probs[None, :]
     classical = ClassicalDensity(grid, weights.sum(axis=1), expected_mass=1.0 - blocks.dropped)
     return HybridGaussianState(
@@ -321,7 +317,7 @@ def apply_S(gp: GaussianLimitParams, n: int) -> BlockMixture:
     lo[0] = -np.inf
     hi[-1] = np.inf
     sd = math.sqrt(gp.classical_var)
-    q = ndtr((hi - gp.classical_mean) / sd) - ndtr((lo - gp.classical_mean) / sd)
+    q = ndtr((hi - gp.u[2]) / sd) - ndtr((lo - gp.u[2]) / sd)
     return BlockMixture(j_lattice, q, phi, gauge_angle(gp.u), tail)
 
 
@@ -423,7 +419,7 @@ def convergence_sweep(mu: float, u, n_list) -> SweepResult:
         j_lo, j_hi = typical_set(params, GRID_TYPICAL_EPS)
         js = blocks.js
         g = classical_coordinate(params, np.array([min(j_lo, js[0]), max(j_hi, js[-1])]))
-        grid = covering_grid(params, gp.classical_mean, *g)
+        grid = covering_grid(params, gp.u[2], *g)
         t_state = apply_T(blocks, grid=grid)
         dist_t, bound_t = hybrid_trace_distance(t_state, gaussian_limit(gp, grid=grid))
         dist_s, bound_s = blockwise_distance(apply_S(gp, params.n), blocks)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .tolerances import VALIDATION_TOL
 
-def validate_density(m, tol: float = VALIDATION_TOL) -> np.ndarray:
+def validate_density(m) -> np.ndarray:
     """Check that ``m`` is a density matrix and return it as a complex array.
 
     Raises ``ValueError`` naming the violated invariant (shape, Hermiticity,
@@ -23,19 +23,20 @@ def validate_density(m, tol: float = VALIDATION_TOL) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {m.shape}")
     herm_dev = float(np.max(np.abs(m - m.conj().T)))
-    if herm_dev > tol:
+    if herm_dev > VALIDATION_TOL:
         raise ValueError(
-            f"matrix is not Hermitian: max |m - m^dag| = {herm_dev:.3e} exceeds {tol:.1e}"
+            f"matrix is not Hermitian: max |m - m^dag| = {herm_dev:.3e} "
+            f"exceeds {VALIDATION_TOL:.1e}"
         )
     trace_dev = abs(complex(np.trace(m)) - 1.0)
-    if trace_dev > tol:
+    if trace_dev > VALIDATION_TOL:
         raise ValueError(
-            f"trace differs from 1 by {trace_dev:.3e}, exceeds {tol:.1e}"
+            f"trace differs from 1 by {trace_dev:.3e}, exceeds {VALIDATION_TOL:.1e}"
         )
     w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    if w[0] < -tol:
+    if w[0] < -VALIDATION_TOL:
         raise ValueError(
-            f"negative eigenvalue {w[0]:.3e} below allowed floor -{tol:.1e}"
+            f"negative eigenvalue {w[0]:.3e} below allowed floor -{VALIDATION_TOL:.1e}"
         )
     return m
 

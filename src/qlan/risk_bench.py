@@ -27,7 +27,7 @@ import numpy as np
 from .estimator import EstimatorConfig, full_estimate, stage1
 from .operator_core import density_to_bloch, qubit_fidelity_sq
 from .spin_blocks import local_qubit_state
-from .tolerances import PROPERTY_SLACK
+from .tolerances import MODEL_MARGIN, PROPERTY_SLACK
 
 
 def loss_local(u, u_hat, mu: float):
@@ -85,10 +85,10 @@ class RiskConfig:
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
 
     def validate(self) -> "RiskConfig":
-        if not (0.5 < self.mu0 < 1.0):
+        if not self.mu0 < 1.0 or self.mu0 - 0.5 < MODEL_MARGIN:
             raise ValueError(
-                f"mu0 = {self.mu0} outside (1/2, 1): the model requires an "
-                "eigenvalue strictly above 1/2"
+                f"mu0 = {self.mu0} outside [1/2 + {MODEL_MARGIN}, 1): the model requires an "
+                "eigenvalue below 1 and at least its margin MODEL_MARGIN above 1/2"
             )
         for n in self.n_list:
             if not n >= 1:
@@ -210,14 +210,20 @@ class RiskReport:
     reference: float
 
     def to_json(self) -> str:
-        payload = {
-            "config": self.config,
-            "rows": self.rows,
-            "sup": self.sup,
-            "reference": self.reference,
-            "argmax": self.argmax,
-        }
-        return json.dumps(payload, indent=2)
+        return json_report(
+            self.config, self.rows, sup=self.sup, reference=self.reference, argmax=self.argmax
+        )
+
+
+def json_report(config: dict, rows: list, **totals) -> str:
+    """The JSON document {"config", "rows", **totals} that every table
+    output writes; a non-finite float in a row or a total becomes null."""
+    rows = [_finite(r) for r in rows]
+    return json.dumps({"config": config, "rows": rows, **_finite(totals)}, indent=2)
+
+
+def _finite(d: dict) -> dict:
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in d.items()}
 
 
 def local_sup_risk(config: RiskConfig) -> RiskReport:

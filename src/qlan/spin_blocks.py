@@ -155,6 +155,11 @@ def classical_coordinate(params: ModelParams, j) -> np.ndarray:
     return j / rn - rn * (params.mu - 0.5)
 
 
+def kernel_sd(n: int) -> float:
+    """Standard deviation sqrt(1/(2 sqrt(n))) of the kernel that smooths g_n(j)."""
+    return math.sqrt(0.5 / math.sqrt(n))
+
+
 def typical_set(params: ModelParams, eps: float) -> tuple[float, float]:
     """Window [j_n - n^(1/2+eps), j_n + n^(1/2+eps)] snapped to valid j.
 

@@ -1,9 +1,7 @@
 """Central numeric tolerance table.
 
 Every hard-coded tolerance used by the package lives here so that the
-meaning of each threshold is stated once.  Functions accept explicit
-``tol`` arguments where a caller may legitimately want to loosen a check;
-the defaults below are the contract.
+meaning of each threshold is stated once.
 """
 
 # Density-matrix validation: Hermiticity / unit trace / eigenvalue floor.

@@ -177,7 +177,7 @@ def apply_T(params, u, grid, dim):
 
 def gaussian_limit(gp, grid, dim):
     """The limit hybrid with the displaced thermal state on ``dim`` levels."""
-    f = norm.pdf(grid, loc=gp.classical_mean, scale=math.sqrt(gp.classical_var))
+    f = norm.pdf(grid, loc=gp.u[2], scale=math.sqrt(gp.classical_var))
     phi = dense_displaced_thermal(gp, dim)
     return HybridGaussianState(ClassicalDensity(grid, f), f[:, None], phi[None], np.zeros(1), 0.0)
 
@@ -223,7 +223,7 @@ def apply_S(gp, n, dim):
     params = ModelParams(gp.mu, n)
     js = valid_j_values(n)
     edges = classical_coordinate(params, js)[1:]
-    cdf = norm.cdf(edges, loc=gp.classical_mean, scale=math.sqrt(gp.classical_var))
+    cdf = norm.cdf(edges, loc=gp.u[2], scale=math.sqrt(gp.classical_var))
     q = np.diff(np.concatenate([[0.0], cdf, [1.0]]))
     if dim < n + 1:
         raise ValueError(f"dim = {dim} does not reach past the widest block ({n + 1})")

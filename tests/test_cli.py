@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 import qlan
+from qlan import cli
 from qlan.cli import COMMANDS, FLAGS, build_parser, main
+from qlan.qsde import collision_integrate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -460,6 +462,7 @@ def test_estimate_outside_model_exits_1(args, keyword, capsys):
         (["qsde-check", "--eps", "10", "--n-list", "1000"], "--eps 10:", "e+43"),
         (["qsde-check", "--eps", "0", "--n-list", "1000"], "--eps 0:", "overlap"),
         (["qsde-check", "--eps", "-1", "--n-list", "1000"], "--eps -1:", "overlap"),
+        (["risk", "--mu0", "0.549", "--n", "1000000", "--trials", "20"], "mu0 = 0.549", "1995248"),
     ],
 )
 def test_refusals_name_the_flag(args, named, unnamed, capsys):
@@ -547,6 +550,20 @@ def test_qsde_check_probes_the_edge_of_its_window(eps, capsys):
         n = row["n"]
         assert row["j"] == round(0.25 * n + n ** (0.5 + eps))
         assert math.sqrt(2.0 * (1.0 - row["overlap"])) < row["bound"]
+
+
+def test_qsde_check_integrates_twice_per_n(monkeypatch, capsys):
+    """One run from levels 1 and 2 serves both probes, at K and at K/2."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return collision_integrate(*args)
+
+    monkeypatch.setattr(cli, "collision_integrate", counted)
+    code, _, _ = run_cli(["qsde-check", "--n-list", "400,1600", "--collisions", "60"], capsys)
+    assert code == 0
+    assert [(init, k) for _, init, _, k in calls] == [((0, 1, 1), 60), ((0, 1, 1), 30)] * 2
 
 
 def test_qsde_check_refuses_one_collision(capsys):

@@ -383,7 +383,7 @@ def test_corner_distances_match_dense_oracle(n, u):
     gp = GaussianLimitParams(mu, u_eff)
     j_lo, j_hi = typical_set(params, 0.2)
     g_lo, g_hi = classical_coordinate(params, np.array([j_lo, j_hi]))
-    grid = covering_grid(params, gp.classical_mean, g_lo, g_hi)
+    grid = covering_grid(params, gp.u[2], g_lo, g_hi)
     # past every corner, so the dense limit state is not cut short either
     dim = max(int(round(2.0 * j_hi)) + 1, 80)
     dense_t = dense_channels.hybrid_trace_distance(

@@ -144,11 +144,11 @@ def test_validate_density_rejects_nonhermitian():
 
 
 def test_validate_density_rejects_bad_trace():
-    m = np.diag([0.5, 0.5 + 2e-10]).astype(complex)
+    """VALIDATION_TOL = 1e-10 is the boundary: a trace 2e-10 off raises,
+    one 5e-11 off passes."""
     with pytest.raises(ValueError, match="trace"):
-        validate_density(m, tol=1e-12)
-    # same matrix passes at a looser tolerance
-    validate_density(m, tol=1e-9)
+        validate_density(np.diag([0.5, 0.5 + 2e-10]).astype(complex))
+    validate_density(np.diag([0.5, 0.5 + 5e-11]).astype(complex))
 
 
 def test_validate_density_rejects_negative_eigenvalue():

@@ -143,6 +143,22 @@ def test_collision_sector_norms():
     assert wave2.sector_norms_sq[2] == pytest.approx(0.3, abs=1e-10)
 
 
+@pytest.mark.parametrize("K", [400, 200])
+def test_one_run_from_two_levels_carries_both_probes(K):
+    """Sector m depends on level m of the start alone: a run from
+    (0, 1, 1) gives each level's sector, sector norm and overlap exactly as
+    the run from that level does (qsde-check's default probe at n = 4000)."""
+    params = ModelParams(0.75, 4000)
+    j = round(params.j_n + 4000**0.75)
+    both = collision_integrate(params, j, (0, 1, 1), 5.0, K)
+    for m in (1, 2):
+        one = collision_integrate(params, j, m, 5.0, K)
+        xi = xi_state(params, j, m, 5.0)
+        assert both.sectors[m] == one.sectors[m]
+        assert both.sector_norms_sq[m] == one.sector_norms_sq[m]
+        assert xi_overlap(both, xi) == xi_overlap(one, xi)
+
+
 def test_collision_guards():
     with pytest.raises(ValueError):
         collision_integrate(PARAMS, 1.0, 3, 1.0, 100)  # m > 2j

@@ -14,6 +14,7 @@ from qlan.estimator import EstimatorConfig, full_estimate
 from qlan.operator_core import density_to_bloch
 from qlan.risk_bench import (
     RiskConfig,
+    RiskReport,
     _batch_rng,
     _failure_loss,
     _true_state,
@@ -87,6 +88,10 @@ def test_failure_loss_caps():
 def test_config_validation():
     with pytest.raises(ValueError, match="eigenvalue"):
         RiskConfig(mu0=0.5).validate()
+    # the estimator puts every state within MODEL_MARGIN of 1/2 outside the model
+    with pytest.raises(ValueError, match="mu0 = 0.549 outside \\[1/2 \\+ 0.05, 1\\)"):
+        RiskConfig(mu0=0.549).validate()
+    RiskConfig(mu0=0.55).validate()
     with pytest.raises(ValueError, match="loss"):
         RiskConfig(mu0=0.75, loss="l2").validate()
     with pytest.raises(ValueError):
@@ -275,6 +280,15 @@ def test_report_structure_and_serialization(tmp_path):
     # floats survive the round trip at full precision
     cell = lines[1].split(",")[5]
     assert float(cell) == rep.rows[0]["mean"]
+
+
+def test_report_json_writes_null_for_a_non_finite_float():
+    """``to_json`` writes the document the CLI writes: a non-finite float in
+    a row or a total is null, so the text stays strict JSON."""
+    rep = RiskReport({"seed": 1}, [{"n": 4, "mean": math.inf}], math.nan, {"n": 4}, 1.0)
+    doc = json.loads(rep.to_json(), parse_constant=pytest.fail)
+    assert doc["sup"] is None and doc["rows"][0]["mean"] is None
+    assert doc["reference"] == 1.0 and doc["argmax"] == {"n": 4}
 
 
 @pytest.mark.parametrize("sampler", ["gaussian", "exact"])
