@@ -37,6 +37,7 @@ from .risk_bench import (
     loss_fidelity,
     loss_local,
     loss_trace_sq,
+    seeded_rng,
 )
 from .spin_blocks import ModelParams, local_qubit_state
 from .tolerances import MODEL_MARGIN
@@ -249,8 +250,7 @@ def cmd_estimate(spec: dict) -> int:
         spec["mu0"], tuple(c / math.sqrt(n) for c in spec["u"])
     )
     cfg = _estimator(spec).validate()
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec["seed"])))
-    res = full_estimate(rho_true, n, cfg, rng)
+    res = full_estimate(rho_true, n, cfg, seeded_rng(spec["seed"]))
     r_true = density_to_bloch(rho_true)
     mu_true = 0.5 * (1.0 + float(np.linalg.norm(r_true)))
     mu_tilde = float(res.stage1.mu_tilde[0])
@@ -293,9 +293,8 @@ def cmd_estimate(spec: dict) -> int:
 
 
 def cmd_hoeffding(spec: dict) -> int:
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec["seed"])))
     rows = hoeffding_check(
-        spec["n_list"], spec["eps_list"], spec["kappa"], spec["trials"], rng,
+        spec["n_list"], spec["eps_list"], spec["kappa"], spec["trials"], seeded_rng(spec["seed"]),
         mu0=spec["mu0"],
     )
     _emit_rows(

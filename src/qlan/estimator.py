@@ -140,15 +140,18 @@ def stage1(r_true, n_tilde: int, rng: np.random.Generator, size: int) -> Stage1R
 
     Axis i receives ceil((n_tilde - i)/3) copies; the empirical Bloch
     vector is radially projected into the unit ball if needed and the
-    preliminary eigenvalue is mu_tilde = (1 + |r|) / 2.
+    preliminary eigenvalue is mu_tilde = (1 + |r|) / 2.  The heads are
+    drawn axis by axis, ``size`` at a time, so the first B' trials of a
+    batch of B are not a batch of B'.
     """
     if n_tilde < 3:
         raise ValueError(f"n_tilde = {n_tilde} too small for three axes")
     counts = np.array([math.ceil((n_tilde - i) / 3.0) for i in range(3)])
     probs = (1.0 + np.asarray(r_true, dtype=float)) / 2.0
-    heads = rng.binomial(counts, probs, size=(size, 3))
-    # drawn trial by trial; one transposing copy puts the components first
-    r_raw = np.ascontiguousarray((2.0 * heads / counts - 1.0).T)
+    heads = np.empty((3, size))
+    for i in range(3):  # one (n, p) a draw: the binomial sampler sets up once per axis
+        heads[i] = rng.binomial(counts[i], probs[i], size)
+    r_raw = 2.0 * heads / counts[:, None] - 1.0
     nrm = _norm(r_raw)
     over = nrm > 1.0
     r_proj = r_raw / np.where(over, nrm, 1.0) if np.any(over) else r_raw
@@ -159,35 +162,31 @@ def stage1(r_true, n_tilde: int, rng: np.random.Generator, size: int) -> Stage1R
     return s1
 
 
-def localize_frame(
-    r_true, s1: Stage1Result, n_rest: int
-) -> tuple[np.ndarray, np.ndarray]:
+def localize_frame(r_true, s1: Stage1Result, n_rest: int) -> tuple[np.ndarray, float]:
     """True local parameters u of the state with Bloch vector r_true in the
     stage-1 frames, and the larger eigenvalue mu_rot of the state.
 
     In a frame the true state is U(v) diag(mu_rot, 1-mu_rot) U(v)^*; the
     rotation is inverted exactly (matrix logarithm of the residual
     rotation, which for a z-to-n rotation has the closed form below), and
-    u = sqrt(n_rest) (v_x, v_y, mu_rot - mu_tilde).
+    u = sqrt(n_rest) (v_x, v_y, mu_rot - mu_tilde).  A rotation keeps
+    lengths, so mu_rot = (1 + |r_true|) / 2 is one number for all frames.
     """
-    r_rot = s1.rotate(r_true)
-    r_len = _norm(r_rot)
+    x, y, z = s1.rotate(r_true)
+    r_len = float(np.linalg.norm(r_true))
     mu_rot = 0.5 * (1.0 + r_len)
-    nx, ny, nz = r_rot / np.maximum(r_len, 1e-300)
-    denom = np.hypot(nx, ny)
-    # atan2 keeps the angle accurate near 0 and pi, where arccos(nz) loses
-    # about half the digits
-    theta = np.arctan2(denom, nz)
-    on_axis = denom < 1e-15
-    if np.any(on_axis):
-        denom = np.where(on_axis, 1.0, denom)
-    vx, vy = 0.5 * theta * ny / denom, -0.5 * theta * nx / denom
+    denom = np.hypot(x, y)
+    # atan2 is scale-free, and keeps near 0 and pi the digits arccos loses
+    theta = np.arctan2(denom, z)
+    on_axis = denom <= 1e-15 * r_len
+    rn = math.sqrt(n_rest)
+    half = (0.5 * rn) * theta / np.where(on_axis, 1.0, denom)
+    u = np.array([half * y, -half * x, rn * (mu_rot - s1.mu_tilde)])
     if np.any(on_axis):
         # on the axis: no rotation at +z, a half turn about x at -z
-        vx = np.where(on_axis, np.where(nz > 0, 0.0, math.pi / 2.0), vx)
-        vy = np.where(on_axis, 0.0, vy)
-    rn = math.sqrt(n_rest)
-    return np.array([rn * vx, rn * vy, rn * (mu_rot - s1.mu_tilde)]), mu_rot
+        u[0] = np.where(on_axis, np.where(z > 0, 0.0, rn * math.pi / 2.0), u[0])
+        u[1] = np.where(on_axis, 0.0, u[1])
+    return u, mu_rot
 
 
 def reconstruct(

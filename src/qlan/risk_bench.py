@@ -136,9 +136,9 @@ def _failure_loss(cfg: RiskConfig, grid_max_sq: float) -> float:
     return 4.0 + 4.0 * (2.0 * cfg.mu0 - 1.0) ** 2 * grid_max_sq
 
 
-def _batch_rng(seed: int, n_idx: int, g_idx: int, batch: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(n_idx, g_idx, batch))
-    return np.random.Generator(np.random.Philox(ss))
+def seeded_rng(seed: int, *key: int) -> np.random.Generator:
+    """Stream ``key`` (none: the seed's own) of master seed ``seed``, on SFC64."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def _true_state(mu0: float, u: np.ndarray, n: int) -> np.ndarray:
@@ -147,7 +147,7 @@ def _true_state(mu0: float, u: np.ndarray, n: int) -> np.ndarray:
 
 def _batch_losses(rho_true, r_true, mu_weight, fail, n, cfg, cell, b, size):
     """Batch ``b``'s rescaled losses and (failures, truncated, clamped) counts."""
-    res = full_estimate(rho_true, n, cfg.estimator, _batch_rng(cfg.seed, *cell, b), size=size)
+    res = full_estimate(rho_true, n, cfg.estimator, seeded_rng(cfg.seed, *cell, b), size=size)
     if cfg.loss == "local":
         loss = loss_local(res.u_true_local, res.u_hat, mu_weight)
     elif cfg.loss == "trace":

@@ -380,27 +380,27 @@ def test_estimate_output_fields(capsys):
     assert out2 == out
 
 
-# qlan estimate --n 10000 --u 0.5,-0.2,0.3 --seed 7, recorded while
-# full_estimate still had its single-trial form (the exact entry re-recorded
-# when each draw became one pure ladder vector's): both samplers share stage 1
-# and the true local parameter; per sampler (u_raw = u_hat, Bloch estimate,
-# (trace_sq, fidelity, local) losses), nothing truncated
+# qlan estimate --n 10000 --u 0.5,-0.2,0.3 --seed 7, re-recorded when the
+# seeded streams moved to SFC64 and stage 1 to per-axis binomial draws:
+# both samplers share stage 1 and the true local parameter; per sampler
+# (u_raw = u_hat, Bloch estimate, (trace_sq, fidelity, local) losses),
+# nothing truncated
 ESTIMATE_STAGE1 = {
     "n_tilde": 6310,
-    "r_raw": [-0.008555133079847899, -0.007132667617689048, 0.5178316690442226],
-    "mu_tilde": 0.7589757241106219,
+    "r_raw": [0.026615969581748944, 0.011887779362814932, 0.4731336186400381],
+    "mu_tilde": 0.7370153740912035,
 }
-ESTIMATE_U_TRUE = [0.7220325583805496, -0.6231837962725696, -0.36299757327664284]
+ESTIMATE_U_TRUE = [-0.45832995504322827, 1.5849691760554308, 0.9709920182416346]
 ESTIMATE_PINNED = {
     "gaussian": (
-        [1.842436837217797, 0.32681827389498386, -0.942178557151353],
-        [-0.013266336431797227, 0.022824053487590947, 0.4862146946912784],
-        (0.000939656123852988, 0.00026465491060911894, 3.551710286634499),
+        [-0.28244014392171846, 1.6742579376020408, 1.5695760460923711],
+        [0.0005566524169574052, 0.008299007656586239, 0.5256421676844618],
+        (0.00039961331658560636, 0.00013511787080289217, 1.4730604981912478),
     ),
     "exact": (
-        [1.6408369581619597, 1.134956591324429, -0.05513352226145643],
-        [-0.02778024716232192, 0.020770614848137723, 0.5149693499058806],
-        (0.0012160938680356526, 0.00031310454037636326, 4.409393140045949),
+        [-0.486706526370953, 0.7351911885354014, 0.275988920603404],
+        [0.015446108428361228, 0.004380609160861144, 0.48285064216542395],
+        (0.0007151503519567965, 0.0002211810472851905, 2.6724994509813595),
     ),
 }
 
@@ -408,7 +408,7 @@ ESTIMATE_PINNED = {
 @pytest.mark.parametrize("sampler", list(ESTIMATE_PINNED))
 def test_estimate_payload_is_pinned(sampler, capsys):
     """The single run reads column 0 of a batch of one and writes, byte for
-    byte, the payload recorded from the single-trial form."""
+    byte, the recorded payload."""
     args = ["estimate", "--n", "10000", "--u", "0.5,-0.2,0.3", "--seed", "7"]
     code, out, _ = run_cli(args + ["--sampler", sampler], capsys)
     assert code == 0

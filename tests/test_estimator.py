@@ -22,6 +22,7 @@ from qlan.estimator import (
     stage2_sample,
     truncate_estimate,
 )
+from qlan.risk_bench import seeded_rng
 from qlan.spin_blocks import ModelParams
 
 
@@ -74,6 +75,24 @@ def test_stage1_statistics():
     assert np.allclose(s1.rotate_back(s1.rotate(v)), v)
 
 
+def test_stage1_axes_are_independent_binomials():
+    """Axis i's heads are Binomial(counts[i], p_i), independent across
+    axes: at n_tilde = 30 (ten coins an axis) and 2 * 10^5 trials, each
+    axis's mean and variance lie within 5 sigma, and every cross-axis
+    correlation is below 5 / sqrt(B)."""
+    trials, r_true = 200_000, np.array([0.6, -0.2, 0.4])
+    s1 = stage1(r_true, 30, seeded_rng(2026), trials)
+    heads = np.rint(5.0 * (s1.r_raw + 1.0))
+    assert np.array_equal(heads / 5.0 - 1.0, s1.r_raw)
+    for h, p in zip(heads, (1.0 + r_true) / 2.0):
+        var = 10 * p * (1 - p)
+        mu4 = var * (1 + 3 * (10 - 2) * p * (1 - p))  # central fourth moment
+        assert abs(h.mean() - 10 * p) < 5.0 * math.sqrt(var / trials)
+        assert abs(h.var() - var) < 5.0 * math.sqrt((mu4 - var**2) / trials)
+    corr = np.corrcoef(heads)
+    assert np.abs(corr[np.triu_indices(3, 1)]).max() < 5.0 / math.sqrt(trials)
+
+
 def test_stage1_projects_into_ball():
     r = np.array([1.0, 0.0, 0.0])  # pure: x coin always heads
     s1 = stage1(r, 300, np.random.default_rng(4), 1)
@@ -97,10 +116,27 @@ def test_localize_reconstruct_roundtrip(directions, offsets, r_true, n_rest):
     near = [sign * r_true + d for d in offsets for sign in (1.0, -1.0)]
     s1 = _frames(list(directions) + near)
     u, mu_rot = localize_frame(r_true, s1, n_rest)
-    assert np.abs(mu_rot - 0.5 * (1.0 + np.linalg.norm(r_true))).max() <= 1e-15
+    assert mu_rot == 0.5 * (1.0 + np.linalg.norm(r_true))  # a rotation keeps |r_true|
     # a pure state may clamp its eigenvalue by a rounding; r_hat is still exact
     r_hat, _ = reconstruct(s1, n_rest, u)
     assert np.abs(r_hat - r_true[:, None]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [(0.0, 0.0, 0.8), (0.3, 0.6, 0.6), (-0.1, 0.2, -0.9)])
+def test_localize_frame_on_the_frame_axis(d):
+    """A state exactly along a trial's direction d has theta = 0 and one
+    along -d theta = pi: the on-axis branch gives u = 0 and the half turn
+    (pi/2) sqrt(n_rest) about x exactly, and reconstruction inverts both."""
+    n_rest = 900
+    s1 = _frames([d, d])
+    r_true = 0.5 * np.asarray(d) / np.linalg.norm(d)
+    u, _ = localize_frame(r_true, s1, n_rest)
+    assert u[:2].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    u_anti, _ = localize_frame(-r_true, s1, n_rest)
+    assert u_anti[0].tolist() == [15.0 * math.pi] * 2 and u_anti[1].tolist() == [0.0, 0.0]
+    for r, uu in ((r_true, u), (-r_true, u_anti)):
+        r_hat, _ = reconstruct(s1, n_rest, uu)
+        assert np.abs(r_hat - r[:, None]).max() <= 1e-12
 
 
 def test_localize_frame_interior_guard():
