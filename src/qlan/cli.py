@@ -23,8 +23,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .estimator import EstimatorConfig, OutsideModelError, full_estimate
 from .lan_channels import convergence_sweep, loglog_slope
 from .operator_core import density_to_bloch
@@ -252,16 +250,15 @@ def cmd_estimate(spec: dict) -> int:
     cfg = _estimator(spec).validate()
     res = full_estimate(rho_true, n, cfg, seeded_rng(spec["seed"]))
     r_true = density_to_bloch(rho_true)
-    mu_true = 0.5 * (1.0 + float(np.linalg.norm(r_true)))
     mu_tilde = float(res.stage1.mu_tilde[0])
     if not 0.5 < mu_tilde < 1.0:
         raise OutsideModelError(f"stage-1 eigenvalue estimate mu_tilde = {mu_tilde} degenerate")
     if res.outside[0]:
         raise OutsideModelError(
             f"rotated state too close to maximally mixed: mu - 1/2 = "
-            f"{mu_true - 0.5:.4f} < margin {MODEL_MARGIN}; outside the model"
-            if mu_true - 0.5 < MODEL_MARGIN
-            else f"true state is pure to rounding: 1 - mu = {1.0 - mu_true:.3g}, and its "
+            f"{res.mu_true - 0.5:.4f} < margin {MODEL_MARGIN}; outside the model"
+            if res.mu_true - 0.5 < MODEL_MARGIN
+            else f"true state is pure to rounding: 1 - mu = {1.0 - res.mu_true:.3g}, and its "
             "shifted eigenvalue is not below 1; outside the model"
         )
     u_true, u_hat, r_hat = res.u_true_local[:, 0], res.u_hat[:, 0], res.r_hat[:, 0]
@@ -285,7 +282,7 @@ def cmd_estimate(spec: dict) -> int:
         "loss": {
             "trace_sq": float(loss_trace_sq(r_true, r_hat)),
             "fidelity": float(loss_fidelity(r_true, r_hat)),
-            "local": float(loss_local(u_true, u_hat, mu_true)),
+            "local": float(loss_local(u_true, u_hat, res.mu_true)),
         },
     }
     _emit(json.dumps(payload, indent=2) + "\n", spec["out"])

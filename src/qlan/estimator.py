@@ -289,8 +289,8 @@ def truncate_estimate(raw, eta: float, n: int):
 @dataclass
 class EstimateResult:
     """B trials of the two-stage estimator: (3, B) local parameters, flags
-    and Bloch vectors, (B,) masks.  A trial in ``outside`` has no stage-2
-    draw; its estimate is meaningless."""
+    and Bloch vectors, (B,) masks, the true state's larger eigenvalue.  A
+    trial in ``outside`` has no stage-2 draw; its estimate is meaningless."""
 
     u_hat: np.ndarray
     r_hat: np.ndarray
@@ -301,6 +301,7 @@ class EstimateResult:
     recon_clamped: np.ndarray
     n_rest: int
     outside: np.ndarray
+    mu_true: float
 
 
 def full_estimate(
@@ -328,10 +329,10 @@ def full_estimate(
         raise ValueError(f"n = {n} leaves no copies for stage 2")
     r_true = density_to_bloch(validate_density(rho_true))
     s1 = stage1(r_true, n_tilde, rng, size)
-    u_true, mu_rot = localize_frame(r_true, s1, n_rest)
+    u_true, mu_true = localize_frame(r_true, s1, n_rest)
     degenerate = ~((0.5 < s1.mu_tilde) & (s1.mu_tilde < 1.0))
     mu_u = s1.mu_tilde + u_true[2] / math.sqrt(n_rest)  # as stage2_sample sets it
-    outside = degenerate | (mu_rot - 0.5 < MODEL_MARGIN) | ~((0.5 < mu_u) & (mu_u < 1.0))
+    outside = degenerate | (mu_true - 0.5 < MODEL_MARGIN) | ~((0.5 < mu_u) & (mu_u < 1.0))
     inside = ~outside if np.any(outside) else slice(None)
     raw = np.zeros_like(u_true)
     raw[:, inside] = stage2_sample(s1.mu_tilde[inside], n_rest, u_true[:, inside], cfg, rng)
@@ -340,4 +341,4 @@ def full_estimate(
     else:
         u_hat, flags = raw, np.zeros(raw.shape, dtype=bool)
     r_hat, clamped = reconstruct(s1, n_rest, u_hat)
-    return EstimateResult(u_hat, r_hat, s1, raw, u_true, flags, clamped, n_rest, outside)
+    return EstimateResult(u_hat, r_hat, s1, raw, u_true, flags, clamped, n_rest, outside, mu_true)

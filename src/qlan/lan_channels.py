@@ -32,7 +32,7 @@ import numpy as np
 # scipy is imported where it is used, so that `import qlan` needs numpy alone
 
 from .fock_gaussian import GaussianLimitParams, displaced_thermal
-from .operator_core import embed_block
+from .operator_core import embed_block, pool_map, pool_width
 from .spin_blocks import (
     ModelParams,
     block_corners,
@@ -196,18 +196,21 @@ def apply_T(blocks: BlockData, grid: np.ndarray | None = None) -> HybridGaussian
     )
 
 
-# Matrix entries one eigensolve chunk of a trace-norm stack may hold.
-TRACE_NORM_CHUNK_ENTRIES = 6.0e6
+# Matrix entries the chunks of a trace-norm stack in flight at once may hold
+# (a worker's chunk holds its share, and it gets about four chunks or more),
+# and the fewest a stack needs before a pool's start-up pays for itself.
+TRACE_NORM_CHUNK_ENTRIES, TRACE_NORM_POOL_ENTRIES = 6.0e6, 2.0e5
 
 
 def _trace_norms(count: int, dim: int, stack) -> np.ndarray:
     """Absolute eigenvalues (count, dim) of the Hermitian stack ``stack(rows)``,
-    built and diagonalized ``TRACE_NORM_CHUNK_ENTRIES`` matrix entries at a time."""
-    chunk = max(4, int(TRACE_NORM_CHUNK_ENTRIES // (dim * dim)))
+    built and diagonalized in chunks on ``pool_width(True)`` workers, one if small."""
+    workers = pool_width(blas_bound=True) if count * dim * dim >= TRACE_NORM_POOL_ENTRIES else 1
+    split = math.ceil(count / (4 * workers)) if workers > 1 else count
+    chunk = max(4, min(int(TRACE_NORM_CHUNK_ENTRIES // (workers * dim * dim)), split))
+    rows = [slice(s, s + chunk) for s in range(0, count, chunk)]
     # eigvalsh reads one triangle, so rounding asymmetry never enters
-    return np.concatenate(
-        [np.abs(np.linalg.eigvalsh(stack(slice(s, s + chunk)))) for s in range(0, count, chunk)]
-    )
+    return np.concatenate(pool_map(lambda sl: np.abs(np.linalg.eigvalsh(stack(sl))), rows, workers))
 
 
 def hybrid_trace_distance(a: HybridGaussianState, b: HybridGaussianState) -> tuple[float, float]:

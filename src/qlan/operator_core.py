@@ -4,14 +4,41 @@ All states are plain complex ``numpy`` arrays.  The conventions are fixed
 here once: the trace norm is taken *without* the 1/2, and the fidelity of
 two qubits is the squared fidelity of their Bloch vectors.  The LAN
 channels keep the same trace norm but diagonalize their own chunked stacks
-(``lan_channels._trace_norms``).
+(``lan_channels._trace_norms``), on ``pool_map``, the risk grid's pool too.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .tolerances import VALIDATION_TOL
+
+
+def pool_width(blas_bound: bool = False) -> int:
+    """Workers for :func:`pool_map`: the CPUs this process may run on, for
+    BLAS-bound work divided by the BLAS thread count in OPENBLAS_NUM_THREADS
+    (else OMP_NUM_THREADS); with none set or parsable, BLAS takes every CPU: 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS", "")
+    blas = blas if blas_bound else "1"
+    return max(1, cpus // int(blas)) if blas.isdigit() and int(blas) > 0 else 1
+
+
+def pool_map(fn, items: list, workers: int) -> list:
+    """``list(map(fn, items))``, on ``workers`` threads if there are two or
+    more of them and of the items; an error or interrupt cancels items not started."""
+    if workers < 2 or len(items) < 2:
+        return list(map(fn, items))
+    from concurrent.futures import ThreadPoolExecutor  # ~6 ms: kept out of start-up
+
+    pool = ThreadPoolExecutor(max_workers=min(workers, len(items)))
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
 
 def validate_density(m) -> np.ndarray:
     """Check that ``m`` is a density matrix and return it as a complex array.

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimator import EstimatorConfig, full_estimate, stage1
-from .operator_core import density_to_bloch, qubit_fidelity_sq
+from .operator_core import density_to_bloch, pool_map, pool_width, qubit_fidelity_sq
 from .spin_blocks import local_qubit_state
 from .tolerances import MODEL_MARGIN, PROPERTY_SLACK
 
@@ -145,11 +144,11 @@ def _true_state(mu0: float, u: np.ndarray, n: int) -> np.ndarray:
     return local_qubit_state(mu0, u / math.sqrt(n))
 
 
-def _batch_losses(rho_true, r_true, mu_weight, fail, n, cfg, cell, b, size):
+def _batch_losses(rho_true, r_true, fail, n, cfg, cell, b, size):
     """Batch ``b``'s rescaled losses and (failures, truncated, clamped) counts."""
     res = full_estimate(rho_true, n, cfg.estimator, seeded_rng(cfg.seed, *cell, b), size=size)
     if cfg.loss == "local":
-        loss = loss_local(res.u_true_local, res.u_hat, mu_weight)
+        loss = loss_local(res.u_true_local, res.u_hat, res.mu_true)
     elif cfg.loss == "trace":
         loss = res.n_rest * loss_trace_sq(r_true, res.r_hat)
     else:
@@ -179,12 +178,11 @@ def pointwise_risk(
     """
     cfg = config.validate()
     r_true = density_to_bloch(rho_true)
-    mu_weight = 0.5 * (1.0 + float(np.linalg.norm(r_true)))
     fail = _failure_loss(cfg, _grid_max_sq(cfg, n))
     per, rem = divmod(cfg.trials, cfg.batches)
     sizes = [per + (1 if b < rem else 0) for b in range(cfg.batches)]
     losses, events = zip(*(
-        _batch_losses(rho_true, r_true, mu_weight, fail, n, cfg, cell, b, size)
+        _batch_losses(rho_true, r_true, fail, n, cfg, cell, b, size)
         for b, size in enumerate(sizes)
     ))
     counts = dict(zip(("failures", "truncated", "clamped"), map(sum, zip(*events))))
@@ -234,11 +232,10 @@ def local_sup_risk(config: RiskConfig) -> RiskReport:
     event counts of :func:`pointwise_risk`.  Each (n, point) cell runs on
     its own children of the master seed and the rows are kept in cell
     order, so the report is byte-identical whatever the worker count.
-    Gaussian cells run on a thread pool, one worker per available CPU, as
-    their numpy loops release the GIL; memory grows by about one batch's
+    Gaussian cells run on :func:`pool_map`, one worker per available CPU,
+    as their numpy loops release the GIL; memory grows by about one batch's
     working set per worker.  Exact cells run in the caller's thread, since
-    their per-group sampler set-up holds the GIL.  An error in a cell, an
-    interrupt included, cancels the cells not yet started.
+    their per-group sampler set-up holds the GIL.
     """
     cfg = config.validate()
     grid = grid_points(cfg.mu0, cfg.radii)
@@ -260,17 +257,7 @@ def local_sup_risk(config: RiskConfig) -> RiskReport:
             **counts,
         }
 
-    if cfg.estimator.sampler == "exact":
-        rows = list(map(row, cells))
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # ~6 ms: kept out of start-up
-
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        pool = ThreadPoolExecutor(max_workers=cpus or 1)
-        try:
-            rows = list(pool.map(row, cells))
-        finally:
-            pool.shutdown(cancel_futures=True)
+    rows = pool_map(row, cells, 1 if cfg.estimator.sampler == "exact" else pool_width())
 
     n_last = int(cfg.n_list[-1])
     last_rows = [r for r in rows if r["n"] == n_last]

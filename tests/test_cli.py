@@ -643,8 +643,9 @@ def test_gaussian_limit_commands_never_load_scipy():
     """`import qlan` and the commands that sample the Gaussian limit run on
     numpy alone; scipy loads only where the exact sampler, the LAN channels
     or the collision integrator call it.  `import qlan` also leaves out
-    `concurrent.futures`, which only the risk grid's thread pool needs.  A
-    fresh interpreter, because this one has both loaded already."""
+    `concurrent.futures`, which only the thread pool of `operator_core.pool_map`
+    needs, and imports when it first runs one.  A fresh interpreter, because
+    this one has both loaded already."""
     src = str(Path(qlan.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(

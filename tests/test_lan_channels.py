@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -489,10 +490,8 @@ def test_sweep_row_builds_one_window_and_one_corner_per_block(monkeypatch):
     assert calls == {"window": 1, "corner": window}
 
 
-def test_trace_norm_chunks_do_not_change_the_distances(monkeypatch):
-    """Both distances diagonalize their stacks chunk by chunk; at the
-    smallest chunk (4 matrices) a default row spans at least three of them
-    on each side, and the floats are those of a single chunk."""
+def _distance_runs():
+    """The two distances of the default n = 100 row, each as a thunk."""
     params = ModelParams(0.8, 100)
     u = (1.0, 1.0, 1.0)
     gp = GaussianLimitParams(params.mu, u)
@@ -500,6 +499,18 @@ def test_trace_norm_chunks_do_not_change_the_distances(monkeypatch):
     t_state = apply_T(blocks)
     limit = gaussian_limit(gp, grid=t_state.classical.x)
     mix = apply_S(gp, params.n)
+    return (
+        lambda: hybrid_trace_distance(t_state, limit),
+        lambda: blockwise_distance(mix, blocks),
+    )
+
+
+def test_trace_norm_chunks_do_not_change_the_distances(monkeypatch):
+    """Both distances diagonalize their stacks chunk by chunk; at the
+    smallest chunk (4 matrices) a default row spans at least three of them
+    on each side, and the floats are those of a single chunk.  One CPU, so
+    that no pool splits the whole stack."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
     eigvalsh, solves = np.linalg.eigvalsh, []
 
     def counted(stack):
@@ -512,12 +523,95 @@ def test_trace_norm_chunks_do_not_change_the_distances(monkeypatch):
         return run()
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    for run in (
-        lambda: hybrid_trace_distance(t_state, limit),
-        lambda: blockwise_distance(mix, blocks),
-    ):
+    for run in _distance_runs():
         whole = chunked(run, 1e18)
         assert len(solves) == 1
         got = chunked(run, 1.0)
         assert len(solves) >= 3 and max(solves) == 4
         assert got == whole
+
+
+def _recorded_eigvalsh(monkeypatch, fail_on=None):
+    """Patch eigvalsh to record (thread, matrices, entries) per call, and
+    raise on call number ``fail_on``."""
+    eigvalsh, calls, lock = np.linalg.eigvalsh, [], threading.Lock()
+
+    def recorded(stack):
+        with lock:
+            calls.append((threading.current_thread(), len(stack), stack[0].size * len(stack)))
+            if len(calls) == fail_on:
+                raise np.linalg.LinAlgError("chunk failed")
+        return eigvalsh(stack)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("entries", [lan_channels.TRACE_NORM_CHUNK_ENTRIES, 1.0e5])
+def test_pooled_trace_norm_chunks_are_the_serial_distances(entries, monkeypatch):
+    """With four CPUs and BLAS pinned to one thread, both distances run
+    their chunks on four worker threads, each chunk within its worker's
+    share of the entry budget (or at the 4-matrix floor), and equal their
+    one-CPU floats by ==."""
+    runs = _distance_runs()
+    monkeypatch.setattr(lan_channels, "TRACE_NORM_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(lan_channels, "TRACE_NORM_POOL_ENTRIES", 0.0)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
+    serial = [run() for run in runs]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1, 2, 3}, raising=False)
+    calls = _recorded_eigvalsh(monkeypatch)
+    assert [run() for run in runs] == serial
+    assert threading.main_thread() not in {thread for thread, _, _ in calls}
+    assert len(calls) >= 2 * 4  # a chunk per worker at least, on each side
+    assert all(size <= entries / 4 or count <= 4 for _, count, size in calls)
+
+
+@pytest.mark.parametrize("blas", [None, "auto", "4"])
+def test_trace_norms_stay_serial_while_blas_takes_the_cpus(blas, monkeypatch):
+    """With no BLAS thread count set (BLAS takes every CPU), one that does
+    not parse, or one as large as the CPU count, every eigensolve runs in
+    the caller's thread, in one chunk."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    if blas is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+    calls = _recorded_eigvalsh(monkeypatch)
+    for run in _distance_runs():
+        calls.clear()
+        run()
+        assert [thread for thread, _, _ in calls] == [threading.main_thread()]
+
+
+def test_small_stacks_skip_the_pool(monkeypatch):
+    """At n = 100 the blockwise stack (37 blocks of D = 55) is below
+    ``TRACE_NORM_POOL_ENTRIES`` and stays one chunk in the caller's thread;
+    the hybrid stack (about 950 points) still goes to the pool."""
+    hybrid, blockwise = _distance_runs()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1, 2, 3}, raising=False)
+    calls = _recorded_eigvalsh(monkeypatch)
+    blockwise()
+    assert [thread for thread, _, _ in calls] == [threading.main_thread()]
+    assert calls[0][2] < lan_channels.TRACE_NORM_POOL_ENTRIES
+    calls.clear()
+    hybrid()
+    assert threading.main_thread() not in {thread for thread, _, _ in calls}
+
+
+def test_a_failing_chunk_raises_and_leaves_no_threads(monkeypatch):
+    """An eigensolve that fails on the second chunk fails the distance with
+    its own error, and the pool's threads are gone when it returns."""
+    runs = _distance_runs()
+    monkeypatch.setattr(lan_channels, "TRACE_NORM_POOL_ENTRIES", 0.0)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1, 2, 3}, raising=False)
+    for run in runs:
+        before = threading.active_count()
+        calls = _recorded_eigvalsh(monkeypatch, fail_on=2)
+        with pytest.raises(np.linalg.LinAlgError, match="chunk failed"):
+            run()
+        assert len(calls) >= 2
+        assert threading.active_count() == before

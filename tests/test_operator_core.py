@@ -5,6 +5,8 @@ trace norm of a difference equals the Euclidean distance between Bloch
 vectors, and the fidelity has the explicit two-eigenvalue form.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from fullspace import bloch_to_density, fidelity
 from qlan.operator_core import (
     density_to_bloch,
     embed_block,
+    pool_map,
+    pool_width,
     qubit_fidelity_sq,
     trace_norm_distance,
     validate_density,
@@ -178,3 +182,38 @@ def test_embed_block():
     assert np.array_equal(embed_block(stack, 4), stack)
     with pytest.raises(ValueError, match="dim"):
         embed_block(stack, 3)
+
+
+@pytest.mark.parametrize(
+    "env, width",
+    [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+        ({"OMP_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "3"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "auto"}, 1),
+        ({"OMP_NUM_THREADS": "-1"}, 1),
+    ],
+)
+def test_pool_width_leaves_the_cpus_blas_takes(env, width, monkeypatch):
+    """Four CPUs: one worker each, or for BLAS-bound work one per BLAS
+    thread group set in the environment, OPENBLAS_NUM_THREADS first; with
+    no count set or parsable BLAS is taken to use them all."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1, 2, 3}, raising=False)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert pool_width() == 4
+    assert pool_width(blas_bound=True) == width
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_pool_map_is_map_in_order(workers):
+    items = list(range(20))
+    assert pool_map(lambda x: x * x, items, workers) == [x * x for x in items]
+    assert pool_map(abs, [], workers) == []
