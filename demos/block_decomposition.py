@@ -21,7 +21,7 @@ from fullspace import assemble_from_blocks, isotypic_isometries, tensor_power
 
 from qlan.spin_blocks import (
     ModelParams,
-    block_probability,
+    block_pmf_window,
     block_state,
     local_qubit_state,
     typical_set,
@@ -39,14 +39,14 @@ def main() -> None:
 
     print(f"n = {n} qubits, eigenvalue mu = {mu}, local parameter u = {u}")
     print()
+    # at n = 6 the pmf window is the whole lattice: no block is dropped
+    js, probs, dropped = block_pmf_window(params, u)
+    weights = dict(zip(js, probs))
     print("  j    multiplicity   weight p_j")
-    total = 0.0
     for j in valid_j_values(n):
-        p = block_probability(params, u, j)
-        total += p
         n_j = iso[j].shape[1] // int(2 * j + 1)
-        print(f"  {j:.1f}  {n_j:10d}   {p:.6f}")
-    print(f"  sum of weights: {total:.12f}")
+        print(f"  {j:.1f}  {n_j:10d}   {weights[j]:.6f}")
+    print(f"  sum of weights: {probs.sum():.12f} (dropped: {dropped:g})")
 
     # typical window: for large n the weight concentrates on
     # j ~ n(mu - 1/2) +- n^(1/2 + eps)
@@ -59,7 +59,6 @@ def main() -> None:
     )
 
     # exact reconstruction: blocks + weights rebuild the 2^n matrix
-    weights = {j: block_probability(params, u, j) for j in iso}
     blocks = {j: block_state(params, u, j) for j in iso}
     rebuilt = assemble_from_blocks(n, weights, blocks, iso)
     target = tensor_power(local_qubit_state(mu, np.array(u) / math.sqrt(n)), n)

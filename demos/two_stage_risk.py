@@ -23,7 +23,7 @@ def main() -> None:
     mu0, n = 0.75, 100_000
     u_true = (0.7, -0.4, 0.5)
     rho = local_qubit_state(mu0, np.asarray(u_true) / math.sqrt(n))
-    res = full_estimate(rho, n, rng=np.random.default_rng(42))
+    res = full_estimate(rho, n, EstimatorConfig(), np.random.default_rng(42))
     u_hat, u_loc = res.u_hat[:, 0], res.u_true_local[:, 0]
     print(f"single run: mu0 = {mu0}, n = {n}, true local u = {u_true}")
     print(f"  stage 1: n_tilde = {res.stage1.n_tilde}, mu_tilde = {res.stage1.mu_tilde[0]:.5f}")

@@ -16,7 +16,6 @@ from .operator_core import (
 )
 from .spin_blocks import (
     ModelParams,
-    block_probability,
     block_state,
     local_qubit_state,
     sample_block_index,

@@ -163,7 +163,7 @@ def cmd_risk(spec: dict) -> int:
         trials=spec["trials"],
         seed=spec["seed"],
         estimator=_estimator(spec),
-    ).validate()
+    )
     report = local_sup_risk(cfg)
     _emit_rows(
         report.rows,
@@ -247,8 +247,7 @@ def cmd_estimate(spec: dict) -> int:
     rho_true = local_qubit_state(
         spec["mu0"], tuple(c / math.sqrt(n) for c in spec["u"])
     )
-    cfg = _estimator(spec).validate()
-    res = full_estimate(rho_true, n, cfg, seeded_rng(spec["seed"]))
+    res = full_estimate(rho_true, n, _estimator(spec), seeded_rng(spec["seed"]))
     r_true = density_to_bloch(rho_true)
     mu_tilde = float(res.stage1.mu_tilde[0])
     if not 0.5 < mu_tilde < 1.0:

@@ -59,7 +59,7 @@ class EstimatorConfig:
     sampler: str = "gaussian"
     truncate: bool = True
 
-    def validate(self) -> "EstimatorConfig":
+    def __post_init__(self):
         if not (0.0 < self.eps < self.eta < 1.0 / 6.0):
             raise ValueError(
                 f"need 0 < eps < eta < 1/6, got eps = {self.eps}, eta = {self.eta}"
@@ -70,7 +70,6 @@ class EstimatorConfig:
             )
         if self.sampler not in ("gaussian", "exact"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
-        return self
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -307,8 +306,8 @@ class EstimateResult:
 def full_estimate(
     rho_true: np.ndarray,
     n: int,
-    config: EstimatorConfig | None = None,
-    rng: np.random.Generator | None = None,
+    config: EstimatorConfig,
+    rng: np.random.Generator,
     size: int = 1,
 ) -> EstimateResult:
     """Run both stages on n copies of rho_true, ``size`` trials as one
@@ -319,11 +318,8 @@ def full_estimate(
     eigenvalue is not in (1/2, 1) (a pure true state) is marked in
     ``outside``; the risk benchmark charges it the maximal loss.
     """
-    cfg = (config or EstimatorConfig()).validate()
-    if rng is None:
-        rng = np.random.default_rng()
     n = int(n)
-    n_tilde = int(math.ceil(float(n) ** (1.0 - cfg.kappa)))
+    n_tilde = int(math.ceil(float(n) ** (1.0 - config.kappa)))
     n_rest = n - n_tilde
     if n_rest < 1:
         raise ValueError(f"n = {n} leaves no copies for stage 2")
@@ -335,9 +331,9 @@ def full_estimate(
     outside = degenerate | (mu_true - 0.5 < MODEL_MARGIN) | ~((0.5 < mu_u) & (mu_u < 1.0))
     inside = ~outside if np.any(outside) else slice(None)
     raw = np.zeros_like(u_true)
-    raw[:, inside] = stage2_sample(s1.mu_tilde[inside], n_rest, u_true[:, inside], cfg, rng)
-    if cfg.truncate:
-        u_hat, flags = truncate_estimate(raw, cfg.eta, n)
+    raw[:, inside] = stage2_sample(s1.mu_tilde[inside], n_rest, u_true[:, inside], config, rng)
+    if config.truncate:
+        u_hat, flags = truncate_estimate(raw, config.eta, n)
     else:
         u_hat, flags = raw, np.zeros(raw.shape, dtype=bool)
     r_hat, clamped = reconstruct(s1, n_rest, u_hat)

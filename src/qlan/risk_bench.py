@@ -83,7 +83,7 @@ class RiskConfig:
     seed: int = 20260801
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
 
-    def validate(self) -> "RiskConfig":
+    def __post_init__(self):
         if not self.mu0 < 1.0 or self.mu0 - 0.5 < MODEL_MARGIN:
             raise ValueError(
                 f"mu0 = {self.mu0} outside [1/2 + {MODEL_MARGIN}, 1): the model requires an "
@@ -96,8 +96,6 @@ class RiskConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.trials < self.batches:
             raise ValueError(f"trials = {self.trials}: at least {self.batches} needed, one per batch")
-        self.estimator.validate()
-        return self
 
 
 @dataclass(frozen=True)
@@ -176,19 +174,18 @@ def pointwise_risk(
     working set.  The counts are the trials outside the model (charged the
     failure loss), with a truncated component, and with a clamped eigenvalue.
     """
-    cfg = config.validate()
     r_true = density_to_bloch(rho_true)
-    fail = _failure_loss(cfg, _grid_max_sq(cfg, n))
-    per, rem = divmod(cfg.trials, cfg.batches)
-    sizes = [per + (1 if b < rem else 0) for b in range(cfg.batches)]
+    fail = _failure_loss(config, _grid_max_sq(config, n))
+    per, rem = divmod(config.trials, config.batches)
+    sizes = [per + (1 if b < rem else 0) for b in range(config.batches)]
     losses, events = zip(*(
-        _batch_losses(rho_true, r_true, fail, n, cfg, cell, b, size)
+        _batch_losses(rho_true, r_true, fail, n, config, cell, b, size)
         for b, size in enumerate(sizes)
     ))
     counts = dict(zip(("failures", "truncated", "clamped"), map(sum, zip(*events))))
     losses = np.concatenate(losses)
     means = np.array([float(np.mean(b)) for b in np.split(losses, np.cumsum(sizes)[:-1])])
-    stderr = float(np.std(means, ddof=1) / math.sqrt(cfg.batches))
+    stderr = float(np.std(means, ddof=1) / math.sqrt(config.batches))
     return float(np.mean(losses)), stderr, counts
 
 
@@ -237,14 +234,14 @@ def local_sup_risk(config: RiskConfig) -> RiskReport:
     working set per worker.  Exact cells run in the caller's thread, since
     their per-group sampler set-up holds the GIL.
     """
-    cfg = config.validate()
-    grid = grid_points(cfg.mu0, cfg.radii)
-    cells = [(i, n, g, pt) for i, n in enumerate(cfg.n_list) for g, pt in enumerate(grid)]
+    grid = grid_points(config.mu0, config.radii)
+    cells = [(i, n, g, pt) for i, n in enumerate(config.n_list) for g, pt in enumerate(grid)]
 
     def row(cell) -> dict:
         n_idx, n, g_idx, pt = cell
-        u_vec = np.array(pt.u) * float(n) ** cfg.estimator.eps
-        mean, se, counts = pointwise_risk(_true_state(cfg.mu0, u_vec, n), n, cfg, (n_idx, g_idx))
+        u_vec = np.array(pt.u) * float(n) ** config.estimator.eps
+        rho = _true_state(config.mu0, u_vec, n)
+        mean, se, counts = pointwise_risk(rho, n, config, (n_idx, g_idx))
         return {
             "n": int(n),
             "label": pt.label,
@@ -253,30 +250,30 @@ def local_sup_risk(config: RiskConfig) -> RiskReport:
             "uz": float(u_vec[2]),
             "mean": mean,
             "stderr": se,
-            "trials": cfg.trials,
+            "trials": config.trials,
             **counts,
         }
 
-    rows = pool_map(row, cells, 1 if cfg.estimator.sampler == "exact" else pool_width())
+    rows = pool_map(row, cells, 1 if config.estimator.sampler == "exact" else pool_width())
 
-    n_last = int(cfg.n_list[-1])
+    n_last = int(config.n_list[-1])
     last_rows = [r for r in rows if r["n"] == n_last]
     best = max(last_rows, key=lambda r: r["mean"])
-    tref, fref = reference_risks(cfg.mu0)
-    reference = fref if cfg.loss == "fidelity" else tref
+    tref, fref = reference_risks(config.mu0)
+    reference = fref if config.loss == "fidelity" else tref
     cfg_echo = {
-        "mu0": cfg.mu0,
-        "loss": cfg.loss,
-        "n_list": [int(x) for x in cfg.n_list],
-        "trials": cfg.trials,
-        "eps": cfg.estimator.eps,
-        "radii": list(cfg.radii),
-        "batches": cfg.batches,
-        "seed": cfg.seed,
-        "sampler": cfg.estimator.sampler,
-        "kappa": cfg.estimator.kappa,
-        "eta": cfg.estimator.eta,
-        "truncate": cfg.estimator.truncate,
+        "mu0": config.mu0,
+        "loss": config.loss,
+        "n_list": [int(x) for x in config.n_list],
+        "trials": config.trials,
+        "eps": config.estimator.eps,
+        "radii": list(config.radii),
+        "batches": config.batches,
+        "seed": config.seed,
+        "sampler": config.estimator.sampler,
+        "kappa": config.estimator.kappa,
+        "eta": config.estimator.eta,
+        "truncate": config.estimator.truncate,
     }
     return RiskReport(
         config=cfg_echo,

@@ -5,8 +5,8 @@ small transverse parameter, decompose over the isotypic components of the
 symmetric/antisymmetric structure of ``(C^2)^{(x)n}``: a classical index
 ``j`` (total spin) occurring with multiplicity ``n_j``, and inside each
 block a ``(2j+1)``-dimensional state that is a rotated, truncated geometric
-(thermal-like) state.  This module provides the exact block probabilities,
-the window of ``j`` the channels sum over (the shortest run that leaves
+(thermal-like) state.  This module provides the exact block probabilities
+on the window of ``j`` the channels sum over (the shortest run that leaves
 at most ``WINDOW_TAIL_MASS`` out, that mass summed term by term), the
 typical set ``j_n +- n^(1/2+eps)``, an exact sampler of ``j``
 that needs no window, the block states and their ladder vectors.
@@ -139,15 +139,6 @@ def _log_probability(params: ModelParams, u, tj_arr: np.ndarray) -> np.ndarray:
     )
 
 
-def block_probability(params: ModelParams, u, j) -> float:
-    """Probability p_{n,u}(j) of total spin j under the shifted state.
-
-    Computed in log space; sums to 1 over ``valid_j_values(n)``.
-    """
-    tj = _two_j(params.n, j)
-    return float(np.exp(_log_probability(params, u, np.array([tj], dtype=float)))[0])
-
-
 def classical_coordinate(params: ModelParams, j) -> np.ndarray:
     """Rescaled block index g_n(j) = j/sqrt(n) - sqrt(n)(mu - 1/2)."""
     j = np.asarray(j, dtype=float)
@@ -165,6 +156,7 @@ def typical_set(params: ModelParams, eps: float) -> tuple[float, float]:
 
     Requires 0 < eps < 1/4.  Endpoints are clamped to the valid-j lattice
     for ``params.n`` qubits, so presence of the parity offset is automatic.
+    The window is never empty: it is at least 2 wide about j_n in (0, n/2).
     """
     if not (0.0 < eps < 0.25):
         raise ValueError(f"eps = {eps} outside (0, 1/4)")
@@ -175,8 +167,6 @@ def typical_set(params: ModelParams, eps: float) -> tuple[float, float]:
     # snap inward onto the lattice 2j = parity, parity+2, ..., n
     tj_lo = max(parity, int(math.ceil((2.0 * lo_raw - parity) / 2.0)) * 2 + parity)
     tj_hi = min(n, int(math.floor((2.0 * hi_raw - parity) / 2.0)) * 2 + parity)
-    if tj_lo > tj_hi:
-        tj_lo = tj_hi
     return tj_lo / 2.0, tj_hi / 2.0
 
 

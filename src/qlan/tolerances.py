@@ -1,7 +1,8 @@
-"""Central numeric tolerance table.
+"""Numeric tolerances: what the package accepts as valid, exact or negligible.
 
-Every hard-coded tolerance used by the package lives here so that the
-meaning of each threshold is stated once.
+The algorithms' own parameters live with them: ``GRID_*``, ``DELTA_ADM`` and
+``TRACE_NORM_*`` in lan_channels, ``PROPOSAL_BLOCK`` in fock_gaussian and
+``XI_BOUND_C`` in qsde.
 """
 
 # Density-matrix validation: Hermiticity / unit trace / eigenvalue floor.

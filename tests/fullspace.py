@@ -136,8 +136,8 @@ def block_probability_factored(params, u, j) -> tuple[float, float]:
 
     B = C(n, n/2+j) mu_u^{n/2+j} (1-mu_u)^{n/2-j} is the binomial
     probability of n/2 + j successes; K collects the multiplicity ratio and
-    geometric tail and tends to 1 on the typical window.  B * K equals
-    ``qlan.spin_blocks.block_probability`` to relative rounding error.
+    geometric tail and tends to 1 on the typical window.  B * K equals the
+    ``qlan.spin_blocks.block_pmf_window`` term to relative rounding error.
     """
     tj = int(round(2 * j))
     n = params.n

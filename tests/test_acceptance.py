@@ -30,7 +30,7 @@ from qlan.risk_bench import (
 )
 from qlan.spin_blocks import (
     ModelParams,
-    block_probability,
+    block_pmf_window,
     block_state,
     local_qubit_state,
 )
@@ -55,7 +55,7 @@ def _sup_risk(mu0: float, loss: str) -> tuple[float, float]:
         trials=10_000,
         batches=20,
         seed=SEED,
-    ).validate()
+    )
     report = local_sup_risk(cfg)
     ref_trace, ref_fid = reference_risks(mu0)
     return report.sup, (ref_fid if loss == "fidelity" else ref_trace)
@@ -219,7 +219,7 @@ def test_acceptance_07_untruncated_gaussian_risk_is_exact():
             batches=50,
             seed=SEED,
             estimator=EstimatorConfig(truncate=False),
-        ).validate()
+        )
         report = local_sup_risk(cfg)
         for row in report.rows:
             u = np.array([row["ux"], row["uy"], row["uz"]])
@@ -275,7 +275,7 @@ def test_acceptance_09_block_decomposition_equals_tensor_power():
         ul = u
         target = tensor_power(local_qubit_state(mu, np.asarray(u) / math.sqrt(n)), n)
         iso = isotypic_isometries(n)
-        weights = {j: block_probability(params, ul, j) for j in iso}
+        weights = dict(zip(*block_pmf_window(params, ul)[:2]))
         blocks = {j: block_state(params, ul, j) for j in iso}
         rebuilt = assemble_from_blocks(n, weights, blocks, iso)
         worst = max(worst, float(np.max(np.abs(rebuilt - target))))

@@ -1,6 +1,7 @@
 """Command-line interface tests, driven through main(); one test runs the
 commands in a fresh interpreter, to see what they import."""
 
+import dataclasses
 import json
 import math
 import os
@@ -16,7 +17,9 @@ import pytest
 import qlan
 from qlan import cli
 from qlan.cli import COMMANDS, FLAGS, build_parser, main
+from qlan.estimator import EstimatorConfig
 from qlan.qsde import collision_integrate
+from qlan.risk_bench import RiskConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -77,11 +80,12 @@ def test_n_list_takes_exact_integers(capsys, text, message):
         (["qsde-check", "--t", "nan"], "--t: 'nan' is not a number"),
         (["qsde-check", "--t", "inf"], "--t: 'inf' overflows"),
         (["risk", "--mu0", "1e400"], "--mu0: '1e400' overflows"),
+        (["estimate", "--u", "1,2"], "--u: expected three comma-separated numbers, got '1,2'"),
     ],
 )
 def test_float_flags_take_finite_numbers(capsys, argv, message):
     """Every float flag, the u triple and the float lists refuse nan and inf
-    by name, before any output."""
+    by name, and the u triple a wrong count, before any output."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -104,6 +108,25 @@ def test_integer_flags_take_exponent_form(capsys):
                 main([command, "--n", text])
             assert exc.value.code == 2
             assert f"argument --n: {message}" in capsys.readouterr().err
+
+
+def test_cli_defaults_are_the_config_defaults():
+    """``risk`` and ``estimate`` restate the defaults of RiskConfig and
+    EstimatorConfig; each setting they share must agree.  (``hoeffding``'s
+    kappa = 0.1 differs on purpose and is not compared.)"""
+    config = {
+        f.name: f.default
+        for cls in (RiskConfig, EstimatorConfig)
+        for f in dataclasses.fields(cls)
+        if f.default is not dataclasses.MISSING
+    }
+    compared = set()
+    for command in ("risk", "estimate"):
+        defaults = COMMANDS[command][-1]
+        shared = defaults.keys() & config.keys()
+        assert {k: defaults[k] for k in shared} == {k: config[k] for k in shared}, command
+        compared |= shared
+    assert compared == {"loss", "n_list", "trials", "seed", "kappa", "eps", "eta", "sampler", "truncate"}
 
 
 def test_every_flag_row_is_used(capsys):
@@ -463,6 +486,7 @@ def test_estimate_outside_model_exits_1(args, keyword, capsys):
         (["qsde-check", "--eps", "0", "--n-list", "1000"], "--eps 0:", "overlap"),
         (["qsde-check", "--eps", "-1", "--n-list", "1000"], "--eps -1:", "overlap"),
         (["risk", "--mu0", "0.549", "--n", "1000000", "--trials", "20"], "mu0 = 0.549", "1995248"),
+        (["estimate", "--n", "5"], "n = 5 leaves no copies for stage 2", "division"),
     ],
 )
 def test_refusals_name_the_flag(args, named, unnamed, capsys):

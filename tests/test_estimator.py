@@ -1,6 +1,7 @@
 """Tests for the two-stage estimation pipeline."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -333,17 +334,20 @@ def test_exact_sampler_takes_an_empty_chunk():
 
 
 def test_config_validation():
-    EstimatorConfig().validate()
+    """An invalid config cannot be built: each setting is checked once, in
+    the constructor, and there is no separate ``validate`` to forget."""
+    EstimatorConfig()
+    assert not hasattr(EstimatorConfig, "validate")
     bad = [
-        EstimatorConfig(eps=0.08, eta=0.05),  # eps >= eta
-        EstimatorConfig(eta=0.2),  # eta >= 1/6
-        EstimatorConfig(kappa=0.2, eps=0.05),  # kappa > 2 eps
-        EstimatorConfig(kappa=0.0),
-        EstimatorConfig(sampler="fancy"),
+        (dict(eps=0.08, eta=0.05), "need 0 < eps < eta < 1/6, got eps = 0.08, eta = 0.05"),
+        (dict(eta=0.2), "need 0 < eps < eta < 1/6"),
+        (dict(kappa=0.2, eps=0.05), "need 0 < kappa <= 2 eps, got kappa = 0.2, eps = 0.05"),
+        (dict(kappa=0.0), "need 0 < kappa <= 2 eps"),
+        (dict(sampler="fancy"), "unknown sampler 'fancy'"),
     ]
-    for cfg in bad:
-        with pytest.raises(ValueError):
-            cfg.validate()
+    for kwargs, message in bad:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EstimatorConfig(**kwargs)
 
 
 def test_full_estimate_gaussian_run():

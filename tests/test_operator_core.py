@@ -130,6 +130,16 @@ def test_bloch_round_trip():
         assert np.allclose(back, v, atol=1e-12)
 
 
+def test_density_to_bloch_takes_qubits_only():
+    with pytest.raises(ValueError, match=r"expected a 2x2 matrix, got \(3, 3\)"):
+        density_to_bloch(np.eye(3))
+
+
+def test_trace_distance_refuses_unequal_shapes():
+    with pytest.raises(ValueError, match=r"shape mismatch: \(2, 2\) vs \(3, 3\)"):
+        trace_norm_distance(np.eye(2) / 2, np.eye(3) / 3)
+
+
 def test_validate_density_accepts_valid():
     rho = bloch_to_density([0.3, -0.2, 0.5])
     out = validate_density(rho)

@@ -164,6 +164,13 @@ def test_collision_guards():
         collision_integrate(PARAMS, 1.0, 3, 1.0, 100)  # m > 2j
 
 
+def test_time_and_collision_count_must_be_positive():
+    with pytest.raises(ValueError, match="t = 0 must be positive"):
+        xi_state(PARAMS, JN, 1, 0)
+    with pytest.raises(ValueError, match="need t > 0 and K >= 1, got t = 5.0, K = 0"):
+        collision_integrate(PARAMS, JN, 1, 5.0, 0)
+
+
 @pytest.mark.parametrize(
     "call",
     [

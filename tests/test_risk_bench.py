@@ -86,20 +86,23 @@ def test_failure_loss_caps():
 
 
 def test_config_validation():
+    assert not hasattr(RiskConfig, "validate")
     with pytest.raises(ValueError, match="eigenvalue"):
-        RiskConfig(mu0=0.5).validate()
+        RiskConfig(mu0=0.5)
     # the estimator puts every state within MODEL_MARGIN of 1/2 outside the model
     with pytest.raises(ValueError, match="mu0 = 0.549 outside \\[1/2 \\+ 0.05, 1\\)"):
-        RiskConfig(mu0=0.549).validate()
-    RiskConfig(mu0=0.55).validate()
+        RiskConfig(mu0=0.549)
+    RiskConfig(mu0=0.55)
     with pytest.raises(ValueError, match="loss"):
-        RiskConfig(mu0=0.75, loss="l2").validate()
-    with pytest.raises(ValueError):
-        RiskConfig(mu0=0.75, trials=10, batches=20).validate()
-    with pytest.raises(ValueError):
+        RiskConfig(mu0=0.75, loss="l2")
+    with pytest.raises(ValueError, match="trials = 10: at least 20 needed, one per batch"):
+        RiskConfig(mu0=0.75, trials=10, batches=20)
+    with pytest.raises(ValueError, match="n = 0 in n_list: the number of qubits must be at least 1"):
+        RiskConfig(mu0=0.75, n_list=(10**4, 0))
+    with pytest.raises(ValueError, match="eps < eta"):
         RiskConfig(
             mu0=0.75, estimator=EstimatorConfig(eps=0.1, eta=0.05)
-        ).validate()
+        )
 
 
 def test_center_risk_matches_reference():
@@ -113,7 +116,7 @@ def test_center_risk_matches_reference():
         trials=8000,
         batches=16,
         estimator=EstimatorConfig(truncate=False),
-    ).validate()
+    )
     rho = _true_state(cfg.mu0, np.zeros(3), 10**6)
     mean, se, counts = pointwise_risk(rho, 10**6, cfg)
     assert abs(mean - 3.75) < 5.0 * se

@@ -32,7 +32,6 @@ from qlan.spin_blocks import (
     ModelParams,
     block_corners,
     block_pmf_window,
-    block_probability,
     block_state,
     classical_coordinate,
     block_vector,
@@ -57,6 +56,8 @@ def test_model_params_validation():
         ModelParams(1.0, 10)
     with pytest.raises(ValueError):
         ModelParams(0.3, 10)
+    with pytest.raises(ValueError, match="n must be a positive integer, got 0"):
+        ModelParams(0.8, 0)
 
 
 @pytest.mark.parametrize("mu", [np.array([0.7]), np.full(3, 0.7)])
@@ -78,22 +79,25 @@ def test_mu_u_admissible_window():
         params.mu_u((0.0, 0.0, -2.6))
 
 
+def _block_pmf(params, u) -> dict:
+    """p_{n,u}(j) by j on the pmf window; a j outside it is a KeyError."""
+    js, probs, _ = block_pmf_window(params, u)
+    return dict(zip(js, probs))
+
+
 def test_block_probability_two_qubits():
     # diag(3/4, 1/4)^(x2): singlet weight 3/16, triplet weight 13/16
-    params = ModelParams(0.75, 2)
-    u0 = U0
-    assert block_probability(params, u0, 1.0) == pytest.approx(13 / 16, abs=1e-14)
-    assert block_probability(params, u0, 0.0) == pytest.approx(3 / 16, abs=1e-14)
+    pmf = _block_pmf(ModelParams(0.75, 2), U0)
+    assert pmf[1.0] == pytest.approx(13 / 16, abs=1e-14)
+    assert pmf[0.0] == pytest.approx(3 / 16, abs=1e-14)
 
 
 def test_block_probability_exact_rational_oracle():
     """Log-domain route vs exact Fraction arithmetic at n = 30."""
-    params = ModelParams(0.75, 30)
-    u0 = U0
+    pmf = _block_pmf(ModelParams(0.75, 30), U0)
     for j in (15.0, 9.0, 4.0, 1.0, 0.0):
         want = exact_block_weight(30, j, Fraction(3, 4))
-        got = block_probability(params, u0, j)
-        assert got == pytest.approx(float(want), rel=1e-12)
+        assert pmf[j] == pytest.approx(float(want), rel=1e-12)
 
 
 def test_block_probability_shifted_parameter():
@@ -101,25 +105,27 @@ def test_block_probability_shifted_parameter():
     params = ModelParams(0.6, 50)
     u = (0.4, -0.3, 0.7)
     mu_u = params.mu_u(u)
+    pmf = _block_pmf(params, u)
     for j in (25.0, 10.0, 3.0):
         want = exact_block_weight(50, j, mu_u)
-        assert block_probability(params, u, j) == pytest.approx(want, rel=1e-11)
+        assert pmf[j] == pytest.approx(want, rel=1e-11)
 
 
 def test_block_probability_sums_to_one():
+    """The window's terms and the ``dropped`` mass outside it: the pmf over
+    the whole lattice."""
     for n, mu in ((6, 0.75), (31, 0.65), (200, 0.9)):
-        params = ModelParams(mu, n)
-        u = (0.5, 0.2, -0.4)
-        total = sum(block_probability(params, u, j) for j in valid_j_values(n))
-        assert total == pytest.approx(1.0, abs=1e-12)
+        _, probs, dropped = block_pmf_window(ModelParams(mu, n), (0.5, 0.2, -0.4))
+        assert probs.sum() + dropped == pytest.approx(1.0, abs=1e-12)
 
 
 def test_block_probability_factored_consistency():
     params = ModelParams(0.8, 64)
     u = (0.1, 0.0, 0.5)
+    pmf = _block_pmf(params, u)
     for j in (32.0, 20.0, 19.0, 5.0):
         b, k = block_probability_factored(params, u, j)
-        assert b * k == pytest.approx(block_probability(params, u, j), rel=1e-9)
+        assert b * k == pytest.approx(pmf[j], rel=1e-9)
         assert k > 0.0
 
 
@@ -160,6 +166,23 @@ def test_typical_set_parity_and_range():
         typical_set(params, 0.25)
     with pytest.raises(ValueError):
         typical_set(params, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 10**7),
+    mu=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+    eps=st.floats(0.0, 0.25, exclude_min=True, exclude_max=True),
+)
+def test_typical_set_is_never_empty(n, mu, eps):
+    """The window j_n +- n^(1/2+eps) is at least 2 wide and centred inside
+    [0, n/2], so both snapped ends are lattice values inside it, lo <= hi."""
+    params = ModelParams(mu, n)
+    lo, hi = typical_set(params, eps)
+    w = float(n) ** (0.5 + eps)
+    assert params.j_n - w <= lo <= hi <= params.j_n + w
+    for j in (lo, hi):
+        assert (2 * j).is_integer() and (2 * j - n) % 2 == 0 and 0 <= 2 * j <= n
 
 
 def test_pmf_window_mass():
@@ -376,9 +399,8 @@ def test_full_space_reconstruction(n, mu, u):
     v = np.asarray(u) / math.sqrt(n)
     target = tensor_power(local_qubit_state(mu, v), n)
     iso = isotypic_isometries(n)
-    weights = {j: block_probability(params, u, j) for j in iso}
     blocks = {j: block_state(params, u, j) for j in iso}
-    rebuilt = assemble_from_blocks(n, weights, blocks, iso)
+    rebuilt = assemble_from_blocks(n, _block_pmf(params, u), blocks, iso)
     assert np.max(np.abs(rebuilt - target)) < 1e-8
 
 
@@ -393,7 +415,7 @@ def test_full_space_block_extraction():
     m = v.conj().T @ target @ v
     m = m.reshape(3, 3, 3, 3)  # (k, a, l, b)
     block = np.einsum("kala->kl", m)
-    p_j = block_probability(params, u, 1.0)
+    p_j = _block_pmf(params, u)[1.0]
     assert np.trace(block).real == pytest.approx(p_j, abs=1e-12)
     assert np.allclose(block / p_j, block_state(params, u, 1.0), atol=1e-10)
     # multiplicity factor must be exactly I / n_j
