@@ -25,7 +25,6 @@ import sys
 
 from .estimator import EstimatorConfig, OutsideModelError, full_estimate
 from .lan_channels import convergence_sweep, loglog_slope
-from .operator_core import density_to_bloch
 from .qsde import collision_integrate, xi_error_bound, xi_overlap, xi_state
 from .risk_bench import (
     RiskConfig,
@@ -248,7 +247,6 @@ def cmd_estimate(spec: dict) -> int:
         spec["mu0"], tuple(c / math.sqrt(n) for c in spec["u"])
     )
     res = full_estimate(rho_true, n, _estimator(spec), seeded_rng(spec["seed"]))
-    r_true = density_to_bloch(rho_true)
     mu_tilde = float(res.stage1.mu_tilde[0])
     if not 0.5 < mu_tilde < 1.0:
         raise OutsideModelError(f"stage-1 eigenvalue estimate mu_tilde = {mu_tilde} degenerate")
@@ -260,7 +258,8 @@ def cmd_estimate(spec: dict) -> int:
             else f"true state is pure to rounding: 1 - mu = {1.0 - res.mu_true:.3g}, and its "
             "shifted eigenvalue is not below 1; outside the model"
         )
-    u_true, u_hat, r_hat = res.u_true_local[:, 0], res.u_hat[:, 0], res.r_hat[:, 0]
+    u_true, u_hat = res.u_true_local[:, 0], res.u_hat[:, 0]
+    r_true, r_hat = res.r_true_frame[:, 0], res.r_hat_frame[:, 0]  # the losses' stage-1 frame
     payload = {
         "config": {
             k: spec[k]
@@ -276,11 +275,11 @@ def cmd_estimate(spec: dict) -> int:
         "u_hat": u_hat.tolist(),
         "truncated": res.trunc_flags[:, 0].tolist(),
         "rho_hat": {
-            "bloch": r_hat.tolist(),
+            "bloch": res.r_hat[:, 0].tolist(),
         },
         "loss": {
             "trace_sq": float(loss_trace_sq(r_true, r_hat)),
-            "fidelity": float(loss_fidelity(r_true, r_hat)),
+            "fidelity": float(loss_fidelity(r_true, r_hat, res.mu_true, res.lam_hat[0])),
             "local": float(loss_local(u_true, u_hat, res.mu_true)),
         },
     }

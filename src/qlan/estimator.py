@@ -73,9 +73,8 @@ class EstimatorConfig:
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
-    # vecdot sums like the BLAS dot behind np.linalg.norm of one vector,
-    # so a trial's norm does not depend on the batch it sits in
-    return np.sqrt(np.vecdot(v, v, axis=0))
+    x, y, z = v  # elementwise, so a trial's norm does not depend on its batch
+    return np.sqrt((x * x + y * y) + z * z)
 
 
 def _turn(vec, wx, wy, den, flip) -> np.ndarray:
@@ -84,9 +83,8 @@ def _turn(vec, wx, wy, den, flip) -> np.ndarray:
     x, y, z = vec
     px, py, pz = wy * z, -wx * z, wx * y - wy * x  # w x v
     out = np.empty((3, *np.broadcast_shapes(np.shape(x), np.shape(wx))))
-    out[0] = x + px + wy * pz / den
-    out[1] = y + py - wx * pz / den
-    out[2] = z + pz + (wx * py - wy * px) / den
+    for o, v, p, t in zip(out, (x, y, z), (px, py, pz), (wy * pz, -wx * pz, wx * py - wy * px)):
+        np.add(np.add(v, p, out=o), np.divide(t, den, out=t), out=o)
     if np.any(flip):
         for i, v in enumerate((x, -y, -z)):  # v broadcasts: vec may be one (3,) vector
             np.copyto(out[i, ...], v, where=flip)
@@ -116,8 +114,9 @@ class Stage1Result:
         nrm = _norm(self.r_proj) if self.proj_norm is None else self.proj_norm
         dx, dy, c = self.r_proj / np.where(nrm < 1e-15, np.inf, nrm)  # 0 -> R = 1
         wx, wy = dy, -dx
-        # below the equator 1 + c = |w|^2 / (1 - c), which does not cancel near -z
-        den = np.where(c >= 0.0, 1.0 + c, (wx * wx + wy * wy) / np.maximum(1.0 - c, 1.0))
+        den, south = 1.0 + c, c < 0.0
+        if np.any(south):  # there 1 + c = |w|^2 / (1 - c), which does not cancel near -z
+            den = np.where(south, (wx * wx + wy * wy) / np.maximum(1.0 - c, 1.0), den)
         flip = den < 1e-200
         if np.any(flip):
             den = np.where(flip, 1.0, den)
@@ -147,10 +146,11 @@ def stage1(r_true, n_tilde: int, rng: np.random.Generator, size: int) -> Stage1R
         raise ValueError(f"n_tilde = {n_tilde} too small for three axes")
     counts = np.array([math.ceil((n_tilde - i) / 3.0) for i in range(3)])
     probs = (1.0 + np.asarray(r_true, dtype=float)) / 2.0
-    heads = np.empty((3, size))
+    r_raw = np.empty((3, size))  # 2 heads / counts - 1, in place
     for i in range(3):  # one (n, p) a draw: the binomial sampler sets up once per axis
-        heads[i] = rng.binomial(counts[i], probs[i], size)
-    r_raw = 2.0 * heads / counts[:, None] - 1.0
+        np.multiply(rng.binomial(counts[i], probs[i], size), 2.0, out=r_raw[i])
+    r_raw /= counts[:, None]
+    r_raw -= 1.0
     nrm = _norm(r_raw)
     over = nrm > 1.0
     r_proj = r_raw / np.where(over, nrm, 1.0) if np.any(over) else r_raw
@@ -161,9 +161,9 @@ def stage1(r_true, n_tilde: int, rng: np.random.Generator, size: int) -> Stage1R
     return s1
 
 
-def localize_frame(r_true, s1: Stage1Result, n_rest: int) -> tuple[np.ndarray, float]:
+def localize_frame(r_true, s1: Stage1Result, n_rest: int) -> tuple[np.ndarray, float, np.ndarray]:
     """True local parameters u of the state with Bloch vector r_true in the
-    stage-1 frames, and the larger eigenvalue mu_rot of the state.
+    stage-1 frames, its larger eigenvalue mu_rot, and R r_true in the frames.
 
     In a frame the true state is U(v) diag(mu_rot, 1-mu_rot) U(v)^*; the
     rotation is inverted exactly (matrix logarithm of the residual
@@ -171,48 +171,52 @@ def localize_frame(r_true, s1: Stage1Result, n_rest: int) -> tuple[np.ndarray, f
     u = sqrt(n_rest) (v_x, v_y, mu_rot - mu_tilde).  A rotation keeps
     lengths, so mu_rot = (1 + |r_true|) / 2 is one number for all frames.
     """
-    x, y, z = s1.rotate(r_true)
+    x, y, z = r_frame = s1.rotate(r_true)
     r_len = float(np.linalg.norm(r_true))
     mu_rot = 0.5 * (1.0 + r_len)
-    denom = np.hypot(x, y)
+    denom = np.sqrt(x * x + y * y)  # not libm's slow hypot: |x|, |y| <= 1 cannot overflow
     # atan2 is scale-free, and keeps near 0 and pi the digits arccos loses
     theta = np.arctan2(denom, z)
     on_axis = denom <= 1e-15 * r_len
     rn = math.sqrt(n_rest)
     half = (0.5 * rn) * theta / np.where(on_axis, 1.0, denom)
-    u = np.array([half * y, -half * x, rn * (mu_rot - s1.mu_tilde)])
+    u = np.empty_like(r_frame)
+    np.multiply(half, y, out=u[0])
+    np.multiply(-half, x, out=u[1])
+    np.multiply(rn, mu_rot - s1.mu_tilde, out=u[2])
     if np.any(on_axis):
         # on the axis: no rotation at +z, a half turn about x at -z
         u[0] = np.where(on_axis, np.where(z > 0, 0.0, rn * math.pi / 2.0), u[0])
         u[1] = np.where(on_axis, 0.0, u[1])
-    return u, mu_rot
+    return u, mu_rot, r_frame
 
 
 def reconstruct(
     s1: Stage1Result, n_rest: int, u_hat
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bloch vectors for the local estimates u_hat: the local family member
-    in each stage-1 frame, rotated back.  Returns (r_hat, clamped) where
-    clamped flags an eigenvalue that had to be clipped into [0, 1]."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The local family member of each local estimate u_hat, in its stage-1
+    frame: Bloch vectors (``s1.rotate_back`` turns them to the lab frame),
+    eigenvalues lam along them, and flags of a lam clipped into [0, 1]."""
     ux, uy, uz = np.asarray(u_hat, dtype=float)
     rn = math.sqrt(n_rest)
     lam = s1.mu_tilde + uz / rn
     clamped = (lam < 0.0) | (lam > 1.0)
-    lam = np.clip(lam, 0.0, 1.0)
+    np.clip(lam, 0.0, 1.0, out=lam)
     # exp(i(h_x sigma_x + h_y sigma_y)) turns e_z by 2|h| about -h
     hx = ux / rn
     hy = uy / rn
-    q = np.hypot(hx, hy)
-    s = np.where(q > 1e-12, np.sin(2.0 * q) / np.maximum(q, 1e-300), 2.0)
+    q = np.sqrt(hx * hx + hy * hy)
+    s = np.divide(np.sin(2.0 * q), q, out=np.full_like(q, 2.0), where=q > 1e-12)
     scale = 2.0 * lam - 1.0
-    r_local = (-hy * s * scale, hx * s * scale, np.cos(2.0 * q) * scale)
-    del lam, hx, hy, q, s, scale  # freed before rotate_back allocates its own
-    return s1.rotate_back(r_local), clamped
+    r_local = np.array([-hy, hx, np.cos(2.0 * q)])
+    r_local[:2] *= s
+    r_local *= scale
+    return r_local, lam, clamped
 
 
 def stage2_sample(mu, n: int, u, config: EstimatorConfig, rng: np.random.Generator):
     """Raw stage-2 draws (u_x~, u_y~, g), one per column of the (3, B) true
-    local parameters ``u``; column b is local to reference eigenvalue
+    local parameters ``u``, as a (3, B) array; column b is local to reference eigenvalue
     ``mu[b]`` at n copies, and its shifted eigenvalue mu_u = mu + u_z /
     sqrt(n) must lie in (1/2, 1) (``ValueError`` otherwise, before any draw).
 
@@ -235,12 +239,11 @@ def stage2_sample(mu, n: int, u, config: EstimatorConfig, rng: np.random.Generat
         )
     if config.sampler == "exact":
         return _exact_stage2(mu, mu_u, n, u, rng)
-    sd_xy = np.sqrt(mu_u / (2.0 * (2.0 * mu_u - 1.0) ** 2))
-    count = len(mu_u)
-    ux = u_x + sd_xy * rng.standard_normal(count)
-    uy = u_y + sd_xy * rng.standard_normal(count)
-    g = u_z + np.sqrt(mu_u * (1.0 - mu_u)) * rng.standard_normal(count)
-    return ux, uy, g
+    draws = rng.standard_normal((3, len(mu_u)))
+    draws[:2] *= np.sqrt(mu_u / (2.0 * (2.0 * mu_u - 1.0) ** 2))
+    draws[2] *= np.sqrt(mu_u * (1.0 - mu_u))
+    draws += u
+    return draws
 
 
 def _exact_stage2(mu, mu_u, n: int, u, rng: np.random.Generator):
@@ -271,7 +274,7 @@ def _exact_stage2(mu, mu_u, n: int, u, rng: np.random.Generator):
     # to the block spread
     x_e = energy_measurement_sample(n, js, float(n), rng)
     g = x_e - rn * (mu - 0.5) + rng.normal(0.0, kernel_sd(n), size=len(mu))
-    return np.imag(zs) * scale, -np.real(zs) * scale, g
+    return np.array([np.imag(zs) * scale, -np.real(zs) * scale, g])
 
 
 def truncate_estimate(raw, eta: float, n: int):
@@ -287,12 +290,14 @@ def truncate_estimate(raw, eta: float, n: int):
 
 @dataclass
 class EstimateResult:
-    """B trials of the two-stage estimator: (3, B) local parameters, flags
-    and Bloch vectors, (B,) masks, the true state's larger eigenvalue.  A
-    trial in ``outside`` has no stage-2 draw; its estimate is meaningless."""
+    """B trials of the two-stage estimator: (3, B) local parameters, flags and stage-1-frame Bloch
+    vectors (``r_hat``: the lab frame's, on first read), (B,) masks and eigenvalues, the true
+    state's larger eigenvalue.  A trial in ``outside`` has no stage-2 draw; its estimate is void."""
 
     u_hat: np.ndarray
-    r_hat: np.ndarray
+    r_hat_frame: np.ndarray
+    lam_hat: np.ndarray  # the estimate's eigenvalue along r_hat_frame
+    r_true_frame: np.ndarray
     stage1: Stage1Result
     u_raw: np.ndarray
     u_true_local: np.ndarray
@@ -301,6 +306,10 @@ class EstimateResult:
     n_rest: int
     outside: np.ndarray
     mu_true: float
+
+    @cached_property
+    def r_hat(self) -> np.ndarray:
+        return self.stage1.rotate_back(self.r_hat_frame)
 
 
 def full_estimate(
@@ -325,7 +334,7 @@ def full_estimate(
         raise ValueError(f"n = {n} leaves no copies for stage 2")
     r_true = density_to_bloch(validate_density(rho_true))
     s1 = stage1(r_true, n_tilde, rng, size)
-    u_true, mu_true = localize_frame(r_true, s1, n_rest)
+    u_true, mu_true, r_frame = localize_frame(r_true, s1, n_rest)
     degenerate = ~((0.5 < s1.mu_tilde) & (s1.mu_tilde < 1.0))
     mu_u = s1.mu_tilde + u_true[2] / math.sqrt(n_rest)  # as stage2_sample sets it
     outside = degenerate | (mu_true - 0.5 < MODEL_MARGIN) | ~((0.5 < mu_u) & (mu_u < 1.0))
@@ -336,5 +345,7 @@ def full_estimate(
         u_hat, flags = truncate_estimate(raw, config.eta, n)
     else:
         u_hat, flags = raw, np.zeros(raw.shape, dtype=bool)
-    r_hat, clamped = reconstruct(s1, n_rest, u_hat)
-    return EstimateResult(u_hat, r_hat, s1, raw, u_true, flags, clamped, n_rest, outside, mu_true)
+    r_hat, lam_hat, clamped = reconstruct(s1, n_rest, u_hat)
+    return EstimateResult(
+        u_hat, r_hat, lam_hat, r_frame, s1, raw, u_true, flags, clamped, n_rest, outside, mu_true
+    )

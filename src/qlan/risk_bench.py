@@ -7,8 +7,8 @@ references: 8 mu0 - 4 mu0^2 for (rescaled squared) trace-norm loss and
 the equalized local quadratic loss, mu0 + 1/4 for fidelity loss.
 ``pointwise_risk`` is the risk at one grid point: it runs the batched
 :func:`full_estimate` one chunk per batch, alike for both samplers, and
-scores the trials from their Bloch vectors (trace and fidelity losses)
-or local parameters (local loss).  Gaussian grid points run on a thread
+scores the trials in their stage-1 frames (trace and fidelity losses)
+or from local parameters (local loss).  Gaussian grid points run on a thread
 pool, exact ones in the caller's thread; the output does not depend on
 which.  ``hoeffding_check`` verifies the stage-1 large-deviation bound
 cell by cell.  Batches are components first, as in :mod:`qlan.estimator`:
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import EstimatorConfig, full_estimate, stage1
-from .operator_core import density_to_bloch, pool_map, pool_width, qubit_fidelity_sq
+from .operator_core import pool_map, pool_width
 from .spin_blocks import local_qubit_state
 from .tolerances import MODEL_MARGIN, PROPERTY_SLACK
 
@@ -51,10 +51,13 @@ def loss_trace_sq(r, r_hat):
     return val
 
 
-def loss_fidelity(r, r_hat):
-    """Infidelity loss 1 - F(rho, rho_hat)^2 between qubit states given by
-    Bloch vectors, either of them a (3, B) batch, components first."""
-    return 1.0 - qubit_fidelity_sq(r, r_hat)
+def loss_fidelity(r, r_hat, mu, lam):
+    """Infidelity loss 1 - F^2 of qubit states with Bloch vectors r, r_hat (or (3, B) batches)
+    and eigenvalues mu, lam along them, as (|r - r_hat|^2 + (2a - 2b)^2) / 4, a = sqrt(mu (1 - mu))
+    and b = sqrt(lam (1 - lam)): squares, which do not cancel near F = 1 as 1 - F^2 does."""
+    a, b = np.sqrt(mu * (1.0 - mu)), np.sqrt(lam * (1.0 - lam))
+    g = (mu - lam) * ((1.0 - mu) - lam) / np.maximum(a + b, 1e-300)
+    return np.minimum(0.25 * loss_trace_sq(r, r_hat) + g * g, 1.0)
 
 
 def reference_risks(mu0: float) -> tuple[float, float]:
@@ -94,6 +97,8 @@ class RiskConfig:
                 raise ValueError(f"n = {n} in n_list: the number of qubits must be at least 1")
         if self.loss not in ("trace", "fidelity", "local"):
             raise ValueError(f"unknown loss {self.loss!r}")
+        if self.batches < 2:
+            raise ValueError(f"batches = {self.batches}: the stderr needs two batch means or more")
         if self.trials < self.batches:
             raise ValueError(f"trials = {self.trials}: at least {self.batches} needed, one per batch")
 
@@ -142,19 +147,20 @@ def _true_state(mu0: float, u: np.ndarray, n: int) -> np.ndarray:
     return local_qubit_state(mu0, u / math.sqrt(n))
 
 
-def _batch_losses(rho_true, r_true, fail, n, cfg, cell, b, size):
-    """Batch ``b``'s rescaled losses and (failures, truncated, clamped) counts."""
+def _batch_losses(rho_true, fail, n, cfg, cell, b, size):
+    """Batch ``b``'s rescaled losses, scored in its frames, and its event counts."""
     res = full_estimate(rho_true, n, cfg.estimator, seeded_rng(cfg.seed, *cell, b), size=size)
+    r, r_hat = res.r_true_frame, res.r_hat_frame
     if cfg.loss == "local":
         loss = loss_local(res.u_true_local, res.u_hat, res.mu_true)
     elif cfg.loss == "trace":
-        loss = res.n_rest * loss_trace_sq(r_true, res.r_hat)
+        loss = res.n_rest * loss_trace_sq(r, r_hat)
     else:
-        loss = res.n_rest * loss_fidelity(r_true, res.r_hat)
-    charge = fail if cfg.loss == "local" else fail * res.n_rest
+        loss = res.n_rest * loss_fidelity(r, r_hat, res.mu_true, res.lam_hat)
+    loss[res.outside] = fail if cfg.loss == "local" else fail * res.n_rest
     trunc = np.count_nonzero(res.trunc_flags.any(axis=0))
     events = (int(res.outside.sum()), int(trunc), int(res.recon_clamped.sum()))
-    return np.where(res.outside, charge, loss), events
+    return loss, events
 
 
 def pointwise_risk(
@@ -174,12 +180,11 @@ def pointwise_risk(
     working set.  The counts are the trials outside the model (charged the
     failure loss), with a truncated component, and with a clamped eigenvalue.
     """
-    r_true = density_to_bloch(rho_true)
     fail = _failure_loss(config, _grid_max_sq(config, n))
     per, rem = divmod(config.trials, config.batches)
     sizes = [per + (1 if b < rem else 0) for b in range(config.batches)]
     losses, events = zip(*(
-        _batch_losses(rho_true, r_true, fail, n, config, cell, b, size)
+        _batch_losses(rho_true, fail, n, config, cell, b, size)
         for b, size in enumerate(sizes)
     ))
     counts = dict(zip(("failures", "truncated", "clamped"), map(sum, zip(*events))))

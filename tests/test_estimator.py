@@ -14,6 +14,7 @@ from dense_channels import MixedHeterodyneSampler
 from fullspace import bloch_to_density
 from qlan import estimator, spin_blocks
 from qlan.estimator import (
+    EstimateResult,
     EstimatorConfig,
     Stage1Result,
     full_estimate,
@@ -23,7 +24,8 @@ from qlan.estimator import (
     stage2_sample,
     truncate_estimate,
 )
-from qlan.risk_bench import seeded_rng
+from qlan.operator_core import qubit_fidelity_sq
+from qlan.risk_bench import loss_fidelity, loss_trace_sq, seeded_rng
 from qlan.spin_blocks import ModelParams
 
 
@@ -116,11 +118,14 @@ def test_localize_reconstruct_roundtrip(directions, offsets, r_true, n_rest):
     frames a small angle from the state or from its antipode."""
     near = [sign * r_true + d for d in offsets for sign in (1.0, -1.0)]
     s1 = _frames(list(directions) + near)
-    u, mu_rot = localize_frame(r_true, s1, n_rest)
+    u, mu_rot, r_frame = localize_frame(r_true, s1, n_rest)
     assert mu_rot == 0.5 * (1.0 + np.linalg.norm(r_true))  # a rotation keeps |r_true|
+    assert np.array_equal(r_frame, s1.rotate(r_true))
     # a pure state may clamp its eigenvalue by a rounding; r_hat is still exact
-    r_hat, _ = reconstruct(s1, n_rest, u)
-    assert np.abs(r_hat - r_true[:, None]).max() <= 1e-12
+    r_local, lam, _ = reconstruct(s1, n_rest, u)
+    assert np.abs(r_local - r_frame).max() <= 1e-12
+    assert np.abs(lam - mu_rot).max() <= 1e-12
+    assert np.abs(s1.rotate_back(r_local) - r_true[:, None]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("d", [(0.0, 0.0, 0.8), (0.3, 0.6, 0.6), (-0.1, 0.2, -0.9)])
@@ -131,13 +136,67 @@ def test_localize_frame_on_the_frame_axis(d):
     n_rest = 900
     s1 = _frames([d, d])
     r_true = 0.5 * np.asarray(d) / np.linalg.norm(d)
-    u, _ = localize_frame(r_true, s1, n_rest)
+    u, _, _ = localize_frame(r_true, s1, n_rest)
     assert u[:2].tolist() == [[0.0, 0.0], [0.0, 0.0]]
-    u_anti, _ = localize_frame(-r_true, s1, n_rest)
+    u_anti, _, _ = localize_frame(-r_true, s1, n_rest)
     assert u_anti[0].tolist() == [15.0 * math.pi] * 2 and u_anti[1].tolist() == [0.0, 0.0]
     for r, uu in ((r_true, u), (-r_true, u_anti)):
-        r_hat, _ = reconstruct(s1, n_rest, uu)
-        assert np.abs(r_hat - r[:, None]).max() <= 1e-12
+        r_local, _, _ = reconstruct(s1, n_rest, uu)
+        assert np.abs(s1.rotate_back(r_local) - r[:, None]).max() <= 1e-12
+
+
+def _frame_matrix(d) -> np.ndarray:
+    """The stage-1 frame of direction d by the axis-angle formula: the turn
+    about d x e_z by the angle from d to e_z; the identity for d = 0 or
+    along +z, and the half turn diag(1, -1, -1) along -z."""
+    dx, dy, dz = d
+    xy = math.hypot(dx, dy)
+    if xy == 0.0:
+        return np.diag([1.0, -1.0, -1.0]) if dz < 0.0 else np.eye(3)
+    kx, ky = dy / xy, -dx / xy
+    k = np.array([[0.0, 0.0, ky], [0.0, 0.0, -kx], [-ky, kx, 0.0]])
+    th = math.atan2(xy, dz)
+    return np.eye(3) + math.sin(th) * k + (1.0 - math.cos(th)) * (k @ k)
+
+
+def _tilt_resolved(d) -> bool:
+    # the frame takes a direction shorter than ~1e-15, or tilted off the z
+    # axis by less than ~1e-100 of its length, to be zero or on the axis
+    xy, length = math.hypot(d[0], d[1]), math.hypot(*d)
+    return length == 0.0 or (length > 1e-12 and (xy == 0.0 or xy > 1e-90 * length))
+
+
+@given(
+    directions=st.lists(_direction.filter(_tilt_resolved), min_size=1, max_size=12),
+    r_true=arrays(float, 3, elements=_coord).filter(lambda r: np.linalg.norm(r) <= 1.0),
+    du=arrays(float, 3, elements=st.floats(-8.0, 8.0)),
+    n_rest=st.integers(1, 10**8),
+)
+def test_frame_losses_are_the_lab_losses(directions, r_true, du, n_rest):
+    """Scored in the stage-1 frames, the trace and fidelity losses are those
+    of the lab-frame Bloch vectors, with each frame rebuilt by the
+    axis-angle formula, on +-z and zero directions too; the lazy ``r_hat``
+    is ``rotate_back`` of the frame estimates, and the lab-frame estimate."""
+    s1 = _frames(list(directions) + [(0.0, 0.0, -0.7), (0.0, 0.0, 0.0), (0.0, 0.0, 0.4)])
+    u, mu, r_frame = localize_frame(r_true, s1, n_rest)
+    r_local, lam, _ = reconstruct(s1, n_rest, u + du[:, None])
+    rot = np.stack([_frame_matrix(d) for d in s1.r_proj.T])
+    assert np.abs(r_frame - np.einsum("bij,j->ib", rot, r_true)).max() <= 1e-12
+    r_lab = np.einsum("bji,jb->ib", rot, r_local)  # R^T, column by column
+    unread = ("u_raw", "u_true_local", "trunc_flags", "recon_clamped", "n_rest", "outside", "mu_true")
+    res = EstimateResult(u + du[:, None], r_local, lam, r_frame, s1, **dict.fromkeys(unread))
+    assert "r_hat" not in vars(res)
+    assert np.array_equal(res.r_hat, s1.rotate_back(r_local)) and res.r_hat is res.r_hat
+    assert np.abs(res.r_hat - r_lab).max() <= 1e-12
+    r_col = r_true[:, None]
+    trace = loss_trace_sq(r_frame, r_local)
+    assert np.abs(trace - loss_trace_sq(r_col, r_lab)).max() <= 1e-12
+    fid = loss_fidelity(r_frame, r_local, mu, lam)
+    assert np.abs(fid - loss_fidelity(r_col, r_lab, mu, lam)).max() <= 1e-12
+    assert ((0.0 <= fid) & (fid <= 1.0)).all()
+    # away from pure states the Bloch-vector fidelity's radicands are exact enough
+    mixed = np.minimum(lam * (1.0 - lam), mu * (1.0 - mu)) > 1e-6
+    assert np.abs(fid - (1.0 - qubit_fidelity_sq(r_col, r_lab)))[mixed].max(initial=0.0) <= 1e-12
 
 
 def test_localize_frame_interior_guard():
@@ -148,7 +207,7 @@ def test_localize_frame_interior_guard():
     assert res.outside.all() and not res.u_raw.any()
     # a comfortably interior state reports the right z shift
     s1 = _frames([(0.0, 0.0, 0.1)])
-    u, _ = localize_frame(np.array([0.0, 0.0, 0.4]), s1, 900)
+    u, _, _ = localize_frame(np.array([0.0, 0.0, 0.4]), s1, 900)
     assert u[2, 0] == pytest.approx(30.0 * (0.7 - 0.55), rel=1e-12)
     assert u[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -165,13 +224,14 @@ def test_truncation_boundary():
 
 
 def test_reconstruct_clamps_eigenvalue():
-    s1 = Stage1Result(r_raw=np.zeros(3), r_proj=np.zeros(3), mu_tilde=0.75, n_tilde=0)
-    r, clamped = reconstruct(s1, 100, (0.0, 0.0, 1.0))
-    assert not clamped
-    assert np.allclose(bloch_to_density(r), np.diag([0.85, 0.15]))
-    r2, clamped2 = reconstruct(s1, 100, (0.0, 0.0, -10.0))
-    assert clamped2
-    rho2 = bloch_to_density(r2)
+    s1 = _frames([(0.0, 0.0, 0.0)])
+    s1.mu_tilde[0] = 0.75
+    r, lam, clamped = reconstruct(s1, 100, [[0.0], [0.0], [1.0]])
+    assert not clamped[0] and lam[0] == pytest.approx(0.85)
+    assert np.allclose(bloch_to_density(r[:, 0]), np.diag([0.85, 0.15]))
+    r2, lam2, clamped2 = reconstruct(s1, 100, [[0.0], [0.0], [-10.0]])
+    assert clamped2[0] and lam2[0] == 0.0
+    rho2 = bloch_to_density(r2[:, 0])
     w = np.linalg.eigvalsh(rho2)
     assert w[0] >= -1e-12 and np.trace(rho2).real == pytest.approx(1.0)
 

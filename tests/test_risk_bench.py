@@ -4,6 +4,7 @@ import json
 import math
 import os
 import threading
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from qlan import risk_bench
 from qlan.cli import main
 from qlan.estimator import EstimatorConfig, full_estimate
-from qlan.operator_core import density_to_bloch
+from qlan.operator_core import density_to_bloch, qubit_fidelity_sq
 from qlan.risk_bench import (
     RiskConfig,
     RiskReport,
@@ -67,13 +68,69 @@ def test_matrix_losses():
     sig = density_to_bloch(np.diag([0.8, 0.2]).astype(complex))
     assert loss_trace_sq(rho, sig) == pytest.approx(0.01, rel=1e-9)
     f = math.sqrt(0.75 * 0.8) + math.sqrt(0.25 * 0.2)
-    assert loss_fidelity(rho, sig) == pytest.approx(1.0 - f * f, rel=1e-9)
+    assert loss_fidelity(rho, sig, 0.75, 0.8) == pytest.approx(1.0 - f * f, rel=1e-9)
+    # an eigenvalue below 1/2 along -r_hat is the one above 1/2 along r_hat
+    assert loss_fidelity(rho, -sig, 0.75, 0.2) == pytest.approx(
+        loss_fidelity(rho, -sig, 0.75, 0.8), rel=1e-15
+    )
+    f = math.sqrt(0.75 * 0.2) + math.sqrt(0.25 * 0.8)
+    assert loss_fidelity(rho, -sig, 0.75, 0.2) == pytest.approx(1.0 - f * f, rel=1e-12)
+    assert loss_fidelity(rho, rho, 0.75, 0.75) == 0.0
     assert loss_trace_sq(rho, rho) == pytest.approx(0.0, abs=1e-12)
     # a (3, B) batch gives one loss per column; antipodal pure states sit at 4
     pair = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]).T
     assert np.array_equal(loss_trace_sq(pair, pair[:, ::-1]), [4.0, 4.0])
     with pytest.raises(AssertionError, match="qubit bound"):
         loss_trace_sq(pair, 2.0 * pair[:, ::-1])
+
+
+def _infidelity_oracle(r, s, mu: float, lam: float) -> Decimal:
+    """1 - F^2 at 50 digits between the states of eigenvalue mu along r and
+    lam along s, the vectors rescaled to the lengths |2 mu - 1|, |2 lam - 1|."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+
+        def scaled(v, m):
+            v = [Decimal(float(c)) for c in v]
+            k = abs(2 * Decimal(m) - 1) / sum(c * c for c in v).sqrt()
+            return [c * k for c in v]
+
+        dm, dl = Decimal(mu), Decimal(lam)
+        root = (dm * (1 - dm) * dl * (1 - dl)).sqrt()
+        dot = sum(a * b for a, b in zip(scaled(r, mu), scaled(s, lam)))
+        return 1 - (1 + dot + 4 * root) / 2
+
+
+def test_infidelity_keeps_its_digits():
+    """At mu = 0.75, for states 1e-3 apart (1 - F^2 ~ 1e-7), the infidelity
+    is within 1e-12 relative of a 50-digit oracle; 1 - F^2 from the
+    squared fidelity of the Bloch vectors loses about four more digits."""
+    rng = np.random.default_rng(29)
+    mu, count = 0.75, 200
+    e = rng.normal(size=(3, count))
+    e /= np.linalg.norm(e, axis=0)
+    f = e + 1e-3 * rng.normal(size=(3, count))
+    f /= np.linalg.norm(f, axis=0)
+    lam = mu + 1e-3 * rng.normal(size=count)
+    r, s = (2.0 * mu - 1.0) * e, (2.0 * lam - 1.0) * f
+    want = [_infidelity_oracle(r[:, b], s[:, b], mu, lam[b]) for b in range(count)]
+
+    def rel_err(got):
+        return max(float(abs((Decimal(float(g)) - w) / w)) for g, w in zip(got, want))
+
+    assert rel_err(loss_fidelity(r, s, mu, lam)) <= 1e-12
+    assert rel_err(1.0 - qubit_fidelity_sq(r, s)) > 1e-10
+
+
+@pytest.mark.parametrize("batches", [0, 1, -2])
+def test_config_needs_two_batches(batches):
+    """The stderr is the spread of the batch means, so a config with fewer
+    than two batches is refused when built; two batches run."""
+    with pytest.raises(ValueError, match=f"batches = {batches}: the stderr needs two batch means or more"):
+        RiskConfig(mu0=0.75, n_list=(10**4,), trials=10, batches=batches)
+    cfg = RiskConfig(mu0=0.75, n_list=(10**4,), trials=10, batches=2)
+    mean, se, _ = pointwise_risk(_true_state(0.75, np.zeros(3), 10**4), 10**4, cfg)
+    assert math.isfinite(mean) and math.isfinite(se) and se > 0.0
 
 
 def test_failure_loss_caps():
@@ -128,14 +185,15 @@ def test_center_risk_matches_reference():
 # RiskConfig(trials=3000, batches=6, seed=99), cell (0, 3).  First recorded
 # from the vectorized gaussian evaluator the batched pipeline replaced;
 # re-recorded from the pipeline when the seeded streams moved to SFC64 and
-# stage 1 to per-axis binomial draws
+# stage 1 to per-axis binomial draws, and again when the losses were scored
+# in the stage-1 frames (cancellation-free infidelity, hypot -> sqrt)
 GAUSSIAN_RECORDED = {
-    ("trace", 10**4, 0.8, (0.0, 0.5 / 1.2, 0.0), True): (3.739246609031201, 0.040169178596963735),
-    ("trace", 10**6, 0.75, (0.0, 0.0, -0.5), True): (3.6560427002935465, 0.03828076851859374),
-    ("trace", 2000, 0.6, (1.0, 0.0, 0.0), False): (3.236587810520005, 0.057602329590659855),
-    ("fidelity", 10**4, 0.8, (0.0, 0.5 / 1.2, 0.0), True): (1.0226031401748192, 0.011840650791587432),
-    ("fidelity", 10**6, 0.75, (0.0, 0.0, -0.5), True): (0.9749896340581605, 0.011018800023872602),
-    ("fidelity", 2000, 0.6, (1.0, 0.0, 0.0), False): (0.8195103778459767, 0.014604887213378232),
+    ("trace", 10**4, 0.8, (0.0, 0.5 / 1.2, 0.0), True): (3.739246609031201, 0.04016917859696375),
+    ("trace", 10**6, 0.75, (0.0, 0.0, -0.5), True): (3.6560427002935474, 0.038280768518593904),
+    ("trace", 2000, 0.6, (1.0, 0.0, 0.0), False): (3.236587810520005, 0.05760232959065986),
+    ("fidelity", 10**4, 0.8, (0.0, 0.5 / 1.2, 0.0), True): (1.0226031401749038, 0.011840650791586783),
+    ("fidelity", 10**6, 0.75, (0.0, 0.0, -0.5), True): (0.9749896340613156, 0.011018800023790272),
+    ("fidelity", 2000, 0.6, (1.0, 0.0, 0.0), False): (0.8195103778459845, 0.014604887213378215),
     ("local", 10**4, 0.8, (0.0, 0.5 / 1.2, 0.0), True): (3.7418873172606957, 0.03837006035604498),
     ("local", 10**6, 0.75, (0.0, 0.0, -0.5), True): (3.6560062460821015, 0.03807571215943673),
     ("local", 2000, 0.6, (1.0, 0.0, 0.0), False): (3.316619413590631, 0.04917706735144352),
@@ -401,19 +459,20 @@ def test_exact_risk_runs_the_gaussian_chunks():
 # (loss, mu0, n, point in units of n^eps, truncate) -> pointwise_risk's
 # (mean, stderr, counts), recorded with repr at RiskConfig(trials=10^4,
 # batches=4, seed=4242), cell (0, 2), and re-recorded when the seeded
-# streams moved to SFC64 and stage 1 to per-axis binomial draws.  The
+# streams moved to SFC64 and stage 1 to per-axis binomial draws, and when
+# the losses were scored in the stage-1 frames (last digits only).  The
 # mu0 = 0.55, n = 10^4 rows truncate (x+) or put every trial outside the
 # model (z-); the mu0 = 0.99, n = 100 rows mix degenerate stage-1 trials
 # with clamped eigenvalues.
 PIPELINE_PINNED = {
     ("trace", 0.75, 10**6, (0.0, 0.0, -0.5), True):
-        (3.757831559465175, 0.021995209854049503, {"failures": 0, "truncated": 0, "clamped": 0}),
+        (3.7578315594651746, 0.021995209854049343, {"failures": 0, "truncated": 0, "clamped": 0}),
     ("trace", 0.75, 10**6, (0.0, 0.0, -0.5), False):
-        (3.757831559465175, 0.021995209854049503, {"failures": 0, "truncated": 0, "clamped": 0}),
+        (3.7578315594651746, 0.021995209854049343, {"failures": 0, "truncated": 0, "clamped": 0}),
     ("fidelity", 0.75, 10**6, (0.0, 0.0, -0.5), True):
-        (1.000938190559578, 0.005341812936418091, {"failures": 0, "truncated": 0, "clamped": 0}),
+        (1.000938190561868, 0.005341812936459823, {"failures": 0, "truncated": 0, "clamped": 0}),
     ("fidelity", 0.75, 10**6, (0.0, 0.0, -0.5), False):
-        (1.000938190559578, 0.005341812936418091, {"failures": 0, "truncated": 0, "clamped": 0}),
+        (1.000938190561868, 0.005341812936459823, {"failures": 0, "truncated": 0, "clamped": 0}),
     ("local", 0.75, 10**6, (0.0, 0.0, -0.5), True):
         (3.7579793130124455, 0.021838073395747244, {"failures": 0, "truncated": 0, "clamped": 0}),
     ("local", 0.75, 10**6, (0.0, 0.0, -0.5), False):
@@ -421,13 +480,13 @@ PIPELINE_PINNED = {
     ("trace", 0.55, 10**4, (5.0, 0.0, 0.0), True):
         (4.301542493907202, 0.04096923659664858, {"failures": 0, "truncated": 6946, "clamped": 0}),
     ("trace", 0.55, 10**4, (5.0, 0.0, 0.0), False):
-        (3.1326410922930243, 0.019767495412269194, {"failures": 0, "truncated": 0, "clamped": 0}),
+        (3.1326410922930243, 0.0197674954122693, {"failures": 0, "truncated": 0, "clamped": 0}),
     ("fidelity", 0.55, 10**4, (5.0, 0.0, 0.0), True):
-        (1.077892772332094, 0.010240739766200732, {"failures": 0, "truncated": 6946, "clamped": 0}),
+        (1.0778927723321068, 0.010240739766198347, {"failures": 0, "truncated": 6946, "clamped": 0}),
     ("fidelity", 0.55, 10**4, (5.0, 0.0, 0.0), False):
-        (0.7856674219285489, 0.004949093196432633, {"failures": 0, "truncated": 0, "clamped": 0}),
+        (0.7856674219285622, 0.0049490931964319305, {"failures": 0, "truncated": 0, "clamped": 0}),
     ("local", 0.55, 10**4, (5.0, 0.0, 0.0), True):
-        (4.374947179296405, 0.033066739490169576, {"failures": 0, "truncated": 6946, "clamped": 0}),
+        (4.374947179296405, 0.03306673949016962, {"failures": 0, "truncated": 6946, "clamped": 0}),
     ("local", 0.55, 10**4, (5.0, 0.0, 0.0), False):
         (3.1951678772837564, 0.012261140354334085, {"failures": 0, "truncated": 0, "clamped": 0}),
     ("trace", 0.55, 10**4, (0.0, 0.0, -0.5), True):
@@ -447,13 +506,13 @@ PIPELINE_PINNED = {
     ("trace", 0.99, 100, (0.0, 0.0, 0.0), False):
         (64.44871373665599, 0.1957070832396957, {"failures": 7956, "truncated": 0, "clamped": 657}),
     ("fidelity", 0.99, 100, (0.0, 0.0, 0.0), True):
-        (16.13641528402881, 0.04885654989674189, {"failures": 7956, "truncated": 0, "clamped": 657}),
+        (16.136415284537605, 0.048856549895040235, {"failures": 7956, "truncated": 0, "clamped": 657}),
     ("fidelity", 0.99, 100, (0.0, 0.0, 0.0), False):
-        (16.13641528402881, 0.04885654989674189, {"failures": 7956, "truncated": 0, "clamped": 657}),
+        (16.136415284537605, 0.048856549895040235, {"failures": 7956, "truncated": 0, "clamped": 657}),
     ("local", 0.99, 100, (0.0, 0.0, 0.0), True):
-        (5.290205906069149, 0.017103552307611285, {"failures": 7956, "truncated": 0, "clamped": 657}),
+        (5.290205906069149, 0.017103552307611403, {"failures": 7956, "truncated": 0, "clamped": 657}),
     ("local", 0.99, 100, (0.0, 0.0, 0.0), False):
-        (5.290205906069149, 0.017103552307611285, {"failures": 7956, "truncated": 0, "clamped": 657}),
+        (5.290205906069149, 0.017103552307611403, {"failures": 7956, "truncated": 0, "clamped": 657}),
 }
 # one full_estimate trial per sampler (a batch of one) on default_rng:
 # (r_hat, u_hat, u_raw).  The gaussian trial was re-recorded when
