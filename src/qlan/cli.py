@@ -340,19 +340,26 @@ def _options(command: str) -> dict:
     return opts
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``qlan`` parser with every subcommand, or with ``command``'s alone.
+
+    One subcommand parses its own argv lines as the full parser does, help
+    and error texts included, at a fraction of the set-up cost."""
     parser = argparse.ArgumentParser(
         prog="qlan",
         description="Qubit state estimation through its Gaussian limit: "
         "convergence checks, dynamics validation, and risk benchmarks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, summary, _, shortcuts, _) in COMMANDS.items():
+    # one command's parser still lists them all in the usage line its errors print
+    listed = "{" + ",".join(COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
+    for name in (command,) if command else COMMANDS:
+        _, summary, _, shortcuts, _ = COMMANDS[name]
         # absent flags stay out of the namespace, so a file value can fill them
-        p = sub.add_parser(command, help=summary, argument_default=argparse.SUPPRESS)
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="key=value file; flags take precedence")
         groups = {f"{key}_list": p.add_mutually_exclusive_group() for key in shortcuts}
-        for key, (dest, parse, choices, text) in _options(command).items():
+        for key, (dest, parse, choices, text) in _options(name).items():
             flag = "--" + key.replace("_", "-")
             kind = {"type": parse, "choices": choices, "metavar": None if choices else key.upper()}
             if parse is _parse_bool:
@@ -392,7 +399,10 @@ def _read_config(path: str, options: dict) -> dict:
 
 
 def main(argv=None) -> int:
-    flags = vars(build_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named command needs its own subparser only; anything else gets them all
+    named = argv[0] if argv and argv[0] in COMMANDS else None
+    flags = vars(build_parser(named).parse_args(argv))
     command = flags.pop("command")
     handler, _, formats, _, defaults = COMMANDS[command]
     try:

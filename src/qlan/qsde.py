@@ -38,7 +38,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy is imported where it is used, so that `import qlan` needs numpy alone
+# numpy alone: the collision exponential is an eigendecomposition, so that
+# `qlan qsde-check` loads no scipy
 
 from .spin_blocks import ModelParams, _two_j
 from .tolerances import COLLISION_NORM_DRIFT, MODEL_MARGIN
@@ -120,18 +121,16 @@ def _collision_column(params: ModelParams, j: float, s: int, dt: float) -> np.nd
 
     G_s is the real antisymmetric generator of a (x) b^dag - a^dag (x) b
     restricted to total pair excitation s; the column gives the amplitudes
-    for depositing d quanta into a fresh vacuum slot.
+    for depositing d quanta into a fresh vacuum slot.  i G_s is Hermitian,
+    so with i G_s = V diag(w) V^H the column is V e^{-i sqrt(dt) w} V^H e_0.
+    Its real part is scaled back to unit norm, as a rotation's column is:
+    the Kraus channel repeats the column's norm error at all K steps.
     """
-    from scipy.linalg import expm
-
     r = lowering_elements(params, j, s + 1)  # r[c-1] = r_c
-    g = np.zeros((s + 1, s + 1))
-    for d in range(s):
-        c_sys = s - d
-        g[d + 1, d] = r[c_sys - 1] * math.sqrt(d + 1.0)
-        g[d, d + 1] = -g[d + 1, d]
-    col = expm(math.sqrt(dt) * g)[:, 0]
-    return col
+    sub = r[::-1] * np.sqrt(np.arange(1.0, s + 1))  # G_s[d+1, d], system level s-d
+    w, v = np.linalg.eigh(1j * (np.diag(sub, -1) - np.diag(sub, 1)))
+    col = (v @ (np.exp(-1j * math.sqrt(dt) * w) * v[0].conj())).real
+    return col / np.linalg.norm(col)
 
 
 @dataclass(frozen=True)

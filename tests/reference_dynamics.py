@@ -10,6 +10,8 @@
   predicts, and ``xi_norm_sq`` its squared norm in the continuum.
 * ``oscillator_solution``: the damped oscillator, whose coherent states
   stay coherent.
+* ``collision_generator``: one collision's generator on a sector of fixed
+  total excitation, for ``scipy.linalg.expm`` to exponentiate.
 """
 
 import math
@@ -48,6 +50,18 @@ def dense_collision_state(params: ModelParams, j, vec, t: float, K: int) -> np.n
         psi = np.tensordot(u, psi, axes=([2, 3], [0, k + 1]))
         psi = np.moveaxis(psi, 1, k + 1)
     return psi
+
+
+def collision_generator(params: ModelParams, j, s: int) -> np.ndarray:
+    """a (x) b^dag - a^dag (x) b on total excitation s, in the pair basis
+    (system s - d, slot d), d = 0..s: real antisymmetric tridiagonal with
+    G[d + 1, d] = r_{s-d} sqrt(d + 1)."""
+    r = lowering_elements(params, j, s + 1)  # r[c-1] = r_c
+    g = np.zeros((s + 1, s + 1))
+    for d in range(s):
+        g[d + 1, d] = r[s - d - 1] * math.sqrt(d + 1.0)
+        g[d, d + 1] = -g[d + 1, d]
+    return g
 
 
 def mode_power(w: np.ndarray, e: int, dim: int) -> np.ndarray:

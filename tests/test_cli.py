@@ -360,19 +360,82 @@ def test_estimate_is_json_only(tmp_path, capsys):
     assert "format" in err
 
 
-def test_readme_cli_lines_parse():
-    """Every ``qlan`` line of the README's CLI block names existing flags
-    (parsed only, not run)."""
+def readme_cli_lines() -> list:
+    """The ``qlan`` lines of the README's CLI block, comments cut."""
     section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [ln.split("#", 1)[0].strip() for ln in block.splitlines()]
-    lines = [ln for ln in lines if ln.startswith("qlan ")]
+    return [ln for ln in lines if ln.startswith("qlan ")]
+
+
+def test_readme_cli_lines_parse():
+    """Every ``qlan`` line of the README's CLI block names existing flags
+    (parsed only, not run)."""
+    lines = readme_cli_lines()
     assert len(lines) >= 5
     for line in lines:
         try:
             build_parser().parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README line does not parse: {line}")
+
+
+# Lines the tests above parse or refuse, for the one-command parser to match.
+PARSED_ARGV = [
+    ["risk", "--n-list", "1e3,2000"],
+    ["risk", "--n", "1e4", "--trials", "1e2", "--seed", "7e0"],
+    ["risk", "--n-list", "2.7"],
+    ["risk", "--n", "2000", "--n-list", "1000", "--trials", "60"],
+    ["risk", "--fock-dim", "16"],
+    ["lan-dist", "--u", "nan,0,0", "--n-list", "20"],
+    ["lan-dist", "--eps-tail", "0.2"],
+    ["estimate", "--n", "1e4", "--seed", "1e3"],
+    ["estimate", "--u", "1,2"],
+    ["estimate", "--format", "csv"],
+    ["qsde-check", "--collisions", "4e2"],
+    ["qsde-check", "--t", "inf"],
+    ["hoeffding", "--trials", "1e3"],
+    ["hoeffding", "--eps", "0.15", "--eps-list", "0.3", "--n-list", "1000"],
+]
+
+
+def parse_outcome(parser, argv, capsys):
+    """The namespace, or the exit code, and the text written on the way."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_one_command_parser_is_the_full_parser(command, capsys):
+    """``build_parser(command)`` builds that subcommand alone; on its lines
+    of these tests and of the README, and on ``-h``, it gives the full
+    parser's namespace, exit code and help or error text, byte for byte."""
+    readme = [shlex.split(line)[1:] for line in readme_cli_lines()]
+    lines = [argv for argv in PARSED_ARGV + readme if argv[0] == command]
+    assert lines
+    for argv in lines + [[command, "-h"]]:
+        one = parse_outcome(build_parser(command), argv, capsys)
+        assert one == parse_outcome(build_parser(), argv, capsys), argv
+
+
+def test_main_builds_the_named_command_only(monkeypatch, capsys):
+    """``main`` builds one subparser when the first word names a command,
+    and all of them otherwise, so that argparse lists the choices."""
+    built = []
+
+    def recorded(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    for argv in (["qsde-check", "-h"], ["no-such-command"], ["-h"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert built == ["qsde-check", None, None]
+    assert "{lan-dist,risk,qsde-check,estimate,hoeffding}" in capsys.readouterr().out
 
 
 def test_estimate_output_fields(capsys):
@@ -656,6 +719,7 @@ for argv in (
     ["estimate", "--n", "10000", "--seed", "7"],
     ["risk", "--n-list", "10000", "--trials", "200"],
     ["hoeffding", "--trials", "200"],
+    ["qsde-check", "--n-list", "1000,4000"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
@@ -665,9 +729,9 @@ print(json.dumps(loaded))
 
 
 def test_gaussian_limit_commands_never_load_scipy():
-    """`import qlan` and the commands that sample the Gaussian limit run on
-    numpy alone; scipy loads only where the exact sampler, the LAN channels
-    or the collision integrator call it.  `import qlan` also leaves out
+    """`import qlan`, the commands that sample the Gaussian limit and
+    `qsde-check` run on numpy alone; scipy loads only where the exact
+    sampler or the LAN channels call it.  `import qlan` also leaves out
     `concurrent.futures`, which only the thread pool of `operator_core.pool_map`
     needs, and imports when it first runs one.  A fresh interpreter, because
     this one has both loaded already."""
@@ -683,5 +747,5 @@ def test_gaussian_limit_commands_never_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     loaded = strict_json(proc.stdout.splitlines()[-1])
-    assert len(loaded) == 5
+    assert len(loaded) == 6
     assert all(mods == [] for mods in loaded.values()), loaded
