@@ -248,11 +248,11 @@ def cmd_estimate(spec: dict) -> int:
     )
     res = full_estimate(rho_true, n, _estimator(spec), seeded_rng(spec["seed"]))
     mu_tilde = float(res.stage1.mu_tilde[0])
-    if not 0.5 < mu_tilde < 1.0:
-        raise OutsideModelError(f"stage-1 eigenvalue estimate mu_tilde = {mu_tilde} degenerate")
     if res.outside[0]:
         raise OutsideModelError(
-            f"rotated state too close to maximally mixed: mu - 1/2 = "
+            f"stage-1 eigenvalue estimate mu_tilde = {mu_tilde} degenerate"
+            if not 0.5 < mu_tilde < 1.0
+            else f"rotated state too close to maximally mixed: mu - 1/2 = "
             f"{res.mu_true - 0.5:.4f} < margin {MODEL_MARGIN}; outside the model"
             if res.mu_true - 0.5 < MODEL_MARGIN
             else f"true state is pure to rounding: 1 - mu = {1.0 - res.mu_true:.3g}, and its "

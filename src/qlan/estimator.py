@@ -1,14 +1,15 @@
 """Two-stage adaptive estimation of a qubit state from n copies.
 
-Stage 1 spends ``n_tilde = ceil(n^(1-kappa))`` copies on Pauli coin flips
-to get a rough Bloch vector, fixes a rotating frame taking it to +z and a
-preliminary eigenvalue ``mu_tilde``.  Stage 2 measures the remaining
-copies in the localized picture — block index plus heterodyne on the
-block, or the limiting Gaussian distributions directly — producing a raw
-local parameter that is truncated at ``3 n^eta`` and mapped back to a
-state.  The procedure and its failure modes (state too close to maximally
-mixed, reconstruction leaving state space) are exactly what the risk
-benchmark scores.
+Step 1, :func:`localize`, runs stage 1, Pauli coin flips on ``n_tilde =
+ceil(n^(1-kappa))`` copies for a rough Bloch vector that fixes a frame taking it
+to +z and a preliminary eigenvalue ``mu_tilde``, and reads the true state in each
+frame.  Stage 2 measures the other n_rest copies in the localized picture (block
+index plus heterodyne on the block, or the limiting Gaussian laws); its raw local
+parameter is truncated at ``3 n^eta`` and mapped back to a state.  Its shifted
+eigenvalue mu_u = mu_tilde + u_z / sqrt(n_rest) is mu_true to one ulp in every
+trial, as mu_tilde and mu_true in [1/2, 1] differ exactly.  The risk benchmark
+scores all this and its failure modes (state too close to maximally mixed,
+reconstruction leaving state space).
 
 Every stage works on a batch of B independent trials of one true state,
 components first: B Bloch vectors or local parameters form a ``(3, B)``
@@ -312,21 +313,14 @@ class EstimateResult:
         return self.stage1.rotate_back(self.r_hat_frame)
 
 
-def full_estimate(
-    rho_true: np.ndarray,
-    n: int,
-    config: EstimatorConfig,
-    rng: np.random.Generator,
-    size: int = 1,
-) -> EstimateResult:
-    """Run both stages on n copies of rho_true, ``size`` trials as one
-    batch, and reconstruct each trial's state.
+def localize(rho_true, n: int, config: EstimatorConfig, rng: np.random.Generator, size: int = 1):
+    """Step 1 for ``size`` trials on n copies of rho_true: stage 1, drawing just what
+    :func:`stage1` draws, and the frames.  Returns (s1, u_true, mu_true, R r_true, n_rest, outside).
 
     A trial whose stage 1 lands on a degenerate estimate, whose rotated
     state is not ``MODEL_MARGIN`` inside the model, or whose shifted
     eigenvalue is not in (1/2, 1) (a pure true state) is marked in
-    ``outside``; the risk benchmark charges it the maximal loss.
-    """
+    ``outside``; the risk benchmark charges it the maximal loss."""
     n = int(n)
     n_tilde = int(math.ceil(float(n) ** (1.0 - config.kappa)))
     n_rest = n - n_tilde
@@ -338,6 +332,19 @@ def full_estimate(
     degenerate = ~((0.5 < s1.mu_tilde) & (s1.mu_tilde < 1.0))
     mu_u = s1.mu_tilde + u_true[2] / math.sqrt(n_rest)  # as stage2_sample sets it
     outside = degenerate | (mu_true - 0.5 < MODEL_MARGIN) | ~((0.5 < mu_u) & (mu_u < 1.0))
+    return s1, u_true, mu_true, r_frame, n_rest, outside
+
+
+def full_estimate(
+    rho_true: np.ndarray,
+    n: int,
+    config: EstimatorConfig,
+    rng: np.random.Generator,
+    size: int = 1,
+) -> EstimateResult:
+    """Both stages on n copies of rho_true, ``size`` trials as one batch: :func:`localize`,
+    then stage 2 on the trials inside the model, truncation and reconstruction."""
+    s1, u_true, mu_true, r_frame, n_rest, outside = localize(rho_true, n, config, rng, size)
     inside = ~outside if np.any(outside) else slice(None)
     raw = np.zeros_like(u_true)
     raw[:, inside] = stage2_sample(s1.mu_tilde[inside], n_rest, u_true[:, inside], config, rng)

@@ -188,10 +188,9 @@ def pointwise_risk(
         for b, size in enumerate(sizes)
     ))
     counts = dict(zip(("failures", "truncated", "clamped"), map(sum, zip(*events))))
-    losses = np.concatenate(losses)
-    means = np.array([float(np.mean(b)) for b in np.split(losses, np.cumsum(sizes)[:-1])])
+    means = np.array([float(np.mean(b)) for b in losses])
     stderr = float(np.std(means, ddof=1) / math.sqrt(config.batches))
-    return float(np.mean(losses)), stderr, counts
+    return float(np.mean(np.concatenate(losses))), stderr, counts
 
 
 def _grid_max_sq(cfg: RiskConfig, n: int) -> float:

@@ -81,9 +81,11 @@ def test_lan_observers_read_one_sweep_row():
 def test_tracer_counts_one_sampler_per_exact_group(monkeypatch):
     """Traced, one exact ``full_estimate`` chunk counts one sampler per
     distinct (mu, u, j, k) and one draw per trial, reads an expected angle
-    acceptance in (0, 1], and ``uninstall`` restores the originals.  At n =
-    12 stage 1 has few outcomes, so trials share groups; the groups are
-    recounted from the block indices and levels the chunk drew."""
+    acceptance in (0, 1], one ``stage1`` and one ``localize_frame`` call
+    (both reached through the estimator module's names, which the tracer
+    wraps), and ``uninstall`` restores the originals.  At n = 12 stage 1 has
+    few outcomes, so trials share groups; the groups are recounted from the
+    block indices and levels the chunk drew."""
     drawn = []
 
     def level(*args):
@@ -116,7 +118,10 @@ def test_tracer_counts_one_sampler_per_exact_group(monkeypatch):
         "fock_gaussian.HeterodyneSampler.init.calls",
         "fock_gaussian.HeterodyneSampler.sample.draws",
         "fock_gaussian.heterodyne.expected_acceptance",
+        "estimator.stage1.calls",
+        "estimator.localize_frame.calls",
     ]
-    inits, draws, acceptance = tr.pass_metrics(0, names).values()
+    inits, draws, acceptance, stage1_calls, frame_calls = tr.pass_metrics(0, names).values()
     assert inits == groups and draws == inside.sum()
     assert 0.0 < acceptance <= 1.0
+    assert stage1_calls == 1 and frame_calls == 1

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
@@ -18,15 +18,16 @@ from qlan.estimator import (
     EstimatorConfig,
     Stage1Result,
     full_estimate,
+    localize,
     localize_frame,
     reconstruct,
     stage1,
     stage2_sample,
     truncate_estimate,
 )
-from qlan.operator_core import qubit_fidelity_sq
+from qlan.operator_core import density_to_bloch, qubit_fidelity_sq
 from qlan.risk_bench import loss_fidelity, loss_trace_sq, seeded_rng
-from qlan.spin_blocks import ModelParams
+from qlan.spin_blocks import ModelParams, local_qubit_state
 
 
 def _frames(r_proj) -> Stage1Result:
@@ -205,11 +206,75 @@ def test_localize_frame_interior_guard():
     rho = np.diag([0.52, 0.48]).astype(complex)
     res = full_estimate(rho, 10**4, EstimatorConfig(), np.random.default_rng(0), size=8)
     assert res.outside.all() and not res.u_raw.any()
+    # localize alone marks them, before any stage-2 draw
+    *_, outside = localize(rho, 10**4, EstimatorConfig(), np.random.default_rng(0), size=8)
+    assert outside.all()
     # a comfortably interior state reports the right z shift
     s1 = _frames([(0.0, 0.0, 0.1)])
     u, _, _ = localize_frame(np.array([0.0, 0.0, 0.4]), s1, 900)
     assert u[2, 0] == pytest.approx(30.0 * (0.7 - 0.55), rel=1e-12)
     assert u[0, 0] == pytest.approx(0.0, abs=1e-12)
+
+
+@given(
+    mu0=st.floats(0.55, 0.999),
+    n=st.integers(100, 10**9),
+    u=arrays(float, 3, elements=st.floats(-3.0, 3.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shifted_eigenvalue_is_the_true_one(mu0, n, u, seed):
+    """In every trial stage 2's shifted eigenvalue mu_u = mu_tilde + u_z /
+    sqrt(n_rest) is mu_true to one ulp: mu_tilde and mu_true lie in [1/2, 1],
+    so ``localize_frame``'s mu_true - mu_tilde is exact (Sterbenz), and only
+    the product by sqrt(n_rest) and the quotient by it round."""
+    assume(mu0 + u[2] / math.sqrt(n) <= 1.0)
+    rho = local_qubit_state(mu0, u / math.sqrt(n))
+    s1, u_true, mu_true, _, n_rest, _ = localize(rho, n, EstimatorConfig(), seeded_rng(seed), 32)
+    mu_u = s1.mu_tilde + u_true[2] / math.sqrt(n_rest)  # as stage2_sample sets it
+    assert np.abs(mu_u - mu_true).max() <= np.spacing(mu_true)
+
+
+@pytest.mark.parametrize("sampler", ["gaussian", "exact"])
+def test_full_estimate_is_localize_then_stage2(sampler):
+    """On a chunk with trials outside the model (a degenerate stage 1),
+    ``localize`` draws what ``stage1`` draws and no more, and ``localize``,
+    then ``stage2_sample`` on the inside trials, ``truncate_estimate`` and
+    ``reconstruct`` on one generator are ``full_estimate`` bit for bit."""
+    config, n, size = EstimatorConfig(sampler=sampler), 100, 64
+    rho = local_qubit_state(0.95, (0.1, -0.05, 0.0))
+    rng, bare = seeded_rng(11), seeded_rng(11)
+    s1, u_true, mu_true, r_frame, n_rest, outside = localize(rho, n, config, rng, size)
+    assert 0 < outside.sum() < size
+    bare_s1 = stage1(density_to_bloch(rho), n - n_rest, bare, size)
+    assert n - n_rest == math.ceil(n ** (1.0 - config.kappa))
+    assert np.array_equal(s1.r_raw, bare_s1.r_raw) and rng.random() == bare.random()
+
+    rng = seeded_rng(11)
+    s1, u_true, mu_true, r_frame, n_rest, outside = localize(rho, n, config, rng, size)
+    inside = ~outside
+    raw = np.zeros_like(u_true)
+    raw[:, inside] = stage2_sample(s1.mu_tilde[inside], n_rest, u_true[:, inside], config, rng)
+    u_hat, flags = truncate_estimate(raw, config.eta, n)
+    r_hat, lam_hat, clamped = reconstruct(s1, n_rest, u_hat)
+    res = full_estimate(rho, n, config, seeded_rng(11), size)
+    pairs = [
+        (res.stage1.r_raw, s1.r_raw),
+        (res.stage1.r_proj, s1.r_proj),
+        (res.stage1.mu_tilde, s1.mu_tilde),
+        (res.u_true_local, u_true),
+        (res.r_true_frame, r_frame),
+        (res.outside, outside),
+        (res.u_raw, raw),
+        (res.u_hat, u_hat),
+        (res.trunc_flags, flags),
+        (res.r_hat_frame, r_hat),
+        (res.lam_hat, lam_hat),
+        (res.recon_clamped, clamped),
+    ]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert (res.mu_true, res.n_rest) == (mu_true, n_rest)
 
 
 def test_truncation_boundary():
