@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from qlan.estimator import EstimatorConfig, full_estimate
-from qlan.risk_bench import RiskConfig, local_sup_risk, reference_risks
+from qlan.risk_bench import RiskConfig, local_sup_risk
 from qlan.spin_blocks import local_qubit_state
 
 
@@ -41,10 +41,8 @@ def main() -> None:
             estimator=EstimatorConfig(),
         )
         rep = local_sup_risk(cfg)
-        ref_trace, ref_fid = reference_risks(mu0)
-        ref = ref_fid if loss == "fidelity" else ref_trace
         print(f"benchmark, {loss} loss: sup risk {rep.sup:.4f} over the grid "
-              f"(reference {ref:.4f}, worst point {rep.argmax['label']})")
+              f"(reference {rep.reference:.4f}, worst point {rep.argmax['label']})")
 
 
 if __name__ == "__main__":

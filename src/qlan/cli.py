@@ -23,7 +23,7 @@ import math
 import os
 import sys
 
-from .estimator import EstimatorConfig, OutsideModelError, full_estimate
+from .estimator import EstimatorConfig, full_estimate
 from .lan_channels import convergence_sweep, loglog_slope
 from .qsde import collision_integrate, xi_error_bound, xi_overlap, xi_state
 from .risk_bench import (
@@ -249,7 +249,7 @@ def cmd_estimate(spec: dict) -> int:
     res = full_estimate(rho_true, n, _estimator(spec), seeded_rng(spec["seed"]))
     mu_tilde = float(res.stage1.mu_tilde[0])
     if res.outside[0]:
-        raise OutsideModelError(
+        raise RuntimeError(
             f"stage-1 eigenvalue estimate mu_tilde = {mu_tilde} degenerate"
             if not 0.5 < mu_tilde < 1.0
             else f"rotated state too close to maximally mixed: mu - 1/2 = "

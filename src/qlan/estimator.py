@@ -33,10 +33,6 @@ from .spin_blocks import block_vector, gauge_angle, kernel_sd, ladder_level, sam
 from .tolerances import MODEL_MARGIN
 
 
-class OutsideModelError(RuntimeError):
-    """Stage-1 output or the true state violates the model's interior."""
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Knobs of the two-stage scheme.

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy is imported where it is used, so that `import qlan` needs numpy alone
+# scipy is imported where it is used, so that `import qlan.cli` needs numpy alone
 
 from .spin_blocks import ladder_corner
 from .tolerances import CORNER_TAIL_MASS

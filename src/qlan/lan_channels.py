@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy is imported where it is used, so that `import qlan` needs numpy alone
+# scipy is imported where it is used, so that `import qlan.cli` needs numpy alone
 
 from .fock_gaussian import GaussianLimitParams, displaced_thermal
 from .operator_core import embed_block, pool_map, pool_width
@@ -127,20 +127,6 @@ GRID_TYPICAL_EPS = 0.2
 DELTA_ADM = 0.02
 
 
-def default_grid(
-    mu: float, center: float, extra_lo: float = 0.0, extra_hi: float = 0.0
-) -> np.ndarray:
-    """Uniform grid: ``center`` +- ``GRID_STD_MULT`` classical standard
-    deviations (std = sqrt(mu(1-mu))), step std/``GRID_STEP_DIVISOR``,
-    optionally widened."""
-    std = math.sqrt(mu * (1.0 - mu))
-    lo = min(center - GRID_STD_MULT * std, center - abs(extra_lo))
-    hi = max(center + GRID_STD_MULT * std, center + abs(extra_hi))
-    step = std / GRID_STEP_DIVISOR
-    npts = int(math.ceil((hi - lo) / step)) + 1
-    return lo + step * np.arange(npts)
-
-
 def _normal_pdf(x, loc, scale):
     """N(loc, scale^2) density, in the arithmetic of scipy.stats.norm.pdf
     (whose import alone costs about half a second)."""
@@ -149,28 +135,25 @@ def _normal_pdf(x, loc, scale):
 
 
 def covering_grid(params: ModelParams, center: float, g_lo: float, g_hi: float) -> np.ndarray:
-    """``default_grid`` around ``center``, widened to [g_lo - 8 ksd,
-    g_hi + 8 ksd] so that it covers every smoothing kernel of blocks whose
+    """The one classical grid of the LAN images: uniform with step
+    std/``GRID_STEP_DIVISOR`` (std = sqrt(mu(1-mu)), the classical standard
+    deviation), covering ``center`` +- ``GRID_STD_MULT`` std and
+    [g_lo - 8 ksd, g_hi + 8 ksd], so every smoothing kernel of blocks whose
     coordinates lie in [g_lo, g_hi] (ksd = kernel standard deviation)."""
-    ksd = kernel_sd(params.n)
-    return default_grid(
-        params.mu,
-        center,
-        extra_lo=abs(center - (g_lo - 8.0 * ksd)),
-        extra_hi=abs((g_hi + 8.0 * ksd) - center),
-    )
+    std, ksd = math.sqrt(params.mu * (1.0 - params.mu)), kernel_sd(params.n)
+    lo = min(center - GRID_STD_MULT * std, center - abs(center - (g_lo - 8.0 * ksd)))
+    hi = max(center + GRID_STD_MULT * std, center + abs((g_hi + 8.0 * ksd) - center))
+    step = std / GRID_STEP_DIVISOR
+    npts = int(math.ceil((hi - lo) / step)) + 1
+    return lo + step * np.arange(npts)
 
 
-def gaussian_limit(
-    gp: GaussianLimitParams, grid: np.ndarray | None = None
-) -> HybridGaussianState:
+def gaussian_limit(gp: GaussianLimitParams, grid: np.ndarray) -> HybridGaussianState:
     """The limit object: N(u_z, mu(1-mu)) times a displaced thermal state.
 
     A one-block mixture: the quantum part is kept on its certified corner
     (``displaced_thermal``), and the mass outside it is reported in ``tails``.
     """
-    if grid is None:
-        grid = default_grid(gp.mu, gp.u[2])
     f = _normal_pdf(grid, gp.u[2], math.sqrt(gp.classical_var))
     classical = ClassicalDensity(grid, f)
     phi, tail = displaced_thermal(gp)
@@ -179,15 +162,13 @@ def gaussian_limit(
     )
 
 
-def apply_T(blocks: BlockData, grid: np.ndarray | None = None) -> HybridGaussianState:
+def apply_T(blocks: BlockData, grid: np.ndarray) -> HybridGaussianState:
     """Map n shifted qubits, as their block picture, to the hybrid object.
 
     Takes every block of the pmf window, holds its corners themselves, and
     reports the window's outside mass as ``dropped_mass``."""
     params = blocks.params
     g = classical_coordinate(params, blocks.js)
-    if grid is None:
-        grid = covering_grid(params, float(np.sum(blocks.probs * g)), g.min(), g.max())
     kernel = _normal_pdf(grid[:, None], g[None, :], kernel_sd(params.n))
     weights = kernel * blocks.probs[None, :]
     classical = ClassicalDensity(grid, weights.sum(axis=1), expected_mass=1.0 - blocks.dropped)

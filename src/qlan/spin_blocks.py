@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy is imported where it is used, so that `import qlan` needs numpy alone
+# scipy is imported where it is used, so that `import qlan.cli` needs numpy alone
 
 from .operator_core import embed_block
 from .tolerances import CORNER_TAIL_MASS, WINDOW_TAIL_MASS

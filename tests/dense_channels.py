@@ -22,7 +22,7 @@ from scipy.special import gammaln
 from scipy.stats import norm
 
 from fullspace import block_state, fock_basis
-from qlan.lan_channels import ClassicalDensity, HybridGaussianState
+from qlan.lan_channels import ClassicalDensity, HybridGaussianState, covering_grid
 from qlan.operator_core import embed_block
 from qlan.spin_blocks import (
     ModelParams,
@@ -180,6 +180,13 @@ def gaussian_limit(gp, grid, dim):
     f = norm.pdf(grid, loc=gp.u[2], scale=math.sqrt(gp.classical_var))
     phi = dense_displaced_thermal(gp, dim)
     return HybridGaussianState(ClassicalDensity(grid, f), f[:, None], phi[None], np.zeros(1), 0.0)
+
+
+def window_grid(blocks):
+    """A classical grid for the T image of ``blocks`` alone: ``covering_grid``
+    around the window's mean coordinate, out to its end blocks' kernels."""
+    g = classical_coordinate(blocks.params, blocks.js)
+    return covering_grid(blocks.params, float(np.sum(blocks.probs * g)), g.min(), g.max())
 
 
 def _joint_stack(state, sl):

@@ -11,12 +11,18 @@ no workload.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
+import qlan
+from dense_channels import window_grid
 from qlan import estimator, fock_gaussian, spin_blocks
 from qlan.estimator import EstimatorConfig
 from qlan.fock_gaussian import GaussianLimitParams, HeterodyneSampler
@@ -51,6 +57,33 @@ def test_every_traced_name_resolves_in_qlan():
         assert meth in vars(cls or object), f"qlan.{mod_name}.{cls_name}.{meth}"
 
 
+def test_cli_loads_every_traced_module():
+    """``Tracer.install`` looks every traced module up in ``sys.modules``, and
+    the bench imports only ``qlan.cli`` (through its workloads) before it
+    installs the tracer, so ``import qlan.cli`` must load every module the
+    tracer's tables name; a module it stopped loading would surface only as
+    a ``KeyError`` under ``perfbench/run.py --trace 1``.  A fresh
+    interpreter, because this one has them all loaded already."""
+    tracer = _tracer()
+    traced = sorted({f"qlan.{entry[0]}" for entry in tracer.FUNCTIONS + tracer.METHODS})
+    child = (
+        "import json, sys, qlan.cli\n"
+        f"print(json.dumps([m for m in {traced!r} if m not in sys.modules]))"
+    )
+    src = str(Path(qlan.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_attributes_the_bench_reads_exist():
     assert callable(RiskReport.to_json)
     assert hasattr(HeterodyneSampler(np.ones(1)), "m_const")
@@ -66,7 +99,8 @@ def test_lan_observers_read_one_sweep_row():
     params, u = ModelParams(0.8, 20), (1.0, 1.0, 0.5)
     gp = GaussianLimitParams(params.mu, u)
     counts = defaultdict(float)
-    t_state = apply_T(block_data(params, u))
+    blocks = block_data(params, u)
+    t_state = apply_T(blocks, window_grid(blocks))
     observers["apply_T"](counts, t_state, (), {})
     args = (t_state, gaussian_limit(gp, grid=t_state.classical.x))
     observers["hybrid_trace_distance"](counts, hybrid_trace_distance(*args), args, {})

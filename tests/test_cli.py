@@ -1,5 +1,5 @@
-"""Command-line interface tests, driven through main(); one test runs the
-commands in a fresh interpreter, to see what they import."""
+"""Command-line interface tests, driven through main(); two tests run in a
+fresh interpreter, to see what the commands and the modules import."""
 
 import dataclasses
 import json
@@ -710,11 +710,10 @@ import contextlib, io, json, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-import qlan
 from qlan.cli import main
 
-loaded = {"import qlan": scipy_modules()}
-loaded["import qlan: concurrent"] = sorted(m for m in sys.modules if m.startswith("concurrent"))
+loaded = {"import qlan.cli": scipy_modules()}
+loaded["import qlan.cli: concurrent"] = sorted(m for m in sys.modules if m.startswith("concurrent"))
 for argv in (
     ["estimate", "--n", "10000", "--seed", "7"],
     ["risk", "--n-list", "10000", "--trials", "200"],
@@ -728,17 +727,13 @@ print(json.dumps(loaded))
 """
 
 
-def test_gaussian_limit_commands_never_load_scipy():
-    """`import qlan`, the commands that sample the Gaussian limit and
-    `qsde-check` run on numpy alone; scipy loads only where the exact
-    sampler or the LAN channels call it.  `import qlan` also leaves out
-    `concurrent.futures`, which only the thread pool of `operator_core.pool_map`
-    needs, and imports when it first runs one.  A fresh interpreter, because
-    this one has both loaded already."""
+def fresh_python(code: str) -> str:
+    """The last stdout line of ``code`` run in a fresh interpreter that
+    imports qlan from this checkout."""
     src = str(Path(qlan.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_FREE],
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -746,6 +741,47 @@ def test_gaussian_limit_commands_never_load_scipy():
         check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = strict_json(proc.stdout.splitlines()[-1])
+    return proc.stdout.splitlines()[-1]
+
+
+def test_gaussian_limit_commands_never_load_scipy():
+    """`import qlan.cli`, the commands that sample the Gaussian limit and
+    `qsde-check` run on numpy alone; scipy loads only where the exact
+    sampler or the LAN channels call it.  `import qlan.cli` also leaves out
+    `concurrent.futures`, which only the thread pool of `operator_core.pool_map`
+    needs, and imports when it first runs one.  A fresh interpreter, because
+    this one has both loaded already."""
+    loaded = strict_json(fresh_python(SCIPY_FREE))
     assert len(loaded) == 6
     assert all(mods == [] for mods in loaded.values()), loaded
+
+
+IMPORT_ALONE = """
+import json, sys
+
+def purge():
+    for name in [m for m in sys.modules if m == "qlan" or m.startswith("qlan.")]:
+        del sys.modules[name]
+
+import qlan
+loaded = {"qlan": sorted(m for m in sys.modules if m.startswith("qlan."))}
+for module in MODULES:
+    purge()
+    try:
+        __import__(module)
+        loaded[module] = "ok"
+    except Exception as exc:
+        loaded[module] = repr(exc)
+print(json.dumps(loaded))
+"""
+
+
+def test_each_module_imports_alone():
+    """`import qlan` loads no module of the package: the API is reached
+    through the modules.  Each module then imports alone, with every qlan
+    module purged first, so none leans on an import the package or another
+    module made for it."""
+    src = Path(qlan.__file__).resolve().parent
+    modules = sorted(f"qlan.{p.stem}" for p in src.glob("*.py") if p.stem != "__init__")
+    loaded = strict_json(fresh_python(f"MODULES = {modules!r}" + IMPORT_ALONE))
+    assert loaded == {"qlan": [], **dict.fromkeys(modules, "ok")}

@@ -15,6 +15,7 @@ import pytest
 import dense_channels
 import qlan
 from qlan import lan_channels, spin_blocks
+from dense_channels import window_grid
 from fullspace import exact_block_weight, fock_basis
 from qlan.fock_gaussian import GaussianLimitParams, displaced_thermal
 from qlan.lan_channels import (
@@ -26,7 +27,6 @@ from qlan.lan_channels import (
     blockwise_distance,
     convergence_sweep,
     covering_grid,
-    default_grid,
     gaussian_limit,
     hybrid_trace_distance,
 )
@@ -37,6 +37,7 @@ from qlan.spin_blocks import (
     block_state,
     classical_coordinate,
     gauge_angle,
+    kernel_sd,
     local_qubit_state,
     typical_set,
     valid_j_values,
@@ -94,19 +95,25 @@ def test_classical_density_validation():
         ClassicalDensity(x, 3.0 * np.ones(11), expected_mass=1.0)
 
 
-def test_default_grid_covers_support():
-    g = default_grid(0.75, 0.3)
-    sd = math.sqrt(0.1875)
-    assert g.min() <= 0.3 - 8.0 * sd
-    assert g.max() >= 0.3 + 8.0 * sd
-    steps = np.diff(g)
-    assert np.allclose(steps, steps[0], atol=1e-12)
-    assert steps[0] <= sd / 50.0 + 1e-12
+def test_covering_grid_covers_support():
+    """The grid covers 8 classical deviations either side of its centre and
+    the kernels (8 of their deviations) of blocks in [g_lo, g_hi], at a
+    uniform step of at most a fiftieth of a classical deviation."""
+    params = ModelParams(0.75, 400)
+    sd, ksd = math.sqrt(0.1875), kernel_sd(params.n)
+    for g_lo, g_hi in [(0.3, 0.3), (-4.0, 2.0), (-1.0, 5.0)]:
+        g = covering_grid(params, 0.3, g_lo, g_hi)
+        assert g.min() <= 0.3 - 8.0 * sd
+        assert g.max() >= 0.3 + 8.0 * sd
+        assert g.min() <= g_lo - 8.0 * ksd and g.max() >= g_hi + 8.0 * ksd
+        steps = np.diff(g)
+        assert np.allclose(steps, steps[0], atol=1e-12)
+        assert steps[0] <= sd / 50.0 + 1e-12
 
 
 def test_gaussian_limit_structure():
     gp = GaussianLimitParams(0.75, (1.0, 0.0, 0.3))
-    state = gaussian_limit(gp)
+    state = gaussian_limit(gp, covering_grid(ModelParams(0.75, 400), 0.3, 0.3, 0.3))
     # a one-block mixture: weights f(x), one displaced thermal block
     assert state.blocks.shape == (1, state.dim, state.dim)
     assert np.array_equal(state.weights[:, 0], state.classical.values)
@@ -136,7 +143,7 @@ def test_limit_corner_matches_displaced_thermal(mu, u):
     rho = fock_basis(phi, gauge_angle(gp.u))
     assert np.abs(np.linalg.eigvalsh(rho - dense[:dim, :dim])).sum() <= 1e-13
     assert float(dense.diagonal()[dim:].real.sum()) <= tail <= CORNER_TAIL_MASS
-    limit = gaussian_limit(gp)
+    limit = gaussian_limit(gp, covering_grid(ModelParams(mu, 400), u[2], u[2], u[2]))
     assert np.array_equal(limit.blocks[0], phi)
     assert np.array_equal(limit.tails, [tail])
     mix = apply_S(gp, 400)
@@ -148,7 +155,8 @@ def test_apply_t_classical_marginal_moments():
     """The T image's classical part is sum_j p_{n,u}(j) N(g_n(j), 1/(2 sqrt(n)))."""
     params = ModelParams(0.75, 400)
     u = (0.0, 0.0, 0.5)
-    d = apply_T(block_data(params, u)).classical
+    blocks = block_data(params, u)
+    d = apply_T(blocks, window_grid(blocks)).classical
     assert d.mass() == pytest.approx(1.0, abs=1e-9)
     # mean -> u_z, var -> mu(1-mu) + kernel variance, up to lattice effects
     mean, var = moments(d)
@@ -158,7 +166,8 @@ def test_apply_t_classical_marginal_moments():
 
 def test_apply_t_two_qubits():
     params = ModelParams(0.75, 2)
-    state = apply_T(block_data(params, U0))
+    blocks = block_data(params, U0)
+    state = apply_T(blocks, window_grid(blocks))
     # both blocks (j = 0, 1) survive: dim = 3, weights (nx, 2)
     assert state.dim == 3
     assert state.weights.shape[1] == 2
@@ -183,7 +192,8 @@ def test_apply_t_dropped_mass_is_certified(mu, u):
     mu = 3/4, n = 1000."""
     n = 400
     params = ModelParams(float(mu), n)
-    state = apply_T(block_data(params, u))
+    blocks = block_data(params, u)
+    state = apply_T(blocks, window_grid(blocks))
     js, _, _ = block_pmf_window(params, u)
     mu_u = mu + Fraction(u[2]) / 20  # u_z / sqrt(n), exactly
     exact = float(1 - sum(exact_block_weight(n, j, mu_u) for j in js))
@@ -198,7 +208,7 @@ def test_apply_t_takes_the_kept_corners_as_a_view(mu, n):
     params = ModelParams(mu, n)
     u = (1.0, 1.0, 0.25 * min(1.0 - mu, mu - 0.5) * math.sqrt(n))
     blocks = block_data(params, u)
-    state = apply_T(blocks)
+    state = apply_T(blocks, window_grid(blocks))
     assert state.blocks is blocks.corners and state.tails is blocks.tails
     assert state.weights.shape[1] == len(blocks.js)
     assert state.dropped_mass == blocks.dropped
@@ -211,18 +221,19 @@ def test_apply_t_maps_an_offcenter_window():
     blocks = block_data(ModelParams(0.75, 400), (0.0, 0.0, 3.0))
     j_lo, j_hi = typical_set(blocks.params, 0.05)
     assert blocks.js[-1] > j_hi  # window blocks past the typical set
-    state = apply_T(blocks)
+    state = apply_T(blocks, window_grid(blocks))
     assert 0.0 < state.dropped_mass <= WINDOW_TAIL_MASS
     assert state.classical.mass() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_hybrid_distance_zero_and_errors():
     params = ModelParams(0.8, 20)
-    a = apply_T(block_data(params, (1.0, 0.0, 0.0)))
+    blocks = block_data(params, (1.0, 0.0, 0.0))
+    a = apply_T(blocks, window_grid(blocks))
     assert hybrid_trace_distance(a, a)[0] == pytest.approx(0.0, abs=1e-12)
     gp = GaussianLimitParams(0.8, (1.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        hybrid_trace_distance(a, gaussian_limit(gp))  # mismatched grid
+    with pytest.raises(ValueError):  # mismatched grid
+        hybrid_trace_distance(a, gaussian_limit(gp, covering_grid(params, 0.0, 0.0, 0.0)))
     # states on different corners: the narrower one is zero-padded
     b = gaussian_limit(gp, grid=a.classical.x)
     assert b.dim > a.dim
@@ -236,7 +247,8 @@ def test_hybrid_distance_zero_and_errors():
 def test_hybrid_distance_t_vs_limit_bounded():
     params = ModelParams(0.8, 50)
     u = (1.0, 1.0, 0.5)
-    state = apply_T(block_data(params, u))
+    blocks = block_data(params, u)
+    state = apply_T(blocks, window_grid(blocks))
     gp = GaussianLimitParams(0.8, u)
     limit = gaussian_limit(gp, grid=state.classical.x)
     d, _ = hybrid_trace_distance(state, limit)
@@ -252,7 +264,7 @@ def test_apply_s_mixture_structure():
     mix = apply_S(gp, 400)
     assert mix.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.array_equal(mix.js, valid_j_values(400))  # every cell, none cut
-    limit = gaussian_limit(gp)
+    limit = gaussian_limit(gp, covering_grid(ModelParams(0.75, 400), 0.4, 0.4, 0.4))
     assert np.array_equal(mix.phi, limit.blocks[0])
     assert mix.tail == limit.tails[0] <= CORNER_TAIL_MASS
     assert mix.chi == gauge_angle(gp.u)
@@ -313,7 +325,7 @@ def test_distances_refuse_states_in_different_gauges():
     params = ModelParams(0.8, 50)
     u = (1.0, 1.0, 0.5)
     blocks = block_data(params, u)
-    t_state = apply_T(blocks)
+    t_state = apply_T(blocks, window_grid(blocks))
     other = GaussianLimitParams(0.8, (1.0, -1.0, 0.5))
     assert gauge_angle(other.u) != gauge_angle(u)
     with pytest.raises(ValueError, match="gauge"):
@@ -368,7 +380,8 @@ def test_convergence_sweep_clamps_inadmissible_shift():
     assert row.u_effective[2] == pytest.approx(want_uz, abs=1e-12)
     # without clamping the channels of the same row fail validation
     with pytest.raises(ValueError):
-        apply_T(block_data(ModelParams(0.68, 20), (0.0, 0.0, 3.0)))
+        blocks = block_data(ModelParams(0.68, 20), (0.0, 0.0, 3.0))
+        apply_T(blocks, window_grid(blocks))
 
 
 @pytest.mark.parametrize("u", [(1.0, 1.0, 1.0), (1.0, 1.0, 0.5)])
@@ -446,8 +459,9 @@ def test_convergence_sweep_blocks_set_the_corner():
     lattice."""
     params = ModelParams(0.85, 400)
     u = (1.5, 1.5, -1.0)
-    t_state = apply_T(block_data(params, u))
-    assert t_state.dim > gaussian_limit(GaussianLimitParams(0.85, u)).dim
+    blocks = block_data(params, u)
+    t_state = apply_T(blocks, window_grid(blocks))
+    assert t_state.dim > gaussian_limit(GaussianLimitParams(0.85, u), t_state.classical.x).dim
     row = convergence_sweep(0.85, u, [400]).rows[0]
     assert row.dist_T == pytest.approx(0.3164376605622542, abs=1e-10)
     assert row.dist_S == pytest.approx(0.2939260249975074, abs=1e-10)
@@ -462,7 +476,8 @@ def test_sweep_row_reports_the_mass_it_leaves_out():
     row = convergence_sweep(params.mu, u, [params.n]).rows[0]
     _, _, outside = block_pmf_window(params, u)
     assert 0.0 < row.dropped == outside <= WINDOW_TAIL_MASS
-    assert apply_T(block_data(params, u)).dropped_mass == outside
+    blocks = block_data(params, u)
+    assert apply_T(blocks, window_grid(blocks)).dropped_mass == outside
     mix = apply_S(GaussianLimitParams(params.mu, u), params.n)
     assert len(mix.js) == len(valid_j_values(params.n))
 
@@ -496,7 +511,7 @@ def _distance_runs():
     u = (1.0, 1.0, 1.0)
     gp = GaussianLimitParams(params.mu, u)
     blocks = block_data(params, u)
-    t_state = apply_T(blocks)
+    t_state = apply_T(blocks, window_grid(blocks))
     limit = gaussian_limit(gp, grid=t_state.classical.x)
     mix = apply_S(gp, params.n)
     return (
