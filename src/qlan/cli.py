@@ -222,7 +222,6 @@ def cmd_qsde_check(spec: dict) -> int:
                     "overlap_richardson": ov_rich,
                     "bound": xi_error_bound(params, j, m, spec["eps"]),
                     "richardson_delta": ov_full - ov_half,
-                    "norm_drift": max(abs(math.sqrt(w.sector_norms_sq[m]) - 1.0) for w in waves),
                 }
             )
     for m in rows:
@@ -231,7 +230,7 @@ def cmd_qsde_check(spec: dict) -> int:
             row["slope"] = slope
     _emit_rows(
         rows[1] + rows[2],
-        ("n", "j", "m", "t", "overlap", "bound", "slope", "richardson_delta", "norm_drift"),
+        ("n", "j", "m", "t", "overlap", "bound", "slope", "richardson_delta"),
         {k: spec[k] for k in ("mu", "n_list", "t", "collisions", "eps")},
         spec["format"],
         spec["out"],

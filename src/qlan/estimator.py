@@ -21,7 +21,7 @@ on ``size`` columns; a single trial is the batch of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -100,15 +100,13 @@ class Stage1Result:
     r_proj: np.ndarray  # radially projected into the ball
     mu_tilde: np.ndarray
     n_tilde: int
-    # |r_proj|, when stage1 has already taken it
-    proj_norm: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def frame(self) -> tuple:
         """(wx, wy, den, flip) of R, built once from ``r_proj``: R turns about
         w = d x e_z, d the unit direction, and den = 1 + d_z.  R is the
         identity for a zero direction and diag(1, -1, -1) on the -z axis."""
-        nrm = _norm(self.r_proj) if self.proj_norm is None else self.proj_norm
+        nrm = _norm(self.r_proj)
         dx, dy, c = self.r_proj / np.where(nrm < 1e-15, np.inf, nrm)  # 0 -> R = 1
         wx, wy = dy, -dx
         den, south = 1.0 + c, c < 0.0
@@ -152,10 +150,7 @@ def stage1(r_true, n_tilde: int, rng: np.random.Generator, size: int) -> Stage1R
     over = nrm > 1.0
     r_proj = r_raw / np.where(over, nrm, 1.0) if np.any(over) else r_raw
     mu_tilde = 0.5 * (1.0 + np.minimum(nrm, 1.0))
-    s1 = Stage1Result(r_raw, r_proj, mu_tilde, int(n_tilde))
-    if r_proj is r_raw:
-        s1.proj_norm = nrm
-    return s1
+    return Stage1Result(r_raw, r_proj, mu_tilde, int(n_tilde))
 
 
 def localize_frame(r_true, s1: Stage1Result, n_rest: int) -> tuple[np.ndarray, float, np.ndarray]:
@@ -227,8 +222,7 @@ def stage2_sample(mu, n: int, u, config: EstimatorConfig, rng: np.random.Generat
     draws.
     """
     mu, u = np.asarray(mu, dtype=float), np.asarray(u, dtype=float)
-    u_x, u_y, u_z = u
-    mu_u = mu + u_z / math.sqrt(n)
+    mu_u = mu + u[2] / math.sqrt(n)
     bad = mu_u[~((0.5 < mu_u) & (mu_u < 1.0))]
     if len(bad):
         raise ValueError(

@@ -1,8 +1,8 @@
 """Numeric tolerances: what the package accepts as valid, exact or negligible.
 
-The algorithms' own parameters live with them: ``GRID_*``, ``DELTA_ADM`` and
-``TRACE_NORM_*`` in lan_channels, ``PROPOSAL_BLOCK`` in fock_gaussian and
-``XI_BOUND_C`` in qsde.
+Each constant is read by another module of the package.  The algorithms' own
+parameters live with them: ``GRID_*``, ``DELTA_ADM`` and ``TRACE_NORM_*`` in
+lan_channels, ``PROPOSAL_BLOCK`` in fock_gaussian and ``XI_BOUND_C`` in qsde.
 """
 
 # Density-matrix validation: Hermiticity / unit trace / eigenvalue floor.
@@ -30,7 +30,3 @@ MODEL_MARGIN = 0.05
 
 # Allowed deviation of a classical grid density from unit mass.
 GRID_MASS_TOL = 1e-6
-
-# Norm drift allowed per 10^3 collision steps.  A collision's Kraus column
-# is unit-norm to about one ulp, so the drift stays near 1e-13 per 10^3.
-COLLISION_NORM_DRIFT = 1e-12

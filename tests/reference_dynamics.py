@@ -12,6 +12,9 @@
   stay coherent.
 * ``collision_generator``: one collision's generator on a sector of fixed
   total excitation, for ``scipy.linalg.expm`` to exponentiate.
+* ``kraus_reduced_state``: the system's reduced state after K collisions,
+  the one-collision Kraus channel built from ``qsde._collision_column``
+  and raised to the power K.
 """
 
 import math
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from qlan.qsde import c_coefficients, lowering_elements
+from qlan.qsde import _collision_column, c_coefficients, lowering_elements
 from qlan.spin_blocks import ModelParams
 
 # Trace drift allowed in the Lindblad integrator before erroring out.
@@ -62,6 +65,22 @@ def collision_generator(params: ModelParams, j, s: int) -> np.ndarray:
         g[d + 1, d] = r[s - d - 1] * math.sqrt(d + 1.0)
         g[d, d + 1] = -g[d + 1, d]
     return g
+
+
+def kraus_reduced_state(params: ModelParams, j, vec, t: float, K: int) -> np.ndarray:
+    """Reduced system state after K collisions from |vec><vec|: the channel
+    rho -> sum_d A_d rho A_d^T, with A_d[c - d, c] the amplitude for level c
+    to deposit d quanta into a fresh slot, raised to the power K as an
+    (L+1)^2-square superoperator."""
+    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    dim = len(vec)
+    kraus = np.zeros((dim, dim, dim))  # kraus[d] = A_d
+    for c in range(dim):
+        for d, amp in enumerate(_collision_column(params, j, c, t / K)):
+            kraus[d, c - d, c] = amp
+    superop = np.einsum("dab,dce->acbe", kraus, kraus).reshape(dim * dim, dim * dim)
+    superop = np.linalg.matrix_power(superop, K)
+    return (superop @ np.outer(vec, vec.conj()).ravel()).reshape(dim, dim)
 
 
 def mode_power(w: np.ndarray, e: int, dim: int) -> np.ndarray:

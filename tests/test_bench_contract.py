@@ -5,8 +5,9 @@ attributes of what they take and return, and the ``exact-risk`` gate
 compares ``RiskReport.to_json`` strings, so deleting or renaming one of them
 breaks ``perfbench/run.py --trace 1`` or the selftest without a failing qlan
 test.  These checks read the tracer's tables and feed its observers the
-objects of one small sweep row, and trace one small exact chunk; they run
-no workload.
+objects of one small sweep row, trace one small exact chunk and read the
+row keys of one small ``qsde-check`` that the gate reads; they run no
+workload.
 """
 
 import importlib
@@ -23,7 +24,7 @@ import numpy as np
 
 import qlan
 from dense_channels import window_grid
-from qlan import estimator, fock_gaussian, spin_blocks
+from qlan import cli, estimator, fock_gaussian, spin_blocks
 from qlan.estimator import EstimatorConfig
 from qlan.fock_gaussian import GaussianLimitParams, HeterodyneSampler
 from qlan.lan_channels import (
@@ -88,6 +89,17 @@ def test_attributes_the_bench_reads_exist():
     assert callable(RiskReport.to_json)
     assert hasattr(HeterodyneSampler(np.ones(1)), "m_const")
     assert "sectors" in {f.name for f in fields(JointWaveVector)}
+
+
+def test_qsde_check_rows_carry_what_the_gate_reads(capsys):
+    """``perfbench/workloads.gate_qsde_check`` reads these keys of every
+    ``qsde-check`` JSON row."""
+    argv = ["qsde-check", "--n-list", "1000,4000", "--collisions", "40", "--format", "json"]
+    assert cli.main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 4  # m in {1, 2} x two n values
+    for row in rows:
+        assert {"n", "m", "j", "overlap", "bound", "slope"} <= row.keys()
 
 
 def test_lan_observers_read_one_sweep_row():

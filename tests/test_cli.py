@@ -1,6 +1,7 @@
 """Command-line interface tests, driven through main(); two tests run in a
 fresh interpreter, to see what the commands and the modules import."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -601,7 +602,7 @@ def test_qsde_check_table(capsys):
     )
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[0] == "n,j,m,t,overlap,bound,slope,richardson_delta,norm_drift"
+    assert lines[0] == "n,j,m,t,overlap,bound,slope,richardson_delta"
     assert len(lines) == 1 + 4  # m in {1, 2} x two n values
     for line in lines[1:]:
         cells = line.split(",")
@@ -785,3 +786,25 @@ def test_each_module_imports_alone():
     modules = sorted(f"qlan.{p.stem}" for p in src.glob("*.py") if p.stem != "__init__")
     loaded = strict_json(fresh_python(f"MODULES = {modules!r}" + IMPORT_ALONE))
     assert loaded == {"qlan": [], **dict.fromkeys(modules, "ok")}
+
+
+def test_every_tolerance_is_read_in_the_package():
+    """Each upper-case constant of ``qlan.tolerances`` is read by another
+    module of the package, so a deleted check cannot leave its tolerance
+    behind.  An import alone does not count: the name must be used."""
+    src = Path(qlan.__file__).resolve().parent
+    defined = {
+        target.id
+        for node in ast.parse((src / "tolerances.py").read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.isupper()
+    }
+    read = {
+        node.id
+        for path in src.glob("*.py")
+        if path.stem != "tolerances"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name)
+    }
+    assert defined and sorted(defined - read) == []
