@@ -184,6 +184,8 @@ def cmd_qsde_check(spec: dict) -> int:
             f"--collisions {spec['collisions']}: the Richardson step also runs half as many "
             "collisions, so at least 2 are needed"
         )
+    if spec["t"] <= 0:
+        raise ValueError(f"--t {spec['t']:g}: the monitoring time must be positive")
     if not 0.0 < spec["eps"] <= 0.25:
         raise ValueError(
             f"--eps {spec['eps']:g}: the bound holds on the window |j - j_n| <= n^(1/2+eps) "
@@ -195,14 +197,14 @@ def cmd_qsde_check(spec: dict) -> int:
     # Probe the edge of the bound's window, the spin of n qubits nearest j_n +
     # n^(1/2+eps): there the |j - j_n|/n term dominates the closed-form error,
     # which scales as the bound (a factor 2^(1 - 2 eps) per quadrupling of n).
-    # One run from levels 1 and 2 serves both probes: sector m reads level m only.
+    # One run from the starts 0..2 serves both probes: sector m is start m's column.
     rows, deficits = {1: [], 2: []}, {1: [], 2: []}
     for n in spec["n_list"]:
         params = ModelParams(spec["mu"], int(n))
         half = (n % 2) / 2.0
         j = min(half + round(params.j_n + float(n) ** (0.5 + spec["eps"]) - half), n / 2.0)
         waves = [
-            collision_integrate(params, j, (0, 1, 1), spec["t"], k)
+            collision_integrate(params, j, 2, spec["t"], k)
             for k in (spec["collisions"], spec["collisions"] // 2)
         ]
         for m in (1, 2):

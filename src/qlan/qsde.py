@@ -22,11 +22,11 @@ slot), and contracting slot k against the xi mode's generating state
 ``w_k = w_0 q^k`` with ``q = e^{-dt/2}``, so with ``S = diag(q^c)``
 ``T_k = S^-k T_0 S^k``, which equals ``S^-(K-1) (T_0 S)^K S^-1`` for the
 K-step product; it is built by doubling (``_shifted_power``).  That one
-transfer-matrix power carries everything that is read.  The sector norms
-need none: each collision is a unitary that conserves total excitation,
-so sector ``s`` keeps the squared norm ``|init_s|^2``.
+transfer-matrix power carries everything that is read: each collision
+conserves total excitation, so column ``s`` is the evolution of the start
+``|s>`` alone.
 
-The power is of size (L+1) for a top initial level L, so any L <= 2j and
+The power is of size (L+1) for a top start level L, so any L <= 2j and
 any K cost O(L^4 + L^3 log K) time and nothing that grows with K.
 """
 
@@ -133,22 +133,19 @@ def _collision_column(params: ModelParams, j: float, s: int, dt: float) -> np.nd
 
 @dataclass(frozen=True)
 class JointWaveVector:
-    """System (x) discretized-field pure state from the collision model,
-    kept as the O(L^2) numbers read from it (L the top initial level).
+    """System (x) discretized-field pure states from the collision model,
+    one per start ``|s>``, s = 0..L, kept as the O(L^2) numbers read from them.
 
-    ``sectors[s][c]`` belongs to total excitation ``s`` and system level
-    ``c``: its field part (``s - c`` quanta over ``K`` slots) contracted
-    against the xi mode's generating state ``prod_k e^{w_k b_k^dag}|0>``,
-    i.e. ``<w^{(x)e} | field> / sqrt(e!)``.  At ``c = s`` that is the
-    amplitude with the field in vacuum.  ``sector_norms_sq[s]`` is the
-    squared norm of sector ``s``, ``|init_s|^2``: the collisions are unitary
-    and conserve total excitation.
+    ``sectors[s][c]`` belongs to the start ``|s>`` and system level ``c``:
+    its field part (``s - c`` quanta over ``K`` slots) contracted against
+    the xi mode's generating state ``prod_k e^{w_k b_k^dag}|0>``, i.e.
+    ``<w^{(x)e} | field> / sqrt(e!)``.  At ``c = s`` that is the amplitude
+    with the field in vacuum.
     """
 
     t: float
     K: int
     sectors: dict
-    sector_norms_sq: dict
 
 
 def _shifted_power(t0: np.ndarray, log_shift: np.ndarray, K: int) -> np.ndarray:
@@ -173,35 +170,23 @@ def _shifted_power(t0: np.ndarray, log_shift: np.ndarray, K: int) -> np.ndarray:
     return result
 
 
-def collision_integrate(
-    params: ModelParams,
-    j,
-    init,
-    t: float,
-    K: int,
-) -> JointWaveVector:
-    """Integrate the repeated-interaction dynamics for K collisions.
+def collision_integrate(params: ModelParams, j, top: int, t: float, K: int) -> JointWaveVector:
+    """Integrate the repeated-interaction dynamics for K collisions from
+    every start ``|s>`` (field in vacuum), s = 0..``top``, any top <= 2j.
 
-    ``init`` is either an integer level m (system starts in |m>, field in
-    vacuum) or a vector of amplitudes over levels 0..L, any L <= 2j.  Each
-    collision applies exp(sqrt(dt)(a (x) b^dag - a^dag (x) b)) to the
+    Each collision applies exp(sqrt(dt)(a (x) b^dag - a^dag (x) b)) to the
     system and a fresh vacuum slot.  The field is contracted against the
     xi mode slot by slot (module docstring), so the cost is one matrix
-    power, O(L^4 + L^3 log K) time and O(L^2) memory, whatever K.  Sector
-    ``s`` keeps the squared norm ``|init_s|^2`` of its start, exactly.
+    power, O(L^4 + L^3 log K) time and O(L^2) memory (L = top), whatever
+    K.  ``sectors[s]`` is column ``s`` of that power; a superposition
+    ``sum_s v_s |s>`` has the amplitudes ``v_s * sectors[s][c]``.
     """
     tj = _two_j(params.n, j)
     if t <= 0 or K < 1:
         raise ValueError(f"need t > 0 and K >= 1, got t = {t}, K = {K}")
-    if isinstance(init, (int, np.integer)):
-        vec = np.zeros(int(init) + 1, dtype=complex)
-        vec[int(init)] = 1.0
-    else:
-        vec = np.asarray(init, dtype=complex).reshape(-1)
-    levels = len(vec) - 1
-    if levels > tj:
-        raise ValueError(f"initial level {levels} exceeds 2j = {tj}")
-    dim = levels + 1
+    if not 0 <= top <= tj:
+        raise ValueError(f"initial level {top} exceeds 2j = {tj}")
+    dim = top + 1
     dt = t / K
     level = np.arange(dim, dtype=float)
     fact = np.array([math.factorial(d) for d in range(dim)], dtype=float)
@@ -211,15 +196,13 @@ def collision_integrate(
         for d, amp in enumerate(_collision_column(params, j, c, dt)):
             t0[c - d, c] = weight[d] * amp
     gen = _shifted_power(t0, np.triu(np.subtract.outer(level, level)) * dt / 2.0, K)
-    live = [s for s in range(dim) if vec[s] != 0]
-    sectors = {s: {c: complex(gen[c, s] * vec[s]) for c in range(s + 1)} for s in live}
-    norms = {s: float(abs(vec[s]) ** 2) for s in live}
-    return JointWaveVector(float(t), int(K), sectors, norms)
+    sectors = {s: {c: complex(gen[c, s]) for c in range(s + 1)} for s in range(dim)}
+    return JointWaveVector(float(t), int(K), sectors)
 
 
 def xi_overlap(wave: JointWaveVector, xi: XiState) -> float:
-    """Overlap |<xi_hat | psi_hat>| of the collision-model state with the
-    discretized xi vector, both scaled to unit norm.
+    """Overlap |<xi_hat | psi_hat>| of the collision-model state from the
+    start ``|xi.m>`` with the discretized xi vector scaled to unit norm.
 
     The xi mode is discretized with the exact per-slot integrals of
     e^{-s/2}; its i-fold power is sqrt(i!) times the degree-i part of the
@@ -235,8 +218,7 @@ def xi_overlap(wave: JointWaveVector, xi: XiState) -> float:
         xi.c[i] * alpha[i] * math.sqrt(math.factorial(i)) * comps[xi.m - i]
         for i in range(xi.m + 1)
     )
-    denom = math.sqrt(xi.discrete_norm_sq(wave.K) * wave.sector_norms_sq[xi.m])
-    return float(abs(total) / denom)
+    return float(abs(total) / math.sqrt(xi.discrete_norm_sq(wave.K)))
 
 
 def xi_error_bound(params: ModelParams, j, m: int, eps: float) -> float:

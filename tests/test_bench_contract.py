@@ -5,9 +5,11 @@ attributes of what they take and return, and the ``exact-risk`` gate
 compares ``RiskReport.to_json`` strings, so deleting or renaming one of them
 breaks ``perfbench/run.py --trace 1`` or the selftest without a failing qlan
 test.  These checks read the tracer's tables and feed its observers the
-objects of one small sweep row, trace one small exact chunk and read the
-row keys of one small ``qsde-check`` that the gate reads; they run no
-workload.
+objects of one small sweep row and one collision run, trace one small
+exact chunk and read the row keys of one small ``qsde-check`` that the gate
+reads.  One check runs a full pass of the two deterministic workloads,
+``lan-sweep`` and ``qsde-check``, through their gates, so that a change
+that moves a recorded number fails here too; no check times anything.
 """
 
 import importlib
@@ -34,11 +36,12 @@ from qlan.lan_channels import (
     gaussian_limit,
     hybrid_trace_distance,
 )
-from qlan.qsde import JointWaveVector
+from qlan.qsde import JointWaveVector, collision_integrate
 from qlan.risk_bench import RiskReport
 from qlan.spin_blocks import ModelParams, local_qubit_state
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _tracer():
@@ -122,6 +125,36 @@ def test_lan_observers_read_one_sweep_row():
     assert counts[f"{prefix}.apply_S.leaked_max"] > 0.0
     assert counts[f"{prefix}.hybrid_trace_distance.eig_count"] == len(t_state.classical.x)
     assert counts[f"{prefix}.hybrid_trace_distance.eig_dim_max"] == t_state.dim
+
+
+def test_collision_observer_reads_one_run():
+    """The collision observer sums the bytes of every amplitude in
+    ``collision_integrate(...).sectors``: a run from the starts 0..2 holds
+    1 + 2 + 3 complex numbers, 96 B."""
+    tracer = _tracer()
+    observers = {fn: obs for mod, fn, obs in tracer.FUNCTIONS if mod == "qsde"}
+    counts = defaultdict(float)
+    args = (ModelParams(0.75, 4000), 1503, 2, 5.0, 400)
+    wave = collision_integrate(*args)
+    observers["collision_integrate"](counts, wave, args, {})
+    entries = sum(len(comps) for comps in wave.sectors.values())
+    assert entries == 6
+    assert counts["qsde.collision_integrate.state_mb"] * 2**20 == entries * 16 == 96
+
+
+def test_deterministic_workloads_pass_their_gates(monkeypatch):
+    """One full pass of ``lan-sweep`` and of ``qsde-check`` passes its gate:
+    the recorded distances (``LAN_TOL``) and rows (``QSDE_TOL``) hold.
+    ``workloads.py`` defines dataclasses, which look their module up in
+    ``sys.modules``, so it is registered there before it runs."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name in ("lan-sweep", "qsde-check"):
+        wl = workloads.WORKLOADS[name]
+        inputs = wl.build(7, False)
+        assert wl.gate(inputs, wl.run(inputs), None) == [], name
 
 
 def test_tracer_counts_one_sampler_per_exact_group(monkeypatch):

@@ -552,6 +552,7 @@ def test_estimate_outside_model_exits_1(args, keyword, capsys):
         (["qsde-check", "--eps", "-1", "--n-list", "1000"], "--eps -1:", "overlap"),
         (["risk", "--mu0", "0.549", "--n", "1000000", "--trials", "20"], "mu0 = 0.549", "1995248"),
         (["estimate", "--n", "5"], "n = 5 leaves no copies for stage 2", "division"),
+        (["qsde-check", "--t", "0", "--n-list", "1000"], "--t 0", "K = 400"),
     ],
 )
 def test_refusals_name_the_flag(args, named, unnamed, capsys):
@@ -642,7 +643,7 @@ def test_qsde_check_probes_the_edge_of_its_window(eps, capsys):
 
 
 def test_qsde_check_integrates_twice_per_n(monkeypatch, capsys):
-    """One run from levels 1 and 2 serves both probes, at K and at K/2."""
+    """One run from the starts 0..2 serves both probes, at K and at K/2."""
     calls = []
 
     def counted(*args):
@@ -652,7 +653,7 @@ def test_qsde_check_integrates_twice_per_n(monkeypatch, capsys):
     monkeypatch.setattr(cli, "collision_integrate", counted)
     code, _, _ = run_cli(["qsde-check", "--n-list", "400,1600", "--collisions", "60"], capsys)
     assert code == 0
-    assert [(init, k) for _, init, _, k in calls] == [((0, 1, 1), 60), ((0, 1, 1), 30)] * 2
+    assert [(top, k) for _, top, _, k in calls] == [(2, 60), (2, 30)] * 2
 
 
 def test_qsde_check_refuses_one_collision(capsys):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -133,49 +133,34 @@ def test_collision_overlap_near_one_at_center():
         assert ov > 0.9999
 
 
-def test_collision_sector_norms():
-    wave = collision_integrate(PARAMS, JN, 2, 3.0, 400)
-    per = [wave.sector_norms_sq[s] for s in wave.sectors]
-    assert sum(per) == pytest.approx(1.0, abs=1e-10)
-    # superposition input conserves each sector's share
-    vec = np.array([math.sqrt(0.2), math.sqrt(0.5), math.sqrt(0.3)])
-    wave2 = collision_integrate(PARAMS, JN, vec, 3.0, 400)
-    assert wave2.sector_norms_sq[0] == pytest.approx(0.2, abs=1e-12)
-    assert wave2.sector_norms_sq[1] == pytest.approx(0.5, abs=1e-10)
-    assert wave2.sector_norms_sq[2] == pytest.approx(0.3, abs=1e-10)
+@st.composite
+def top_and_spin(draw):
+    """A top start level 1..8 and a spin j of n <= 10^6 qubits with 2j >= top."""
+    top = draw(st.integers(1, 8))
+    n = draw(st.integers(top, 10**6))
+    return top, n, n / 2.0 - draw(st.integers(0, (n - top) // 2), label="n/2 - j")
 
 
-@given(
-    st.lists(st.complex_numbers(max_magnitude=1.0), min_size=1, max_size=9),
-    st.integers(1, 10**6),
-    st.floats(0.1, 10.0),
-)
-def test_sector_norms_are_the_start_norms(amps, K, t):
-    """Each collision is a unitary that conserves total excitation, so
-    sector s keeps the squared norm |vec[s]|^2 of the start exactly, for
-    any number of levels, collisions and time."""
-    vec = np.asarray(amps, dtype=complex)
-    wave = collision_integrate(PARAMS, JN, vec, t, K)
-    live = [s for s in range(len(vec)) if vec[s] != 0]
-    assert sorted(wave.sector_norms_sq) == live
-    for s in live:
-        assert wave.sector_norms_sq[s] == float(abs(vec[s]) ** 2)
+_QSDE_CHECK_PROBE = (2, 4000, round(ModelParams(0.75, 4000).j_n + 4000**0.75))
 
 
-@pytest.mark.parametrize("K", [400, 200])
-def test_one_run_from_two_levels_carries_both_probes(K):
-    """Sector m depends on level m of the start alone: a run from
-    (0, 1, 1) gives each level's sector, sector norm and overlap exactly as
-    the run from that level does (qsde-check's default probe at n = 4000)."""
-    params = ModelParams(0.75, 4000)
-    j = round(params.j_n + 4000**0.75)
-    both = collision_integrate(params, j, (0, 1, 1), 5.0, K)
-    for m in (1, 2):
-        one = collision_integrate(params, j, m, 5.0, K)
-        xi = xi_state(params, j, m, 5.0)
-        assert both.sectors[m] == one.sectors[m]
-        assert both.sector_norms_sq[m] == one.sector_norms_sq[m]
-        assert xi_overlap(both, xi) == xi_overlap(one, xi)
+@given(top_and_spin(), st.integers(1, 10**6), st.floats(0.1, 10.0))
+@example(_QSDE_CHECK_PROBE, 400, 5.0)
+@example(_QSDE_CHECK_PROBE, 200, 5.0)
+def test_one_run_carries_every_lower_start(top_n_j, K, t):
+    """Column m of the transfer-matrix power depends on the start |m> alone:
+    a run to ``top`` gives every start m <= top the sector and the overlap
+    of the run to ``top = m``, exactly (the examples are qsde-check's
+    default probe at n = 4000)."""
+    top, n, j = top_n_j
+    params = ModelParams(PARAMS.mu, n)
+    every = collision_integrate(params, j, top, t, K)
+    assert sorted(every.sectors) == list(range(top + 1))
+    for m in range(top + 1):
+        one = collision_integrate(params, j, m, t, K)
+        assert every.sectors[m] == one.sectors[m]
+        xi = xi_state(params, j, m, t)
+        assert xi_overlap(every, xi) == xi_overlap(one, xi)
 
 
 def test_collision_guards():
@@ -254,29 +239,29 @@ DENSE_CASES = [
 @pytest.mark.parametrize("m, K, j, vec", DENSE_CASES)
 def test_collision_matches_dense_joint_state(m, K, j, vec):
     """Transfer-matrix integrator against the full joint Fock space: every
-    contracted amplitude, the sector norms, the Kraus channel's reduced
-    state and the overlap with xi, to 1e-13."""
+    contracted amplitude of a start superposition, formed from the columns
+    of the starts, each dense sector's norm against its start's (unitarity),
+    the Kraus channel's reduced state and the overlap with xi, to 1e-13."""
     t = 2.0
-    init = m if vec is None else vec
     if vec is None:
         vec = np.eye(m + 1)[m]
-    wave = collision_integrate(PARAMS, j, init, t, K)
+    wave = collision_integrate(PARAMS, j, len(vec) - 1, t, K)
     psi = dense_collision_state(PARAMS, j, vec, t, K)
     dim = m + 1
     exc = np.indices(psi.shape).sum(axis=0)  # total excitation per entry
     dt = t / K
     w = 2.0 * np.exp(-np.arange(K) * dt / 2.0) * (1.0 - math.exp(-dt / 2.0)) / math.sqrt(dt)
     powers = [mode_power(w, e, dim) for e in range(dim)]
+    assert sorted(wave.sectors) == list(range(dim))
     live = [s for s in range(dim) if vec[s] != 0]
-    assert sorted(wave.sectors) == live
     for s in live:
-        assert abs(wave.sectors[s][s] - psi[(s,) + (0,) * K]) < 1e-13
+        assert abs(vec[s] * wave.sectors[s][s] - psi[(s,) + (0,) * K]) < 1e-13
         sector = np.where(exc == s, psi, 0.0)
-        assert wave.sector_norms_sq[s] == pytest.approx(np.vdot(sector, sector).real, abs=1e-13)
+        assert np.vdot(sector, sector).real == pytest.approx(abs(vec[s]) ** 2, abs=1e-13)
         for c in range(s + 1):
             e = s - c
             want = np.vdot(powers[e], psi[c]) / math.sqrt(math.factorial(e))
-            assert abs(wave.sectors[s][c] - want) < 1e-13
+            assert abs(vec[s] * wave.sectors[s][c] - want) < 1e-13
     flat = psi.reshape(dim, -1)
     reduced = kraus_reduced_state(PARAMS, j, vec, t, K)
     assert np.max(np.abs(reduced - flat @ flat.conj().T)) < 1e-13
