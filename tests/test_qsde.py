@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -141,17 +141,11 @@ def top_and_spin(draw):
     return top, n, n / 2.0 - draw(st.integers(0, (n - top) // 2), label="n/2 - j")
 
 
-_QSDE_CHECK_PROBE = (2, 4000, round(ModelParams(0.75, 4000).j_n + 4000**0.75))
-
-
 @given(top_and_spin(), st.integers(1, 10**6), st.floats(0.1, 10.0))
-@example(_QSDE_CHECK_PROBE, 400, 5.0)
-@example(_QSDE_CHECK_PROBE, 200, 5.0)
 def test_one_run_carries_every_lower_start(top_n_j, K, t):
     """Column m of the transfer-matrix power depends on the start |m> alone:
     a run to ``top`` gives every start m <= top the sector and the overlap
-    of the run to ``top = m``, exactly (the examples are qsde-check's
-    default probe at n = 4000)."""
+    of the run to ``top = m``, exactly."""
     top, n, j = top_n_j
     params = ModelParams(PARAMS.mu, n)
     every = collision_integrate(params, j, top, t, K)
@@ -161,6 +155,23 @@ def test_one_run_carries_every_lower_start(top_n_j, K, t):
         assert every.sectors[m] == one.sectors[m]
         xi = xi_state(params, j, m, t)
         assert xi_overlap(every, xi) == xi_overlap(one, xi)
+
+
+@pytest.mark.parametrize("K", [400, 200])
+def test_one_run_from_two_levels_carries_both_probes(K):
+    """qsde-check's default probe at n = 4000: one run to top = 2 gives
+    starts 1 and 2 the sector, sector norm and overlap of the run from that
+    level, exactly."""
+    params = ModelParams(0.75, 4000)
+    j = round(params.j_n + 4000**0.75)
+    both = collision_integrate(params, j, 2, 5.0, K)
+    for m in (1, 2):
+        one = collision_integrate(params, j, m, 5.0, K)
+        xi = xi_state(params, j, m, 5.0)
+        assert both.sectors[m] == one.sectors[m]
+        norm_sq = [sum(abs(a) ** 2 for a in w.sectors[m].values()) for w in (both, one)]
+        assert norm_sq[0] == norm_sq[1]
+        assert xi_overlap(both, xi) == xi_overlap(one, xi)
 
 
 def test_collision_guards():
