@@ -144,7 +144,8 @@ def cmd_lan_dist(spec: dict) -> int:
     result = convergence_sweep(spec["mu"], spec["u"], spec["n_list"])
     _emit_rows(
         [dataclasses.asdict(r) for r in result.rows],
-        ("n", "dist_T", "dist_S", "slope_T", "slope_S"),
+        ("n", "dist_T", "dist_S", "clamped", "corner_bound_T", "corner_bound_S", "dropped",
+         "band_weight_T", "grid_delta_T", "slope_T", "slope_S"),
         {k: spec[k] for k in ("mu", "u", "n_list")},
         spec["format"],
         spec["out"],

@@ -7,10 +7,12 @@ centered at ``g_n(j) = j/sqrt(n) - sqrt(n)(mu - 1/2)``, while the block
 states ride along on Fock corners.  ``gaussian_limit`` produces the
 limiting product N(u_z, mu(1-mu)) x (displaced thermal) on the same grid,
 and ``hybrid_trace_distance`` integrates the trace-norm gap between two
-such hybrids.  ``apply_S`` goes the other way, binning the Gaussian pair
-back onto the valid-j lattice; ``blockwise_distance`` measures its
-distance to the same block data.  ``convergence_sweep`` builds that data
-once per n, runs both directions and fits log-log slopes.
+such hybrids, in fixed tiles of grid points that each contract only the
+band of blocks their kernels reach.  ``apply_S`` goes the other way,
+binning the Gaussian pair back onto the valid-j lattice;
+``blockwise_distance`` measures its distance to the same block data.
+``convergence_sweep`` builds that data once per n, runs both directions
+and fits log-log slopes.
 
 Every quantum state is kept only on its own Fock corner: its first D
 levels, the fewest at which it leaves at most ``CORNER_TAIL_MASS``
@@ -19,8 +21,9 @@ parameter u (``spin_blocks.gauge_angle``).  A distance needs both sides in
 one gauge and zero-pads the narrower corner to the wider one, which
 changes no trace norm.  Compressing a PSD operator A of trace a whose tail
 is t changes it by at most 2 sqrt(a t) + t in trace norm (gentle
-measurement), so each distance comes back as a pair ``(value, bound)``,
-``bound`` the sum of those bounds over both sides.
+measurement), so each distance comes back with a ``bound``, the sum of
+those bounds over both sides (for the hybrids, plus the weight the bands
+leave out).
 """
 
 from __future__ import annotations
@@ -177,46 +180,65 @@ def apply_T(blocks: BlockData, grid: np.ndarray) -> HybridGaussianState:
     )
 
 
-# Matrix entries the chunks of a trace-norm stack in flight at once may hold
-# (a worker's chunk holds its share, and it gets about four chunks or more),
-# and the fewest a stack needs before a pool's start-up pays for itself.
-TRACE_NORM_CHUNK_ENTRIES, TRACE_NORM_POOL_ENTRIES = 6.0e6, 2.0e5
+# Matrix entries a tile of a trace-norm stack holds (1 MiB of float64, but 4
+# matrices at least; set by D alone, so a row's floats do not depend on the
+# workers), the fewest a stack needs before a pool's start-up pays for
+# itself, and the weight at or below which a block may be left out of a tile.
+TRACE_NORM_CHUNK_ENTRIES, TRACE_NORM_POOL_ENTRIES, TRACE_NORM_BAND_CUT = 2**17, 2.0e5, 1e-16
 
 
 def _trace_norms(count: int, dim: int, stack) -> np.ndarray:
     """Absolute eigenvalues (count, dim) of the Hermitian stack ``stack(rows)``,
-    built and diagonalized in chunks on ``pool_width(True)`` workers, one if small."""
+    built and diagonalized in tiles on ``pool_width(True)`` workers, one if small."""
     workers = pool_width(blas_bound=True) if count * dim * dim >= TRACE_NORM_POOL_ENTRIES else 1
-    split = math.ceil(count / (4 * workers)) if workers > 1 else count
-    chunk = max(4, min(int(TRACE_NORM_CHUNK_ENTRIES // (workers * dim * dim)), split))
-    rows = [slice(s, s + chunk) for s in range(0, count, chunk)]
+    tile = max(4, int(TRACE_NORM_CHUNK_ENTRIES // (dim * dim)))
+    rows = [slice(s, min(s + tile, count)) for s in range(0, count, tile)]
     # eigvalsh reads one triangle, so rounding asymmetry never enters
     return np.concatenate(pool_map(lambda sl: np.abs(np.linalg.eigvalsh(stack(sl))), rows, workers))
 
 
-def hybrid_trace_distance(a: HybridGaussianState, b: HybridGaussianState) -> tuple[float, float]:
-    """``(value, bound)``: value = integral dx || f_a(x) rho_a(x) -
-    f_b(x) rho_b(x) ||_1, trapezoid rule.
+def hybrid_trace_distance(a: HybridGaussianState, b: HybridGaussianState) -> tuple[float, ...]:
+    """``(value, bound, band, grid_delta)``: value = integral dx || f_a(x)
+    rho_a(x) - f_b(x) rho_b(x) ||_1, trapezoid rule.
 
     Both states must share the classical grid and the gauge ``chi``; the
-    narrower Fock corner is zero-padded to the wider one.  Each side moves
-    by at most its corner bound when taken without its corner, so the
-    distance without the corners lies within bound = the two corner bounds
-    of the value.
+    narrower Fock corner is zero-padded to the wider one.  A tile of grid
+    points takes, on each side, only the run of blocks (sorted by j) whose
+    weight exceeds ``TRACE_NORM_BAND_CUT`` somewhere in the tile.  Every
+    corner has trace at most 1, so ``band``, the weight left out (same
+    rule), bounds what that changes; each side moves by at most its corner
+    bound when taken without its corner.  So the distance without corners
+    or bands lies within bound = both corner bounds + ``band`` of the value.
+    ``grid_delta`` = |T_h - T_2h| / 3, T_2h the rule on every other point,
+    estimates the grid's quadrature error; it is no bound.
     """
     xa, xb = a.classical.x, b.classical.x
     if xa.shape != xb.shape or not np.allclose(xa, xb, rtol=0.0, atol=1e-9):
         raise ValueError("hybrid states live on different classical grids")
     if a.chi != b.chi:
         raise ValueError(f"states in different gauges (chi = {a.chi}, {b.chi})")
-    # f_a rho_a - f_b rho_b at every x as one sum over one stack of both block lists
-    coef = np.hstack([a.weights, -b.weights])
-    dim, na = max(a.dim, b.dim), len(a.blocks)
-    states = np.zeros((na + len(b.blocks), dim, dim), np.result_type(a.blocks, b.blocks))
-    states[:na, : a.dim, : a.dim] = a.blocks
-    states[na:, : b.dim, : b.dim] = b.blocks
-    norms = _trace_norms(len(xa), dim, lambda sl: np.tensordot(coef[sl], states, axes=1))
-    return float(np.trapezoid(norms.sum(axis=1), xa)), a.corner_bound() + b.corner_bound()
+    (wide, sw), (narrow, sn) = sorted(((a, 1.0), (b, -1.0)), key=lambda s: s[0].dim, reverse=True)
+    outside = np.zeros(len(xa))  # tiles write disjoint rows, so pool threads share none
+
+    def band(side: HybridGaussianState, sign: float, sl: slice) -> np.ndarray:
+        w = side.weights[sl]
+        live = np.flatnonzero((w > TRACE_NORM_BAND_CUT).any(axis=0))
+        run = slice(live[0], live[-1] + 1) if live.size else slice(0, 0)
+        outside[sl] += w[:, : run.start].sum(axis=1) + w[:, run.stop :].sum(axis=1)
+        return np.tensordot(sign * w[:, run], side.blocks[run], axes=1)
+
+    def tile(sl: slice) -> np.ndarray:
+        # f_a rho_a - f_b rho_b: the wider side, then the narrower one in its top-left block
+        out = band(wide, sw, sl)
+        out[:, : narrow.dim, : narrow.dim] += band(narrow, sn, sl)
+        return out
+
+    norms = _trace_norms(len(xa), wide.dim, tile).sum(axis=1)
+    odd = len(xa) - 1 + len(xa) % 2  # every other point of an odd count keeps both ends
+    t_h, t_2h = (np.trapezoid(norms[:odd:step], xa[:odd:step]) for step in (1, 2))
+    left_out, value = float(np.trapezoid(outside, xa)), float(np.trapezoid(norms, xa))
+    bound = a.corner_bound() + b.corner_bound() + left_out
+    return value, bound, left_out, abs(float(t_h - t_2h)) / 3.0
 
 
 @dataclass
@@ -331,7 +353,8 @@ def blockwise_distance(mix: BlockMixture, blocks: BlockData) -> tuple[float, flo
     q = np.zeros(len(js))
     q[rows[on]] = mix.probs[on]
     leaked = _leaked(mix.phi, js)
-    dim = max(blocks.corners.shape[1], mix.phi.shape[0])
+    dc = blocks.corners.shape[1]
+    dim = max(dc, mix.phi.shape[0])
     d_block = _block_dims(js)
     phi = embed_block(mix.phi, dim)
 
@@ -340,7 +363,9 @@ def blockwise_distance(mix: BlockMixture, blocks: BlockData) -> tuple[float, flo
         inside = np.arange(dim)[None, :] < d_block[sl, None]
         tau = phi * (inside[:, :, None] & inside[:, None, :])
         tau[:, np.arange(dim), np.arange(dim)] += inside * (leaked[sl] / d_block[sl])[:, None]
-        return q[sl, None, None] * tau - p[sl, None, None] * embed_block(blocks.corners[sl], dim)
+        tau *= q[sl, None, None]
+        tau[:, :dc, :dc] -= p[sl, None, None] * blocks.corners[sl]  # x - 0 = x outside it
+        return tau
 
     total = float(_trace_norms(len(js), dim, diff).sum())
     total += float(np.sum(q * leaked / d_block * np.maximum(d_block - dim, 0)))
@@ -353,8 +378,10 @@ def blockwise_distance(mix: BlockMixture, blocks: BlockData) -> tuple[float, flo
 @dataclass
 class SweepRow:
     """One n of a sweep; ``corner_bound_*`` bound how far each distance can
-    move if taken without the Fock corner.  ``dropped`` is the block mass
-    outside the pmf window, the one block cut of both images."""
+    move if taken without the Fock corner (and for T without the bands,
+    whose left-out weight is ``band_weight_T``).  ``dropped`` is the block
+    mass outside the pmf window, the one block cut of both images, and
+    ``grid_delta_T`` estimates dist_T's quadrature error (no bound)."""
 
     n: int
     dist_T: float
@@ -364,6 +391,8 @@ class SweepRow:
     corner_bound_T: float
     corner_bound_S: float
     dropped: float
+    band_weight_T: float
+    grid_delta_T: float
 
 
 @dataclass
@@ -405,7 +434,7 @@ def convergence_sweep(mu: float, u, n_list) -> SweepResult:
         g = classical_coordinate(params, np.array([min(j_lo, js[0]), max(j_hi, js[-1])]))
         grid = covering_grid(params, gp.u[2], *g)
         t_state = apply_T(blocks, grid=grid)
-        dist_t, bound_t = hybrid_trace_distance(t_state, gaussian_limit(gp, grid=grid))
+        dist_t, bound_t, band_t, delta_t = hybrid_trace_distance(t_state, gaussian_limit(gp, grid))
         dist_s, bound_s = blockwise_distance(apply_S(gp, params.n), blocks)
         rows.append(
             SweepRow(
@@ -417,6 +446,8 @@ def convergence_sweep(mu: float, u, n_list) -> SweepResult:
                 corner_bound_T=bound_t,
                 corner_bound_S=bound_s,
                 dropped=blocks.dropped,
+                band_weight_T=band_t,
+                grid_delta_T=delta_t,
             )
         )
         del blocks, t_state  # not held while the next row builds its own

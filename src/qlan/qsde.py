@@ -185,7 +185,7 @@ def collision_integrate(params: ModelParams, j, top: int, t: float, K: int) -> J
     if t <= 0 or K < 1:
         raise ValueError(f"need t > 0 and K >= 1, got t = {t}, K = {K}")
     if not 0 <= top <= tj:
-        raise ValueError(f"initial level {top} exceeds 2j = {tj}")
+        raise ValueError(f"initial level {top} outside [0, 2j = {tj}]")
     dim = top + 1
     dt = t / K
     level = np.arange(dim, dtype=float)

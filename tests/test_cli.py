@@ -146,11 +146,32 @@ def test_lan_dist_csv_structure(capsys):
     code, out, err = run_cli(["lan-dist", "--n-list", "20,50"], capsys)
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[0] == "n,dist_T,dist_S,slope_T,slope_S"
+    assert lines[0] == (
+        "n,dist_T,dist_S,clamped,corner_bound_T,corner_bound_S,dropped,"
+        "band_weight_T,grid_delta_T,slope_T,slope_S"
+    )
     assert len(lines) == 3
     first = lines[1].split(",")
-    assert int(first[0]) == 20
-    assert all(np.isfinite(float(x)) for x in first[1:])
+    assert int(first[0]) == 20 and first[3] in ("True", "False")
+    assert all(np.isfinite(float(x)) for x in first[1:3] + first[4:])
+
+
+def test_lan_dist_csv_cells_are_the_json_values(capsys):
+    """Each CSV cell of ``lan-dist`` is its JSON row's value (or the
+    sweep's slope), to the last digit."""
+    argv = ["lan-dist", "--mu", "0.68", "--u", "0,0,3", "--n-list", "20,200"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    header, *lines = out.strip().split("\n")
+    code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert code == 0
+    payload = strict_json(out)
+    assert len(lines) == len(payload["rows"]) == 2
+    for line, row in zip(lines, payload["rows"]):
+        for col, cell in zip(header.split(","), line.split(",")):
+            want = row.get(col, payload.get(col))
+            assert cell == (str(want) if isinstance(want, (bool, int)) else repr(float(want)))
+    assert [row["clamped"] for row in payload["rows"]] == [True, False]
 
 
 def test_lan_dist_json_structure(capsys):
@@ -178,7 +199,8 @@ def test_lan_dist_runs_past_the_typical_set(argv, capsys):
     assert code == 0 and err == ""
     rows = strict_json(out)["rows"]
     assert [r["n"] for r in rows] == [int(n) for n in argv[-1].split(",")]
-    keys = ("dist_T", "dist_S", "corner_bound_T", "corner_bound_S", "dropped")
+    keys = ("dist_T", "dist_S", "corner_bound_T", "corner_bound_S", "dropped",
+            "band_weight_T", "grid_delta_T")
     for r in rows:
         assert all(isinstance(r[k], float) and np.isfinite(r[k]) for k in keys)
 
@@ -190,7 +212,7 @@ def test_lan_dist_without_two_distinct_n_has_no_slope(n_list, capsys):
     code, out, err = run_cli(["lan-dist", "--n-list", n_list], capsys)
     assert code == 0 and err == ""
     rows = [line.split(",") for line in out.strip().split("\n")[1:]]
-    assert [row[3:] for row in rows] == [["nan", "nan"]] * len(rows)
+    assert [row[-2:] for row in rows] == [["nan", "nan"]] * len(rows)
     assert all(np.isfinite(float(x)) for row in rows for x in row[1:3])
     code, out, _ = run_cli(["lan-dist", "--n-list", n_list, "--format", "json"], capsys)
     assert code == 0

@@ -226,6 +226,24 @@ def test_apply_t_maps_an_offcenter_window():
     assert state.classical.mass() == pytest.approx(1.0, abs=1e-9)
 
 
+def band_recount(*states) -> float:
+    """The weight the tiles of a hybrid distance leave out of their bands,
+    recounted from the dense weights: per tile of grid points (as many as
+    the tile cap allows at the wider corner), each side's blocks outside the
+    run from its first to its last column above the cut at some point."""
+    dim = max(s.dim for s in states)
+    size = max(4, int(lan_channels.TRACE_NORM_CHUNK_ENTRIES // dim**2))
+    out = np.zeros(len(states[0].classical.x))
+    for start in range(0, len(out), size):
+        rows = slice(start, start + size)
+        for s in states:
+            live = np.flatnonzero(np.max(s.weights[rows], axis=0) > 1e-16)
+            cols = np.arange(s.weights.shape[1])
+            kept = (cols >= live.min()) & (cols <= live.max()) if live.size else cols < 0
+            out[rows] += np.where(kept, 0.0, s.weights[rows]).sum(axis=1)
+    return float(np.trapezoid(out, states[0].classical.x))
+
+
 def test_hybrid_distance_zero_and_errors():
     params = ModelParams(0.8, 20)
     blocks = block_data(params, (1.0, 0.0, 0.0))
@@ -238,10 +256,11 @@ def test_hybrid_distance_zero_and_errors():
     b = gaussian_limit(gp, grid=a.classical.x)
     assert b.dim > a.dim
     padded = dataclasses.replace(a, blocks=embed_block(a.blocks, b.dim))
-    d, bound = hybrid_trace_distance(a, b)
+    d, bound, band, _ = hybrid_trace_distance(a, b)
     assert d == pytest.approx(hybrid_trace_distance(padded, b)[0], abs=1e-14)
     assert d == pytest.approx(hybrid_trace_distance(b, a)[0], abs=1e-14)
-    assert bound == a.corner_bound() + b.corner_bound()
+    assert band == pytest.approx(band_recount(a, b), rel=1e-12, abs=0.0)
+    assert bound == a.corner_bound() + b.corner_bound() + band
 
 
 def test_hybrid_distance_t_vs_limit_bounded():
@@ -251,7 +270,7 @@ def test_hybrid_distance_t_vs_limit_bounded():
     state = apply_T(blocks, window_grid(blocks))
     gp = GaussianLimitParams(0.8, u)
     limit = gaussian_limit(gp, grid=state.classical.x)
-    d, _ = hybrid_trace_distance(state, limit)
+    d = hybrid_trace_distance(state, limit)[0]
     assert 0.0 < d < 2.0
 
 
@@ -421,6 +440,47 @@ def test_corner_distances_match_dense_oracle(n, u):
         assert 0.0 <= bound <= 1e-10
 
 
+@pytest.mark.parametrize("u", [(1.0, 1.0, 1.0), (1.0, 1.0, 0.5)])
+@pytest.mark.parametrize("n", [20, 50, 100])
+def test_banded_distance_is_the_unbanded_one(n, u, monkeypatch):
+    """On the dense oracle's cases, contracting each tile against its band
+    of blocks moves dist_T by less than 1e-15 from the contraction against
+    every block (a cut below every weight), and by no more than the row's
+    band weight plus rounding; the band weight is the recount's."""
+    mu = 0.8
+    banded = convergence_sweep(mu, u, [n]).rows[0]
+    monkeypatch.setattr(lan_channels, "TRACE_NORM_BAND_CUT", -np.inf)
+    full = convergence_sweep(mu, u, [n]).rows[0]
+    assert full.band_weight_T == 0.0
+    assert abs(banded.dist_T - full.dist_T) <= 1e-15
+    assert abs(banded.dist_T - full.dist_T) <= banded.band_weight_T + 2e-16
+    assert banded.dist_S == full.dist_S
+    monkeypatch.undo()
+    params = ModelParams(mu, n)
+    gp = GaussianLimitParams(mu, banded.u_effective)
+    blocks = block_data(params, banded.u_effective)
+    j_lo, j_hi = typical_set(params, lan_channels.GRID_TYPICAL_EPS)
+    g = classical_coordinate(params, np.array([min(j_lo, blocks.js[0]), max(j_hi, blocks.js[-1])]))
+    grid = covering_grid(params, gp.u[2], *g)
+    t_state, limit = apply_T(blocks, grid), gaussian_limit(gp, grid)
+    assert 0.0 < banded.band_weight_T == pytest.approx(band_recount(t_state, limit), rel=1e-12)
+    assert banded.corner_bound_T == (
+        t_state.corner_bound() + limit.corner_bound() + banded.band_weight_T
+    )
+
+
+@pytest.mark.parametrize("n", [100, 1600])
+def test_grid_delta_tracks_a_finer_grid(n, monkeypatch):
+    """``grid_delta_T`` = |T_h - T_2h| / 3 estimates the quadrature error of
+    dist_T: at mu = 0.8, u = (1, 1, 1) it lies within a factor of 10 of
+    the change in dist_T when the grid step shrinks 4x."""
+    row = convergence_sweep(0.8, (1.0, 1.0, 1.0), [n]).rows[0]
+    monkeypatch.setattr(lan_channels, "GRID_STEP_DIVISOR", 200.0)
+    fine = convergence_sweep(0.8, (1.0, 1.0, 1.0), [n]).rows[0]
+    moved = abs(fine.dist_T - row.dist_T)
+    assert row.grid_delta_T / 10.0 <= moved <= 10.0 * row.grid_delta_T
+
+
 def test_blockwise_distance_filler_outside_corner():
     """A mixture whose phi has only 15 levels leaks ~1e-5 into the
     maximally mixed filler; the filler outside each corner enters in
@@ -521,10 +581,12 @@ def _distance_runs():
 
 
 def test_trace_norm_chunks_do_not_change_the_distances(monkeypatch):
-    """Both distances diagonalize their stacks chunk by chunk; at the
-    smallest chunk (4 matrices) a default row spans at least three of them
-    on each side, and the floats are those of a single chunk.  One CPU, so
-    that no pool splits the whole stack."""
+    """Both distances diagonalize their stacks tile by tile.  At the
+    smallest tile (4 matrices) a default row spans at least three of them
+    on each side.  The blockwise floats are those of a single tile; the
+    hybrid distance's bands narrow with its tiles, so it moves by at most
+    the weight the smaller tiles leave out beyond the single tile's.  One
+    CPU, so that no pool splits the whole stack."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
     eigvalsh, solves = np.linalg.eigvalsh, []
 
@@ -538,12 +600,17 @@ def test_trace_norm_chunks_do_not_change_the_distances(monkeypatch):
         return run()
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    for run in _distance_runs():
+    hybrid, blockwise = _distance_runs()
+    for run in (hybrid, blockwise):
         whole = chunked(run, 1e18)
         assert len(solves) == 1
         got = chunked(run, 1.0)
         assert len(solves) >= 3 and max(solves) == 4
-        assert got == whole
+        if run is blockwise:
+            assert got == whole
+        else:
+            assert got[2] >= whole[2]
+            assert abs(got[0] - whole[0]) <= got[2] - whole[2] + 1e-15
 
 
 def _recorded_eigvalsh(monkeypatch, fail_on=None):
@@ -562,12 +629,12 @@ def _recorded_eigvalsh(monkeypatch, fail_on=None):
     return calls
 
 
-@pytest.mark.parametrize("entries", [lan_channels.TRACE_NORM_CHUNK_ENTRIES, 1.0e5])
+@pytest.mark.parametrize("entries", [2.0**16, 1.0e5])
 def test_pooled_trace_norm_chunks_are_the_serial_distances(entries, monkeypatch):
     """With four CPUs and BLAS pinned to one thread, both distances run
-    their chunks on four worker threads, each chunk within its worker's
-    share of the entry budget (or at the 4-matrix floor), and equal their
-    one-CPU floats by ==."""
+    their tiles on worker threads, each tile within the cap (or at the
+    4-matrix floor), whatever the worker count, and equal their one-CPU
+    floats by ==.  At these caps both stacks span at least two tiles."""
     runs = _distance_runs()
     monkeypatch.setattr(lan_channels, "TRACE_NORM_CHUNK_ENTRIES", entries)
     monkeypatch.setattr(lan_channels, "TRACE_NORM_POOL_ENTRIES", 0.0)
@@ -576,17 +643,36 @@ def test_pooled_trace_norm_chunks_are_the_serial_distances(entries, monkeypatch)
     serial = [run() for run in runs]
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1, 2, 3}, raising=False)
     calls = _recorded_eigvalsh(monkeypatch)
-    assert [run() for run in runs] == serial
-    assert threading.main_thread() not in {thread for thread, _, _ in calls}
-    assert len(calls) >= 2 * 4  # a chunk per worker at least, on each side
-    assert all(size <= entries / 4 or count <= 4 for _, count, size in calls)
+    for run, want in zip(runs, serial):
+        calls.clear()
+        assert run() == want
+        assert threading.main_thread() not in {thread for thread, _, _ in calls}
+        assert len(calls) >= 2
+        assert all(size <= entries or count <= 4 for _, count, size in calls)
+
+
+def test_a_default_row_stays_within_the_tile_cap(monkeypatch):
+    """The default n = 100 row, serial and on four workers: no eigensolve
+    takes more than ``TRACE_NORM_CHUNK_ENTRIES`` matrix entries (or more
+    than 4 matrices), so what a stack holds at once does not grow with the
+    row, and the rows are equal by ==."""
+    cap = lan_channels.TRACE_NORM_CHUNK_ENTRIES
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    rows = []
+    for cpus in ({0}, {0, 1, 2, 3}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid, c=cpus: c, raising=False)
+        calls = _recorded_eigvalsh(monkeypatch)
+        rows.append(convergence_sweep(0.8, (1.0, 1.0, 1.0), [100]).rows)
+        assert len(calls) > 2
+        assert all(size <= cap or count <= 4 for _, count, size in calls)
+    assert rows[0] == rows[1]
 
 
 @pytest.mark.parametrize("blas", [None, "auto", "4"])
 def test_trace_norms_stay_serial_while_blas_takes_the_cpus(blas, monkeypatch):
     """With no BLAS thread count set (BLAS takes every CPU), one that does
     not parse, or one as large as the CPU count, every eigensolve runs in
-    the caller's thread, in one chunk."""
+    the caller's thread."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     if blas is None:
@@ -597,7 +683,7 @@ def test_trace_norms_stay_serial_while_blas_takes_the_cpus(blas, monkeypatch):
     for run in _distance_runs():
         calls.clear()
         run()
-        assert [thread for thread, _, _ in calls] == [threading.main_thread()]
+        assert calls and {thread for thread, _, _ in calls} == {threading.main_thread()}
 
 
 def test_small_stacks_skip_the_pool(monkeypatch):
@@ -617,9 +703,11 @@ def test_small_stacks_skip_the_pool(monkeypatch):
 
 
 def test_a_failing_chunk_raises_and_leaves_no_threads(monkeypatch):
-    """An eigensolve that fails on the second chunk fails the distance with
-    its own error, and the pool's threads are gone when it returns."""
+    """An eigensolve that fails on the second tile fails the distance with
+    its own error, and the pool's threads are gone when it returns.  The
+    cap gives both stacks two tiles or more."""
     runs = _distance_runs()
+    monkeypatch.setattr(lan_channels, "TRACE_NORM_CHUNK_ENTRIES", 2.0**16)
     monkeypatch.setattr(lan_channels, "TRACE_NORM_POOL_ENTRIES", 0.0)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1, 2, 3}, raising=False)

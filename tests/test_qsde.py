@@ -175,8 +175,11 @@ def test_one_run_from_two_levels_carries_both_probes(K):
 
 
 def test_collision_guards():
-    with pytest.raises(ValueError):
-        collision_integrate(PARAMS, 1.0, 3, 1.0, 100)  # m > 2j
+    """A top level below 0 or above 2j = 2 is refused, and the message
+    names the range it left."""
+    for top in (-1, 3):
+        with pytest.raises(ValueError, match=rf"initial level {top} outside \[0, 2j = 2\]"):
+            collision_integrate(PARAMS, 1.0, top, 1.0, 100)
 
 
 def test_time_and_collision_count_must_be_positive():
