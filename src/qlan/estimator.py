@@ -126,12 +126,19 @@ class Stage1Result:
         return _turn(vec, -wx, -wy, den, flip)
 
 
+def stage1_copies(n: int, kappa: float) -> tuple[int, list]:
+    """Stage 1's copy count n_tilde = ceil(n^(1 - kappa)) and its round-robin
+    split over the three axes: axis i gets ceil((n_tilde - i) / 3) copies."""
+    n_tilde = math.ceil(float(n) ** (1.0 - kappa))
+    return n_tilde, [math.ceil((n_tilde - i) / 3.0) for i in range(3)]
+
+
 def stage1(r_true, n_tilde: int, rng: np.random.Generator, size: int) -> Stage1Result:
     """Pauli coin flips on n_tilde copies of the state with Bloch vector
     r_true, round-robin over the three axes, for ``size`` trials, one per
     column.
 
-    Axis i receives ceil((n_tilde - i)/3) copies; the empirical Bloch
+    Axis i receives :func:`stage1_copies`' share of them; the empirical Bloch
     vector is radially projected into the unit ball if needed and the
     preliminary eigenvalue is mu_tilde = (1 + |r|) / 2.  The heads are
     drawn axis by axis, ``size`` at a time, so the first B' trials of a
@@ -139,7 +146,7 @@ def stage1(r_true, n_tilde: int, rng: np.random.Generator, size: int) -> Stage1R
     """
     if n_tilde < 3:
         raise ValueError(f"n_tilde = {n_tilde} too small for three axes")
-    counts = np.array([math.ceil((n_tilde - i) / 3.0) for i in range(3)])
+    counts = np.array(stage1_copies(n_tilde, 0.0)[1])  # kappa = 0: all n_tilde copies
     probs = (1.0 + np.asarray(r_true, dtype=float)) / 2.0
     r_raw = np.empty((3, size))  # 2 heads / counts - 1, in place
     for i in range(3):  # one (n, p) a draw: the binomial sampler sets up once per axis
@@ -312,12 +319,11 @@ def localize(rho_true, n: int, config: EstimatorConfig, rng: np.random.Generator
     eigenvalue is not in (1/2, 1) (a pure true state) is marked in
     ``outside``; the risk benchmark charges it the maximal loss."""
     n = int(n)
-    n_tilde = int(math.ceil(float(n) ** (1.0 - config.kappa)))
-    n_rest = n - n_tilde
+    n_rest = n - stage1_copies(n, config.kappa)[0]
     if n_rest < 1:
         raise ValueError(f"n = {n} leaves no copies for stage 2")
     r_true = density_to_bloch(validate_density(rho_true))
-    s1 = stage1(r_true, n_tilde, rng, size)
+    s1 = stage1(r_true, n - n_rest, rng, size)
     u_true, mu_true, r_frame = localize_frame(r_true, s1, n_rest)
     degenerate = ~((0.5 < s1.mu_tilde) & (s1.mu_tilde < 1.0))
     mu_u = s1.mu_tilde + u_true[2] / math.sqrt(n_rest)  # as stage2_sample sets it

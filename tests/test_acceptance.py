@@ -2,7 +2,7 @@
 
 One test per advertised guarantee, each printing a single line with the
 measured value next to the required tolerance (run with ``-s`` or ``-v``
-to see them).  Everything is seeded, so reruns are bit-identical; the
+to see them).  Every draw is seeded, so reruns are bit-identical; the
 whole file finishes in a couple of minutes on one core.
 """
 
@@ -242,16 +242,18 @@ def test_acceptance_07_untruncated_gaussian_risk_is_exact():
 
 
 def test_acceptance_08_stage1_tail_bound_holds():
-    rows = hoeffding_check(
-        (10**3, 10**4, 10**5), (0.1, 0.2), 0.1, 10_000, np.random.default_rng(SEED)
-    )
+    """The exact stage-1 probability, not a count of draws, so the check
+    also speaks where the bound is far below any feasible 1 / trials."""
+    rows = hoeffding_check((10**3, 10**4, 10**5), (0.05, 0.1, 0.15, 0.2, 0.25), 0.1)
     cells = "; ".join(
-        f"(n={r['n']},eps={r['eps']}): {r['empirical']:.4f} <= {r['bound']:.3g}"
+        f"(n={r['n']},eps={r['eps']}): {r['probability']:.3g} <= {r['bound']:.3g}"
         for r in rows
     )
     _report("08 stage-1 large-deviation bound", cells)
+    assert len(rows) == 15
     assert all(r["ok"] for r in rows)
     assert any(not r["vacuous"] for r in rows)
+    assert all(r["probability"] > 0.0 for r in rows)
 
 
 # ---------------------------------------------------------------------------

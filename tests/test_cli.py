@@ -102,7 +102,6 @@ def test_integer_flags_take_exponent_form(capsys):
     args = parse(["estimate", "--n", "1e4", "--seed", "1e3"])
     assert (args.n, args.seed) == (10000, 1000) and type(args.n) is int
     assert parse(["qsde-check", "--collisions", "4e2"]).collisions == 400
-    assert parse(["hoeffding", "--trials", "1e3"]).trials == 1000
     for text, message in (("abc", "'abc' is not a number"), ("2.5", "'2.5' is not an integer")):
         for command in ("risk", "estimate"):
             with pytest.raises(SystemExit) as exc:
@@ -132,10 +131,15 @@ def test_cli_defaults_are_the_config_defaults():
 
 def test_every_flag_row_is_used(capsys):
     """Each FLAGS row serves some subcommand, and a deleted knob's flag is
-    refused."""
+    refused: ``hoeffding`` sums the exact law, so it takes no trials or seed."""
     used = {key for *_, shortcuts, defaults in COMMANDS.values() for key in (*shortcuts, *defaults)}
     assert set(FLAGS) <= used
-    for argv in (["risk", "--fock-dim", "16"], ["lan-dist", "--eps-tail", "0.2"]):
+    for argv in (
+        ["risk", "--fock-dim", "16"],
+        ["lan-dist", "--eps-tail", "0.2"],
+        ["hoeffding", "--trials", "200"],
+        ["hoeffding", "--seed", "3"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -353,10 +357,9 @@ def test_config_file_shortcut_keys(tmp_path, capsys):
     with a dash, a file may not give both forms, and a boolean word is read."""
     cfg = tmp_path / "eps.cfg"
     cfg.write_text("eps = 0.15\nn-list = 1000\n")
-    rest = ["--trials", "500", "--seed", "3"]
-    code, from_file, _ = run_cli(["hoeffding", "--config", str(cfg), *rest], capsys)
+    code, from_file, _ = run_cli(["hoeffding", "--config", str(cfg)], capsys)
     assert code == 0
-    from_flags = run_cli(["hoeffding", "--eps", "0.15", "--n-list", "1000", *rest], capsys)[1]
+    from_flags = run_cli(["hoeffding", "--eps", "0.15", "--n-list", "1000"], capsys)[1]
     assert from_file == from_flags
 
     both = tmp_path / "both.cfg"
@@ -417,7 +420,8 @@ PARSED_ARGV = [
     ["estimate", "--format", "csv"],
     ["qsde-check", "--collisions", "4e2"],
     ["qsde-check", "--t", "inf"],
-    ["hoeffding", "--trials", "1e3"],
+    ["hoeffding", "--trials", "200"],
+    ["hoeffding", "--seed", "3"],
     ["hoeffding", "--eps", "0.15", "--eps-list", "0.3", "--n-list", "1000"],
 ]
 
@@ -587,27 +591,23 @@ def test_refusals_name_the_flag(args, named, unnamed, capsys):
     assert named in err and unnamed not in err
 
 
-def test_hoeffding_eps_shortcut(capsys):
-    code, out, _ = run_cli(
-        [
-            "hoeffding",
-            "--eps",
-            "0.15",
-            "--n-list",
-            "1000",
-            "--trials",
-            "500",
-            "--seed",
-            "3",
-        ],
-        capsys,
-    )
+def test_hoeffding_eps_shortcut(tmp_path, capsys):
+    """The shortcut sets a one-element list.  ``hoeffding`` draws nothing, so
+    two runs to files agree byte for byte and the JSON echoes no trials or seed."""
+    code, out, _ = run_cli(["hoeffding", "--eps", "0.15", "--n-list", "1000"], capsys)
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[0] == "n,eps,n_tilde,empirical,bound,ok,vacuous"
+    assert lines[0] == "n,eps,n_tilde,probability,pruned,bound,ok,vacuous"
     assert len(lines) == 2
     cells = lines[1].split(",")
     assert cells[0] == "1000" and float(cells[1]) == 0.15
+    assert 0.0 < float(cells[3]) + float(cells[4]) <= float(cells[5])
+    f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
+    for out in (f1, f2):
+        assert main(["hoeffding", "--eps", "0.15", "--format", "json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert f1.read_bytes() == f2.read_bytes()
+    assert set(strict_json(f1.read_bytes())["config"]) == {"mu0", "n_list", "eps_list", "kappa"}
 
 
 def test_qsde_check_table(capsys):
@@ -689,7 +689,7 @@ def test_qsde_check_refuses_one_collision(capsys):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["--trials", "0"], "trials = 0"),
+        (["--n-list", "2"], "n = 2 in n_list"),
         (["--kappa", "-1", "--n-list", "100"], "kappa = -1.0"),
         (["--kappa", "1", "--n-list", "100"], "kappa = 1.0"),
         (["--n-list", "0"], "n = 0 in n_list"),
@@ -697,9 +697,9 @@ def test_qsde_check_refuses_one_collision(capsys):
     ],
 )
 def test_hoeffding_refuses_impossible_inputs(args, message, capsys):
-    """No trials, a stage 1 of more than n copies (kappa <= 0) or of one
-    copy (kappa >= 1), or an n whose stage 1 has fewer than three copies,
-    one per axis, exits 2 by name and writes no row."""
+    """An n whose stage 1 has fewer than three copies, one per axis, a
+    stage 1 of more than n copies (kappa <= 0) or of one copy (kappa >= 1)
+    exits 2 by name and writes no row."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(["hoeffding", *args], capsys)
@@ -741,7 +741,7 @@ loaded["import qlan.cli: concurrent"] = sorted(m for m in sys.modules if m.start
 for argv in (
     ["estimate", "--n", "10000", "--seed", "7"],
     ["risk", "--n-list", "10000", "--trials", "200"],
-    ["hoeffding", "--trials", "200"],
+    ["hoeffding"],
     ["qsde-check", "--n-list", "1000,4000"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):

@@ -5,13 +5,17 @@ import math
 import os
 import threading
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy import stats
 
 from qlan import risk_bench
 from qlan.cli import main
-from qlan.estimator import EstimatorConfig, full_estimate
+from qlan.estimator import EstimatorConfig, full_estimate, stage1, stage1_copies
 from qlan.operator_core import density_to_bloch, qubit_fidelity_sq
 from qlan.risk_bench import (
     RiskConfig,
@@ -414,24 +418,117 @@ def test_a_failing_cell_raises_its_own_error(error, monkeypatch, capsys):
 
 
 def test_hoeffding_rows():
-    rows = hoeffding_check(
-        n_values=(10**4, 10**5),
-        eps_values=(0.05, 0.15),
-        kappa=0.1,
-        trials=20_000,
-        rng=np.random.default_rng(99),
-    )
+    rows = hoeffding_check(n_values=(10**4, 10**5), eps_values=(0.05, 0.15), kappa=0.1)
     assert len(rows) == 4
     for row in rows:
-        assert set(row) == {"n", "eps", "n_tilde", "empirical", "bound", "ok", "vacuous"}
-        assert row["ok"]  # empirical never exceeds the analytic bound
+        assert set(row) == {
+            "n", "eps", "n_tilde", "probability", "pruned", "bound", "ok", "vacuous"
+        }
+        assert row["ok"]  # probability + pruned never exceeds the analytic bound
+        assert 0.0 < row["probability"] < 1.0 and 0.0 <= row["pruned"] < 1e-78
     by_key = {(r["n"], r["eps"]): r for r in rows}
     # kappa = 0.1 with eps = 0.05 gives a constant exponent: bound >= 1
     assert by_key[(10**4, 0.05)]["vacuous"]
-    # eps = 0.15 is informative and the empirical tail sits well inside
+    # eps = 0.15 is informative and the exact tail sits well inside
     tight = by_key[(10**5, 0.15)]
     assert not tight["vacuous"]
-    assert tight["empirical"] < tight["bound"] < 0.05
+    assert tight["probability"] < tight["bound"] / 3 < 0.05
+    # a mu0 whose z coin has no heads probability in (0, 1) is refused by name
+    for mu0 in (1.0, 1.5, 0.0, -0.5, 1e-17, float("nan")):
+        with pytest.raises(ValueError, match=f"mu0 = {mu0}"):
+            hoeffding_check((1000,), (0.1,), 0.1, mu0=mu0)
+
+
+def _stage1_lattice(n_tilde: int, mu0: float):
+    """Each axis's squared errors, as stage1 rounds them, and exact masses,
+    each rounded once from the rational binomial law of its coin."""
+    laws = []
+    for flips, r in zip(stage1_copies(n_tilde, 0.0)[1], (0.0, 0.0, 2.0 * mu0 - 1.0)):
+        p = Fraction((1.0 + r) / 2.0)
+        h = np.arange(flips + 1)
+        x = (h * 2.0) / flips - 1.0 - r
+        masses = [math.comb(flips, k) * p**k * (1 - p) ** (flips - k) for k in range(flips + 1)]
+        laws.append((x * x, np.array(masses, dtype=float)))
+    return laws
+
+
+@given(
+    n_tilde=st.integers(3, 60),
+    mu0=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+    eps=st.floats(0.0, 0.5),
+)
+@example(n_tilde=60, mu0=math.nextafter(1.0, 0.0), eps=0.25)
+@example(n_tilde=3, mu0=math.nextafter(0.5, 1.0), eps=0.0)
+def test_hoeffding_sum_is_the_enumerated_law(n_tilde, mu0, eps):
+    """At n_tilde <= 60 (20 flips an axis or fewer) the sum equals the
+    enumeration of every (h_1, h_2, h_3), with exact binomial masses and
+    the event read as X_3 > t - (X_1 + X_2), to 1e-12 relative (1e-300
+    absolute, below which a double has no relative precision left), at
+    every mu0 the CLI accepts.  A kappa of 1e-3 takes all n = n_tilde
+    copies to stage 1, and nothing is pruned."""
+    (x1, p1), (x2, p2), (x3, p3) = _stage1_lattice(n_tilde, mu0)
+    t = 3.0 * float(n_tilde) ** (2.0 * eps - 1.0)
+    event = x3[None, None, :] > t - (x1[:, None, None] + x2[None, :, None])
+    want = float(np.sum(p1[:, None, None] * p2[None, :, None] * p3[None, None, :] * event))
+    (row,) = hoeffding_check((n_tilde,), (eps,), 1e-3, mu0=mu0)
+    assert row["n_tilde"] == n_tilde and row["pruned"] == 0.0
+    assert row["probability"] == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def test_hoeffding_sum_matches_seeded_stage1_draws():
+    """10^6 trials of estimator.stage1 itself, scored as the Monte Carlo
+    check scored them, land within 4 sigma of the sum wherever it exceeds
+    1e-3."""
+    trials, kappa, r_true = 10**6, 0.1, np.array([0.0, 0.0, 0.5])
+    rows = hoeffding_check((10**3, 10**4), (0.1, 0.15, 0.2), kappa)
+    checked = 0
+    for i, n in enumerate((10**3, 10**4)):
+        rng, n_tilde, err_sq = seeded_rng(2026, i), stage1_copies(n, kappa)[0], []
+        for _ in range(4):
+            dx, dy, dz = stage1(r_true, n_tilde, rng, trials // 4).r_raw - r_true[:, None]
+            err_sq.append((dx * dx + dy * dy) + dz * dz)
+        err_sq = np.concatenate(err_sq)
+        for row in (r for r in rows if r["n"] == n and r["probability"] > 1e-3):
+            p = row["probability"]
+            freq = np.mean(err_sq > 3.0 * float(n) ** (2.0 * row["eps"] - 1.0))
+            assert abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials), (n, row["eps"])
+            checked += 1
+    assert checked == 5  # every cell but (10^4, 0.2), whose probability is 7e-4
+
+
+@pytest.mark.parametrize(
+    "flips, r",
+    [(1, 0.0), (20, 0.5), (20, 1.0 - 2.0**-52), (1328, -0.3), (83730, 0.0), (83730, 0.5)],
+)
+def test_axis_law_is_the_binomial(flips, r):
+    """Each axis law is Bin(N, (1 + r)/2) to a relative few 2^-53 max(N ln N,
+    N |ln(1 - p)|), the lgamma rounding, wherever scipy's pmf is above 1e-300;
+    its squared errors hold every value stage1 draws, rounded as it rounds them."""
+    x, mass = risk_bench._axis_law(flips, r)
+    p = (1.0 + r) / 2.0
+    want = stats.binom.pmf(np.arange(flips + 1), flips, p)
+    big = want > 1e-300
+    scale = max(flips * math.log(max(flips, 2)), flips * abs(math.log(1.0 - p)))
+    assert np.abs(mass[big] / want[big] - 1.0).max() <= (8.0 * scale + 8.0) * 2.0**-53
+    assert np.all(mass[~big] <= 1e-290)
+    draws = stage1(np.array([r, 0.0, 0.0]), 3 * flips, seeded_rng(7), 1000).r_raw[0] - r
+    assert np.isin(draws * draws, x).all()
+
+
+def test_hoeffding_pruned_mass_brackets_the_probability(monkeypatch):
+    """With no cut, nothing is pruned and the probability moves by less than
+    1e-12 relative; with a coarse cut the probability drops, and the pruned
+    mass bounds what it lost."""
+    cells = ((10**4,), (0.15, 0.2), 0.1)
+    kept = hoeffding_check(*cells)
+    monkeypatch.setattr(risk_bench, "AXIS_CUT", 0.0)
+    full = hoeffding_check(*cells)
+    monkeypatch.setattr(risk_bench, "AXIS_CUT", 1e-6)
+    coarse = hoeffding_check(*cells)
+    for a, b, c in zip(kept, full, coarse):
+        assert 0.0 < a["pruned"] < 1e-78 and b["pruned"] == 0.0 and c["pruned"] > 1e-6
+        assert a["probability"] == pytest.approx(b["probability"], rel=1e-12)
+        assert c["probability"] < b["probability"] <= c["probability"] + c["pruned"]
 
 
 def test_exact_risk_runs_the_gaussian_chunks():
@@ -528,18 +625,19 @@ EXACT_TRIAL_PINNED = (  # re-recorded when each draw became one pure ladder vect
     (-2.186189111313594, 1.47643094043796, -0.8246740082076564),
     (-2.186189111313594, 1.47643094043796, -0.8246740082076564),
 )
+# re-recorded when the rows became the exact stage-1 probability
 HOEFFDING_PINNED = [
-    {"n": 1000, "eps": 0.1, "n_tilde": 502, "empirical": 0.548, "bound": 2.2089349386202013, "ok": True, "vacuous": True},
-    {"n": 1000, "eps": 0.2, "n_tilde": 502, "empirical": 0.0375, "bound": 0.1123290864776665, "ok": True, "vacuous": False},
-    {"n": 10000, "eps": 0.1, "n_tilde": 3982, "empirical": 0.439, "bound": 1.7083421483759413, "ok": True, "vacuous": True},
-    {"n": 10000, "eps": 0.2, "n_tilde": 3982, "empirical": 0.001, "bound": 0.0021666907043559258, "ok": True, "vacuous": False},
+    {"n": 1000, "eps": 0.1, "n_tilde": 502, "probability": 0.5338227384638602, "pruned": 0.0, "bound": 2.2089349386202013, "ok": True, "vacuous": True},
+    {"n": 1000, "eps": 0.2, "n_tilde": 502, "probability": 0.03429634973455074, "pruned": 0.0, "bound": 0.1123290864776665, "ok": True, "vacuous": False},
+    {"n": 10000, "eps": 0.1, "n_tilde": 3982, "probability": 0.4317048174598698, "pruned": 2.8084162769587254e-80, "bound": 1.7083421483759413, "ok": True, "vacuous": True},
+    {"n": 10000, "eps": 0.2, "n_tilde": 3982, "probability": 0.0007070106838423367, "pruned": 2.8084162769587254e-80, "bound": 0.0021666907043559258, "ok": True, "vacuous": False},
 ]
 
 
 def test_risk_pipeline_is_bitwise_pinned():
     """Seeded outputs of the estimator chain equal, bit for bit, the values
     recorded: the risk of every loss with and without truncation, one
-    single-trial estimate per sampler, and the stage-1 large-deviation rows."""
+    single-trial estimate per sampler, and the (unseeded) stage-1 large-deviation rows."""
     for (loss, mu0, n, point, truncate), want in PIPELINE_PINNED.items():
         cfg = RiskConfig(
             mu0=mu0,
@@ -560,5 +658,5 @@ def test_risk_pipeline_is_bitwise_pinned():
         res = full_estimate(rho, 10**4, cfg, np.random.default_rng(seed))
         got = (res.r_hat[:, 0].tolist(), tuple(res.u_hat[:, 0].tolist()), tuple(res.u_raw[:, 0].tolist()))
         assert got == want, cfg.sampler
-    rows = hoeffding_check((10**3, 10**4), (0.1, 0.2), 0.1, 2000, np.random.default_rng(5))
+    rows = hoeffding_check((10**3, 10**4), (0.1, 0.2), 0.1)
     assert rows == HOEFFDING_PINNED
