@@ -11,11 +11,11 @@ form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy is imported where it is used, so that `import qlan.cli` needs numpy alone
 
 from .spin_blocks import ladder_corner
 from .tolerances import CORNER_TAIL_MASS
@@ -68,6 +68,12 @@ def displaced_thermal(gp: GaussianLimitParams) -> tuple[np.ndarray, float]:
     return ladder_corner(gp.p, math.inf, 1.0, b * b, lambda k: b * np.sqrt(k), CORNER_TAIL_MASS)
 
 
+@functools.cache
+def _log_gamma_halves(size: int) -> np.ndarray:
+    """ln Gamma(i/2 + 1) for i < 2 size - 1, by ``math.lgamma``: ln m! at i = 2m."""
+    return np.array([math.lgamma(0.5 * i + 1.0) for i in range(2 * size - 1)])
+
+
 class HeterodyneSampler:
     """Exact sampler of the heterodyne (Husimi Q) law of a pure state psi on
     its first D Fock levels (a real or complex vector, normalized here).
@@ -83,25 +89,21 @@ class HeterodyneSampler:
 
     ``m_const`` is the expected number of angle proposals per accepted
     draw, int e^{-s} (sum_m |psi_m| v_m)^2 ds = sum_kl |psi_k| |psi_l|
-    Gamma((k+l)/2 + 1) / sqrt(k! l!) >= 1, in closed form.  ``proposals``
-    counts the angle proposals made so far.
+    Gamma((k+l)/2 + 1) / sqrt(k! l!) >= 1, in closed form.
     """
 
     def __init__(self, psi: np.ndarray):
-        from scipy.special import gammaln
-
         self.psi = np.asarray(psi) / np.linalg.norm(psi)
         m = np.arange(len(psi))
         self._levels = m.astype(float)
-        half = self._half_log_fact = 0.5 * gammaln(self._levels + 1.0)
+        log_gamma = _log_gamma_halves(len(psi))
+        half = self._half_log_fact = 0.5 * log_gamma[::2]
         cdf = np.cumsum(np.abs(self.psi) ** 2)
         self._level_cdf = cdf / cdf[-1]
         # Gamma((k+l)/2 + 1) / sqrt(k! l!) from the 2D - 1 distinct k + l
-        log_gamma = gammaln(0.5 * np.arange(2 * len(psi) - 1) + 1.0)
         ratio = np.exp(log_gamma[m[:, None] + m] - half[:, None] - half)
         amp = np.abs(self.psi)
         self.m_const = float(amp @ ratio @ amp)
-        self.proposals = 0
 
     def _envelope(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """a_m = psi_m v_m e^{-s/2} for each radius s (levels on the rows)
@@ -136,7 +138,6 @@ class HeterodyneSampler:
             hit = rng.random((tries, len(cols))) * bound[pending] < amp.real**2 + amp.imag**2
             first = np.argmax(hit, axis=0)
             keep = hit[first, cols]
-            self.proposals += int(np.where(keep, first + 1, tries).sum())
             theta[pending[keep]] = angle[first[keep], cols[keep]]
             pending = pending[~keep]
         return np.sqrt(s) * np.exp(1j * theta)

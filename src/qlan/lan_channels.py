@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy is imported where it is used, so that `import qlan.cli` needs numpy alone
 
 from .fock_gaussian import GaussianLimitParams, displaced_thermal
 from .operator_core import embed_block, pool_map, pool_width
@@ -312,8 +311,6 @@ def apply_S(gp: GaussianLimitParams, n: int) -> BlockMixture:
     That state is kept on the certified corner ``gaussian_limit`` uses,
     and its tail is reported.  Every lattice cell is kept.
     """
-    from scipy.special import ndtr
-
     params = ModelParams(gp.mu, n)
     phi, tail = displaced_thermal(gp)
     j_lattice = valid_j_values(n)
@@ -322,8 +319,10 @@ def apply_S(gp: GaussianLimitParams, n: int) -> BlockMixture:
     hi = lo + 1.0 / math.sqrt(n)
     lo[0] = -np.inf
     hi[-1] = np.inf
-    sd = math.sqrt(gp.classical_var)
-    q = ndtr((hi - gp.u[2]) / sd) - ndtr((lo - gp.u[2]) / sd)
+    # each cell's normal mass, by math.erfc from the tail on its side of the mean
+    erfc, side = np.frompyfunc(math.erfc, 1, 1), np.where(lo > gp.u[2], 1.0, -1.0)
+    scale = side / math.sqrt(2.0 * gp.classical_var)
+    q = 0.5 * side * (erfc(scale * (lo - gp.u[2])) - erfc(scale * (hi - gp.u[2]))).astype(float)
     return BlockMixture(j_lattice, q, phi, gauge_angle(gp.u), tail)
 
 

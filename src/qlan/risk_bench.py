@@ -308,6 +308,8 @@ def hoeffding_check(n_values, eps_values, kappa: float, mu0: float = 0.75) -> li
     r_true = (0.0, 0.0, 2.0 * mu0 - 1.0)
     if not 0.0 < (1.0 + r_true[2]) / 2.0 < 1.0:
         raise ValueError(f"mu0 = {mu0}: the z coins' heads probability must lie in (0, 1)")
+    if bad := [eps for eps in eps_values if not 0.0 < eps < 0.5]:
+        raise ValueError(f"eps = {bad[0]}: t = 3 n^(2 eps - 1) must shrink with n, so 0 < eps < 1/2")
     for n in n_values:
         if not n >= 1 or stage1_copies(n, kappa)[0] < 3:
             raise ValueError(f"n = {n} in n_list: stage 1 needs ceil(n^(1 - kappa)) >= 3 copies")

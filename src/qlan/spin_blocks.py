@@ -112,31 +112,29 @@ def _two_j(n: int, j) -> int:
     return tj
 
 
-def _log_multiplicity(n: int, tj_arr: np.ndarray) -> np.ndarray:
-    from scipy.special import gammaln
-
-    # ln n_j = ln C(n, (n-2j)/2) + ln((2j+1)/(n/2+j+1)).  The three gammaln
-    # terms cancel: at n = 498 812 the pmf sums to 1 - 5.5e-10 (ROADMAP
-    # item 6, Loader's saddle-point form, would remove that rounding).
-    k = (n - tj_arr) / 2.0
-    log_binom = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-    return log_binom + np.log(tj_arr + 1.0) - np.log(n / 2.0 + tj_arr / 2.0 + 1.0)
-
-
-def _log_probability(params: ModelParams, u, tj_arr: np.ndarray) -> np.ndarray:
-    """log p_{n,u}(j), vectorized over an array of doubled j values."""
-    n = params.n
-    mu = params.mu_u(u)
-    p = (1.0 - mu) / mu
-    half = tj_arr / 2.0
-    log_tail = np.log1p(-np.exp((tj_arr + 1.0) * math.log(p)))
-    return (
-        _log_multiplicity(n, tj_arr)
-        - math.log(2.0 * mu - 1.0)
-        + (n / 2.0 - half) * math.log(1.0 - mu)
-        + (n / 2.0 + half + 1.0) * math.log(mu)
-        + log_tail
+def _log_probability(params: ModelParams, u, tj: np.ndarray) -> np.ndarray:
+    """ln p_{n,u}(j) less its value at the mode, on the ascending run ``tj``
+    of doubled j values, as sums from the mode of the logs of the exact ratios
+    p(j+1)/p(j) = [k/(n-k+1)] [mu/(1-mu)] [(2j+3)(n/2+j+1) / ((2j+1)(n/2+j+2))]
+    [(1 - p^{2j+3}) / (1 - p^{2j+1})], k = n/2 - j, p = (1-mu)/mu, of p(j) =
+    C(n, k) (2j+1)/(n/2+j+1) (mu (1-mu))^k (mu^{2j+1} - (1-mu)^{2j+1}) / (2mu-1).
+    Each factor falls with j: the pmf is unimodal.  A ratio is within 7 eps
+    (eps = 2^-52; ln p's error moves only the telescoping last factor, by 2 eps
+    in all), its log adds 2 eps |log| and each partial sum eps/2 of itself: a
+    term d steps from the mode, Lambda = ln(p_mode / p_j), is off by a relative
+    ((8 + Lambda/2) d + 2 Lambda + 4) eps at most, and normalizing L terms adds
+    their p-weighted mean error and (10 + log2 L) eps.
+    """
+    n, mu = params.n, params.mu_u(u)
+    log_p = math.log1p((1.0 - 2.0 * mu) / mu)
+    k, tj = (n - tj[:-1]) / 2.0, tj[:-1]  # each ratio steps from j to j + 1
+    steps = np.log(
+        k / (n - k + 1.0) * (mu / (1.0 - mu))
+        * ((tj + 3.0) * (n - k + 1.0)) / ((tj + 1.0) * (n - k + 2.0))
+        * np.expm1((tj + 3.0) * log_p) / np.expm1((tj + 1.0) * log_p)
     )
+    mode = int(np.count_nonzero(steps > 0.0))  # the steps fall with j
+    return np.concatenate((-np.cumsum(steps[:mode][::-1])[::-1], [0.0], np.cumsum(steps[mode:])))
 
 
 def classical_coordinate(params: ModelParams, j) -> np.ndarray:
@@ -172,14 +170,15 @@ def typical_set(params: ModelParams, eps: float) -> tuple[float, float]:
 
 def block_pmf_window(params: ModelParams, u) -> tuple[np.ndarray, np.ndarray, float]:
     """The shortest run of the valid j lattice whose two tails each hold at
-    most ``WINDOW_TAIL_MASS / 2`` of p_{n,u}, found on the whole lattice
-    (O(n) ``gammaln`` calls).
+    most ``WINDOW_TAIL_MASS / 2`` of p_{n,u}, found on the whole lattice,
+    where :func:`_log_probability`'s terms are normalized.
 
     Returns ``(j_values, probs, dropped)``, ``dropped`` the sum of the
     terms outside the run (0 when the run is the whole lattice).
     """
     js = valid_j_values(params.n)
     probs = np.exp(_log_probability(params, u, 2.0 * js))
+    probs /= probs.sum()
     half = 0.5 * WINDOW_TAIL_MASS
     # each tail is summed from its far end, smallest terms first
     lo = int(np.searchsorted(np.cumsum(probs), half, side="right"))
@@ -195,26 +194,25 @@ def sample_block_index(n: int, mu, rng: np.random.Generator) -> np.ndarray:
     By RSK (Keyl and Werner, PRA 64, 052311, 2001; O'Donnell and Wright,
     STOC 2016), j = max_k S_k - S_n / 2 for a +-1 walk S of n steps with
     P(+1) = mu.  Given N ~ Bin(n, mu) up-steps, P(max S >= m) = C(n, n - N +
-    m) / C(n, N) for m >= max(S_n, 0) (reflection principle): the maximum is
-    drawn by inverse CDF, a bisection of about log2 n vectorized steps on
-    that log ratio.  Its gammaln rounding, about 1e-9 at n = 10^6, moves the
-    law of a draw by about as much in total variation.  The walk law holds
-    for any mu in [0, 1]; it is the block law p_{n,u} for mu in (1/2, 1).
+    m) / C(n, N) for m >= max(S_n, 0) (reflection principle), which is 1 at
+    m = max(S_n, 0) and gains a factor (N - m) / (n - N + m + 1) per step up:
+    the maximum is drawn by inverse CDF, stepping m up while that running
+    product stays >= U, s steps rounding it by about s ulps.  The excess is
+    about geometric with ratio (1 - mu) / mu, so B draws take O(log B /
+    log(mu / (1 - mu))) vectorized passes (the estimator only reaches mu_u >=
+    1/2 + ``MODEL_MARGIN``).  The walk law holds for any mu in [0, 1]; it is
+    the block law p_{n,u} for mu in (1/2, 1).
     """
-    from scipy.special import gammaln
-
     mu = np.asarray(mu, dtype=float)
     up = rng.binomial(n, mu)
     down = n - up
-    log_u = np.log1p(-rng.random(len(mu)))  # log U, U in (0, 1]
-    # lo always passes (its ratio is 1), hi = up + 1 never (C(n, n + 1) = 0)
-    lo, hi = np.maximum(up - down, 0), up + 1
-    log_norm = gammaln(up + 1.0) + gammaln(down + 1.0)
-    while np.any(hi - lo > 1):
-        mid = (lo + hi) // 2
-        ok = log_norm - gammaln(down + mid + 1.0) - gammaln(up - mid + 1.0) >= log_u
-        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-    return lo - (up - down) / 2.0
+    level = 1.0 - rng.random(len(mu))  # U in (0, 1]
+    m, tail = np.maximum(up - down, 0), np.ones(len(mu))
+    while True:
+        nxt = tail * (up - m) / (down + m + 1.0)  # P(max S >= m + 1), 0 at m = N
+        if not (step := nxt >= level).any():
+            return m - (up - down) / 2.0
+        m, tail = m + step, np.where(step, nxt, tail)
 
 
 def ladder_level(p, levels, uniform) -> np.ndarray:

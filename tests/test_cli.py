@@ -694,12 +694,17 @@ def test_qsde_check_refuses_one_collision(capsys):
         (["--kappa", "1", "--n-list", "100"], "kappa = 1.0"),
         (["--n-list", "0"], "n = 0 in n_list"),
         (["--n-list", "1000,-5"], "n = -5 in n_list"),
+        (["--eps", "100", "--n-list", "1000"], "eps = 100.0: t = 3 n^(2 eps - 1) must shrink"),
+        (["--eps", "-300", "--n-list", "1000"], "eps = -300.0: t = 3 n^(2 eps - 1) must shrink"),
+        (["--eps", "0.5", "--n-list", "1000"], "eps = 0.5: t = 3 n^(2 eps - 1) must shrink"),
     ],
 )
 def test_hoeffding_refuses_impossible_inputs(args, message, capsys):
     """An n whose stage 1 has fewer than three copies, one per axis, a
-    stage 1 of more than n copies (kappa <= 0) or of one copy (kappa >= 1)
-    exits 2 by name and writes no row."""
+    stage 1 of more than n copies (kappa <= 0) or of one copy (kappa >= 1),
+    or an eps outside (0, 1/2), where the threshold t = 3 n^(2 eps - 1)
+    would not shrink with n (eps = 100 overflowed it, eps = -300 asked for
+    P(error > 0)), exits 2 by name and writes no row."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(["hoeffding", *args], capsys)
@@ -747,6 +752,15 @@ for argv in (
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     loaded[" ".join(argv)] = scipy_modules() if code == 0 else f"exit {code}"
+from scipy.linalg import lapack
+lapack_alone = set(scipy_modules())
+for argv in (
+    ["lan-dist", "--n-list", "20,50"],
+    ["risk", "--sampler", "exact", "--n-list", "400", "--trials", "20"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded[" ".join(argv)] = sorted(set(scipy_modules()) - lapack_alone) if code == 0 else f"exit {code}"
 print(json.dumps(loaded))
 """
 
@@ -770,13 +784,14 @@ def fresh_python(code: str) -> str:
 
 def test_gaussian_limit_commands_never_load_scipy():
     """`import qlan.cli`, the commands that sample the Gaussian limit and
-    `qsde-check` run on numpy alone; scipy loads only where the exact
-    sampler or the LAN channels call it.  `import qlan.cli` also leaves out
-    `concurrent.futures`, which only the thread pool of `operator_core.pool_map`
-    needs, and imports when it first runs one.  A fresh interpreter, because
-    this one has both loaded already."""
+    `qsde-check` run on numpy alone, and `lan-dist` and the exact sampler
+    load no scipy module beyond what `scipy.linalg.lapack` (for the ladder
+    vectors' `dstein`) loads by itself: no `scipy.special`.  `import qlan.cli`
+    also leaves out `concurrent.futures`, which only the thread pool of
+    `operator_core.pool_map` needs, and imports when it first runs one.  A
+    fresh interpreter, because this one has both loaded already."""
     loaded = strict_json(fresh_python(SCIPY_FREE))
-    assert len(loaded) == 6
+    assert len(loaded) == 8
     assert all(mods == [] for mods in loaded.values()), loaded
 
 

@@ -171,7 +171,8 @@ def test_heterodyne_fock_state_is_gamma_with_uniform_angle(k):
     angle = np.mod(np.angle(z), 2.0 * math.pi)
     assert stats.kstest(angle, stats.uniform(0.0, 2.0 * math.pi).cdf).pvalue > 1e-3
     assert sampler.m_const == pytest.approx(1.0, rel=1e-12)
-    assert sampler.proposals == 20000
+    a, bound = sampler._envelope(np.abs(z) ** 2)
+    assert np.allclose(bound, np.abs(a[k]) ** 2, rtol=1e-12, atol=0.0)  # density = bound
 
 
 def test_heterodyne_displaced_thermal_marginals():
@@ -256,29 +257,36 @@ def test_heterodyne_radius_follows_gamma_mixture():
 
 
 def _check_m_const(sampler):
-    """m_const is the closed form of int e^{-s} (envelope bound) ds, and its
-    inverse is the angle acceptance counted on a seeded draw."""
+    """m_const is the closed form of int e^{-s} (envelope bound) ds."""
     # the envelope carries the factor e^{-s} already
     integral, _ = integrate.quad(
         lambda s: sampler._envelope(np.array([s]))[1][0], 0.0, np.inf
     )
     assert sampler.m_const == pytest.approx(integral, rel=1e-8)
     assert 1.0 <= sampler.m_const
-    sampler.sample(np.random.default_rng(47), 20000)
-    assert 20000 / sampler.proposals == pytest.approx(1.0 / sampler.m_const, rel=0.03)
 
 
 def test_heterodyne_acceptance_matches_m_const():
-    """The oracle's m_const, for a rotated block state."""
-    _check_m_const(MixedHeterodyneSampler(_rotated_block()))
+    """The oracle's m_const, for a rotated block state, and its inverse is
+    the angle acceptance counted on a seeded draw."""
+    sampler = MixedHeterodyneSampler(_rotated_block())
+    _check_m_const(sampler)
+    sampler.sample(np.random.default_rng(47), 20000)
+    assert 20000 / sampler.proposals == pytest.approx(1.0 / sampler.m_const, rel=0.03)
 
 
 @pytest.mark.parametrize("u, k", [((1.5, -1.0, 0.5), 3), ((5.0, 0.0, 0.0), 0)])
 def test_pure_sampler_m_const_matches_its_integral(u, k):
     """The pure sampler's m_const, sum_kl |psi_k| |psi_l| Gamma((k+l)/2 + 1)
     / sqrt(k! l!), for a rotated block's ladder vector, at a moderate and a
-    large transverse u (60 levels, about 12 proposals a draw)."""
-    _check_m_const(HeterodyneSampler(block_vector(400, u, 100.0, k)[0]))
+    large transverse u (60 levels, about 12 proposals a draw).  It is the
+    mean number of angle proposals a draw takes, bound(s) / sum_m |a_m(s)|^2
+    at its radius s (one proposal is accepted with the angle-mean density
+    over the bound), over the radii of a seeded draw."""
+    sampler = HeterodyneSampler(block_vector(400, u, 100.0, k)[0])
+    _check_m_const(sampler)
+    a, bound = sampler._envelope(np.abs(sampler.sample(np.random.default_rng(47), 20000)) ** 2)
+    assert np.mean(bound / (np.abs(a) ** 2).sum(axis=0)) == pytest.approx(sampler.m_const, rel=0.03)
 
 
 def test_spin_ladder_embeds_into_fock_corner():

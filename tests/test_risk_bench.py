@@ -455,17 +455,19 @@ def _stage1_lattice(n_tilde: int, mu0: float):
 @given(
     n_tilde=st.integers(3, 60),
     mu0=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
-    eps=st.floats(0.0, 0.5),
+    eps=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
 )
 @example(n_tilde=60, mu0=math.nextafter(1.0, 0.0), eps=0.25)
-@example(n_tilde=3, mu0=math.nextafter(0.5, 1.0), eps=0.0)
+@example(n_tilde=3, mu0=math.nextafter(0.5, 1.0), eps=math.nextafter(0.0, 1.0))
+@example(n_tilde=3, mu0=0.75, eps=math.nextafter(0.5, 0.0))
 def test_hoeffding_sum_is_the_enumerated_law(n_tilde, mu0, eps):
     """At n_tilde <= 60 (20 flips an axis or fewer) the sum equals the
     enumeration of every (h_1, h_2, h_3), with exact binomial masses and
     the event read as X_3 > t - (X_1 + X_2), to 1e-12 relative (1e-300
     absolute, below which a double has no relative precision left), at
-    every mu0 the CLI accepts.  A kappa of 1e-3 takes all n = n_tilde
-    copies to stage 1, and nothing is pruned."""
+    every mu0 and eps the CLI accepts, eps up to either end of (0, 1/2).
+    A kappa of 1e-3 takes all n = n_tilde copies to stage 1, and nothing
+    is pruned."""
     (x1, p1), (x2, p2), (x3, p3) = _stage1_lattice(n_tilde, mu0)
     t = 3.0 * float(n_tilde) ** (2.0 * eps - 1.0)
     event = x3[None, None, :] > t - (x1[:, None, None] + x2[None, :, None])

@@ -199,11 +199,85 @@ def test_pmf_window_mass():
 def test_pmf_window_stays_narrow_at_large_n():
     """At the exact-risk stage-2 size the window is a few binomial standard
     deviations wide, and its outside mass, summed term by term, meets the
-    target where 1 - sum(probs) never would (rounding in the log-pmf leaves
-    ~1e-9 there)."""
+    target; 1 - sum(probs) could not show it, as the normalization leaves
+    ~1e-16 there."""
     js, probs, dropped = block_pmf_window(ModelParams(0.75, 498_812), U0)
     assert len(js) <= 20_000
     assert dropped <= 1e-12
+
+
+EPS = 2.0**-52
+
+
+@settings(max_examples=150)
+@given(
+    n=st.integers(1, 60),
+    mu=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+    uz=st.floats(-1.0, 1.0),
+)
+def test_pmf_is_the_exact_block_law_to_its_rounding_bound(n, mu, uz):
+    """Every window term against the rational block weight at the same
+    float mu_u, within the bound of ``_log_probability``'s docstring: ((8 +
+    Lambda/2) d + 2 Lambda + 4) eps for a term d steps from the mode (one
+    more step, as the package's pivot may be the mode's float-tied
+    neighbour), plus the p-weighted mean of that and (10 + log2 L) eps."""
+    params = ModelParams(mu, n)
+    assume(0.5 < params.mu + uz / math.sqrt(n) < 1.0)
+    mu_u = params.mu_u((0.0, 0.0, uz))
+    lattice = valid_j_values(n)
+    exact = [exact_block_weight(n, j, Fraction(mu_u)) for j in lattice]
+    w = np.array([float(x) for x in exact])
+    mode = int(np.argmax(w))
+    d = np.abs(np.arange(len(w)) - mode) + 1
+    lam = np.log(w[mode]) - np.log(np.maximum(w, np.finfo(float).tiny))
+    err = ((8.0 + lam / 2.0) * d + 2.0 * lam + 4.0) * EPS
+    bound = err + w @ err + (10.0 + math.log2(len(w))) * EPS
+    js, probs, _ = block_pmf_window(params, (0.0, 0.0, uz))
+    for j, p in zip(np.searchsorted(lattice, js), probs):
+        assert abs(Fraction(p) / exact[j] - 1) <= bound[j], (lattice[j], p, float(exact[j]))
+
+
+def _weights_at_three_quarters(n: int, js) -> list:
+    """``exact_block_weight(n, j, 3/4)`` at each j of the descending ``js``,
+    with its powers of 4 cleared: 2 n_j 3^k (3^(2j+1) - 1) / 4^(n+1), k = n/2
+    - j, n_j = C(n, k) (2j+1) / (n/2+j+1), each one correctly rounded integer
+    division.  C(n, k) steps from the first k by its exact ratios: Fraction
+    arithmetic, or a ``math.comb`` per term, takes about a second a term at
+    n ~ 5e5."""
+    k0 = (n - round(2 * js[0])) // 2
+    binom, weights = math.comb(n, k0), []
+    for j in js:
+        tj = round(2 * j)
+        k = (n - tj) // 2
+        for i in range(k0, k):
+            binom = binom * (n - i) // (i + 1)
+        k0 = k
+        n_j = binom * (tj + 1) // (n - k + 1)
+        weights.append(2 * n_j * 3**k * (3 ** (tj + 1) - 1) / 4 ** (n + 1))
+    return weights
+
+
+@pytest.mark.parametrize("n", [10**4, 498_812])
+def test_pmf_spot_points_at_large_n(n):
+    """At the mode and 1, 3 and 6 standard deviations either side, the
+    window's terms are the rational block weights to 1e-12 relative; a sum
+    begun at the lattice's end, not the mode, is off by about 2e-10 at n =
+    498 812."""
+    js, probs, _ = block_pmf_window(ModelParams(0.75, n), U0)
+    mode, sd = int(np.argmax(probs)), math.sqrt(n * 0.75 * 0.25) / 2.0
+    idx = [mode + round(step * sd) for step in (6, 3, 1, 0, -1, -3, -6)]
+    want = _weights_at_three_quarters(n, js[idx])
+    if n <= 10**4:
+        assert want == [float(exact_block_weight(n, j, Fraction(3, 4))) for j in js[idx]]
+    for i, w in zip(idx, want):
+        assert probs[i] == pytest.approx(w, rel=1e-12, abs=0.0), js[i]
+
+
+@pytest.mark.parametrize("n", [10**4, 498_812, 10**7])
+def test_pmf_sums_to_one_at_large_n(n):
+    """The window's terms and its dropped mass sum to 1 within 1e-14."""
+    _, probs, dropped = block_pmf_window(ModelParams(0.75, n), (0.3, -0.2, 0.5))
+    assert abs(1.0 - (probs.sum() + dropped)) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [30, 60])
@@ -272,6 +346,60 @@ def test_walk_maximum_law_is_the_block_law(n, mu):
     block law p_{n,mu}(j), in rational arithmetic."""
     law = _walk_block_law(n, mu)
     assert law == {int(2 * j): exact_block_weight(n, j, mu) for j in valid_j_values(n)}
+
+
+def _walk_inverse_cdf(n: int, up: int, level: Fraction) -> int:
+    """The largest m >= max(S_n, 0) with P(max S >= m) = C(n, n - N + m) /
+    C(n, N) >= U, in integers, for N = ``up`` up-steps and U = ``level``."""
+    m = max(2 * up - n, 0)
+    while m < up and Fraction(math.comb(n, n - up + m + 1), math.comb(n, up)) >= level:
+        m += 1
+    return m
+
+
+class _FixedWalk:
+    """A generator stand-in whose binomial and uniform draws are given."""
+
+    def __init__(self, up, uniform):
+        self.up, self.uniform = np.array(up), np.array(uniform)
+
+    def binomial(self, n, mu):
+        return self.up
+
+    def random(self, size):
+        return self.uniform
+
+
+@settings(max_examples=200)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_walk_draw_is_the_exact_inverse_cdf(data, n):
+    """At fixed N and U = 1 - uniform (the float the draw compares with), the
+    drawn maximum is the rational inverse CDF's, wherever U is not within
+    1e-12 of a CDF value (where the running product's rounding may decide)."""
+    up = data.draw(st.integers(0, n))
+    uniform = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+    level = Fraction(1.0 - uniform)
+    ms = range(max(2 * up - n, 0), up + 1)
+    cdf = [Fraction(math.comb(n, n - up + m), math.comb(n, up)) for m in ms]
+    assume(all(abs(c - level) > level * Fraction(1, 10**12) for c in cdf))
+    got = sample_block_index(n, np.full(1, 0.6), _FixedWalk([up], [uniform]))
+    assert got[0] == _walk_inverse_cdf(n, up, level) - (2 * up - n) / 2
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 0.7])
+@pytest.mark.parametrize("n", [1, 2, 9, 40])
+def test_walk_draw_replays_its_stream(n, mu):
+    """Seeded draws, at the walk's edge cases mu = 0 and 1 and at mu = 1/2
+    too, are the rational inverse CDF at the N and U a replay of the same
+    stream reads."""
+    got = sample_block_index(n, np.full(500, mu), np.random.default_rng(11))
+    replay = np.random.default_rng(11)
+    ups, uniforms = replay.binomial(n, np.full(500, mu)), replay.random(500)
+    want = [
+        _walk_inverse_cdf(n, int(up), 1 - Fraction(float(x))) - (2 * int(up) - n) / 2
+        for up, x in zip(ups, uniforms)
+    ]
+    assert got.tolist() == want
 
 
 def test_sample_block_index_goodness_of_fit():
