@@ -29,7 +29,7 @@ import numpy as np
 from .fock_gaussian import HeterodyneSampler
 from .operator_core import density_to_bloch, validate_density
 from .qsde import energy_measurement_sample
-from .spin_blocks import block_vector, gauge_angle, kernel_sd, ladder_level, sample_block_index
+from .spin_blocks import block_vectors, gauge_angle, kernel_sd, ladder_level, sample_block_index
 from .tolerances import MODEL_MARGIN
 
 
@@ -248,25 +248,24 @@ def _exact_stage2(mu, mu_u, n: int, u, rng: np.random.Generator):
     """Exact draws for the (3, B) columns ``u`` about the (B,) reference
     eigenvalues ``mu``, at the shifted eigenvalues ``mu_u``: all block
     indices j in one :func:`sample_block_index` call and all ladder levels
-    k in one :func:`ladder_level` draw, then one heterodyne draw per
-    distinct (mu, u, j, k), in ascending order, for its columns, then the
-    energy readouts and kernel noise of all columns as one draw each.
+    k in one :func:`ladder_level` draw, then, from one :func:`block_vectors`
+    solve, one heterodyne draw per distinct (mu, u, j, k), in ascending order,
+    for its columns, then the readouts and kernel noise as one draw each.
 
     Block j's state is the w-mixture of the pure ladder states R e_k, w the
     geometric law of ratio (1 - mu_u) / mu_u cut at 2j + 1 levels, and so
-    is its heterodyne law.  R e_k is :func:`block_vector`, real in the gauge
-    chi = :func:`gauge_angle`, so its draws are turned by e^{i chi}; each is within
+    is its heterodyne law.  R e_k is real in the gauge chi =
+    :func:`gauge_angle`, so its draws are turned by e^{i chi}; each is within
     2 sqrt(t) + t of the block state's law in total variation, t = ``CORNER_TAIL_MASS``."""
     js = sample_block_index(n, mu_u, rng)
     ks = ladder_level((1.0 - mu_u) / mu_u, 2.0 * js + 1.0, rng.random(len(mu)))
-    _, group, counts = np.unique(
-        np.vstack([mu, u, js, ks]), axis=1, return_inverse=True, return_counts=True
+    _, first, group, counts = np.unique(
+        np.vstack([mu, u, js, ks]), axis=1, return_index=True, return_inverse=True, return_counts=True
     )
+    vectors = block_vectors(n, u[:, first], js[first], ks[first])[0] if len(first) else []
     zs = np.exp(1j * gauge_angle(u))
-    for cols in np.split(np.argsort(group, kind="stable"), np.cumsum(counts))[:-1]:
-        c = cols[0]
-        sampler = HeterodyneSampler(block_vector(n, u[:, c], js[c], ks[c])[0])
-        zs[cols] *= sampler.sample(rng, size=len(cols))
+    for psi, cols in zip(vectors, np.split(np.argsort(group, kind="stable"), np.cumsum(counts))):
+        zs[cols] *= HeterodyneSampler(psi).sample(rng, size=len(cols))
     scale, rn = 1.0 / np.sqrt(2.0 * mu - 1.0), math.sqrt(n)
     # monitoring time n: the readout variance 1/(4n) is negligible next
     # to the block spread

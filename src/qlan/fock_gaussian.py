@@ -17,10 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_blocks import ladder_corner
+from .spin_blocks import PROPOSAL_BLOCK, ladder_corner
 from .tolerances import CORNER_TAIL_MASS
-
-PROPOSAL_BLOCK = 2**16  # levels x angle proposals a rejection pass evaluates at most
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,8 @@ def displaced_thermal(gp: GaussianLimitParams) -> tuple[np.ndarray, float]:
     Fock basis is that matrix conjugated by diag(e^{i chi k}).
     """
     b = abs(gp.beta)
-    return ladder_corner(gp.p, math.inf, 1.0, b * b, lambda k: b * np.sqrt(k), CORNER_TAIL_MASS)
+    rho, tail = ladder_corner(gp.p, math.inf, 1.0, b * b, lambda k: b * np.sqrt(k), CORNER_TAIL_MASS)
+    return rho[0], float(tail[0])
 
 
 @functools.cache

@@ -14,14 +14,16 @@ that needs no window, the block states and their ladder vectors.
 The top of each block behaves as an oscillator mode: a block state, and the
 displaced thermal state it tends to, are Gibbs weights on the eigenvectors
 of a rotated excitation count, a real tridiagonal matrix with spectrum
-0, 1, 2, ...  :func:`ladder_corner` builds any such state on its certified
-Fock corner from the top of the ladder alone, at a cost that does not grow
-with the block; every block and limit state in the package comes from it.
-It returns the state in its gauge, where it is real; that changes no trace
+0, 1, 2, ...  Its eigenvectors, at levels known exactly, come from one
+numpy kernel, the twisted factorization, for many ladders at once.
+:func:`ladder_corner` builds such states on their certified Fock corners
+from the top of the ladder alone, at a cost that does not grow with the
+block; every block and limit state in the package comes from it.  It
+returns them in their gauge, where they are real; that changes no trace
 norm, so the package keeps every corner real, and only :func:`block_state`
 phases one back to the Fock basis.  For the exact sampler,
-:func:`block_vector` builds one vector R e_k of a block by the same
-certified loop, at a level k drawn by :func:`ladder_level`.
+:func:`block_vectors` builds vectors R e_k of many blocks in one solve, at
+levels k drawn by :func:`ladder_level`.
 
 Conventions
 -----------
@@ -41,10 +43,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy is imported where it is used, so that `import qlan.cli` needs numpy alone
 
 from .operator_core import embed_block
 from .tolerances import CORNER_TAIL_MASS, WINDOW_TAIL_MASS
+
+PROPOSAL_BLOCK = 2**16  # entries of one vectorized pass: ladder rows x vectors, levels x angles
 
 
 def gauge_angle(u):
@@ -133,7 +136,12 @@ def _log_probability(params: ModelParams, u, tj: np.ndarray) -> np.ndarray:
         * ((tj + 3.0) * (n - k + 1.0)) / ((tj + 1.0) * (n - k + 2.0))
         * np.expm1((tj + 3.0) * log_p) / np.expm1((tj + 1.0) * log_p)
     )
-    mode = int(np.count_nonzero(steps > 0.0))  # the steps fall with j
+    return log_masses_from_mode(steps)
+
+
+def log_masses_from_mode(steps: np.ndarray) -> np.ndarray:
+    """ln of a unimodal law's masses less its mode's: the ratios' logs ``steps`` summed outward."""
+    mode = int(np.count_nonzero(steps > 0.0))
     return np.concatenate((-np.cumsum(steps[:mode][::-1])[::-1], [0.0], np.cumsum(steps[mode:])))
 
 
@@ -224,134 +232,134 @@ def ladder_level(p, levels, uniform) -> np.ndarray:
     return np.minimum(k, levels - 1.0)
 
 
-def _ladder_vectors(levels, scale, offset, coupling, ks, w, rest: float, tail: float, size: int):
-    """Certified eigenvectors R e_k, k in ``ks`` (ascending), of a ladder's
-    rotated excitation count: in the gauge, the real tridiagonal T with
-    diagonal ``scale * k + offset``, off-diagonal ``-coupling(k)`` between
-    levels k - 1 and k, and eigenvalues k = 0, 1, 2, ...
+def _twisted_vectors(d, cpl, size, nudge=0.0):
+    """Unit null vectors of T - k for the (M, K, B) diagonals ``d`` of B
+    ladders, off-diagonal -``cpl`` (M, 1, B), ``cpl[i]`` joining rows i - 1
+    and i, ladder b on its first ``size[b]`` rows (the rest: diagonal 1,
+    coupling 0).  Twisted factorization (Fernando 1997; Dhillon and Parlett
+    2004): pivots D+ and D- of T - k down and up, z_r = 1 at the twist r =
+    argmin |D+_r + D-_r - d_r| inside the ladder, z_i / z_(i+1) = cpl_(i+1) /
+    D+_i above r and z_i / z_(i-1) = cpl_i / D-_i below.  A zero pivot makes
+    the next infinite (IEEE); a column left with 0 * inf or 0 / 0 (an
+    unrotated ladder) is solved again with its level raised a few ulps."""
+    rows = np.arange(len(d))[:, None, None]
+    d = d - nudge * (1.0 + np.abs(d)) if nudge else d
+    # D- runs from the last row up: a forward recurrence on the reversed rows
+    sq = np.concatenate((cpl[:, None], np.concatenate((cpl[:1], cpl[:0:-1]))[:, None]), axis=1) ** 2
+    piv = np.concatenate((d[:, None], d[::-1, None]), axis=1)
+    row, ratio = list(piv), np.empty_like(piv[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for now, before, b2 in zip(row[1:], row, list(sq)[1:]):
+            np.subtract(now, np.divide(b2, before, out=ratio), out=now)
+        lo, hi = piv[:, 0], piv[::-1, 1]
+        twist = np.argmin(np.where(rows < size, np.abs(lo + hi - d), np.inf), axis=0)
+        z = np.cumprod(np.where(rows > twist, cpl / hi, 1.0), axis=0)
+        z[:-1] *= np.cumprod(np.where(rows[:-1] < twist, cpl[1:] / lo[:-1], 1.0)[::-1], axis=0)[::-1]
+    if not (nudge or np.isfinite(z).all()):
+        b = np.nonzero(bad := ~np.isfinite(z).all(axis=0))[1]
+        z[:, bad] = _twisted_vectors(d[:, bad][:, None], cpl[:, :, b], size[b], 4e-16)[:, 0]
+    return z / np.sqrt((z * z).sum(axis=0))
 
-    They are built by inverse iteration at their eigenvalues on the leading
-    M x M block T_M of T, shifted by ``-offset`` so that LAPACK's cluster
-    test (eigenvalues within 1e-3 ||T_M||) does not reorthogonalize them
-    all.  Zero-padded, a vector of T_M has residual r = coupling(M) |z_{M-1}|
-    in T, whose eigenvalues are spaced by 1, so by the sin theta theorem
-    (Davis and Kahan 1970; Parlett, *The Symmetric Eigenvalue Problem*,
-    section 11) its angle to R e_k is at most r / (1 - r).  M starts at
-    ``size`` and doubles until the certificate sum_k w_k 2 r_k / (1 - r_k),
-    a trace-norm bound on the w-mixture's error, is below ``tail / 16``.
-    Returns the vectors as (D, len(ks)) columns, D the fewest levels that
-    leave at most ``tail`` outside, counting the w-weighted discarded mass,
-    the certificate and ``rest`` (weight never built), and that tail.
-    The certificate bounds the angle to *some* eigenvector of T; each
-    vector's Rayleigh quotient on the block it solved, within 1/2 of its
-    own level, says it is the one at k, or the routine raises.
-    """
-    from scipy.linalg import lapack
 
-    def certificate(res: np.ndarray) -> float:
-        """Trace-norm bound sum_k w_k 2 sin(angle_k) from the residuals."""
-        return 2.0 * float(w @ np.where(res < 0.5, res / np.maximum(1.0 - res, 0.5), 1.0))
+def _first_rows(ks, w, offset, tail: float) -> np.ndarray:
+    """Rows of each ladder's first solve: R e_k turns near (sqrt(k + 1) + sqrt(offset))^2,
+    then falls to e^-depth, its weight's share of the budget (fitted: mu_u in [0.55, 0.95],
+    offsets up to 50 certify at once)."""
+    depth = np.log(np.maximum(32.0 * len(ks) * w / tail, 1.0))
+    root, spread = np.sqrt(ks + 1.0), np.sqrt(offset)
+    rows = (root + spread) ** 2 + depth * (0.3 * spread + 0.04 * root + 0.4)
+    return np.ceil(rows.max(axis=0, initial=0.0) + 4.0)
 
-    # e_k itself has residual |(scale - 1) k + offset| + coupling(k) +
-    # coupling(k + 1), so a rotation too weak to move it needs no solve
-    top = int(ks[-1]) + 1
-    k = np.arange(top + 1, dtype=float)
-    b = np.append(0.0, coupling(k[1:]))
-    z = np.eye(top)[:, ks]
-    # diagonal and off-diagonal of T_M - offset, M = len(z) the levels z is on
-    diag, off = scale * k[:top], -b[1:top]
-    cert = certificate(np.abs((scale - 1.0) * ks + offset) + b[ks] + b[ks + 1])
-    size = int(min(levels, size))
-    while cert > tail / 16.0:
-        k = np.arange(size, dtype=float)
-        diag, off = scale * k, -coupling(k[1:])
-        split = np.zeros(size, dtype=np.int32)
-        split[0] = size  # one unreduced block
-        z, info = lapack.dstein(diag, off, ks - offset, np.ones(size, dtype=np.int32), split)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"inverse iteration did not converge (info = {info})")
-        cert = 0.0 if size == levels else certificate(coupling(float(size)) * np.abs(z[-1]))
-        size = int(min(levels, 2 * size))
-    # Rayleigh quotients of the unit columns; the block's eigenvalues are
-    # k - offset, 1 apart
-    zz = z * z
-    theta = diag @ zz + 2.0 * off @ (z[:-1] * z[1:])
-    miss = np.abs(theta - (ks - offset))
-    if miss.max() >= 0.5:
-        i = int(np.argmax(miss))
-        raise np.linalg.LinAlgError(
-            f"ladder vector for level {int(ks[i])} has Rayleigh quotient "
-            f"{theta[i] + offset:.6g}: it is another level's"
-        )
+
+def _ladder_vectors(levels, scale, offset, coupling, ks, w, rest, tail: float):
+    """Certified eigenvectors R e_k of B ladders' rotated excitation counts at
+    the (K, B) levels ``ks``, weights ``w``: ladder b's real tridiagonal T (in
+    the gauge) has diagonal ``scale * k + offset``, off-diagonal -coupling(k)
+    between levels k - 1 and k (coupling(levels) = 0) and eigenvalues 0, 1, 2, ...
+
+    Each is :func:`_twisted_vectors`' at its exact level k on T's leading
+    block T_M.  Its residual in T beyond that on T_M is r = coupling(M)
+    |z_{M-1}|; T's levels are 1 apart, so its angle to R e_k is at most r /
+    (1 - r) (Davis and Kahan 1970).  M doubles from :func:`_first_rows` until
+    sum_k w_k 2 r_k / (1 - r_k), a trace-norm bound on the mixture's error, is
+    below ``tail / 16``.  The residual on T_M is rounding, a few eps ||T_M -
+    k|| as each pivot is a few ulps from a nearby T_M's (1.5e-14 seen, 5e-15
+    with dstein): left out of the tail test, as dstein's was.  A vector whose
+    whole residual in T at k is 1/2 or more (other levels are 1 away) raises.
+    Returns the vectors, (D, K, B), ladder b's zero from D_b on, the fewest
+    levels leaving at most ``tail`` out with the certificate and ``rest``
+    (weight never built); the D_b; and those tails."""
+    size = np.minimum(levels, _first_rows(ks, w, offset, tail))
+    while True:  # every ladder is solved again, the certified ones alike
+        rows = np.arange(size.max() + 1.0)[:, None]
+        m, last, cols = len(rows) - 1, size.astype(int) - 1, np.arange(len(size))
+        cpl = coupling(np.minimum(rows, levels))
+        inside, cut = rows[:m] < size, cpl[last + 1, cols]
+        cpl = np.where(inside, cpl[:m], 0.0)[:, None]
+        d = np.where(inside[:, None], (scale * rows[:m] + offset)[:, None] - ks, 1.0)
+        z = _twisted_vectors(d, cpl, size)
+        r = cut * np.abs(z[last, :, cols].T)
+        cert = 2.0 * (w * np.where(r < 0.5, r / np.maximum(1.0 - r, 0.5), 1.0)).sum(axis=0)
+        # a ladder grows until certified or whole; a vector of NaNs stops it (and raises below)
+        if not (grow := (cert > tail / 16.0) & (size < levels) & ~np.isnan(r).any(axis=0)).any():
+            break
+        size = np.where(grow, np.minimum(levels, 2.0 * size), size)
+    res = d * z
+    res[1:] -= cpl[1:] * z[:-1]
+    res[:-1] -= cpl[1:] * z[1:]
+    miss = np.sqrt((res * res).sum(axis=0) + r * r)
+    if not (miss < 0.5).all():
+        i, b = np.argwhere(~(miss < 0.5))[0]
+        raise np.linalg.LinAlgError(f"level {int(ks[i, b])} ladder vector: residual {miss[i, b]:.3g}")
     # profile[D] bounds the tail outside the first D levels, D = 0 .. len(z)
-    profile = np.append(np.cumsum((zz @ w)[::-1])[::-1], 0.0) + (rest + cert)
-    dim = int(np.argmax(profile <= tail))
-    return z[:dim], float(profile[dim])
+    mass = np.concatenate((np.einsum("mkb,mkb,kb->mb", z, z, w), np.zeros((1, len(cert)))))
+    profile = np.cumsum(mass[::-1], axis=0)[::-1] + (rest + cert)
+    dims = np.argmax(profile <= tail, axis=0)
+    z *= (np.arange(len(z))[:, None] < dims)[:, None]
+    return z[: dims.max(initial=0)], dims, profile[dims, np.arange(len(dims))]
 
 
-def ladder_corner(
-    p: float, levels: float, scale: float, offset: float, coupling, tail: float
-) -> tuple[np.ndarray, float]:
-    """Certified corner of a Gibbs state on a rotated excitation ladder.
-
-    The state is sum_k w_k (R e_k)(R e_k)^dag, k < ``levels`` (``math.inf``
-    for an oscillator), with weights w_k = (1 - p) p^k / (1 - p^levels) on
-    the eigenvectors of the rotated excitation count R K R^dag, K = sum_k
-    k |k><k|.  In its gauge (conjugated by diag(e^{-i chi k}), chi the
-    state's :func:`gauge_angle`) that operator is the real
-    tridiagonal T of :func:`_ladder_vectors`, which builds the leading
-    vectors that leave about ``tail / 2`` of the weight out.  Returns the
-    state in that gauge, a real matrix on its first D levels, D the fewest
-    that leave at most ``tail`` outside, and that tail; the gentle-
-    measurement bound 2 sqrt(t) + t covers the whole construction.
-    """
-    log_p = math.log(p)
-    top = math.exp(levels * log_p)  # 0 for the oscillator
-    norm = 1.0 - top
-    n_vec = int(min(levels, max(1, math.ceil(math.log(0.5 * tail * norm + top) / log_p))))
-    rest = (math.exp(n_vec * log_p) - top) / norm if n_vec < levels else 0.0
-    w = (1.0 - p) / norm * np.exp(np.arange(n_vec) * log_p)
-    z, cut = _ladder_vectors(
-        levels, scale, offset, coupling, np.arange(n_vec), w, rest, tail, 2 * n_vec
-    )
-    return (z * w) @ z.T, cut
+def ladder_corner(p: float, levels, scale, offset, coupling, tail: float):
+    """Certified corners of Gibbs states sum_k w_k (R e_k)(R e_k)^dag, k <
+    ``levels`` (``math.inf`` for an oscillator), w_k = (1 - p) p^k / (1 -
+    p^levels), on the eigenvectors of rotated excitation counts R K R^dag, one
+    per entry of ``levels``, ``scale`` and ``offset`` (scalars or alike arrays).
+    In its gauge (conjugated by diag(e^{-i chi k}), chi the state's
+    :func:`gauge_angle`) R K R^dag is the real T of :func:`_ladder_vectors`,
+    which builds the leading vectors that leave about ``tail / 2`` out.
+    Returns the real states, each on its first D levels, the fewest that leave
+    at most ``tail`` out, zero-padded into a (B, D, D) stack, and their (B,)
+    tails; gentle measurement, 2 sqrt(t) + t, covers the whole construction."""
+    log_p, levels = math.log(p), np.asarray(levels, dtype=float)
+    norm = 1.0 - (top := np.exp(levels * log_p))  # top: 0 for the oscillator
+    n_vec = np.minimum(levels, np.maximum(1.0, np.ceil(np.log(0.5 * tail * norm + top) / log_p)))
+    rest = np.where(n_vec < levels, (np.exp(n_vec * log_p) - top) / norm, 0.0)
+    k = np.arange(n_vec.max())[:, None]
+    w = np.where(k < n_vec, (1.0 - p) / norm * np.exp(k * log_p), 0.0)
+    ks = np.minimum(k, n_vec - 1.0)
+    z, _, tails = _ladder_vectors(levels, scale, offset, coupling, ks, w, rest, tail)
+    return (z.transpose(2, 0, 1) * w.T[:, None]) @ z.transpose(2, 1, 0), tails
 
 
-def _block_ladder(n: int, ux: float, uy: float, j):
-    """(levels, scale, offset, coupling) of block j's ladder: R = exp(2i
-    (v_x J_x + v_y J_y)), v = u / sqrt(n), and R (j - J_z) R^dag in the
-    gauge has diagonal cos(theta) k + 2 sin^2(theta / 2) j and off-diagonal
-    -sin(theta) |<k-1|J_+|k>| / 2, theta = 2 |v|."""
-    tj = _two_j(n, j)
-    theta = 2.0 * math.hypot(ux, uy) / math.sqrt(n)
-    half_sin = 0.5 * math.sin(theta)
-
-    def coupling(k):
-        return half_sin * np.sqrt(k * (tj + 1.0 - k))
-
-    return tj + 1, math.cos(theta), math.sin(0.5 * theta) ** 2 * tj, coupling
+def _block_ladder(n: int, ux, uy, j):
+    """(levels, scale, offset, coupling) of blocks j's ladders (``ux``, ``uy``, ``j`` scalars or
+    alike arrays): R = exp(2i (v_x J_x + v_y J_y)), v = u / sqrt(n); R (j - J_z) R^dag in the gauge
+    has diagonal cos(theta) k + 2 sin^2(theta/2) j, off-diagonal -sin(theta) |<k-1|J_+|k>| / 2."""
+    tj = np.reshape([float(_two_j(n, x)) for x in np.ravel(j)], np.shape(j))
+    theta = 2.0 * np.hypot(ux, uy) / math.sqrt(n)  # 2 |v|
+    half_sin, offset = 0.5 * np.sin(theta), np.sin(0.5 * theta) ** 2 * tj
+    return tj + 1.0, np.cos(theta), offset, lambda k: half_sin * np.sqrt(k * (tj + 1.0 - k))
 
 
-def _block_corner(params: ModelParams, u, j):
-    """``ladder_corner`` of block j at ``CORNER_TAIL_MASS``."""
-    return ladder_corner(params.p_u(u), *_block_ladder(params.n, u[0], u[1], j), CORNER_TAIL_MASS)
-
-
-def block_vector(n: int, u, j, k) -> tuple[np.ndarray, float]:
-    """Block j's ladder vector R e_k at n copies and local parameter ``u``
-    (a length-3 sequence), real in its gauge, on the fewest levels that
-    leave at most ``CORNER_TAIL_MASS`` = t of |psi|^2 outside, certificate
-    included, and that tail: a heterodyne draw of it is within 2 sqrt(t) +
-    t in total variation of one of R e_k."""
-    levels, scale, offset, coupling = _block_ladder(n, u[0], u[1], j)
-    # R e_k is near D(beta)|k>, |beta|^2 ~ offset, whose levels spread about
-    # k + |beta|^2: a first block of twice that plus 20 of its square roots
-    # certifies in one solve for |u| <= 20, k <= 30 (n = 400 and 10^6)
-    mean = k + 1.0 + offset
-    size = int(2.0 * mean + 20.0 * math.sqrt(mean) + 16.0)
-    ks, w = np.array([int(k)]), np.ones(1)
-    z, cut = _ladder_vectors(levels, scale, offset, coupling, ks, w, 0.0, CORNER_TAIL_MASS, size)
-    return z[:, 0], cut
+def block_vectors(n: int, u, js, ks) -> tuple[list, np.ndarray]:
+    """Block j's ladder vector R e_k at n copies, real in its gauge, for each
+    column of the (3, G) ``u`` and (G,) ``js`` and ``ks``, from one solve, on
+    the fewest levels that leave at most t = ``CORNER_TAIL_MASS`` of |psi|^2
+    out, and the (G,) tails: a heterodyne draw of one is within 2 sqrt(t) + t
+    in total variation of one of R e_k."""
+    ks, ladder = np.asarray(ks, dtype=float)[None], _block_ladder(n, u[0], u[1], js)
+    z, dims, tails = _ladder_vectors(*ladder, ks, np.ones_like(ks), 0.0, CORNER_TAIL_MASS)
+    return [z[:d, 0, g] for g, d in enumerate(dims)], tails
 
 
 def block_state(params: ModelParams, u, j) -> np.ndarray:
@@ -364,7 +372,7 @@ def block_state(params: ModelParams, u, j) -> np.ndarray:
     levels, the fewest that leave at most ``CORNER_TAIL_MASS`` outside
     (:func:`ladder_corner`); a block narrower than that is returned whole.
     """
-    corner = _block_corner(params, u, j)[0]
+    corner = block_corners(params, u, [j])[0][0]
     phase = np.exp(1j * gauge_angle(u) * np.arange(corner.shape[0]))
     return corner * np.outer(phase, phase.conj())
 
@@ -374,14 +382,18 @@ def block_corners(params: ModelParams, u, js) -> tuple[np.ndarray, np.ndarray]:
     on its own first D_j ladder levels (at ``CORNER_TAIL_MASS``), zero-padded
     to the widest, D = max D_j.  Returns ``(corners, tails)`` of shapes
     (len(js), D, D) and (len(js),), ``tails`` each block's certified tail.
-    Built from the largest j down into one stack, padded if D_j grows.
-    """
+    Built from the largest j down into one stack, padded if D_j grows, one
+    solve per tile of blocks whose vectors x rows are about PROPOSAL_BLOCK / 4."""
+    js, p, order = np.asarray(js, dtype=float), params.p_u(u), np.argsort(js)[::-1]
+    n_vec = min(2.0 * js.max(initial=0.0) + 1.0, math.log(0.5 * CORNER_TAIL_MASS) / math.log(p) + 1)
+    tile = max(1, int(PROPOSAL_BLOCK // (8.0 * n_vec * n_vec)))
     corners, tails = np.zeros((len(js), 0, 0)), np.empty(len(js))
-    for i in np.argsort(js)[::-1]:
-        c, tails[i] = _block_corner(params, u, js[i])
-        if c.shape[0] > corners.shape[1]:
-            corners = embed_block(corners, c.shape[0])
-        corners[i, : c.shape[0], : c.shape[0]] = c
+    for blocks in (order[s : s + tile] for s in range(0, len(js), tile)):
+        ladders = _block_ladder(params.n, u[0], u[1], js[blocks])
+        c, tails[blocks] = ladder_corner(p, *ladders, CORNER_TAIL_MASS)
+        if c.shape[1] > corners.shape[1]:
+            corners = embed_block(corners, c.shape[1])
+        corners[blocks, : c.shape[1], : c.shape[1]] = c
     return corners, tails
 
 

@@ -2,7 +2,7 @@
 
 Each constant is read by another module of the package.  The algorithms' own
 parameters live with them: ``GRID_*``, ``DELTA_ADM`` and ``TRACE_NORM_*`` in
-lan_channels, ``PROPOSAL_BLOCK`` in fock_gaussian, ``XI_BOUND_C`` in qsde and
+lan_channels, ``PROPOSAL_BLOCK`` in spin_blocks, ``XI_BOUND_C`` in qsde and
 ``AXIS_CUT`` in risk_bench.
 """
 

@@ -13,6 +13,9 @@ top of its ladder.  Two oracles build the whole block instead:
 :func:`block_state` rotates it densely with the spin matrices (O((2j+1)^3),
 small j only), and :func:`full_ladder_state` runs inverse iteration on the
 full 2j + 1 levels of the rotated ladder (any j up to a few thousand).
+:func:`dstein_ladder_vectors` is the package's certified ladder-vector loop
+as it was built on LAPACK's inverse iteration, kept as the oracle of the
+twisted-factorization kernel that replaced it.
 The package keeps those corners real in their gauge; :func:`fock_basis`
 phases one back to the Fock basis the oracles work in.
 """
@@ -229,6 +232,46 @@ def full_ladder_state(params, u, j, n_vec: int) -> np.ndarray:
         )
         assert info == 0
     return fock_basis((z * w[:n_vec]) @ z.T, gauge_angle(u))
+
+
+def dstein_ladder_vectors(levels, scale, offset, coupling, ks, w, rest: float, tail: float, size: int):
+    """Certified eigenvectors R e_k, k in ``ks`` (ascending), of one ladder's
+    rotated excitation count (the real tridiagonal T with diagonal ``scale *
+    k + offset``, off-diagonal ``-coupling(k)``, eigenvalues 0, 1, 2, ...) by
+    LAPACK's inverse iteration on the leading M x M block T_M, shifted by
+    ``-offset`` so that dstein's cluster test (eigenvalues within 1e-3
+    ||T_M||) does not reorthogonalize them all.  M starts at ``size`` and
+    doubles until the certificate sum_k w_k 2 r_k / (1 - r_k), r_k =
+    coupling(M) |z_{M-1}|, is below ``tail / 16``; each vector's Rayleigh
+    quotient must lie within 1/2 of its level.  Returns the vectors on the
+    fewest levels D that leave at most ``tail`` outside (discarded mass,
+    certificate and ``rest``) and that tail.
+    """
+
+    def certificate(res: np.ndarray) -> float:
+        return 2.0 * float(w @ np.where(res < 0.5, res / np.maximum(1.0 - res, 0.5), 1.0))
+
+    top = int(ks[-1]) + 1
+    k = np.arange(top + 1, dtype=float)
+    b = np.append(0.0, coupling(k[1:]))
+    z = np.eye(top)[:, ks]
+    diag, off = scale * k[:top], -b[1:top]
+    cert = certificate(np.abs((scale - 1.0) * ks + offset) + b[ks] + b[ks + 1])
+    size = int(min(levels, size))
+    while cert > tail / 16.0:
+        k = np.arange(size, dtype=float)
+        diag, off = scale * k, -coupling(k[1:])
+        split = np.zeros(size, dtype=np.int32)
+        split[0] = size
+        z, info = lapack.dstein(diag, off, ks - offset, np.ones(size, dtype=np.int32), split)
+        assert info == 0
+        cert = 0.0 if size == levels else certificate(coupling(float(size)) * np.abs(z[-1]))
+        size = int(min(levels, 2 * size))
+    theta = diag @ (z * z) + 2.0 * off @ (z[:-1] * z[1:])
+    assert np.abs(theta - (ks - offset)).max() < 0.5
+    profile = np.append(np.cumsum(((z * z) @ w)[::-1])[::-1], 0.0) + (rest + cert)
+    dim = int(np.argmax(profile <= tail))
+    return z[:dim], float(profile[dim])
 
 
 def fock_basis(corner: np.ndarray, chi: float) -> np.ndarray:

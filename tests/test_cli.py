@@ -748,19 +748,12 @@ for argv in (
     ["risk", "--n-list", "10000", "--trials", "200"],
     ["hoeffding"],
     ["qsde-check", "--n-list", "1000,4000"],
-):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
-    loaded[" ".join(argv)] = scipy_modules() if code == 0 else f"exit {code}"
-from scipy.linalg import lapack
-lapack_alone = set(scipy_modules())
-for argv in (
     ["lan-dist", "--n-list", "20,50"],
     ["risk", "--sampler", "exact", "--n-list", "400", "--trials", "20"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    loaded[" ".join(argv)] = sorted(set(scipy_modules()) - lapack_alone) if code == 0 else f"exit {code}"
+    loaded[" ".join(argv)] = scipy_modules() if code == 0 else f"exit {code}"
 print(json.dumps(loaded))
 """
 
@@ -783,16 +776,38 @@ def fresh_python(code: str) -> str:
 
 
 def test_gaussian_limit_commands_never_load_scipy():
-    """`import qlan.cli`, the commands that sample the Gaussian limit and
-    `qsde-check` run on numpy alone, and `lan-dist` and the exact sampler
-    load no scipy module beyond what `scipy.linalg.lapack` (for the ladder
-    vectors' `dstein`) loads by itself: no `scipy.special`.  `import qlan.cli`
-    also leaves out `concurrent.futures`, which only the thread pool of
-    `operator_core.pool_map` needs, and imports when it first runs one.  A
-    fresh interpreter, because this one has both loaded already."""
+    """`import qlan.cli` and every command run on numpy alone: the commands
+    that sample the Gaussian limit, `hoeffding`, `qsde-check`, and also
+    `lan-dist` and the exact sampler, whose ladder vectors come from the
+    package's own twisted-factorization kernel: no scipy module at all.
+    `import qlan.cli` also leaves out `concurrent.futures`, which only the
+    thread pool of `operator_core.pool_map` needs, and imports when it first
+    runs one.  A fresh interpreter, because this one has both loaded
+    already."""
     loaded = strict_json(fresh_python(SCIPY_FREE))
     assert len(loaded) == 8
     assert all(mods == [] for mods in loaded.values()), loaded
+
+
+def test_src_imports_only_the_standard_library_numpy_and_qlan():
+    """Every import in `src/qlan`, function-local ones included, names a
+    standard-library module, numpy or qlan itself, so no scipy import can
+    come back, lazily, on a path the command fence above does not run."""
+    files = sorted((Path(qlan.__file__).resolve().parent).glob("*.py"))
+    assert len(files) >= 10
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["qlan" if node.level else node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top in ("numpy", "qlan"), (
+                    f"{path.name}:{node.lineno} imports {name}"
+                )
 
 
 IMPORT_ALONE = """

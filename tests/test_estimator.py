@@ -362,8 +362,9 @@ def test_exact_columns_draw_like_one_u():
 def test_exact_chunk_draws_block_indices_once(monkeypatch):
     """A chunk draws all its block indices in one ``sample_block_index``
     call and all its ladder levels in one ``ladder_level`` call, builds no
-    pmf window, no block state and no corner, and builds one ladder vector
-    per distinct (mu, u, j, k) among its columns."""
+    pmf window, no block state and no corner, and builds its ladder vectors
+    in one ``block_vectors`` call, one column per distinct (mu, u, j, k)
+    among its columns, and one heterodyne sampler per vector."""
     calls = {"index": [], "level": [], "vector": [], "window": 0, "state": 0, "corner": 0}
 
     def index(n, mu_u, rng):
@@ -376,9 +377,9 @@ def test_exact_chunk_draws_block_indices_once(monkeypatch):
         calls["level"].append(ks)
         return ks
 
-    def vector(n, u, j, k):
-        calls["vector"].append((tuple(u), j, k))
-        return spin_blocks.block_vector(n, u, j, k)
+    def vectors(n, u, js, ks):
+        calls["vector"].append([(tuple(c), j, k) for c, j, k in zip(u.T.tolist(), js, ks)])
+        return spin_blocks.block_vectors(n, u, js, ks)
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -389,7 +390,9 @@ def test_exact_chunk_draws_block_indices_once(monkeypatch):
 
     monkeypatch.setattr(estimator, "sample_block_index", index)
     monkeypatch.setattr(estimator, "ladder_level", level)
-    monkeypatch.setattr(estimator, "block_vector", vector)
+    monkeypatch.setattr(estimator, "block_vectors", vectors)
+    samplers, sampler = [], estimator.HeterodyneSampler
+    monkeypatch.setattr(estimator, "HeterodyneSampler", lambda psi: samplers.append(psi) or sampler(psi))
     for key, name in (
         ("window", "block_pmf_window"),
         ("state", "block_state"),
@@ -404,8 +407,10 @@ def test_exact_chunk_draws_block_indices_once(monkeypatch):
     assert calls["window"] == calls["state"] == calls["corner"] == 0
     js, ks = calls["index"][0], calls["level"][0]
     want = {(tuple(cols[:, c]), js[c], ks[c]) for c in range(33)}
-    assert len(calls["vector"]) == len(set(calls["vector"])) == len(want)
-    assert set(calls["vector"]) == want
+    assert len(calls["vector"]) == 1
+    columns = calls["vector"][0]
+    assert len(columns) == len(set(columns)) == len(want) == len(samplers)
+    assert set(columns) == want
 
 
 def test_exact_draws_follow_the_block_state_heterodyne_law(monkeypatch):

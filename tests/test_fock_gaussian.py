@@ -30,7 +30,7 @@ from dense_channels import (
 from fullspace import fock_basis, spin_matrices
 from qlan.fock_gaussian import GaussianLimitParams, HeterodyneSampler, displaced_thermal
 from qlan.operator_core import trace_norm_distance
-from qlan.spin_blocks import ModelParams, block_state, block_vector, gauge_angle
+from qlan.spin_blocks import ModelParams, block_state, block_vectors, gauge_angle
 
 
 def sample_heterodyne(rho, rng, size):
@@ -206,7 +206,7 @@ def test_heterodyne_rescaled_recovers_local_parameter():
 
 
 def test_heterodyne_sampler_reproducible():
-    psi = block_vector(400, (1.0, 1.0, 1.0), 100.0, 2.0)[0]
+    psi = block_vectors(400, np.ones((3, 1)), [100.0], [2.0])[0][0]
     a = HeterodyneSampler(psi).sample(np.random.default_rng(7), size=100)
     b = HeterodyneSampler(psi).sample(np.random.default_rng(7), size=100)
     assert a.shape == (100,) and np.array_equal(a, b)
@@ -283,7 +283,7 @@ def test_pure_sampler_m_const_matches_its_integral(u, k):
     mean number of angle proposals a draw takes, bound(s) / sum_m |a_m(s)|^2
     at its radius s (one proposal is accepted with the angle-mean density
     over the bound), over the radii of a seeded draw."""
-    sampler = HeterodyneSampler(block_vector(400, u, 100.0, k)[0])
+    sampler = HeterodyneSampler(block_vectors(400, np.reshape(u, (3, 1)), [100.0], [k])[0][0])
     _check_m_const(sampler)
     a, bound = sampler._envelope(np.abs(sampler.sample(np.random.default_rng(47), 20000)) ** 2)
     assert np.mean(bound / (np.abs(a) ** 2).sum(axis=0)) == pytest.approx(sampler.m_const, rel=0.03)

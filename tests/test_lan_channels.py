@@ -544,15 +544,16 @@ def test_sweep_row_reports_the_mass_it_leaves_out():
 
 def test_sweep_row_builds_one_window_and_one_corner_per_block(monkeypatch):
     """Both channels of a row take the one block picture: the pmf window is
-    built once, and each of its blocks' corners once."""
+    built once, and each of its blocks' corners once (the corners are
+    solved in tiles of blocks, so each block's ladder is built once)."""
     params = ModelParams(0.8, 100)
     u = (1.0, 1.0, 1.0)
     window = len(block_pmf_window(params, u)[0])
     calls = {"window": 0, "corner": 0}
 
-    def counted(key, fn):
+    def counted(key, fn, count=lambda *args: 1):
         def wrapper(*args, **kwargs):
-            calls[key] += 1
+            calls[key] += count(*args)
             return fn(*args, **kwargs)
 
         return wrapper
@@ -560,7 +561,8 @@ def test_sweep_row_builds_one_window_and_one_corner_per_block(monkeypatch):
     monkeypatch.setattr(
         lan_channels, "block_pmf_window", counted("window", lan_channels.block_pmf_window)
     )
-    monkeypatch.setattr(spin_blocks, "_block_corner", counted("corner", spin_blocks._block_corner))
+    ladders = counted("corner", spin_blocks._block_ladder, lambda n, ux, uy, j: np.size(j))
+    monkeypatch.setattr(spin_blocks, "_block_ladder", ladders)
     convergence_sweep(params.mu, u, [params.n])
     assert calls == {"window": 1, "corner": window}
 

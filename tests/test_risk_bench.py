@@ -517,6 +517,21 @@ def test_axis_law_is_the_binomial(flips, r):
     assert np.isin(draws * draws, x).all()
 
 
+@pytest.mark.parametrize("r", [0.0, 0.5])
+def test_axis_law_spot_points_at_large_n(r):
+    """At N = 83730 coins an axis (n = 10^6), the masses at the mode and one
+    and three standard deviations either side are within 1e-14 of the exact
+    rationals C(N, h) p^h (1 - p)^(N - h), p = 1/2 and 3/4; ln C(N, h) from
+    three lgamma terms left them 2e-11 to 7e-11 off."""
+    flips = 83730
+    mass = risk_bench._axis_law(flips, r)[1]
+    p = Fraction(1.0 + r) / 2
+    mode, sd = int(np.argmax(mass)), math.sqrt(flips * p * (1 - p))
+    for h in (mode + int(c * sd) for c in (-3, -1, 0, 1, 3)):
+        want = float(math.comb(flips, h) * p**h * (1 - p) ** (flips - h))
+        assert mass[h] == pytest.approx(want, rel=1e-14, abs=0.0), h
+
+
 def test_hoeffding_pruned_mass_brackets_the_probability(monkeypatch):
     """With no cut, nothing is pruned and the probability moves by less than
     1e-12 relative; with a coarse cut the probability drops, and the pruned
@@ -629,10 +644,10 @@ EXACT_TRIAL_PINNED = (  # re-recorded when each draw became one pure ladder vect
 )
 # re-recorded when the rows became the exact stage-1 probability
 HOEFFDING_PINNED = [
-    {"n": 1000, "eps": 0.1, "n_tilde": 502, "probability": 0.5338227384638602, "pruned": 0.0, "bound": 2.2089349386202013, "ok": True, "vacuous": True},
-    {"n": 1000, "eps": 0.2, "n_tilde": 502, "probability": 0.03429634973455074, "pruned": 0.0, "bound": 0.1123290864776665, "ok": True, "vacuous": False},
-    {"n": 10000, "eps": 0.1, "n_tilde": 3982, "probability": 0.4317048174598698, "pruned": 2.8084162769587254e-80, "bound": 1.7083421483759413, "ok": True, "vacuous": True},
-    {"n": 10000, "eps": 0.2, "n_tilde": 3982, "probability": 0.0007070106838423367, "pruned": 2.8084162769587254e-80, "bound": 0.0021666907043559258, "ok": True, "vacuous": False},
+    {"n": 1000, "eps": 0.1, "n_tilde": 502, "probability": 0.5338227384639822, "pruned": 0.0, "bound": 2.2089349386202013, "ok": True, "vacuous": True},
+    {"n": 1000, "eps": 0.2, "n_tilde": 502, "probability": 0.034296349734558355, "pruned": 0.0, "bound": 0.1123290864776665, "ok": True, "vacuous": False},
+    {"n": 10000, "eps": 0.1, "n_tilde": 3982, "probability": 0.43170481746023864, "pruned": 2.808416276958591e-80, "bound": 1.7083421483759413, "ok": True, "vacuous": True},
+    {"n": 10000, "eps": 0.2, "n_tilde": 3982, "probability": 0.0007070106838429873, "pruned": 2.808416276958591e-80, "bound": 0.0021666907043559258, "ok": True, "vacuous": False},
 ]
 
 

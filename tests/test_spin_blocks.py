@@ -14,12 +14,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.linalg import lapack
 
 import fullspace
 from fullspace import (
     assemble_from_blocks,
     block_probability_factored,
+    dstein_ladder_vectors,
     exact_block_weight,
     fock_basis,
     full_ladder_state,
@@ -28,13 +28,16 @@ from fullspace import (
     spin_matrices,
     tensor_power,
 )
+from qlan import spin_blocks
 from qlan.spin_blocks import (
     ModelParams,
+    _block_ladder,
+    _twisted_vectors,
     block_corners,
     block_pmf_window,
     block_state,
     classical_coordinate,
-    block_vector,
+    block_vectors,
     gauge_angle,
     ladder_corner,
     ladder_level,
@@ -481,7 +484,7 @@ def test_block_state_corner_truncation():
     w = p ** np.arange(201.0)
     w /= w.sum()
     cut = block_state(ModelParams(0.75, 400), U0, 100.0)
-    unrotated = ladder_corner(p, 201, 1.0, 0.0, lambda k: 0.0 * k, 1e-14)[0]
+    unrotated = ladder_corner(p, 201, 1.0, 0.0, lambda k: 0.0 * k, 1e-14)[0][0]
     for tail, corner in ((CORNER_TAIL_MASS, cut), (1e-14, unrotated)):
         dim = corner.shape[0]
         assert np.allclose(corner, np.diag(w[:dim]), rtol=1e-13, atol=0.0)
@@ -607,21 +610,21 @@ def test_top_of_ladder_corners_match_the_full_ladder(mu, u, n):
     js, probs, _ = block_pmf_window(params, u)
     mode = int(np.argmax(probs))
     spread = int(2.0 * math.sqrt(n * mu * (1.0 - mu)))
-    dstein = lapack.dstein
+    kernel = spin_blocks._twisted_vectors
     sizes = []
 
-    def spy(*args):
-        sizes.append(len(args[0]))
-        return dstein(*args)
+    def spy(d, *args):
+        sizes.append(len(d))
+        return kernel(d, *args)
 
     for i in (mode, max(mode - spread, 0), min(mode + spread, len(js) - 1)):
         j = js[i]
         sizes.clear()
-        lapack.dstein = spy
+        spin_blocks._twisted_vectors = spy
         try:
             corners, tails = block_corners(params, u, [j])
         finally:
-            lapack.dstein = dstein
+            spin_blocks._twisted_vectors = kernel
         d = int(round(2.0 * j)) + 1
         if i == mode:
             assert max(sizes, default=0) < d
@@ -636,20 +639,21 @@ def test_top_of_ladder_corners_match_the_full_ladder(mu, u, n):
 
 def test_short_leading_block_is_caught_by_the_certificate(monkeypatch):
     """A too-short leading block is caught, never used: the first block is
-    twice as long as the vectors built, while this rotation carries those
-    vectors further down the ladder.  The state that block gives is off by
-    more than the tail budget; the certificate rejects it and the corner
-    comes from a longer block, which matches the full ladder."""
+    cut to twice as many rows as the vectors built, while this rotation
+    carries those vectors further down the ladder.  The state that block
+    gives is off by more than the tail budget; the certificate rejects it
+    and the corner comes from a longer block, which matches the full
+    ladder."""
     params, u, j = ModelParams(0.75, 2000), (2.5, 2.5, 0.0), 499.0
-    dstein = lapack.dstein
-    calls = []
+    kernel, calls = spin_blocks._twisted_vectors, []
 
     def spy(*args):
-        out = dstein(*args)
-        calls.append(out[0])
+        out = kernel(*args)
+        calls.append(out[:, :, 0])
         return out
 
-    monkeypatch.setattr(lapack, "dstein", spy)
+    monkeypatch.setattr(spin_blocks, "_first_rows", lambda ks, *_: 2.0 * len(ks))
+    monkeypatch.setattr(spin_blocks, "_twisted_vectors", spy)
     corners, tails = block_corners(params, u, [j])
     monkeypatch.undo()
     full = full_ladder_state(params, u, j, _n_exact(params.p_u(u), 999))
@@ -668,23 +672,91 @@ def test_short_leading_block_is_caught_by_the_certificate(monkeypatch):
 
 def test_a_vector_of_another_level_is_refused(monkeypatch):
     """The certificate bounds the angle to some eigenvector of T, not to
-    the one at level k.  An inverse iteration that lands one level up
-    returns a vector the certificate passes (its tail is about 2e-25);
-    the Rayleigh quotient sees level 4 where 3 was asked, and it raises."""
-    dstein = lapack.dstein
-
-    def shifted(d, e, w, *rest):
-        return dstein(d, e, w + 1.0, *rest)
-
-    monkeypatch.setattr(lapack, "dstein", shifted)
+    the one at level k.  A solve that lands one level up returns a vector
+    the certificate passes; its residual in T at level 3 is about 1, and
+    the routine raises."""
+    kernel = spin_blocks._twisted_vectors
+    monkeypatch.setattr(spin_blocks, "_twisted_vectors", lambda d, *rest: kernel(d - 1.0, *rest))
     with pytest.raises(np.linalg.LinAlgError, match="level 3"):
-        block_vector(2000, (2.5, 2.5, 0.0), 499.0, 3)
+        block_vectors(2000, np.array([[2.5], [2.5], [0.0]]), [499.0], [3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mu=st.floats(0.55, 0.95),
+    n=st.integers(2, 4000),
+    u=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.floats(-1.0, 1.0)),
+    data=st.data(),
+)
+def test_ladder_vectors_match_the_dstein_oracle(mu, n, u, data):
+    """The twisted-factorization vector R e_k of block j equals the one
+    LAPACK's inverse iteration builds by the loop it replaced
+    (``fullspace.dstein_ladder_vectors``) to 1e-14 once their signs are
+    aligned, on the levels both keep (they may keep one level apart, where a
+    level's tail mass rounds across the budget), and both are certified."""
+    assume(0.5 < mu + u[2] / math.sqrt(n) < 1.0)
+    j = float(data.draw(st.sampled_from(list(valid_j_values(n)))))
+    k = data.draw(st.integers(0, min(int(round(2.0 * j)), 40)))
+    (psi,), (tail,) = block_vectors(n, np.reshape(u, (3, 1)), [j], [k])
+    ladder = _block_ladder(n, u[0], u[1], j)
+    mean = k + 1.0 + float(ladder[2])
+    size = int(2.0 * mean + 20.0 * math.sqrt(mean) + 16.0)
+    want, want_tail = dstein_ladder_vectors(*ladder, np.array([k]), np.ones(1), 0.0, CORNER_TAIL_MASS, size)
+    want = want[:, 0]
+    m = min(len(psi), len(want))
+    assert abs(len(psi) - len(want)) <= 1
+    sign = 1.0 if psi[:m] @ want[:m] >= 0.0 else -1.0
+    assert np.abs(psi[:m] - sign * want[:m]).max() <= 1e-14
+    assert max(tail, want_tail) <= CORNER_TAIL_MASS
+
+
+def test_a_ragged_tile_equals_the_per_ladder_builds():
+    """One solve over a tile that mixes a 1-level block, blocks narrower
+    than its rows and blocks wider than them gives each block the corner
+    that block gets alone, bit for bit, and its tail to rounding (the
+    tile's weighted mass sums run over the widest block's vectors)."""
+    params, u = ModelParams(0.8, 400), (1.0, 1.0, 0.5)
+    js = np.array([0.0, 1.0, 3.0, 8.0, 60.0, 120.0, 200.0])
+    kernel, rows = spin_blocks._twisted_vectors, []
+
+    def spy(d, *args):
+        rows.append(len(d))
+        return kernel(d, *args)
+
+    spin_blocks._twisted_vectors = spy
+    try:
+        corners, tails = ladder_corner(params.p_u(u), *_block_ladder(400, 1.0, 1.0, js), CORNER_TAIL_MASS)
+    finally:
+        spin_blocks._twisted_vectors = kernel
+    assert len(rows) == 1 and 2.0 * 8.0 + 1.0 < rows[0] < 2.0 * 60.0 + 1.0
+    for i, j in enumerate(js):
+        ladder = _block_ladder(400, 1.0, 1.0, np.array([j]))
+        (alone,), (tail,) = ladder_corner(params.p_u(u), *ladder, CORNER_TAIL_MASS)
+        d = len(alone)
+        assert np.array_equal(corners[i, :d, :d], alone)
+        assert tails[i] == pytest.approx(tail, rel=1e-14, abs=0.0)
+        assert not corners[i, d:].any() and not corners[i, :, d:].any()
+    assert len(corners[0]) > 1 and np.array_equal(corners[0], np.diag([1.0] + [0.0] * (len(corners[0]) - 1)))
+
+
+def test_the_twist_stays_inside_each_ladders_rows():
+    """A ladder shorter than the solve keeps its twist, and so its vector,
+    inside its own rows, even where none of them holds an eigenvalue near
+    the level and a decoupled padding row below (diagonal 1) would hold the
+    smallest gamma."""
+    d = np.full((8, 1, 2), 3.0)
+    cpl = np.full((8, 1, 2), 0.5)
+    cpl[0] = 0.0
+    d[3:, 0, 0], cpl[3:, 0, 0] = 1.0, 0.0
+    z = _twisted_vectors(d, cpl, np.array([3.0, 8.0]))
+    assert not z[3:, 0, 0].any()
+    assert np.linalg.norm(z[:3, 0, 0]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_ladder_corner_of_an_unrotated_oscillator_is_thermal():
     """No coupling: the corner is the thermal state's first D levels, and
     its tail is exactly the thermal weight p^D beyond them."""
-    corner, tail = ladder_corner(0.5, math.inf, 1.0, 0.0, lambda k: 0.0 * k, 1e-12)
+    (corner,), (tail,) = ladder_corner(0.5, math.inf, 1.0, 0.0, lambda k: 0.0 * k, 1e-12)
     dim = corner.shape[0]
     assert np.allclose(corner, np.diag(0.5 ** np.arange(1, dim + 1)), rtol=1e-14, atol=0.0)
     assert tail == pytest.approx(0.5**dim, rel=1e-12)
@@ -781,7 +853,7 @@ def test_block_vector_is_the_rotated_ladder_state(mu, u, n, data):
     j = float(data.draw(st.sampled_from(list(js))))
     d = int(round(2.0 * j)) + 1
     k = data.draw(st.integers(0, d - 1))
-    psi, tail = block_vector(n, u, j, k)
+    (psi,), (tail,) = block_vectors(n, np.reshape(u, (3, 1)), [j], [k])
     assert tail <= CORNER_TAIL_MASS and len(psi) <= d
     chi = gauge_angle(u)
     want = rotation_unitary(j, (u[0] / math.sqrt(n), u[1] / math.sqrt(n)))[:, k]
@@ -791,7 +863,8 @@ def test_block_vector_is_the_rotated_ladder_state(mu, u, n, data):
     assert float(np.sum(np.abs(want[len(psi) :]) ** 2)) <= tail + 1e-15
     # the geometric mixture of the vectors is the block state
     p = params.p_u(u)
-    vecs = [np.pad(block_vector(n, u, j, i)[0], (0, d))[:d] for i in range(d)]
+    every = block_vectors(n, np.tile(np.reshape(u, (3, 1)), d), np.full(d, j), np.arange(d))[0]
+    vecs = [np.pad(v, (0, d))[:d] for v in every]
     mix = sum((1.0 - p) * p**i / (1.0 - p**d) * np.outer(v, v) for i, v in enumerate(vecs))
     corner = block_corners(params, u, [j])[0][0]
     m = corner.shape[0]
